@@ -63,6 +63,7 @@ from ..drain.path import (
     DrainPath,
     DrainPathError,
     euler_drain_path,
+    find_drain_path,
     hawick_james_drain_path,
 )
 from ..network.index import FabricIndex
@@ -1132,6 +1133,12 @@ def _construct_drain_cover(
             REFUTED, subject,
             counterexample={"kind": "no-links", "links": 0},
         )
+    if (method == "euler" and len(components) == 1
+            and len(components[0]) == survivor.num_nodes):
+        # A connected survivor is its own single component, and its Euler
+        # cover rooted at router 0 is the very path the drain controller
+        # boots with: both come from the structure store's memo.
+        return [find_drain_path(survivor)]
     paths: List[DrainPath] = []
     for members in components:
         comp = _component_full(survivor, members)

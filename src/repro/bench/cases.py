@@ -379,7 +379,7 @@ def _struct_store_tmpdir() -> str:
 def _compile_structure(topology, config) -> None:
     from .. import structcache
 
-    structcache.distances(topology)
+    structcache.distance_matrix(topology)
     structcache.parts_for(topology, config)
 
 

@@ -35,7 +35,7 @@ from ..routing.adaptive import AdaptiveMinimalRouting
 from ..routing.dor import DimensionOrderRouting
 from ..routing.updown import UpDownRouting
 from ..structcache import parts_for
-from ..topology.graph import Link, Topology
+from ..topology.graph import Topology
 from . import rng as rng_mod
 from .config import Scheme, SimConfig
 from .metrics import NetworkStats
@@ -244,15 +244,6 @@ class Simulation:
             escape_mode = "drain"
             if adopt and drain_path is None:
                 drain_path = shared.drain_path
-            elif (
-                drain_path is None
-                and parts is not None
-                and parts.drain_links is not None
-            ):
-                drain_path = DrainPath(
-                    topology,
-                    [Link(src, dst) for src, dst in parts.drain_links],
-                )
         elif scheme is Scheme.ESCAPE_VC:
             escape_mode = "escape_vc"
             if adopt:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..structcache import drain_links
 from ..topology.dependency import DependencyGraph, build_dependency_graph
 from ..topology.graph import Link, Topology
 from .hawick_james import find_circuit
@@ -33,6 +34,7 @@ __all__ = [
     "DrainPath",
     "DrainPathError",
     "find_drain_path",
+    "euler_circuit",
     "euler_drain_path",
     "hawick_james_drain_path",
 ]
@@ -147,23 +149,15 @@ class DrainPath:
         return f"DrainPath({self.topology.name}, length={len(self.links)})"
 
 
-def euler_drain_path(
+def euler_circuit(
     topology: Topology,
     rng: Optional[random.Random] = None,
     start: Optional[int] = None,
-) -> DrainPath:
-    """Construct a drain path via Hierholzer's Eulerian-circuit algorithm.
+) -> List[Link]:
+    """Hierholzer's Eulerian circuit over *topology*'s unidirectional links.
 
-    Runs in time linear in the number of links. *rng*, when given, shuffles
-    edge exploration order so different (equally valid) drain paths can be
-    sampled — useful for the path-shape ablation benchmarks.
-
-    *start*, when given, roots the circuit at that router and skips the
-    global connectivity precondition: the online recovery engine uses this
-    to cover one connected component of a survivor graph whose other
-    routers are isolated (their links died). Coverage is still enforced by
-    :meth:`DrainPath.validate` — an edge set not fully reachable from
-    *start* raises :class:`DrainPathError` listing the uncovered links.
+    The link sequence behind :func:`euler_drain_path` (same arguments),
+    not yet wrapped in — and validated by — a :class:`DrainPath`.
     """
     if start is None:
         if not topology.is_connected():
@@ -185,8 +179,28 @@ def euler_drain_path(
         else:
             circuit.append(stack.pop())
     circuit.reverse()
-    links = [Link(circuit[i], circuit[i + 1]) for i in range(len(circuit) - 1)]
-    return DrainPath(topology, links)
+    return [Link(circuit[i], circuit[i + 1]) for i in range(len(circuit) - 1)]
+
+
+def euler_drain_path(
+    topology: Topology,
+    rng: Optional[random.Random] = None,
+    start: Optional[int] = None,
+) -> DrainPath:
+    """Construct a drain path via Hierholzer's Eulerian-circuit algorithm.
+
+    Runs in time linear in the number of links. *rng*, when given, shuffles
+    edge exploration order so different (equally valid) drain paths can be
+    sampled — useful for the path-shape ablation benchmarks.
+
+    *start*, when given, roots the circuit at that router and skips the
+    global connectivity precondition: the online recovery engine uses this
+    to cover one connected component of a survivor graph whose other
+    routers are isolated (their links died). Coverage is still enforced by
+    :meth:`DrainPath.validate` — an edge set not fully reachable from
+    *start* raises :class:`DrainPathError` listing the uncovered links.
+    """
+    return DrainPath(topology, euler_circuit(topology, rng=rng, start=start))
 
 
 def hawick_james_drain_path(
@@ -223,8 +237,19 @@ def find_drain_path(
     rng: Optional[random.Random] = None,
     max_circuits: Optional[int] = None,
 ) -> DrainPath:
-    """Find a drain path for *topology* using the requested engine."""
+    """Find a drain path for *topology* using the requested engine.
+
+    The default request (Euler, no *rng*) is a pure function of the
+    topology's content, and both the preflight certifier and the drain
+    controller make it once per trial: its link sequence comes from the
+    structure store's memo (immutable, shared; persisted when the store
+    is active) and only the :class:`DrainPath` around it — validated
+    against *topology* as always — is built per call. Shuffled paths,
+    other engines and fault-recovery covers never touch the memo.
+    """
     if method == "euler":
+        if rng is None:
+            return DrainPath(topology, drain_links(topology))
         return euler_drain_path(topology, rng=rng)
     if method == "hawick-james":
         return hawick_james_drain_path(topology, max_circuits=max_circuits)

@@ -387,7 +387,7 @@ class Harness:
             except (KeyError, TypeError, ValueError):
                 continue  # malformed spec: the trial itself reports it
             try:
-                structcache.distances(topology)
+                structcache.distance_matrix(topology)
                 structcache.parts_for(topology, config)
             except ValueError:
                 # Structurally broken (e.g. disconnected topology with

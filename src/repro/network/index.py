@@ -14,14 +14,11 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
+
+import numpy as _np
 
 from ..topology.graph import Link, Topology
-
-try:  # numpy backs the dense candidate tables; the scalar path needs none
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = ["FabricIndex", "DenseCandidateTables"]
 
@@ -29,12 +26,21 @@ __all__ = ["FabricIndex", "DenseCandidateTables"]
 class DenseCandidateTables:
     """Flat per-(router, dst) candidate-link tables in numpy CSR form.
 
-    The vectorized movement engine replaces the fabric's per-packet
-    candidate memo with one dense lookup structure: row ``router * n + dst``
-    of the (offsets, counts, links) triple yields the candidate link ids in
-    the exact order the routing function enumerates them. Rows are built in
-    one vectorized pass (length scan -> cumulative offsets -> flat gather)
-    so a fault-driven rebuild of a thousand-node table stays cheap.
+    Row ``router * n + dst`` of the (offsets, counts, links) triple yields
+    the candidate link ids in the exact order the routing function
+    enumerates them. This is the one representation adaptive-minimal
+    routing holds: :class:`~repro.routing.adaptive.AdaptiveMinimalRouting`
+    emits the triple straight from the distance matrix (one k x n compare
+    per router, no Python-level cell loop), so a fault-driven rebuild of a
+    thousand-node table stays cheap; the structure store persists the same
+    arrays and the vectorized engine adopts them as they are. Routing
+    functions that only export nested lists (DOR, the generic probe
+    export) are packed by the constructor in one vectorized pass (length
+    scan -> cumulative offsets -> flat gather).
+
+    Single cells are read through ``memoryview`` slices (:meth:`row`),
+    which cost a fraction of numpy scalar indexing and work unchanged on
+    the read-only memory maps the store hands out.
 
     Instances are tagged with the :attr:`FabricIndex.fault_epoch` they were
     built under; holders compare :attr:`epoch` against the live index and
@@ -42,34 +48,22 @@ class DenseCandidateTables:
     candidate-group memo).
     """
 
-    __slots__ = ("num_nodes", "epoch", "offsets", "counts", "links")
+    __slots__ = ("num_nodes", "epoch", "offsets", "counts", "links",
+                 "_offsets_view", "_links_view")
 
     def __init__(self, index: "FabricIndex",
                  tables: List[List[List[int]]]) -> None:
-        if _np is None:  # pragma: no cover - numpy is a hard dependency
-            raise RuntimeError("dense candidate tables require numpy")
         n = index.num_nodes
         if len(tables) != n:
             raise ValueError(f"expected {n} table rows, got {len(tables)}")
-        self.num_nodes = n
-        self.epoch = index.fault_epoch
         rows = [cell for row in tables for cell in row]
         counts = _np.fromiter((len(cell) for cell in rows),
                               dtype=_np.int32, count=n * n)
         offsets = _np.zeros(n * n + 1, dtype=_np.int64)
         _np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        self.links = _np.fromiter(chain.from_iterable(rows),
-                                  dtype=_np.int32, count=total)
-        self.counts = counts
-        self.offsets = offsets
-        # Exported tables are shared between engines; an in-place write
-        # would silently desynchronise them from the routing function, so
-        # freeze the arrays (the DET008 lint rule guards the same contract
-        # statically).
-        self.links.setflags(write=False)
-        self.counts.setflags(write=False)
-        self.offsets.setflags(write=False)
+        links = _np.fromiter(chain.from_iterable(rows),
+                             dtype=_np.int32, count=int(offsets[-1]))
+        self._adopt(index, offsets, counts, links)
 
     @classmethod
     def from_arrays(
@@ -79,16 +73,14 @@ class DenseCandidateTables:
         counts: "_np.ndarray",
         links: "_np.ndarray",
     ) -> "DenseCandidateTables":
-        """Adopt a stored CSR triple (structure-store warm path).
+        """Adopt a CSR triple (routing compile and structure-store load).
 
-        The arrays are typically read-only memory maps shared between
-        worker processes; they are validated for shape/dtype and tagged
-        with the live fault epoch (callers only adopt boot-state tables,
-        so this is epoch 0 in practice — later epochs rebuild from
-        scratch via the routing function).
+        The arrays may be read-only memory maps shared between worker
+        processes; they are validated for shape and tagged with the live
+        fault epoch (the store only holds boot-state tables, so that is
+        epoch 0 there — a fault-driven rebuild compiles a fresh triple
+        under the new epoch).
         """
-        if _np is None:  # pragma: no cover - numpy is a hard dependency
-            raise RuntimeError("dense candidate tables require numpy")
         n = index.num_nodes
         offsets = _np.asarray(offsets)
         counts = _np.asarray(counts)
@@ -98,21 +90,30 @@ class DenseCandidateTables:
         if links.shape != (int(offsets[-1]),):
             raise ValueError("CSR links length does not match its offsets")
         self = object.__new__(cls)
-        self.num_nodes = n
+        self._adopt(index, offsets, counts, links)
+        return self
+
+    def _adopt(self, index: "FabricIndex", offsets, counts, links) -> None:
+        self.num_nodes = index.num_nodes
         self.epoch = index.fault_epoch
         self.offsets = offsets
         self.counts = counts
         self.links = links
-        for arr in (self.offsets, self.counts, self.links):
+        # Tables are shared between engines; an in-place write would
+        # silently desynchronise them from the routing function, so freeze
+        # the arrays (the DET008 lint rule guards the same contract
+        # statically).
+        for arr in (offsets, counts, links):
             if arr.flags.writeable:  # mmap_mode="r" arrays already are not
                 arr.setflags(write=False)
-        return self
+        self._offsets_view = memoryview(offsets)
+        self._links_view = memoryview(links)
 
     def row(self, router: int, dst: int) -> List[int]:
         """Candidate link ids for (router, dst), routing-function order."""
         idx = router * self.num_nodes + dst
-        lo = int(self.offsets[idx])
-        return self.links[lo:lo + int(self.counts[idx])].tolist()
+        offsets = self._offsets_view
+        return self._links_view[offsets[idx]:offsets[idx + 1]].tolist()
 
     def row_lists(self) -> List[List[int]]:
         """All rows as plain Python lists (hot-path extraction helper)."""
@@ -157,9 +158,13 @@ class FabricIndex:
         # BFS per distinct topology content per process, persisted when
         # the store is active. Imported lazily — the store compiles
         # indices itself, so a top-level import would be circular.
-        from ..structcache import distances
+        from ..structcache import distance_matrix
 
-        self.dist: List[List[int]] = distances(topology)
+        #: The memoised boot matrix (read-only, shared by content digest);
+        #: ``dist`` is the mutable row-list copy per-packet lookups and
+        #: :meth:`apply_faults` work on.
+        self._boot_dist = distance_matrix(topology)
+        self.dist: List[List[int]] = self._boot_dist.tolist()
 
         # Runtime fault state (mid-simulation link/router deaths). The
         # static port/link numbering never changes — dead resources keep
@@ -214,6 +219,17 @@ class FabricIndex:
                             dist[neigh] = dist[node] + 1
                             frontier.append(neigh)
             self.dist[src] = dist
+
+    def dist_matrix(self) -> "_np.ndarray":
+        """Hop distances as an ``(n, n)`` int32 array (routing compile input).
+
+        At the boot epoch this is the structure store's memoised read-only
+        matrix, so no conversion is paid; once :meth:`apply_faults` has
+        rewritten rows it is converted from the live row lists.
+        """
+        if self.fault_epoch == 0:
+            return self._boot_dist
+        return _np.asarray(self.dist, dtype=_np.int32)
 
     def surviving_topology(self) -> Topology:
         """The alive sub-topology (full router numbering, dead ones isolated).

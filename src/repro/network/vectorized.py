@@ -152,10 +152,9 @@ class VectorizedEngine:
         n = index.num_nodes
         compiled = getattr(fabric.routing, "compiled_tables", None)
         if compiled is not None and compiled.epoch == index.fault_epoch:
-            # Structure-store warm path: adopt the compiled CSR directly
-            # instead of re-flattening the routing function's list tables
-            # (identical by the store's round-trip contract; any fault
-            # rebuild clears compiled_tables, so staleness is impossible).
+            # The routing function already holds its tables in CSR form
+            # (adaptive-minimal: compiled, store-loaded or rebuilt under
+            # this epoch): adopt the arrays instead of re-packing lists.
             self.tables = compiled
         else:
             exported = fabric.routing.export_tables(n)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from ..network.index import DenseCandidateTables, FabricIndex
 from ..router.packet import Packet
 from .base import RoutingFunction
@@ -22,15 +24,18 @@ __all__ = ["AdaptiveMinimalRouting"]
 class AdaptiveMinimalRouting(RoutingFunction):
     """Table-driven minimal adaptive routing over an arbitrary topology.
 
-    Construction normally builds the productive-link tables from the
-    index's distance matrix. When the compiled-structure store holds this
-    structure, the simulator passes pre-compiled *tables* instead
-    (:class:`~repro.network.index.DenseCandidateTables`): they are
-    adopted only if their fault epoch matches the live index, and the
-    per-``(router, dst)`` list form is materialised lazily — the
-    vectorized engine consumes the CSR arrays directly and never needs
-    it. Any fault-driven :meth:`rebuild` discards compiled tables and
-    recomputes from the index, so stale tables cannot survive a fault.
+    The productive-link tables live in one form only: the frozen CSR
+    arrays of :attr:`compiled_tables`
+    (:class:`~repro.network.index.DenseCandidateTables`). Construction
+    compiles them from the index's distance matrix, or adopts *tables*
+    the compiled-structure store (or a batch donor) already holds — those
+    are accepted only if their fault epoch matches the live index. A
+    fault-driven :meth:`rebuild` runs the same compile under the new
+    epoch, so a rebuild of a thousand-node table stays cheap and stale
+    tables cannot survive a fault. The vectorized engine consumes the
+    arrays as they are; the scalar path reads one CSR row per
+    :meth:`candidates` call (the fabric memoises per cell); the nested
+    list form exists only for callers of :meth:`export_tables`.
     """
 
     deadlock_free = False
@@ -41,54 +46,57 @@ class AdaptiveMinimalRouting(RoutingFunction):
         tables: Optional[DenseCandidateTables] = None,
     ) -> None:
         self.index = index
-        #: Store-compiled CSR tables, current iff this is not None.
-        self.compiled_tables: Optional[DenseCandidateTables] = None
+        #: Nested-list view handed out by :meth:`export_tables` (None
+        #: until somebody asks); once it exists it serves candidates().
+        self._exported: Optional[List[List[List[int]]]] = None
         if tables is not None and tables.epoch == index.fault_epoch:
             if tables.num_nodes != index.num_nodes:
                 raise ValueError(
                     "compiled tables do not match the index geometry"
                 )
-            self.compiled_tables = tables
-            self._productive: Optional[List[List[List[int]]]] = None
+            self.compiled_tables: DenseCandidateTables = tables
         else:
-            self._build(strict=True)
+            self.compiled_tables = self._compile(strict=True)
 
-    def _build(self, strict: bool) -> None:
-        self.compiled_tables = None
+    def _compile(self, strict: bool) -> DenseCandidateTables:
+        """CSR tables of the live index: links one hop closer to each dst."""
         index = self.index
-        dist = index.dist
         n = index.num_nodes
+        dist = index.dist_matrix()
         dead_links = index.dead_links
-        # productive[router][dst] = link ids one hop closer to dst.
-        self._productive = [[[] for _ in range(n)] for _ in range(n)]
+        link_dst = np.asarray(index.link_dst, dtype=np.intp)
+        counts = np.zeros((n, n), dtype=np.int32)
+        chunks = []
         for router in range(n):
-            for link in index.out_links[router]:
-                if link in dead_links:
-                    continue
-                neighbor = index.link_dst[link]
-                for dst in range(n):
-                    if dst == router:
-                        continue
-                    if dist[router][dst] > 0 and dist[neighbor][dst] == dist[router][dst] - 1:
-                        self._productive[router][dst].append(link)
-        if not strict:
-            return
-        for router in range(n):
-            for dst in range(n):
-                if dst != router and not self._productive[router][dst]:
-                    raise ValueError(
-                        f"no productive link from {router} to {dst}: "
-                        "topology must be connected"
-                    )
-
-    def _materialize(self) -> List[List[List[int]]]:
-        """Per-router list tables from the compiled CSR (scalar path)."""
-        tables = self.compiled_tables
-        assert tables is not None
-        n = tables.num_nodes
-        rows = tables.row_lists()
-        self._productive = [rows[r * n:(r + 1) * n] for r in range(n)]
-        return self._productive
+            out = index.out_links[router]
+            if dead_links:
+                out = [link for link in out if link not in dead_links]
+            if not out:
+                continue
+            out = np.asarray(out, dtype=np.int32)
+            row = dist[router]
+            # productive[k, dst]: taking out[k] shortens the way to dst.
+            # row > 0 drops the router itself and unreachable (-1) pairs.
+            productive = (dist[link_dst[out]] == row - 1) & (row > 0)
+            # Transposed, nonzero walks dst-major then k: every
+            # (router, dst) row comes out already in out_links order.
+            chunks.append(out[productive.T.nonzero()[1]])
+            productive.sum(axis=0, dtype=np.int32, out=counts[router])
+        if strict:
+            stranded = counts == 0
+            np.fill_diagonal(stranded, False)
+            if stranded.any():
+                router, dst = divmod(int(stranded.argmax()), n)
+                raise ValueError(
+                    f"no productive link from {router} to {dst}: "
+                    "topology must be connected"
+                )
+        counts = counts.reshape(n * n)
+        offsets = np.zeros(n * n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        links = (np.concatenate(chunks) if chunks
+                 else np.zeros(0, dtype=np.int32))
+        return DenseCandidateTables.from_arrays(index, offsets, counts, links)
 
     def rebuild(self) -> None:
         """Recompute the route tables after a runtime fault.
@@ -99,29 +107,31 @@ class AdaptiveMinimalRouting(RoutingFunction):
         empty candidate lists and the fault injector drops the affected
         packets instead of crashing the allocator.
         """
-        self._build(strict=False)
+        self._exported = None
+        self.compiled_tables = self._compile(strict=False)
 
     def candidates(self, router: int, packet: Packet) -> List[int]:
-        productive = self._productive
-        if productive is None:
-            productive = self._materialize()
-        return productive[router][packet.dst]
+        exported = self._exported
+        if exported is not None:
+            return exported[router][packet.dst]
+        return self.compiled_tables.row(router, packet.dst)
 
     def raw_candidates(self, router: int, dst: int) -> List[int]:
         """Productive links for an explicit (router, dst) pair (test hook)."""
-        productive = self._productive
-        if productive is None:
-            productive = self._materialize()
-        return list(productive[router][dst])
+        return self.compiled_tables.row(router, dst)
 
     def export_tables(self, num_nodes: int) -> List[List[List[int]]]:
-        """Zero-copy export of the productive-link tables.
+        """Zero-copy export of the productive-link tables as nested lists.
 
-        The tables are authoritative: :meth:`candidates` serves the same
-        list objects, so the export is current by construction — including
-        right after a fault-driven :meth:`rebuild`.
+        Materialised from the CSR arrays on first call; from then on
+        :meth:`candidates` serves the same list objects, so the export is
+        current by construction — a fault-driven :meth:`rebuild` drops it
+        and the next call exports the rebuilt tables.
         """
-        productive = self._productive
-        if productive is None:
-            productive = self._materialize()
-        return productive
+        exported = self._exported
+        if exported is None:
+            n = self.compiled_tables.num_nodes
+            rows = self.compiled_tables.row_lists()
+            exported = [rows[r * n:(r + 1) * n] for r in range(n)]
+            self._exported = exported
+        return exported

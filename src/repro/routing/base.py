@@ -33,11 +33,11 @@ class RoutingFunction(ABC):
     #: stateful functions when building the channel-dependency graph.
     stateful: bool = False
 
-    #: Structure-store compiled CSR candidate tables
-    #: (:class:`~repro.network.index.DenseCandidateTables`) adopted at
-    #: construction, or None. Holders must treat them as current only
-    #: while ``compiled_tables.epoch`` matches the live index's fault
-    #: epoch; subclasses that adopt them clear this on any rebuild.
+    #: CSR candidate tables
+    #: (:class:`~repro.network.index.DenseCandidateTables`) of functions
+    #: that keep their relation in that form, else None. Holders must
+    #: treat them as current only while ``compiled_tables.epoch`` matches
+    #: the live index's fault epoch; subclasses replace them on rebuild.
     compiled_tables = None
 
     @abstractmethod

@@ -25,7 +25,9 @@ from .store import (
     clear_memos,
     deactivate,
     default_store_dir,
+    distance_matrix,
     distances,
+    drain_links,
     env_disabled,
     load_certificate,
     parts_for,
@@ -49,7 +51,9 @@ __all__ = [
     "clear_memos",
     "deactivate",
     "default_store_dir",
+    "distance_matrix",
     "distances",
+    "drain_links",
     "env_disabled",
     "load_certificate",
     "parts_for",

@@ -7,7 +7,8 @@ certificate. This module memoizes them at three layers:
 
 1. an **in-process memo** (bounded, content-digest keyed) so repeated
    :class:`~repro.network.index.FabricIndex` constructions inside one
-   process compute each matrix once;
+   process compute each matrix once, and the preflight certifier and the
+   drain controller of one trial share one default drain cycle;
 2. an **on-disk store** (``<root>/<kind>/<digest[:2]>/<digest>/``) of
    ``.npy`` arrays loaded with ``mmap_mode="r"`` so concurrent worker
    processes share page-cache pages instead of private copies, plus
@@ -24,9 +25,10 @@ commit marker. A directory without a readable, matching ``meta.json`` is
 corrupt by definition: it is deleted and the artefact recomputed.
 
 Only boot-time (fault-epoch 0) structures are ever stored. Consumers tag
-loaded tables with the live :attr:`FabricIndex.fault_epoch` and rebuild
-from scratch on any mismatch, so mid-run faults can never read stale
-tables (see :class:`~repro.routing.adaptive.AdaptiveMinimalRouting`).
+loaded tables with the live :attr:`FabricIndex.fault_epoch` and compile
+their own on any mismatch, so mid-run faults can never read stale
+tables (see :class:`~repro.routing.adaptive.AdaptiveMinimalRouting`,
+whose cold build emits the very arrays stored here).
 
 The store is **opt-in**: inactive unless :func:`activate` is called (the
 CLI does, by default) or ``$REPRO_STRUCT_CACHE`` names a directory
@@ -43,11 +45,9 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-try:  # pragma: no cover - the container ships numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - scalar fallback keeps working
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
+from ..topology.graph import Link
 from .digest import (
     STRUCT_FORMAT_VERSION,
     canonical_json,
@@ -67,7 +67,9 @@ __all__ = [
     "env_disabled",
     "stats",
     "clear_memos",
+    "distance_matrix",
     "distances",
+    "drain_links",
     "parts_for",
     "load_certificate",
     "save_certificate",
@@ -359,6 +361,7 @@ def stats() -> Optional[Dict[str, Any]]:
 _MEMO_LIMIT = 4
 
 _DIST_MEMO: Dict[str, Any] = {}
+_DRAIN_MEMO: Dict[str, Tuple[Link, ...]] = {}
 _PARTS_MEMO: Dict[str, "StructParts"] = {}
 
 
@@ -371,41 +374,50 @@ def _memo_put(memo: Dict[str, Any], key: str, value: Any) -> None:
 def clear_memos() -> None:
     """Drop the in-process memos (bench cold-path + test isolation hook)."""
     _DIST_MEMO.clear()
+    _DRAIN_MEMO.clear()
     _PARTS_MEMO.clear()
 
 
 # ----------------------------------------------------------------------
 # Distances (layer 1 + 2): the one sanctioned all-pairs entry point
 # ----------------------------------------------------------------------
-def distances(topology: Any) -> List[List[int]]:
-    """All-pairs hop distances of *topology* as fresh row lists.
+def distance_matrix(topology: Any) -> Any:
+    """All-pairs hop distances of *topology*: a read-only (n, n) int32 array.
 
     This is the DET012-sanctioned entry point: it memoizes the matrix by
     content digest (so topology mutation or a different object with the
     same structure both behave correctly) and persists it in the active
-    store. Every call returns freshly-allocated rows because
-    :meth:`FabricIndex.apply_faults` overwrites rows in place.
+    store. The array is shared by every caller — a freshly computed
+    matrix is frozen before it enters the memo, a stored one is a
+    read-only memory map already.
     """
     key = topology_digest(topology)
     cached = _DIST_MEMO.get(key)
     if cached is None:
-        store = active_store() if _np is not None else None
+        store = active_store()
         if store is not None:
             arrays = store.load_arrays("dist", key)
             if arrays is not None:
-                cached = arrays["dist"]
+                # A base-class view of the map: np.memmap's Python-level
+                # hooks would tax every row slice the routing compile takes.
+                cached = _np.asarray(arrays["dist"])
         if cached is None:
-            if _np is not None:
-                cached = topology._all_pairs_numpy()
-            else:
-                cached = topology.all_pairs_distances(scalar=True)
+            cached = topology._all_pairs_numpy()
+            cached.setflags(write=False)
             if store is not None:
                 store.compiles += 1
                 store.save_arrays("dist", key, {"dist": cached})
         _memo_put(_DIST_MEMO, key, cached)
-    if _np is not None and isinstance(cached, _np.ndarray):
-        return cached.tolist()
-    return [list(row) for row in cached]
+    return cached
+
+
+def distances(topology: Any) -> List[List[int]]:
+    """:func:`distance_matrix` as fresh row lists.
+
+    Every call returns freshly-allocated rows because
+    :meth:`FabricIndex.apply_faults` overwrites rows in place.
+    """
+    return distance_matrix(topology).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -416,10 +428,11 @@ class StructParts:
 
     ``routing`` is the adaptive-minimal candidate-table CSR triple
     ``(offsets, counts, links)`` (None for stateful routing schemes,
-    which cannot be table-compiled); ``drain_links`` is the Eulerian
-    drain cycle as ``(src, dst)`` pairs in path order (None for
-    non-DRAIN schemes). Arrays may be read-only memory maps — consumers
-    must never write them (the DET008 contract).
+    which cannot be table-compiled); ``drain_links`` is the default
+    drain cycle (:func:`drain_links`; None for non-DRAIN schemes), held
+    so the warm-start protocol compiles it in the parent. Arrays may be
+    read-only memory maps — consumers must never write them (the DET008
+    contract).
     """
 
     __slots__ = ("digest", "routing", "drain_links")
@@ -428,7 +441,7 @@ class StructParts:
         self,
         digest: str,
         routing: Optional[Tuple[Any, Any, Any]],
-        drain_links: Optional[List[Tuple[int, int]]],
+        drain_links: Optional[Tuple[Link, ...]],
     ) -> None:
         self.digest = digest
         self.routing = routing
@@ -437,14 +450,10 @@ class StructParts:
 
 def _compile_routing(topology: Any) -> Tuple[Any, Any, Any]:
     """Build the adaptive-minimal CSR triple from scratch (boot state)."""
-    from ..network.index import DenseCandidateTables, FabricIndex
+    from ..network.index import FabricIndex
     from ..routing.adaptive import AdaptiveMinimalRouting
 
-    index = FabricIndex(topology)
-    routing = AdaptiveMinimalRouting(index)
-    tables = DenseCandidateTables(
-        index, routing.export_tables(index.num_nodes)
-    )
+    tables = AdaptiveMinimalRouting(FabricIndex(topology)).compiled_tables
     return tables.offsets, tables.counts, tables.links
 
 
@@ -478,10 +487,27 @@ def _routing_for(
     return triple
 
 
-def _drain_links_for(
-    store: Optional[StructStore], topology: Any
-) -> List[Tuple[int, int]]:
+def drain_links(topology: Any) -> Tuple[Link, ...]:
+    """The default drain cycle of *topology*: its links in path order.
+
+    The unshuffled Euler circuit rooted at router 0 — what
+    :func:`~repro.drain.path.find_drain_path` answers by default — is a
+    pure function of the topology's content, so it is memoized by content
+    digest and persisted in the active store like the distance matrix.
+    The tuple of frozen links is shared by every caller; each builds (and
+    validates) its own :class:`~repro.drain.path.DrainPath` around it.
+    """
     key = topology_digest(topology)
+    links = _DRAIN_MEMO.get(key)
+    if links is None:
+        links = _drain_links_for(active_store(), topology, key)
+        _memo_put(_DRAIN_MEMO, key, links)
+    return links
+
+
+def _drain_links_for(
+    store: Optional[StructStore], topology: Any, key: str
+) -> Tuple[Link, ...]:
     if store is not None:
         arrays = store.load_arrays("drain", key)
         if arrays is not None:
@@ -489,15 +515,14 @@ def _drain_links_for(
             src = arrays["src"]
             dst = arrays["dst"]
             if src.shape == (expected,) and dst.shape == (expected,):
-                return [
-                    (int(s), int(d)) for s, d in zip(src.tolist(), dst.tolist())
-                ]
+                return tuple(
+                    Link(s, d) for s, d in zip(src.tolist(), dst.tolist())
+                )
             store.corrupt += 1
             shutil.rmtree(store._dir_for("drain", key), ignore_errors=True)
-    from ..drain.path import find_drain_path
+    from ..drain.path import euler_circuit
 
-    path = find_drain_path(topology)
-    links = [(link.src, link.dst) for link in path.links]
+    links = tuple(euler_circuit(topology))
     if store is not None:
         store.compiles += 1
         count = len(links)
@@ -506,10 +531,10 @@ def _drain_links_for(
             key,
             {
                 "src": _np.fromiter(
-                    (s for s, _ in links), dtype=_np.int32, count=count
+                    (link.src for link in links), dtype=_np.int32, count=count
                 ),
                 "dst": _np.fromiter(
-                    (d for _, d in links), dtype=_np.int32, count=count
+                    (link.dst for link in links), dtype=_np.int32, count=count
                 ),
             },
         )
@@ -519,14 +544,14 @@ def _drain_links_for(
 def parts_for(topology: Any, config: Any) -> Optional[StructParts]:
     """Compiled parts for (topology, config), or None when unavailable.
 
-    Returns None when the persistent store is inactive or numpy is
-    missing — callers fall back to from-scratch construction, which is
-    the bit-identical reference path. Parts are memoized in process by
+    Returns None when the persistent store is inactive — callers fall
+    back to from-scratch construction, which is the bit-identical
+    reference path. Parts are memoized in process by
     structure digest, so a sweep of M seeds over one structure compiles
     (or loads) once.
     """
     store = active_store()
-    if store is None or _np is None:
+    if store is None:
         return None
     from ..core.configio import config_to_dict
 
@@ -542,10 +567,10 @@ def parts_for(topology: Any, config: Any) -> Optional[StructParts]:
         # rebuilt from the topology either way; only the adaptive-minimal
         # candidate tables are worth compiling.
         routing = _routing_for(store, topology, key)
-    drain_links = None
+    cycle = None
     if scheme == "drain":
-        drain_links = _drain_links_for(store, topology)
-    parts = StructParts(key, routing, drain_links)
+        cycle = drain_links(topology)
+    parts = StructParts(key, routing, cycle)
     _memo_put(_PARTS_MEMO, key, parts)
     return parts
 

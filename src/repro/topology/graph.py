@@ -63,6 +63,8 @@ class Topology:
         self.coordinates = dict(coordinates) if coordinates else None
         self._adjacency: Dict[int, List[int]] = {n: [] for n in range(num_nodes)}
         self._edges: Set[FrozenSet[int]] = set()
+        #: Memo of :meth:`unidirectional_links`; any edge mutation drops it.
+        self._links: Optional[List[Link]] = None
         for a, b in edges:
             self.add_edge(a, b)
 
@@ -79,6 +81,7 @@ class Topology:
         if key in self._edges:
             raise ValueError(f"duplicate link between {a} and {b}")
         self._edges.add(key)
+        self._links = None
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
         self._adjacency[a].sort()
@@ -94,6 +97,7 @@ class Topology:
         if key not in self._edges:
             raise KeyError(f"no link between {a} and {b}")
         self._edges.remove(key)
+        self._links = None
         self._adjacency[a].remove(b)
         self._adjacency[b].remove(a)
 
@@ -137,12 +141,19 @@ class Topology:
         return sorted(tuple(sorted(e)) for e in self._edges)
 
     def unidirectional_links(self) -> List[Link]:
-        """All unidirectional links, two per bidirectional link."""
-        links: List[Link] = []
-        for a, b in self.bidirectional_links():
-            links.append(Link(a, b))
-            links.append(Link(b, a))
-        return links
+        """All unidirectional links, two per bidirectional link.
+
+        The sorted list is built once per edge set; every call returns
+        its own copy, so callers may mutate what they get.
+        """
+        links = self._links
+        if links is None:
+            links = []
+            for a, b in self.bidirectional_links():
+                links.append(Link(a, b))
+                links.append(Link(b, a))
+            self._links = links
+        return list(links)
 
     def links_into(self, n: int) -> List[Link]:
         """Unidirectional links terminating at router *n* (its input ports)."""

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import structcache
 from repro.drain.path import (
     DrainPath,
+    DrainPathError,
     euler_drain_path,
     find_drain_path,
     hawick_james_drain_path,
@@ -188,6 +190,49 @@ class TestFindDrainPath:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             find_drain_path(make_ring(3), method="magic")
+
+    def test_default_path_is_computed_once_per_topology_content(
+            self, monkeypatch):
+        import repro.drain.path as path_mod
+
+        structcache.clear_memos()
+        calls = []
+        real = path_mod.euler_circuit
+
+        def counting(topology, rng=None, start=None):
+            calls.append(topology.name)
+            return real(topology, rng=rng, start=start)
+
+        topo = make_mesh(4, 4)
+        reference = euler_drain_path(topo).links
+        monkeypatch.setattr(path_mod, "euler_circuit", counting)
+        first = find_drain_path(topo)
+        # An equal topology in another object (what preflight and the
+        # simulator hold) is served by content, not identity.
+        second = find_drain_path(make_mesh(4, 4))
+        assert calls == [topo.name]
+        assert first.links == second.links == reference
+        assert first is not second and first.links is not second.links
+        assert second.topology is not topo
+        # Only immutable data is shared: a caller scribbling over its
+        # path cannot reach the next one.
+        first.links.reverse()
+        assert find_drain_path(topo).links == second.links
+        # A mutated topology is different content.
+        topo.remove_edge(0, 1)
+        assert_valid_drain_path(find_drain_path(topo), topo)
+        assert len(calls) == 2
+        # Shuffled paths and the other engine never touch the memo.
+        find_drain_path(topo, rng=random.Random(3))
+        find_drain_path(make_ring(3), method="hawick-james")
+        assert len(calls) == 3  # the rng path's own circuit, unmemoised
+        structcache.clear_memos()
+
+    def test_disconnected_topology_is_refused_not_memoised(self):
+        topo = Topology(4, [(0, 1), (2, 3)])
+        for _ in range(2):
+            with pytest.raises(DrainPathError, match="connected"):
+                find_drain_path(topo)
 
 
 class TestDrainPathValidation:

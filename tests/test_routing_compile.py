@@ -1,0 +1,209 @@
+"""The array-native routing compile against a brute-force reference.
+
+:class:`AdaptiveMinimalRouting` emits its CSR candidate tables straight
+from the distance matrix. The reference here is the definition spelled out
+cell by cell (router x out-link x destination) and lives in this file
+only; the compiled triple must equal it exactly — row order included,
+because the allocator's rotation starts from a draw over that order.
+"""
+
+import gc
+import random
+
+import numpy as np
+import pytest
+
+from repro.core.config import (
+    DrainConfig,
+    NetworkConfig,
+    PfcConfig,
+    Scheme,
+    SimConfig,
+)
+from repro.core.simulator import Simulation
+from repro.network.index import DenseCandidateTables, FabricIndex
+from repro.router.packet import Packet
+from repro.routing.adaptive import AdaptiveMinimalRouting
+from repro.topology.datacenter import make_leaf_spine
+from repro.topology.graph import Topology
+from repro.topology.irregular import inject_link_faults
+from repro.topology.mesh import make_mesh, make_ring
+from repro.traffic.flows import Flow, FlowTraffic
+
+
+def reference_tables(index):
+    """productive[router][dst]: live out-links one hop closer, id order."""
+    n = index.num_nodes
+    dist = index.dist
+    tables = [[[] for _ in range(n)] for _ in range(n)]
+    for router in range(n):
+        for link in index.out_links[router]:
+            if link in index.dead_links:
+                continue
+            neighbor = index.link_dst[link]
+            for dst in range(n):
+                if (dst != router and dist[router][dst] > 0
+                        and dist[neighbor][dst] == dist[router][dst] - 1):
+                    tables[router][dst].append(link)
+    return tables
+
+
+def first_stranded_pair(tables):
+    n = len(tables)
+    for router in range(n):
+        for dst in range(n):
+            if dst != router and not tables[router][dst]:
+                return router, dst
+    return None
+
+
+def assert_triple_matches(compiled, index, tables):
+    packed = DenseCandidateTables(index, tables)
+    assert compiled.epoch == index.fault_epoch
+    for name in ("offsets", "counts", "links"):
+        got, want = getattr(compiled, name), getattr(packed, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+
+
+def random_topology(rng):
+    kind = rng.choice(("mesh", "ring", "leafspine"))
+    if kind == "mesh":
+        mesh = make_mesh(rng.randint(2, 6), rng.randint(2, 6))
+        spare = mesh.num_edges - (mesh.num_nodes - 1)
+        return inject_link_faults(mesh, rng.randint(0, min(6, spare)), rng)
+    if kind == "ring":
+        return make_ring(rng.randint(3, 12))
+    while True:
+        leaves, spines = rng.randint(3, 10), rng.randint(1, 4)
+        try:
+            return make_leaf_spine(
+                leaves, spines, uplinks=rng.randint(1, spines),
+                east_west=rng.random() < 0.5,
+            )
+        except ValueError:  # striping left a spine unattached: redraw
+            continue
+
+
+def random_faults(index, rng):
+    """Dead bidirectional links plus dead routers (with their links)."""
+    dead_links = set()
+    for link in rng.sample(range(index.num_links), rng.randint(1, 3)):
+        dead_links |= {link, index.link_reverse[link]}
+    dead_routers = set(
+        rng.sample(range(index.num_nodes), rng.choice((0, 0, 1, 2)))
+    )
+    for router in dead_routers:
+        for link in index.out_links[router]:
+            dead_links |= {link, index.link_reverse[link]}
+    return dead_links, dead_routers
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_compiled_triple_equals_reference(seed):
+    rng = random.Random(seed)
+    topology = random_topology(rng)
+    index = FabricIndex(topology)
+    routing = AdaptiveMinimalRouting(index)
+    boot = routing.compiled_tables
+    assert_triple_matches(boot, index, reference_tables(index))
+
+    index.apply_faults(*random_faults(index, rng))
+    routing.rebuild()
+    tables = reference_tables(index)
+    assert routing.compiled_tables is not boot
+    assert_triple_matches(routing.compiled_tables, index, tables)
+    n = index.num_nodes
+    for router in range(n):
+        for dst in range(n):
+            assert routing.raw_candidates(router, dst) == tables[router][dst]
+            if index.dist[router][dst] <= 0:  # self, dead or cut off
+                assert tables[router][dst] == []
+
+    # Construction is strict where rebuild() is lenient: the first
+    # stranded pair, row-major, is named.
+    stranded = first_stranded_pair(tables)
+    if stranded is None:
+        fresh = AdaptiveMinimalRouting(index).compiled_tables
+        assert_triple_matches(fresh, index, tables)
+    else:
+        with pytest.raises(ValueError) as err:
+            AdaptiveMinimalRouting(index)
+        assert str(err.value) == (
+            f"no productive link from {stranded[0]} to {stranded[1]}: "
+            "topology must be connected"
+        )
+
+
+def test_disconnected_boot_topology_names_first_pair():
+    # Two components {0, 1, 2} and {3, 4}: router 0 cannot reach 3.
+    index = FabricIndex(Topology(5, [(0, 1), (1, 2), (3, 4)]))
+    with pytest.raises(ValueError, match="from 0 to 3: topology must be"):
+        AdaptiveMinimalRouting(index)
+
+
+def test_export_serves_the_lists_candidates_returns():
+    index = FabricIndex(make_mesh(4, 4))
+    routing = AdaptiveMinimalRouting(index)
+    probe = Packet(-1, 0, 15)
+    before = routing.candidates(0, probe)
+    exported = routing.export_tables(index.num_nodes)
+    assert exported == reference_tables(index)
+    assert exported[0][15] == before
+    # Zero-copy contract: after the export, candidates() hands out the
+    # exported list objects themselves, and a re-export is the same nest.
+    assert routing.candidates(0, probe) is exported[0][15]
+    assert routing.export_tables(index.num_nodes) is exported
+    # A rebuild drops the export with the tables it mirrored.
+    index.apply_faults({0, index.link_reverse[0]}, set())
+    routing.rebuild()
+    rebuilt = routing.export_tables(index.num_nodes)
+    assert rebuilt is not exported
+    assert rebuilt == reference_tables(index)
+    assert routing.candidates(0, probe) is rebuilt[0][15]
+
+
+def test_cell_reads_work_on_readonly_memmaps(tmp_path):
+    index = FabricIndex(make_ring(6))
+    built = AdaptiveMinimalRouting(index).compiled_tables
+    mapped = []
+    for name in ("offsets", "counts", "links"):
+        np.save(tmp_path / f"{name}.npy", getattr(built, name))
+        mapped.append(np.load(tmp_path / f"{name}.npy", mmap_mode="r"))
+    adopted = AdaptiveMinimalRouting(
+        index, tables=DenseCandidateTables.from_arrays(index, *mapped)
+    )
+    assert adopted.compiled_tables.links is not built.links
+    for router in range(6):
+        for dst in range(6):
+            assert adopted.raw_candidates(router, dst) == built.row(router, dst)
+
+
+def test_scalar_fabric_build_and_run_allocates_no_cell_lists():
+    # 256 switches on the scalar pause/resume fabric: the n x n nested
+    # list form alone is 65 792 tracked objects; the CSR form plus the
+    # cells the run actually touches stays an order of magnitude below.
+    leaves = 240
+    topology = make_leaf_spine(leaves, 16, uplinks=2)
+    n = topology.num_nodes
+    config = SimConfig(
+        scheme=Scheme.DRAIN,
+        network=NetworkConfig(num_vns=1, vcs_per_vn=4),
+        drain=DrainConfig(epoch=256),
+        seed=1,
+        flow_control="pause_resume",
+        pfc=PfcConfig(pause_threshold=2, resume_threshold=1, headroom=1),
+    )
+    flows = [Flow(i, (i + leaves // 2) % leaves, 1.0, packets=20)
+             for i in range(0, leaves, 16)]
+    gc.collect()
+    before = len(gc.get_objects())
+    sim = Simulation(topology, config, FlowTraffic(flows, random.Random(1)),
+                     degradation_ladder=True)
+    sim.run(2000)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert sim.fabric.engine_name == "scalar"
+    assert sim.traffic.done() and sim.traffic.delivered == 15 * 20
+    assert grown < n * n // 2, grown

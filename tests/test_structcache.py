@@ -14,11 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import structcache
 from repro.core.config import Scheme
-from repro.core.configio import config_to_dict
+from repro.core.configio import config_from_dict, config_to_dict
 from repro.core.simulator import Simulation
 from repro.experiments.common import Scale, scheme_config, synthetic_trial_for
 from repro.harness import Harness, execute_trial
@@ -199,13 +200,27 @@ class TestStoreArtifacts:
 class TestAdoption:
     def test_sim_results_identical_with_store(self, store, tmp_path):
         spec = tiny_spec()
+        topology = make_mesh(4, 4)
+        config = config_from_dict(spec.params["config"])
         cold = json.loads(json.dumps(execute_trial(spec)))
+        # The memo the trial just filled: compiled by this process ...
+        cold_triple = structcache.parts_for(topology, config).routing
+        assert store.entry_counts()["routing"] == 1
         structcache.clear_memos()
         warm = json.loads(json.dumps(execute_trial(spec)))
+        # ... and here memory-mapped back from the store.
+        warm_triple = structcache.parts_for(topology, config).routing
+        assert all(isinstance(arr, np.memmap) for arr in warm_triple)
         structcache.deactivate()
         structcache.clear_memos()
         bare = json.loads(json.dumps(execute_trial(spec)))
         assert cold == warm == bare
+        scratch = AdaptiveMinimalRouting(FabricIndex(topology)).compiled_tables
+        for c, w, s in zip(cold_triple, warm_triple,
+                           (scratch.offsets, scratch.counts, scratch.links)):
+            assert c.dtype == w.dtype == s.dtype
+            assert np.array_equal(c, s) and np.array_equal(w, s)
+            assert not w.flags.writeable and not s.flags.writeable
 
     def test_fault_epoch_invalidates_adopted_tables(self, store):
         topology = make_mesh(4, 4)
@@ -226,11 +241,23 @@ class TestAdoption:
         index.apply_faults({dead, index.link_reverse[dead]}, set())
         assert index.fault_epoch == 1
         routing.rebuild()
-        assert routing.compiled_tables is None
 
         # Stale tables (epoch 0) offered to a faulted index are refused.
         refused = AdaptiveMinimalRouting(index, tables=tables)
-        assert refused.compiled_tables is None
+
+        # Both hold tables of the live epoch that equal a from-scratch
+        # build on the faulted index (the dead link is gone from them).
+        scratch = AdaptiveMinimalRouting(index)
+        n = topology.num_nodes
+        for held in (routing, refused):
+            assert held.compiled_tables is not tables
+            assert held.compiled_tables.epoch == index.fault_epoch
+            for s in range(n):
+                for d in range(n):
+                    cands = held.raw_candidates(s, d)
+                    assert cands == scratch.raw_candidates(s, d)
+                    assert dead not in cands
+        assert routing.raw_candidates(0, 1) != reference[(0, 1)]
 
         # A fresh index at epoch 0 adopts again and agrees with scratch.
         fresh = AdaptiveMinimalRouting(

@@ -66,6 +66,22 @@ class TestTopologyQueries:
         assert len(links) == 4
         assert Link(0, 1) in links and Link(1, 0) in links
 
+    def test_unidirectional_links_memo_tracks_mutation(self):
+        topo = Topology(4, [(0, 1), (1, 2)])
+        links = topo.unidirectional_links()
+        # Callers own what they get: mutating it leaves the memo intact.
+        links.clear()
+        assert topo.unidirectional_links() == [
+            Link(0, 1), Link(1, 0), Link(1, 2), Link(2, 1)
+        ]
+        topo.add_edge(2, 3)
+        assert Link(3, 2) in topo.unidirectional_links()
+        topo.remove_edge(0, 1)
+        assert topo.unidirectional_links() == [
+            Link(1, 2), Link(2, 1), Link(2, 3), Link(3, 2)
+        ]
+        assert topo.copy().unidirectional_links() == topo.unidirectional_links()
+
     def test_links_into_and_out_of(self):
         topo = Topology(3, [(0, 1), (1, 2)])
         assert topo.links_into(1) == [Link(0, 1), Link(2, 1)]
