@@ -52,7 +52,7 @@ constrains how kernel code (everything under ``repro/network`` — see
   insertion order (guaranteed since 3.7) and are not flagged.
 
 - **DET010** — wall-clock readers imported by name (``from time import
-  perf_counter``) anywhere outside the bench/harness allowlist sentinel
+  perf_counter``) anywhere outside the harness allowlist sentinel
   (:data:`WALL_CLOCK_ALLOWED`). A from-import binds the reader to a bare
   name, which evades DET003's attribute-based detection; import the
   module and read through it (so DET003 can see the call), or move the
@@ -108,9 +108,6 @@ WALL_CLOCK_ALLOWED: Tuple[str, ...] = (
     "harness/pool.py",
     "harness/checkpoint.py",
     "harness/manifest.py",
-    # The bench layer's timing boundary: wall time is the measurement
-    # there, and it never feeds back into trial results.
-    "bench/runner.py",
 )
 
 #: Files (matched by trailing path components) allowed to call

@@ -28,11 +28,6 @@ Subcommands:
   full certificate;
 - ``repro-drain lint`` — run the determinism lint pass (DET001-DET012)
   over Python sources; exit 1 when findings exist;
-- ``repro-drain bench`` — run the deterministic benchmark suite and write
-  a ``BENCH_<stamp>.json`` report, ``--compare A.json B.json`` to
-  judge a new report against a baseline (exit 1 on regression) — the CI
-  non-regression guard — or ``--trend [DIR]`` to fold the committed
-  report series into a calibration-normalised per-case trajectory table;
 - ``repro-drain cache`` — inspect (``info``, the default action) or
   ``clear`` the on-disk trial result cache and the compiled-structure
   store (``--structs-only`` / ``--results-only`` to restrict).
@@ -637,37 +632,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if cert.certified else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark suite, or compare two reports (CI guard)."""
-    from . import bench
-
-    if args.trend is not None:
-        print(bench.render_trend(Path(args.trend)))
-        return 0
-    if args.compare:
-        base = bench.load_report(Path(args.compare[0]))
-        new = bench.load_report(Path(args.compare[1]))
-        result = bench.compare_reports(base, new, tolerance=args.tolerance)
-        for line in result.lines:
-            print(line)
-        if result.regressions:
-            print(
-                f"{len(result.regressions)} case(s) regressed beyond "
-                f"{args.tolerance:.0%}: {', '.join(result.regressions)}",
-                file=sys.stderr,
-            )
-            return 1
-        print("no regressions")
-        return 0
-    names = [n for n in args.cases.split(",") if n] if args.cases else None
-    print(f"running bench suite (repeat={args.repeat}) ...")
-    report = bench.run_suite(names, repeat=args.repeat, log=print)
-    out = Path(args.out) if args.out else Path.cwd() / bench.default_report_name()
-    bench.write_report(report, out)
-    print(f"wrote {out}", file=sys.stderr)
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Determinism lint pass over Python sources (DET001-DET012)."""
     findings = lint_paths(args.paths)
@@ -907,32 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true",
                          help="emit the full certificate as JSON")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="deterministic performance benchmarks + regression compare",
-    )
-    p_bench.add_argument("--cases", default="",
-                         help="comma-separated case names (default: the "
-                              "full suite; calibration always included)")
-    p_bench.add_argument("--repeat", type=int, default=3,
-                         help="timing repeats per case; best wall time wins")
-    p_bench.add_argument("--out", default=None,
-                         help="report path (default: BENCH_<stamp>.json "
-                              "in the current directory)")
-    p_bench.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"),
-                         default=None,
-                         help="compare two reports instead of running; "
-                              "exit 1 when any case regresses")
-    p_bench.add_argument("--tolerance", type=float, default=0.25,
-                         help="allowed slowdown vs baseline after "
-                              "calibration normalisation (default 0.25)")
-    p_bench.add_argument("--trend", nargs="?", const="benchmarks",
-                         default=None, metavar="DIR",
-                         help="aggregate every BENCH_*.json report in DIR "
-                              "(default: benchmarks/) into a calibration-"
-                              "normalised per-case trajectory table "
-                              "instead of running")
-
     p_lint = sub.add_parser(
         "lint", help="determinism lint pass (DET001-DET012)"
     )
@@ -969,7 +907,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "faults": _cmd_faults,
         "drainpath": _cmd_drainpath,
         "check": _cmd_check,
-        "bench": _cmd_bench,
         "lint": _cmd_lint,
         "cache": _cmd_cache,
     }

@@ -350,12 +350,13 @@ class Simulation:
 
         #: Reference mode: plain per-cycle stepping, no fast-forward.
         self.dense = bool(dense)
-        #: Event-horizon hooks — every wired side component's
-        #: ``next_event_cycle``; :meth:`_event_horizon` takes their min.
-        self._horizon_hooks = [
-            component.next_event_cycle
+        #: The wired side components that step after ``traffic.generate``,
+        #: in phase order (:meth:`_finish_cycle`). The ladder precedes the
+        #: drain controller, so a forced drain collapses the countdown and
+        #: the freeze fires that very cycle.
+        self._post_generate = [
+            component
             for component in (
-                self.fault_injector,
                 self.degradation_ladder,
                 self.drain_controller,
                 self.spin_controller,
@@ -363,6 +364,13 @@ class Simulation:
                 self.ideal_resolver,
                 self.watchdog,
             )
+            if component is not None
+        ]
+        #: Event-horizon hooks — every wired side component's
+        #: ``next_event_cycle``; :meth:`_event_horizon` takes their min.
+        self._horizon_hooks = [
+            component.next_event_cycle
+            for component in (self.fault_injector, *self._post_generate)
             if component is not None
         ]
         #: Fast-forward telemetry (not part of NetworkStats — outputs stay
@@ -385,20 +393,14 @@ class Simulation:
             # consistent post-fault network.
             self.fault_injector.step()
         self.traffic.generate(fabric, fabric.cycle)
-        if self.degradation_ladder is not None:
-            # Before the drain controller, so a forced drain collapses the
-            # countdown and the freeze fires this very cycle.
-            self.degradation_ladder.step()
-        if self.drain_controller is not None:
-            self.drain_controller.step()
-        if self.spin_controller is not None:
-            self.spin_controller.step()
-        if self.bubble_controller is not None:
-            self.bubble_controller.step()
-        if self.ideal_resolver is not None:
-            self.ideal_resolver.step()
-        if self.watchdog is not None:
-            self.watchdog.step()
+        self._finish_cycle()
+
+    def _finish_cycle(self) -> None:
+        """Everything a cycle does after ``traffic.generate``: the side
+        components in phase order, movement, then consumption."""
+        for component in self._post_generate:
+            component.step()
+        fabric = self.fabric
         fabric.step()
         self.traffic.consume(fabric, fabric.cycle)
 
@@ -497,9 +499,7 @@ class Simulation:
             span = budget if arrival is None else min(budget, arrival - now)
             if span <= 0:
                 return 0
-            fabric.skip_cycles(span)
-            if self.drain_controller is not None:
-                self.drain_controller.skip_cycles(span)
+            self._skip(span)
             return span
 
         consumed = idle_generate(fabric, now, budget)
@@ -508,35 +508,25 @@ class Simulation:
         if fabric.quiescent:
             # Every consumed cycle was fully idle (any packet created was
             # swallowed as unroutable and left no trace in the fabric).
-            fabric.skip_cycles(consumed)
-            if self.drain_controller is not None:
-                self.drain_controller.skip_cycles(consumed)
+            self._skip(consumed)
             return consumed
         # The final consumed cycle generated packets (they sit in NI
         # injection queues). Skip the idle prefix, then finish that cycle
-        # densely: everything step() does after traffic.generate.
+        # densely. The injector runs after generate here, not before as in
+        # step(): strictly before the horizon it is a no-op either way.
         prefix = consumed - 1
         if prefix:
-            fabric.skip_cycles(prefix)
-            if self.drain_controller is not None:
-                self.drain_controller.skip_cycles(prefix)
+            self._skip(prefix)
         if self.fault_injector is not None:
             self.fault_injector.step()
-        if self.degradation_ladder is not None:
-            self.degradation_ladder.step()
-        if self.drain_controller is not None:
-            self.drain_controller.step()
-        if self.spin_controller is not None:
-            self.spin_controller.step()
-        if self.bubble_controller is not None:
-            self.bubble_controller.step()
-        if self.ideal_resolver is not None:
-            self.ideal_resolver.step()
-        if self.watchdog is not None:
-            self.watchdog.step()
-        fabric.step()
-        traffic.consume(fabric, fabric.cycle)
+        self._finish_cycle()
         return consumed
+
+    def _skip(self, cycles: int) -> None:
+        """Advance *cycles* fully idle cycles in O(1)."""
+        self.fabric.skip_cycles(cycles)
+        if self.drain_controller is not None:
+            self.drain_controller.skip_cycles(cycles)
 
     def throughput(self) -> float:
         """Received packets/node/cycle over the measured window."""

@@ -43,12 +43,9 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from ..router.packet import Packet
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+from ..router.packet import Packet
 
 __all__ = [
     "WordStream",
@@ -64,11 +61,8 @@ __all__ = [
 _MATRIX_A = 0x9908B0DF
 _UPPER = 0x80000000
 _LOWER = 0x7FFFFFFF
-_T_B = None
-_T_C = None
-if _np is not None:
-    _T_B = _np.uint32(0x9D2C5680)
-    _T_C = _np.uint32(0xEFC60000)
+_T_B = _np.uint32(0x9D2C5680)
+_T_C = _np.uint32(0xEFC60000)
 
 
 def _mt_twist(mt):
@@ -139,8 +133,6 @@ class WordStream:
     INIT_BLOCKS = 4
 
     def __init__(self, seed) -> None:
-        if _np is None:  # pragma: no cover - numpy is a hard dependency
-            raise RuntimeError("batched trials require numpy")
         state = random.Random(seed).getstate()[1]
         self._mt = _np.array(state[:624], dtype=_np.uint32)
         self.words = _np.empty(0, dtype=_np.uint32)

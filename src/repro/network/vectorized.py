@@ -37,22 +37,19 @@ engines bit-identical. The parity fuzzer (tests/test_parity_fuzz.py) pins
 that contract across schemes, topologies, loads and fault schedules.
 
 Support conditions (anything else silently selects the scalar path, with
-the reason recorded on ``Fabric.engine_fallback_reason``): numpy present,
-a plain ``Fabric`` (no flow-control subclass), single-flit packets, two
-VCs per VN, and stateless routing functions with no per-hop state hooks.
+the reason recorded on ``Fabric.engine_fallback_reason``): a plain
+``Fabric`` (no flow-control subclass), single-flit packets, two VCs per
+VN, and stateless routing functions with no per-hop state hooks.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as _np
+
 from ..routing.base import RoutingFunction
 from .index import DenseCandidateTables
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = ["VectorizedEngine"]
 
@@ -123,11 +120,8 @@ class VectorizedEngine:
         """Why this fabric cannot run the vectorized engine (None = it can).
 
         Structural conditions (plain Fabric, single-flit, two VCs per VN)
-        are checked by the caller; this covers numpy and the routing
-        functions.
+        are checked by the caller; this covers the routing functions.
         """
-        if _np is None:
-            return "numpy is not installed"
         for fn in (fabric.routing, fabric.escape_routing):
             if fn is None:
                 continue

@@ -372,7 +372,11 @@ def _memo_put(memo: Dict[str, Any], key: str, value: Any) -> None:
 
 
 def clear_memos() -> None:
-    """Drop the in-process memos (bench cold-path + test isolation hook)."""
+    """Drop the in-process memos.
+
+    Test isolation hook, and how ``benchmarks/perf`` times the cold
+    compile (``structcache.cold_compile_s`` on ``lossless_1024``).
+    """
     _DIST_MEMO.clear()
     _DRAIN_MEMO.clear()
     _PARTS_MEMO.clear()

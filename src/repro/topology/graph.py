@@ -18,10 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-try:  # pragma: no cover - exercised indirectly by the parity tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 __all__ = ["Link", "Topology"]
 
@@ -207,7 +204,7 @@ class Topology:
         store must go through ``repro.structcache.distances`` (the memo
         layer) instead of calling this directly — lint rule DET012.
         """
-        if scalar or _np is None:
+        if scalar:
             return [self.bfs_distances(n) for n in self.nodes]
         return self._all_pairs_numpy().tolist()
 

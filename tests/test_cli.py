@@ -1,10 +1,30 @@
 """Tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main, parse_topology
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _cli(*args: str, cwd=None):
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *args],
+        capture_output=True, text=True, cwd=cwd,
+        env={
+            "PYTHONPATH": str(REPO / "src"),
+            "PATH": "/usr/bin:/bin",
+            # The CLI activates the compiled-structure store at its default
+            # (user-level) location when this var is absent; the suite must
+            # never write outside its tmp dirs.
+            "REPRO_STRUCT_CACHE": "off",
+        },
+    )
 
 
 class TestParseTopology:
@@ -153,3 +173,25 @@ class TestFaultsCommand:
             "--workers", "2",
         ])
         assert code == 0
+
+
+class TestProfile:
+    def test_run_profile_writes_artifacts(self, tmp_path):
+        proc = _cli("run", "--topo", "mesh:3x3", "--scheme", "drain",
+                    "--rate", "0.05", "--cycles", "200", "--warmup", "50",
+                    "--profile", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        profs = list(tmp_path.glob("run_*.prof"))
+        texts = list(tmp_path.glob("run_*.profile.txt"))
+        assert len(profs) == 1 and len(texts) == 1
+        assert "cumulative" in texts[0].read_text()
+
+    def test_sweep_profile_lands_next_to_manifest(self, tmp_path):
+        out_dir = tmp_path / "sweep"
+        proc = _cli("sweep", "--topo", "mesh:3x3", "--schemes", "drain",
+                    "--rates", "0.05", "--out-dir", str(out_dir),
+                    "--profile")
+        assert proc.returncode == 0, proc.stderr
+        assert list(out_dir.glob("sweep_*.prof"))
+        assert list(out_dir.glob("sweep_*.profile.txt"))
+        assert list(out_dir.glob("sweep_*.manifest.json"))

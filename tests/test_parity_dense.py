@@ -149,8 +149,6 @@ class TestScratchDiscipline:
             "src/repro/network/index.py",
             "src/repro/network/wormhole.py",
             "src/repro/network/deadlock.py",
-            "src/repro/bench/cases.py",
-            "src/repro/bench/compare.py",
         ]
         for path in kernel:
             with open(path, "r", encoding="utf-8") as handle:

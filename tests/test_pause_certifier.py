@@ -323,7 +323,7 @@ class TestDet010WallClockFromImport:
 
     def test_allowlisted_boundary_file_is_exempt(self):
         src = "from time import perf_counter\n"
-        assert codes(src, "src/repro/bench/runner.py") == []
+        assert codes(src, "src/repro/harness/pool.py") == []
 
     def test_pragma_suppresses(self):
         src = "from time import perf_counter  # det: allow\n"
