@@ -313,6 +313,7 @@ def adopt_engine_tables(donor_fabric, fabrics) -> int:
         eng._rows = donor._rows
         eng._esc_rows = donor._esc_rows
         eng._epoch = donor._epoch
+        eng._used0 = donor._used0  # same index, same epoch; copied per cycle
         eng.tables = donor.tables
         eng.escape_tables = donor.escape_tables
         eng.rebuilds += 1  # counts as this engine's initial build

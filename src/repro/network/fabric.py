@@ -192,7 +192,9 @@ class Fabric:
 
         #: Vectorized-engine hook state. ``_engine_avail`` must exist before
         #: the first buffer write: ``_slot_set`` mirrors every write into
-        #: the engine's availability masks once an engine is installed.
+        #: the engine's availability masks once an engine is installed, and
+        #: wakes the routers whose scan the write can change (the engine's
+        #: ``asleep`` flags; see DESIGN.md, "Sleeping routers").
         self._engine = None
         self._engine_avail: Optional[bytearray] = None
 
@@ -332,8 +334,11 @@ class Fabric:
         av = self._engine_avail
         if av is not None:
             ai = port * self.num_vns + vn
+            eng = self._engine
+            eng.asleep[self.index.port_router[port]] = 0
             if packet is None:
                 av[ai] |= 1 << vc
+                eng.asleep[eng.upstream[port]] = 0
             else:
                 av[ai] &= ~(1 << vc) & 0xFF
 
@@ -382,6 +387,9 @@ class Fabric:
         """
         self.last_progress_cycle = self.cycle
         packet = self.ej_queues[node][msg_class].popleft()
+        eng = self._engine
+        if eng is not None:
+            eng.asleep[node] = 0  # ejection-queue room is scan input
         self.ej_pending[node] -= 1
         self.ej_pending_total -= 1
         return packet
@@ -536,6 +544,7 @@ class Fabric:
         router_occ = self._router_occ
         num_vns = self.num_vns
         av = self._engine_avail
+        asleep = None if av is None else self._engine.asleep
         # Rotate class service order for fairness between classes that
         # share a VN.
         rr = self._inj_rr
@@ -545,8 +554,10 @@ class Fabric:
                 continue
             if dead_routers and node in dead_routers:
                 continue
-            queues = self.inj_queues[node]
             port = num_links + node
+            if fast and port_occ[port] == stride:
+                continue  # injection port full: no class can be granted
+            queues = self.inj_queues[node]
             base_port = port * stride
             granted_vns = 0
             for off in range(_NUM_CLASSES):
@@ -573,6 +584,7 @@ class Fabric:
                 flat[base + vc] = packet
                 if av is not None:
                     av[port * num_vns + vn] &= ~(1 << vc) & 0xFF
+                    asleep[node] = 0
                 port_occ[port] += 1
                 router_occ[node] += 1
                 self.packets_in_network += 1

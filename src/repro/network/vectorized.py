@@ -36,6 +36,15 @@ the cycle through the link/VC claims), which is what keeps all three
 engines bit-identical. The parity fuzzer (tests/test_parity_fuzz.py) pins
 that contract across schemes, topologies, loads and fault schedules.
 
+Sleeping routers (DESIGN.md, "Sleeping routers"): a router whose full scan
+granted nothing goes to sleep with the number of LCG draws that scan
+consumed. Until one of its slots, its out-links' availability bits, its
+ejection-queue room or the fault epoch changes — each of which wakes it —
+every later scan would block the same packets and draw the same count, so
+``movement()`` replaces the whole walk by one affine LCG jump. That makes
+host cost per cycle follow the packets that can move, not the packets that
+are blocked, while staying bit-identical to the other two engines.
+
 Support conditions (anything else silently selects the scalar path, with
 the reason recorded on ``Fabric.engine_fallback_reason``): a plain
 ``Fabric`` (no flow-control subclass), single-flit packets, two VCs per
@@ -77,6 +86,7 @@ class VectorizedEngine:
         "fabric", "_rows", "_esc_rows", "_epoch", "avail",
         "_slot_port", "_slot_ai", "_slot_bit", "rebuilds",
         "tables", "escape_tables",
+        "asleep", "sleep_draws", "upstream", "_jump", "_used0",
     )
 
     def __init__(self, fabric) -> None:
@@ -103,6 +113,25 @@ class VectorizedEngine:
         for s in range(num_slots):
             if flat[s] is not None:
                 self.avail[self._slot_ai[s]] &= ~self._slot_bit[s] & 0xFF
+        n = index.num_nodes
+        #: Sleep flags: ``asleep[r]`` is set when router r's last full scan
+        #: granted nothing, cleared by everything that changes what that
+        #: scan read. Byte n is a sink: injection ports have no upstream
+        #: router, and pointing them there keeps every wake an
+        #: unconditional store.
+        self.asleep = bytearray(n + 1)
+        #: LCG draws router r's last grant-less scan consumed (valid while
+        #: ``asleep[r]``).
+        self.sleep_draws: List[int] = [0] * n
+        #: port -> router whose grants fill that port's slots (sink for
+        #: injection ports).
+        self.upstream: List[int] = (
+            index.link_src + [n] * (index.num_ports - index.num_links))
+        #: ``_jump[k]`` = (A_k, C_k) with ``lcg_after_k_draws = (lcg * A_k +
+        #: C_k) & mask``; grown on demand as routers fall asleep.
+        self._jump: List[Tuple[int, int]] = [(1, 0)]
+        #: Per-cycle ``used`` template with this epoch's dead links marked.
+        self._used0 = bytearray(index.num_links)
         self._rows: Optional[List[Tuple[_Group, ...]]] = None
         self._esc_rows: Optional[List[Tuple[_Group, ...]]] = None
         self._epoch = -1
@@ -139,6 +168,13 @@ class VectorizedEngine:
         """Drop the compiled rows (mirror of ``invalidate_routing_cache``)."""
         self._rows = None
         self._esc_rows = None
+        # Not left to the rebuild: batch adoption can install rows without
+        # one (``batched.adopt_engine_tables``).
+        self.wake_all()
+
+    def wake_all(self) -> None:
+        """Clear every sleep flag (rows or fault epoch changed; tests)."""
+        self.asleep[:] = bytes(len(self.asleep))
 
     def _build_tables(self) -> None:
         fabric = self.fabric
@@ -193,6 +229,15 @@ class VectorizedEngine:
         self._esc_rows = esc_rows
         self._epoch = index.fault_epoch
         self.rebuilds += 1
+        # Routing tables may still list links that died this epoch (a
+        # routing function without a rebuild story keeps them; the scalar
+        # path skips them per-candidate while leaving them in the rotation
+        # count). Pre-marking them "used" reproduces that skip for free.
+        used0 = bytearray(index.num_links)
+        for link in sorted(index.dead_links):
+            used0[link] = 1
+        self._used0 = used0
+        self.wake_all()
 
     # ------------------------------------------------------------------
     # The kernel
@@ -211,14 +256,7 @@ class VectorizedEngine:
         cycle = fabric.cycle
         n = index.num_nodes
         avail = self.avail
-        used = bytearray(index.num_links)
-        # Routing tables may still list links that died this epoch (a
-        # routing function without a rebuild story keeps them; the scalar
-        # path skips them per-candidate while leaving them in the rotation
-        # count). Pre-marking them "used" reproduces that skip for free.
-        if index.dead_links:
-            for link in sorted(index.dead_links):
-                used[link] = 1
+        used = bytearray(self._used0)
         rows = self._rows
         esc_rows = self._esc_rows
         in_ports = index.in_ports
@@ -233,17 +271,26 @@ class VectorizedEngine:
         latch0 = mode is not None and (mode == "escape_vc"
                                        or fabric.escape_sticky)
         vn_start = cycle % num_vns
+        asleep = self.asleep
+        sleep_draws = self.sleep_draws
+        jump = self._jump
 
         moves: List[Tuple[int, int, int, int, "object"]] = []
         ejects: List[Tuple[int, int, int, "object"]] = []
         moves_append = moves.append
         ejects_append = ejects.append
+        grants = 0  # len(moves) + len(ejects) when the current scan began
 
         for router in range(n):
             if not router_occ[router]:
                 continue
+            if asleep[router]:
+                a, c = jump[sleep_draws[router]]
+                lcg = (lcg * a + c) & 0x7FFFFFFF
+                continue
             if dead_routers is not None and router in dead_routers:
                 continue
+            draws = 0
             ports = in_ports[router]
             nports = len(ports)
             pstart = (cycle + router) % nports
@@ -295,6 +342,7 @@ class VectorizedEngine:
                             continue
                         row = (esc_rows[router_row + dst] if pkt.in_escape
                                else rows[router_row + dst])
+                        draws += len(row)  # exact iff nothing is granted
                         for group in row:
                             links2 = group[0]
                             nc = group[2]
@@ -383,6 +431,18 @@ class VectorizedEngine:
                     if granted:
                         break
                 # one grant per input port per cycle (crossbar input)
+            g = len(moves) + len(ejects)
+            if g != grants:
+                grants = g
+            else:
+                # Nothing granted: every packet was examined and drew once
+                # per candidate group, whatever the rotation.
+                asleep[router] = 1
+                sleep_draws[router] = draws
+                while draws >= len(jump):
+                    a, c = jump[-1]
+                    jump.append(((a * 1103515245) & 0x7FFFFFFF,
+                                 (c * 1103515245 + 12345) & 0x7FFFFFFF))
         fabric._lcg = lcg
         self._apply(moves, ejects)
 
@@ -413,6 +473,8 @@ class VectorizedEngine:
         link_dst = index.link_dst
         dist = index.dist
         link_util = fabric.link_util
+        asleep = self.asleep
+        upstream = self.upstream
         fabric.last_progress_cycle = cycle
         misroutes = 0
         vn_hops = [0] * fabric.num_vns
@@ -427,6 +489,10 @@ class VectorizedEngine:
             router_occ[src_router] -= 1
             router_occ[dst_router] += 1
             avail[slot_ai[s]] |= slot_bit[s]
+            # The granting router stayed awake; the arrival changes the
+            # destination's slots, the freed slot its feeder's credits.
+            asleep[dst_router] = 0
+            asleep[upstream[sp]] = 0
             pkt.hops += 1
             pkt.blocked_since = cycle
             pdst = pkt.dst
@@ -454,6 +520,7 @@ class VectorizedEngine:
             port_occ[port] -= 1
             router_occ[router] -= 1
             avail[slot_ai[s]] |= slot_bit[s]
+            asleep[upstream[port]] = 0
             eject(router, pkt)
 
     # ------------------------------------------------------------------
@@ -473,4 +540,53 @@ class VectorizedEngine:
         for ai in range(len(expect)):
             if expect[ai] != self.avail[ai]:
                 bad.append(ai)
+        return bad
+
+    def audit_sleep(self) -> List[int]:
+        """Sleeping routers a fresh scan would not leave asleep (tests).
+
+        Re-derives, without side effects and in storage order (a grant-less
+        scan is rotation-independent), whether any packet of a sleeping
+        router could be granted and how many LCG draws the scan would
+        consume; returns the routers where either disagrees with the flag.
+        """
+        fabric = self.fabric
+        index = fabric.index
+        if self._rows is None or self._epoch != index.fault_epoch:
+            return []  # the next movement() rebuilds and wakes everyone
+        flat = fabric._buf
+        n = index.num_nodes
+        num_vns = fabric.num_vns
+        stride = fabric._port_stride
+        can_eject = fabric.net.ejections_per_cycle > 0
+        bad = []
+        for router in range(n):
+            if not self.asleep[router]:
+                continue
+            draws = 0
+            grant = False
+            for port in index.in_ports[router]:
+                for off in range(stride):
+                    pkt = flat[port * stride + off]
+                    if pkt is None:
+                        continue
+                    if pkt.dst == router:
+                        queue = fabric.ej_queues[router][pkt.msg_class]
+                        if can_eject and len(queue) < fabric._ej_depth:
+                            grant = True
+                        continue
+                    row = (self._esc_rows if pkt.in_escape
+                           else self._rows)[router * n + pkt.dst]
+                    draws += len(row)
+                    vn = off // 2  # vcs_per_vn == 2 (gated)
+                    for links2, modes2, nc, _ in row:
+                        for link, m in zip(links2[:nc], modes2):
+                            if self._used0[link]:
+                                continue
+                            a = self.avail[link * num_vns + vn]
+                            if (a == 3 if m == 4 else a & 1 if m == 2
+                                    else a & 2 if m == 3 else a):
+                                grant = True
+            if grant or draws != self.sleep_draws[router]:
+                bad.append(router)
         return bad

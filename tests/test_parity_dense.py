@@ -222,6 +222,7 @@ class TestEngineMatrix:
         assert sim.stats.as_dict() == dense.as_dict()
         # Incremental availability masks must end the run exact.
         assert sim.fabric._engine.audit_masks() == []
+        assert sim.fabric._engine.audit_sleep() == []
 
     def test_vectorized_mid_run_fault_recovery(self):
         # Faults land mid-measurement: the engine must rebuild its dense
@@ -244,6 +245,7 @@ class TestEngineMatrix:
         assert engine.rebuilds >= 1 + sim.stats.faults_applied
         assert engine.tables.epoch == sim.index.fault_epoch
         assert engine.audit_masks() == []
+        assert engine.audit_sleep() == []
 
     def test_stateful_routing_selects_scalar_silently(self):
         # UPDOWN's routing function is stateful (per-packet phase bit):

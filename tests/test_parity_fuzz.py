@@ -133,7 +133,22 @@ def _topology(kind: str, seed: int):
                               random.Random(seed % 97 + 1)), None
 
 
-def _run(entry, dense, engine):
+def _audit_sleep_every(sim, period, stale):
+    """Append (cycle, router) to *stale* for every sleeping router that
+    ``audit_sleep`` refutes, checked after every *period*-th fabric step."""
+    fabric = sim.fabric
+    engine = fabric._engine
+    step = fabric.step
+
+    def audited_step():
+        step()
+        if fabric.cycle % period == 0:
+            stale.extend((fabric.cycle, r) for r in engine.audit_sleep())
+
+    fabric.step = audited_step
+
+
+def _run(entry, dense, engine, stale_sleepers=None):
     topology, width = _topology(entry["topo"], entry["seed"])
     config = scheme_config(entry["scheme"], FUZZ_SCALE, seed=entry["seed"])
     traffic = SyntheticTraffic(
@@ -147,6 +162,8 @@ def _run(entry, dense, engine):
         schedule = _fault_schedule(entry["seed"] & 0xFFFF)
     sim = Simulation(topology, config, traffic, dense=dense, engine=engine,
                      fault_schedule=schedule)
+    if stale_sleepers is not None and sim.fabric._engine is not None:
+        _audit_sleep_every(sim, 16, stale_sleepers)
     sim.run(FUZZ_SCALE.total_cycles, warmup=FUZZ_SCALE.warmup)
     return sim
 
@@ -183,7 +200,16 @@ class TestParityFuzz:
         for i, entry in enumerate(POOL):
             dense = _run(entry, dense=True, engine=None)
             scalar = _run(entry, dense=False, engine="scalar")
-            vector = _run(entry, dense=False, engine="vectorized")
+            # The sleeping-router flags are audited where routers sleep
+            # (saturation) and where their inputs change under them
+            # (mid-run faults).
+            audited = entry["rate"] == 0.30 or entry["faults"] is not None
+            stale = [] if audited else None
+            vector = _run(entry, dense=False, engine="vectorized",
+                          stale_sleepers=stale)
+            assert not stale, (
+                f"pool entry {i}: stale sleeping routers (cycle, router) "
+                f"{stale[:8]}")
             if vector.fabric.engine_name == "vectorized":
                 vectorized_hits += 1
             results = {
