@@ -23,10 +23,17 @@ through the ``batch.lockstep`` runner and must reproduce each member's
 solo ``execute_trial`` result bit-for-bit, including mixed groups with
 an evicted stateful-routing member and members carrying mid-run fault
 schedules. Divergences dump a minimized repro the same way.
+
+A third lane pins the traffic draw path itself: ``hotspot`` and
+``nearest_neighbor`` draw their destinations from the same rng the
+Bernoulli scan reads, so their results are compared solo fast-forward vs
+stepped (``sim.dense = True``) vs batched, and against digests recorded
+on the per-node draw loop.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import tempfile
@@ -373,3 +380,63 @@ class TestBatchedParityFuzz:
         # Both fault events (cycles 120 and 200) land inside the window.
         for result in envelope["results"]:
             assert result["faults"]["faults_applied"] >= 2
+
+
+# ----------------------------------------------------------------------
+# Stateful destination patterns: the traffic draw path, three ways
+# ----------------------------------------------------------------------
+#: Patterns whose destination draws interleave with the Bernoulli scan on
+#: the one traffic rng: ``hotspot`` makes a ``random()`` plus one or two
+#: ``randrange`` per hit, ``nearest_neighbor`` an ``rng.choice``.
+STATEFUL_PATTERNS = ("hotspot", "nearest_neighbor")
+
+#: blake2b-64 of each member's canonical result JSON, recorded on the
+#: dense per-node draw loop before the traffic stream replaced it; the
+#: lane must keep reproducing these, not only agree with itself.
+STATEFUL_PINS = {
+    "hotspot": ["ff30b9d85189a508", "072a900a935dd8ac",
+                "c0f91a5243ed4d64", "6fc2f4e154d7bdef"],
+    "nearest_neighbor": ["dc07a3d7e81423d3", "ba5be5ff9d639cfc",
+                         "e6dfe2b67b905443", "36453d52274a1670"],
+}
+
+
+def _build_stateful_group(pattern):
+    master = random.Random(MASTER_SEED ^ 0x57A7E)
+    topology = make_mesh(4, 4)
+    return [
+        synthetic_trial_for(
+            topology, Scheme.DRAIN, rate, BATCH_SCALE, pattern=pattern,
+            mesh_width=4, seed=master.randrange(1, 2 ** 31),
+        )
+        for rate in (0.005, 0.02, 0.12, 0.30)
+    ]
+
+
+def _result_digest(result):
+    blob = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(blob.encode("utf-8"), digest_size=8).hexdigest()
+
+
+class TestStatefulPatternParity:
+    def test_fast_forward_stepped_and_batched_agree(self, monkeypatch):
+        for pattern in STATEFUL_PATTERNS:
+            group = _build_stateful_group(pattern)
+            assert len({batch_group_key(s) for s in group}) == 1
+            fast = [execute_trial(spec) for spec in group]
+            envelope = execute_trial(batch_payload(group))
+            assert envelope["evictions"] == []
+            assert envelope["results"] == fast, pattern
+
+            run = Simulation.run
+
+            def stepped_run(sim, cycles, warmup=0):
+                sim.dense = True  # the stepped-run switch: no fast-forward
+                return run(sim, cycles, warmup)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Simulation, "run", stepped_run)
+                stepped = [execute_trial(spec) for spec in group]
+            assert stepped == fast, pattern
+            assert all(r["packets_ejected"] > 0 for r in fast)
+            assert [_result_digest(r) for r in fast] == STATEFUL_PINS[pattern]
