@@ -471,38 +471,41 @@ class Simulation:
 
         Two source shapes:
 
-        - Bernoulli-style sources expose ``idle_generate``, which replays
-          the exact per-cycle RNG draws up to the horizon and completes
-          the first generating cycle's generate phase. All fully idle
-          cycles are skipped in O(1); if a packet was created, the
-          generating cycle's remaining phases run densely here (its
-          controllers are provably no-ops — the cycle is strictly before
-          the horizon — but they run anyway, keeping the cycle's phase
-          order intact for anything they might legitimately do).
-        - Trace/closed-gap sources expose ``next_event_cycle`` instead;
-          the whole gap is skipped in O(1) and the arrival cycle runs
-          densely via the main loop.
+        - Sources that know their next arrival expose ``next_event_cycle``
+          (synthetic traffic reads it off its hit list, a trace off its
+          next record): the gap is skipped in O(1) and the arrival cycle
+          runs densely via the main loop. The source is asked before the
+          horizon is computed — at low load most calls find the arrival
+          is *now*, and a span of a few cycles must not cost more to
+          enter than to step.
+        - Sources with per-flow or multi-draw issue logic expose
+          ``idle_generate`` instead, which replays the exact per-cycle RNG
+          draws up to the horizon and completes the first generating
+          cycle's generate phase. All fully idle cycles are skipped in
+          O(1); if a packet was created, the generating cycle's remaining
+          phases run densely here (its controllers are provably no-ops —
+          the cycle is strictly before the horizon — but they run anyway,
+          keeping the cycle's phase order intact for anything they might
+          legitimately do).
         """
         fabric = self.fabric
         traffic = self.traffic
         now = fabric.cycle
-        horizon = self._event_horizon(now, end)
-        budget = horizon - now
+        next_arrival = getattr(traffic, "next_event_cycle", None)
+        if next_arrival is not None:
+            arrival = next_arrival(now)
+            if arrival is not None and arrival <= now:
+                return 0
+        elif not hasattr(traffic, "idle_generate"):
+            return 0  # source without fast-forward support: stay dense
+        budget = self._event_horizon(now, end) - now
         if budget < 2:
             return 0
-        idle_generate = getattr(traffic, "idle_generate", None)
-        if idle_generate is None:
-            next_arrival = getattr(traffic, "next_event_cycle", None)
-            if next_arrival is None:
-                return 0  # source without fast-forward support: stay dense
-            arrival = next_arrival(now)
+        if next_arrival is not None:
             span = budget if arrival is None else min(budget, arrival - now)
-            if span <= 0:
-                return 0
             self._skip(span)
             return span
-
-        consumed = idle_generate(fabric, now, budget)
+        consumed = traffic.idle_generate(fabric, now, budget)
         if consumed <= 0:
             return 0
         if fabric.quiescent:
@@ -527,6 +530,9 @@ class Simulation:
         self.fabric.skip_cycles(cycles)
         if self.drain_controller is not None:
             self.drain_controller.skip_cycles(cycles)
+        skip_source = getattr(self.traffic, "skip_cycles", None)
+        if skip_source is not None:
+            skip_source(cycles)
 
     def throughput(self) -> float:
         """Received packets/node/cycle over the measured window."""

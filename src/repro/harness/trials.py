@@ -219,22 +219,57 @@ def synthetic_trial(
     )
 
 
-@register_runner("synthetic")
-def _run_synthetic(params: Mapping[str, Any]) -> Dict[str, Any]:
-    topology = topology_from_spec(params["topology"])
-    config = config_from_dict(params["config"])
+def _synthetic_sim(params: Mapping[str, Any],
+                   topology: Optional[Topology] = None,
+                   shared=None) -> Simulation:
+    """The simulation a ``synthetic`` or ``fault_recovery`` spec describes.
+
+    Solo runners and the lockstep batch build their members here, so a
+    trial is the same simulation — traffic stream included — either way.
+    """
+    if topology is None:
+        topology = topology_from_spec(params["topology"])
     traffic = SyntheticTraffic(
         pattern_by_name(params["pattern"], topology.num_nodes,
                         params.get("mesh_width")),
         params["rate"],
         random.Random(params["traffic_seed"]),
     )
-    sim = Simulation(topology, config, traffic)
-    sim.run(params["cycles"], warmup=params["warmup"])
+    kwargs: Dict[str, Any] = {}
+    faults = params.get("faults")
+    if faults is not None:
+        from ..faults.schedule import FaultSchedule
+
+        kwargs = {
+            "fault_schedule": FaultSchedule.from_dict(faults["schedule"]),
+            "fault_policy": faults.get("policy", "drop_retransmit"),
+            "fault_curve_window": faults.get("curve_window", 200),
+            "fault_max_circuits": faults.get("max_circuits", 512),
+        }
+    return Simulation(topology, config_from_dict(params["config"]), traffic,
+                      shared=shared, **kwargs)
+
+
+def _synthetic_result(sim: Simulation,
+                      params: Mapping[str, Any]) -> Dict[str, Any]:
     out = _summarise(sim)
     out["rate"] = params["rate"]
     out["ejected"] = sim.stats.packets_ejected
+    if sim.fault_injector is not None:
+        out["faults"] = sim.fault_injector.summary()
+        if sim.drain_controller is not None:
+            out["drain_covered_links"] = sim.drain_controller.total_path_length()
+            out["drain_cycles_installed"] = len(sim.drain_controller.paths)
+        out["links_alive"] = sim.index.num_links - len(sim.index.dead_links)
     return out
+
+
+@register_runner("synthetic")
+@register_runner("fault_recovery")
+def _run_synthetic(params: Mapping[str, Any]) -> Dict[str, Any]:
+    sim = _synthetic_sim(params)
+    sim.run(params["cycles"], warmup=params["warmup"])
+    return _synthetic_result(sim, params)
 
 
 def workload_trial(
@@ -368,38 +403,6 @@ def fault_recovery_trial(
             },
         },
     )
-
-
-@register_runner("fault_recovery")
-def _run_fault_recovery(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from ..faults.schedule import FaultSchedule
-
-    topology = topology_from_spec(params["topology"])
-    config = config_from_dict(params["config"])
-    traffic = SyntheticTraffic(
-        pattern_by_name(params["pattern"], topology.num_nodes,
-                        params.get("mesh_width")),
-        params["rate"],
-        random.Random(params["traffic_seed"]),
-    )
-    faults = params["faults"]
-    sim = Simulation(
-        topology, config, traffic,
-        fault_schedule=FaultSchedule.from_dict(faults["schedule"]),
-        fault_policy=faults.get("policy", "drop_retransmit"),
-        fault_curve_window=faults.get("curve_window", 200),
-        fault_max_circuits=faults.get("max_circuits", 512),
-    )
-    sim.run(params["cycles"], warmup=params["warmup"])
-    out = _summarise(sim)
-    out["rate"] = params["rate"]
-    out["ejected"] = sim.stats.packets_ejected
-    out["faults"] = sim.fault_injector.summary()
-    if sim.drain_controller is not None:
-        out["drain_covered_links"] = sim.drain_controller.total_path_length()
-        out["drain_cycles_installed"] = len(sim.drain_controller.paths)
-    out["links_alive"] = sim.index.num_links - len(sim.index.dead_links)
-    return out
 
 
 def lossless_trial(
@@ -588,9 +591,7 @@ def _run_batch(params: Mapping[str, Any]) -> Dict[str, Any]:
     from ..network.batched import (
         BatchedEngine,
         BatchMember,
-        MirroredRandom,
         SharedParts,
-        WordStream,
         adopt_engine_tables,
     )
 
@@ -607,26 +608,7 @@ def _run_batch(params: Mapping[str, Any]) -> Dict[str, Any]:
             continue
         if topology is None:
             topology = topology_from_spec(p["topology"])
-        config = config_from_dict(p["config"])
-        stream = WordStream(p["traffic_seed"])
-        traffic = SyntheticTraffic(
-            pattern_by_name(p["pattern"], topology.num_nodes,
-                            p.get("mesh_width")),
-            p["rate"],
-            MirroredRandom(stream),
-        )
-        kwargs: Dict[str, Any] = {}
-        if runner == "fault_recovery":
-            from ..faults.schedule import FaultSchedule
-
-            faults = p["faults"]
-            kwargs = {
-                "fault_schedule": FaultSchedule.from_dict(faults["schedule"]),
-                "fault_policy": faults.get("policy", "drop_retransmit"),
-                "fault_curve_window": faults.get("curve_window", 200),
-                "fault_max_circuits": faults.get("max_circuits", 512),
-            }
-        sim = Simulation(topology, config, traffic, shared=shared, **kwargs)
+        sim = _synthetic_sim(p, topology, shared)
         if sim.fabric.engine_name != "vectorized":
             # Structural fallback (stateful routing, forced scalar, ...):
             # evict and run solo — the solo rerun is the recorded result.
@@ -635,40 +617,25 @@ def _run_batch(params: Mapping[str, Any]) -> Dict[str, Any]:
             results[i] = execute_trial(TrialSpec(runner, p))
             evictions.append({"index": i, "reason": reason})
             continue
-        if shared is None and not kwargs:
+        if shared is None and sim.fault_injector is None:
             shared = SharedParts.from_simulation(sim)
         entries.append(
-            (i, runner, p,
-             BatchMember(sim, stream, p["cycles"], warmup=p["warmup"]))
+            (i, p, BatchMember(sim, p["cycles"], warmup=p["warmup"]))
         )
     if entries:
         if shared is not None:
             donor = next(
-                m.sim.fabric for _, _, _, m in entries
+                m.sim.fabric for _, _, m in entries
                 if m.sim.index is shared.index
             )
             adopt_engine_tables(
                 donor,
-                [m.sim.fabric for _, _, _, m in entries
+                [m.sim.fabric for _, _, m in entries
                  if m.sim.fabric is not donor],
             )
-        BatchedEngine([m for _, _, _, m in entries]).run()
-    for i, runner, p, member in entries:
-        sim = member.sim
-        out = _summarise(sim)
-        out["rate"] = p["rate"]
-        out["ejected"] = sim.stats.packets_ejected
-        if runner == "fault_recovery":
-            out["faults"] = sim.fault_injector.summary()
-            if sim.drain_controller is not None:
-                out["drain_covered_links"] = (
-                    sim.drain_controller.total_path_length()
-                )
-                out["drain_cycles_installed"] = len(sim.drain_controller.paths)
-            out["links_alive"] = (
-                sim.index.num_links - len(sim.index.dead_links)
-            )
-        results[i] = out
+        BatchedEngine([m for _, _, m in entries]).run()
+    for i, p, member in entries:
+        results[i] = _synthetic_result(member.sim, p)
     return {"results": results, "evictions": evictions}
 
 

@@ -531,6 +531,13 @@ class Fabric:
         """
         if self.frozen:
             return
+        # Rotate class service order for fairness between classes that
+        # share a VN.
+        rr = self._inj_rr
+        self._inj_rr = (rr + 1) % _NUM_CLASSES
+        fast = not self.dense
+        if fast and not self._inj_total:
+            return  # no NI queue holds a packet
         flat = self._buf
         index = self.index
         stats = self.stats
@@ -538,17 +545,12 @@ class Fabric:
         num_links = index.num_links
         vcs = self.vcs_per_vn
         stride = self._port_stride
-        fast = not self.dense
         inj_pending = self._inj_pending
         port_occ = self._port_occ
         router_occ = self._router_occ
         num_vns = self.num_vns
         av = self._engine_avail
         asleep = None if av is None else self._engine.asleep
-        # Rotate class service order for fairness between classes that
-        # share a VN.
-        rr = self._inj_rr
-        self._inj_rr = (rr + 1) % _NUM_CLASSES
         for node in range(index.num_nodes):
             if fast and not inj_pending[node]:
                 continue

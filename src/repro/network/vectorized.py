@@ -250,6 +250,8 @@ class VectorizedEngine:
         index = fabric.index
         if self._rows is None or self._epoch != index.fault_epoch:
             self._build_tables()
+        if not fabric.packets_in_network:
+            return  # nothing buffered: no scan, no draw, no grant
         flat = fabric._buf
         num_vns = fabric.num_vns
         stride = fabric._port_stride

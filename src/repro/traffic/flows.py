@@ -7,11 +7,10 @@ Snippet 2).  :class:`FlowTraffic` drives an explicit flow list — open-loop
 Bernoulli per flow, optionally bounded to a finite packet budget — and
 supports storm-injected victim bursts via :meth:`queue_burst`.
 
-The generator honours the same contract as
-:class:`repro.traffic.SyntheticTraffic`: a fixed per-cycle RNG draw order
-(one rate draw per live flow, in flow order), ``idle_generate`` replaying
-exactly those draws for the event-horizon fast-forward, and ``consume``
-sinking ejected packets immediately.
+The generator keeps a fixed per-cycle RNG draw order (one rate draw per
+live flow, in flow order), with ``idle_generate`` replaying exactly those
+draws for the event-horizon fast-forward, and ``consume`` sinking ejected
+packets immediately as :class:`repro.traffic.SyntheticTraffic` does.
 """
 
 from __future__ import annotations

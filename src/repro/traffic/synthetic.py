@@ -11,10 +11,13 @@ latency includes source queueing.
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence, Set
+
+import numpy as _np
 
 from ..network.fabric import Fabric
 from ..router.packet import MessageClass, Packet
@@ -29,6 +32,8 @@ __all__ = [
     "Tornado",
     "NearestNeighbor",
     "Hotspot",
+    "WordStream",
+    "MirroredRandom",
     "SyntheticTraffic",
     "pattern_by_name",
 ]
@@ -229,6 +234,166 @@ def pattern_by_name(
     return cls(num_nodes, mesh_width)
 
 
+# ----------------------------------------------------------------------
+# The traffic stream: one ``random.Random``, read ahead in blocks
+# ----------------------------------------------------------------------
+#: Hit-list terminator: above any buffer position, so scans stop on it
+#: without a length check.
+_NO_HIT = 1 << 62
+_TWO_POW_53 = 9007199254740992.0
+
+
+class WordStream:
+    """The 32-bit output words of one ``random.Random``, read in blocks.
+
+    ``Random.randbytes(4 * n)`` returns exactly the generator's next *n*
+    MT19937 output words, little-endian, produced in C; the stream reads
+    the caller's generator that way and serves its words in order through
+    a cursor. Whoever hands a generator to a stream gives it up: it is
+    consumed ahead of the cursor.
+
+    ``pos`` is the cursor in word units, relative to the current buffer;
+    consumers advance it directly (the Bernoulli scan) or through
+    :meth:`take_word`/:meth:`take_double` (the :class:`MirroredRandom`
+    facade). Both views share one cursor, so the scan and the destination
+    draws interleave exactly like draws on the generator itself.
+
+    With :meth:`set_scan_rate` installed, every refill also computes
+    ``hits`` — the ascending word positions at which ``random()`` would
+    return a value below the rate, closed by :data:`_NO_HIT`. Positions
+    are alignment-agnostic (a destination draw shifts the cursor's
+    parity), so scans filter by parity as they go. ``random()`` at word
+    ``i`` is ``((w[i] >> 5) * 2**26 + (w[i+1] >> 6)) * 2**-53``, exact in
+    float64, so ``random() < rate`` is the integer test
+    ``(w[i] >> 5 << 26) + (w[i+1] >> 6) < ceil(rate * 2**53)``: one
+    ``uint32`` compare on ``w[i]`` finds the candidates and the integer
+    test settles them, with no per-word array of doubles.
+    """
+
+    __slots__ = ("_rng", "_block", "words", "view", "size", "pos",
+                 "_threshold", "_coarse", "hits", "hit_idx")
+
+    #: Words in the first refill, doubling up to MAX_BLOCK: short sweep
+    #: trials consume a few thousand words, long runs tens of millions.
+    FIRST_BLOCK = 4096
+    MAX_BLOCK = 16384
+
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+        self._block = self.FIRST_BLOCK
+        self.words = _np.empty(0, dtype=_np.uint32)
+        self.view = memoryview(self.words)
+        self.size = 0
+        self.pos = 0
+        self._threshold: Optional[int] = None
+        self._coarse = 0
+        self.hits: List[int] = [_NO_HIT]
+        self.hit_idx = 0
+
+    def _refill(self, count: int) -> None:
+        """Read at least *count* more words, dropping the consumed ones."""
+        count = max(count, self._block)
+        self._block = min(2 * self._block, self.MAX_BLOCK)
+        fresh = _np.frombuffer(self._rng.randbytes(4 * count), dtype="<u4")
+        self.words = words = _np.concatenate(
+            (self.words[self.pos:], fresh.astype(_np.uint32, copy=False))
+        )
+        # Per-word reads go through the memoryview (native byte order, so
+        # it indexes): plain ints, a quarter of the cost of numpy scalars.
+        self.view = memoryview(words)
+        self.size = len(words)
+        self.pos = 0
+        self._find_hits()
+
+    def _find_hits(self) -> None:
+        threshold = self._threshold
+        if threshold is None:
+            return
+        words = self.words
+        candidates = _np.flatnonzero(words[:-1] <= self._coarse)
+        value = ((words[candidates].astype(_np.uint64) >> 5) << 26) + (
+            words[candidates + 1] >> 6
+        )
+        self.hits = candidates[value < threshold].tolist()
+        self.hits.append(_NO_HIT)
+        self.hit_idx = 0
+
+    def set_scan_rate(self, rate: float) -> None:
+        """List the Bernoulli hit positions for *rate*, now and on refills."""
+        self._threshold = threshold = math.ceil(rate * _TWO_POW_53)
+        # w[i] >> 5 <= threshold >> 26 is necessary for a hit; at rate 1.0
+        # that bound passes 2**32, so it is clamped to "every word".
+        self._coarse = min((((threshold >> 26) + 1) << 5) - 1, 0xFFFFFFFF)
+        self._find_hits()
+
+    def ensure(self, count: int) -> None:
+        """Guarantee words ``pos .. pos + count`` are buffered, so every
+        position below ``pos + count`` is classified in ``hits``."""
+        short = self.pos + count + 1 - self.size
+        if short > 0:
+            self._refill(short)
+
+    def take_word(self) -> int:
+        if self.pos >= self.size:
+            self._refill(1)
+        pos = self.pos
+        self.pos = pos + 1
+        return self.view[pos]
+
+    def take_double(self) -> float:
+        if self.pos + 1 >= self.size:
+            self._refill(2)
+        pos = self.pos
+        self.pos = pos + 2
+        view = self.view
+        return ((view[pos] >> 5) * 67108864 + (view[pos + 1] >> 6)) / _TWO_POW_53
+
+
+class MirroredRandom(random.Random):
+    """``random.Random`` facade over a :class:`WordStream` cursor.
+
+    Overrides the two generator primitives; every derived method
+    (``randrange``, ``choice``, ``shuffle``, ...) then consumes words in
+    exactly CPython's order. Defining ``getrandbits`` makes
+    ``Random.__init_subclass__`` select ``_randbelow_with_getrandbits``,
+    the same rejection loop the base class uses — the stream tests pin
+    the full equivalence against ``random.Random`` itself.
+    """
+
+    def __init__(self, stream: WordStream) -> None:
+        self._stream = stream
+        super().__init__()
+
+    def random(self) -> float:
+        return self._stream.take_double()
+
+    def getrandbits(self, k: int) -> int:
+        if k <= 32:
+            if k <= 0:
+                raise ValueError("number of bits must be greater than zero")
+            return self._stream.take_word() >> (32 - k)
+        # CPython accumulates 32-bit words little-endian for wide draws.
+        result = 0
+        shift = 0
+        while k > 0:
+            word = self._stream.take_word()
+            if k < 32:
+                word >>= 32 - k
+            result |= word << shift
+            shift += 32
+            k -= 32
+        return result
+
+    def seed(self, *args, **kwargs) -> None:
+        """The stream owns the state; ``Random.__init__``'s seed is a no-op."""
+
+    def getstate(self):
+        raise NotImplementedError("MirroredRandom state lives in its stream")
+
+    def setstate(self, state):
+        raise NotImplementedError("MirroredRandom state lives in its stream")
+
+
 class SyntheticTraffic:
     """Open-loop Bernoulli injector over a :class:`TrafficPattern`.
 
@@ -236,6 +401,14 @@ class SyntheticTraffic:
     so that every scheme competes with identical buffer resources on the
     VN actually carrying traffic (the paper's synthetic studies exercise
     routing-level behaviour only).
+
+    Draw-order contract: each cycle makes one ``random()`` per node in
+    ascending node order, and a node whose draw falls below the rate
+    makes its pattern's destination draws immediately after. The injector
+    does not make those draws one by one: it takes ownership of *rng*,
+    reads it through a :class:`WordStream` and walks the stream's hit
+    list, so a cycle costs O(hits). ``self.rng`` is the facade over the
+    same cursor that patterns draw destinations from.
     """
 
     def __init__(
@@ -245,103 +418,177 @@ class SyntheticTraffic:
         rng: random.Random,
         msg_class: MessageClass = MessageClass.REQ,
     ) -> None:
-        if not 0.0 <= injection_rate <= 1.0:
-            raise ValueError("injection_rate must be in [0, 1] packets/node/cycle")
         self.pattern = pattern
+        self._stream = WordStream(rng)
+        self.rng = MirroredRandom(self._stream)
         self.injection_rate = injection_rate
-        self.rng = rng
         self.msg_class = msg_class
-        self._backlog: List[Deque[Packet]] = [
-            deque() for _ in range(pattern.num_nodes)
-        ]
+        nodes = pattern.num_nodes
+        self._nodes = nodes
+        #: Words one cycle's Bernoulli scan covers (a double per node).
+        self._span = 2 * nodes
+        # Inline fast path for the dominant pattern: UniformRandom's
+        # destination is randrange(n - 1), whose rejection loop reduces to
+        # whole-word shifts. Exact class only — a subclass may override
+        # destination. Every other pattern draws through the facade.
+        self._uniform_n = nodes - 1 if type(pattern) is UniformRandom else 0
+        self._uniform_shift = 32 - self._uniform_n.bit_length()
+        self._backlog: List[Deque[Packet]] = [deque() for _ in range(nodes)]
+        #: Nodes whose backlog may be non-empty; an entry emptied behind
+        #: the source's back is dropped by the next offer sweep.
+        self._backlogged: Set[int] = set()
         self._next_pid = 0
         self.generated = 0
         #: Per-packet observer (``hook(packet)``); the trace recorder sets
-        #: it so generation events are captured at the source, whether the
-        #: packet comes out of :meth:`generate` or :meth:`idle_generate`.
+        #: it so generation events are captured at the source.
         self._record_hook = None
 
+    @property
+    def injection_rate(self) -> float:
+        """Packets per node per cycle; assignable mid-run."""
+        return self._injection_rate
+
+    @injection_rate.setter
+    def injection_rate(self, rate: float) -> None:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError("injection_rate must be in [0, 1] packets/node/cycle")
+        self._injection_rate = rate
+        self._stream.set_scan_rate(rate)
+
     def generate(self, fabric: Fabric, cycle: int) -> None:
-        # Hot per-cycle path: everything the node loop touches is hoisted.
-        # The RNG draw sequence (one rate draw per node, destination draws
-        # on a hit) is part of the parity contract and must not change.
-        rng = self.rng
-        rand = rng.random
-        rate = self.injection_rate
-        destination = self.pattern.destination
-        msg_class = self.msg_class
-        hook = self._record_hook
-        offer = fabric.offer_packet
-        pid = self._next_pid
-        generated = 0
-        for node, backlog in enumerate(self._backlog):
-            if rand() < rate:
-                dst = destination(node, rng)
-                if dst is not None:
-                    packet = Packet(pid, node, dst, msg_class, gen_cycle=cycle)
-                    pid += 1
-                    generated += 1
-                    backlog.append(packet)
-                    if hook is not None:
-                        hook(packet)
-            while backlog and offer(backlog[0]):
-                backlog.popleft()
-        self._next_pid = pid
-        self.generated += generated
-
-    def idle_generate(self, fabric: Fabric, cycle: int, budget: int) -> int:
-        """Replay :meth:`generate` across up to *budget* known-idle cycles.
-
-        The event-horizon fast-forward (``Simulation._fast_forward``) calls
-        this when the fabric is quiescent: every source backlog is empty
-        (a queued packet would imply a full NI queue, contradicting
-        quiescence), so a cycle's generate pass reduces to the Bernoulli
-        draws. This loop performs *exactly* the dense per-cycle RNG draws
-        — one ``rng.random()`` per node, plus the pattern's destination
-        draws on a hit — and bails out at the end of the first cycle that
-        actually created a packet, after running that cycle's offer sweep.
-
-        Returns the number of cycles consumed, each generate-complete.
-        When the fabric is no longer quiescent (or a backlog is non-empty,
-        for patterns that can generate unroutable-swallowed packets under
-        faults), the final consumed cycle generated packets and the caller
-        must finish its remaining phases densely; otherwise every consumed
-        cycle was fully idle.
-        """
-        rng = self.rng
-        rand = rng.random
-        rate = self.injection_rate
-        destination = self.pattern.destination
-        num_nodes = self.pattern.num_nodes
-        msg_class = self.msg_class
-        consumed = 0
-        while consumed < budget:
-            now = cycle + consumed
-            consumed += 1
-            hit = False
-            for node in range(num_nodes):
-                if rand() < rate:
-                    dst = destination(node, rng)
+        # Hot per-cycle path. Scan state is (pos, limit): the cursor and
+        # the end of this cycle's scan; a hit at p belongs to node
+        # nodes - (limit - p) / 2, and the d words its destination draws
+        # consume move both the cursor and limit along by d.
+        stream = self._stream
+        nodes = self._nodes
+        pos = stream.pos
+        limit = pos + self._span
+        # One ensure per cycle covers the scan plus a first destination
+        # word per node; only the rare longer draws re-ensure below.
+        if limit + nodes >= stream.size:
+            stream.ensure(self._span + nodes)
+            pos = stream.pos
+            limit = pos + self._span
+        hits = stream.hits
+        hi = stream.hit_idx
+        p = hits[hi]
+        if p < limit:
+            view = stream.view
+            un = self._uniform_n
+            shift = self._uniform_shift
+            destination = self.pattern.destination
+            rng = self.rng
+            backlog = self._backlog
+            mark = self._backlogged.add
+            offer = fabric.offer_packet
+            msg_class = self.msg_class
+            hook = self._record_hook
+            pid = self._next_pid
+            while p < limit:
+                hi += 1
+                # Entries behind the cursor are spent; entries at odd
+                # distance are second halves of doubles or destination
+                # words, and no earlier hit is left to realign them.
+                if p >= pos and not (limit - p) & 1:
+                    node = nodes - ((limit - p) >> 1)
+                    # UniformRandom: randrange(nodes - 1) with its first
+                    # draw inlined. Every other pattern has un == 0, which
+                    # no draw is below.
+                    dst = view[p + 2] >> shift
+                    if dst < un:
+                        pos = p + 3
+                        limit += 1
+                        if dst >= node:
+                            dst += 1
+                    else:
+                        # A rejected first draw, or a pattern with draws of
+                        # its own: the facade serves them from the stream,
+                        # which may refill and rebase every position.
+                        stream.pos = p + 2
+                        stream.hit_idx = hi
+                        dst = destination(node, rng)
+                        left = limit - p - 2
+                        stream.ensure(left + nodes)
+                        pos = stream.pos
+                        limit = pos + left
+                        hits = stream.hits
+                        hi = stream.hit_idx
+                        view = stream.view
                     if dst is not None:
-                        packet = Packet(
-                            self._next_pid, node, dst, msg_class, gen_cycle=now
-                        )
-                        self._next_pid += 1
-                        self.generated += 1
-                        self._backlog[node].append(packet)
-                        if self._record_hook is not None:
-                            self._record_hook(packet)
-                        hit = True
-            if hit:
-                # Same offer sweep as generate(); offers draw no RNG, so
-                # running them after the node loop is observationally
-                # identical to the dense interleaving.
-                for node in range(num_nodes):
-                    backlog = self._backlog[node]
-                    while backlog and fabric.offer_packet(backlog[0]):
-                        backlog.popleft()
-                return consumed
-        return consumed
+                        packet = Packet(pid, node, dst, msg_class, cycle)
+                        pid += 1
+                        if hook is not None:
+                            hook(packet)
+                        # Offers draw no RNG and touch per-node state only,
+                        # so their order against the scan is unobservable.
+                        queue = backlog[node]
+                        if queue:
+                            queue.append(packet)
+                        elif not offer(packet):
+                            queue.append(packet)
+                            mark(node)
+                p = hits[hi]
+            self.generated += pid - self._next_pid
+            self._next_pid = pid
+        stream.pos = limit
+        stream.hit_idx = hi
+        backlogged = self._backlogged
+        if backlogged:
+            # Per-node state only: the set's order is unobservable too.
+            offer = fabric.offer_packet
+            backlog = self._backlog
+            drained = []
+            for node in backlogged:
+                queue = backlog[node]
+                while queue and offer(queue[0]):
+                    queue.popleft()
+                if not queue:
+                    drained.append(node)
+            if drained:
+                backlogged.difference_update(drained)
+
+    def next_event_cycle(self, now: int) -> int:
+        """First cycle >= *now* whose :meth:`generate` may act.
+
+        The cycle of the next Bernoulli hit, read off the stream's hit
+        list (no destination draw precedes it, so every scan position up
+        to it is at even distance from the cursor); *now* while a backlog
+        waits on a full NI queue. When the read-ahead holds no hit the
+        answer is the first cycle it does not fully cover — an early
+        wake-up, never a late one.
+        """
+        if self._backlogged:
+            return now
+        stream = self._stream
+        span = self._span
+        if stream.pos + span >= stream.size:
+            stream.ensure(span)
+        pos = stream.pos
+        hits = stream.hits
+        hi = stream.hit_idx
+        p = hits[hi]
+        while p < _NO_HIT and (p < pos or (p - pos) & 1):
+            hi += 1
+            p = hits[hi]
+        stream.hit_idx = hi
+        if p == _NO_HIT:
+            p = stream.size - 1  # first unclassified position
+        return now + (p - pos) // span
+
+    def skip_cycles(self, count: int) -> None:
+        """Pass *count* cycles without a hit: the cursor moves as their
+        draws would have moved it. The caller stays at or before
+        :meth:`next_event_cycle`."""
+        if count <= 0:
+            return
+        stream = self._stream
+        pos = stream.pos + count * self._span
+        if pos >= stream.size:
+            raise RuntimeError(
+                f"skip_cycles({count}) past the traffic stream's read-ahead"
+            )
+        stream.pos = pos
 
     def consume(self, fabric: Fabric, cycle: int) -> None:
         """Sink every ejected packet immediately (ideal NI consumption).

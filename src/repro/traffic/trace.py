@@ -50,12 +50,10 @@ class TraceRecorder(SyntheticTraffic):
     """A synthetic traffic source that also logs every generated packet.
 
     Recording rides the generator's ``_record_hook``, so every packet is
-    captured at creation time — before the offer sweep moves it out of
-    the source backlog, and regardless of whether it was produced by the
-    dense :meth:`~SyntheticTraffic.generate` or the fast-forward
-    :meth:`~SyntheticTraffic.idle_generate` path. (The previous
-    implementation scanned the backlog *after* the offer sweep and missed
-    every packet the NI accepted immediately — i.e. nearly all of them.)
+    captured at creation time — before it is offered to the NI. (The
+    previous implementation scanned the backlog *after* the offer sweep
+    and missed every packet the NI accepted immediately — i.e. nearly
+    all of them.)
     """
 
     def __init__(self, *args, **kwargs) -> None:

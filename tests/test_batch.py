@@ -1,8 +1,9 @@
 """Unit tests for the cross-trial lockstep batching layer.
 
 Covers the pieces below the end-to-end parity lane (which lives in
-``test_parity_fuzz.py``): the MT19937 word-stream replica and its
-``random.Random`` facade, the harness-side grouping key and dispatch
+``test_parity_fuzz.py``): the traffic word stream every synthetic source
+draws through, solo or batched, and its ``random.Random`` facade (kept
+here, where they were first pinned), the harness-side grouping key and dispatch
 planner, the ``batch`` knob's validation and — load-bearing for the
 warm-cache identity guarantee — the knob's exclusion from the serialised
 config digest.
@@ -25,8 +26,8 @@ from repro.harness.trials import (
     batch_payload,
     coherence_trial,
 )
-from repro.network.batched import MirroredRandom, WordStream
 from repro.topology.mesh import make_mesh
+from repro.traffic.synthetic import MirroredRandom, WordStream
 
 SCALE = Scale(warmup=8, measure=24, epoch=96, spin_timeout=48)
 
@@ -41,13 +42,31 @@ def _specs(n, scheme=Scheme.DRAIN, rate=0.05, width=4):
 
 
 # ----------------------------------------------------------------------
-# WordStream / MirroredRandom: exact random.Random replication
+# WordStream / MirroredRandom: exact against random.Random itself
 # ----------------------------------------------------------------------
+def _reference_hits(seed, rate, consumed, count):
+    """Word positions (from *consumed*) at which ``random()`` is below
+    *rate*, drawn one position at a time from ``random.Random`` itself."""
+    hits = []
+    for offset in range(count):
+        rng = random.Random(seed)
+        if consumed + offset:
+            rng.getrandbits(32 * (consumed + offset))
+        if rng.random() < rate:
+            hits.append(offset)
+    return hits
+
+
+def _classified_hits(stream):
+    assert stream.hits[-1] > stream.size  # the terminator
+    return stream.hits[:-1]
+
+
 class TestWordStream:
     @pytest.mark.parametrize("seed", [0, 1, 42, 0xDEADBEEF, 2 ** 62 + 11])
     def test_interleaved_draws_match_reference(self, seed):
         reference = random.Random(seed)
-        mirror = MirroredRandom(WordStream(seed))
+        mirror = MirroredRandom(WordStream(random.Random(seed)))
         # Interleave every primitive and the derived methods the traffic
         # layer uses; any cursor slip desynchronises everything after it.
         script = random.Random(0xC0FFEE ^ seed)
@@ -73,43 +92,104 @@ class TestWordStream:
             else:
                 assert mirror.uniform(-3.0, 7.0) == reference.uniform(-3.0, 7.0)
 
+    def test_facade_methods_word_for_word_over_refills(self):
+        # randrange / choice / shuffle / random, long enough to cross
+        # several refills of a deliberately tiny read-ahead.
+        reference = random.Random(23)
+        stream = WordStream(random.Random(23))
+        stream._block = 16
+        mirror = MirroredRandom(stream)
+        refills, buffer = 0, stream.words
+        for i in range(3000):
+            op = i % 4
+            if op == 0:
+                assert mirror.randrange(63) == reference.randrange(63)
+            elif op == 1:
+                assert mirror.choice(range(5)) == reference.choice(range(5))
+            elif op == 2:
+                a, b = list(range(7)), list(range(7))
+                mirror.shuffle(a)
+                reference.shuffle(b)
+                assert a == b
+            else:
+                assert mirror.random() == reference.random()
+            if stream.words is not buffer:
+                refills, buffer = refills + 1, stream.words
+        assert refills > 3
+
     def test_long_stream_crosses_refills(self):
-        # INIT_BLOCKS buys ~1.2k doubles; 5000 forces several on-demand
+        # The first block buys 2k doubles; 20000 forces several doubling
         # refills, and the doubles must stay exact across every boundary.
         reference = random.Random(7)
-        stream = WordStream(7)
-        for _ in range(5000):
+        stream = WordStream(random.Random(7))
+        for _ in range(20000):
             assert stream.take_double() == reference.random()
 
     def test_word_and_double_views_share_one_cursor(self):
         reference = random.Random(3)
-        stream = WordStream(3)
+        stream = WordStream(random.Random(3))
         assert stream.take_double() == reference.random()
         assert stream.take_word() == reference.getrandbits(32)
         # The word draw flipped the cursor's parity; doubles must follow.
         assert stream.take_double() == reference.random()
 
+    def test_stream_starts_where_the_generator_is(self):
+        # An odd number of words already consumed: the stream's word 0 is
+        # the generator's next word, whatever its alignment.
+        rng, reference = random.Random(19), random.Random(19)
+        for r in (rng, reference):
+            r.random()
+            r.getrandbits(32)  # 3 words in
+        stream = WordStream(rng)
+        stream.set_scan_rate(0.25)
+        stream.ensure(300)
+        assert _classified_hits(stream)[:60] == _reference_hits(
+            19, 0.25, 3, 300)[:60]
+        assert stream.take_double() == reference.random()
+
     def test_scan_hits_are_the_sub_rate_doubles(self):
         rate = 0.1
-        stream = WordStream(11)
+        stream = WordStream(random.Random(11))
         stream.set_scan_rate(rate)
-        doubles = stream.doubles
-        assert stream.hits == [
-            i for i in range(len(doubles)) if doubles[i] < rate
-        ]
-        # A refill must recompute the hit list for the new buffer.
-        before = len(stream.words)
-        stream.ensure(before + 10)
-        assert stream.hits == [
-            i for i in range(len(stream.doubles)) if stream.doubles[i] < rate
-        ]
+        stream.ensure(400)
+        count = stream.size - 1  # the last word has no partner yet
+        assert _classified_hits(stream) == _reference_hits(11, rate, 0, count)
+        # A refill drops the consumed words and lists the new buffer.
+        stream.pos = consumed = 100
+        stream.ensure(stream.size + 10)
+        assert stream.pos == 0
+        assert _classified_hits(stream)[:20] == _reference_hits(
+            11, rate, consumed, 600)[:20]
+
+    def test_hit_whose_second_word_is_in_the_next_block(self):
+        rate = 0.2
+        target = _reference_hits(31, rate, 0, 64)[3]
+        stream = WordStream(random.Random(31))
+        stream._block = 1
+        stream.set_scan_rate(rate)
+        stream._refill(target + 1)  # words 0 .. target, and no further
+        assert stream.size == target + 1
+        assert target not in _classified_hits(stream)  # no partner word yet
+        stream.ensure(target + 1)
+        assert target in _classified_hits(stream)
+        assert _classified_hits(stream) == _reference_hits(
+            31, rate, 0, stream.size - 1)
+
+    @pytest.mark.parametrize("rate, expected", [(0.0, 0), (1.0, 1)])
+    def test_extreme_rates(self, rate, expected):
+        # At 1.0 the uint32 candidate bound would pass 2**32 unclamped.
+        stream = WordStream(random.Random(2))
+        stream.set_scan_rate(rate)
+        stream.ensure(2000)
+        assert stream._coarse <= 0xFFFFFFFF
+        assert len(_classified_hits(stream)) == expected * (stream.size - 1)
 
     def test_facade_seed_is_inert_and_state_is_refused(self):
-        stream = WordStream(5)
+        stream = WordStream(random.Random(5))
         mirror = MirroredRandom(stream)  # Random.__init__ calls seed()
-        assert stream.pos == 0
+        assert stream.pos == 0 and stream.size == 0
         mirror.seed(123)
-        assert stream.pos == 0
+        assert stream.size == 0
         with pytest.raises(NotImplementedError):
             mirror.getstate()
         with pytest.raises(NotImplementedError):

@@ -167,3 +167,148 @@ class TestAdditionalPatterns:
     def test_new_patterns_registered(self):
         for name in ("bit_reverse", "tornado", "nearest_neighbor"):
             assert pattern_by_name(name, 16, 4) is not None
+
+
+# ----------------------------------------------------------------------
+# The traffic stream: hit-list generation against the per-node draw loop
+# ----------------------------------------------------------------------
+class _Sink:
+    """An NI that takes (or refuses) every packet."""
+
+    def __init__(self, accept=True):
+        self.accept = accept
+        self.offered = []
+
+    def offer_packet(self, packet):
+        if self.accept:
+            self.offered.append(packet)
+        return self.accept
+
+
+def _draw_loop(pattern, seed, cycles, rate_at):
+    """The contract, spelled out on ``random.Random`` itself: one
+    ``random()`` per node per cycle in node order, destination draws
+    right after a hit. *rate_at(cycle)* is the rate in force."""
+    rng = random.Random(seed)
+    packets = []
+    for cycle in range(cycles):
+        rate = rate_at(cycle)
+        for node in range(pattern.num_nodes):
+            if rng.random() < rate:
+                dst = pattern.destination(node, rng)
+                if dst is not None:
+                    packets.append((cycle, node, dst))
+    return packets
+
+
+def _generated(traffic):
+    log = []
+    traffic._record_hook = lambda p: log.append((p.gen_cycle, p.src, p.dst))
+    return log
+
+
+class TestTrafficStream:
+    @pytest.mark.parametrize("name, nodes, width", [
+        ("uniform_random", 64, 8),
+        ("uniform_random", 9, 3),    # randrange(8) of 4 bits: many rejections
+        ("uniform_random", 2, None),
+        ("hotspot", 16, 4),          # random() + one or two randrange per hit
+        ("nearest_neighbor", 16, 4),  # rng.choice
+        ("transpose", 16, 4),        # diagonal nodes hit and send nothing
+    ])
+    @pytest.mark.parametrize("rate", [0.004, 0.3, 1.0])
+    def test_generate_is_the_draw_loop(self, name, nodes, width, rate):
+        pattern = pattern_by_name(name, nodes, width)
+        cycles = 40_000 // nodes  # several refills of the read-ahead
+        traffic = SyntheticTraffic(pattern, rate, random.Random(77))
+        log = _generated(traffic)
+        sink = _Sink()
+        for cycle in range(cycles):
+            traffic.generate(sink, cycle)
+        assert log == _draw_loop(pattern, 77, cycles, lambda c: rate)
+        assert traffic.generated == len(log) == len(sink.offered)
+
+    def test_skipping_to_the_next_event_is_stepping(self):
+        pattern = UniformRandom(16)
+        stepped = SyntheticTraffic(pattern, 0.003, random.Random(12))
+        skipped = SyntheticTraffic(pattern, 0.003, random.Random(12))
+        expected, got = _generated(stepped), _generated(skipped)
+        sink, cycles = _Sink(), 30_000
+        for cycle in range(cycles):
+            stepped.generate(sink, cycle)
+        cycle = stepped_cycles = 0
+        while cycle < cycles:
+            arrival = min(skipped.next_event_cycle(cycle), cycles)
+            if arrival > cycle:
+                skipped.skip_cycles(arrival - cycle)
+                cycle = arrival
+            else:
+                skipped.generate(sink, cycle)
+                stepped_cycles += 1
+                cycle += 1
+        assert got == expected and len(got) > 500
+        # The source woke for its hits and little else.
+        assert stepped_cycles < 1.2 * len(got)
+
+    def test_injection_rate_is_assignable_mid_run(self):
+        pattern = UniformRandom(16)
+        traffic = SyntheticTraffic(pattern, 0.2, random.Random(5))
+        log = _generated(traffic)
+        sink = _Sink()
+
+        def rate_at(cycle):
+            return 0.0 if 300 <= cycle < 900 else 0.2
+
+        for cycle in range(1500):
+            if cycle in (300, 900):
+                traffic.injection_rate = rate_at(cycle)
+            traffic.generate(sink, cycle)
+        # Silent while the rate is 0, and the cursor kept moving two words
+        # per node per cycle: the stream resumes where the draw loop does.
+        assert not [p for p in log if 300 <= p[0] < 900]
+        assert log == _draw_loop(pattern, 5, 1500, rate_at)
+        assert traffic.injection_rate == 0.2
+        with pytest.raises(ValueError):
+            traffic.injection_rate = 1.5
+        with pytest.raises(ValueError):
+            SyntheticTraffic(pattern, -0.1, random.Random(5))
+
+    def test_backlog_emptied_behind_the_source_is_tolerated(self):
+        traffic = SyntheticTraffic(UniformRandom(16), 0.5, random.Random(6))
+        full = _Sink(accept=False)
+        for cycle in range(4):
+            traffic.generate(full, cycle)
+        assert traffic.backlog_size() > 0
+        assert traffic.next_event_cycle(4) == 4  # a backlog pins the horizon
+        traffic.injection_rate = 0.0
+        for backlog in traffic._backlog:
+            backlog.clear()
+        traffic.generate(full, 4)  # the sweep drops every stale entry
+        assert not traffic._backlogged
+        assert traffic.next_event_cycle(5) > 5
+
+    def test_skip_past_the_read_ahead_is_refused(self):
+        traffic = SyntheticTraffic(UniformRandom(16), 0.0, random.Random(7))
+        horizon = traffic.next_event_cycle(0)
+        assert horizon > 0  # rate 0: an early wake-up at the buffer's end
+        with pytest.raises(RuntimeError):
+            traffic.skip_cycles(horizon + 10_000)
+
+    def test_one_draw_path(self, monkeypatch):
+        # uniform_random at low load never touches the facade's random():
+        # Bernoulli draws are read off the hit list, and there is no
+        # replay loop beside generate.
+        from repro.traffic.synthetic import MirroredRandom
+
+        calls = []
+        real = MirroredRandom.random
+        monkeypatch.setattr(
+            MirroredRandom, "random",
+            lambda self: calls.append(1) or real(self))
+        traffic = SyntheticTraffic(UniformRandom(64, 8), 0.002,
+                                   random.Random(8))
+        sim = Simulation(make_mesh(8, 8), make_config(Scheme.DRAIN), traffic)
+        sim.run(20_000)
+        assert traffic.generated > 1000 and sim.ff_cycles > 0
+        assert calls == []
+        assert not hasattr(SyntheticTraffic, "idle_generate")
