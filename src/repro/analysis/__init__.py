@@ -23,8 +23,8 @@ no wall-clock, no global state):
   ``src/``: no unsalted ``hash()``, no module-level ``random`` state, no
   wall-clock reads in trial code, no non-picklable ``TrialSpec`` params,
   no golden-summary shape mutation, no mutable default arguments — plus
-  the engine-parity family (DET007–DET011) guarding the scalar/vectorized
-  draw-order contract and the lockstep batch dispatch in kernel code.
+  the engine-parity family (DET007–DET009) guarding the scalar/vectorized
+  draw-order contract in kernel code.
 
 - :mod:`repro.analysis.differential` — differential validation closing
   the loop between the certifier and the simulator: static refutations

@@ -58,19 +58,6 @@ constrains how kernel code (everything under ``repro/network`` — see
   module and read through it (so DET003 can see the call), or move the
   timing into an allowlisted boundary file.
 
-- **DET011** — per-trial branching inside a batched inner loop. The
-  cross-trial batch runner (``repro.network.batched``) dispatches
-  members round-robin; a branch on member state inside the dispatch
-  loop reintroduces exactly the per-trial Python overhead batching
-  exists to amortize, and — worse — lets one member's state steer
-  another's schedule. Only the live-mask/eviction fields
-  (:data:`_BATCH_MASK_FIELDS`: ``retired``/``evicted``/``live``) may be
-  tested there; anything else belongs inside the member's own step (or
-  the member belongs on the solo fallback path). Scoped to kernel code
-  via :func:`is_kernel_path`, and only to loops over a member
-  collection (an iterable named ``live``/``members``) nested inside
-  another loop — the scheduling rounds.
-
 - **DET012** — direct ``all_pairs_distances()`` calls outside the
   implementation (``topology/graph.py``) and the compiled-structure
   store (``structcache/store.py``). The all-pairs BFS is the single most
@@ -150,14 +137,6 @@ _TABLES_FIELDS: Tuple[str, ...] = ("offsets", "counts", "links", "epoch")
 #: them directly in kernel code is hash-order dependent.
 _UNORDERED_INDEX_ATTRS: Tuple[str, ...] = ("dead_links", "dead_routers")
 
-#: BatchMember fields a batched inner loop may branch on: the live-mask
-#: and eviction markers that steer the round-robin dispatch itself.
-_BATCH_MASK_FIELDS: Tuple[str, ...] = ("retired", "evicted", "live")
-
-#: Iterable names recognised as a batch-member collection (``for m in
-#: live`` / ``for m in self.members``).
-_BATCH_COLLECTION_NAMES: Tuple[str, ...] = ("live", "members")
-
 #: ``time``-module functions that read the wall clock; importing one by
 #: name binds it to a bare identifier DET003 cannot see.
 _WALL_CLOCK_FROM_IMPORTS: Set[str] = {
@@ -230,10 +209,6 @@ class _Visitor(ast.NodeVisitor):
         self.tables_vars: Set[str] = set()
         #: Names bound to set()/frozenset()/set-literal values.
         self.set_vars: Set[str] = set()
-        #: Loop variables of batched inner loops currently in scope
-        #: (DET011: branches on their non-mask attributes are per-trial
-        #: work smuggled into the lockstep dispatch).
-        self.batch_member_vars: Set[str] = set()
 
     # -- reporting ------------------------------------------------------
     def report(self, node: ast.AST, code: str, message: str) -> None:
@@ -441,78 +416,20 @@ class _Visitor(ast.NodeVisitor):
                 "order the engines replay",
             )
 
-    # -- DET011: per-trial branching in batched inner loops ---------------
-    def _batch_member_target(self, node) -> str:
-        """The loop variable when *node* is a batched inner loop, else ''.
-
-        A batched inner loop iterates a member collection (``live`` /
-        ``members`` / ``something.members``) and sits inside another loop
-        — the scheduling rounds. Top-level member loops (setup sweeps,
-        result assembly) are not dispatch and stay exempt.
-        """
-        if not self.kernel or self.loop_depth == 0:
-            return ""
-        if not isinstance(node.target, ast.Name):
-            return ""
-        it = node.iter
-        name = ""
-        if isinstance(it, ast.Name):
-            name = it.id
-        elif isinstance(it, ast.Attribute):
-            name = it.attr
-        if name in _BATCH_COLLECTION_NAMES or name.endswith("members"):
-            return node.target.id
-        return ""
-
-    def _check_batch_branch(self, test: ast.AST) -> None:
-        if not self.batch_member_vars:
-            return
-        for sub in ast.walk(test):
-            if (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id in self.batch_member_vars
-                and sub.attr not in _BATCH_MASK_FIELDS
-            ):
-                self.report(
-                    sub,
-                    "DET011",
-                    f"per-trial branch on {sub.value.id}.{sub.attr} inside "
-                    "a batched inner loop; only the live-mask/eviction "
-                    f"fields ({', '.join(_BATCH_MASK_FIELDS)}) may steer "
-                    "the lockstep dispatch — move per-trial state into "
-                    "the member's own step, or evict the trial to the "
-                    "solo path",
-                )
-
-    def visit_If(self, node: ast.If) -> None:
-        self._check_batch_branch(node.test)
-        self.generic_visit(node)
-
-    def visit_IfExp(self, node: ast.IfExp) -> None:
-        self._check_batch_branch(node.test)
-        self.generic_visit(node)
-
-    def _visit_loop(self, node, member: str = "") -> None:
-        added = bool(member) and member not in self.batch_member_vars
-        if added:
-            self.batch_member_vars.add(member)
+    def _visit_loop(self, node) -> None:
         self.loop_depth += 1
         self.generic_visit(node)
         self.loop_depth -= 1
-        if added:
-            self.batch_member_vars.discard(member)
 
     def visit_For(self, node: ast.For) -> None:
         self._check_loop_iter(node)
-        self._visit_loop(node, self._batch_member_target(node))
+        self._visit_loop(node)
 
     def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
         self._check_loop_iter(node)
-        self._visit_loop(node, self._batch_member_target(node))
+        self._visit_loop(node)
 
     def visit_While(self, node: ast.While) -> None:
-        self._check_batch_branch(node.test)
         self._visit_loop(node)
 
     # -- DET010: from-imported wall-clock readers -------------------------

@@ -10,8 +10,9 @@ Subcommands:
   manifest alongside them);
 - ``repro-drain sweep`` — a generic parallel injection-rate sweep over
   schemes × seeds × rates on any topology (``--batch auto`` groups
-  compatible trials into lockstep batches — same results, amortized
-  setup; also accepted by ``experiment`` and ``faults``);
+  compatible trials into batches that share one construction — same
+  results, amortized setup; also accepted by ``experiment`` and
+  ``faults``);
 - ``repro-drain run`` — a single simulation with explicit knobs;
 - ``repro-drain faults`` — inject a seed-derived runtime fault schedule
   into one simulation and write the recovery curve (windowed throughput /
@@ -713,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip static pre-flight validation of trial "
                             "specs (repro-drain check run per config)")
         p.add_argument("--batch", default=None, metavar="MODE",
-                       help="cross-trial lockstep batching: 'off' (default), "
+                       help="cross-trial batching: 'off' (default), "
                             "'auto' (group compatible specs into batches of "
                             "16 when a group has >= 4 members) or an integer "
                             "batch size; results are bit-identical to solo "

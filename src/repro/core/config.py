@@ -235,7 +235,7 @@ class SimConfig:
     #: batched kernel explicitly (still subject to the same fallback). All
     #: engines are bit-identical — this knob never changes results.
     engine: str = "auto"
-    #: Cross-trial lockstep batching (the sweep harness's scheduling knob):
+    #: Cross-trial batching (the sweep harness's scheduling knob):
     #: "off" runs every trial solo, "auto" groups compatible specs into
     #: batches of :data:`repro.harness.pool.BATCH_AUTO_SIZE` whenever a
     #: group has at least four members, and a positive integer string

@@ -93,7 +93,7 @@ class TrialRecord:
     elapsed: float  # seconds of simulation work (0 for definitionless hits)
     label: Optional[str] = None
     retries: int = 0  # crash/timeout requeues this trial needed
-    #: True when this trial executed inside a lockstep batch (its elapsed
+    #: True when this trial executed inside a batch (its elapsed
     #: is then the batch wall-clock split evenly over the members).
     batched: bool = False
     #: The recorded fallback reason when the batch executor evicted this
@@ -470,7 +470,7 @@ class Harness:
     ) -> List[Tuple[Dict[str, Any], float, int]]:
         """Run *payloads* under supervision; (result, elapsed, retries) each.
 
-        *weights* scales the per-payload deadline: a lockstep batch of N
+        *weights* scales the per-payload deadline: a batch of N
         trials is one payload doing N trials' work, so its wall-clock
         budget is ``timeout * N`` rather than the single-trial budget.
         """

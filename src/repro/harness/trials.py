@@ -224,7 +224,7 @@ def _synthetic_sim(params: Mapping[str, Any],
                    shared=None) -> Simulation:
     """The simulation a ``synthetic`` or ``fault_recovery`` spec describes.
 
-    Solo runners and the lockstep batch build their members here, so a
+    Solo runners and the batch runner build their simulations here, so a
     trial is the same simulation — traffic stream included — either way.
     """
     if topology is None:
@@ -499,12 +499,11 @@ def _run_lossless(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Cross-trial lockstep batching
+# Cross-trial batching
 # ----------------------------------------------------------------------
-#: Runners whose trials the lockstep batch executor can reconstruct.
-#: ``synthetic`` is the perf path; ``fault_recovery`` joins for coverage
-#: (its members build private index/routing parts and step their drain
-#: controller densely — see repro.network.batched).
+#: Runners whose trials the batch runner can reconstruct. ``synthetic``
+#: is the perf path; ``fault_recovery`` joins for coverage (its members
+#: build private index/routing parts — see repro.network.batched).
 BATCHABLE_RUNNERS = ("synthetic", "fault_recovery")
 
 
@@ -529,16 +528,15 @@ def structural_params(
 
 
 def batch_group_key(spec: TrialSpec) -> Optional[str]:
-    """Compatibility key for lockstep batching, or None if unbatchable.
+    """Compatibility key for cross-trial batching, or None if unbatchable.
 
     Two specs may share a batch iff they agree on everything that shapes
     the simulation's structure: topology, scheme, engine selection, vc/vn
     geometry, traffic pattern — the full config minus the per-trial seed.
     Per-member knobs (rate, seeds, cycles, warmup, fault schedules) vary
-    freely inside a group. Configurations the batch executor cannot build
-    a :class:`~repro.network.batched.BatchMember` for (non-credit flow
-    control, multi-flit packets, a VC geometry outside the vectorized
-    engine's gate) return None and always run solo.
+    freely inside a group. Configurations whose construction cannot be
+    shared (non-credit flow control, multi-flit packets, a VC geometry
+    outside the vectorized engine's gate) return None and always run solo.
     """
     if spec.runner not in BATCHABLE_RUNNERS:
         return None
@@ -580,62 +578,58 @@ def batch_payload(specs) -> "TrialSpec":
 
 @register_runner("batch.lockstep")
 def _run_batch(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Run a group of compatible trials as one lockstep batch.
+    """Run a group of compatible trials over one shared construction.
 
-    Returns an envelope ``{"results": [...], "evictions": [...]}`` with
-    one result per member in input order. Members whose configuration
-    forces a scalar/dense fallback at fabric construction are evicted:
-    they rerun solo through their own runner (bit-identical by the engine
-    parity contract) and the fallback is recorded in ``evictions``.
+    A batch is a ``for`` loop: each member is built, run to completion by
+    its own :meth:`Simulation.run` and summarised before the next is
+    built; the first fault-free member is the donor whose index, routing,
+    drain path and engine tables the later ones adopt. Returns an
+    envelope ``{"results": [...], "evictions": [...]}`` with one result
+    per member in input order. A member that cannot share the batch's
+    construction — a runner outside :data:`BATCHABLE_RUNNERS`, a
+    configuration that forces a scalar/dense fallback at fabric
+    construction, a :func:`batch_group_key` other than the first
+    batchable member's — is evicted: it reruns solo through its own
+    runner (bit-identical by the engine parity contract) and the reason
+    is recorded in ``evictions``.
     """
-    from ..network.batched import (
-        BatchedEngine,
-        BatchMember,
-        SharedParts,
-        adopt_engine_tables,
-    )
+    from ..network.batched import SharedParts, adopt_engine_tables
 
-    trials = params["trials"]
-    results: list = [None] * len(trials)
+    results: list = []
     evictions: list = []
+    group_key: Optional[str] = None
     topology: Optional[Topology] = None
     shared: Optional[SharedParts] = None
-    entries: list = []
-    for i, (runner, p) in enumerate(trials):
+    donor = None
+    for i, (runner, p) in enumerate(params["trials"]):
+        spec = TrialSpec(runner, p)
+        key = batch_group_key(spec)
+        if group_key is None and key is not None:
+            group_key, topology = key, topology_from_spec(p["topology"])
+        grouped = key is not None and key == group_key
+        reason = sim = None
         if runner not in BATCHABLE_RUNNERS:
-            results[i] = execute_trial(TrialSpec(runner, p))
-            evictions.append({"index": i, "reason": f"runner {runner!r}"})
-            continue
-        if topology is None:
-            topology = topology_from_spec(p["topology"])
-        sim = _synthetic_sim(p, topology, shared)
-        if sim.fabric.engine_name != "vectorized":
-            # Structural fallback (stateful routing, forced scalar, ...):
-            # evict and run solo — the solo rerun is the recorded result.
-            reason = (sim.fabric.engine_fallback_reason
-                      or f"engine {sim.fabric.engine_name!r}")
-            results[i] = execute_trial(TrialSpec(runner, p))
+            reason = f"runner {runner!r}"
+        else:
+            sim = (_synthetic_sim(p, topology, shared) if grouped
+                   else _synthetic_sim(p))
+            if sim.fabric.engine_name != "vectorized":
+                # Structural fallback (stateful routing, forced scalar, ...)
+                reason = (sim.fabric.engine_fallback_reason
+                          or f"engine {sim.fabric.engine_name!r}")
+            elif not grouped:
+                reason = "structure differs from the batch's"
+        if reason is not None:
+            del sim  # the solo rerun is the recorded result
+            results.append(execute_trial(spec))
             evictions.append({"index": i, "reason": reason})
             continue
         if shared is None and sim.fault_injector is None:
-            shared = SharedParts.from_simulation(sim)
-        entries.append(
-            (i, p, BatchMember(sim, p["cycles"], warmup=p["warmup"]))
-        )
-    if entries:
-        if shared is not None:
-            donor = next(
-                m.sim.fabric for _, _, m in entries
-                if m.sim.index is shared.index
-            )
-            adopt_engine_tables(
-                donor,
-                [m.sim.fabric for _, _, m in entries
-                 if m.sim.fabric is not donor],
-            )
-        BatchedEngine([m for _, _, m in entries]).run()
-    for i, p, member in entries:
-        results[i] = _synthetic_result(member.sim, p)
+            shared, donor = SharedParts.from_simulation(sim), sim.fabric
+        if donor is not None:
+            adopt_engine_tables(donor, [sim.fabric])
+        sim.run(p["cycles"], warmup=p["warmup"])
+        results.append(_synthetic_result(sim, p))
     return {"results": results, "evictions": evictions}
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the cross-trial lockstep batching layer.
+"""Unit tests for the cross-trial batching layer.
 
 Covers the pieces below the end-to-end parity lane (which lives in
 ``test_parity_fuzz.py``): the traffic word stream every synthetic source
@@ -6,17 +6,21 @@ draws through, solo or batched, and its ``random.Random`` facade (kept
 here, where they were first pinned), the harness-side grouping key and dispatch
 planner, the ``batch`` knob's validation and — load-bearing for the
 warm-cache identity guarantee — the knob's exclusion from the serialised
-config digest.
+config digest, and the runner itself: members are sequential
+``Simulation.run()`` calls over one shared construction.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.core.config import Scheme, SimConfig
 from repro.core.configio import config_from_dict, config_to_dict
+from repro.core.simulator import Simulation
 from repro.experiments.common import Scale, synthetic_trial_for
 from repro.harness.cache import ResultCache
 from repro.harness.pool import BATCH_AUTO_SIZE, BATCH_MIN_AUTO, Harness
@@ -25,6 +29,7 @@ from repro.harness.trials import (
     batch_group_key,
     batch_payload,
     coherence_trial,
+    execute_trial,
 )
 from repro.topology.mesh import make_mesh
 from repro.traffic.synthetic import MirroredRandom, WordStream
@@ -357,3 +362,70 @@ class TestHarnessBatching:
         assert [e["index"] for e in envelope["evictions"]] == [2]
         assert "stateful" in envelope["evictions"][0]["reason"]
         assert envelope["results"][2] == execute_trial(intruder)
+
+
+# ----------------------------------------------------------------------
+# The runner: sequential Simulation.run() over one shared construction
+# ----------------------------------------------------------------------
+class TestBatchIsTheSoloPath:
+    def test_members_run_through_simulation_run_and_fast_forward(
+            self, monkeypatch):
+        ran = []
+        run = Simulation.run
+
+        def spy(sim, cycles, warmup=0):
+            ran.append(sim)
+            return run(sim, cycles, warmup)
+
+        monkeypatch.setattr(Simulation, "run", spy)
+        specs = _specs(3, rate=0.002)
+        envelope = execute_trial(batch_payload(specs))
+        assert envelope["evictions"] == []
+        assert len(ran) == len(specs)
+        # Low load: the run loop's event-horizon spans, not stepped cycles.
+        assert all(sim.ff_spans > 0 for sim in ran)
+
+    def test_a_batch_holds_the_donor_and_one_live_member(self, monkeypatch):
+        built, alive_during_run = [], []
+        init, run = Simulation.__init__, Simulation.run
+
+        def tracking_init(sim, *args, **kwargs):
+            built.append(weakref.ref(sim))
+            init(sim, *args, **kwargs)
+
+        def counting_run(sim, cycles, warmup=0):
+            gc.collect()
+            alive_during_run.append(
+                sum(ref() is not None for ref in built))
+            return run(sim, cycles, warmup)
+
+        monkeypatch.setattr(Simulation, "__init__", tracking_init)
+        monkeypatch.setattr(Simulation, "run", counting_run)
+        intruder = _specs(1, scheme=Scheme.UPDOWN)[0]
+        group = _specs(3) + [intruder] + _specs(5)[3:]
+        envelope = execute_trial(batch_payload(group))
+        assert [e["index"] for e in envelope["evictions"]] == [3]
+        # One run() per member (the intruder's is its solo rerun), each
+        # with at most the donor and itself alive.
+        assert len(alive_during_run) == len(group)
+        assert max(alive_during_run) <= 2
+
+    def test_warmup_not_shorter_than_the_run_raises_as_solo(self):
+        good = _specs(2)
+        bad = TrialSpec(good[1].runner, {
+            **good[1].params, "warmup": good[1].params["cycles"],
+        })
+        for spec in (bad, batch_payload([good[0], bad])):
+            with pytest.raises(ValueError, match="warmup must be shorter"):
+                execute_trial(spec)
+
+    def test_member_of_another_structure_is_evicted_to_its_solo_row(self):
+        # Only a hand-built payload mixes structures (the planner keys
+        # them apart); the stranger must not be built on the batch's
+        # topology.
+        group = _specs(2) + _specs(1, width=3)
+        envelope = execute_trial(batch_payload(group))
+        assert envelope["evictions"] == [
+            {"index": 2, "reason": "structure differs from the batch's"},
+        ]
+        assert envelope["results"] == [execute_trial(s) for s in group]

@@ -17,8 +17,8 @@ tmp dir, so a failure can be replayed without re-running the sweep.
 The pool is deterministic: a fixed master seed drives every per-config
 seed draw, so CI and local runs fuzz the exact same configurations.
 
-A second lane covers cross-trial lockstep batching (DESIGN.md,
-"Cross-trial lockstep batching"): pinned batchable groups run batch-of-8
+A second lane covers cross-trial batching (DESIGN.md,
+"Cross-trial batching"): pinned batchable groups run batch-of-8
 through the ``batch.lockstep`` runner and must reproduce each member's
 solo ``execute_trial`` result bit-for-bit, including mixed groups with
 an evicted stateful-routing member and members carrying mid-run fault
