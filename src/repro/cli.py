@@ -9,10 +9,7 @@ Subcommands:
   on-disk result cache, ``--out-dir DIR`` writes the rows and a JSON run
   manifest alongside them);
 - ``repro-drain sweep`` — a generic parallel injection-rate sweep over
-  schemes × seeds × rates on any topology (``--batch auto`` groups
-  compatible trials into batches that share one construction — same
-  results, amortized setup; also accepted by ``experiment`` and
-  ``faults``);
+  schemes × seeds × rates on any topology;
 - ``repro-drain run`` — a single simulation with explicit knobs;
 - ``repro-drain faults`` — inject a seed-derived runtime fault schedule
   into one simulation and write the recovery curve (windowed throughput /
@@ -239,8 +236,7 @@ def _build_harness(args: argparse.Namespace) -> Harness:
     _activate_struct_store(args)
     return Harness(workers=args.workers, cache=cache,
                    timeout=getattr(args, "timeout", None),
-                   preflight=not getattr(args, "no_preflight", False),
-                   batch=getattr(args, "batch", None))
+                   preflight=not getattr(args, "no_preflight", False))
 
 
 def _write_artefact(
@@ -713,13 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-preflight", action="store_true",
                        help="skip static pre-flight validation of trial "
                             "specs (repro-drain check run per config)")
-        p.add_argument("--batch", default=None, metavar="MODE",
-                       help="cross-trial batching: 'off' (default), "
-                            "'auto' (group compatible specs into batches of "
-                            "16 when a group has >= 4 members) or an integer "
-                            "batch size; results are bit-identical to solo "
-                            "runs and share the same cache entries "
-                            "(default: $REPRO_BATCH or off)")
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper artefact")
     p_exp.add_argument("name")

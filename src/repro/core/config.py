@@ -235,15 +235,6 @@ class SimConfig:
     #: batched kernel explicitly (still subject to the same fallback). All
     #: engines are bit-identical — this knob never changes results.
     engine: str = "auto"
-    #: Cross-trial batching (the sweep harness's scheduling knob):
-    #: "off" runs every trial solo, "auto" groups compatible specs into
-    #: batches of :data:`repro.harness.pool.BATCH_AUTO_SIZE` whenever a
-    #: group has at least four members, and a positive integer string
-    #: (e.g. "8") forces that batch size. Like ``engine`` this never
-    #: changes results — batched trials are bit-identical to solo runs —
-    #: and it is deliberately EXCLUDED from the serialised config so
-    #: batched and solo runs share one cache identity.
-    batch: str = "off"
 
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "scalar", "vectorized"):
@@ -251,16 +242,6 @@ class SimConfig:
                 f"unknown engine {self.engine!r}: "
                 "expected 'auto', 'scalar' or 'vectorized'"
             )
-        if self.batch not in ("off", "auto"):
-            try:
-                size = int(self.batch)
-            except (TypeError, ValueError):
-                size = 0
-            if size < 2:
-                raise ValueError(
-                    f"unknown batch {self.batch!r}: expected 'off', 'auto' "
-                    "or an integer batch size of at least 2"
-                )
         if self.flow_control not in FLOW_CONTROL_MODES:
             raise ValueError(
                 f"unknown flow_control {self.flow_control!r}: "

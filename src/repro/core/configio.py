@@ -36,13 +36,7 @@ _SECTIONS = {
 
 
 def config_to_dict(config: SimConfig) -> Dict[str, Any]:
-    """Flatten a :class:`SimConfig` into plain JSON-ready dictionaries.
-
-    ``batch`` is deliberately never emitted: it is a scheduling knob that
-    cannot change results (batched trials are bit-identical to solo runs),
-    so batched and unbatched sweeps must digest — and therefore cache —
-    identically.
-    """
+    """Flatten a :class:`SimConfig` into plain JSON-ready dictionaries."""
     out: Dict[str, Any] = {
         "scheme": config.scheme.value,
         "seed": config.seed,
@@ -64,9 +58,6 @@ def config_from_dict(data: Dict[str, Any]) -> SimConfig:
     check = payload.pop("deadlock_check_interval", 128)
     grace = payload.pop("deadlock_grace", 64)
     engine = payload.pop("engine", "auto")
-    # Tolerated for hand-written config files; never present in files this
-    # module wrote (see config_to_dict's digest-identity note).
-    batch = payload.pop("batch", "off")
     flow_control = payload.pop("flow_control", "credit")
     sections: Dict[str, Any] = {}
     for section, cls in _SECTIONS.items():
@@ -86,7 +77,6 @@ def config_from_dict(data: Dict[str, Any]) -> SimConfig:
         deadlock_check_interval=check,
         deadlock_grace=grace,
         engine=engine,
-        batch=batch,
         flow_control=flow_control,
         **sections,
     )

@@ -28,13 +28,12 @@ from ..network.deadlock import (
     rotate_cycle,
 )
 from ..network.fabric import Fabric
-from ..network.index import DenseCandidateTables, FabricIndex
+from ..network.index import FabricIndex
 from ..network.spin import SpinController
 from ..network.staticbubble import StaticBubbleController
 from ..routing.adaptive import AdaptiveMinimalRouting
 from ..routing.dor import DimensionOrderRouting
 from ..routing.updown import UpDownRouting
-from ..structcache import parts_for
 from ..topology.graph import Topology
 from . import rng as rng_mod
 from .config import Scheme, SimConfig
@@ -165,7 +164,6 @@ class Simulation:
         degradation_ladder: bool = False,
         dense: bool = False,
         engine: Optional[str] = None,
-        shared=None,
     ) -> None:
         if flow_control not in ("vct", "wormhole"):
             raise ValueError("flow_control must be 'vct' or 'wormhole'")
@@ -190,27 +188,11 @@ class Simulation:
         self.halt_on_deadlock = halt_on_deadlock
         self.flow_control = flow_control
         scheme = config.scheme
-        # Cross-trial shared construction (repro.network.batched.SharedParts):
-        # batch members of one group reuse the donor's index, routing and
-        # drain path instead of rebuilding them. Sound only while nothing
-        # can mutate the shared state mid-run — runtime faults rewrite the
-        # index's distances and the installed drain paths, so fault-bearing
-        # configurations always build private parts.
-        adopt = (
-            shared is not None
-            and shared.topology is topology
-            and shared.scheme is scheme
-            and fault_schedule is None
-            and pause_storm is None
-            and not degradation_ladder
-        )
-        self.index = shared.index if adopt else FabricIndex(topology)
-        # Compiled-structure store warm path (repro.structcache): boot
-        # artefacts for this (topology, config-sans-seed) pair, or None
-        # when the store is inactive. Sound even for fault-bearing runs:
-        # the artefacts describe the boot (epoch 0) state, and every
-        # fault reconfiguration rebuilds tables from the live index.
-        parts = None if adopt else parts_for(topology, config)
+        # Everything compiled from the topology alone — numbering, boot
+        # distances, routing tables, the default drain cycle, engine rows —
+        # is shared through the index's CompiledNetwork; the index itself
+        # (what faults rewrite) is private to this simulation.
+        self.index = FabricIndex(topology)
         self.stats = NetworkStats()
         if flow_control == "wormhole" and scheme not in (
             Scheme.DRAIN, Scheme.NONE
@@ -222,19 +204,10 @@ class Simulation:
 
         # Main routing function (Table II: fully adaptive random everywhere
         # except the pure up*/down* baseline).
-        if adopt:
-            routing = shared.routing
-        elif scheme is Scheme.UPDOWN:
+        if scheme is Scheme.UPDOWN:
             # The classic deterministic variant: this is the baseline whose
             # cost Figure 5 quantifies.
             routing = UpDownRouting(self.index, deterministic=True)
-        elif parts is not None and parts.routing is not None:
-            routing = AdaptiveMinimalRouting(
-                self.index,
-                tables=DenseCandidateTables.from_arrays(
-                    self.index, *parts.routing
-                ),
-            )
         else:
             routing = AdaptiveMinimalRouting(self.index)
 
@@ -242,19 +215,14 @@ class Simulation:
         escape_routing = None
         if scheme is Scheme.DRAIN:
             escape_mode = "drain"
-            if adopt and drain_path is None:
-                drain_path = shared.drain_path
         elif scheme is Scheme.ESCAPE_VC:
             escape_mode = "escape_vc"
-            if adopt:
-                escape_routing = shared.escape_routing
-            else:
-                # DOR on the fault-free mesh, up*/down* on irregular
-                # topologies (Section V-B's configuration).
-                try:
-                    escape_routing = DimensionOrderRouting(self.index)
-                except ValueError:
-                    escape_routing = UpDownRouting(self.index)
+            # DOR on the fault-free mesh, up*/down* on irregular
+            # topologies (Section V-B's configuration).
+            try:
+                escape_routing = DimensionOrderRouting(self.index)
+            except ValueError:
+                escape_routing = UpDownRouting(self.index)
 
         if flow_control == "wormhole":
             from ..network.wormhole import WormholeFabric
@@ -298,8 +266,7 @@ class Simulation:
 
         if scheme is Scheme.DRAIN:
             self.drain_controller = DrainController(
-                self.fabric, config.drain, path=drain_path,
-                tables_from=shared.drain_ctrl if adopt else None,
+                self.fabric, config.drain, path=drain_path
             )
         elif scheme is Scheme.SPIN:
             self.spin_controller = SpinController(

@@ -35,10 +35,33 @@ from typing import Dict, List, Optional, Sequence
 from ..core.config import DrainConfig
 from ..network.fabric import Fabric
 from ..topology.graph import Topology
-from .path import DrainPath, find_drain_path
+from .path import DrainPath
 from .turntable import TurnTable, build_turn_tables
 
 __all__ = ["DrainController"]
+
+
+def _compile_paths(index, paths: Sequence[DrainPath]):
+    """(*paths*, per-router turn tables, per-cycle port lists) of a
+    covering cycle set; refuses cycles that share a link."""
+    turn_tables: Dict[int, TurnTable] = {}
+    for path in paths:
+        for router, table in build_turn_tables(path).items():
+            # Component sub-topologies carry the full router numbering;
+            # routers outside the component get empty tables which must
+            # not clobber another component's real table.
+            if len(table) or router not in turn_tables:
+                turn_tables[router] = table
+    port_cycles: List[List[int]] = [
+        [index.link_id[link] for link in path.links] for path in paths
+    ]
+    seen = set()
+    for ports in port_cycles:
+        for port in ports:
+            if port in seen:
+                raise ValueError("drain cycles share a link")
+            seen.add(port)
+    return paths, turn_tables, port_cycles
 
 
 class DrainController:
@@ -49,16 +72,11 @@ class DrainController:
         fabric: Fabric,
         config: DrainConfig,
         path: Optional[DrainPath] = None,
-        tables_from: Optional["DrainController"] = None,
     ) -> None:
         self.fabric = fabric
         self.config = config
-        topology: Topology = fabric.index.topology
-        if path is None:
-            path = find_drain_path(topology)
-        elif path.topology is not topology:
-            # Paths may be precomputed; they must describe the same topology.
-            path.validate()
+        index = fabric.index
+        topology: Topology = index.topology
         self._countdown = config.epoch
         self._state = "normal"  # normal | pre_drain | drain | full_drain
         self._window_left = 0
@@ -69,17 +87,19 @@ class DrainController:
         self.pre_drain_extensions = 0
         #: Online drain-path reinstallations (fault recovery events).
         self.reinstalls = 0
-        if (tables_from is not None and len(tables_from.paths) == 1
-                and tables_from.paths[0] is path):
-            # Cross-trial shared construction (batch groups): the donor
-            # compiled turn tables for this exact path object, and the
-            # compiled form is read-only until a recovery reinstall (which
-            # replaces it wholesale). Adopting it skips the per-member
-            # build without any shared mutable state.
-            self.paths = tables_from.paths
-            self.turn_tables = tables_from.turn_tables
-            self.path_port_cycles = tables_from.path_port_cycles
+        if path is None:
+            # The default cycle, validated and compiled once per topology
+            # content (the memo's "drain" part); read-only until a
+            # recovery reinstall replaces all three wholesale.
+            net = index.compiled
+            self._install(*net.part("drain", lambda: _compile_paths(
+                index, [DrainPath(topology, net.drain_links(topology))]
+            )))
         else:
+            if path.topology is not topology:
+                # Paths may be precomputed; they must describe the same
+                # topology.
+                path.validate()
             self.install_paths([path])
 
     # ------------------------------------------------------------------
@@ -94,27 +114,18 @@ class DrainController:
         it means faults left no drainable links, and drain windows become
         no-ops.
         """
-        index = self.fabric.index
+        self._install(*_compile_paths(self.fabric.index, paths))
+
+    def _install(
+        self,
+        paths: Sequence[DrainPath],
+        turn_tables: Dict[int, TurnTable],
+        port_cycles: List[List[int]],
+    ) -> None:
         self.paths: List[DrainPath] = list(paths)
-        self.turn_tables: Dict[int, TurnTable] = {}
-        for path in self.paths:
-            for router, table in build_turn_tables(path).items():
-                # Component sub-topologies carry the full router numbering;
-                # routers outside the component get empty tables which must
-                # not clobber another component's real table.
-                if len(table) or router not in self.turn_tables:
-                    self.turn_tables[router] = table
+        self.turn_tables = turn_tables
         #: Per-cycle drain-path port lists, each in cycle order.
-        self.path_port_cycles: List[List[int]] = [
-            [index.link_id[link] for link in path.links]
-            for path in self.paths
-        ]
-        seen = set()
-        for ports in self.path_port_cycles:
-            for port in ports:
-                if port in seen:
-                    raise ValueError("drain cycles share a link")
-                seen.add(port)
+        self.path_port_cycles = port_cycles
         # Path (re)installation accompanies routing-table changes during
         # online recovery; drop any memoized candidate groups.
         self.fabric.invalidate_routing_cache()

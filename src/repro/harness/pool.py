@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .cache import ResultCache
 from .checkpoint import SweepJournal
-from .trials import TrialSpec, batch_group_key, batch_payload, execute_trial
+from .trials import TrialSpec, execute_trial
 
 __all__ = [
     "Harness",
@@ -63,16 +63,7 @@ __all__ = [
     "run_trials",
     "get_default_harness",
     "set_default_harness",
-    "BATCH_AUTO_SIZE",
-    "BATCH_MIN_AUTO",
 ]
-
-#: Batch size used by ``batch="auto"``.
-BATCH_AUTO_SIZE = 16
-#: Minimum compatible-group size before "auto" bothers batching at all —
-#: below this the shared-construction amortization cannot pay for the
-#: envelope overhead.
-BATCH_MIN_AUTO = 4
 
 
 class TrialExecutionError(RuntimeError):
@@ -93,12 +84,6 @@ class TrialRecord:
     elapsed: float  # seconds of simulation work (0 for definitionless hits)
     label: Optional[str] = None
     retries: int = 0  # crash/timeout requeues this trial needed
-    #: True when this trial executed inside a batch (its elapsed
-    #: is then the batch wall-clock split evenly over the members).
-    batched: bool = False
-    #: The recorded fallback reason when the batch executor evicted this
-    #: trial to a solo run (None for full batch members and solo trials).
-    batch_fallback: Optional[str] = None
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -108,8 +93,6 @@ class TrialRecord:
             "elapsed": self.elapsed,
             "label": self.label,
             "retries": self.retries,
-            "batched": self.batched,
-            "batch_fallback": self.batch_fallback,
         }
 
 
@@ -221,7 +204,6 @@ class Harness:
         retry_backoff: float = 0.25,
         journal: Optional[SweepJournal] = None,
         preflight: bool = True,
-        batch: Optional[str] = None,
     ) -> None:
         if workers is None:
             workers = int(os.environ.get("REPRO_WORKERS", "1") or "1")
@@ -231,20 +213,6 @@ class Harness:
             raise ValueError("timeout must be positive (or None)")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if batch is None:
-            batch = os.environ.get("REPRO_BATCH", "off") or "off"
-        batch = str(batch)
-        if batch not in ("off", "auto"):
-            try:
-                size = int(batch)
-            except ValueError:
-                size = 0
-            if size < 2:
-                raise ValueError(
-                    f"unknown batch {batch!r}: expected 'off', 'auto' or "
-                    "an integer batch size of at least 2"
-                )
-        self.batch = batch
         self.workers = workers
         self.cache = cache
         self.timeout = timeout
@@ -301,54 +269,20 @@ class Harness:
 
         if pending:
             self._warm_structures([specs[i] for i in pending])
-            units = self._plan_units(specs, pending)
-            payloads: List[Tuple[str, Dict[str, Any]]] = []
-            weights: List[int] = []
-            for kind, members in units:
-                if kind == "solo":
-                    i = members[0]
-                    payloads.append((specs[i].runner, dict(specs[i].params)))
-                    weights.append(1)
-                else:
-                    wrapper = batch_payload([specs[i] for i in members])
-                    payloads.append((wrapper.runner, dict(wrapper.params)))
-                    weights.append(len(members))
+            payloads = [
+                (specs[i].runner, dict(specs[i].params)) for i in pending
+            ]
             if self.workers == 1 and self.timeout is None:
                 outcomes = [(*_execute_payload(p), 0) for p in payloads]
             else:
-                outcomes = self._supervised_map(payloads, weights)
-            for (kind, members), (result, elapsed, retries) in zip(
-                units, outcomes
-            ):
-                if kind == "solo":
-                    i = members[0]
-                    results[i] = result
-                    records[i] = TrialRecord(
-                        digests[i], specs[i].runner, False, elapsed, label,
-                        retries,
-                    )
-                    self._store(specs[i], digests[i], result, elapsed)
-                else:
-                    # Envelope from the batch.lockstep runner: one result
-                    # per member in order, plus the eviction log. Cache
-                    # and journal entries stay strictly per-trial — the
-                    # envelope itself is never persisted.
-                    share = elapsed / len(members)
-                    fallbacks = {
-                        e["index"]: e["reason"]
-                        for e in result.get("evictions", ())
-                    }
-                    for pos, i in enumerate(members):
-                        member_result = result["results"][pos]
-                        results[i] = member_result
-                        records[i] = TrialRecord(
-                            digests[i], specs[i].runner, False, share,
-                            label, retries, batched=True,
-                            batch_fallback=fallbacks.get(pos),
-                        )
-                        self._store(
-                            specs[i], digests[i], member_result, share
-                        )
+                outcomes = self._supervised_map(payloads)
+            for i, (result, elapsed, retries) in zip(pending, outcomes):
+                results[i] = result
+                records[i] = TrialRecord(
+                    digests[i], specs[i].runner, False, elapsed, label,
+                    retries,
+                )
+                self._store(specs[i], digests[i], result, elapsed)
 
         self.records.extend(r for r in records if r is not None)
         return [r for r in results if r is not None]
@@ -357,8 +291,8 @@ class Harness:
     def _warm_structures(self, specs: Sequence[TrialSpec]) -> None:
         """Compile-once warm start for the structure store (no-op when off).
 
-        With the store active, every distinct (topology, config-sans-seed)
-        structure among *specs* is compiled or loaded exactly once here,
+        With the store active, what each distinct (topology, scheme)
+        among *specs* boots from is compiled or loaded exactly once here,
         in the parent, before any worker spawns — so N workers x M trials
         over one structure never compile it N x M times. Fork workers
         inherit the warm in-process memo; spawn workers re-activate the
@@ -377,62 +311,22 @@ class Harness:
             if pair is None:
                 continue
             topo_spec, config_dict = pair
-            key = structcache.structure_digest(topo_spec, config_dict)
+            # The spec's topology is the digest's payload (one encoding).
+            key = (structcache.digest_payload(topo_spec),
+                   config_dict.get("scheme"))
             if key in seen:
                 continue
             seen.add(key)
             try:
-                topology = topology_from_spec(topo_spec)
-                config = config_from_dict(config_dict)
+                structcache.parts_for(
+                    topology_from_spec(topo_spec),
+                    config_from_dict(config_dict),
+                )
             except (KeyError, TypeError, ValueError):
-                continue  # malformed spec: the trial itself reports it
-            try:
-                structcache.distance_matrix(topology)
-                structcache.parts_for(topology, config)
-            except ValueError:
-                # Structurally broken (e.g. disconnected topology with
-                # preflight off): let the per-trial error path surface it.
+                # Malformed spec or structurally broken topology (e.g.
+                # disconnected, with preflight off): the trial itself
+                # reports it.
                 continue
-
-    # ------------------------------------------------------------------
-    def _plan_units(
-        self, specs: Sequence[TrialSpec], pending: List[int]
-    ) -> List[Tuple[str, List[int]]]:
-        """Partition pending trials into solo and batch dispatch units.
-
-        Grouping is by :func:`repro.harness.trials.batch_group_key`;
-        incompatible specs (key None) always run solo. "auto" batches
-        groups of at least :data:`BATCH_MIN_AUTO` compatible specs in
-        chunks of :data:`BATCH_AUTO_SIZE`; an explicit integer batches
-        every group in chunks of that size (leftover singletons still run
-        solo). The plan is a pure function of the spec sequence, so
-        worker-count and scheduling never affect which trials batch
-        together.
-        """
-        if self.batch == "off":
-            return [("solo", [i]) for i in pending]
-        size = BATCH_AUTO_SIZE if self.batch == "auto" else int(self.batch)
-        min_group = BATCH_MIN_AUTO if self.batch == "auto" else 2
-        groups: Dict[str, List[int]] = {}
-        solo: List[int] = []
-        for i in pending:
-            key = batch_group_key(specs[i])
-            if key is None:
-                solo.append(i)
-            else:
-                groups.setdefault(key, []).append(i)
-        units: List[Tuple[str, List[int]]] = [("solo", [i]) for i in solo]
-        for members in groups.values():
-            if len(members) < min_group:
-                units.extend(("solo", [i]) for i in members)
-                continue
-            for lo in range(0, len(members), size):
-                chunk = members[lo:lo + size]
-                if len(chunk) > 1:
-                    units.append(("batch", chunk))
-                else:
-                    units.append(("solo", chunk))
-        return units
 
     # ------------------------------------------------------------------
     def _lookup(self, digest: str) -> Optional[Dict[str, Any]]:
@@ -466,18 +360,10 @@ class Harness:
     def _supervised_map(
         self,
         payloads: List[Tuple[str, Dict[str, Any]]],
-        weights: Optional[List[int]] = None,
     ) -> List[Tuple[Dict[str, Any], float, int]]:
-        """Run *payloads* under supervision; (result, elapsed, retries) each.
-
-        *weights* scales the per-payload deadline: a batch of N
-        trials is one payload doing N trials' work, so its wall-clock
-        budget is ``timeout * N`` rather than the single-trial budget.
-        """
+        """Run *payloads* under supervision; (result, elapsed, retries) each."""
         ctx = _mp_context()
         total = len(payloads)
-        if weights is None:
-            weights = [1] * total
         results: List[Optional[Tuple[Dict[str, Any], float, int]]] = [None] * total
         attempts = [0] * total
         ready: deque = deque(range(total))
@@ -510,8 +396,7 @@ class Harness:
                             continue
                         worker.task = task
                         worker.deadline = (
-                            now + self.timeout * weights[task]
-                            if self.timeout else None
+                            now + self.timeout if self.timeout else None
                         )
 
                 busy = [w for w in workers if w.task is not None]

@@ -7,7 +7,7 @@ rule out closures over live simulator objects; instead a trial is a plain
 JSON-able parameter mapping. The canonical JSON encoding of a spec doubles
 as its cache identity (see :meth:`TrialSpec.digest`).
 
-Four runners cover every sweep in the experiment suite:
+Five runners cover every sweep in the experiment suite:
 
 - ``synthetic`` — open-loop synthetic traffic (Figures 10/11/14, the
   injection-rate sweeps, the VC/packet-size sensitivity studies);
@@ -19,11 +19,19 @@ Four runners cover every sweep in the experiment suite:
   :class:`~repro.faults.schedule.FaultSchedule`, returning the injector's
   degradation/recovery metrics alongside the usual summary. Fault
   parameters live under their own ``faults`` params key, so fault-free
-  trial digests are untouched by the fault subsystem's existence.
+  trial digests are untouched by the fault subsystem's existence;
+- ``lossless`` — flow-level traffic on a pause/resume (PFC) fabric,
+  optionally under a pause storm and the degradation ladder.
 
 Every runner reconstructs its full simulation from the parameters alone,
 so a trial executes identically inline, in a worker process, or replayed
-from a cold start — the determinism suite pins this.
+from a cold start — the determinism suite pins this. What trials over
+one topology have in common (distances, numbering, routing tables, the
+drain cycle, engine rows) is compiled once per process and shared
+read-only (:mod:`repro.structcache`); no runner knows about it, and a
+trial's row is the same first or Nth in a process. ``batch.lockstep``
+is a sixth, wrapper runner — a list of trials executed in order — kept
+for ``benchmarks/perf``.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from ..core.configio import config_from_dict, config_to_dict
 from ..core.metrics import NetworkStats
 from ..core.rng import derive_seed
 from ..core.simulator import Simulation
+from ..structcache.digest import topology_payload as topology_to_spec
 from ..topology.graph import Topology
 from ..traffic.synthetic import SyntheticTraffic, pattern_by_name
 from ..traffic.workloads import WorkloadProfile, make_workload_traffic
@@ -56,7 +65,6 @@ __all__ = [
     "coherence_trial",
     "fault_recovery_trial",
     "lossless_trial",
-    "batch_group_key",
     "batch_payload",
     "structural_params",
 ]
@@ -68,20 +76,6 @@ TRIAL_FORMAT_VERSION = 1
 # ----------------------------------------------------------------------
 # Topology (de)serialisation
 # ----------------------------------------------------------------------
-def topology_to_spec(topology: Topology) -> Dict[str, Any]:
-    """Canonical JSON-able description of a topology (exact, order-stable)."""
-    spec: Dict[str, Any] = {
-        "name": topology.name,
-        "num_nodes": topology.num_nodes,
-        "edges": [list(e) for e in topology.bidirectional_links()],
-    }
-    if topology.coordinates is not None:
-        spec["coordinates"] = {
-            str(node): list(xy) for node, xy in sorted(topology.coordinates.items())
-        }
-    return spec
-
-
 def topology_from_spec(spec: Mapping[str, Any]) -> Topology:
     """Rebuild the exact :class:`Topology` described by *spec*."""
     coordinates = None
@@ -219,16 +213,10 @@ def synthetic_trial(
     )
 
 
-def _synthetic_sim(params: Mapping[str, Any],
-                   topology: Optional[Topology] = None,
-                   shared=None) -> Simulation:
-    """The simulation a ``synthetic`` or ``fault_recovery`` spec describes.
-
-    Solo runners and the batch runner build their simulations here, so a
-    trial is the same simulation — traffic stream included — either way.
-    """
-    if topology is None:
-        topology = topology_from_spec(params["topology"])
+@register_runner("synthetic")
+@register_runner("fault_recovery")
+def _run_synthetic(params: Mapping[str, Any]) -> Dict[str, Any]:
+    topology = topology_from_spec(params["topology"])
     traffic = SyntheticTraffic(
         pattern_by_name(params["pattern"], topology.num_nodes,
                         params.get("mesh_width")),
@@ -246,12 +234,9 @@ def _synthetic_sim(params: Mapping[str, Any],
             "fault_curve_window": faults.get("curve_window", 200),
             "fault_max_circuits": faults.get("max_circuits", 512),
         }
-    return Simulation(topology, config_from_dict(params["config"]), traffic,
-                      shared=shared, **kwargs)
-
-
-def _synthetic_result(sim: Simulation,
-                      params: Mapping[str, Any]) -> Dict[str, Any]:
+    sim = Simulation(topology, config_from_dict(params["config"]), traffic,
+                     **kwargs)
+    sim.run(params["cycles"], warmup=params["warmup"])
     out = _summarise(sim)
     out["rate"] = params["rate"]
     out["ejected"] = sim.stats.packets_ejected
@@ -262,14 +247,6 @@ def _synthetic_result(sim: Simulation,
             out["drain_cycles_installed"] = len(sim.drain_controller.paths)
         out["links_alive"] = sim.index.num_links - len(sim.index.dead_links)
     return out
-
-
-@register_runner("synthetic")
-@register_runner("fault_recovery")
-def _run_synthetic(params: Mapping[str, Any]) -> Dict[str, Any]:
-    sim = _synthetic_sim(params)
-    sim.run(params["cycles"], warmup=params["warmup"])
-    return _synthetic_result(sim, params)
 
 
 def workload_trial(
@@ -499,25 +476,16 @@ def _run_lossless(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Cross-trial batching
+# Structure view + the benchmark's group wrapper
 # ----------------------------------------------------------------------
-#: Runners whose trials the batch runner can reconstruct. ``synthetic``
-#: is the perf path; ``fault_recovery`` joins for coverage (its members
-#: build private index/routing parts — see repro.network.batched).
-BATCHABLE_RUNNERS = ("synthetic", "fault_recovery")
-
-
 def structural_params(
     spec: TrialSpec,
 ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
     """The (topology spec, config dict) pair shaping *spec*'s structure.
 
-    This is the structure store's view of a trial: everything under these
-    two params (minus the config seed) keys the compiled artefacts the
-    trial will boot from. Returns None for specs without the standard
-    ``topology``/``config`` params (e.g. ``batch.lockstep`` wrappers,
-    whose members are warmed individually before batching). Used by the
-    harness's compile-once warm start (:mod:`repro.harness.pool`).
+    Returns None for specs without the standard ``topology``/``config``
+    params (e.g. ``batch.lockstep`` wrappers). Used by the harness's
+    compile-once warm start (:mod:`repro.harness.pool`).
     """
     params = spec.params
     topo = params.get("topology") if isinstance(params, Mapping) else None
@@ -527,49 +495,9 @@ def structural_params(
     return dict(topo), dict(config)
 
 
-def batch_group_key(spec: TrialSpec) -> Optional[str]:
-    """Compatibility key for cross-trial batching, or None if unbatchable.
-
-    Two specs may share a batch iff they agree on everything that shapes
-    the simulation's structure: topology, scheme, engine selection, vc/vn
-    geometry, traffic pattern — the full config minus the per-trial seed.
-    Per-member knobs (rate, seeds, cycles, warmup, fault schedules) vary
-    freely inside a group. Configurations whose construction cannot be
-    shared (non-credit flow control, multi-flit packets, a VC geometry
-    outside the vectorized engine's gate) return None and always run solo.
-    """
-    if spec.runner not in BATCHABLE_RUNNERS:
-        return None
-    params = spec.params
-    config = dict(params.get("config") or {})
-    network = dict(config.get("network") or {})
-    if config.get("flow_control", "credit") != "credit":
-        return None
-    if network.get("packet_size_flits", 1) != 1:
-        return None
-    if network.get("vcs_per_vn", 2) != 2:
-        return None
-    config.pop("seed", None)
-    key = json.dumps(
-        {
-            "topology": params.get("topology"),
-            "config": config,
-            "pattern": params.get("pattern"),
-            "mesh_width": params.get("mesh_width"),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.blake2b(key.encode("utf-8"), digest_size=16).hexdigest()
-
-
 def batch_payload(specs) -> "TrialSpec":
-    """Wrap a group of compatible specs as one ``batch.lockstep`` trial.
-
-    The wrapper spec is a scheduling artefact only — it is never digested
-    for the cache (cache and journal entries stay per-member), so its
-    params simply carry each member's (runner, params) pair in order.
-    """
+    """*specs* as one ``batch.lockstep`` trial: ``benchmarks/perf`` times
+    a group through one :func:`execute_trial` call with it."""
     return TrialSpec(
         "batch.lockstep",
         {"trials": [[spec.runner, dict(spec.params)] for spec in specs]},
@@ -578,59 +506,8 @@ def batch_payload(specs) -> "TrialSpec":
 
 @register_runner("batch.lockstep")
 def _run_batch(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Run a group of compatible trials over one shared construction.
-
-    A batch is a ``for`` loop: each member is built, run to completion by
-    its own :meth:`Simulation.run` and summarised before the next is
-    built; the first fault-free member is the donor whose index, routing,
-    drain path and engine tables the later ones adopt. Returns an
-    envelope ``{"results": [...], "evictions": [...]}`` with one result
-    per member in input order. A member that cannot share the batch's
-    construction — a runner outside :data:`BATCHABLE_RUNNERS`, a
-    configuration that forces a scalar/dense fallback at fabric
-    construction, a :func:`batch_group_key` other than the first
-    batchable member's — is evicted: it reruns solo through its own
-    runner (bit-identical by the engine parity contract) and the reason
-    is recorded in ``evictions``.
-    """
-    from ..network.batched import SharedParts, adopt_engine_tables
-
-    results: list = []
-    evictions: list = []
-    group_key: Optional[str] = None
-    topology: Optional[Topology] = None
-    shared: Optional[SharedParts] = None
-    donor = None
-    for i, (runner, p) in enumerate(params["trials"]):
-        spec = TrialSpec(runner, p)
-        key = batch_group_key(spec)
-        if group_key is None and key is not None:
-            group_key, topology = key, topology_from_spec(p["topology"])
-        grouped = key is not None and key == group_key
-        reason = sim = None
-        if runner not in BATCHABLE_RUNNERS:
-            reason = f"runner {runner!r}"
-        else:
-            sim = (_synthetic_sim(p, topology, shared) if grouped
-                   else _synthetic_sim(p))
-            if sim.fabric.engine_name != "vectorized":
-                # Structural fallback (stateful routing, forced scalar, ...)
-                reason = (sim.fabric.engine_fallback_reason
-                          or f"engine {sim.fabric.engine_name!r}")
-            elif not grouped:
-                reason = "structure differs from the batch's"
-        if reason is not None:
-            del sim  # the solo rerun is the recorded result
-            results.append(execute_trial(spec))
-            evictions.append({"index": i, "reason": reason})
-            continue
-        if shared is None and sim.fault_injector is None:
-            shared, donor = SharedParts.from_simulation(sim), sim.fabric
-        if donor is not None:
-            adopt_engine_tables(donor, [sim.fabric])
-        sim.run(p["cycles"], warmup=p["warmup"])
-        results.append(_synthetic_result(sim, p))
-    return {"results": results, "evictions": evictions}
+    return {"results": [execute_trial(TrialSpec(runner, member))
+                        for runner, member in params["trials"]]}
 
 
 @register_runner("coherence")

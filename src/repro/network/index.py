@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Dict, List, Set
+from typing import Any, Dict, List, Set
 
 import numpy as _np
 
+from ..structcache import compiled
 from ..topology.graph import Link, Topology
 
 __all__ = ["FabricIndex", "DenseCandidateTables"]
@@ -122,48 +123,81 @@ class DenseCandidateTables:
         return [flat[offs[i]:offs[i + 1]] for i in range(len(offs) - 1)]
 
 
+def _number(topology: Topology) -> Dict[str, Any]:
+    """The static link/port numbering of *topology*, by attribute name.
+
+    A pure function of the topology's content: built once per content
+    digest and shared, read-only, by every :class:`FabricIndex` over it.
+    """
+    links: List[Link] = topology.unidirectional_links()
+    num_links = len(links)
+    num_nodes = topology.num_nodes
+    link_id: Dict[Link, int] = {link: i for i, link in enumerate(links)}
+    link_dst: List[int] = [link.dst for link in links]
+
+    # Per-router port lists. Input ports of router r are the links ending
+    # at r plus its injection port; output ports are the links leaving r.
+    in_links: List[List[int]] = [[] for _ in range(num_nodes)]
+    out_links: List[List[int]] = [[] for _ in range(num_nodes)]
+    for i, link in enumerate(links):
+        in_links[link.dst].append(i)
+        out_links[link.src].append(i)
+    return {
+        "links": links,
+        "num_links": num_links,
+        "num_nodes": num_nodes,
+        "link_id": link_id,
+        "link_src": [link.src for link in links],
+        "link_dst": link_dst,
+        "link_reverse": [link_id[link.reverse] for link in links],
+        "in_links": in_links,
+        "out_links": out_links,
+        "num_ports": num_links + num_nodes,
+        "port_router": link_dst + list(range(num_nodes)),
+        # Injection port of router r: id ``num_links + r``.
+        "in_ports": [in_links[r] + [num_links + r] for r in range(num_nodes)],
+    }
+
+
 class FabricIndex:
-    """Precomputed integer views of a topology for the simulator."""
+    """Precomputed integer views of a topology for the simulator.
+
+    The numbering and the boot distance matrix come from the topology's
+    :class:`~repro.structcache.CompiledNetwork` (:attr:`compiled`) and are
+    shared read-only; what faults rewrite — :attr:`dist`, the dead sets,
+    :attr:`fault_epoch` — is private to each index.
+    """
+
+    links: List[Link]
+    num_links: int
+    num_nodes: int
+    link_id: Dict[Link, int]
+    link_src: List[int]
+    link_dst: List[int]
+    link_reverse: List[int]
+    in_links: List[List[int]]
+    out_links: List[List[int]]
+    num_ports: int
+    port_router: List[int]
+    in_ports: List[List[int]]
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.links: List[Link] = topology.unidirectional_links()
-        self.num_links = len(self.links)
-        self.num_nodes = topology.num_nodes
-        self.link_id: Dict[Link, int] = {
-            link: i for i, link in enumerate(self.links)
-        }
-        self.link_src: List[int] = [link.src for link in self.links]
-        self.link_dst: List[int] = [link.dst for link in self.links]
-        self.link_reverse: List[int] = [
-            self.link_id[link.reverse] for link in self.links
-        ]
-
-        # Per-router port lists. Input ports of router r are the links ending
-        # at r plus its injection port; output ports are the links leaving r.
-        self.in_links: List[List[int]] = [[] for _ in range(self.num_nodes)]
-        self.out_links: List[List[int]] = [[] for _ in range(self.num_nodes)]
-        for i, link in enumerate(self.links):
-            self.in_links[link.dst].append(i)
-            self.out_links[link.src].append(i)
-
-        self.num_ports = self.num_links + self.num_nodes
-        self.port_router: List[int] = self.link_dst + list(range(self.num_nodes))
-        self.in_ports: List[List[int]] = [
-            self.in_links[r] + [self.injection_port(r)] for r in range(self.num_nodes)
-        ]
-
-        # Hop-distance matrix for minimal routing and misroute accounting.
-        # Routed through the structure store's memo layer (DET012): one
-        # BFS per distinct topology content per process, persisted when
-        # the store is active. Imported lazily — the store compiles
-        # indices itself, so a top-level import would be circular.
-        from ..structcache import distance_matrix
+        #: The boot-state compile of this topology's content — the one
+        #: digest this construction pays; routing, the drain controller
+        #: and the vectorized engine read their shared parts here.
+        self.compiled = net = compiled(topology)
+        numbering = net.part("numbering", lambda: _number(topology))
+        # Set one by one: writing through ``__dict__`` would materialise
+        # the instance dict and take every later ``index.x`` read off
+        # CPython's inline-values fast path (~1.5 % of a low-load run).
+        for name, value in numbering.items():
+            setattr(self, name, value)
 
         #: The memoised boot matrix (read-only, shared by content digest);
         #: ``dist`` is the mutable row-list copy per-packet lookups and
         #: :meth:`apply_faults` work on.
-        self._boot_dist = distance_matrix(topology)
+        self._boot_dist = net.dist(topology)
         self.dist: List[List[int]] = self._boot_dist.tolist()
 
         # Runtime fault state (mid-simulation link/router deaths). The

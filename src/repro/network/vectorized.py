@@ -168,8 +168,6 @@ class VectorizedEngine:
         """Drop the compiled rows (mirror of ``invalidate_routing_cache``)."""
         self._rows = None
         self._esc_rows = None
-        # Not left to the rebuild: batch adoption can install rows without
-        # one (``batched.adopt_engine_tables``).
         self.wake_all()
 
     def wake_all(self) -> None:
@@ -177,28 +175,58 @@ class VectorizedEngine:
         self.asleep[:] = bytes(len(self.asleep))
 
     def _build_tables(self) -> None:
+        """Install this epoch's rows: the topology's memoised boot rows
+        where they apply, rows compiled from the live fabric otherwise.
+
+        Rows are a pure function of the topology and the escape
+        discipline while the index is at fault epoch 0 and the main
+        routing function holds the topology's own memoised tables (a
+        replaced or rebuilt function does not). The escape function is
+        keyed by class: every stateless one is built from the index alone.
+        """
+        fabric = self.fabric
+        index = fabric.index
+        net = index.compiled
+        tables = getattr(fabric.routing, "compiled_tables", None)
+        if (index.fault_epoch == 0 and tables is not None
+                and tables is net.parts.get("tables")):
+            built = net.part(
+                ("rows", fabric.escape_mode, type(fabric.escape_routing)),
+                self._compile_rows,
+            )
+        else:
+            built = self._compile_rows()
+        (self.tables, self.escape_tables, self._rows, self._esc_rows,
+         self._used0) = built
+        self._epoch = index.fault_epoch
+        self.rebuilds += 1
+        self.wake_all()
+
+    def _compile_rows(self):
+        """(tables, escape tables, rows, escape rows, used0) of the live
+        fabric; never written once built (``used0`` is copied per cycle)."""
         fabric = self.fabric
         index = fabric.index
         n = index.num_nodes
         compiled = getattr(fabric.routing, "compiled_tables", None)
         if compiled is not None and compiled.epoch == index.fault_epoch:
             # The routing function already holds its tables in CSR form
-            # (adaptive-minimal: compiled, store-loaded or rebuilt under
-            # this epoch): adopt the arrays instead of re-packing lists.
-            self.tables = compiled
+            # (adaptive-minimal: memoised, or rebuilt under this epoch):
+            # adopt the arrays instead of re-packing lists.
+            tables = compiled
         else:
             exported = fabric.routing.export_tables(n)
             if exported is None:  # pragma: no cover - gated at construction
                 raise RuntimeError("routing function stopped exporting tables")
-            self.tables = DenseCandidateTables(index, exported)
-        main_rows = self.tables.row_lists()
-        esc_main_rows = None
+            tables = DenseCandidateTables(index, exported)
+        main_rows = tables.row_lists()
+        escape_tables = esc_main_rows = None
         if fabric.escape_mode == "escape_vc":
             esc_exported = fabric.escape_routing.export_tables(n)
             if esc_exported is None:  # pragma: no cover - gated likewise
                 raise RuntimeError("escape routing stopped exporting tables")
-            self.escape_tables = DenseCandidateTables(index, esc_exported)
-            esc_main_rows = self.escape_tables.row_lists()
+            escape_tables = DenseCandidateTables(index, esc_exported)
+            esc_main_rows = escape_tables.row_lists()
         mode = fabric.escape_mode
         empty: Tuple[_Group, ...] = ()
         rows: List[Tuple[_Group, ...]] = [empty] * (n * n)
@@ -225,10 +253,6 @@ class VectorizedEngine:
                     rows[idx] = (_make_mixed_group(pairs),)
                 if esc_links:
                     esc_rows[idx] = (_make_group(esc_links, 2),)
-        self._rows = rows
-        self._esc_rows = esc_rows
-        self._epoch = index.fault_epoch
-        self.rebuilds += 1
         # Routing tables may still list links that died this epoch (a
         # routing function without a rebuild story keeps them; the scalar
         # path skips them per-candidate while leaving them in the rotation
@@ -236,8 +260,7 @@ class VectorizedEngine:
         used0 = bytearray(index.num_links)
         for link in sorted(index.dead_links):
             used0[link] = 1
-        self._used0 = used0
-        self.wake_all()
+        return tables, escape_tables, rows, esc_rows, used0
 
     # ------------------------------------------------------------------
     # The kernel

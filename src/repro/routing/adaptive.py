@@ -26,13 +26,15 @@ class AdaptiveMinimalRouting(RoutingFunction):
 
     The productive-link tables live in one form only: the frozen CSR
     arrays of :attr:`compiled_tables`
-    (:class:`~repro.network.index.DenseCandidateTables`). Construction
-    compiles them from the index's distance matrix, or adopts *tables*
-    the compiled-structure store (or a batch donor) already holds — those
-    are accepted only if their fault epoch matches the live index. A
-    fault-driven :meth:`rebuild` runs the same compile under the new
-    epoch, so a rebuild of a thousand-node table stays cheap and stale
-    tables cannot survive a fault. The vectorized engine consumes the
+    (:class:`~repro.network.index.DenseCandidateTables`). Over a
+    boot-state index (fault epoch 0) they are the topology's memoised
+    tables (:meth:`repro.structcache.CompiledNetwork.tables`), compiled
+    from the distance matrix once and shared by every simulation of that
+    topology; *tables* overrides them, accepted only if its fault epoch
+    matches the live index. Over a faulted index, and on every
+    fault-driven :meth:`rebuild`, the same compile runs on the live index
+    under its epoch, so a rebuild of a thousand-node table stays cheap and
+    stale tables cannot survive a fault. The vectorized engine consumes the
     arrays as they are; the scalar path reads one CSR row per
     :meth:`candidates` call (the fabric memoises per cell); the nested
     list form exists only for callers of :meth:`export_tables`.
@@ -55,6 +57,10 @@ class AdaptiveMinimalRouting(RoutingFunction):
                     "compiled tables do not match the index geometry"
                 )
             self.compiled_tables: DenseCandidateTables = tables
+        elif index.fault_epoch == 0:
+            self.compiled_tables = index.compiled.tables(
+                index, lambda: self._compile(strict=True)
+            )
         else:
             self.compiled_tables = self._compile(strict=True)
 

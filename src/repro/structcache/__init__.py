@@ -1,10 +1,11 @@
-"""Content-addressed compiled-structure store.
+"""Compiled network structure, content-addressed.
 
-Amortizes topology/routing/drain compilation across trials, workers and
-runs: distance matrices, adaptive-routing CSR tables, drain paths and
-preflight certificates are keyed by structural content digests, memoized
-in process and (when activated) persisted as memory-mappable artefacts
-next to the trial result cache. See :mod:`repro.structcache.store`.
+Everything a simulation boots from that is a pure function of its
+topology — distances, link numbering, routing tables, the drain cycle,
+engine rows — is compiled once per process into one
+:class:`CompiledNetwork` per topology content digest, and (when a store
+is activated) persisted as memory-mappable artefacts next to the trial
+result cache. See :mod:`repro.structcache.store`.
 """
 
 from .digest import (
@@ -18,11 +19,12 @@ from .digest import (
 )
 from .store import (
     ENV_VAR,
-    StructParts,
+    CompiledNetwork,
     StructStore,
     activate,
     active_store,
     clear_memos,
+    compiled,
     deactivate,
     default_store_dir,
     distance_matrix,
@@ -44,11 +46,12 @@ __all__ = [
     "topology_digest",
     "topology_payload",
     "ENV_VAR",
-    "StructParts",
+    "CompiledNetwork",
     "StructStore",
     "activate",
     "active_store",
     "clear_memos",
+    "compiled",
     "deactivate",
     "default_store_dir",
     "distance_matrix",

@@ -1,27 +1,19 @@
 """Structural digests: the content identity of compiled artefacts.
 
-The compiled-structure store (:mod:`repro.structcache.store`) keys every
-artefact by content, never by object identity or file path:
+The compiled-structure memo and store (:mod:`repro.structcache.store`) key
+every artefact by content, never by object identity or file path:
 
 - a **topology digest** covers the exact node count, edge set and
-  coordinates — everything :func:`topology_payload` captures. Distance
-  matrices and drain paths are pure functions of the topology, so they
-  are keyed by this digest alone.
+  coordinates — everything :func:`topology_payload` captures (the same
+  encoding trial specs carry: ``harness.trials.topology_to_spec`` is this
+  function). Distance matrices, routing tables and drain paths are pure
+  functions of the topology, so this digest keys all of them.
 - a **structure digest** additionally covers the full ``SimConfig``
-  *minus the seed* (scheme, flow control, VC/VN geometry, drain/spin/PFC
-  sections). Routing tables depend on the config-selected routing
-  function, so they key on the pair. This generalises
-  ``batch_group_key`` in :mod:`repro.harness.trials`: seeds vary freely
-  inside a structure, everything shaping the network does not.
+  *minus the seed*. Nothing in the package keys on it any more; it stays
+  for ``benchmarks/perf``, which times it.
 - a **certificate digest** covers the preflight memo key (topology,
   scheme, flow control, pinned-flow set), mirroring the per-process
   ``_CERT_CACHE`` in :mod:`repro.analysis.preflight`.
-
-``topology_payload`` deliberately duplicates
-:func:`repro.harness.trials.topology_to_spec` instead of importing it —
-the simulator consumes this package, and ``trials`` imports the
-simulator, so an import here would close a cycle. A drift-guard test
-(``tests/test_structcache.py``) pins the two encodings equal.
 """
 
 from __future__ import annotations
@@ -43,7 +35,7 @@ __all__ = [
 ]
 
 #: Bump to abandon every stored artefact when formats or semantics change.
-STRUCT_FORMAT_VERSION = 1
+STRUCT_FORMAT_VERSION = 2
 
 
 def canonical_json(payload: Any) -> str:
@@ -59,12 +51,7 @@ def digest_payload(payload: Any) -> str:
 
 
 def topology_payload(topology: Topology) -> Dict[str, Any]:
-    """Canonical JSON-able description of a topology (exact, order-stable).
-
-    Field-for-field identical to ``repro.harness.trials.topology_to_spec``
-    (see the module docstring for why it is duplicated, and the drift test
-    that keeps them in lockstep).
-    """
+    """Canonical JSON-able description of a topology (exact, order-stable)."""
     spec: Dict[str, Any] = {
         "name": topology.name,
         "num_nodes": topology.num_nodes,
@@ -87,11 +74,10 @@ def topology_digest(topology: Topology) -> str:
 def structure_digest(
     topo_payload: Dict[str, Any], config_dict: Dict[str, Any]
 ) -> str:
-    """Digest of (topology, config-sans-seed) — the routing-table key.
+    """Digest of (topology, config-sans-seed).
 
     *config_dict* is a ``config_to_dict`` mapping; the seed is excluded
-    because it shapes traffic streams, never the compiled structure, so N
-    seeds over one configuration share one set of artefacts.
+    because it shapes traffic streams, never the compiled structure.
     """
     config = dict(config_dict)
     config.pop("seed", None)

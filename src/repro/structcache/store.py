@@ -1,21 +1,25 @@
-"""Persistent, content-addressed store of compiled network structures.
+"""Compiled network structure: one in-process memo, one on-disk codec.
 
-Every trial over a given (topology, config-sans-seed) pair boots the same
-expensive artefacts: the all-pairs hop-distance matrix, the adaptive
-routing tables in CSR form, the Eulerian drain path, and the preflight
-certificate. This module memoizes them at three layers:
+Every trial over a given topology boots the same expensive structure: the
+all-pairs hop-distance matrix, the link/port numbering, the adaptive
+routing tables in CSR form, the default drain cycle with its turn tables,
+and the vectorized engine's candidate rows. All of it is a pure function
+of the topology's content, so it is compiled once per process:
 
-1. an **in-process memo** (bounded, content-digest keyed) so repeated
-   :class:`~repro.network.index.FabricIndex` constructions inside one
-   process compute each matrix once, and the preflight certifier and the
-   drain controller of one trial share one default drain cycle;
-2. an **on-disk store** (``<root>/<kind>/<digest[:2]>/<digest>/``) of
-   ``.npy`` arrays loaded with ``mmap_mode="r"`` so concurrent worker
-   processes share page-cache pages instead of private copies, plus
-   certificate JSON files;
-3. a **warm-start protocol** (:mod:`repro.harness.pool`) that compiles
-   each distinct structure once in the parent before dispatching N
-   workers x M trials.
+1. :func:`compiled` maps a topology **content digest** to one
+   :class:`CompiledNetwork` in a small LRU (:data:`_MEMO_LIMIT` entries),
+   whether or not a disk store is active. Its parts fill lazily and are
+   read-only; a simulation keeps its mutable state (distance rows, dead
+   sets, fault epoch) in its own :class:`~repro.network.index.FabricIndex`
+   and reads the shared parts through it. :func:`clear_memos` empties it.
+2. the **on-disk store** (``<root>/<kind>/<digest[:2]>/<digest>/``) is the
+   codec behind three of those parts — ``dist``, ``routing``, ``drain``,
+   all keyed by the topology digest — as ``.npy`` arrays loaded with
+   ``mmap_mode="r"`` so concurrent worker processes share page-cache
+   pages instead of private copies, plus certificate JSON files;
+3. a **warm-start protocol** (:mod:`repro.harness.pool`) compiles each
+   distinct structure once in the parent before dispatching N workers x
+   M trials.
 
 Numpy's ``npz`` container cannot be memory-mapped (``np.load`` on an npz
 member always materialises a private copy), so each array lives in its
@@ -24,16 +28,16 @@ inside a temp directory that is atomically renamed into place — is the
 commit marker. A directory without a readable, matching ``meta.json`` is
 corrupt by definition: it is deleted and the artefact recomputed.
 
-Only boot-time (fault-epoch 0) structures are ever stored. Consumers tag
-loaded tables with the live :attr:`FabricIndex.fault_epoch` and compile
-their own on any mismatch, so mid-run faults can never read stale
-tables (see :class:`~repro.routing.adaptive.AdaptiveMinimalRouting`,
-whose cold build emits the very arrays stored here).
+Only boot-time (fault-epoch 0) structure is ever memoised or stored.
+Consumers read it only while their index is at epoch 0 and compile their
+own from the live index afterwards, so mid-run faults can never read
+stale tables (see :class:`~repro.routing.adaptive.AdaptiveMinimalRouting`
+and :meth:`~repro.network.vectorized.VectorizedEngine._build_tables`).
 
 The store is **opt-in**: inactive unless :func:`activate` is called (the
 CLI does, by default) or ``$REPRO_STRUCT_CACHE`` names a directory
 (``0``/``off`` disables). Results are bit-identical either way — the
-arrays round-trip exactly and no RNG is consumed on the store path.
+arrays round-trip exactly and no RNG is consumed on any path.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as _np
 
@@ -52,14 +58,13 @@ from .digest import (
     STRUCT_FORMAT_VERSION,
     canonical_json,
     certificate_digest,
-    structure_digest,
     topology_digest,
-    topology_payload,
 )
 
 __all__ = [
     "StructStore",
-    "StructParts",
+    "CompiledNetwork",
+    "compiled",
     "default_store_dir",
     "activate",
     "deactivate",
@@ -125,13 +130,17 @@ class StructStore:
     def _dir_for(self, kind: str, key: str) -> Path:
         return self.root / kind / key[:2] / key
 
-    def load_arrays(self, kind: str, key: str) -> Optional[Dict[str, Any]]:
+    def load_arrays(
+        self, kind: str, key: str, shapes: Dict[str, Tuple[int, ...]]
+    ) -> Optional[Dict[str, Any]]:
         """Memory-mapped arrays of one artefact, or None on miss/corrupt.
 
-        Corruption — missing or unparsable ``meta.json``, wrong format
-        version, missing arrays, dtype/shape mismatches against the
-        metadata — deletes the whole artefact directory and reports a
-        miss, so the caller recomputes instead of crashing.
+        *shapes* names the shape the live topology dictates for each
+        array it determines. Corruption — missing or unparsable
+        ``meta.json``, wrong format version, missing arrays, dtype/shape
+        mismatches against the metadata or against *shapes* — deletes the
+        whole artefact directory and reports a miss, so the caller
+        recomputes instead of crashing.
         """
         names = _ARTIFACT_ARRAYS[kind]
         directory = self._dir_for(kind, key)
@@ -157,9 +166,11 @@ class StructStore:
                     if (
                         str(arr.dtype) != info.get("dtype")
                         or list(arr.shape) != info.get("shape")
+                        or shapes.get(name, arr.shape) != arr.shape
                     ):
                         raise ValueError(
-                            f"array {name!r} does not match its metadata"
+                            f"array {name!r} does not match its metadata "
+                            "or the live topology"
                         )
                     arrays[name] = arr
             except (OSError, ValueError):
@@ -329,7 +340,7 @@ def activate(root: Optional[Union[str, Path]] = None) -> StructStore:
 
 
 def deactivate() -> None:
-    """Disable the persistent store (in-process memos keep working)."""
+    """Disable the persistent store (the in-process memo keeps working)."""
     global _ACTIVE, _ENV_RESOLVED
     _ACTIVE = None
     _ENV_RESOLVED = True
@@ -353,66 +364,155 @@ def stats() -> Optional[Dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# In-process memos (layer 1)
+# The in-process memo: one CompiledNetwork per topology content digest
 # ----------------------------------------------------------------------
-#: Distinct structures held in process at once. Each entry is a few MB at
+#: Distinct topologies held in process at once. Each entry is a few MB at
 #: thousand-switch scale; sweeps iterate seeds within one structure, so a
 #: small bound loses nothing.
 _MEMO_LIMIT = 4
 
-_DIST_MEMO: Dict[str, Any] = {}
-_DRAIN_MEMO: Dict[str, Tuple[Link, ...]] = {}
-_PARTS_MEMO: Dict[str, "StructParts"] = {}
+_MEMO: Dict[str, "CompiledNetwork"] = {}
 
 
-def _memo_put(memo: Dict[str, Any], key: str, value: Any) -> None:
-    memo[key] = value
-    while len(memo) > _MEMO_LIMIT:
-        memo.pop(next(iter(memo)))
+class CompiledNetwork:
+    """What one topology content digest compiles to at boot (fault epoch 0).
+
+    ``parts`` fills on first use and is never rewritten: every value is
+    read-only once built (frozen arrays, tuples, tables nobody writes), so
+    any number of simulations read one entry while each keeps its own
+    mutable state (``FabricIndex.dist`` rows, dead sets, fault epoch).
+    The three parts with a method here are also persisted by the active
+    store; the rest (:meth:`part`) live in memory only, built by the
+    module that consumes them.
+    """
+
+    __slots__ = ("digest", "parts")
+
+    def __init__(self, digest: str) -> None:
+        self.digest = digest
+        self.parts: Dict[Any, Any] = {}
+
+    def part(self, name: Any, build: Callable[[], Any]) -> Any:
+        """``parts[name]``, built by *build* on first use."""
+        try:
+            return self.parts[name]
+        except KeyError:
+            value = self.parts[name] = build()
+            return value
+
+    def _stored(
+        self,
+        kind: str,
+        shapes: Dict[str, Tuple[int, ...]],
+        build: Callable[[], Any],
+        encode: Callable[[Any], Dict[str, Any]],
+        decode: Callable[[Dict[str, Any]], Any],
+    ) -> Any:
+        """The value of artefact *kind*: decoded from the active store's
+        arrays, else built (and, with a store active, encoded and saved)."""
+        store = active_store()
+        if store is not None:
+            arrays = store.load_arrays(kind, self.digest, shapes)
+            if arrays is not None:
+                return decode(arrays)
+        value = build()
+        if store is not None:
+            store.compiles += 1
+            store.save_arrays(kind, self.digest, encode(value))
+        return value
+
+    def dist(self, topology: Any) -> Any:
+        """All-pairs hop distances: a read-only (n, n) int32 array."""
+
+        def build() -> Any:
+            n = topology.num_nodes
+            matrix = self._stored(
+                "dist", {"dist": (n, n)}, topology._all_pairs_numpy,
+                encode=lambda matrix: {"dist": matrix},
+                # A base-class view of the map: np.memmap's Python-level
+                # hooks would tax every row slice the routing compile takes.
+                decode=lambda arrays: _np.asarray(arrays["dist"]),
+            )
+            matrix.setflags(write=False)
+            return matrix
+
+        return self.part("dist", build)
+
+    def tables(self, index: Any, cold: Callable[[], Any]) -> Any:
+        """Adaptive-minimal candidate tables of *index*'s topology: one
+        :class:`~repro.network.index.DenseCandidateTables` at epoch 0.
+
+        *index* is any boot-state index of the topology; *cold* compiles
+        the tables from it when neither the memo nor the store has them.
+        """
+
+        def build() -> Any:
+            from ..network.index import DenseCandidateTables
+
+            names = _ARTIFACT_ARRAYS["routing"]
+            n = index.num_nodes
+            return self._stored(
+                "routing", {"offsets": (n * n + 1,), "counts": (n * n,)}, cold,
+                encode=lambda tables: {
+                    name: getattr(tables, name) for name in names},
+                decode=lambda arrays: DenseCandidateTables.from_arrays(
+                    index, *(arrays[name] for name in names)),
+            )
+
+        return self.part("tables", build)
+
+    def drain_links(self, topology: Any) -> Tuple[Link, ...]:
+        """The default drain cycle: the unshuffled Euler circuit rooted at
+        router 0, as a tuple of frozen links in path order."""
+
+        def build() -> Tuple[Link, ...]:
+            from ..drain.path import euler_circuit
+
+            count = 2 * topology.num_edges
+            return self._stored(
+                "drain", {"src": (count,), "dst": (count,)},
+                lambda: tuple(euler_circuit(topology)),
+                encode=lambda links: {
+                    end: _np.array([getattr(link, end) for link in links],
+                                   dtype=_np.int32)
+                    for end in _ARTIFACT_ARRAYS["drain"]},
+                decode=lambda arrays: tuple(
+                    Link(s, d) for s, d in zip(arrays["src"].tolist(),
+                                               arrays["dst"].tolist())),
+            )
+
+        return self.part("drain_links", build)
+
+
+def compiled(topology: Any) -> CompiledNetwork:
+    """The memo entry of *topology*'s content (least recently used out).
+
+    Keyed by content digest, so a mutated topology or a different object
+    with the same structure both behave correctly. This is the one digest
+    a construction pays: :class:`~repro.network.index.FabricIndex` keeps
+    the entry it was built from, and everything downstream reads it there.
+    """
+    key = topology_digest(topology)
+    net = _MEMO.pop(key, None) or CompiledNetwork(key)
+    _MEMO[key] = net
+    while len(_MEMO) > _MEMO_LIMIT:
+        _MEMO.pop(next(iter(_MEMO)))
+    return net
 
 
 def clear_memos() -> None:
-    """Drop the in-process memos.
+    """Drop the in-process memo.
 
-    Test isolation hook, and how ``benchmarks/perf`` times the cold
-    compile (``structcache.cold_compile_s`` on ``lossless_1024``).
+    The memo's only control: test isolation, and how ``benchmarks/perf``
+    times a cold compile (``structcache.cold_compile_s``).
     """
-    _DIST_MEMO.clear()
-    _DRAIN_MEMO.clear()
-    _PARTS_MEMO.clear()
+    _MEMO.clear()
 
 
-# ----------------------------------------------------------------------
-# Distances (layer 1 + 2): the one sanctioned all-pairs entry point
-# ----------------------------------------------------------------------
 def distance_matrix(topology: Any) -> Any:
-    """All-pairs hop distances of *topology*: a read-only (n, n) int32 array.
-
-    This is the DET012-sanctioned entry point: it memoizes the matrix by
-    content digest (so topology mutation or a different object with the
-    same structure both behave correctly) and persists it in the active
-    store. The array is shared by every caller — a freshly computed
-    matrix is frozen before it enters the memo, a stored one is a
-    read-only memory map already.
-    """
-    key = topology_digest(topology)
-    cached = _DIST_MEMO.get(key)
-    if cached is None:
-        store = active_store()
-        if store is not None:
-            arrays = store.load_arrays("dist", key)
-            if arrays is not None:
-                # A base-class view of the map: np.memmap's Python-level
-                # hooks would tax every row slice the routing compile takes.
-                cached = _np.asarray(arrays["dist"])
-        if cached is None:
-            cached = topology._all_pairs_numpy()
-            cached.setflags(write=False)
-            if store is not None:
-                store.compiles += 1
-                store.save_arrays("dist", key, {"dist": cached})
-        _memo_put(_DIST_MEMO, key, cached)
-    return cached
+    """All-pairs hop distances of *topology* (the DET012-sanctioned entry
+    point): the memoised read-only array, shared by every caller."""
+    return compiled(topology).dist(topology)
 
 
 def distances(topology: Any) -> List[List[int]]:
@@ -424,159 +524,33 @@ def distances(topology: Any) -> List[List[int]]:
     return distance_matrix(topology).tolist()
 
 
-# ----------------------------------------------------------------------
-# Compiled structure parts (layer 1 + 2)
-# ----------------------------------------------------------------------
-class StructParts:
-    """Loaded artefacts of one structure, ready for simulator adoption.
+def drain_links(topology: Any) -> Tuple[Link, ...]:
+    """The default drain cycle of *topology* (what
+    :func:`~repro.drain.path.find_drain_path` answers by default); each
+    caller builds and validates its own ``DrainPath`` around it."""
+    return compiled(topology).drain_links(topology)
 
-    ``routing`` is the adaptive-minimal candidate-table CSR triple
-    ``(offsets, counts, links)`` (None for stateful routing schemes,
-    which cannot be table-compiled); ``drain_links`` is the default
-    drain cycle (:func:`drain_links`; None for non-DRAIN schemes), held
-    so the warm-start protocol compiles it in the parent. Arrays may be
-    read-only memory maps — consumers must never write them (the DET008
-    contract).
+
+def parts_for(topology: Any, config: Any) -> CompiledNetwork:
+    """Compile or load everything *config* boots from on *topology*.
+
+    Runs the constructors a simulation runs, so afterwards that
+    simulation's set-up finds every structure in the memo (and, with a
+    store active, on disk for other processes). The harness's warm start
+    and ``benchmarks/perf`` call it; a simulation does not need to.
     """
-
-    __slots__ = ("digest", "routing", "drain_links")
-
-    def __init__(
-        self,
-        digest: str,
-        routing: Optional[Tuple[Any, Any, Any]],
-        drain_links: Optional[Tuple[Link, ...]],
-    ) -> None:
-        self.digest = digest
-        self.routing = routing
-        self.drain_links = drain_links
-
-
-def _compile_routing(topology: Any) -> Tuple[Any, Any, Any]:
-    """Build the adaptive-minimal CSR triple from scratch (boot state)."""
     from ..network.index import FabricIndex
     from ..routing.adaptive import AdaptiveMinimalRouting
 
-    tables = AdaptiveMinimalRouting(FabricIndex(topology)).compiled_tables
-    return tables.offsets, tables.counts, tables.links
-
-
-def _routing_for(
-    store: Optional[StructStore], topology: Any, key: str
-) -> Tuple[Any, Any, Any]:
-    if store is not None:
-        arrays = store.load_arrays("routing", key)
-        if arrays is not None:
-            n = topology.num_nodes
-            offsets = arrays["offsets"]
-            counts = arrays["counts"]
-            links = arrays["links"]
-            if (
-                offsets.shape == (n * n + 1,)
-                and counts.shape == (n * n,)
-                and links.shape == (int(offsets[-1]),)
-            ):
-                return offsets, counts, links
-            # Shape mismatch against the live topology: treat as corrupt.
-            store.corrupt += 1
-            shutil.rmtree(store._dir_for("routing", key), ignore_errors=True)
-    triple = _compile_routing(topology)
-    if store is not None:
-        store.compiles += 1
-        store.save_arrays(
-            "routing",
-            key,
-            {"offsets": triple[0], "counts": triple[1], "links": triple[2]},
-        )
-    return triple
-
-
-def drain_links(topology: Any) -> Tuple[Link, ...]:
-    """The default drain cycle of *topology*: its links in path order.
-
-    The unshuffled Euler circuit rooted at router 0 — what
-    :func:`~repro.drain.path.find_drain_path` answers by default — is a
-    pure function of the topology's content, so it is memoized by content
-    digest and persisted in the active store like the distance matrix.
-    The tuple of frozen links is shared by every caller; each builds (and
-    validates) its own :class:`~repro.drain.path.DrainPath` around it.
-    """
-    key = topology_digest(topology)
-    links = _DRAIN_MEMO.get(key)
-    if links is None:
-        links = _drain_links_for(active_store(), topology, key)
-        _memo_put(_DRAIN_MEMO, key, links)
-    return links
-
-
-def _drain_links_for(
-    store: Optional[StructStore], topology: Any, key: str
-) -> Tuple[Link, ...]:
-    if store is not None:
-        arrays = store.load_arrays("drain", key)
-        if arrays is not None:
-            expected = 2 * topology.num_edges
-            src = arrays["src"]
-            dst = arrays["dst"]
-            if src.shape == (expected,) and dst.shape == (expected,):
-                return tuple(
-                    Link(s, d) for s, d in zip(src.tolist(), dst.tolist())
-                )
-            store.corrupt += 1
-            shutil.rmtree(store._dir_for("drain", key), ignore_errors=True)
-    from ..drain.path import euler_circuit
-
-    links = tuple(euler_circuit(topology))
-    if store is not None:
-        store.compiles += 1
-        count = len(links)
-        store.save_arrays(
-            "drain",
-            key,
-            {
-                "src": _np.fromiter(
-                    (link.src for link in links), dtype=_np.int32, count=count
-                ),
-                "dst": _np.fromiter(
-                    (link.dst for link in links), dtype=_np.int32, count=count
-                ),
-            },
-        )
-    return links
-
-
-def parts_for(topology: Any, config: Any) -> Optional[StructParts]:
-    """Compiled parts for (topology, config), or None when unavailable.
-
-    Returns None when the persistent store is inactive — callers fall
-    back to from-scratch construction, which is the bit-identical
-    reference path. Parts are memoized in process by
-    structure digest, so a sweep of M seeds over one structure compiles
-    (or loads) once.
-    """
-    store = active_store()
-    if store is None:
-        return None
-    from ..core.configio import config_to_dict
-
-    config_dict = config_to_dict(config)
-    key = structure_digest(topology_payload(topology), config_dict)
-    parts = _PARTS_MEMO.get(key)
-    if parts is not None:
-        return parts
-    scheme = config_dict.get("scheme")
-    routing = None
+    index = FabricIndex(topology)
+    scheme = config.scheme.value
     if scheme != "updown":
         # Up*/down* routing is stateful (per-packet turn history) and is
-        # rebuilt from the topology either way; only the adaptive-minimal
-        # candidate tables are worth compiling.
-        routing = _routing_for(store, topology, key)
-    cycle = None
+        # rebuilt from the topology either way.
+        AdaptiveMinimalRouting(index)
     if scheme == "drain":
-        cycle = drain_links(topology)
-    parts = StructParts(key, routing, cycle)
-    _memo_put(_PARTS_MEMO, key, parts)
-    return parts
+        index.compiled.drain_links(topology)
+    return index.compiled
 
 
 # ----------------------------------------------------------------------

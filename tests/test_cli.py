@@ -129,6 +129,14 @@ class TestErrorPaths:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheme", "nonsense"])
 
+    def test_batch_flag_is_gone(self, capsys):
+        # Every trial shares its process's compiled structure; there is
+        # nothing left for a knob to select.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--topology", "mesh:4x4", "--batch", "auto"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+
     def test_sweep_unknown_scheme_exits_nonzero(self, capsys):
         assert main([
             "sweep", "--topology", "mesh:4x4", "--schemes", "nonsense",

@@ -1,5 +1,7 @@
 """Tests for SimConfig JSON (de)serialisation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -52,6 +54,11 @@ class TestValidation:
         data["extra"] = {}
         with pytest.raises(ValueError):
             config_from_dict(data)
+
+    def test_retired_batch_key_rejected(self):
+        assert "batch" not in {f.name for f in dataclasses.fields(SimConfig)}
+        with pytest.raises(ValueError, match="unknown top-level keys"):
+            config_from_dict({"scheme": "drain", "batch": "auto"})
 
     def test_partial_sections_use_defaults(self):
         config = config_from_dict({"scheme": "drain"})

@@ -22,6 +22,7 @@ from repro.harness import (
     write_manifest,
 )
 from repro.harness.pool import get_default_harness, set_default_harness
+from repro.harness.trials import batch_payload
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_torus
 
@@ -136,6 +137,19 @@ class TestHarness:
     def test_run_trials_convenience(self):
         (res,) = run_trials([tiny_spec()])
         assert res["throughput"] > 0
+
+    def test_batch_lockstep_is_each_members_own_trial(self):
+        # The wrapper benchmarks/perf times: members of any structure, in
+        # order, each through execute_trial — errors included.
+        group = [tiny_spec(seed=1), tiny_spec(seed=2, scheme=Scheme.UPDOWN),
+                 synthetic_trial_for(make_mesh(3, 3), Scheme.DRAIN, 0.05,
+                                     TINY, mesh_width=3, seed=3)]
+        envelope = execute_trial(batch_payload(group))
+        assert envelope == {"results": [execute_trial(s) for s in group]}
+        bad = TrialSpec(group[0].runner, {
+            **group[0].params, "warmup": group[0].params["cycles"]})
+        with pytest.raises(ValueError, match="warmup must be shorter"):
+            execute_trial(batch_payload([group[0], bad]))
 
     def test_default_harness_is_process_wide(self):
         set_default_harness(None)

@@ -17,18 +17,20 @@ tmp dir, so a failure can be replayed without re-running the sweep.
 The pool is deterministic: a fixed master seed drives every per-config
 seed draw, so CI and local runs fuzz the exact same configurations.
 
-A second lane covers cross-trial batching (DESIGN.md,
-"Cross-trial batching"): pinned batchable groups run batch-of-8
-through the ``batch.lockstep`` runner and must reproduce each member's
-solo ``execute_trial`` result bit-for-bit, including mixed groups with
-an evicted stateful-routing member and members carrying mid-run fault
-schedules. Divergences dump a minimized repro the same way.
+A second lane covers the compiled-structure memo (DESIGN.md, "Compiled
+network structure"): over pinned groups of trials on one topology, each
+member's row computed cold (``structcache.clear_memos()`` before the
+trial) must equal its row warm in group order and warm in reverse order
+— whatever earlier trials left in the memo — including a mixed group
+(DRAIN, ESCAPE_VC, the stateful-routing UPDOWN and a ``fault_recovery``
+member) and members carrying mid-run fault schedules. Divergences dump a
+minimized repro the same way.
 
 A third lane pins the traffic draw path itself: ``hotspot`` and
 ``nearest_neighbor`` draw their destinations from the same rng the
-Bernoulli scan reads, so their results are compared solo fast-forward vs
-stepped (``sim.dense = True``) vs batched, and against digests recorded
-on the per-node draw loop.
+Bernoulli scan reads, so their results are compared cold fast-forward vs
+stepped (``sim.dense = True``) vs warm, and against digests recorded on
+the per-node draw loop.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import random
 import tempfile
 from pathlib import Path
 
+from repro import structcache
 from repro.core.config import Scheme
 from repro.core.configio import config_to_dict
 from repro.core.rng import derive_seed
@@ -49,12 +52,7 @@ from repro.experiments.common import (
     synthetic_trial_for,
 )
 from repro.faults.schedule import FaultEvent, FaultSchedule
-from repro.harness.trials import (
-    batch_group_key,
-    batch_payload,
-    execute_trial,
-    fault_recovery_trial,
-)
+from repro.harness.trials import execute_trial, fault_recovery_trial
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_torus
 
@@ -256,20 +254,20 @@ class TestParityFuzz:
 
 
 # ----------------------------------------------------------------------
-# Batched lane: lockstep batches vs their solo reference runs
+# Memo lane: rows are the same cold, warm, and warm in any order
 # ----------------------------------------------------------------------
-#: Smaller than FUZZ_SCALE (the batch lane runs every config twice) but
-#: still crossing a drain epoch and a spin timeout inside the window.
+#: Smaller than FUZZ_SCALE (the memo lane runs every config three times)
+#: but still crossing a drain epoch and a spin timeout inside the window.
 BATCH_SCALE = Scale(warmup=40, measure=120, epoch=96, spin_timeout=48)
 BATCH_SIZE = 8
 
 
 def _build_batch_groups():
-    """Pinned batchable groups: >= 10 configs over two (scheme, topo) cells.
+    """Pinned groups: >= 10 configs over two (scheme, topo) cells.
 
-    Every group shares one :func:`batch_group_key` (same topology, scheme
-    and geometry), while seeds and rates vary per member — exactly the
-    shape the sweep harness batches.
+    Every group shares one topology, scheme and geometry — so one memo
+    entry and one set of engine rows — while seeds and rates vary per
+    member: exactly the shape of a sweep's seed x rate ladder.
     """
     master = random.Random(MASTER_SEED ^ 0xBA7C4)
     groups = []
@@ -285,81 +283,93 @@ def _build_batch_groups():
     return groups
 
 
-def _dump_batch_repro(spec, index, group_index):
-    """Minimized repro for one diverging batch member, written to disk."""
-    blob = {
-        "runner": spec.runner,
-        "params": dict(spec.params),
-        "group": group_index,
-        "index_in_batch": index,
-        "replay": "execute_trial(spec) vs "
-                  "execute_trial(batch_payload(group))['results'][index]",
-    }
-    path = Path(tempfile.gettempdir()) / (
-        f"parity_fuzz_batch_repro_{group_index}_{index}.json"
-    )
-    path.write_text(json.dumps(blob, indent=2, sort_keys=True))
-    return blob, path
+def _cold(spec):
+    structcache.clear_memos()
+    return execute_trial(spec)
 
 
-class TestBatchedParityFuzz:
-    def test_batch_groups_are_pinned_and_compatible(self):
+def _assert_memo_invariant(group, group_index):
+    """Each member: cold row == warm row in group order == in reverse."""
+    cold = [_cold(spec) for spec in group]
+    structcache.clear_memos()
+    forward = [execute_trial(spec) for spec in group]
+    structcache.clear_memos()
+    backward = [execute_trial(spec) for spec in reversed(group)][::-1]
+    for order, warm in (("group", forward), ("reverse", backward)):
+        for i, (spec, expected, got) in enumerate(zip(group, cold, warm)):
+            if got == expected:
+                continue
+            blob = {
+                "runner": spec.runner,
+                "params": dict(spec.params),
+                "group": group_index,
+                "index_in_group": i,
+                "replay": "clear_memos(); execute_trial(spec) vs the same "
+                          f"call after the group's earlier members in "
+                          f"{order} order",
+            }
+            path = Path(tempfile.gettempdir()) / (
+                f"parity_fuzz_memo_repro_{group_index}_{i}.json"
+            )
+            path.write_text(json.dumps(blob, indent=2, sort_keys=True))
+            diverging = sorted(
+                set(expected) ^ set(got)
+                | {k for k in expected if k in got and expected[k] != got[k]}
+            )
+            raise AssertionError(
+                f"warm trial diverged from its cold run (group "
+                f"{group_index}, member {i}, {order} order, fields: "
+                f"{diverging}); repro written to {path}:\n"
+                + json.dumps(blob, indent=2, sort_keys=True)
+            )
+    return cold
+
+
+class TestMemoParityFuzz:
+    def test_memo_groups_are_pinned_and_share_one_structure(self):
         groups = _build_batch_groups()
         assert sum(len(g) for g in groups) >= 10
         assert [
             [s.digest() for s in g] for g in groups
         ] == [[s.digest() for s in g] for g in _build_batch_groups()]
-        for group in groups:
-            keys = {batch_group_key(s) for s in group}
-            assert len(keys) == 1 and None not in keys
-        # The two groups must never merge (different scheme/topology).
-        assert batch_group_key(groups[0][0]) != batch_group_key(groups[1][0])
+        keys = [
+            {structcache.digest_payload(s.params["topology"]) for s in group}
+            for group in groups
+        ]
+        assert all(len(k) == 1 for k in keys)
+        # The two groups must never share an entry (different topology).
+        assert keys[0] != keys[1]
 
-    def test_batched_groups_match_solo(self):
+    def test_warm_groups_match_cold(self):
         for gi, group in enumerate(_build_batch_groups()):
-            solo = [execute_trial(spec) for spec in group]
-            envelope = execute_trial(batch_payload(group))
-            # Fully vectorizable groups must batch wholesale — an eviction
-            # here means the perf win silently evaporated.
-            assert envelope["evictions"] == []
-            assert len(envelope["results"]) == len(group)
-            for i, (spec, expected) in enumerate(zip(group, solo)):
-                got = envelope["results"][i]
-                if got != expected:
-                    blob, path = _dump_batch_repro(spec, i, gi)
-                    diverging = sorted(
-                        set(expected) ^ set(got)
-                        | {k for k in expected
-                           if k in got and expected[k] != got[k]}
-                    )
-                    raise AssertionError(
-                        f"batched trial diverged from its solo run "
-                        f"(group {gi}, member {i}, fields: {diverging}); "
-                        f"repro written to {path}:\n"
-                        + json.dumps(blob, indent=2, sort_keys=True)
-                    )
+            _assert_memo_invariant(group, gi)
 
-    def test_mixed_batch_evicts_stateful_routing(self):
-        # A stateful-routing spec spliced into a vectorizable group (only
-        # constructible via batch_payload — the harness keys them apart)
-        # must be evicted to a solo rerun, with the engine's fallback
-        # reason recorded, and every member must still match its solo run.
-        drain = _build_batch_groups()[0][:4]
-        intruder = synthetic_trial_for(
-            make_mesh(4, 4), Scheme.UPDOWN, 0.12, BATCH_SCALE,
-            mesh_width=4, seed=0xE71C7,
+    def test_mixed_group_on_one_topology_matches_cold(self):
+        # One memo entry serves four disciplines at once: DRAIN rows,
+        # ESCAPE_VC rows, UPDOWN (stateful routing: scalar engine, reads
+        # the numbering and distances only) and a fault_recovery member
+        # whose faults must stay on its own index.
+        topology = make_mesh(4, 4)
+        drain = _build_batch_groups()[0][:2]
+        others = [
+            synthetic_trial_for(topology, scheme, 0.12, BATCH_SCALE,
+                                mesh_width=4, seed=0xE71C7)
+            for scheme in (Scheme.ESCAPE_VC, Scheme.UPDOWN)
+        ]
+        scale = Scale(warmup=40, measure=200, epoch=96, spin_timeout=48)
+        faulted = fault_recovery_trial(
+            topology, scheme_config(Scheme.DRAIN, scale, seed=0xFA017), 0.12,
+            cycles=scale.total_cycles, warmup=scale.warmup,
+            schedule=_fault_schedule(0xFA01), mesh_width=4,
         )
-        group = drain[:2] + [intruder] + drain[2:]
-        envelope = execute_trial(batch_payload(group))
-        assert [e["index"] for e in envelope["evictions"]] == [2]
-        assert "stateful" in envelope["evictions"][0]["reason"]
-        for spec, got in zip(group, envelope["results"]):
-            assert got == execute_trial(spec)
+        group = [drain[0], others[0], faulted, others[1], drain[1]]
+        rows = _assert_memo_invariant(group, "mixed")
+        assert rows[2]["faults"]["faults_applied"] >= 2
 
-    def test_batched_fault_recovery_matches_solo(self):
-        # Mid-run faults stay per-trial inside a batch: each member owns
-        # its schedule, applies it at its own cycles, and retires with the
-        # same recovery summary as its solo run.
+    def test_warm_fault_recovery_matches_cold(self):
+        # Mid-run faults stay per-trial over a shared structure: each
+        # member owns its schedule, applies it to its own index at its own
+        # cycles, and ends with the same recovery summary as its cold run.
         scale = Scale(warmup=40, measure=200, epoch=96, spin_timeout=48)
         master = random.Random(MASTER_SEED ^ 0xFA017)
         topology = make_mesh(4, 4)
@@ -372,13 +382,8 @@ class TestBatchedParityFuzz:
                 cycles=scale.total_cycles, warmup=scale.warmup,
                 schedule=_fault_schedule(seed & 0xFFFF), mesh_width=4,
             ))
-        assert len({batch_group_key(s) for s in group}) == 1
-        solo = [execute_trial(spec) for spec in group]
-        envelope = execute_trial(batch_payload(group))
-        assert envelope["evictions"] == []
-        assert envelope["results"] == solo
         # Both fault events (cycles 120 and 200) land inside the window.
-        for result in envelope["results"]:
+        for result in _assert_memo_invariant(group, "faults"):
             assert result["faults"]["faults_applied"] >= 2
 
 
@@ -419,14 +424,11 @@ def _result_digest(result):
 
 
 class TestStatefulPatternParity:
-    def test_fast_forward_stepped_and_batched_agree(self, monkeypatch):
+    def test_fast_forward_stepped_and_warm_agree(self, monkeypatch):
         for pattern in STATEFUL_PATTERNS:
             group = _build_stateful_group(pattern)
-            assert len({batch_group_key(s) for s in group}) == 1
-            fast = [execute_trial(spec) for spec in group]
-            envelope = execute_trial(batch_payload(group))
-            assert envelope["evictions"] == []
-            assert envelope["results"] == fast, pattern
+            fast = [_cold(spec) for spec in group]
+            assert [execute_trial(spec) for spec in group] == fast, pattern
 
             run = Simulation.run
 

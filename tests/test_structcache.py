@@ -1,9 +1,11 @@
-"""Tests for the content-addressed compiled-structure store.
+"""Tests for compiled network structure: the memo and its on-disk codec.
 
-Covers the tentpole guarantees: digest stability across processes,
-warm-vs-cold bit-identical trial rows, corruption-detect-and-recompute,
-fault-epoch invalidation of adopted tables, and the compile-once
-warm-start protocol under concurrent workers.
+Covers digest stability across processes, the one in-process memo
+(compile once per process with the store off, isolation of per-simulation
+fault state, staleness, LRU eviction), warm-vs-cold bit-identical trial
+rows, corruption-detect-and-recompute, fault-epoch invalidation of
+memoised tables, and the compile-once warm-start protocol under
+concurrent workers.
 """
 
 from __future__ import annotations
@@ -22,13 +24,17 @@ from repro.core.config import Scheme
 from repro.core.configio import config_from_dict, config_to_dict
 from repro.core.simulator import Simulation
 from repro.experiments.common import Scale, scheme_config, synthetic_trial_for
+from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.harness import Harness, execute_trial
-from repro.harness.trials import structural_params, topology_to_spec
-from repro.network.index import DenseCandidateTables, FabricIndex
+from repro.harness.trials import fault_recovery_trial, structural_params
+from repro.network.index import FabricIndex
+from repro.network.vectorized import VectorizedEngine
 from repro.routing.adaptive import AdaptiveMinimalRouting
+from repro.structcache import store as store_module
 from repro.topology.datacenter import make_leaf_spine
-from repro.topology.irregular import inject_link_faults
-from repro.topology.mesh import make_mesh, make_torus
+from repro.topology.graph import Topology
+from repro.topology.mesh import make_mesh, make_ring
+from repro.traffic.synthetic import SyntheticTraffic, pattern_by_name
 
 TINY = Scale(warmup=60, measure=200, fault_patterns=1,
              sweep_rates=(0.04,), epoch=256, spin_timeout=64)
@@ -59,26 +65,16 @@ def tiny_spec(seed=1, scheme=Scheme.DRAIN, rate=0.05):
     )
 
 
+def triple(net):
+    """The CSR arrays of a memo entry's routing tables."""
+    tables = net.parts["tables"]
+    return tables.offsets, tables.counts, tables.links
+
+
 # ----------------------------------------------------------------------
 # Digests
 # ----------------------------------------------------------------------
 class TestDigests:
-    def test_topology_payload_matches_trial_spec(self):
-        # The store's digest payload deliberately mirrors the harness's
-        # topology serialisation field for field (duplicated to avoid an
-        # import cycle). If this drifts, trial caching and structure
-        # caching would key the same topology differently.
-        for topology in (
-            make_mesh(4, 4),
-            make_torus(3, 3),
-            make_leaf_spine(8, 4, uplinks=1, east_west=True),
-            inject_link_faults(make_mesh(4, 4), 3, random.Random(7)),
-        ):
-            assert (
-                structcache.topology_payload(topology)
-                == topology_to_spec(topology)
-            ), topology.name
-
     def test_digest_stable_across_processes(self):
         code = (
             "from repro.structcache import structure_digest, "
@@ -168,30 +164,235 @@ class TestStoreArtifacts:
         topology = make_mesh(4, 4)
         config = scheme_config(Scheme.DRAIN, TINY, seed=1)
         cold = structcache.parts_for(topology, config)
-        assert cold.routing is not None and cold.drain_links is not None
+        assert {"dist", "numbering", "tables", "drain_links"} <= set(cold.parts)
         compiled = store.compiles
         structcache.clear_memos()
         warm = structcache.parts_for(topology, config)
+        assert warm is not cold
         assert store.compiles == compiled  # pure load, no recompile
-        for a, b in zip(cold.routing, warm.routing):
+        for a, b in zip(triple(cold), triple(warm)):
             assert a.tolist() == b.tolist()
-        assert warm.drain_links == cold.drain_links
+        assert warm.parts["drain_links"] == cold.parts["drain_links"]
 
-    def test_parts_inactive_store_is_none(self):
+    def test_parts_fill_the_memo_with_the_store_off(self):
+        topology = make_mesh(4, 4)
         config = scheme_config(Scheme.DRAIN, TINY, seed=1)
-        assert structcache.parts_for(make_mesh(4, 4), config) is None
+        net = structcache.parts_for(topology, config)
+        assert structcache.stats() is None
+        assert net is structcache.compiled(make_mesh(4, 4))
+        assert {"dist", "numbering", "tables", "drain_links"} <= set(net.parts)
+        # Up*/down* boots from neither tables nor a drain cycle.
+        structcache.clear_memos()
+        updown = scheme_config(Scheme.UPDOWN, TINY, seed=1)
+        assert set(structcache.parts_for(topology, updown).parts) == {
+            "dist", "numbering"}
 
     def test_truncated_routing_recomputes(self, store):
         topology = make_mesh(4, 4)
         config = scheme_config(Scheme.DRAIN, TINY, seed=1)
-        cold = structcache.parts_for(topology, config)
+        cold = triple(structcache.parts_for(topology, config))
         [npy] = list(store.root.glob("routing/*/*/links.npy"))
         npy.write_bytes(npy.read_bytes()[:64])
         structcache.clear_memos()
-        warm = structcache.parts_for(topology, config)
+        hits, misses = store.hits, store.misses
+        warm = triple(structcache.parts_for(topology, config))
         assert store.corrupt == 1
-        for a, b in zip(cold.routing, warm.routing):
+        # dist and drain loaded; the truncated routing artefact is a miss.
+        assert (store.hits, store.misses) == (hits + 2, misses + 1)
+        for a, b in zip(cold, warm):
             assert a.tolist() == b.tolist()
+
+    def test_wrong_shape_artefacts_are_misses_not_hits(self, store):
+        # Well-formed artefacts of a *smaller* topology planted under this
+        # topology's key: each matches its own metadata, none matches the
+        # live topology, so each is corrupt + a miss (never a hit),
+        # deleted, and recompiled.
+        topology = make_mesh(4, 4)
+        config = scheme_config(Scheme.DRAIN, TINY, seed=1)
+        reference = structcache.parts_for(topology, config)
+        small = structcache.parts_for(make_ring(5), config)
+        structcache.clear_memos()
+        for kind, arrays in (
+            ("dist", {"dist": small.parts["dist"]}),
+            ("routing", dict(zip(("offsets", "counts", "links"),
+                                 triple(small)))),
+            ("drain", {end: np.array(
+                [getattr(link, end) for link in small.parts["drain_links"]],
+                dtype=np.int32) for end in ("src", "dst")}),
+        ):
+            store.clear()
+            store.save_arrays(kind, reference.digest, arrays)
+            structcache.clear_memos()
+            before = store.stats()
+            again = structcache.parts_for(topology, config)
+            after = store.stats()
+            assert after["corrupt"] == before["corrupt"] + 1, kind
+            assert after["hits"] == before["hits"], kind
+            assert after["misses"] == before["misses"] + 3, kind
+            assert after["compiles"] == before["compiles"] + 3, kind
+            assert again.parts["dist"].tolist() == reference.parts[
+                "dist"].tolist()
+            assert again.parts["drain_links"] == reference.parts["drain_links"]
+            for a, b in zip(triple(again), triple(reference)):
+                assert a.tolist() == b.tolist()
+            assert store.entry_counts()[kind] == 1
+
+    def test_format_1_artefact_is_discarded_not_read(self, store):
+        topology = make_mesh(4, 4)
+        config = scheme_config(Scheme.DRAIN, TINY, seed=1)
+        reference = triple(structcache.parts_for(topology, config))
+        [meta] = list(store.root.glob("routing/*/*/meta.json"))
+        payload = json.loads(meta.read_text())
+        assert payload["format"] == structcache.STRUCT_FORMAT_VERSION == 2
+        meta.write_text(json.dumps(dict(payload, format=1)))
+        structcache.clear_memos()
+        compiles = store.compiles
+        again = triple(structcache.parts_for(topology, config))
+        assert store.corrupt == 1 and store.compiles == compiles + 1
+        assert not any(isinstance(arr.base, np.memmap) for arr in again)
+        for a, b in zip(again, reference):
+            assert a.tolist() == b.tolist()
+        [meta] = list(store.root.glob("routing/*/*/meta.json"))
+        assert json.loads(meta.read_text())["format"] == 2
+
+
+# ----------------------------------------------------------------------
+# The in-process memo (store off unless a test says otherwise)
+# ----------------------------------------------------------------------
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestCompiledNetworkMemo:
+    def test_one_process_compiles_one_topology_once(self, monkeypatch):
+        bfs = _count_calls(monkeypatch, Topology, "_all_pairs_numpy")
+        routing = _count_calls(monkeypatch, AdaptiveMinimalRouting, "_compile")
+        rows = _count_calls(monkeypatch, VectorizedEngine, "_compile_rows")
+        structcache.clear_memos()
+        assert structcache.active_store() is None
+        specs = [tiny_spec(seed=1), tiny_spec(seed=2),
+                 tiny_spec(seed=3, scheme=Scheme.ESCAPE_VC),
+                 tiny_spec(seed=4, scheme=Scheme.SPIN)]
+        first = [execute_trial(spec) for spec in specs]
+        assert len(bfs) == 1 and len(routing) == 1
+        # One row build per escape discipline: drain, escape_vc, none.
+        assert sorted(str(e.fabric.escape_mode) for e in rows) == [
+            "None", "drain", "escape_vc"]
+        # ... and the memoised rows change nothing.
+        structcache.clear_memos()
+        assert [execute_trial(spec) for spec in reversed(specs)] == first[::-1]
+
+    def test_fault_state_is_private_to_each_simulation(self):
+        topology = make_mesh(4, 4)
+        config = scheme_config(Scheme.DRAIN, TINY, seed=5)
+        schedule = FaultSchedule(
+            events=(FaultEvent(cycle=100, kind="link", target=(5, 6)),),
+            seed=3, onset="uniform",
+        )
+        faulted = fault_recovery_trial(
+            topology, config, 0.08, cycles=TINY.total_cycles,
+            warmup=TINY.warmup, schedule=schedule, mesh_width=4,
+        )
+        clean = tiny_spec(seed=5, rate=0.08)
+        reference = []
+        for spec in (faulted, clean):
+            structcache.clear_memos()
+            reference.append(execute_trial(spec))
+        assert reference[0]["faults"]["faults_applied"] == 1
+        structcache.clear_memos()
+        assert [execute_trial(faulted), execute_trial(clean),
+                execute_trial(faulted)] == reference + reference[:1]
+
+        # Faults land on one simulation's index, never on the memo entry.
+        index = FabricIndex(topology)
+        net = index.compiled
+        boot = net.parts["dist"].tolist()
+        tables = AdaptiveMinimalRouting(index).compiled_tables
+        index.apply_faults({0, index.link_reverse[0]}, set())
+        assert index.dist != boot
+        fresh = FabricIndex(make_mesh(4, 4))
+        assert fresh.compiled is net
+        assert (fresh.fault_epoch, fresh.dead_links, fresh.dead_routers) == (
+            0, set(), set())
+        assert fresh.dist == boot == net.parts["dist"].tolist()
+        assert fresh.dist is not index.dist and fresh.in_ports is index.in_ports
+        assert net.parts["tables"] is tables and tables.epoch == 0
+        assert not net.parts["dist"].flags.writeable
+
+    def test_faulted_or_rerouted_fabrics_never_read_memoised_rows(self):
+        def sim_for(seed):
+            traffic = SyntheticTraffic(
+                pattern_by_name("uniform_random", 16, 4), 0.2,
+                random.Random(seed))
+            return Simulation(make_mesh(4, 4),
+                              scheme_config(Scheme.DRAIN, TINY, seed=seed),
+                              traffic)
+
+        donor = sim_for(1)
+        donor.run(40)
+        net = donor.index.compiled
+        key = ("rows", "drain", type(None))
+        boot_rows = net.parts[key]
+        assert donor.fabric._engine._rows is boot_rows[2]
+
+        # A second simulation shares them ...
+        twin = sim_for(2)
+        twin.run(40)
+        assert twin.fabric._engine._rows is boot_rows[2]
+        assert twin.fabric._engine.rebuilds == 1
+
+        # ... until its fault epoch moves: rows compiled from the live index.
+        index = twin.index
+        index.apply_faults({0, index.link_reverse[0]}, set())
+        twin.fabric.routing.rebuild()
+        twin.run(40)
+        engine = twin.fabric._engine
+        assert engine.rebuilds == 2
+        assert engine._rows is not boot_rows[2] and engine._used0[0] == 1
+        assert engine.tables.epoch == 1
+        assert net.parts[key] is boot_rows and boot_rows[4] == bytearray(48)
+
+        # A replaced routing function at epoch 0 compiles its own as well.
+        other = sim_for(3)
+        fabric = other.fabric
+        fabric.routing = AdaptiveMinimalRouting(
+            other.index, tables=fabric.routing._compile(strict=True))
+        fabric.invalidate_routing_cache()
+        other.run(40)
+        assert fabric._engine._rows is not boot_rows[2]
+        assert fabric._engine._rows == boot_rows[2]
+
+    def test_memo_evicts_least_recently_used(self):
+        limit = store_module._MEMO_LIMIT
+        specs = [
+            synthetic_trial_for(make_ring(5 + i), Scheme.DRAIN, 0.05, TINY,
+                                seed=1)
+            for i in range(limit + 1)
+        ]
+        structcache.clear_memos()
+        first = execute_trial(specs[0])
+        head = structcache.compiled(make_ring(5))
+        assert "tables" in head.parts
+        for spec in specs[1:]:
+            execute_trial(spec)
+        assert len(store_module._MEMO) == limit
+        assert head.digest not in store_module._MEMO
+        # Recompiled from scratch, the evicted structure gives the same row.
+        assert execute_trial(specs[0]) == first
+        assert structcache.compiled(make_ring(5)) is not head
+        # A hit refreshes recency: ring 6 was the oldest, touch it, add one.
+        structcache.compiled(make_ring(6))
+        structcache.compiled(make_ring(5 + limit))
+        structcache.compiled(make_ring(4))
+        assert structcache.topology_digest(make_ring(6)) in store_module._MEMO
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +405,13 @@ class TestAdoption:
         config = config_from_dict(spec.params["config"])
         cold = json.loads(json.dumps(execute_trial(spec)))
         # The memo the trial just filled: compiled by this process ...
-        cold_triple = structcache.parts_for(topology, config).routing
+        cold_triple = triple(structcache.parts_for(topology, config))
         assert store.entry_counts()["routing"] == 1
         structcache.clear_memos()
         warm = json.loads(json.dumps(execute_trial(spec)))
         # ... and here memory-mapped back from the store.
-        warm_triple = structcache.parts_for(topology, config).routing
-        assert all(isinstance(arr, np.memmap) for arr in warm_triple)
+        warm_triple = triple(structcache.parts_for(topology, config))
+        assert all(isinstance(arr.base, np.memmap) for arr in warm_triple)
         structcache.deactivate()
         structcache.clear_memos()
         bare = json.loads(json.dumps(execute_trial(spec)))
@@ -226,9 +427,8 @@ class TestAdoption:
         topology = make_mesh(4, 4)
         index = FabricIndex(topology)
         config = scheme_config(Scheme.DRAIN, TINY, seed=1)
-        parts = structcache.parts_for(topology, config)
-        tables = DenseCandidateTables.from_arrays(index, *parts.routing)
-        routing = AdaptiveMinimalRouting(index, tables=tables)
+        tables = structcache.parts_for(topology, config).parts["tables"]
+        routing = AdaptiveMinimalRouting(index)
         assert routing.compiled_tables is tables
         reference = {
             (s, d): routing.raw_candidates(s, d)
@@ -260,32 +460,24 @@ class TestAdoption:
         assert routing.raw_candidates(0, 1) != reference[(0, 1)]
 
         # A fresh index at epoch 0 adopts again and agrees with scratch.
-        fresh = AdaptiveMinimalRouting(
-            FabricIndex(topology),
-            tables=DenseCandidateTables.from_arrays(
-                FabricIndex(topology), *parts.routing
-            ),
-        )
+        fresh = AdaptiveMinimalRouting(FabricIndex(topology))
+        assert fresh.compiled_tables is tables
         for (s, d), cands in reference.items():
             assert fresh.raw_candidates(s, d) == cands
 
     def test_boot_adoption_matches_scratch_build(self, store):
         topology = make_leaf_spine(8, 4, uplinks=1, east_west=True)
         config = scheme_config(Scheme.DRAIN, TINY, seed=1)
-        parts = structcache.parts_for(topology, config)
-        index = FabricIndex(topology)
-        adopted = AdaptiveMinimalRouting(
-            index, tables=DenseCandidateTables.from_arrays(
-                index, *parts.routing
-            ),
-        )
-        scratch = AdaptiveMinimalRouting(FabricIndex(topology))
+        structcache.parts_for(topology, config)
+        structcache.clear_memos()
+        adopted = AdaptiveMinimalRouting(FabricIndex(topology))
+        assert isinstance(adopted.compiled_tables.links.base, np.memmap)
+        scratch = adopted._compile(strict=True)
         n = topology.num_nodes
         for s in range(n):
             for d in range(n):
                 if s != d:
-                    assert (adopted.raw_candidates(s, d)
-                            == scratch.raw_candidates(s, d))
+                    assert adopted.raw_candidates(s, d) == scratch.row(s, d)
 
 
 # ----------------------------------------------------------------------
@@ -317,15 +509,16 @@ class TestHarnessWarmStart:
         assert store.compiles == 3, store.stats()
         assert store.corrupt == 0
 
-    def test_two_structures_two_compiles(self, store):
-        specs = [tiny_spec(seed=1), tiny_spec(seed=2, scheme=Scheme.SPIN)]
+    def test_three_schemes_one_topology_one_routing_artefact(self, store):
+        specs = [tiny_spec(seed=1), tiny_spec(seed=2, scheme=Scheme.SPIN),
+                 tiny_spec(seed=3, scheme=Scheme.ESCAPE_VC)]
         Harness(workers=1, cache=None).run(specs)
+        # Every artefact is a function of the topology alone; the drain
+        # cycle only exists because one of the schemes is DRAIN.
         counts = store.entry_counts()
-        # One topology (shared dist/) but two (topology, config) routing
-        # structures; drain tables only exist for the DRAIN scheme.
-        assert counts["dist"] == 1, counts
-        assert counts["routing"] == 2, counts
-        assert counts["drain"] == 1, counts
+        assert (counts["dist"], counts["routing"], counts["drain"]) == (
+            1, 1, 1), counts
+        assert store.compiles == 3, store.stats()
 
 
 # ----------------------------------------------------------------------
