@@ -31,10 +31,18 @@ A third lane pins the traffic draw path itself: ``hotspot`` and
 Bernoulli scan reads, so their results are compared cold fast-forward vs
 stepped (``sim.dense = True``) vs warm, and against digests recorded on
 the per-node draw loop.
+
+A fourth lane covers PFC pause/resume (``flow_control="pause_resume"``):
+the pinned 8x4 east-west CBD ring and a saturated 4x4 mesh, across
+schemes, row depths and XOFF/XON thresholds, with and without a pause
+storm — ``NetworkStats.as_dict()``, ``pfc_summary()`` and the final LCG
+state must agree between the engines, and every configuration must
+actually pause and stall.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -42,7 +50,7 @@ import tempfile
 from pathlib import Path
 
 from repro import structcache
-from repro.core.config import Scheme
+from repro.core.config import PfcConfig, Scheme
 from repro.core.configio import config_to_dict
 from repro.core.rng import derive_seed
 from repro.core.simulator import Simulation
@@ -51,11 +59,14 @@ from repro.experiments.common import (
     scheme_config,
     synthetic_trial_for,
 )
+from repro.faults import PauseStormEvent, PauseStormSchedule
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.harness.trials import execute_trial, fault_recovery_trial
+from repro.topology.datacenter import make_leaf_spine
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_torus
 
+from repro.traffic.flows import Flow, FlowTraffic
 from repro.traffic.synthetic import SyntheticTraffic, pattern_by_name
 
 #: Tiny but non-trivial: saturates a 4x4 at the high rate, crosses two
@@ -98,12 +109,13 @@ def _build_pool():
     master = random.Random(MASTER_SEED)
     pool = []
 
-    def add(scheme, topo, rate, faults):
+    def add(scheme, topo, rate, faults, vcs=2):
         pool.append({
             "scheme": scheme,
             "topo": topo,
             "rate": rate,
             "faults": faults,
+            "vcs": vcs,
             "seed": master.randrange(1, 2 ** 31),
         })
 
@@ -122,6 +134,12 @@ def _build_pool():
         for topo in ("mesh", "torus"):
             for rate in (0.12, 0.30):
                 add(scheme, topo, rate, "links")
+    # Deeper VC rows under credit flow control (appended, so the draws
+    # above keep their seeds): every VC discipline at 3 and 4 VCs per VN.
+    for vcs in (3, 4):
+        for scheme in (Scheme.DRAIN, Scheme.ESCAPE_VC, Scheme.NONE):
+            add(scheme, "mesh", master.choice(LOAD_POINTS[1:]), None, vcs)
+        add(Scheme.DRAIN, "torus", 0.30, "links", vcs)
     return pool
 
 
@@ -155,7 +173,8 @@ def _audit_sleep_every(sim, period, stale):
 
 def _run(entry, dense, engine, stale_sleepers=None):
     topology, width = _topology(entry["topo"], entry["seed"])
-    config = scheme_config(entry["scheme"], FUZZ_SCALE, seed=entry["seed"])
+    config = scheme_config(entry["scheme"], FUZZ_SCALE, seed=entry["seed"],
+                           vcs_per_vn=entry["vcs"])
     traffic = SyntheticTraffic(
         pattern_by_name("uniform_random", topology.num_nodes, width),
         entry["rate"],
@@ -175,7 +194,8 @@ def _run(entry, dense, engine, stale_sleepers=None):
 
 def _repro_blob(entry, engines):
     topology, _ = _topology(entry["topo"], entry["seed"])
-    config = scheme_config(entry["scheme"], FUZZ_SCALE, seed=entry["seed"])
+    config = scheme_config(entry["scheme"], FUZZ_SCALE, seed=entry["seed"],
+                           vcs_per_vn=entry["vcs"])
     return {
         "config": config_to_dict(config),
         "topology": entry["topo"],
@@ -198,7 +218,7 @@ class TestParityFuzz:
         # Same (scheme, topo, rate) may legitimately recur with a fresh
         # seed; the seeded tuple must be unique.
         assert len({(e["scheme"], e["topo"], e["rate"], e["faults"],
-                     e["seed"]) for e in POOL}) == len(POOL)
+                     e["vcs"], e["seed"]) for e in POOL}) == len(POOL)
 
     def test_differential_sweep(self):
         vectorized_hits = 0
@@ -442,3 +462,99 @@ class TestStatefulPatternParity:
             assert stepped == fast, pattern
             assert all(r["packets_ejected"] > 0 for r in fast)
             assert [_result_digest(r) for r in fast] == STATEFUL_PINS[pattern]
+
+
+# ----------------------------------------------------------------------
+# PFC lane: pause/resume rows across XOFF/XON, with and without a storm
+# ----------------------------------------------------------------------
+#: (vcs_per_vn, XOFF threshold, XON threshold); headroom is one slot.
+PFC_THRESHOLDS = ((2, 1, 0), (3, 2, 1), (4, 2, 1), (4, 3, 0))
+
+#: The pinned CBD ring (tests/test_lossless.py) carries its ring flows;
+#: the mesh runs uniform-random traffic past saturation so rows cross
+#: XOFF and XON continuously. ESCAPE_VC needs DOR, hence the mesh only.
+PFC_CELLS = (
+    ("ring", Scheme.NONE), ("ring", Scheme.DRAIN), ("ring", Scheme.SPIN),
+    ("mesh", Scheme.NONE), ("mesh", Scheme.DRAIN), ("mesh", Scheme.SPIN),
+    ("mesh", Scheme.ESCAPE_VC),
+)
+PFC_SEEDS = (0x9FC1, 0x9FC2)
+PFC_MESH_RATE = 0.30
+
+
+def _pfc_storm():
+    """Stuck pause frames (one re-pinned while still stuck) and a window of
+    slow XON processing, all inside the run. Ports 3 and 20 exist on both
+    topologies (32 and 48 link ports)."""
+    return PauseStormSchedule(events=(
+        PauseStormEvent(40, "stuck_xoff", (3, 0), duration=60),
+        PauseStormEvent(70, "stuck_xoff", (3, 0), duration=50),
+        PauseStormEvent(90, "resume_jitter", (0, 0), duration=90, value=5),
+        PauseStormEvent(130, "stuck_xoff", (20, 0), duration=40),
+    ), seed=0)
+
+
+def _pfc_config(scheme, thresholds, seed, num_vns):
+    vcs, pause, resume = thresholds
+    config = scheme_config(scheme, FUZZ_SCALE, num_vns=num_vns,
+                           vcs_per_vn=vcs, seed=seed)
+    return dataclasses.replace(
+        config, flow_control="pause_resume",
+        pfc=PfcConfig(pause_threshold=pause, resume_threshold=resume,
+                      headroom=1))
+
+
+def _run_pfc(topo, scheme, thresholds, seed, storm, dense, engine):
+    if topo == "ring":
+        topology = make_leaf_spine(8, 4, uplinks=1, east_west=True)
+        config = _pfc_config(scheme, thresholds, seed, num_vns=1)
+        traffic = FlowTraffic(
+            [Flow(i, (i + 2) % 8, 0.9) for i in range(8)],
+            random.Random(derive_seed(seed, "traffic", "ring")))
+    else:
+        topology = make_mesh(4, 4)
+        config = _pfc_config(scheme, thresholds, seed, num_vns=3)
+        traffic = SyntheticTraffic(
+            pattern_by_name("uniform_random", 16, 4), PFC_MESH_RATE,
+            random.Random(derive_seed(seed, "traffic", "uniform_random",
+                                      PFC_MESH_RATE)))
+    sim = Simulation(topology, config, traffic, dense=dense, engine=engine,
+                     pause_storm=_pfc_storm() if storm else None)
+    sim.run(FUZZ_SCALE.total_cycles, warmup=FUZZ_SCALE.warmup)
+    return sim
+
+
+def _pfc_observables(sim):
+    return {"stats": sim.stats.as_dict(), "pfc": sim.fabric.pfc_summary(),
+            "lcg": sim.fabric._lcg}
+
+
+#: Engines compared on every PFC lane, as (dense flag, engine request).
+PFC_ENGINES = {"dense": (True, None), "scalar": (False, "scalar")}
+
+
+class TestPfcParityFuzz:
+    def test_pause_lanes_agree_and_are_not_vacuous(self):
+        lanes = [
+            (topo, scheme, thresholds, seed, storm)
+            for topo, scheme in PFC_CELLS
+            for thresholds in PFC_THRESHOLDS
+            for seed in PFC_SEEDS
+            for storm in (False, True)
+        ]
+        assert len(lanes) == 112
+        for lane in lanes:
+            seen = {
+                name: _pfc_observables(
+                    _run_pfc(*lane, dense=dense, engine=engine))
+                for name, (dense, engine) in PFC_ENGINES.items()
+            }
+            reference = seen["dense"]
+            for name, observed in seen.items():
+                assert observed == reference, (
+                    f"{name} diverged from dense on PFC lane {lane}")
+            pfc = reference["pfc"]
+            assert pfc["pauses_asserted"] > 0 and pfc["pause_stalls"] > 0, (
+                lane, pfc)
+            if lane[-1]:
+                assert pfc["forced_pauses"] == 3, lane
