@@ -155,6 +155,11 @@ class _BufView:
 class Fabric:
     """The network state plus the per-cycle allocation/movement pipeline."""
 
+    #: Set by a flow-control subclass whose admission rule (``_pick_vc``)
+    #: the vectorized engine implements — ``PauseResumeFabric``'s XOFF rows.
+    #: Any other subclass runs the scalar kernel.
+    engine_modelled = False
+
     def __init__(
         self,
         index: FabricIndex,
@@ -293,13 +298,14 @@ class Fabric:
 
     def _engine_structural_reason(self) -> Optional[str]:
         """Fabric-level conditions the vectorized engine cannot handle."""
-        if type(self) is not Fabric:
+        if type(self) is not Fabric and not self.engine_modelled:
             return f"flow-control subclass ({type(self).__name__})"
         if self.packet_size_flits != 1:
             return "multi-flit packets (serialised link transfers)"
-        if self.vcs_per_vn != 2:
-            return (f"vcs_per_vn={self.vcs_per_vn} "
-                    "(the kernel is specialised for 2 VCs per VN)")
+        if not 2 <= self.vcs_per_vn <= 8:
+            return (f"vcs_per_vn={self.vcs_per_vn} (the kernel keeps a "
+                    "row's free VCs in one byte, and its rows assume an "
+                    "escape and a non-escape VC: 2 to 8 VCs per VN)")
         return None
 
     # ------------------------------------------------------------------

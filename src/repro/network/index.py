@@ -116,11 +116,10 @@ class DenseCandidateTables:
         offsets = self._offsets_view
         return self._links_view[offsets[idx]:offsets[idx + 1]].tolist()
 
-    def row_lists(self) -> List[List[int]]:
-        """All rows as plain Python lists (hot-path extraction helper)."""
-        flat = self.links.tolist()
-        offs = self.offsets.tolist()
-        return [flat[offs[i]:offs[i + 1]] for i in range(len(offs) - 1)]
+    def cell(self, idx: int) -> List[int]:
+        """:meth:`row` by flat cell index ``router * num_nodes + dst``."""
+        offsets = self._offsets_view
+        return self._links_view[offsets[idx]:offsets[idx + 1]].tolist()
 
 
 def _number(topology: Topology) -> Dict[str, Any]:

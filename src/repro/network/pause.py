@@ -17,18 +17,21 @@ Semantics notes:
   NI queues) and ejection is never paused (the sink always drains) — CBD
   lives entirely in the link-buffer graph, as in the reference scenario
   (SNIPPETS Snippet 2).
-- Pause state only changes in :meth:`_slot_set`, :meth:`_apply_moves` and
-  the expiry scan at the top of :meth:`movement_stage`, so one cycle's
-  allocation loop observes a consistent start-of-cycle XOFF snapshot.
+- Pause state only changes in :meth:`_slot_set`, the apply pass
+  (:meth:`_apply_moves`, or :meth:`_settle_rows` under the vectorized
+  engine), :meth:`force_pause` and the expiry scan at the top of
+  :meth:`movement_stage`, so one cycle's allocation loop observes a
+  consistent start-of-cycle XOFF snapshot.
 - ``force_pause`` (used by :class:`repro.faults.PauseStormSchedule`)
   pins a row XOFF until a given cycle even if its occupancy would allow
   XON — the "stuck pause frame" failure mode; ``resume_jitter`` delays
   every XON by a fixed number of cycles (slow pause-frame processing).
-- The vectorized movement engine does not model pause state; like every
-  flow-control subclass it records a structural fallback reason and runs
-  the scalar kernel (see DESIGN.md "Lossless flow control & pause
-  storms").  Dense reference semantics are unchanged: ``dense=True``
-  drives the same scalar loop with active-set skips disabled.
+- The vectorized movement engine models pause as one more term of "can
+  this output grant" (``engine_modelled``): it reads :attr:`_xoff` where
+  :meth:`_pick_vc` does, and every XOFF/XON flip wakes the router feeding
+  that row (see DESIGN.md "Lossless flow control & pause storms").  The
+  scalar kernel and the dense reference (``dense=True``: the same scalar
+  loop with active-set skips disabled) stay as the oracles.
 - Event-horizon soundness: a quiescent fabric holds no packets, so every
   row occupancy is zero and the only latent pause state is a forced pause
   whose expiry mutates nothing observable while the network is empty; the
@@ -47,6 +50,8 @@ __all__ = ["PauseResumeFabric"]
 
 class PauseResumeFabric(Fabric):
     """Credit fabric with per-(link port, VN) XOFF/XON pause semantics."""
+
+    engine_modelled = True
 
     def __init__(self, *args, **kwargs) -> None:
         #: Row bookkeeping must exist before ``super().__init__`` returns
@@ -83,6 +88,13 @@ class PauseResumeFabric(Fabric):
         #: pause-induced CBD can never close over the escape channel,
         #: and the drain rotation empties it regardless of pause state.
         self.pause_exempt_escape = self.escape_mode is not None
+        #: Row occupancy by availability byte (bit v set = VC v free): the
+        #: vectorized engine's masks already hold what a recount would find.
+        self._occ_of_avail = bytes(
+            self.vcs_per_vn - bin(a).count("1")
+            for a in range(1 << self.vcs_per_vn))
+        if self._engine is not None:
+            self._engine.bind_pause(self._xoff, self.pause_exempt_escape)
         self._pfc_ready = True
 
     # ------------------------------------------------------------------
@@ -97,6 +109,36 @@ class PauseResumeFabric(Fabric):
         for i in range(self.vcs_per_vn):
             if flat[base + i] is not None:
                 occ += 1
+        self._hysteresis(row, occ)
+
+    def _settle_rows(self, rows) -> None:
+        """Hysteresis for the rows one vectorized apply pass touched.
+
+        *rows* are availability-mask indices in any order, repeats allowed
+        (each row's outcome depends on that row alone, and
+        :meth:`_hysteresis` applied twice to one occupancy within a cycle
+        acts once); injection-port rows, which are never paused, are
+        skipped.
+        """
+        avail = self._engine_avail
+        occ_of = self._occ_of_avail
+        xoff = self._xoff
+        row_occ = self._row_occ
+        pause = self.pause_threshold
+        resume = self.resume_threshold
+        num_rows = len(xoff)
+        for row in rows:
+            if row >= num_rows:
+                continue
+            occ = occ_of[avail[row]]
+            # Inside the hysteresis band nothing can flip: the common case,
+            # settled without a call.
+            if occ > resume if xoff[row] else occ < pause:
+                row_occ[row] = occ
+            else:
+                self._hysteresis(row, occ)
+
+    def _hysteresis(self, row: int, occ: int) -> None:
         self._row_occ[row] = occ
         if self._xoff[row]:
             if occ <= self.resume_threshold:
@@ -105,11 +147,21 @@ class PauseResumeFabric(Fabric):
                 if self.resume_jitter > 0:
                     self._pause_until[row] = self.cycle + self.resume_jitter
                     return
-                self._xoff[row] = 0
-                self.pfc_resumes += 1
+                self._set_xoff(row, 0)
         elif occ >= self.pause_threshold:
-            self._xoff[row] = 1
+            self._set_xoff(row, 1)
+
+    def _set_xoff(self, row: int, xoff: int) -> None:
+        """Flip one row's pause state, counted, and wake the router feeding
+        it: an XOFF target is scan input of the vectorized engine."""
+        self._xoff[row] = xoff
+        if xoff:
             self.pfc_pauses += 1
+        else:
+            self.pfc_resumes += 1
+        engine = self._engine
+        if engine is not None:
+            engine.asleep[engine.upstream[row // self.num_vns]] = 0
 
     def _slot_set(self, port: int, vn: int, vc: int,
                   packet: Optional[Packet]) -> None:
@@ -147,8 +199,7 @@ class PauseResumeFabric(Fabric):
             for row in expired:
                 del self._pause_until[row]
                 if self._xoff[row] and self._row_occ[row] <= self.resume_threshold:
-                    self._xoff[row] = 0
-                    self.pfc_resumes += 1
+                    self._set_xoff(row, 0)
         super().movement_stage()
 
     def _pick_vc(self, port: int, vn: int, vc_mode: int, claimed) -> int:
@@ -172,8 +223,7 @@ class PauseResumeFabric(Fabric):
             raise ValueError(f"force_pause needs a link port, got {port}")
         row = port * self.num_vns + vn
         if not self._xoff[row]:
-            self._xoff[row] = 1
-            self.pfc_pauses += 1
+            self._set_xoff(row, 1)
         self.pfc_forced += 1
         prev = self._pause_until.get(row, until_cycle)
         self._pause_until[row] = max(prev, until_cycle)

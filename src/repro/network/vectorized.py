@@ -16,11 +16,12 @@ routing function exports its complete (router, dst) relation once
 (:meth:`RoutingFunction.export_tables`), and the engine flattens it into
 :class:`~repro.network.index.DenseCandidateTables` (numpy CSR arrays,
 rebuilt when the index's fault epoch moves or the fabric's routing cache
-is invalidated). From those arrays the engine precompiles one immutable
-row per (router, dst, escape-flag): the candidate links doubled back to
-back (so a rotation never takes a modulo) plus the scheme's VC-mode
-discipline, replacing the scalar path's per-packet memo lookups and
-``_pick_vc`` calls.
+is invalidated). From those arrays the engine compiles, on first touch,
+one immutable row per (router, dst, escape-flag): the candidate links
+doubled back to back (so a rotation never takes a modulo) plus the
+scheme's VC-mode discipline, replacing the scalar path's per-packet memo
+lookups; ``_pick_vc`` becomes one lookup in a per-mode table over the
+row's availability byte (:data:`_PICK`), whatever the VC count.
 
 Credit and escape availability live in one flat byte array — bit ``v`` of
 ``avail[port * num_vns + vn]`` is set iff VC ``v`` of that (port, vn) row
@@ -45,14 +46,25 @@ every later scan would block the same packets and draw the same count, so
 host cost per cycle follow the packets that can move, not the packets that
 are blocked, while staying bit-identical to the other two engines.
 
+PFC pause (``PauseResumeFabric``) is one more term of "can this output
+grant": the kernel reads the fabric's XOFF rows — indexed like ``avail`` —
+where the scalar ``_pick_vc`` does. An XOFF target stalls the candidate
+(counted even when the row is full) unless the escape exemption lets VC 0
+through; a sleeping router replays its scan's stall count beside its draw
+count, every XOFF/XON flip wakes the router feeding that row, and the
+apply pass hands the rows a cycle touched to the fabric's hysteresis once
+all of its grants have landed.
+
 Support conditions (anything else silently selects the scalar path, with
-the reason recorded on ``Fabric.engine_fallback_reason``): a plain
-``Fabric`` (no flow-control subclass), single-flit packets, two VCs per
-VN, and stateless routing functions with no per-hop state hooks.
+the reason recorded on ``Fabric.engine_fallback_reason``): a ``Fabric`` or
+``PauseResumeFabric`` (no other flow-control subclass), single-flit
+packets, 2 to 8 VCs per VN (one availability byte per row), and stateless
+routing functions with no per-hop state hooks.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import List, Optional, Tuple
 
 import numpy as _np
@@ -62,21 +74,93 @@ from .index import DenseCandidateTables
 
 __all__ = ["VectorizedEngine"]
 
-_PAIR = (0, 1)
-
-#: Group layout: (links doubled, modes doubled, count, homogeneous mode).
-_Group = Tuple[Tuple[int, ...], Tuple[int, ...], int, int]
-
-
-def _make_group(links: List[int], mode: int) -> _Group:
-    doubled = tuple(links) + tuple(links)
-    return (doubled, (mode,) * len(doubled), len(links), mode)
+#: Group layout: (links doubled, modes doubled — None when homogeneous —,
+#: count, homogeneous mode or -1).
+_Group = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]], int, int]
 
 
-def _make_mixed_group(pairs: List[Tuple[int, int]]) -> _Group:
-    links = tuple(link for link, _ in pairs)
-    modes = tuple(mode for _, mode in pairs)
-    return (links + links, modes + modes, len(pairs), -1)
+def _pick_tables() -> Tuple[Tuple[int, ...], ...]:
+    """``_PICK[vc_mode][avail byte]`` -> VC to claim, or -1.
+
+    The table form of ``Fabric._pick_vc`` over a row's free-VC bits: mode 0
+    takes the lowest free VC, 2 the escape VC (VC 0) only, 3 the lowest
+    free non-escape VC, 4 the same while a second VC stays free (the
+    Duato-conservative rule). Mode 1 grants nothing: no candidate carries
+    it, an XOFF row maps the modes it blocks onto it (:data:`_XOFF_MODE`).
+    """
+    lowest, adaptive, conservative = [-1] * 256, [-1] * 256, [-1] * 256
+    for a in range(1, 256):
+        lowest[a] = (a & -a).bit_length() - 1
+        high = a & ~1
+        if high:
+            adaptive[a] = (high & -high).bit_length() - 1
+            if a & (a - 1):  # two or more VCs free
+                conservative[a] = adaptive[a]
+    escape = [0 if a & 1 else -1 for a in range(256)]
+    return tuple(tuple(t) for t in (
+        lowest, [-1] * 256, escape, adaptive, conservative))
+
+
+_PICK = _pick_tables()
+
+#: ``_XOFF_MODE[exempt][vc_mode]``: the mode an XOFF target row leaves of a
+#: candidate's. Pause governs the non-escape VCs; with an escape discipline
+#: (``exempt``) a claim that may land on VC 0 still may, nothing else does.
+_XOFF_MODE = ((1, 1, 1, 1, 1), (2, 1, 2, 1, 1))
+
+
+class _LazyRows(dict):
+    """``router * n + dst`` -> row of candidate groups, compiled on first
+    touch from one CSR cell (the scalar ``_cand_cache`` in table form).
+
+    A thousand-switch fabric has a million (router, dst) cells and a run
+    touches a few per cent of them, so nothing here is n^2-sized. A row is
+    a pure function of its key and the tables, which is what lets
+    simulations of one topology share one container.
+    """
+
+    __slots__ = ("tables", "escape_tables", "mode", "escape")
+
+    def __init__(self, tables: DenseCandidateTables,
+                 escape_tables: Optional[DenseCandidateTables],
+                 mode: Optional[str], escape: bool) -> None:
+        self.tables = tables
+        self.escape_tables = escape_tables
+        self.mode = mode
+        self.escape = escape
+
+    def __missing__(self, idx: int) -> Tuple[_Group, ...]:
+        links = self.tables.cell(idx)
+        mode = self.mode
+        row: Tuple[_Group, ...] = ()
+        if mode == "escape_vc":
+            row = self._escape_vc_row(links, self.escape_tables.cell(idx))
+        elif links:
+            nc = len(links)
+            links2 = tuple(links + links)
+            if mode is None:
+                # The escape flag is never consulted under mode None (the
+                # scalar memo ignores it too): one container serves both.
+                row = ((links2, None, nc, 0),)
+            elif self.escape:
+                row = ((links2, None, nc, 2),)
+            else:  # drain: non-escape VCs first, the escape VC after
+                row = ((links2, None, nc, 3), (links2, None, nc, 2))
+        self[idx] = row
+        return row
+
+    def _escape_vc_row(self, links: List[int],
+                       esc_links: List[int]) -> Tuple[_Group, ...]:
+        if self.escape:
+            if not esc_links:
+                return ()
+            return ((tuple(esc_links + esc_links), None, len(esc_links), 2),)
+        # Adaptive and restricted-route candidates compete in one group;
+        # the mode is per candidate.
+        modes = (4,) * len(links) + (2,) * len(esc_links)
+        if not modes:
+            return ()
+        return ((tuple(links + esc_links) * 2, modes + modes, len(modes), -1),)
 
 
 class VectorizedEngine:
@@ -86,7 +170,8 @@ class VectorizedEngine:
         "fabric", "_rows", "_esc_rows", "_epoch", "avail",
         "_slot_port", "_slot_ai", "_slot_bit", "rebuilds",
         "tables", "escape_tables",
-        "asleep", "sleep_draws", "upstream", "_jump", "_used0",
+        "asleep", "sleep_draws", "sleep_stalls", "upstream", "_jump",
+        "_used0", "_xoff", "_xoff_mode", "_scan", "_land",
     )
 
     def __init__(self, fabric) -> None:
@@ -123,6 +208,9 @@ class VectorizedEngine:
         #: LCG draws router r's last grant-less scan consumed (valid while
         #: ``asleep[r]``).
         self.sleep_draws: List[int] = [0] * n
+        #: PFC stalls that scan counted (XOFF targets it examined): as
+        #: rotation-independent as the draw count, replayed with it.
+        self.sleep_stalls: List[int] = [0] * n
         #: port -> router whose grants fill that port's slots (sink for
         #: injection ports).
         self.upstream: List[int] = (
@@ -132,14 +220,56 @@ class VectorizedEngine:
         self._jump: List[Tuple[int, int]] = [(1, 0)]
         #: Per-cycle ``used`` template with this epoch's dead links marked.
         self._used0 = bytearray(index.num_links)
-        self._rows: Optional[List[Tuple[_Group, ...]]] = None
-        self._esc_rows: Optional[List[Tuple[_Group, ...]]] = None
+        #: The fabric's XOFF rows (indexed like ``avail``); None on a credit
+        #: fabric, which then pays one ``is not None`` per examined
+        #: candidate and per sleeping router, and nothing else.
+        self._xoff: Optional[bytearray] = None
+        self._bind(False)
+        self._rows: Optional[_LazyRows] = None
+        self._esc_rows: Optional[_LazyRows] = None
         self._epoch = -1
         self.tables: Optional[DenseCandidateTables] = None
         self.escape_tables: Optional[DenseCandidateTables] = None
         #: Table (re)builds performed, including the initial one (test hook
         #: for the fault-epoch invalidation contract).
         self.rebuilds = 0
+
+    def bind_pause(self, xoff: bytearray, exempt_escape: bool) -> None:
+        """Adopt a pause/resume fabric's XOFF rows (bound once, by its
+        constructor: the arrays do not exist when the engine is built)."""
+        self._xoff = xoff
+        self._bind(exempt_escape)
+
+    def _bind(self, exempt_escape: bool) -> None:
+        """Gather what :meth:`movement` and :meth:`_apply` read that never
+        changes over the engine's life, in the order they unpack it: one
+        tuple unpack per call instead of some twenty attribute walks each
+        (a low-load cycle is mostly these preambles)."""
+        fabric = self.fabric
+        index = fabric.index
+        vcs = fabric.vcs_per_vn
+        #: VC scan order of a row by its rotation start ``(cycle + port) %
+        #: vcs``, as slot offsets within the row.
+        orders = tuple(tuple((v0 + k) % vcs for k in range(vcs))
+                       for v0 in range(vcs))
+        mode = fabric.escape_mode
+        latch0 = mode is not None and (mode == "escape_vc"
+                                       or fabric.escape_sticky)
+        #: What an XOFF target row leaves of each candidate mode.
+        self._xoff_mode = _XOFF_MODE[bool(exempt_escape)]
+        self._scan = (
+            fabric._buf, fabric.num_vns, vcs, fabric._port_stride,
+            index.num_nodes, self.avail, orders, _PICK, index.in_ports,
+            fabric._port_occ, fabric._router_occ, fabric.ej_queues,
+            fabric._ej_depth, fabric.net.ejections_per_cycle, latch0,
+            self.asleep, self.sleep_draws, self.sleep_stalls, self._jump,
+            self._xoff, self._xoff_mode)
+        self._land = (
+            fabric._buf, fabric.stats, self.avail, self._slot_port,
+            self._slot_ai, self._slot_bit, fabric._port_occ,
+            fabric._router_occ, index.port_router, index.link_dst,
+            index.dist, fabric.link_util, self.asleep, self.upstream,
+            fabric.num_vns, fabric._eject)
 
     # ------------------------------------------------------------------
     # Support gate
@@ -148,8 +278,9 @@ class VectorizedEngine:
     def unsupported_reason(fabric) -> Optional[str]:
         """Why this fabric cannot run the vectorized engine (None = it can).
 
-        Structural conditions (plain Fabric, single-flit, two VCs per VN)
-        are checked by the caller; this covers the routing functions.
+        Structural conditions (modelled flow control, single-flit, 2 to 8
+        VCs per VN) are checked by the caller; this covers the routing
+        functions.
         """
         for fn in (fabric.routing, fabric.escape_routing):
             if fn is None:
@@ -204,7 +335,9 @@ class VectorizedEngine:
 
     def _compile_rows(self):
         """(tables, escape tables, rows, escape rows, used0) of the live
-        fabric; never written once built (``used0`` is copied per cycle)."""
+        fabric. Only the tables are compiled here; the row containers fill
+        cell by cell as the scan touches them, and nothing else is ever
+        written (``used0`` is copied per cycle)."""
         fabric = self.fabric
         index = fabric.index
         n = index.num_nodes
@@ -219,40 +352,16 @@ class VectorizedEngine:
             if exported is None:  # pragma: no cover - gated at construction
                 raise RuntimeError("routing function stopped exporting tables")
             tables = DenseCandidateTables(index, exported)
-        main_rows = tables.row_lists()
-        escape_tables = esc_main_rows = None
-        if fabric.escape_mode == "escape_vc":
+        mode = fabric.escape_mode
+        escape_tables = None
+        if mode == "escape_vc":
             esc_exported = fabric.escape_routing.export_tables(n)
             if esc_exported is None:  # pragma: no cover - gated likewise
                 raise RuntimeError("escape routing stopped exporting tables")
             escape_tables = DenseCandidateTables(index, esc_exported)
-            esc_main_rows = escape_tables.row_lists()
-        mode = fabric.escape_mode
-        empty: Tuple[_Group, ...] = ()
-        rows: List[Tuple[_Group, ...]] = [empty] * (n * n)
-        esc_rows: List[Tuple[_Group, ...]] = [empty] * (n * n)
-        for idx in range(n * n):
-            links = main_rows[idx]
-            if mode is None:
-                if links:
-                    row = (_make_group(links, 0),)
-                    rows[idx] = row
-                    # escape flag is never consulted under mode None, but
-                    # the scalar memo ignores it too: same row either way.
-                    esc_rows[idx] = row
-            elif mode == "drain":
-                if links:
-                    g2 = _make_group(links, 2)
-                    rows[idx] = (_make_group(links, 3), g2)
-                    esc_rows[idx] = (g2,)
-            else:  # escape_vc
-                esc_links = esc_main_rows[idx]
-                pairs = [(link, 4) for link in links]
-                pairs.extend((link, 2) for link in esc_links)
-                if pairs:
-                    rows[idx] = (_make_mixed_group(pairs),)
-                if esc_links:
-                    esc_rows[idx] = (_make_group(esc_links, 2),)
+        rows = _LazyRows(tables, escape_tables, mode, escape=False)
+        esc_rows = (rows if mode is None
+                    else _LazyRows(tables, escape_tables, mode, escape=True))
         # Routing tables may still list links that died this epoch (a
         # routing function without a rebuild story keeps them; the scalar
         # path skips them per-candidate while leaving them in the rotation
@@ -275,30 +384,17 @@ class VectorizedEngine:
             self._build_tables()
         if not fabric.packets_in_network:
             return  # nothing buffered: no scan, no draw, no grant
-        flat = fabric._buf
-        num_vns = fabric.num_vns
-        stride = fabric._port_stride
+        (flat, num_vns, vcs, stride, n, avail, orders, pick, in_ports,
+         port_occ, router_occ, ej_queues, ej_depth, epc, latch0, asleep,
+         sleep_draws, sleep_stalls, jump, xoff, xoff_mode) = self._scan
         cycle = fabric.cycle
-        n = index.num_nodes
-        avail = self.avail
         used = bytearray(self._used0)
         rows = self._rows
         esc_rows = self._esc_rows
-        in_ports = index.in_ports
-        port_occ = fabric._port_occ
-        router_occ = fabric._router_occ
-        ej_queues = fabric.ej_queues
-        ej_depth = fabric._ej_depth
-        epc = fabric.net.ejections_per_cycle
         dead_routers = index.dead_routers or None
         lcg = fabric._lcg
-        mode = fabric.escape_mode
-        latch0 = mode is not None and (mode == "escape_vc"
-                                       or fabric.escape_sticky)
         vn_start = cycle % num_vns
-        asleep = self.asleep
-        sleep_draws = self.sleep_draws
-        jump = self._jump
+        stalls = 0
 
         moves: List[Tuple[int, int, int, int, "object"]] = []
         ejects: List[Tuple[int, int, int, "object"]] = []
@@ -306,16 +402,18 @@ class VectorizedEngine:
         ejects_append = ejects.append
         grants = 0  # len(moves) + len(ejects) when the current scan began
 
-        for router in range(n):
-            if not router_occ[router]:
-                continue
+        # Occupied routers only, in router order (occupancy is constant
+        # during the scan: grants land in _apply).
+        for router in compress(range(n), router_occ):
             if asleep[router]:
                 a, c = jump[sleep_draws[router]]
                 lcg = (lcg * a + c) & 0x7FFFFFFF
+                if xoff is not None:
+                    stalls += sleep_stalls[router]
                 continue
             if dead_routers is not None and router in dead_routers:
                 continue
-            draws = 0
+            draws = scan_stalls = 0
             ports = in_ports[router]
             nports = len(ports)
             pstart = (cycle + router) % nports
@@ -330,17 +428,16 @@ class VectorizedEngine:
                 if not port_occ[port]:
                     continue
                 base_port = port * stride
-                v0 = (cycle + port) & 1
+                order = orders[(cycle + port) % vcs]
                 granted = False
                 for vn_off in range(num_vns):
                     vn = vn_start + vn_off
                     if vn >= num_vns:
                         vn -= num_vns
-                    base = base_port + vn + vn  # vn * vcs, vcs == 2
-                    vc = v0
-                    for _ in _PAIR:
+                    vbase = vn * vcs
+                    base = base_port + vbase
+                    for vc in order:
                         s = base + vc
-                        vc = 1 - vc
                         pkt = flat[s]
                         if pkt is None:
                             continue
@@ -374,81 +471,39 @@ class VectorizedEngine:
                             lcg = (lcg * 1103515245 + 12345) & 0x7FFFFFFF
                             j = lcg % nc
                             stop = j + nc
-                            gm = group[3]
-                            if gm == 3:  # non-escape VCs only (VC 1)
-                                while j < stop:
-                                    link = links2[j]
-                                    if not used[link]:
-                                        ai = link * num_vns + vn
-                                        a = avail[ai]
-                                        if a & 2:
-                                            used[link] = 1
-                                            avail[ai] = a & 1
-                                            moves_append(
-                                                (s, link * stride + vn + vn
-                                                 + 1, link, vn, pkt))
-                                            granted = True
-                                            break
-                                    j += 1
-                            elif gm == 2:  # escape VC only (VC 0)
-                                while j < stop:
-                                    link = links2[j]
-                                    if not used[link]:
-                                        ai = link * num_vns + vn
-                                        a = avail[ai]
-                                        if a & 1:
-                                            used[link] = 1
-                                            avail[ai] = a & 2
-                                            if latch0 and not pkt.in_escape:
-                                                pkt.in_escape = True
-                                            moves_append(
-                                                (s, link * stride + vn + vn,
-                                                 link, vn, pkt))
-                                            granted = True
-                                            break
-                                    j += 1
-                            else:  # mode 0 / mode 4 / mixed groups
-                                modes2 = group[1]
-                                while j < stop:
-                                    link = links2[j]
-                                    if not used[link]:
-                                        ai = link * num_vns + vn
-                                        a = avail[ai]
-                                        if a:
-                                            m = modes2[j]
-                                            tvc = -1
-                                            if m == 4:
-                                                # Duato-conservative: keep
-                                                # one VC free for escape.
-                                                if a == 3:
-                                                    tvc = 1
-                                            elif m == 2:
-                                                if a & 1:
-                                                    tvc = 0
-                                            elif m == 3:
-                                                if a & 2:
-                                                    tvc = 1
-                                            elif a & 1:  # mode 0, VC order
-                                                tvc = 0
-                                            else:
-                                                tvc = 1
-                                            if tvc >= 0:
-                                                used[link] = 1
-                                                if tvc:
-                                                    avail[ai] = a & 1
-                                                else:
-                                                    avail[ai] = a & 2
-                                                    if (latch0
-                                                            and not
-                                                            pkt.in_escape):
-                                                        pkt.in_escape = True
-                                                moves_append(
-                                                    (s, link * stride
-                                                     + vn + vn + tvc,
-                                                     link, vn, pkt))
-                                                granted = True
-                                                break
-                                    j += 1
+                            gm = group[3]  # < 0: the mode is per candidate
+                            while j < stop:
+                                link = links2[j]
+                                j += 1
+                                if used[link]:
+                                    continue
+                                ai = link * num_vns + vn
+                                a = avail[ai]
+                                if xoff is not None and xoff[ai]:
+                                    # Read before the row's free bits: a
+                                    # stall counts on a full row too.
+                                    tvc = pick[xoff_mode[
+                                        gm if gm >= 0 else group[1][j - 1]
+                                    ]][a]
+                                    if tvc < 0:
+                                        scan_stalls += 1
+                                        continue
+                                elif not a:
+                                    continue  # full row, whatever the mode
+                                else:
+                                    tvc = pick[
+                                        gm if gm >= 0 else group[1][j - 1]
+                                    ][a]
+                                    if tvc < 0:
+                                        continue
+                                used[link] = 1
+                                avail[ai] = a ^ (1 << tvc)
+                                if not tvc and latch0 and not pkt.in_escape:
+                                    pkt.in_escape = True
+                                moves_append((s, link * stride + vbase + tvc,
+                                              link, vn, pkt))
+                                granted = True
+                                break
                             if granted:
                                 break
                         if granted:
@@ -456,19 +511,25 @@ class VectorizedEngine:
                     if granted:
                         break
                 # one grant per input port per cycle (crossbar input)
+            if scan_stalls:
+                stalls += scan_stalls
             g = len(moves) + len(ejects)
             if g != grants:
                 grants = g
             else:
-                # Nothing granted: every packet was examined and drew once
-                # per candidate group, whatever the rotation.
+                # Nothing granted: every packet was examined, drew once per
+                # candidate group and stalled once per XOFF candidate,
+                # whatever the rotation.
                 asleep[router] = 1
                 sleep_draws[router] = draws
+                sleep_stalls[router] = scan_stalls
                 while draws >= len(jump):
                     a, c = jump[-1]
                     jump.append(((a * 1103515245) & 0x7FFFFFFF,
                                  (c * 1103515245 + 12345) & 0x7FFFFFFF))
         fabric._lcg = lcg
+        if stalls:
+            fabric.pfc_stalls += stalls
         self._apply(moves, ejects)
 
     def _apply(self, moves, ejects) -> None:
@@ -479,30 +540,22 @@ class VectorizedEngine:
         is never claimable this cycle (its packet still occupies it during
         the scan) — so sources and targets are disjoint and a single pass
         per move is exact. Per-queue eject order is grant order, matching
-        the scalar apply.
+        the scalar apply. On a pause/resume fabric the rows the cycle
+        touched then go through XOFF/XON hysteresis, after every grant has
+        landed (a row that loses and gains a packet in one cycle must not
+        flap) — the masks are exact by then, so occupancy is read off
+        them.
         """
-        fabric = self.fabric
         if not (moves or ejects):
             return
-        flat = fabric._buf
-        index = fabric.index
-        stats = fabric.stats
+        fabric = self.fabric
+        (flat, stats, avail, slot_port, slot_ai, slot_bit, port_occ,
+         router_occ, port_router, link_dst, dist, link_util, asleep,
+         upstream, num_vns, eject) = self._land
         cycle = fabric.cycle
-        avail = self.avail
-        slot_port = self._slot_port
-        slot_ai = self._slot_ai
-        slot_bit = self._slot_bit
-        port_occ = fabric._port_occ
-        router_occ = fabric._router_occ
-        port_router = index.port_router
-        link_dst = index.link_dst
-        dist = index.dist
-        link_util = fabric.link_util
-        asleep = self.asleep
-        upstream = self.upstream
         fabric.last_progress_cycle = cycle
         misroutes = 0
-        vn_hops = [0] * fabric.num_vns
+        vn_hops = [0] * num_vns
         for s, d, link, vn, pkt in moves:
             flat[s] = None
             flat[d] = pkt
@@ -539,7 +592,6 @@ class VectorizedEngine:
         stats.buffer_reads += nm + ne
         stats.buffer_writes += nm
         stats.xbar_traversals += nm + ne
-        eject = fabric._eject
         for s, port, router, pkt in ejects:
             flat[s] = None
             port_occ[port] -= 1
@@ -547,6 +599,15 @@ class VectorizedEngine:
             avail[slot_ai[s]] |= slot_bit[s]
             asleep[upstream[port]] = 0
             eject(router, pkt)
+        if self._xoff is not None:
+            # Grant order, duplicates and all: rows settle independently
+            # and settling one twice changes nothing, so the list needs
+            # neither sorting nor a set (which would cost more than the
+            # settling itself).
+            touched = [link * num_vns + vn for _, _, link, vn, _ in moves]
+            touched += [slot_ai[grant[0]] for grant in moves]
+            touched += [slot_ai[grant[0]] for grant in ejects]
+            fabric._settle_rows(touched)
 
     # ------------------------------------------------------------------
     # Test hooks
@@ -572,8 +633,9 @@ class VectorizedEngine:
 
         Re-derives, without side effects and in storage order (a grant-less
         scan is rotation-independent), whether any packet of a sleeping
-        router could be granted and how many LCG draws the scan would
-        consume; returns the routers where either disagrees with the flag.
+        router could be granted and how many LCG draws and PFC stalls the
+        scan would consume; returns the routers where any of the three
+        disagrees with the stored state.
         """
         fabric = self.fabric
         index = fabric.index
@@ -582,13 +644,15 @@ class VectorizedEngine:
         flat = fabric._buf
         n = index.num_nodes
         num_vns = fabric.num_vns
+        vcs = fabric.vcs_per_vn
         stride = fabric._port_stride
         can_eject = fabric.net.ejections_per_cycle > 0
+        xoff = self._xoff
         bad = []
         for router in range(n):
             if not self.asleep[router]:
                 continue
-            draws = 0
+            draws = stalls = 0
             grant = False
             for port in index.in_ports[router]:
                 for off in range(stride):
@@ -603,15 +667,18 @@ class VectorizedEngine:
                     row = (self._esc_rows if pkt.in_escape
                            else self._rows)[router * n + pkt.dst]
                     draws += len(row)
-                    vn = off // 2  # vcs_per_vn == 2 (gated)
-                    for links2, modes2, nc, _ in row:
-                        for link, m in zip(links2[:nc], modes2):
+                    vn = off // vcs
+                    for links2, modes2, nc, gm in row:
+                        for link, m in zip(links2[:nc], modes2 or (gm,) * nc):
                             if self._used0[link]:
                                 continue
-                            a = self.avail[link * num_vns + vn]
-                            if (a == 3 if m == 4 else a & 1 if m == 2
-                                    else a & 2 if m == 3 else a):
+                            ai = link * num_vns + vn
+                            if xoff is not None and xoff[ai]:
+                                m = self._xoff_mode[m]
+                                stalls += 1  # exact iff nothing is granted
+                            if _PICK[m][self.avail[ai]] >= 0:
                                 grant = True
-            if grant or draws != self.sleep_draws[router]:
+            if (grant or draws != self.sleep_draws[router]
+                    or stalls != self.sleep_stalls[router]):
                 bad.append(router)
         return bad

@@ -136,8 +136,13 @@ class AdaptiveMinimalRouting(RoutingFunction):
         """
         exported = self._exported
         if exported is None:
-            n = self.compiled_tables.num_nodes
-            rows = self.compiled_tables.row_lists()
-            exported = [rows[r * n:(r + 1) * n] for r in range(n)]
+            tables = self.compiled_tables
+            n = tables.num_nodes
+            flat = tables.links.tolist()
+            offs = tables.offsets.tolist()
+            exported = [
+                [flat[offs[i]:offs[i + 1]] for i in range(r * n, (r + 1) * n)]
+                for r in range(n)
+            ]
             self._exported = exported
         return exported

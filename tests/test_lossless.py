@@ -262,9 +262,15 @@ class TestPauseResumeFabric:
         assert set(summary) == {"pauses_asserted", "resumes", "pause_stalls",
                                 "forced_pauses", "rows_paused"}
 
-    def test_scalar_fallback_reason_recorded(self):
-        sim = build_sim()
-        assert sim.fabric.engine_fallback_reason is not None
+    def test_vectorized_engine_models_pause(self):
+        fabric = build_sim().fabric
+        assert fabric.engine_name == "vectorized"
+        assert fabric.engine_fallback_reason is None
+        assert fabric._engine._xoff is fabric._xoff
+        # The scalar kernel stays selectable as the oracle.
+        scalar = build_sim(engine="scalar").fabric
+        assert scalar.engine_name == "scalar" and scalar._engine is None
+        assert scalar.engine_fallback_reason is None
 
 
 # ---------------------------------------------------------------------------

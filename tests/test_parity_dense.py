@@ -27,6 +27,8 @@ from repro.core.rng import derive_seed
 from repro.core.simulator import Simulation
 from repro.experiments.common import Scale, scheme_config
 from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.network.bubbleflow import BubbleFlowFabric, TorusDorRouting
+from repro.network.index import FabricIndex
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_torus
 from repro.traffic.synthetic import SyntheticTraffic, pattern_by_name
@@ -268,13 +270,23 @@ class TestEngineMatrix:
         import dataclasses
 
         base = scheme_config(Scheme.DRAIN, TINY, seed=1)
-        # vcs_per_vn != 2: the kernel's VC unroll does not apply.
+        # Any VC count an availability byte holds engages ...
         cfg = dataclasses.replace(
             base, network=dataclasses.replace(base.network, vcs_per_vn=3))
         sim = _sim(Scheme.DRAIN, "mesh", 0.10, engine="vectorized",
                    config=cfg)
-        assert sim.fabric.engine_name == "scalar"
-        assert "vcs_per_vn" in sim.fabric.engine_fallback_reason
+        assert sim.fabric.engine_name == "vectorized"
+        assert sim.fabric.engine_fallback_reason is None
+        # ... a single VC (no non-escape VC) or more than 8 do not.
+        for vcs in (1, 9):
+            cfg = dataclasses.replace(
+                base,
+                network=dataclasses.replace(base.network, vcs_per_vn=vcs))
+            sim = _sim(Scheme.DRAIN, "mesh", 0.10, engine="vectorized",
+                       config=cfg)
+            assert sim.fabric.engine_name == "scalar"
+            assert (f"vcs_per_vn={vcs}"
+                    in sim.fabric.engine_fallback_reason)
         # Multi-flit packets serialise transfers over several cycles.
         cfg = dataclasses.replace(
             base,
@@ -283,6 +295,14 @@ class TestEngineMatrix:
                    config=cfg)
         assert sim.fabric.engine_name == "scalar"
         assert "multi-flit" in sim.fabric.engine_fallback_reason
+        # A flow-control subclass whose admission rule the engine does not
+        # model (bubble flow control vetoes claims per serving port).
+        index = FabricIndex(make_torus(4, 4))
+        fabric = BubbleFlowFabric(index, base, TorusDorRouting(index, 4, 4),
+                                  4, 4)
+        assert fabric.engine_name == "scalar"
+        assert (fabric.engine_fallback_reason
+                == "flow-control subclass (BubbleFlowFabric)")
 
     def test_wormhole_reports_scalar(self):
         # The wormhole fabric is a standalone pipeline; the engine knob

@@ -504,7 +504,8 @@ def _pfc_config(scheme, thresholds, seed, num_vns):
                       headroom=1))
 
 
-def _run_pfc(topo, scheme, thresholds, seed, storm, dense, engine):
+def _run_pfc(topo, scheme, thresholds, seed, storm, dense, engine,
+             stale_sleepers=None):
     if topo == "ring":
         topology = make_leaf_spine(8, 4, uplinks=1, east_west=True)
         config = _pfc_config(scheme, thresholds, seed, num_vns=1)
@@ -520,7 +521,12 @@ def _run_pfc(topo, scheme, thresholds, seed, storm, dense, engine):
                                       PFC_MESH_RATE)))
     sim = Simulation(topology, config, traffic, dense=dense, engine=engine,
                      pause_storm=_pfc_storm() if storm else None)
+    if stale_sleepers is not None:
+        assert sim.fabric.engine_name == "vectorized"
+        _audit_sleep_every(sim, 16, stale_sleepers)
     sim.run(FUZZ_SCALE.total_cycles, warmup=FUZZ_SCALE.warmup)
+    if stale_sleepers is not None:
+        assert sim.fabric._engine.audit_masks() == []
     return sim
 
 
@@ -530,7 +536,8 @@ def _pfc_observables(sim):
 
 
 #: Engines compared on every PFC lane, as (dense flag, engine request).
-PFC_ENGINES = {"dense": (True, None), "scalar": (False, "scalar")}
+PFC_ENGINES = {"dense": (True, None), "scalar": (False, "scalar"),
+               "vectorized": (False, "vectorized")}
 
 
 class TestPfcParityFuzz:
@@ -544,11 +551,16 @@ class TestPfcParityFuzz:
         ]
         assert len(lanes) == 112
         for lane in lanes:
+            stale = []
             seen = {
-                name: _pfc_observables(
-                    _run_pfc(*lane, dense=dense, engine=engine))
+                name: _pfc_observables(_run_pfc(
+                    *lane, dense=dense, engine=engine,
+                    stale_sleepers=stale if engine == "vectorized" else None))
                 for name, (dense, engine) in PFC_ENGINES.items()
             }
+            assert not stale, (
+                f"PFC lane {lane}: stale sleeping routers (cycle, router) "
+                f"{stale[:8]}")
             reference = seen["dense"]
             for name, observed in seen.items():
                 assert observed == reference, (

@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import structcache
 from repro.core.config import (
     DrainConfig,
     NetworkConfig,
@@ -180,13 +181,11 @@ def test_cell_reads_work_on_readonly_memmaps(tmp_path):
             assert adopted.raw_candidates(router, dst) == built.row(router, dst)
 
 
-def test_scalar_fabric_build_and_run_allocates_no_cell_lists():
-    # 256 switches on the scalar pause/resume fabric: the n x n nested
-    # list form alone is 65 792 tracked objects; the CSR form plus the
-    # cells the run actually touches stays an order of magnitude below.
+def _objects_grown_by_256_switch_run(engine):
+    """Tracked objects a 256-switch pause/resume build and run leaves
+    behind, and the finished simulation."""
     leaves = 240
     topology = make_leaf_spine(leaves, 16, uplinks=2)
-    n = topology.num_nodes
     config = SimConfig(
         scheme=Scheme.DRAIN,
         network=NetworkConfig(num_vns=1, vcs_per_vn=4),
@@ -200,10 +199,32 @@ def test_scalar_fabric_build_and_run_allocates_no_cell_lists():
     gc.collect()
     before = len(gc.get_objects())
     sim = Simulation(topology, config, FlowTraffic(flows, random.Random(1)),
-                     degradation_ladder=True)
+                     degradation_ladder=True, engine=engine)
     sim.run(2000)
     gc.collect()
     grown = len(gc.get_objects()) - before
-    assert sim.fabric.engine_name == "scalar"
     assert sim.traffic.done() and sim.traffic.delivered == 15 * 20
-    assert grown < n * n // 2, grown
+    return grown, sim
+
+
+def test_scalar_fabric_build_and_run_allocates_no_cell_lists():
+    # 256 switches on the scalar pause/resume fabric: the n x n nested
+    # list form alone is 65 792 tracked objects; the CSR form plus the
+    # cells the run actually touches stays an order of magnitude below.
+    grown, sim = _objects_grown_by_256_switch_run("scalar")
+    assert sim.fabric.engine_name == "scalar"
+    assert grown < 256 * 256 // 2, grown
+
+
+def test_vectorized_rows_compile_on_first_touch():
+    # The same run on the vectorized engine: its rows are compiled from
+    # one CSR cell per miss, never as an n x n container.
+    structcache.clear_memos()
+    grown, sim = _objects_grown_by_256_switch_run(None)
+    engine = sim.fabric._engine
+    assert sim.fabric.engine_name == "vectorized"
+    assert grown < 256 * 256 // 2, grown
+    # (drain windows carry packets to routers off their routes, so the
+    # run touches more cells than its 15 flows' paths: 1 823 here.)
+    assert 0 < len(engine._rows) < 256 * 256 // 10
+    assert len(engine._esc_rows) < 256 * 256 // 10

@@ -9,7 +9,9 @@ router grant, or change its draw count, wakes it. The parity suites pin
 the end results; these tests pin the two properties directly:
 
 - a twin simulation whose routers are all woken before every step (so it
-  never jumps) must stay LCG-identical cycle by cycle;
+  never jumps) must stay LCG-identical cycle by cycle — and, on a
+  pause/resume fabric, stall-count-identical: a sleeping router replays
+  the PFC stalls of its skipped scan beside its draws;
 - the mechanism engages on a wedged mesh and stays out of the way at low
   load (an exact, time-free pin of the perf claim);
 - each wake source, exercised on a hand-built wedge.
@@ -21,16 +23,19 @@ import random
 
 import pytest
 
-from repro.core.config import NetworkConfig, Scheme, SimConfig
+from repro.core.config import NetworkConfig, PfcConfig, Scheme, SimConfig
 from repro.core.rng import derive_seed
 from repro.core.simulator import Simulation
 from repro.experiments.common import Scale, scheme_config
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.network.fabric import Fabric
 from repro.network.index import FabricIndex
+from repro.network.pause import PauseResumeFabric
 from repro.router.packet import Packet
 from repro.routing.adaptive import AdaptiveMinimalRouting
+from repro.topology.datacenter import make_leaf_spine
 from repro.topology.mesh import make_mesh, make_torus
+from repro.traffic.flows import Flow, FlowTraffic
 from repro.traffic.synthetic import SyntheticTraffic, pattern_by_name
 
 #: Crosses two drain epochs and several spin timeouts inside 240 cycles —
@@ -100,6 +105,61 @@ class TestDrawCountInvariance:
         # their walks really were replaced by jumps.
         assert max(slept_draws) >= 4
         assert jumped_router_cycles > 40 * len(TWIN_SEEDS)
+
+
+    def test_pause_wedge_sleeps_and_keeps_stalling(self):
+        # The pinned CBD scenario (tests/test_lossless.py) under NONE: PFC
+        # pause closes a buffer cycle over the east-west ring and nothing
+        # moves again. Every stuck packet then faces XOFF rows, so each
+        # scan it would have had counts stalls — which the sleeping
+        # routers must keep replaying, cycle for cycle.
+        topology = make_leaf_spine(8, 4, uplinks=1, east_west=True)
+        config = SimConfig(
+            scheme=Scheme.NONE,
+            network=NetworkConfig(num_vns=1, vcs_per_vn=4),
+            flow_control="pause_resume",
+            pfc=PfcConfig(pause_threshold=2, resume_threshold=0, headroom=1))
+
+        def build(engine):
+            traffic = FlowTraffic(
+                [Flow(i, (i + 2) % 8, 0.9) for i in range(8)],
+                random.Random(7))
+            return Simulation(topology, config, traffic, engine=engine)
+
+        sim, twin = build("vectorized"), build("vectorized")
+        scalar = build("scalar")
+        fabric, engine = sim.fabric, sim.fabric._engine
+        assert engine is not None and scalar.fabric._engine is None
+        stalls_asleep = 0
+        for cycle in range(2_000):
+            occupied = [r for r in range(topology.num_nodes)
+                        if fabric._router_occ[r]]
+            wedged = bool(occupied) and all(engine.asleep[r]
+                                            for r in occupied)
+            before = fabric.pfc_stalls
+            sim.step()
+            twin.fabric._engine.wake_all()
+            twin.step()
+            scalar.step()
+            assert (fabric._lcg == twin.fabric._lcg == scalar.fabric._lcg
+                    ), f"LCG diverged at cycle {cycle}"
+            assert (fabric.pfc_stalls == twin.fabric.pfc_stalls
+                    == scalar.fabric.pfc_stalls
+                    ), f"stall count diverged at cycle {cycle}"
+            if wedged:
+                stalls_asleep += fabric.pfc_stalls - before
+        assert sim.watchdog.deadlocked and scalar.watchdog.deadlocked
+        assert sim.watchdog.cycle_payload == scalar.watchdog.cycle_payload
+        assert sim.watchdog.cycle_payload["kind"] == "buffer-cycle"
+        assert wedged and engine.audit_sleep() == []
+        assert any(engine.sleep_stalls[r] for r in occupied)
+        # Replayed, not recounted: most of the run's stalls accrue while
+        # every occupied router sleeps.
+        assert stalls_asleep > fabric.pfc_stalls // 2 > 0
+        assert (sim.stats.as_dict() == twin.stats.as_dict()
+                == scalar.stats.as_dict())
+        assert (fabric.pfc_summary() == twin.fabric.pfc_summary()
+                == scalar.fabric.pfc_summary())
 
 
 class TestEngagement:
@@ -213,6 +273,48 @@ class TestWakeSources:
         fabric.step()
         fabric.step()
         assert engine.audit_sleep() == []
+
+    def test_xoff_and_xon_flips(self):
+        # A lone packet whose only minimal output is XOFF: its router
+        # sleeps on one draw and one stall per cycle until the pause frame
+        # expires; both flips wake the router feeding the row.
+        index = FabricIndex(make_mesh(4, 4))
+        config = SimConfig(
+            scheme=Scheme.NONE,
+            network=NetworkConfig(num_vns=1, vcs_per_vn=2),
+            flow_control="pause_resume",
+            pfc=PfcConfig(pause_threshold=1, resume_threshold=0, headroom=1))
+        fabric = PauseResumeFabric(index, config,
+                                   AdaptiveMinimalRouting(index),
+                                   rng=random.Random(1))
+        engine = fabric._engine
+        assert fabric.engine_name == "vectorized"
+        link = next(i for i in range(index.num_links)
+                    if index.link_src[i] == 0 and index.link_dst[i] == 1)
+        fabric.force_pause(link, 0, until_cycle=6)
+        waiting = Packet(1, 0, 1)
+        assert fabric.offer_packet(waiting)
+        fabric.step()  # injected
+        fabric.step()  # scanned: stalled, asleep
+        assert engine.asleep[0] == 1
+        assert (engine.sleep_draws[0], engine.sleep_stalls[0]) == (1, 1)
+        assert fabric.pfc_stalls == 1 and engine.audit_sleep() == []
+        fabric.step()  # replayed, not rescanned
+        assert engine.asleep[0] == 1 and fabric.pfc_stalls == 2
+        # A second pause frame on an already-XOFF row is no flip; one on
+        # another row out of router 0 is, and wakes it.
+        fabric.force_pause(link, 0, until_cycle=6)
+        assert engine.asleep[0] == 1
+        other = next(i for i in range(index.num_links)
+                     if index.link_src[i] == 0 and i != link)
+        fabric.force_pause(other, 0, until_cycle=6)
+        assert engine.asleep[0] == 0 and engine.audit_sleep() == []
+        while fabric.cycle < 6:
+            fabric.step()
+        assert engine.asleep[0] == 1 and fabric.pfc_stalls == 5
+        fabric.step()  # cycle 6: the frames expire, XON wakes router 0
+        assert fabric.buf[link][0][0] is waiting
+        assert fabric.pfc_stalls == 5 and engine.audit_sleep() == []
 
     def test_invalidate_routing_cache(self):
         fabric, engine, _, _ = _wedge()
