@@ -60,7 +60,7 @@ constrains how kernel code (everything under ``repro/network`` — see
 
 - **DET012** — direct ``all_pairs_distances()`` calls outside the
   implementation (``topology/graph.py``) and the compiled-structure
-  store (``structcache/store.py``). The all-pairs BFS is the single most
+  memo (``structcache/memo.py``). The all-pairs BFS is the single most
   expensive boot computation at datacenter scale; every consumer must go
   through ``repro.structcache.distances`` — the content-digest memo
   layer that computes each matrix once per process and persists it —
@@ -104,7 +104,7 @@ WALL_CLOCK_ALLOWED: Tuple[str, ...] = (
 #: structure and shared (DET012).
 ALL_PAIRS_ALLOWED: Tuple[str, ...] = (
     "topology/graph.py",
-    "structcache/store.py",
+    "structcache/memo.py",
 )
 
 #: Pragma suppressing any finding on its line.

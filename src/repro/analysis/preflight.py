@@ -23,11 +23,11 @@ under study, such as the paper's deadlock-probability experiments).
 
 from __future__ import annotations
 
-import json
 import pickle
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.config import PfcConfig, Scheme
+from ..store import canonical_json
 from .certifier import (
     CERTIFIED,
     Certificate,
@@ -76,10 +76,6 @@ class PreflightError(ValueError):
 def clear_preflight_cache() -> None:
     """Drop memoized certificates (tests; topology-heavy long sessions)."""
     _CERT_CACHE.clear()
-
-
-def _topology_key(topo_spec: Mapping[str, Any]) -> str:
-    return json.dumps(topo_spec, sort_keys=True, separators=(",", ":"))
 
 
 def validate_spec(spec: "Any") -> Optional[Certificate]:
@@ -175,10 +171,8 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
                 digest=digest,
             )
     flow_set = _flow_set(params)
-    flow_key = json.dumps(flow_set, separators=(",", ":"))
-    cache_key = (
-        _topology_key(topo_spec), scheme.value, flow_control, flow_key
-    )
+    cache_key = (canonical_json(topo_spec), scheme.value, flow_control,
+                 canonical_json(flow_set))
     certificate = _CERT_CACHE.get(cache_key)
     if certificate is None:
         # Persistent layer: the compiled-structure store keeps issued

@@ -27,14 +27,16 @@ Subcommands:
 - ``repro-drain lint`` — run the determinism lint pass (DET001-DET012)
   over Python sources; exit 1 when findings exist;
 - ``repro-drain cache`` — inspect (``info``, the default action) or
-  ``clear`` the on-disk trial result cache and the compiled-structure
-  store (``--structs-only`` / ``--results-only`` to restrict).
+  ``clear`` the trial results and the compiled structures in the store
+  (``--structs-only`` / ``--results-only`` to restrict).
 
-Harness commands enable the compiled-structure store by default at
-``<cache dir>/structs`` (``--no-struct-cache`` or
-``REPRO_STRUCT_CACHE=off`` disables it; ``REPRO_STRUCT_CACHE=<dir>``
-relocates it), amortizing distance/routing/drain compilation across
-trials, workers and runs with bit-identical results.
+Harness commands cache trial results and compiled structure (distances,
+routing tables, drain cycles, certificates) in one content-addressed
+store at the cache dir, amortizing compilation across trials, workers
+and runs with bit-identical results; :func:`repro.store.cache_roots` is
+the policy (``--no-cache`` / ``REPRO_NO_CACHE`` turn the result cache
+off, ``REPRO_STRUCT_CACHE=<dir>|off`` relocates or disables the
+structures).
 
 ``repro-drain run``/``sweep`` accept ``--profile`` to wrap the work in
 ``cProfile`` and write ``.prof`` + top-25 cumulative text next to the run
@@ -52,7 +54,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -77,6 +78,7 @@ from .harness import (
     fault_recovery_trial,
     write_manifest,
 )
+from .harness.cache import RESULTS
 from .experiments import (
     common,
     fault_recovery,
@@ -100,6 +102,7 @@ from .experiments import (
     table2_parameters,
 )
 from . import structcache
+from .store import Store, cache_roots
 from .topology.chiplet import make_chiplet_system
 from .topology.graph import Topology
 from .topology.irregular import inject_link_faults
@@ -206,34 +209,14 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _activate_struct_store(args: argparse.Namespace) -> None:
-    """CLI structure-store policy: on by default, next to the result cache.
-
-    ``--no-struct-cache`` disables it outright; otherwise a set
-    ``$REPRO_STRUCT_CACHE`` wins (a path, or ``0``/``off`` to disable),
-    and the default location is ``<cache dir>/structs``.
-    """
-    if getattr(args, "no_struct_cache", False):
-        structcache.deactivate()
-        return
-    env = os.environ.get(structcache.ENV_VAR)
-    if env is not None:
-        if structcache.env_disabled(env):
-            structcache.deactivate()
-        else:
-            structcache.activate(env)
-        return
-    cache_dir = getattr(args, "cache_dir", None)
-    root = Path(cache_dir) / "structs" if cache_dir else None
-    structcache.activate(root)  # None -> default (<cache root>/structs)
-
-
 def _build_harness(args: argparse.Namespace) -> Harness:
     """Harness from the shared ``--workers/--no-cache/--cache-dir`` flags."""
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir)  # None -> default location
-    _activate_struct_store(args)
+    results, structs = cache_roots(args.cache_dir, args.no_cache, cli=True)
+    if structs is None:
+        structcache.deactivate()
+    else:
+        structcache.activate(structs)
+    cache = ResultCache(results) if results is not None else None
     return Harness(workers=args.workers, cache=cache,
                    timeout=getattr(args, "timeout", None),
                    preflight=not getattr(args, "no_preflight", False))
@@ -641,41 +624,26 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or clear the result cache + compiled-structure store."""
-    want_results = not args.structs_only
-    want_structs = not args.results_only
-    if not (want_results or want_structs):
-        print("error: --structs-only and --results-only are mutually "
-              "exclusive", file=sys.stderr)
-        return 2
-
-    cache = ResultCache(args.cache_dir)
-    env = os.environ.get(structcache.ENV_VAR)
-    if env is not None and not structcache.env_disabled(env):
-        store = structcache.StructStore(env)
-    elif args.cache_dir:
-        store = structcache.StructStore(Path(args.cache_dir) / "structs")
-    else:
-        store = structcache.StructStore()  # default (<cache root>/structs)
-
-    if args.action == "clear":
-        if want_results:
-            print(f"results: removed {cache.clear()} entries from "
-                  f"{cache.root}")
-        if want_structs:
-            print(f"structs: removed {store.clear()} artefacts from "
-                  f"{store.root}")
-        return 0
-
-    if want_results:
-        print(f"results: {len(cache)} entries at {cache.root}")
-    if want_structs:
-        counts = store.entry_counts()
-        total = sum(counts.values())
+    """Inspect or clear the trial results and compiled structures."""
+    results, structs = cache_roots(args.cache_dir, cli=True)
+    parts = []
+    if not args.structs_only:
+        parts.append(("results", results, (RESULTS,)))
+    if not args.results_only:
+        parts.append(("structs", structs, structcache.KINDS))
+    for label, root, kinds in parts:
+        if root is None:
+            print(f"{label}: off")
+            continue
+        store = Store(root)
+        if args.action == "clear":
+            print(f"{label}: removed {store.clear(kinds)} entries from {root}")
+            continue
+        counts = store.counts(kinds)
         breakdown = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        size_mib = store.size_bytes() / (1024 * 1024)
-        print(f"structs: {total} artefacts ({breakdown}) at {store.root} "
-              f"[{size_mib:.1f} MiB]")
+        size_mib = store.size_bytes(kinds) / (1024 * 1024)
+        print(f"{label}: {sum(counts.values())} entries ({breakdown}) at "
+              f"{root} [{size_mib:.1f} MiB]")
     return 0
 
 
@@ -702,10 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float, default=None,
                        help="per-trial wall-clock timeout in seconds; timed "
                             "out trials are retried on a fresh worker")
-        p.add_argument("--no-struct-cache", action="store_true",
-                       help="disable the compiled-structure store (default "
-                            "location: <cache dir>/structs, or "
-                            "$REPRO_STRUCT_CACHE)")
         p.add_argument("--no-preflight", action="store_true",
                        help="skip static pre-flight validation of trial "
                             "specs (repro-drain check run per config)")
@@ -869,8 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser(
         "cache",
-        help="inspect or clear the result cache and the compiled-"
-             "structure store",
+        help="inspect or clear the cached trial results and compiled "
+             "structures",
     )
     p_cache.add_argument("action", nargs="?", choices=("info", "clear"),
                          default="info",
@@ -879,10 +843,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--cache-dir", default=None,
                          help="cache location (default: $REPRO_CACHE_DIR or "
                               "~/.cache/repro-drain)")
-    p_cache.add_argument("--structs-only", action="store_true",
-                         help="operate on the compiled-structure store only")
-    p_cache.add_argument("--results-only", action="store_true",
-                         help="operate on the trial result cache only")
+    only = p_cache.add_mutually_exclusive_group()
+    only.add_argument("--structs-only", action="store_true",
+                      help="operate on the compiled structures only")
+    only.add_argument("--results-only", action="store_true",
+                      help="operate on the trial results only")
 
     return parser
 

@@ -9,20 +9,20 @@ sweeps from inline loops into batches of declarative
 - executes across ``multiprocessing`` workers (``workers=N``) with results
   merged back **in submission order**, so output is identical for any
   worker count;
-- memoizes in a content-addressed on-disk
-  :class:`~repro.harness.cache.ResultCache` keyed by a stable digest of
-  (config, topology, traffic, seeds);
+- memoizes in a :class:`~repro.harness.cache.ResultCache` — the results
+  codec of the one content-addressed store (:mod:`repro.store`) — keyed
+  by a stable digest of (config, topology, traffic, seeds);
 - records per-trial timing into a JSON
   :class:`~repro.harness.manifest.RunManifest` written alongside each
   artefact.
 
-Environment knobs: ``REPRO_WORKERS`` (default worker count),
-``REPRO_CACHE_DIR`` (enables + locates the default cache),
-``REPRO_NO_CACHE`` (force-disables it). See DESIGN.md for the full
-contract.
+Environment knobs: ``REPRO_WORKERS`` (default worker count), and the
+cache policy of :func:`repro.store.cache_roots` (``REPRO_CACHE_DIR``
+enables + locates the default cache, ``REPRO_NO_CACHE`` force-disables
+it). See DESIGN.md for the full contract.
 """
 
-from .cache import ResultCache, default_cache_dir
+from .cache import ResultCache
 from .checkpoint import SweepJournal
 from .manifest import RunManifest, build_manifest, git_revision, write_manifest
 from .pool import (
@@ -60,7 +60,6 @@ __all__ = [
     "RUNNERS",
     "build_manifest",
     "coherence_trial",
-    "default_cache_dir",
     "execute_trial",
     "fault_recovery_trial",
     "get_default_harness",

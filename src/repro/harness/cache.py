@@ -1,112 +1,71 @@
-"""Content-addressed on-disk cache of completed trial results.
+"""Content-addressed cache of completed trial results.
 
 A finished trial is a pure function of its :class:`~repro.harness.trials.
 TrialSpec` — topology, full ``SimConfig``, traffic knobs and seeds are all
 part of the spec, and the simulator is deterministic — so results can be
-memoized by the spec's BLAKE2b digest. Re-running an experiment with
-unchanged parameters then costs one cache lookup per trial instead of a
+memoized by the spec's digest. Re-running an experiment with unchanged
+parameters then costs one cache lookup per trial instead of a
 simulation, which makes iterating on aggregation/plotting code free and
 lets interrupted sweeps resume.
 
-Layout: ``<root>/<digest[:2]>/<digest>.json``, one JSON document per trial
-holding the spec (for audit/debugging), its result, and timing metadata.
-Writes are atomic (tempfile + rename) so concurrent sweeps never observe a
-torn entry. Invalidation is by key construction: the digest covers
-``TRIAL_FORMAT_VERSION``, so bumping that constant abandons stale entries;
-``clear()`` deletes them eagerly.
-
-The default location is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-drain``.
+This is the ``results`` codec over the one store (:mod:`repro.store`):
+one JSON document per trial at ``<root>/results/<digest[:2]>/<digest>.json``
+holding the spec (for audit/debugging), its result, and timing metadata;
+an entry without a ``result`` key is corrupt. Invalidation is by key
+construction: the digest covers ``TRIAL_FORMAT_VERSION``, so bumping that
+constant abandons stale entries; ``clear()`` deletes them eagerly.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-__all__ = ["ResultCache", "default_cache_dir"]
+from ..store import Store, default_root
+
+__all__ = ["ResultCache", "RESULTS"]
+
+#: The store kind trial results live under.
+RESULTS = "results"
 
 
-def default_cache_dir() -> Path:
-    """Cache root: ``$REPRO_CACHE_DIR``, else ``~/.cache/repro-drain``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-drain"
+def _is_result(payload: Any) -> bool:
+    return isinstance(payload, dict) and "result" in payload
 
 
 class ResultCache:
-    """Digest-keyed JSON store for trial results, with hit/miss counters."""
+    """Digest-keyed trial results, with hit/miss counters."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
+        self.store = Store(root if root is not None else default_root())
+        self.root = self.store.root
+
+    @property
+    def hits(self) -> int:
+        return self.store.events[RESULTS]["hits"]
+
+    @property
+    def misses(self) -> int:
+        return self.store.events[RESULTS]["misses"]
 
     def path_for(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
+        return self.store.path(RESULTS, digest, ".json")
 
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        """Return the cached payload for *digest*, or None on a miss.
-
-        Corrupt entries — partial writes from killed runs, disk trouble,
-        or files that parse as JSON but are not trial payloads (no
-        ``result`` key) — are treated as misses and removed, so the trial
-        recomputes cleanly instead of poisoning an artefact downstream.
-        """
-        path = self.path_for(digest)
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, ValueError):
-            payload = None  # unreadable: fall through to removal
-        if not isinstance(payload, dict) or "result" not in payload:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
+        """The cached payload for *digest*, or None on a miss (a corrupt
+        entry is removed, so the trial recomputes cleanly)."""
+        return self.store.get_json(RESULTS, digest, _is_result)
 
     def put(self, digest: str, payload: Dict[str, Any]) -> None:
         """Store *payload* under *digest* atomically."""
-        path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        self.store.put_json(RESULTS, digest, payload)
 
     def __contains__(self, digest: str) -> bool:
         return self.path_for(digest).exists()
 
     def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return self.store.counts([RESULTS])[RESULTS]
 
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for entry in self.root.glob("*/*.json"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return self.store.clear([RESULTS])

@@ -42,7 +42,6 @@ execute. Fresh results are written back to both from the parent process
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -51,6 +50,7 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..store import cache_roots, digest as payload_digest
 from .cache import ResultCache
 from .checkpoint import SweepJournal
 from .trials import TrialSpec, execute_trial
@@ -312,8 +312,7 @@ class Harness:
                 continue
             topo_spec, config_dict = pair
             # The spec's topology is the digest's payload (one encoding).
-            key = (structcache.digest_payload(topo_spec),
-                   config_dict.get("scheme"))
+            key = (payload_digest(topo_spec), config_dict.get("scheme"))
             if key in seen:
                 continue
             seen.add(key)
@@ -349,11 +348,7 @@ class Harness:
         if self.cache is not None:
             self.cache.put(
                 digest,
-                {
-                    "spec": json.loads(spec.canonical()),
-                    "result": result,
-                    "elapsed": elapsed,
-                },
+                {"spec": spec.identity, "result": result, "elapsed": elapsed},
             )
 
     # ------------------------------------------------------------------
@@ -526,14 +521,14 @@ _default_harness: Optional[Harness] = None
 
 def get_default_harness() -> Harness:
     """The process-wide harness: ``REPRO_WORKERS`` workers, and an on-disk
-    cache only when ``REPRO_CACHE_DIR`` is set (so test runs and library
-    callers never write to the user's cache unless they opted in)."""
+    cache only where :func:`repro.store.cache_roots` puts one for library
+    callers (so test runs never write to the user's cache unless they
+    opted in)."""
     global _default_harness
     if _default_harness is None:
-        cache = None
-        if os.environ.get("REPRO_CACHE_DIR") and not os.environ.get("REPRO_NO_CACHE"):
-            cache = ResultCache()
-        _default_harness = Harness(cache=cache)
+        root = cache_roots()[0]
+        _default_harness = Harness(
+            cache=ResultCache(root) if root is not None else None)
     return _default_harness
 
 

@@ -37,8 +37,6 @@ for ``benchmarks/perf``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -48,6 +46,7 @@ from ..core.configio import config_from_dict, config_to_dict
 from ..core.metrics import NetworkStats
 from ..core.rng import derive_seed
 from ..core.simulator import Simulation
+from ..store import canonical_json, digest as payload_digest
 from ..structcache.digest import topology_payload as topology_to_spec
 from ..topology.graph import Topology
 from ..traffic.synthetic import SyntheticTraffic, pattern_by_name
@@ -106,23 +105,19 @@ class TrialSpec:
     runner: str
     params: Mapping[str, Any]
 
+    @property
+    def identity(self) -> Dict[str, Any]:
+        """What the digest covers: format version, runner and params."""
+        return {"format": TRIAL_FORMAT_VERSION, "runner": self.runner,
+                "params": self.params}
+
     def canonical(self) -> str:
         """Canonical JSON encoding — the cache identity of this trial."""
-        return json.dumps(
-            {
-                "format": TRIAL_FORMAT_VERSION,
-                "runner": self.runner,
-                "params": self.params,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json(self.identity)
 
     def digest(self) -> str:
-        """Content digest of the spec (hex BLAKE2b-128)."""
-        return hashlib.blake2b(
-            self.canonical().encode("utf-8"), digest_size=16
-        ).hexdigest()
+        """Content digest of the spec (:func:`repro.store.digest`)."""
+        return payload_digest(self.identity)
 
 
 RUNNERS: Dict[str, Callable[[Mapping[str, Any]], Dict[str, Any]]] = {}

@@ -1,7 +1,9 @@
 """Structural digests: the content identity of compiled artefacts.
 
-The compiled-structure memo and store (:mod:`repro.structcache.store`) key
-every artefact by content, never by object identity or file path:
+The compiled-structure memo and store (:mod:`repro.structcache.memo`) key
+every artefact by content, never by object identity or file path. Every
+digest here is :func:`repro.store.digest` of a payload carrying
+:data:`STRUCT_FORMAT_VERSION`:
 
 - a **topology digest** covers the exact node count, edge set and
   coordinates — everything :func:`topology_payload` captures (the same
@@ -18,16 +20,13 @@ every artefact by content, never by object identity or file path:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, Sequence
 
+from ..store import digest
 from ..topology.graph import Topology
 
 __all__ = [
     "STRUCT_FORMAT_VERSION",
-    "canonical_json",
-    "digest_payload",
     "topology_payload",
     "topology_digest",
     "structure_digest",
@@ -36,18 +35,6 @@ __all__ = [
 
 #: Bump to abandon every stored artefact when formats or semantics change.
 STRUCT_FORMAT_VERSION = 2
-
-
-def canonical_json(payload: Any) -> str:
-    """Order-stable minimal JSON — the hashable encoding of a payload."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def digest_payload(payload: Any) -> str:
-    """Hex BLAKE2b-128 digest of a payload's canonical JSON."""
-    return hashlib.blake2b(
-        canonical_json(payload).encode("utf-8"), digest_size=16
-    ).hexdigest()
 
 
 def topology_payload(topology: Topology) -> Dict[str, Any]:
@@ -66,7 +53,7 @@ def topology_payload(topology: Topology) -> Dict[str, Any]:
 
 def topology_digest(topology: Topology) -> str:
     """Content digest of a topology's exact structure."""
-    return digest_payload(
+    return digest(
         {"format": STRUCT_FORMAT_VERSION, "topology": topology_payload(topology)}
     )
 
@@ -81,7 +68,7 @@ def structure_digest(
     """
     config = dict(config_dict)
     config.pop("seed", None)
-    return digest_payload(
+    return digest(
         {
             "format": STRUCT_FORMAT_VERSION,
             "topology": topo_payload,
@@ -92,6 +79,4 @@ def structure_digest(
 
 def certificate_digest(key: Sequence[str]) -> str:
     """Digest of a preflight certificate memo key (a tuple of strings)."""
-    return digest_payload(
-        {"format": STRUCT_FORMAT_VERSION, "certificate": list(key)}
-    )
+    return digest({"format": STRUCT_FORMAT_VERSION, "certificate": list(key)})

@@ -62,6 +62,7 @@ from repro.experiments.common import (
 from repro.faults import PauseStormEvent, PauseStormSchedule
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.harness.trials import execute_trial, fault_recovery_trial
+from repro.store import digest
 from repro.topology.datacenter import make_leaf_spine
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_torus
@@ -353,7 +354,7 @@ class TestMemoParityFuzz:
             [s.digest() for s in g] for g in groups
         ] == [[s.digest() for s in g] for g in _build_batch_groups()]
         keys = [
-            {structcache.digest_payload(s.params["topology"]) for s in group}
+            {digest(s.params["topology"]) for s in group}
             for group in groups
         ]
         assert all(len(k) == 1 for k in keys)

@@ -355,7 +355,7 @@ class TestDet012DirectAllPairs:
         # The topology method itself and the store's compile path are the
         # only sanctioned callers of the raw all-pairs BFS.
         assert codes(self.SRC, "src/repro/topology/graph.py") == []
-        assert codes(self.SRC, "src/repro/structcache/store.py") == []
+        assert codes(self.SRC, "src/repro/structcache/memo.py") == []
 
     def test_pragma_suppresses(self):
         src = "d = topology.all_pairs_distances()  # det: allow\n"

@@ -30,7 +30,8 @@ from repro.harness.trials import fault_recovery_trial, structural_params
 from repro.network.index import FabricIndex
 from repro.network.vectorized import VectorizedEngine
 from repro.routing.adaptive import AdaptiveMinimalRouting
-from repro.structcache import store as store_module
+from repro.store import ARRAY_FORMAT
+from repro.structcache import memo
 from repro.topology.datacenter import make_leaf_spine
 from repro.topology.graph import Topology
 from repro.topology.mesh import make_mesh, make_ring
@@ -160,6 +161,21 @@ class TestStoreArtifacts:
         assert structcache.distances(topology) == reference
         assert store.corrupt == 1
 
+    def test_entry_without_meta_is_repaired(self, store):
+        # What a killed rmtree leaves: the arrays without their meta.json.
+        topology = make_mesh(4, 4)
+        reference = structcache.distances(topology)
+        [meta] = list(store.root.glob("dist/*/*/meta.json"))
+        meta.unlink()
+        structcache.clear_memos()
+        assert structcache.distances(topology) == reference
+        assert (store.corrupt, store.compiles) == (1, 2)
+        assert meta.exists()
+        structcache.clear_memos()
+        hits = store.hits
+        assert structcache.distances(topology) == reference
+        assert (store.hits, store.corrupt, store.compiles) == (hits + 1, 1, 2)
+
     def test_parts_roundtrip(self, store):
         topology = make_mesh(4, 4)
         config = scheme_config(Scheme.DRAIN, TINY, seed=1)
@@ -220,8 +236,8 @@ class TestStoreArtifacts:
                 [getattr(link, end) for link in small.parts["drain_links"]],
                 dtype=np.int32) for end in ("src", "dst")}),
         ):
-            store.clear()
-            store.save_arrays(kind, reference.digest, arrays)
+            store.clear(structcache.KINDS)
+            store.put_arrays(kind, reference.digest, arrays)
             structcache.clear_memos()
             before = store.stats()
             again = structcache.parts_for(topology, config)
@@ -235,7 +251,7 @@ class TestStoreArtifacts:
             assert again.parts["drain_links"] == reference.parts["drain_links"]
             for a, b in zip(triple(again), triple(reference)):
                 assert a.tolist() == b.tolist()
-            assert store.entry_counts()[kind] == 1
+            assert store.counts(structcache.KINDS)[kind] == 1
 
     def test_format_1_artefact_is_discarded_not_read(self, store):
         topology = make_mesh(4, 4)
@@ -243,7 +259,7 @@ class TestStoreArtifacts:
         reference = triple(structcache.parts_for(topology, config))
         [meta] = list(store.root.glob("routing/*/*/meta.json"))
         payload = json.loads(meta.read_text())
-        assert payload["format"] == structcache.STRUCT_FORMAT_VERSION == 2
+        assert payload["format"] == ARRAY_FORMAT == 2
         meta.write_text(json.dumps(dict(payload, format=1)))
         structcache.clear_memos()
         compiles = store.compiles
@@ -374,7 +390,7 @@ class TestCompiledNetworkMemo:
         assert both and all(own_rows[k] == boot_rows[2][k] for k in both)
 
     def test_memo_evicts_least_recently_used(self):
-        limit = store_module._MEMO_LIMIT
+        limit = memo._MEMO_LIMIT
         specs = [
             synthetic_trial_for(make_ring(5 + i), Scheme.DRAIN, 0.05, TINY,
                                 seed=1)
@@ -386,8 +402,8 @@ class TestCompiledNetworkMemo:
         assert "tables" in head.parts
         for spec in specs[1:]:
             execute_trial(spec)
-        assert len(store_module._MEMO) == limit
-        assert head.digest not in store_module._MEMO
+        assert len(memo._MEMO) == limit
+        assert head.digest not in memo._MEMO
         # Recompiled from scratch, the evicted structure gives the same row.
         assert execute_trial(specs[0]) == first
         assert structcache.compiled(make_ring(5)) is not head
@@ -395,7 +411,7 @@ class TestCompiledNetworkMemo:
         structcache.compiled(make_ring(6))
         structcache.compiled(make_ring(5 + limit))
         structcache.compiled(make_ring(4))
-        assert structcache.topology_digest(make_ring(6)) in store_module._MEMO
+        assert structcache.topology_digest(make_ring(6)) in memo._MEMO
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +425,7 @@ class TestAdoption:
         cold = json.loads(json.dumps(execute_trial(spec)))
         # The memo the trial just filled: compiled by this process ...
         cold_triple = triple(structcache.parts_for(topology, config))
-        assert store.entry_counts()["routing"] == 1
+        assert store.counts(structcache.KINDS)["routing"] == 1
         structcache.clear_memos()
         warm = json.loads(json.dumps(execute_trial(spec)))
         # ... and here memory-mapped back from the store.
@@ -504,7 +520,7 @@ class TestHarnessWarmStart:
         specs = [tiny_spec(seed=s) for s in (1, 2, 3, 4)]
         results = Harness(workers=2, cache=None).run(specs)
         assert len(results) == 4
-        counts = store.entry_counts()
+        counts = store.counts(structcache.KINDS)
         assert counts["dist"] == 1, counts
         assert counts["routing"] == 1, counts
         assert counts["drain"] == 1, counts
@@ -518,7 +534,7 @@ class TestHarnessWarmStart:
         Harness(workers=1, cache=None).run(specs)
         # Every artefact is a function of the topology alone; the drain
         # cycle only exists because one of the schemes is DRAIN.
-        counts = store.entry_counts()
+        counts = store.counts(structcache.KINDS)
         assert (counts["dist"], counts["routing"], counts["drain"]) == (
             1, 1, 1), counts
         assert store.compiles == 3, store.stats()
@@ -537,8 +553,8 @@ class TestCertificates:
         spec = tiny_spec()
         clear_preflight_cache()
         first = validate_spec(spec)
-        assert first is not None and store.entry_counts()["certs"] == 1
+        assert first is not None and store.counts(structcache.KINDS)["certs"] == 1
         clear_preflight_cache()
         second = validate_spec(spec)
         assert second.as_dict() == first.as_dict()
-        assert store.entry_counts()["certs"] == 1
+        assert store.counts(structcache.KINDS)["certs"] == 1
