@@ -112,10 +112,12 @@ class DeadlockWatchdog:
     def next_event_cycle(self, now: int) -> int:
         """Next check tick: the watchdog never sleeps past one.
 
-        A quiescent network cannot deadlock, so the tick is provably a
-        no-op under the fast-forward's entry condition — but clamping to
-        it keeps the halt-on-deadlock contract ("checked every
-        ``check_interval`` cycles") independent of that reasoning.
+        An empty network cannot deadlock, but a stuck one — every occupied
+        router asleep, the fast-forward's other entry case — may be
+        exactly the wedge the oracle looks for. The tick therefore runs
+        densely, which keeps the halt-on-deadlock contract ("checked every
+        ``check_interval`` cycles") and its halt cycle identical to a dense
+        run.
         """
         interval = self.check_interval
         rem = now % interval
@@ -377,13 +379,14 @@ class Simulation:
         Stops early when the traffic source reports completion (closed-loop
         workloads) or — with ``halt_on_deadlock`` — when the watchdog fires.
 
-        Unless ``dense=True``, quiescent stretches are fast-forwarded: when
-        nothing is buffered, queued or in flight anywhere, the run computes
-        the event horizon (the earliest cycle any side component may act)
-        and skips to it — or to the first cycle the traffic source actually
-        generates a packet — replaying only the per-cycle state a dense
-        idle loop would touch. Outputs are bit-identical either way; the
-        parity suite pins it.
+        Unless ``dense=True``, stretches in which nothing in the fabric can
+        act (``Fabric.inert``: it is empty, or every occupied router sleeps
+        and no node can inject) are fast-forwarded: the run computes the
+        event horizon (the earliest cycle any side component may act) and
+        skips to it — an empty fabric stops earlier, at the first cycle
+        the traffic source generates a packet — replaying only the
+        per-cycle state a dense loop would touch. Outputs are
+        bit-identical either way; the parity suite pins it.
         """
         if warmup >= cycles:
             raise ValueError("warmup must be shorter than the run")
@@ -393,7 +396,7 @@ class Simulation:
         end = fabric.cycle + cycles
         fast = not self.dense
         while fabric.cycle < end:
-            if fast and fabric.quiescent and not traffic.done():
+            if fast and fabric.inert and not traffic.done():
                 consumed = self._fast_forward(end)
                 if consumed:
                     self.ff_spans += 1
@@ -419,8 +422,9 @@ class Simulation:
         The min over the wired components' ``next_event_cycle`` hooks, the
         measurement boundary and the end of the run. Every cycle strictly
         before the returned value is guaranteed to be an observable no-op
-        for every side component — provided the fabric stays quiescent,
-        which the caller's span construction guarantees.
+        for every side component — provided nothing in the fabric can act
+        (``Fabric.inert``) all the while, which the caller's span
+        construction guarantees.
         """
         horizon = end
         measure_from = self.fabric.measure_from
@@ -433,10 +437,16 @@ class Simulation:
         return horizon
 
     def _fast_forward(self, end: int) -> int:
-        """Skip from a quiescent state; returns the cycles consumed (0 = run
+        """Skip from an inert fabric; returns the cycles consumed (0 = run
         the current cycle densely instead).
 
-        Two source shapes:
+        A stuck fabric (packets buffered, every occupied router asleep, no
+        node able to inject) stays stuck until a side component acts, so
+        the span runs to the event horizon; the source walks its hits
+        across it (``skip_cycles``), every packet landing in a backlog or
+        an NI queue that cannot inject. Sources without that walk step.
+
+        From an empty fabric, two source shapes:
 
         - Sources that know their next arrival expose ``next_event_cycle``
           (synthetic traffic reads it off its hit list, a trace off its
@@ -458,6 +468,14 @@ class Simulation:
         fabric = self.fabric
         traffic = self.traffic
         now = fabric.cycle
+        if not fabric.quiescent:  # stuck
+            if not hasattr(traffic, "skip_cycles"):
+                return 0
+            span = self._event_horizon(now, end) - now
+            if span < 2:
+                return 0
+            self._skip(span)
+            return span
         next_arrival = getattr(traffic, "next_event_cycle", None)
         if next_arrival is not None:
             arrival = next_arrival(now)
@@ -493,13 +511,16 @@ class Simulation:
         return consumed
 
     def _skip(self, cycles: int) -> None:
-        """Advance *cycles* fully idle cycles in O(1)."""
-        self.fabric.skip_cycles(cycles)
-        if self.drain_controller is not None:
-            self.drain_controller.skip_cycles(cycles)
+        """Advance *cycles* cycles of an inert fabric: the source's packets
+        first (stamped from the span's first cycle), then the fabric and
+        the drain countdown."""
+        fabric = self.fabric
         skip_source = getattr(self.traffic, "skip_cycles", None)
         if skip_source is not None:
-            skip_source(cycles)
+            skip_source(fabric, fabric.cycle, cycles)
+        fabric.skip_cycles(cycles)
+        if self.drain_controller is not None:
+            self.drain_controller.skip_cycles(cycles)
 
     def throughput(self) -> float:
         """Received packets/node/cycle over the measured window."""

@@ -219,8 +219,8 @@ class DrainController:
         epoch decrement, which :meth:`skip_cycles` replays in O(1); the
         freeze fires on the step that takes the countdown to zero, i.e.
         ``countdown - 1`` cycles from now. Any in-window state needs dense
-        stepping immediately (the fabric is frozen then anyway, so a
-        quiescence-gated caller never actually sees it).
+        stepping immediately (the fabric is frozen then, and a frozen
+        fabric is never inert, so the fast-forward never actually asks).
         """
         if self._state != "normal":
             return now

@@ -90,8 +90,9 @@ class BubbleFlowFabric(Fabric):
     served (``_serving_port``); ``_pick_vc`` vetoes claims that would
     enter a ring without leaving a bubble.
 
-    Event-horizon note: the inherited ``quiescent``/``skip_cycles`` pair
-    stays sound here — the only extra per-cycle state, the
+    Event-horizon note: the inherited ``inert``/``skip_cycles`` pair
+    stays sound here (this subclass runs the scalar kernel, so only the
+    empty case of ``inert`` applies) — the only extra per-cycle state, the
     ``_pending_entries`` admission ledger, is cleared at the *start* of
     every movement stage, so a skipped idle cycle (which would only have
     cleared an already-empty dict) leaves nothing stale behind.

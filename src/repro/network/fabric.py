@@ -42,12 +42,14 @@ Performance architecture (see DESIGN.md, "Performance architecture"):
   :meth:`invalidate_routing_cache` calls;
 - ``dense=True`` retains the pre-optimization reference sweep (no skip
   checks, no memoization) for the parity test suite;
-- the :attr:`quiescent` predicate folds the occupancy counters into a
-  single "nothing in the network, nothing pending at any NI" test, and
-  :meth:`skip_cycles` fast-forwards a quiescent fabric across *n* cycles
-  by advancing only the state a dense idle cycle would mutate (cycle
-  counter, stats cycle counter, the injection-fairness rotation). The
-  event-horizon engine in ``Simulation.run`` is the only caller.
+- the :attr:`inert` predicate — "nothing in the fabric can act": it is
+  empty (:attr:`quiescent`), or stuck, every occupied router asleep and
+  no node able to inject — and :meth:`skip_cycles` fast-forwards an
+  inert fabric across *n* cycles by advancing only the state a dense
+  cycle would mutate (cycle counter, stats cycle counter, the
+  injection-fairness rotation, and when stuck the sleeping routers' LCG
+  jumps and PFC stalls). The event-horizon engine in ``Simulation.run``
+  is the only caller.
 """
 
 from __future__ import annotations
@@ -848,20 +850,13 @@ class Fabric:
         self.stats.cycles += 1
 
     # ------------------------------------------------------------------
-    # Quiescence / event-horizon fast-forward
+    # Event-horizon fast-forward: "nothing in the fabric can act"
     # ------------------------------------------------------------------
     @property
     def quiescent(self) -> bool:
-        """True when a :meth:`step` would be an observable no-op.
-
-        Folds the active-set counters: no packet in any VC, nothing queued
-        at any NI (injection or ejection side), no serialised transfer on
-        a wire, and not frozen by a drain window. On such a cycle both
-        pipeline stages return without touching buffers or the LCG, so the
-        only state a dense step mutates is the cycle counters and the
-        injection-fairness rotation — exactly what :meth:`skip_cycles`
-        replays.
-        """
+        """True when the fabric is empty: no packet in any VC, nothing
+        queued at any NI (injection or ejection side), no serialised
+        transfer on a wire, and not frozen by a drain window."""
         return (
             self.packets_in_network == 0
             and self._inj_total == 0
@@ -870,25 +865,74 @@ class Fabric:
             and not self.frozen
         )
 
-    def skip_cycles(self, count: int) -> None:
-        """Fast-forward *count* provably idle cycles in O(1).
+    @property
+    def inert(self) -> bool:
+        """True when nothing in the fabric can act this cycle, and keeps
+        being true until an event from outside the fabric.
 
-        Callers must hold the event-horizon contract: the fabric is
-        quiescent on the *router* side (no buffered packets, no transfers,
-        not frozen) for the whole span. NI injection-queue content is
-        tolerated — ``Simulation._fast_forward`` completes the cycle that
-        generated it densely, and that packet's injection happens strictly
-        after this skip — but a buffered packet would have moved, so that
-        is a contract violation, not a tolerable approximation.
+        Two cases. The fabric is :attr:`quiescent`; or it is *stuck*
+        (:meth:`_stuck`): packets are buffered, but every occupied router
+        sleeps and no node can inject. Either way a :meth:`step` touches
+        only the cycle counters, the injection-fairness rotation and — when
+        stuck — the sleeping routers' LCG jumps and PFC stalls, which is
+        what :meth:`skip_cycles` replays. O(1) on a cycle that followed
+        progress; the stuck test's O(n) scans run only after a cycle in
+        which nothing moved, injected or ejected.
+        """
+        if self.packets_in_network:
+            # Progress last cycle rules "stuck" out in O(1): it moved,
+            # injected or consumed a packet, which wakes a router.
+            return (self.last_progress_cycle < self.cycle - 1
+                    and self._stuck())
+        return not (self._inj_total or self.ej_pending_total
+                    or self._in_flight or self.frozen)
+
+    def _stuck(self) -> bool:
+        """The non-empty case of :attr:`inert` past its progress filter:
+        the vectorized engine runs (not ``dense``), nothing waits to be
+        consumed, nothing is frozen or on a wire, every live node's
+        injection port is full, and every occupied router sleeps."""
+        engine = self._engine
+        if (engine is None or self.ej_pending_total or self._in_flight
+                or self.frozen):
+            return False
+        stride = self._port_stride
+        ports = self._port_occ[self.index.num_links:]
+        if min(ports) != stride:
+            dead = self.index.dead_routers
+            if not dead or any(occ != stride for node, occ in enumerate(ports)
+                               if node not in dead):
+                return False
+        return engine.sleeping()
+
+    def skip_cycles(self, count: int) -> None:
+        """Fast-forward *count* cycles of an :attr:`inert` fabric.
+
+        Callers must hold the event-horizon contract: nothing outside the
+        fabric acts on it for the whole span. An empty fabric advances in
+        O(1); there NI injection-queue content is tolerated, because
+        ``Simulation._fast_forward`` completes the cycle that generated it
+        densely, strictly after this skip. A stuck fabric also replays the
+        sleeping routers' LCG jumps and stalls (``VectorizedEngine.skip``,
+        O(n + log count)). Anything else would have acted — an awake
+        router, a node that can inject, a frozen window — so it is a
+        contract violation, not a tolerable approximation.
         """
         if count <= 0:
             return
-        if (self.packets_in_network or self._in_flight or self.frozen
-                or self.ej_pending_total):
+        if self.packets_in_network:
+            if not self._stuck():
+                raise RuntimeError(
+                    "skip_cycles on a fabric that can act: "
+                    f"{self.packets_in_network} buffered and not stuck, "
+                    f"frozen={self.frozen}"
+                )
+            self._engine.skip(count)
+        elif self._in_flight or self.frozen or self.ej_pending_total:
             raise RuntimeError(
                 "skip_cycles on a non-quiescent fabric: "
-                f"{self.packets_in_network} buffered, "
-                f"{len(self._in_flight)} in flight, frozen={self.frozen}"
+                f"{len(self._in_flight)} in flight, frozen={self.frozen}, "
+                f"{self.ej_pending_total} awaiting consumption"
             )
         self.cycle += count
         self.stats.cycles += count

@@ -32,10 +32,13 @@ Semantics notes:
   that row (see DESIGN.md "Lossless flow control & pause storms").  The
   scalar kernel and the dense reference (``dense=True``: the same scalar
   loop with active-set skips disabled) stay as the oracles.
-- Event-horizon soundness: a quiescent fabric holds no packets, so every
+- Event-horizon soundness: an empty fabric holds no packets, so every
   row occupancy is zero and the only latent pause state is a forced pause
   whose expiry mutates nothing observable while the network is empty; the
   expiry scan processes overdue entries lazily on the next dense cycle.
+  A stuck fabric (packets buffered, every occupied router asleep) is
+  different: its sleeping routers replay stalls against the XOFF rows, so
+  a pending XON deadline refuses the stuck span (``_stuck``).
 """
 
 from __future__ import annotations
@@ -189,6 +192,12 @@ class PauseResumeFabric(Fabric):
     # ------------------------------------------------------------------
     # Pipeline hooks
     # ------------------------------------------------------------------
+    def _stuck(self) -> bool:
+        # An armed XON deadline (a forced pause or a jittered resume) fires
+        # in the expiry scan below: a timer inside the fabric, so no stuck
+        # span while one is pending.
+        return not self._pause_until and super()._stuck()
+
     def movement_stage(self) -> None:
         if self._pause_until:
             cycle = self.cycle

@@ -56,9 +56,10 @@ class StaticBubbleController:
 
         An occupied bubble re-enters the network opportunistically every
         cycle, so any occupancy pins the horizon to *now*; otherwise only
-        the detection tick matters. (A quiescence-gated caller never sees
-        an occupied bubble — bubble packets still count in
-        ``packets_in_network`` — but the hook stays correct standalone.)
+        the detection tick matters. (A bubble packet counts in
+        ``packets_in_network`` but sits in no VC, so a stuck fabric — every
+        occupied router asleep — can hold one; this clamp is what keeps
+        the fast-forward from skipping its re-entry.)
         """
         if self.occupied_bubbles():
             return now

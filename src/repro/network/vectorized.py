@@ -44,7 +44,10 @@ ejection-queue room or the fault epoch changes — each of which wakes it —
 every later scan would block the same packets and draw the same count, so
 ``movement()`` replaces the whole walk by one affine LCG jump. That makes
 host cost per cycle follow the packets that can move, not the packets that
-are blocked, while staying bit-identical to the other two engines.
+are blocked, while staying bit-identical to the other two engines. When
+every occupied router sleeps and no node can inject, every pass is the
+same until an outside event: ``Simulation``'s fast-forward then replays
+a whole span of passes at once (:meth:`VectorizedEngine.skip`).
 
 PFC pause (``PauseResumeFabric``) is one more term of "can this output
 grant": the kernel reads the fabric's XOFF rows — indexed like ``avail`` —
@@ -72,7 +75,7 @@ import numpy as _np
 from ..routing.base import RoutingFunction
 from .index import DenseCandidateTables
 
-__all__ = ["VectorizedEngine"]
+__all__ = ["VectorizedEngine", "lcg_jump"]
 
 #: Group layout: (links doubled, modes doubled — None when homogeneous —,
 #: count, homogeneous mode or -1).
@@ -107,6 +110,25 @@ _PICK = _pick_tables()
 #: candidate's. Pause governs the non-escape VCs; with an escape discipline
 #: (``exempt``) a claim that may land on VC 0 still may, nothing else does.
 _XOFF_MODE = ((1, 1, 1, 1, 1), (2, 1, 2, 1, 1))
+
+
+def lcg_jump(lcg: int, draws: int) -> int:
+    """The movement LCG after *draws* steps, in O(log draws).
+
+    One step is the affine map ``x -> (1103515245 x + 12345) mod 2**31``;
+    *draws* steps are its *draws*-th power, composed by repeated squaring
+    (powers of one map commute, so the bit order does not matter).
+    """
+    a, c = 1103515245, 12345
+    mul, add = 1, 0
+    while draws:
+        if draws & 1:
+            mul = (mul * a) & 0x7FFFFFFF
+            add = (add * a + c) & 0x7FFFFFFF
+        c = (c * a + c) & 0x7FFFFFFF
+        a = (a * a) & 0x7FFFFFFF
+        draws >>= 1
+    return (lcg * mul + add) & 0x7FFFFFFF
 
 
 class _LazyRows(dict):
@@ -608,6 +630,34 @@ class VectorizedEngine:
             touched += [slot_ai[grant[0]] for grant in moves]
             touched += [slot_ai[grant[0]] for grant in ejects]
             fabric._settle_rows(touched)
+
+    # ------------------------------------------------------------------
+    # Stuck-network spans (Simulation's fast-forward)
+    # ------------------------------------------------------------------
+    def sleeping(self) -> bool:
+        """True when every occupied router sleeps on this epoch's rows.
+
+        Then a :meth:`movement` pass grants nothing and is nothing but the
+        sleeping routers' LCG jumps and replayed stalls — the same pass
+        every cycle until something wakes a router.
+        """
+        fabric = self.fabric
+        if self._rows is None or self._epoch != fabric.index.fault_epoch:
+            return False  # the next pass rebuilds the rows and wakes all
+        return all(compress(self.asleep, fabric._router_occ))
+
+    def skip(self, count: int) -> None:
+        """Replay *count* movement passes of a fabric where every occupied
+        router sleeps (:meth:`sleeping`): one LCG jump by the passes' total
+        draw count, and their PFC stalls."""
+        fabric = self.fabric
+        occupied = list(compress(range(fabric.index.num_nodes),
+                                 fabric._router_occ))
+        draws = sum(self.sleep_draws[r] for r in occupied)
+        stalls = sum(self.sleep_stalls[r] for r in occupied)
+        fabric._lcg = lcg_jump(fabric._lcg, count * draws)
+        if stalls:
+            fabric.pfc_stalls += count * stalls
 
     # ------------------------------------------------------------------
     # Test hooks

@@ -176,6 +176,10 @@ class WormholeFabric:
             and not self.frozen
         )
 
+    #: "Nothing can act" is "empty" here: the flit pipeline has no sleeping
+    #: routers, so a wedged wormhole network is stepped.
+    inert = quiescent
+
     def skip_cycles(self, count: int) -> None:
         """Fast-forward *count* provably idle cycles in O(1).
 

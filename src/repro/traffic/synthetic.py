@@ -270,7 +270,7 @@ class WordStream:
     test settles them, with no per-word array of doubles.
     """
 
-    __slots__ = ("_rng", "_block", "words", "view", "size", "pos",
+    __slots__ = ("_rng", "_block", "words", "view", "size", "pos", "offset",
                  "_threshold", "_coarse", "hits", "hit_idx")
 
     #: Words in the first refill, doubling up to MAX_BLOCK: short sweep
@@ -285,6 +285,9 @@ class WordStream:
         self.view = memoryview(self.words)
         self.size = 0
         self.pos = 0
+        #: Words consumed before the current buffer: ``offset + pos`` is
+        #: the cursor's absolute position in the generator's output.
+        self.offset = 0
         self._threshold: Optional[int] = None
         self._coarse = 0
         self.hits: List[int] = [_NO_HIT]
@@ -298,6 +301,7 @@ class WordStream:
         self.words = words = _np.concatenate(
             (self.words[self.pos:], fresh.astype(_np.uint32, copy=False))
         )
+        self.offset += self.pos
         # Per-word reads go through the memoryview (native byte order, so
         # it indexes): plain ints, a quarter of the cost of numpy scalars.
         self.view = memoryview(words)
@@ -455,36 +459,73 @@ class SyntheticTraffic:
         self._injection_rate = rate
         self._stream.set_scan_rate(rate)
 
-    def generate(self, fabric: Fabric, cycle: int) -> None:
-        # Hot per-cycle path. Scan state is (pos, limit): the cursor and
-        # the end of this cycle's scan; a hit at p belongs to node
+    def generate(self, fabric: Fabric, cycle: int, count: int = 1) -> None:
+        """Make the packets of cycles ``cycle .. cycle + count - 1``, then
+        offer the backlogs (one cycle unless a span asks for more; see
+        :meth:`skip_cycles`).
+
+        The one copy of the draw-order code. Each packet gets its pid,
+        destination and gen cycle, goes to the record hook, and is
+        appended to its node's backlog — or offered, when that backlog is
+        empty. Cycles without a hit cost nothing per cycle: the walk jumps
+        from one hit's cycle to the next.
+        """
+        # Hot path. Scan state is (pos, limit): the cursor and the end of
+        # the current cycle's scan; a hit at p belongs to node
         # nodes - (limit - p) / 2, and the d words its destination draws
         # consume move both the cursor and limit along by d.
         stream = self._stream
         nodes = self._nodes
+        span = self._span
+        end = cycle + count
         pos = stream.pos
-        limit = pos + self._span
-        # One ensure per cycle covers the scan plus a first destination
-        # word per node; only the rare longer draws re-ensure below.
-        if limit + nodes >= stream.size:
-            stream.ensure(self._span + nodes)
-            pos = stream.pos
-            limit = pos + self._span
-        hits = stream.hits
         hi = stream.hit_idx
-        p = hits[hi]
-        if p < limit:
+        pid = -1  # until the first hit binds the per-packet locals
+        while True:
+            limit = pos + span
+            # One ensure per cycle covers the scan plus a first destination
+            # word per node; only the rare longer draws re-ensure below.
+            if limit + nodes >= stream.size:
+                stream.pos = pos
+                stream.hit_idx = hi
+                stream.ensure(span + nodes)
+                pos = stream.pos
+                limit = pos + span
+                hi = stream.hit_idx
+            hits = stream.hits
+            p = hits[hi]
+            if p >= limit:
+                # No hit this cycle. Over a longer walk, jump to the cycle
+                # of the next hit (no destination draw intervenes, so hits
+                # keep their parity against the cursor) or to the end of
+                # the classified read-ahead, whichever comes first.
+                jump = end - cycle
+                if jump == 1:
+                    pos = limit
+                    break
+                while p < _NO_HIT and (p - pos) & 1:
+                    hi += 1
+                    p = hits[hi]
+                if p == _NO_HIT:
+                    p = stream.size - 1  # first unclassified position
+                jump = min(jump, (p - pos) // span)
+                pos += jump * span
+                cycle += jump
+                if cycle >= end:
+                    break
+                continue
+            if pid < 0:
+                un = self._uniform_n
+                shift = self._uniform_shift
+                destination = self.pattern.destination
+                rng = self.rng
+                backlog = self._backlog
+                mark = self._backlogged.add
+                offer = fabric.offer_packet
+                msg_class = self.msg_class
+                hook = self._record_hook
+                pid = first_pid = self._next_pid
             view = stream.view
-            un = self._uniform_n
-            shift = self._uniform_shift
-            destination = self.pattern.destination
-            rng = self.rng
-            backlog = self._backlog
-            mark = self._backlogged.add
-            offer = fabric.offer_packet
-            msg_class = self.msg_class
-            hook = self._record_hook
-            pid = self._next_pid
             while p < limit:
                 hi += 1
                 # Entries behind the cursor are spent; entries at odd
@@ -529,24 +570,33 @@ class SyntheticTraffic:
                             queue.append(packet)
                             mark(node)
                 p = hits[hi]
-            self.generated += pid - self._next_pid
-            self._next_pid = pid
-        stream.pos = limit
+            pos = limit
+            cycle += 1
+            if cycle >= end:
+                break
+        stream.pos = pos
         stream.hit_idx = hi
+        if pid >= 0:
+            self.generated += pid - first_pid
+            self._next_pid = pid
+        if self._backlogged:
+            self._sweep(fabric)
+
+    def _sweep(self, fabric: Fabric) -> None:
+        """Offer every backlog's head packets until its NI queue refuses."""
+        # Per-node state only: the set's order is unobservable too.
+        offer = fabric.offer_packet
+        backlog = self._backlog
         backlogged = self._backlogged
-        if backlogged:
-            # Per-node state only: the set's order is unobservable too.
-            offer = fabric.offer_packet
-            backlog = self._backlog
-            drained = []
-            for node in backlogged:
-                queue = backlog[node]
-                while queue and offer(queue[0]):
-                    queue.popleft()
-                if not queue:
-                    drained.append(node)
-            if drained:
-                backlogged.difference_update(drained)
+        drained = []
+        for node in backlogged:
+            queue = backlog[node]
+            while queue and offer(queue[0]):
+                queue.popleft()
+            if not queue:
+                drained.append(node)
+        if drained:
+            backlogged.difference_update(drained)
 
     def next_event_cycle(self, now: int) -> int:
         """First cycle >= *now* whose :meth:`generate` may act.
@@ -576,19 +626,20 @@ class SyntheticTraffic:
             p = stream.size - 1  # first unclassified position
         return now + (p - pos) // span
 
-    def skip_cycles(self, count: int) -> None:
-        """Pass *count* cycles without a hit: the cursor moves as their
-        draws would have moved it. The caller stays at or before
-        :meth:`next_event_cycle`."""
-        if count <= 0:
-            return
-        stream = self._stream
-        pos = stream.pos + count * self._span
-        if pos >= stream.size:
-            raise RuntimeError(
-                f"skip_cycles({count}) past the traffic stream's read-ahead"
-            )
-        stream.pos = pos
+    def skip_cycles(self, fabric: Fabric, cycle: int, count: int) -> None:
+        """:meth:`generate` for cycles ``cycle .. cycle + count - 1`` in
+        one call: their hit walk, then one offer sweep.
+
+        The caller guarantees that no NI injection queue drains inside the
+        span — the fabric is empty and the span ends at or before
+        :meth:`next_event_cycle`, or no node can inject. Then every sweep
+        after the first finds each backlog's head refused again, and one
+        sweep at the end offers what the per-cycle sweeps would have: NI
+        room only shrinks, so the packets a node's queue accepts are the
+        same prefix of its backlog whenever they are offered.
+        """
+        if count > 0:
+            self.generate(fabric, cycle, count)
 
     def consume(self, fabric: Fabric, cycle: int) -> None:
         """Sink every ejected packet immediately (ideal NI consumption).

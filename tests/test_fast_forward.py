@@ -210,11 +210,48 @@ class TestDrainCountdown:
     def test_fabric_skip_refuses_non_quiescent_state(self):
         from repro.router.packet import Packet
 
+        # An awake occupied router: a packet just injected will move.
         sim = _make_sim(rate=0.0)
         fabric = sim.fabric
         assert fabric.offer_packet(Packet(0, 0, 5, gen_cycle=0))
         sim.step()  # packet leaves the NI queue into a VC
-        assert not fabric.quiescent
+        assert not fabric.quiescent and not fabric.inert
+        with pytest.raises(RuntimeError):
+            fabric.skip_cycles(10)
+
+        # A wedged mesh skips (the control), then refuses three states: an
+        # occupied router awake, ...
+        def stuck():
+            sim = _make_sim(rate=0.30, scale=Scale(warmup=0, measure=2000,
+                                                   epoch=2048))
+            while not sim.fabric.inert or sim.fabric.quiescent:
+                sim.step()
+            return sim.fabric
+
+        fabric = stuck()
+        fabric.skip_cycles(10)
+        assert fabric.inert
+        awake = next(r for r in range(64) if fabric._router_occ[r])
+        fabric._engine.asleep[awake] = 0  # as any wake source does
+        assert not fabric.inert
+        with pytest.raises(RuntimeError):
+            fabric.skip_cycles(10)
+
+        # ...a node whose injection port has room while its NI queue holds
+        # packets, ...
+        fabric = stuck()
+        node = next(n for n in range(64) if fabric._inj_pending[n])
+        port = fabric.index.injection_port(node)
+        fabric.fault_drop_slot(port, 0, 0)
+        fabric._engine.asleep[node] = 1  # the router is not what refuses
+        assert not fabric.inert
+        with pytest.raises(RuntimeError):
+            fabric.skip_cycles(10)
+
+        # ...and once a drain window freezes it.
+        fabric = stuck()
+        fabric.frozen = True
+        assert not fabric.inert
         with pytest.raises(RuntimeError):
             fabric.skip_cycles(10)
 

@@ -14,7 +14,10 @@ the end results; these tests pin the two properties directly:
   the PFC stalls of its skipped scan beside its draws;
 - the mechanism engages on a wedged mesh and stays out of the way at low
   load (an exact, time-free pin of the perf claim);
-- each wake source, exercised on a hand-built wedge.
+- each wake source, exercised on a hand-built wedge;
+- stuck spans: when every occupied router sleeps and no node can inject,
+  the fast-forward jumps to the next event; each span end must match a
+  ``dense`` twin, and no span may cover an event.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.core.rng import derive_seed
 from repro.core.simulator import Simulation
 from repro.experiments.common import Scale, scheme_config
 from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.faults.storm import PauseStormEvent, PauseStormSchedule
 from repro.network.fabric import Fabric
 from repro.network.index import FabricIndex
 from repro.network.pause import PauseResumeFabric
@@ -338,3 +342,267 @@ class TestWakeSources:
         assert fabric.buf[index.injection_port(0)][0][0] is None
         assert waiting.hops == 1
         assert engine.audit_sleep() == []
+
+
+# ----------------------------------------------------------------------
+# Stuck-network spans: the fast-forward across a wedge, against a twin
+# ----------------------------------------------------------------------
+#: Two drain windows, eight SPIN / watchdog ticks and a measurement
+#: boundary in 1 200 cycles; an 8x8 at 0.30 wedges between all of them.
+SPAN_SCALE = Scale(warmup=150, measure=1050, epoch=400, spin_timeout=64)
+SPAN_CASES = ("drain", "spin", "none", "faults", "router_fault", "pfc",
+              "pfc_storm")
+
+
+def _span_sim(case, seed):
+    """One span-twin case. Every scheme runs one VN: synthetic traffic
+    rides VN 0 only, and with one VN a full injection port is a node that
+    cannot inject."""
+    schedule = storm = None
+    rate = 0.30
+    if case.startswith("pfc"):
+        # The CBD leaf-spine of the pause-wedge test under synthetic
+        # traffic: the wedge's sleeping routers replay XOFF stalls. The
+        # storm pins rows XOFF and delays every XON for a while: timers
+        # inside the fabric that a stuck span must not run past.
+        topology = make_leaf_spine(8, 4, uplinks=1, east_west=True)
+        if case == "pfc_storm":
+            # Every link row pinned at cycle 20 (the empty ones too, whose
+            # release is an XON), each released on its own later cycle.
+            links = 2 * topology.num_edges
+            storm = PauseStormSchedule(events=tuple(
+                PauseStormEvent(20, "stuck_xoff", (port, 0),
+                                duration=200 + 29 * (port % 13))
+                for port in range(links)) + (
+                PauseStormEvent(700, "resume_jitter", (0, 0), duration=200,
+                                value=23),))
+        config = SimConfig(
+            scheme=Scheme.NONE,
+            network=NetworkConfig(num_vns=1, vcs_per_vn=4),
+            flow_control="pause_resume", seed=seed,
+            pfc=PfcConfig(pause_threshold=2, resume_threshold=0, headroom=1))
+        rate = 0.6
+    else:
+        topology = make_mesh(8, 8)
+        scheme = {"spin": Scheme.SPIN, "none": Scheme.NONE}.get(
+            case, Scheme.DRAIN)
+        config = scheme_config(scheme, SPAN_SCALE, num_vns=1, seed=seed)
+        if case == "faults":
+            schedule = FaultSchedule(
+                events=(FaultEvent(cycle=333, kind="link", target=(27, 28)),
+                        FaultEvent(cycle=701, kind="link", target=(35, 43))),
+                seed=seed, onset="uniform")
+        elif case == "router_fault":
+            schedule = FaultSchedule(
+                events=(FaultEvent(cycle=457, kind="router",
+                                   target=(36, -1)),),
+                seed=seed, onset="uniform")
+    traffic = SyntheticTraffic(
+        pattern_by_name("uniform_random", topology.num_nodes, None), rate,
+        random.Random(derive_seed(seed, "traffic", "uniform_random", rate)))
+    return Simulation(topology, config, traffic, fault_schedule=schedule,
+                      pause_storm=storm)
+
+
+def _span_state(sim):
+    """Everything a span replays, in comparable form."""
+    fabric, traffic = sim.fabric, sim.traffic
+    stream = traffic._stream
+    drain = sim.drain_controller
+    return {
+        "lcg": fabric._lcg, "cycle": fabric.cycle, "inj_rr": fabric._inj_rr,
+        "stats": sim.stats.as_dict(),
+        "unroutable": sim.stats.packets_unroutable,
+        "cursor": stream.offset + stream.pos,
+        "generated": traffic.generated,
+        "backlogs": [len(b) for b in traffic._backlog],
+        "ni": [len(q) for queues in fabric.inj_queues for q in queues],
+        "drain": None if drain is None else (drain.state, drain._countdown),
+        "stalls": getattr(fabric, "pfc_stalls", None),
+    }
+
+
+class _SpanTwin:
+    """Runs a case fast; at every span end, steps a ``dense`` twin up to
+    the same cycle and compares. The twin also records the cycles at which
+    a side component acted (freeze, SPIN probe fire), which no span may
+    cover."""
+
+    def __init__(self, case, seed):
+        self.sim = sim = _span_sim(case, seed)
+        self.twin = twin = _span_sim(case, seed)
+        twin.dense = True
+        #: (start, count, stuck, stream refilled, unroutable swallowed)
+        self.spans = []
+        self.events = set()
+        skip = sim._skip
+
+        def recording(cycles):
+            start = sim.fabric.cycle
+            stuck = not sim.fabric.quiescent
+            offset = sim.traffic._stream.offset
+            unroutable = sim.stats.packets_unroutable
+            skip(cycles)
+            self.spans.append((start, cycles, stuck,
+                               sim.traffic._stream.offset != offset,
+                               sim.stats.packets_unroutable - unroutable))
+            self.check()
+
+        sim._skip = recording
+
+    def check(self):
+        sim, twin = self.sim, self.twin
+        while twin.fabric.cycle < sim.fabric.cycle:
+            cycle = twin.fabric.cycle
+            frozen = twin.fabric.frozen
+            twin.step()
+            if twin.fabric.frozen and not frozen:
+                self.events.add(cycle)
+            if twin.spin_controller is not None:
+                self.events.update(f for f, _ in twin.spin_controller._pending)
+        assert _span_state(sim) == _span_state(twin), sim.fabric.cycle
+        engine = sim.fabric._engine
+        assert engine.audit_sleep() == [] and engine.audit_masks() == []
+
+    def run(self):
+        scale = SPAN_SCALE
+        self.twin.fabric.measure_from = scale.warmup
+        self.sim.run(scale.total_cycles, warmup=scale.warmup)
+        self.check()
+        ticks = [c.check_interval for c in (self.sim.watchdog,
+                                            self.sim.spin_controller)
+                 if c is not None]
+        for interval in ticks:
+            self.events.update(range(0, scale.total_cycles, interval))
+        injector = self.sim.fault_injector
+        if injector is not None:
+            self.events.update(e.cycle for e in injector.schedule)
+        return self
+
+
+class TestStuckSpans:
+    @pytest.mark.parametrize("case", SPAN_CASES)
+    def test_every_span_end_matches_the_dense_twin(self, case):
+        stuck_spans = stuck_cycles = 0
+        for seed in (1, 2):
+            run = _SpanTwin(case, seed).run()
+            end = SPAN_SCALE.total_cycles
+            for start, count, stuck, _, _ in run.spans:
+                assert start + count <= end
+                # A span may start on the measurement boundary, not
+                # straddle it.
+                assert not start < SPAN_SCALE.warmup < start + count
+                hit = [e for e in run.events if start <= e < start + count]
+                assert not hit, f"{case} seed {seed}: span at {start} " \
+                    f"covers event cycles {hit}"
+                if stuck:
+                    stuck_spans += 1
+                    stuck_cycles += count
+            # Spans run up to the events they may not cross.
+            assert any(start + count in run.events
+                       for start, count, _, _, _ in run.spans)
+        assert stuck_spans >= 2 and stuck_cycles >= 500, (
+            case, stuck_spans, stuck_cycles)
+
+    def test_a_span_crosses_a_stream_refill(self):
+        run = _SpanTwin("drain", 1).run()
+        assert any(stuck and refilled
+                   for _, _, stuck, refilled, _ in run.spans)
+
+    def test_doomed_backlog_inside_a_span(self):
+        # After a router dies, packets generated for it are doomed: an
+        # offer swallows them as unroutable even into a full NI queue, so
+        # the source's offers inside a wedge are not all refused. The span
+        # replays them: some span swallows packets, and every span end
+        # still matches the dense twin (checked as the run goes).
+        swallowed = 0
+        for seed in (1, 2, 3):
+            run = _SpanTwin("router_fault", seed).run()
+            assert run.sim.index.dead_routers == {36}
+            swallowed += sum(lost for start, _, stuck, _, lost in run.spans
+                             if stuck and start > 457)
+        assert swallowed > 0
+
+    def test_halt_on_deadlock_matches_dense(self):
+        halts = {}
+        for dense in (False, True):
+            topology = make_mesh(8, 8)
+            config = scheme_config(Scheme.NONE, SPAN_SCALE, num_vns=1, seed=4)
+            traffic = SyntheticTraffic(
+                pattern_by_name("uniform_random", 64, 8), 0.30,
+                random.Random(derive_seed(4, "traffic", "uniform_random",
+                                          0.30)))
+            sim = Simulation(topology, config, traffic, dense=dense,
+                             halt_on_deadlock=True)
+            sim.run(SPAN_SCALE.total_cycles, warmup=SPAN_SCALE.warmup)
+            assert sim.deadlocked
+            halts[dense] = (sim.fabric.cycle, sim.watchdog.cycle_payload,
+                            sim.stats.as_dict(), sim.fabric._lcg)
+            if not dense:
+                assert sim.ff_cycles > 0
+        assert halts[False] == halts[True]
+        assert halts[False][0] < SPAN_SCALE.total_cycles
+
+
+class TestSpanEngagement:
+    @staticmethod
+    def _run(rate, seed):
+        topology = make_mesh(8, 8)
+        traffic = SyntheticTraffic(
+            pattern_by_name("uniform_random", 64, 8), rate,
+            random.Random(derive_seed(seed, "traffic", "uniform_random",
+                                      rate)))
+        sim = Simulation(topology,
+                         scheme_config(Scheme.DRAIN, Scale.ci(), seed=seed),
+                         traffic)
+        sim.run(3_000, warmup=300)
+        return sim
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_wedged_mesh_is_skipped(self, seed):
+        # Between its drain windows the saturated mesh is wedged for
+        # 85-94 % of the run (the stuck predicate, counted cycle by cycle).
+        sim = self._run(0.30, seed)
+        assert sim.ff_cycles >= 0.75 * sim.stats.cycles
+
+    def test_low_load_spans_unchanged(self):
+        # Low load never wedges: the same empty-fabric spans as before the
+        # stuck case existed, span for span.
+        spans = [(s.ff_spans, s.ff_cycles)
+                 for s in (self._run(0.002, seed) for seed in (1, 2, 3))]
+        assert spans == [(159, 1199), (144, 1216), (147, 1058)]
+
+
+class TestJumpAndGuards:
+    @staticmethod
+    def _steps(lcg, k):
+        for _ in range(k):
+            lcg = (lcg * 1103515245 + 12345) & 0x7FFFFFFF
+        return lcg
+
+    def test_jump_is_repeated_steps(self):
+        from repro.network.vectorized import lcg_jump
+
+        sim = _span_sim("drain", 1)
+        fabric = sim.fabric
+        while not fabric.inert or fabric.quiescent:
+            sim.step()
+        engine = fabric._engine
+        draws = sum(engine.sleep_draws[r] for r in range(64)
+                    if fabric._router_occ[r])
+        assert draws > 0
+        for lcg in (0, 1, fabric._lcg, 0x7FFFFFFF):
+            for k in (0, 1, 2, 2 ** 20 + 3, 1_801 * draws):
+                assert lcg_jump(lcg, k) == self._steps(lcg, k), (lcg, k)
+
+    def test_stuck_fabric_skip_is_stepping(self):
+        sim, twin = _span_sim("drain", 2), _span_sim("drain", 2)
+        while not sim.fabric.inert or sim.fabric.quiescent:
+            sim.step()
+            twin.step()
+        sim.fabric.skip_cycles(37)
+        for _ in range(37):
+            twin.fabric.step()
+        assert (sim.fabric._lcg, sim.fabric.cycle, sim.fabric._inj_rr) == (
+            twin.fabric._lcg, twin.fabric.cycle, twin.fabric._inj_rr)
+        assert sim.fabric.inert

@@ -173,16 +173,29 @@ class TestAdditionalPatterns:
 # The traffic stream: hit-list generation against the per-node draw loop
 # ----------------------------------------------------------------------
 class _Sink:
-    """An NI that takes (or refuses) every packet."""
+    """An NI that takes (or refuses) every packet, or holds *capacity*
+    packets per source node and refuses that node while it is full."""
 
-    def __init__(self, accept=True):
+    def __init__(self, accept=True, capacity=None):
         self.accept = accept
+        self.capacity = capacity
         self.offered = []
+        self.queued = {}
 
     def offer_packet(self, packet):
+        if self.capacity is not None:
+            held = self.queued.get(packet.src, 0)
+            if held >= self.capacity:
+                return False
+            self.queued[packet.src] = held + 1
         if self.accept:
             self.offered.append(packet)
         return self.accept
+
+    def release(self):
+        """Every node's queue injects one packet (frees one place)."""
+        for src, held in self.queued.items():
+            self.queued[src] = max(0, held - 1)
 
 
 def _draw_loop(pattern, seed, cycles, rate_at):
@@ -240,7 +253,7 @@ class TestTrafficStream:
         while cycle < cycles:
             arrival = min(skipped.next_event_cycle(cycle), cycles)
             if arrival > cycle:
-                skipped.skip_cycles(arrival - cycle)
+                skipped.skip_cycles(sink, cycle, arrival - cycle)
                 cycle = arrival
             else:
                 skipped.generate(sink, cycle)
@@ -287,12 +300,50 @@ class TestTrafficStream:
         assert not traffic._backlogged
         assert traffic.next_event_cycle(5) > 5
 
-    def test_skip_past_the_read_ahead_is_refused(self):
-        traffic = SyntheticTraffic(UniformRandom(16), 0.0, random.Random(7))
-        horizon = traffic.next_event_cycle(0)
-        assert horizon > 0  # rate 0: an early wake-up at the buffer's end
-        with pytest.raises(RuntimeError):
-            traffic.skip_cycles(horizon + 10_000)
+    @pytest.mark.parametrize("name, nodes, width", [
+        ("uniform_random", 64, 8),
+        ("uniform_random", 9, 3),
+        ("hotspot", 16, 4),
+    ])
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 0.3])
+    def test_skip_walks_the_hits_across_refills(self, name, nodes, width,
+                                                  rate):
+        # A skip is generate over a span: the same packets with the same
+        # pids, destinations and gen cycles, through however many
+        # read-ahead refills, and the same backlogs behind NI queues that
+        # do not drain inside the span (its contract) but may have between
+        # spans.
+        pattern = pattern_by_name(name, nodes, width)
+        stepped = SyntheticTraffic(pattern, rate, random.Random(31))
+        skipped = SyntheticTraffic(pattern, rate, random.Random(31))
+        expected, got = _generated(stepped), _generated(skipped)
+        sinks = (_Sink(capacity=3), _Sink(capacity=3))
+        lengths = random.Random(5)
+        cycle = 0
+        while cycle < 60_000 // nodes:
+            count = lengths.choice((1, 2, 7, 300, 3_000))
+            for c in range(cycle, cycle + count):
+                stepped.generate(sinks[0], c)
+            skipped.skip_cycles(sinks[1], cycle, count)
+            cycle += count
+            for sink in sinks:
+                sink.release()
+            assert got == expected
+            assert (stepped._stream.offset + stepped._stream.pos
+                    == skipped._stream.offset + skipped._stream.pos)
+            assert ([len(b) for b in stepped._backlog]
+                    == [len(b) for b in skipped._backlog])
+            assert stepped._backlogged == skipped._backlogged
+        assert [p.pid for p in sinks[0].offered] == [
+            p.pid for p in sinks[1].offered]
+        assert skipped._stream._block == skipped._stream.MAX_BLOCK  # refilled
+        assert (len(got) > 300) == (rate > 0)
+        # Both cursors sit on the same word: a burst of hits agrees too.
+        for traffic in (stepped, skipped):
+            traffic.injection_rate = 0.5
+            for c in range(cycle, cycle + 20):
+                traffic.generate(_Sink(), c)
+        assert got == expected
 
     def test_one_draw_path(self, monkeypatch):
         # uniform_random at low load never touches the facade's random():
