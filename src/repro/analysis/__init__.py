@@ -8,7 +8,7 @@ no wall-clock, no global state):
   applying a :class:`~repro.faults.schedule.FaultSchedule` snapshot), it
   constructs the restricted channel-dependency graph, enumerates reachable
   turn-cycles, and emits a machine-readable :class:`~repro.analysis.
-  certifier.Certificate`: ``CERTIFIED`` with a coverage/acyclicity proof
+  certificate.Certificate`: ``CERTIFIED`` with a coverage/acyclicity proof
   object, or ``REFUTED`` with a concrete counterexample (the offending
   turn-cycle, or the uncovered-link set in
   :class:`~repro.drain.path.DrainPathError` payload form). For lossless
@@ -35,35 +35,16 @@ no wall-clock, no global state):
 The certifier also backs the harness's opt-out pre-flight gate
 (:mod:`repro.analysis.preflight`): every :class:`~repro.harness.trials.
 TrialSpec` is statically validated before worker submission, so malformed
-sweeps fail in milliseconds instead of timing out per-trial.
+sweeps fail in milliseconds instead of timing out per-trial. A verdict
+the structure store already holds is answered from
+:mod:`repro.analysis.certificate` alone, without loading the certifier.
+
+The public names below resolve on first access (:func:`repro._lazy_exports`).
 
 CLI entry points: ``repro-drain check`` and ``repro-drain lint``.
 """
 
-from .certifier import (
-    CERTIFIED,
-    REFUTED,
-    ROUTING_NAMES,
-    Certificate,
-    build_pause_bdg,
-    build_restricted_cdg,
-    canonical_rotation,
-    certify_configuration,
-    certify_drain_cover,
-    certify_pause_configuration,
-    certify_routing,
-    find_turn_cycle,
-    minimal_cycles,
-    routing_for,
-    topological_link_order,
-)
-from .differential import (
-    canonical_cycle_links,
-    refutation_matches,
-    storm_survival_sweep,
-)
-from .lint import LintFinding, is_kernel_path, lint_file, lint_paths, lint_source
-from .preflight import PreflightError, validate_spec
+from .. import _lazy_exports
 
 __all__ = [
     "CERTIFIED",
@@ -92,3 +73,17 @@ __all__ = [
     "topological_link_order",
     "validate_spec",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "certificate": ("CERTIFIED", "REFUTED", "ROUTING_NAMES", "Certificate"),
+    "certifier": ("build_pause_bdg", "build_restricted_cdg",
+                  "canonical_rotation", "certify_configuration",
+                  "certify_drain_cover", "certify_pause_configuration",
+                  "certify_routing", "find_turn_cycle", "minimal_cycles",
+                  "routing_for", "topological_link_order"),
+    "differential": ("canonical_cycle_links", "refutation_matches",
+                     "storm_survival_sweep"),
+    "lint": ("LintFinding", "is_kernel_path", "lint_file", "lint_paths",
+             "lint_source"),
+    "preflight": ("PreflightError", "validate_spec"),
+})

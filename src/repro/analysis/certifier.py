@@ -9,7 +9,8 @@ scheme itself, Section III of the paper). Both properties are decidable
 from the configuration alone, so any (topology, routing, drain-path)
 triple can be *certified or refuted* before a single simulated cycle.
 
-The certifier emits a :class:`Certificate` either way:
+The certifier emits a :class:`~repro.analysis.certificate.Certificate`
+either way:
 
 - ``CERTIFIED`` carries a checkable proof object — a topological order of
   the restricted dependency graph's links (every legal turn goes strictly
@@ -54,8 +55,6 @@ live wedge is a plain equality check on the ``links`` field.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.config import PfcConfig, Scheme
@@ -72,6 +71,7 @@ from ..routing.base import RoutingFunction
 from ..routing.dor import DimensionOrderRouting
 from ..routing.updown import UpDownRouting
 from ..topology.graph import Link, Topology
+from .certificate import CERTIFIED, REFUTED, ROUTING_NAMES, Certificate
 
 __all__ = [
     "CERTIFIED",
@@ -91,85 +91,6 @@ __all__ = [
     "certify_pause_configuration",
     "apply_schedule",
 ]
-
-CERTIFIED = "CERTIFIED"
-REFUTED = "REFUTED"
-
-#: Routing functions the certifier can instantiate by name.
-ROUTING_NAMES = ("dor", "adaptive", "updown")
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Machine-readable verdict of one static certification run.
-
-    ``subject`` identifies what was checked (topology, routing, drain
-    cycles, fault snapshot); ``proof`` is present exactly when the verdict
-    is ``CERTIFIED`` and ``counterexample`` exactly when it is
-    ``REFUTED``. :meth:`as_dict` is deterministic: link sets are sorted,
-    cycles are rotated to start at their smallest link, and no timestamps
-    or process state enter the payload.
-    """
-
-    verdict: str
-    subject: Mapping[str, Any]
-    proof: Optional[Mapping[str, Any]] = None
-    counterexample: Optional[Mapping[str, Any]] = None
-
-    def __post_init__(self) -> None:
-        if self.verdict not in (CERTIFIED, REFUTED):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if (self.verdict == CERTIFIED) == (self.counterexample is not None):
-            raise ValueError(
-                "CERTIFIED requires a proof and no counterexample; "
-                "REFUTED requires a counterexample"
-            )
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict == CERTIFIED
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "subject": dict(self.subject),
-            "proof": None if self.proof is None else dict(self.proof),
-            "counterexample": (
-                None if self.counterexample is None
-                else dict(self.counterexample)
-            ),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
-    def summary(self) -> str:
-        """One human-readable line (the CLI's non-JSON output)."""
-        subject = self.subject
-        what = subject.get("claim", subject.get("kind", "configuration"))
-        head = f"{self.verdict}: {subject.get('topology', '?')} [{what}]"
-        if self.certified:
-            proof = self.proof or {}
-            return f"{head} via {proof.get('method', '?')}"
-        counter = self.counterexample or {}
-        kind = counter.get("kind", "?")
-        if kind == "turn-cycle":
-            cycle = " -> ".join(counter.get("links", []))
-            return f"{head}: turn-cycle of length {counter.get('length')}: {cycle}"
-        if kind == "buffer-cycle":
-            cycle = " -> ".join(
-                f"{a}->{b}" for a, b in counter.get("links", [])
-            )
-            return (
-                f"{head}: buffer-cycle of length {counter.get('length')}: "
-                f"{cycle}"
-            )
-        if kind == "uncovered-links":
-            return (
-                f"{head}: missing={counter.get('missing')} "
-                f"extra={counter.get('extra')}"
-            )
-        return f"{head}: {kind}"
 
 
 # ----------------------------------------------------------------------

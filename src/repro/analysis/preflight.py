@@ -14,7 +14,11 @@ Certification results are memoized per ``(topology, scheme, flow
 control, flow set)`` within the process: a 500-trial injection-rate
 sweep over one topology certifies the configuration exactly once, and a
 lossless sweep re-certifies only when its pinned flow set (which shapes
-the pause-augmented buffer-dependency graph) actually changes.
+the pause-augmented buffer-dependency graph) actually changes. A
+certificate the structure store already holds is rebuilt from its
+payload (:mod:`repro.analysis.certificate`); the certifier itself, and
+the routing and fabric code it needs, load only when a verdict must be
+computed.
 
 The gate is opt-out: ``Harness(preflight=False)`` or the CLI flag
 ``--no-preflight`` skips it (e.g. for deliberately broken configurations
@@ -28,12 +32,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.config import PfcConfig, Scheme
 from ..store import canonical_json
-from .certifier import (
-    CERTIFIED,
-    Certificate,
-    certify_configuration,
-    certify_pause_configuration,
-)
+from .certificate import CERTIFIED, Certificate
 
 __all__ = ["PreflightError", "validate_spec", "clear_preflight_cache"]
 
@@ -46,6 +45,10 @@ __all__ = ["PreflightError", "validate_spec", "clear_preflight_cache"]
 _STATIC_SCHEMES = frozenset({Scheme.DRAIN, Scheme.UPDOWN, Scheme.ESCAPE_VC})
 
 _CERT_CACHE: Dict[Tuple[str, str, str, str], Certificate] = {}
+
+#: Connectivity verdict per canonical topology spec: a sweep rebuilds
+#: each distinct topology once, not once per spec.
+_CONNECTED: Dict[str, bool] = {}
 
 
 class PreflightError(ValueError):
@@ -74,8 +77,10 @@ class PreflightError(ValueError):
 
 
 def clear_preflight_cache() -> None:
-    """Drop memoized certificates (tests; topology-heavy long sessions)."""
+    """Drop memoized certificates and connectivity verdicts (tests;
+    topology-heavy long sessions)."""
     _CERT_CACHE.clear()
+    _CONNECTED.clear()
 
 
 def validate_spec(spec: "Any") -> Optional[Certificate]:
@@ -86,7 +91,8 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     1. the runner is registered;
     2. the params encode to canonical JSON (digest identity exists);
     3. the spec pickles (it must cross the process boundary);
-    4. any embedded topology is connected;
+    4. any embedded topology is connected (memoized per distinct
+       topology);
     5. for schemes with a static deadlock-freedom claim (drain, up*/down*,
        escape-VC), the configuration certifier issues ``CERTIFIED`` on the
        boot topology — the pause-aware certifier when the config runs
@@ -131,10 +137,15 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     if topo_spec is None:
         return None
 
-    topology = topology_from_spec(topo_spec)
-    if not topology.is_connected():
+    topo_key = canonical_json(topo_spec)
+    connected = _CONNECTED.get(topo_key)
+    if connected is None:
+        connected = topology_from_spec(topo_spec).is_connected()
+        _CONNECTED[topo_key] = connected
+    name = topo_spec.get("name", "custom")
+    if not connected:
         raise PreflightError(
-            f"topology {topology.name!r} is not connected; every trial "
+            f"topology {name!r} is not connected; every trial "
             "assumes all-pairs reachability at boot",
             digest=digest,
         )
@@ -167,11 +178,11 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
         if error:
             raise PreflightError(
                 f"pause/resume configuration is infeasible for "
-                f"{topology.name!r}: {error}",
+                f"{name!r}: {error}",
                 digest=digest,
             )
     flow_set = _flow_set(params)
-    cache_key = (canonical_json(topo_spec), scheme.value, flow_control,
+    cache_key = (topo_key, scheme.value, flow_control,
                  canonical_json(flow_set))
     certificate = _CERT_CACHE.get(cache_key)
     if certificate is None:
@@ -190,6 +201,12 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
         if certificate is not None:
             _CERT_CACHE[cache_key] = certificate
     if certificate is None:
+        from .certifier import (
+            certify_configuration,
+            certify_pause_configuration,
+        )
+
+        topology = topology_from_spec(topo_spec)
         if flow_control == "pause_resume":
             network = config.get("network") or {}
             try:
@@ -205,7 +222,7 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
             except (TypeError, ValueError) as exc:
                 raise PreflightError(
                     f"pause/resume configuration is infeasible for "
-                    f"{topology.name!r}: {exc}",
+                    f"{name!r}: {exc}",
                     digest=digest,
                 ) from exc
         else:
@@ -215,7 +232,7 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     if certificate.verdict != CERTIFIED:
         raise PreflightError(
             f"configuration refuted for scheme {scheme.value!r} on "
-            f"{topology.name!r}: {certificate.summary()}",
+            f"{name!r}: {certificate.summary()}",
             digest=digest,
             certificate=certificate,
         )

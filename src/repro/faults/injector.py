@@ -34,12 +34,10 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..drain.path import DrainPathError
 from ..router.packet import Packet
 from .recovery import recover_drain_paths
-from .schedule import FaultEvent, FaultSchedule
+from .schedule import FAULT_POLICIES, FaultEvent, FaultSchedule
 from .storm import PauseStormEvent, PauseStormSchedule
 
 __all__ = ["FaultInjector", "FAULT_POLICIES"]
-
-FAULT_POLICIES = ("drop_retransmit", "source_reroute")
 
 
 class FaultInjector:

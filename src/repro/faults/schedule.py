@@ -31,9 +31,14 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..core import rng as rng_mod
 from ..topology.graph import Topology
 
-__all__ = ["FaultEvent", "FaultSchedule", "ONSET_DISTRIBUTIONS"]
+__all__ = ["FaultEvent", "FaultSchedule", "FAULT_POLICIES",
+           "ONSET_DISTRIBUTIONS"]
 
 ONSET_DISTRIBUTIONS = ("uniform", "wearout", "burst")
+
+#: What happens to flits in flight on a dying wire (see
+#: :mod:`repro.faults.injector`, which applies the policy).
+FAULT_POLICIES = ("drop_retransmit", "source_reroute")
 
 
 @dataclass(frozen=True, order=True)

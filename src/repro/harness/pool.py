@@ -42,14 +42,14 @@ execute. Fresh results are written back to both from the parent process
 
 from __future__ import annotations
 
-import multiprocessing
+import importlib
 import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.preflight import validate_spec
 from ..store import cache_roots, digest as payload_digest
 from .cache import ResultCache
 from .checkpoint import SweepJournal
@@ -149,6 +149,9 @@ def _worker_main(conn, struct_root=None) -> None:
 
 
 def _mp_context():
+    # multiprocessing loads only when a trial is dispatched to a worker.
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork (Windows, some macOS setups)
@@ -244,10 +247,6 @@ class Harness:
         if not specs:
             return []
         if self.preflight:
-            # Imported lazily: repro.analysis imports harness.trials, so a
-            # module-level import here would cycle during package init.
-            from ..analysis.preflight import validate_spec
-
             for spec in specs:
                 validate_spec(spec)
         digests = [spec.digest() for spec in specs]
@@ -268,6 +267,10 @@ class Harness:
                 pending.append(i)
 
         if pending:
+            # The engine loads here, once, before any worker forks: each
+            # worker inherits it. A run served entirely from the cache
+            # never gets this far and never loads it.
+            importlib.import_module("repro.core.simulator")
             self._warm_structures([specs[i] for i in pending])
             payloads = [
                 (specs[i].runner, dict(specs[i].params)) for i in pending
@@ -357,6 +360,8 @@ class Harness:
         payloads: List[Tuple[str, Dict[str, Any]]],
     ) -> List[Tuple[Dict[str, Any], float, int]]:
         """Run *payloads* under supervision; (result, elapsed, retries) each."""
+        from multiprocessing import connection as mp_connection
+
         ctx = _mp_context()
         total = len(payloads)
         results: List[Optional[Tuple[Dict[str, Any], float, int]]] = [None] * total

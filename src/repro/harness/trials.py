@@ -39,18 +39,19 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..core.config import SimConfig
 from ..core.configio import config_from_dict, config_to_dict
 from ..core.metrics import NetworkStats
 from ..core.rng import derive_seed
-from ..core.simulator import Simulation
 from ..store import canonical_json, digest as payload_digest
 from ..structcache.digest import topology_payload as topology_to_spec
 from ..topology.graph import Topology
-from ..traffic.synthetic import SyntheticTraffic, pattern_by_name
-from ..traffic.workloads import WorkloadProfile, make_workload_traffic
+
+if TYPE_CHECKING:
+    from ..core.simulator import Simulation
+    from ..traffic.workloads import WorkloadProfile
 
 __all__ = [
     "TrialSpec",
@@ -211,6 +212,9 @@ def synthetic_trial(
 @register_runner("synthetic")
 @register_runner("fault_recovery")
 def _run_synthetic(params: Mapping[str, Any]) -> Dict[str, Any]:
+    from ..core.simulator import Simulation
+    from ..traffic.synthetic import SyntheticTraffic, pattern_by_name
+
     topology = topology_from_spec(params["topology"])
     traffic = SyntheticTraffic(
         pattern_by_name(params["pattern"], topology.num_nodes,
@@ -276,6 +280,9 @@ def workload_trial(
 
 @register_runner("workload")
 def _run_workload(params: Mapping[str, Any]) -> Dict[str, Any]:
+    from ..core.simulator import Simulation
+    from ..traffic.workloads import WorkloadProfile, make_workload_traffic
+
     topology = topology_from_spec(params["topology"])
     config = config_from_dict(params["config"])
     workload = WorkloadProfile(**params["workload"])
@@ -423,6 +430,7 @@ def lossless_trial(
 
 @register_runner("lossless")
 def _run_lossless(params: Mapping[str, Any]) -> Dict[str, Any]:
+    from ..core.simulator import Simulation
     from ..faults.storm import PauseStormSchedule
     from ..traffic.flows import Flow, FlowTraffic
 
@@ -507,6 +515,7 @@ def _run_batch(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 @register_runner("coherence")
 def _run_coherence(params: Mapping[str, Any]) -> Dict[str, Any]:
+    from ..core.simulator import Simulation
     from ..protocol.coherence import CoherenceTraffic
 
     topology = topology_from_spec(params["topology"])

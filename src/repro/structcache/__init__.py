@@ -6,31 +6,11 @@ engine rows — is compiled once per process into one
 :class:`CompiledNetwork` per topology content digest, and (when a store
 is activated) persisted as memory-mappable entries of the one store
 (:mod:`repro.store`). See :mod:`repro.structcache.memo`.
+
+The public names below resolve on first access (:func:`repro._lazy_exports`).
 """
 
-from .digest import (
-    STRUCT_FORMAT_VERSION,
-    certificate_digest,
-    structure_digest,
-    topology_digest,
-    topology_payload,
-)
-from .memo import (
-    KINDS,
-    CompiledNetwork,
-    activate,
-    active_store,
-    clear_memos,
-    compiled,
-    deactivate,
-    distance_matrix,
-    distances,
-    drain_links,
-    load_certificate,
-    parts_for,
-    save_certificate,
-    stats,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "STRUCT_FORMAT_VERSION",
@@ -53,3 +33,12 @@ __all__ = [
     "save_certificate",
     "stats",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "digest": ("STRUCT_FORMAT_VERSION", "certificate_digest",
+               "structure_digest", "topology_digest", "topology_payload"),
+    "memo": ("KINDS", "CompiledNetwork", "activate", "active_store",
+             "clear_memos", "compiled", "deactivate", "distance_matrix",
+             "distances", "drain_links", "load_certificate", "parts_for",
+             "save_certificate", "stats"),
+})

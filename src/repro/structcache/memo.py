@@ -40,8 +40,6 @@ from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
-import numpy as _np
-
 from ..store import Store, cache_roots
 from ..topology.graph import Link
 from .digest import STRUCT_FORMAT_VERSION, certificate_digest, topology_digest
@@ -166,6 +164,8 @@ class CompiledNetwork:
         """All-pairs hop distances: a read-only (n, n) int32 array."""
 
         def build() -> Any:
+            import numpy as _np
+
             n = topology.num_nodes
             matrix = self._stored(
                 "dist", {"dist": (n, n)}, topology._all_pairs_numpy,
@@ -209,6 +209,8 @@ class CompiledNetwork:
         router 0, as a tuple of frozen links in path order."""
 
         def build() -> Tuple[Link, ...]:
+            import numpy as _np
+
             from ..drain.path import euler_circuit
 
             count = 2 * topology.num_edges

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
-
-import numpy as _np
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["Link", "Topology"]
 
@@ -208,14 +206,18 @@ class Topology:
             return [self.bfs_distances(n) for n in self.nodes]
         return self._all_pairs_numpy().tolist()
 
-    def _all_pairs_numpy(self) -> "_np.ndarray":
+    def _all_pairs_numpy(self) -> Any:
         """All-pairs hop distances as an ``(n, n)`` int32 array (numpy).
 
         Runs every source's BFS at once: the frontier is a flat array of
         ``src * n + node`` keys, and each level gathers the neighbours of
         all frontier pairs with a ranged gather over the CSR ``indices``
-        array instead of a per-node Python loop.
+        array instead of a per-node Python loop. numpy is imported here,
+        not at module top, so building and checking a topology stays
+        numpy-free.
         """
+        import numpy as _np
+
         n = self.num_nodes
         counts = _np.fromiter(
             (len(self._adjacency[v]) for v in range(n)),

@@ -279,6 +279,42 @@ def test_preflight_rejects_disconnected_topology():
         validate_spec(spec)
 
 
+def test_preflight_checks_each_topology_once(monkeypatch):
+    clear_preflight_cache()
+    checks = []
+    real = Topology.is_connected
+    monkeypatch.setattr(Topology, "is_connected",
+                        lambda self: checks.append(1) or real(self))
+    split = topology_to_spec(Topology(4, [(0, 1), (2, 3)], name="split"))
+    specs = [
+        TrialSpec("synthetic", {
+            "topology": split,
+            "config": config_to_dict(SimConfig(scheme=Scheme.DRAIN, seed=seed)),
+        })
+        for seed in (1, 2)
+    ]
+    for spec in specs:
+        # The memoized verdict still refuses every spec on the topology,
+        # with the same text and that spec's own digest.
+        with pytest.raises(PreflightError) as info:
+            validate_spec(spec)
+        assert str(info.value) == (
+            "topology 'split' is not connected; every trial assumes "
+            "all-pairs reachability at boot"
+        )
+        assert info.value.digest == spec.digest()
+    assert len(checks) == 1
+    for seed in (1, 2, 3):
+        validate_spec(synthetic_trial(
+            make_mesh(4, 4), SimConfig(scheme=Scheme.SPIN, seed=seed),
+            rate=0.05, cycles=50, warmup=10))
+    assert len(checks) == 2
+    clear_preflight_cache()
+    with pytest.raises(PreflightError):
+        validate_spec(specs[0])
+    assert len(checks) == 3
+
+
 def test_harness_runs_gate_before_submission():
     harness = Harness(workers=1)
     with pytest.raises(PreflightError):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -203,3 +205,124 @@ class TestProfile:
         assert list(out_dir.glob("sweep_*.prof"))
         assert list(out_dir.glob("sweep_*.profile.txt"))
         assert list(out_dir.glob("sweep_*.manifest.json"))
+
+
+# ----------------------------------------------------------------------
+# What a run imports, and the public surface the lazy packages keep
+# ----------------------------------------------------------------------
+LIST_STDOUT = "".join(f"{line}\n" for line in [
+    "available experiments:",
+    "  fault-recovery", "  fig1-fig2", "  fig10", "  fig11", "  fig12",
+    "  fig13", "  fig14", "  fig15", "  fig3", "  fig4", "  fig5", "  fig9",
+    "  fig9-moesi", "  lifetime", "  lossless-pfc", "  path-quality",
+    "  section6", "  sensitivity", "  table1", "  table2",
+])
+
+#: Runs ``argv[1]``, then prints, as JSON, which of numpy and the
+#: ``repro`` modules the interpreter has loaded.
+_PROBE = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m == "numpy" or m == "repro" or m.startswith("repro.")
+)))
+"""
+
+
+def _probe(code: str, cwd) -> list:
+    """The ``repro`` modules and numpy loaded after running *code*."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, code], capture_output=True, text=True,
+        cwd=cwd, env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportClosure:
+    def test_cached_sweep_stays_out_of_the_engine(self, tmp_path):
+        # The structure store is on, as in the CLI default, so preflight
+        # answers from the certificates the cold run stored.
+        argv = ["sweep", "--topology", "mesh:3x3", "--schemes",
+                "drain,escape_vc,spin", "--rates", "0.05,0.1",
+                "--cache-dir", str(tmp_path / "cache")]
+        cold = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv,
+             "--out-dir", str(tmp_path / "cold")],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert cold.returncode == 0, cold.stderr
+        warm_argv = argv + ["--out-dir", str(tmp_path / "warm")]
+        loaded = _probe(
+            f"from repro.cli import main\nassert main({warm_argv!r}) == 0",
+            tmp_path,
+        )
+        for engine in ("numpy", "repro.core.simulator", "repro.network"):
+            assert engine not in loaded
+        name = "sweep_mesh-3x3_uniform_random"
+        rows = (tmp_path / "cold" / f"{name}.json").read_bytes()
+        assert (tmp_path / "warm" / f"{name}.json").read_bytes() == rows
+        manifest = json.loads(
+            (tmp_path / "warm" / f"{name}.manifest.json").read_text())
+        assert manifest["cache_misses"] == 0
+        assert manifest["struct_cache"]["compiles"] == 0
+
+    def test_store_and_list_import_nothing_heavy(self, tmp_path):
+        assert _probe("import repro.store", tmp_path) == ["repro", "repro.store"]
+        loaded = _probe("from repro.cli import main\nmain(['list'])", tmp_path)
+        assert not [m for m in loaded if m.startswith("repro.experiments.")]
+        assert "numpy" not in loaded
+
+
+#: Constants carry no ``__module__``: where each is defined.
+_CONSTANT_HOMES = {
+    ("repro", "__version__"): "repro",
+    ("repro.analysis", "CERTIFIED"): "repro.analysis.certificate",
+    ("repro.analysis", "REFUTED"): "repro.analysis.certificate",
+    ("repro.analysis", "ROUTING_NAMES"): "repro.analysis.certificate",
+    ("repro.faults", "FAULT_POLICIES"): "repro.faults.schedule",
+    ("repro.faults", "ONSET_DISTRIBUTIONS"): "repro.faults.schedule",
+    ("repro.faults", "STORM_EVENT_KINDS"): "repro.faults.storm",
+    ("repro.harness", "RUNNERS"): "repro.harness.trials",
+    ("repro.structcache", "KINDS"): "repro.structcache.memo",
+    ("repro.structcache", "STRUCT_FORMAT_VERSION"): "repro.structcache.digest",
+}
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("package", [
+        "repro", "repro.core", "repro.analysis", "repro.harness",
+        "repro.structcache", "repro.experiments", "repro.faults",
+    ])
+    def test_every_public_name_is_its_defining_object(self, package):
+        pkg = importlib.import_module(package)
+        for name in pkg.__all__:
+            value = getattr(pkg, name)
+            if inspect.ismodule(value):
+                assert value is sys.modules[f"{package}.{name}"]
+                continue
+            home = _CONSTANT_HOMES.get((package, name))
+            if home is None:
+                home, name = value.__module__, value.__name__
+            assert getattr(importlib.import_module(home), name) is value
+        assert not hasattr(pkg, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pkg.no_such_name
+
+    def test_experiment_table_and_list_output(self, capsys):
+        assert sorted(EXPERIMENTS) == sorted(
+            line.strip() for line in LIST_STDOUT.splitlines()[1:])
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == LIST_STDOUT
+
+    def test_drain_path_error_prints_its_payload(self, capsys):
+        # Omitting two links splits the ring, so no drain cover exists.
+        assert main(["check", "--topology", "ring:4", "--omit-link", "0-1",
+                     "--omit-link", "2-3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: drain path requires a connected topology",
+            '{"extra": [], "message": "drain path requires a connected '
+            'topology", "missing": []}',
+        ]
