@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro.core.config import DrainConfig, NetworkConfig, Scheme, SimConfig
+from repro.core.rng import derive_seed
 from repro.core.simulator import Simulation
 from repro.drain.path import DrainPath, DrainPathError, euler_drain_path
 from repro.faults import (
@@ -19,6 +20,7 @@ from repro.faults import (
 )
 from repro.network.index import FabricIndex
 from repro.topology.graph import Topology
+from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_ring
 from repro.traffic.synthetic import SyntheticTraffic, pattern_by_name
 
@@ -285,3 +287,49 @@ class TestFaultInjector:
         sim.run(600, warmup=50)
         assert sim.index.unreachable_pairs() == 2
         assert sim.fault_injector.summary()["faults_applied"] == 1
+
+    def test_retransmit_restarts_in_the_updown_up_phase(self):
+        # ESCAPE_VC on an irregular mesh escapes over up*/down*; a packet
+        # that went down-phase in escape and then died on a wire must come
+        # back as a fresh packet: out of escape *and* in the up phase, or
+        # the escape candidates it is offered come from the down-phase
+        # table. Four-flit packets put transfers on the dying wires.
+        topo = inject_link_faults(make_mesh(4, 4), 2, random.Random(5))
+        schedule = self.make_schedule([
+            FaultEvent(cycle=150, kind="link", target=(5, 6)),
+            FaultEvent(cycle=200, kind="link", target=(9, 10)),
+            FaultEvent(cycle=250, kind="link", target=(6, 10)),
+        ])
+        dropped_down = 0
+        for seed in (1, 2, 4):
+            config = SimConfig(
+                scheme=Scheme.ESCAPE_VC,
+                network=NetworkConfig(num_vns=3, vcs_per_vn=2,
+                                      packet_size_flits=4),
+                seed=seed,
+            )
+            traffic = SyntheticTraffic(
+                pattern_by_name("uniform_random", 16, None), 0.05,
+                random.Random(derive_seed(seed, "t", 0.05)))
+            sim = Simulation(topo, config, traffic, fault_schedule=schedule,
+                             fault_policy="drop_retransmit")
+            injector = sim.fault_injector
+            schedule_retransmit = injector._schedule_retransmit
+
+            def record(cycle, attempt, packet):
+                nonlocal dropped_down
+                dropped_down += not packet.updown_up_phase
+                schedule_retransmit(cycle, attempt, packet)
+
+            injector._schedule_retransmit = record
+            for _ in range(440):
+                sim.step()
+                fabric = sim.fabric
+                queued = [p for node in fabric.inj_queues
+                          for queue in node for p in queue]
+                buffered = [p for _, _, _, p in fabric.occupied_slots()
+                            if not p.in_escape]
+                assert all(p.updown_up_phase for p in queued + buffered), (
+                    seed, fabric.cycle)
+            assert sim.stats.packets_retransmitted > 0
+        assert dropped_down > 0
