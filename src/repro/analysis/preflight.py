@@ -182,9 +182,9 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
                 digest=digest,
             )
     flow_set = _flow_set(params)
-    cache_key = (topo_key, scheme.value, flow_control,
-                 canonical_json(flow_set))
-    certificate = _CERT_CACHE.get(cache_key)
+    memo_key = (topo_key, scheme.value, flow_control,
+                canonical_json(flow_set))
+    certificate = _CERT_CACHE.get(memo_key)
     if certificate is None:
         # Persistent layer: the compiled-structure store keeps issued
         # certificates across processes and runs (keyed by the same memo
@@ -192,14 +192,14 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
         # certifier; verdicts re-enter both layers on the way out.
         from .. import structcache
 
-        stored = structcache.load_certificate(cache_key)
+        stored = structcache.load_certificate(memo_key)
         if stored is not None:
             try:
                 certificate = Certificate(**stored)
             except (TypeError, ValueError):
                 certificate = None
         if certificate is not None:
-            _CERT_CACHE[cache_key] = certificate
+            _CERT_CACHE[memo_key] = certificate
     if certificate is None:
         from .certifier import (
             certify_configuration,
@@ -227,8 +227,8 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
                 ) from exc
         else:
             certificate = certify_configuration(topology, scheme=scheme)
-        _CERT_CACHE[cache_key] = certificate
-        structcache.save_certificate(cache_key, certificate.as_dict())
+        _CERT_CACHE[memo_key] = certificate
+        structcache.save_certificate(memo_key, certificate.as_dict())
     if certificate.verdict != CERTIFIED:
         raise PreflightError(
             f"configuration refuted for scheme {scheme.value!r} on "

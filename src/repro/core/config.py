@@ -228,20 +228,8 @@ class SimConfig:
     seed: int = 1
     deadlock_check_interval: int = 128  # oracle cadence (measurement only)
     deadlock_grace: int = 64  # min blocked cycles before oracle counts it
-    #: Movement-kernel selection: "auto" picks the vectorized engine where
-    #: its support conditions hold and silently falls back to the scalar
-    #: path otherwise (the reason lands on ``Fabric.engine_fallback_reason``);
-    #: "scalar" forces the active-set kernel; "vectorized" requests the
-    #: batched kernel explicitly (still subject to the same fallback). All
-    #: engines are bit-identical — this knob never changes results.
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("auto", "scalar", "vectorized"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}: "
-                "expected 'auto', 'scalar' or 'vectorized'"
-            )
         if self.flow_control not in FLOW_CONTROL_MODES:
             raise ValueError(
                 f"unknown flow_control {self.flow_control!r}: "

@@ -42,7 +42,6 @@ def config_to_dict(config: SimConfig) -> Dict[str, Any]:
         "seed": config.seed,
         "deadlock_check_interval": config.deadlock_check_interval,
         "deadlock_grace": config.deadlock_grace,
-        "engine": config.engine,
         "flow_control": config.flow_control,
     }
     for section, _cls in _SECTIONS.items():
@@ -57,7 +56,6 @@ def config_from_dict(data: Dict[str, Any]) -> SimConfig:
     seed = payload.pop("seed", 1)
     check = payload.pop("deadlock_check_interval", 128)
     grace = payload.pop("deadlock_grace", 64)
-    engine = payload.pop("engine", "auto")
     flow_control = payload.pop("flow_control", "credit")
     sections: Dict[str, Any] = {}
     for section, cls in _SECTIONS.items():
@@ -76,7 +74,6 @@ def config_from_dict(data: Dict[str, Any]) -> SimConfig:
         seed=seed,
         deadlock_check_interval=check,
         deadlock_grace=grace,
-        engine=engine,
         flow_control=flow_control,
         **sections,
     )

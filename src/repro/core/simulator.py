@@ -171,7 +171,6 @@ class Simulation:
         pause_storm=None,
         degradation_ladder: bool = False,
         dense: bool = False,
-        engine: Optional[str] = None,
     ) -> None:
         if flow_control not in ("vct", "wormhole"):
             raise ValueError("flow_control must be 'vct' or 'wormhole'")
@@ -245,8 +244,8 @@ class Simulation:
                 rng=rng_mod.spawn(config.seed, "fabric"),
                 dense=dense,
             )
-            # The wormhole fabric is a standalone scalar pipeline; the
-            # engine knob does not apply (class attrs report that).
+            # The wormhole fabric is a standalone scalar pipeline (its
+            # class attributes report that).
         else:
             if config.flow_control == "pause_resume":
                 from ..network.pause import PauseResumeFabric
@@ -263,7 +262,6 @@ class Simulation:
                 stats=self.stats,
                 rng=rng_mod.spawn(config.seed, "fabric"),
                 dense=dense,
-                engine=engine,
             )
 
         self.drain_controller: Optional[DrainController] = None

@@ -37,9 +37,15 @@ Performance architecture (see DESIGN.md, "Performance architecture"):
   deterministic iteration order as a dense sweep (the skipped work had no
   side effects, so outputs are bit-identical);
 - candidate-link priority groups are memoized per (router, destination,
-  escape flag, routing state) into immutable tuples and invalidated on
-  fault reconfiguration (``FabricIndex.fault_epoch``) or explicit
+  escape flag, up*/down* phase bit) into immutable tuples and invalidated
+  on fault reconfiguration (``FabricIndex.fault_epoch``) or explicit
   :meth:`invalidate_routing_cache` calls;
+- the vectorized engine (:mod:`repro.network.vectorized`) replaces the
+  scalar movement stage wherever the fabric's structure allows it:
+  single-flit packets, 2 to 8 VCs per VN, and ``Fabric`` itself or an
+  ``engine_modelled`` subclass. Every routing function qualifies; the
+  resolved choice is ``engine_name``, and ``engine_fallback_reason`` says
+  why the scalar stage runs;
 - ``dense=True`` retains the pre-optimization reference sweep (no skip
   checks, no memoization) for the parity test suite;
 - the :attr:`inert` predicate — "nothing in the fabric can act": it is
@@ -172,14 +178,9 @@ class Fabric:
         stats: Optional[NetworkStats] = None,
         rng: Optional[random.Random] = None,
         dense: bool = False,
-        engine: Optional[str] = None,
     ) -> None:
         if escape_mode not in (None, "drain", "escape_vc"):
             raise ValueError(f"unknown escape mode {escape_mode!r}")
-        if engine is None:
-            engine = config.engine
-        if engine not in ("auto", "scalar", "vectorized"):
-            raise ValueError(f"unknown engine {engine!r}")
         if escape_mode == "escape_vc" and escape_routing is None:
             raise ValueError("escape_vc mode requires an escape routing function")
         self.index = index
@@ -268,29 +269,22 @@ class Fabric:
         self._vc_order_escape: Tuple[int, ...] = (0,)
         self._vc_order_adaptive: Tuple[int, ...] = tuple(range(1, self.vcs_per_vn))
 
-        #: Candidate-group memo: (router, dst, in_escape[, routing state])
-        #: -> tuple of priority groups. Invalidated when the index's fault
-        #: epoch moves or via :meth:`invalidate_routing_cache`.
+        #: Candidate-group memo: (router, dst, in_escape, up*/down* phase
+        #: bit) -> tuple of priority groups. Invalidated when the index's
+        #: fault epoch moves or via :meth:`invalidate_routing_cache`.
         self._cand_cache: dict = {}
         self._cand_epoch: int = index.fault_epoch
-        self._stateful_fns: Tuple[RoutingFunction, ...] = tuple(
-            fn for fn in (routing, escape_routing)
-            if fn is not None and fn.stateful
-        )
 
         # Engine selection (see DESIGN.md, "Vectorized kernel"): dense is
-        # the reference sweep and always wins; otherwise "auto" and
-        # "vectorized" install the batched kernel when its support
-        # conditions hold, and fall back to the scalar path — silently,
-        # with the reason recorded — when they don't.
+        # the reference sweep and always wins; otherwise the batched
+        # kernel runs wherever the fabric's structure allows it, and the
+        # scalar path — silently, with the reason recorded — elsewhere.
         #: Resolved engine: "dense", "scalar" or "vectorized".
         self.engine_name: str = "dense" if self.dense else "scalar"
-        #: Why a requested/auto vectorized engine was not installed.
+        #: Why the vectorized engine was not installed (structure only).
         self.engine_fallback_reason: Optional[str] = None
-        if not self.dense and engine != "scalar":
+        if not self.dense:
             reason = self._engine_structural_reason()
-            if reason is None:
-                reason = VectorizedEngine.unsupported_reason(self)
             if reason is None:
                 self._engine = VectorizedEngine(self)
                 self._engine_avail = self._engine.avail
@@ -443,21 +437,17 @@ class Fabric:
           escape candidates compete in a single group, modelling the usual
           round-robin VC selection; escape entry is always sticky.
 
-        Results are memoized per (router, destination, escape flag) — plus
-        the per-packet routing state reported by
-        :meth:`RoutingFunction.cache_key` for stateful functions — until
-        the index's fault epoch moves or the cache is invalidated.
+        Results are memoized per (router, destination, escape flag,
+        up*/down* phase bit) — the phase bit being the only per-packet
+        routing state any routing function reads — until the index's fault
+        epoch moves or the cache is invalidated.
         """
         if self.dense:
             return self._build_candidate_groups(router, packet)
         if self._cand_epoch != self.index.fault_epoch:
             self._cand_cache.clear()
             self._cand_epoch = self.index.fault_epoch
-        if self._stateful_fns:
-            key = (router, packet.dst, packet.in_escape,
-                   tuple(fn.cache_key(packet) for fn in self._stateful_fns))
-        else:
-            key = (router, packet.dst, packet.in_escape)
+        key = (router, packet.dst, packet.in_escape, packet.updown_up_phase)
         cache = self._cand_cache
         groups = cache.get(key)
         if groups is None:

@@ -34,10 +34,11 @@ class DenseCandidateTables:
     emits the triple straight from the distance matrix (one k x n compare
     per router, no Python-level cell loop), so a fault-driven rebuild of a
     thousand-node table stays cheap; the structure store persists the same
-    arrays and the vectorized engine adopts them as they are. Routing
-    functions that only export nested lists (DOR, the generic probe
-    export) are packed by the constructor in one vectorized pass (length
-    scan -> cumulative offsets -> flat gather).
+    arrays and the vectorized engine adopts them as they are. Up*/down*
+    holds one triple per phase, compiled the same way
+    (:meth:`from_chunks`); DOR's nested next-hop lists are packed by the
+    constructor in one vectorized pass (length scan -> cumulative offsets
+    -> flat gather).
 
     Single cells are read through ``memoryview`` slices (:meth:`row`),
     which cost a fraction of numpy scalar indexing and work unchanged on
@@ -93,6 +94,17 @@ class DenseCandidateTables:
         self = object.__new__(cls)
         self._adopt(index, offsets, counts, links)
         return self
+
+    @classmethod
+    def from_chunks(cls, index: "FabricIndex", counts: "_np.ndarray",
+                    chunks: List["_np.ndarray"]) -> "DenseCandidateTables":
+        """Adopt a routing compile's output: the ``n * n`` cell counts
+        (row-major) and the cells' links as consecutive int32 chunks."""
+        offsets = _np.zeros(counts.size + 1, dtype=_np.int64)
+        _np.cumsum(counts, out=offsets[1:])
+        links = (_np.concatenate(chunks) if chunks
+                 else _np.zeros(0, dtype=_np.int32))
+        return cls.from_arrays(index, offsets, counts, links)
 
     def _adopt(self, index: "FabricIndex", offsets, counts, links) -> None:
         self.num_nodes = index.num_nodes

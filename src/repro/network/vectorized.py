@@ -4,24 +4,37 @@ This is the third entry in the fabric's engine matrix (see DESIGN.md,
 "Vectorized kernel"):
 
 - ``dense``      — reference sweep, no memoization (parity baseline);
-- ``scalar``     — the active-set kernel (PR 4), the universal fast path;
-- ``vectorized`` — this module: the saturation kernel, default wherever
-  its support conditions hold, bit-identical to the other two.
+- ``scalar``     — the active-set kernel, for what this one's structure
+  cannot hold (multi-flit packets, 1 or more than 8 VCs per VN,
+  unmodelled flow control);
+- ``vectorized`` — this module: the saturation kernel, which runs
+  everywhere else, bit-identical to the other two.
 
 Architecture
 ============
 
-Candidate computation is batched across all routers ahead of time: each
-routing function exports its complete (router, dst) relation once
-(:meth:`RoutingFunction.export_tables`), and the engine flattens it into
+Candidate computation is batched across all routers ahead of time: every
+routing function holds its complete relation as
 :class:`~repro.network.index.DenseCandidateTables` (numpy CSR arrays,
-rebuilt when the index's fault epoch moves or the fabric's routing cache
-is invalidated). From those arrays the engine compiles, on first touch,
-one immutable row per (router, dst, escape-flag): the candidate links
-doubled back to back (so a rotation never takes a modulo) plus the
-scheme's VC-mode discipline, replacing the scalar path's per-packet memo
-lookups; ``_pick_vc`` becomes one lookup in a per-mode table over the
-row's availability byte (:data:`_PICK`), whatever the VC count.
+:attr:`RoutingFunction.compiled_tables`), which the engine adopts as they
+are — again whenever the index's fault epoch moves or the fabric's
+routing cache is invalidated. From those arrays the engine compiles, on
+first touch, one immutable row per (router, dst, escape-flag): the
+candidate links doubled back to back (so a rotation never takes a modulo)
+plus the scheme's VC-mode discipline, replacing the scalar path's
+per-packet memo lookups; ``_pick_vc`` becomes one lookup in a per-mode
+table over the row's availability byte (:data:`_PICK`), whatever the VC
+count.
+
+Up*/down* is the one stateful routing function: its candidates depend on
+the packet's phase bit, and it keeps one table per phase. When a fabric's
+main or escape function is stateful, each row container becomes a
+(down-phase, up-phase) pair and the scan picks the container by the
+packet's ``updown_up_phase``; the apply pass clears the bit on a down link
+from the ``link_is_up`` bytes of the function governing the packet (the
+escape function once a packet is in escape under ESCAPE_VC, the main one
+otherwise), exactly as the functions' ``on_hop`` would. Stateless fabrics
+keep one container per escape flag and pay one branch per packet.
 
 Credit and escape availability live in one flat byte array — bit ``v`` of
 ``avail[port * num_vns + vn]`` is set iff VC ``v`` of that (port, vn) row
@@ -58,11 +71,11 @@ count, every XOFF/XON flip wakes the router feeding that row, and the
 apply pass hands the rows a cycle touched to the fabric's hysteresis once
 all of its grants have landed.
 
-Support conditions (anything else silently selects the scalar path, with
-the reason recorded on ``Fabric.engine_fallback_reason``): a ``Fabric`` or
-``PauseResumeFabric`` (no other flow-control subclass), single-flit
-packets, 2 to 8 VCs per VN (one availability byte per row), and stateless
-routing functions with no per-hop state hooks.
+Support conditions are structural only (anything else silently selects
+the scalar path, with the reason recorded on
+``Fabric.engine_fallback_reason``): a ``Fabric`` or ``PauseResumeFabric``
+(no other flow-control subclass), single-flit packets, and 2 to 8 VCs per
+VN (one availability byte per row). Every routing function qualifies.
 """
 
 from __future__ import annotations
@@ -72,7 +85,6 @@ from typing import List, Optional, Tuple
 
 import numpy as _np
 
-from ..routing.base import RoutingFunction
 from .index import DenseCandidateTables
 
 __all__ = ["VectorizedEngine", "lcg_jump"]
@@ -193,7 +205,7 @@ class VectorizedEngine:
         "_slot_port", "_slot_ai", "_slot_bit", "rebuilds",
         "tables", "escape_tables",
         "asleep", "sleep_draws", "sleep_stalls", "upstream", "_jump",
-        "_used0", "_xoff", "_xoff_mode", "_scan", "_land",
+        "_used0", "_xoff", "_xoff_mode", "_scan", "_land", "_phase_up",
     )
 
     def __init__(self, fabric) -> None:
@@ -250,8 +262,12 @@ class VectorizedEngine:
         self._rows: Optional[_LazyRows] = None
         self._esc_rows: Optional[_LazyRows] = None
         self._epoch = -1
-        self.tables: Optional[DenseCandidateTables] = None
-        self.escape_tables: Optional[DenseCandidateTables] = None
+        self.tables = None
+        self.escape_tables = None
+        #: ``(main, escape)`` ``link_is_up`` bytes that clear a packet's
+        #: phase bit after a hop, or None when no routing function is
+        #: stateful (then the rows are not phase pairs either).
+        self._phase_up: Optional[Tuple[bytes, bytes]] = None
         #: Table (re)builds performed, including the initial one (test hook
         #: for the fault-epoch invalidation contract).
         self.rebuilds = 0
@@ -277,13 +293,16 @@ class VectorizedEngine:
         mode = fabric.escape_mode
         latch0 = mode is not None and (mode == "escape_vc"
                                        or fabric.escape_sticky)
+        # Entering escape under ESCAPE_VC re-arms a stateful escape
+        # function's phase (its on_inject).
+        rearm = mode == "escape_vc" and fabric.escape_routing.stateful
         #: What an XOFF target row leaves of each candidate mode.
         self._xoff_mode = _XOFF_MODE[bool(exempt_escape)]
         self._scan = (
             fabric._buf, fabric.num_vns, vcs, fabric._port_stride,
             index.num_nodes, self.avail, orders, _PICK, index.in_ports,
             fabric._port_occ, fabric._router_occ, fabric.ej_queues,
-            fabric._ej_depth, fabric.net.ejections_per_cycle, latch0,
+            fabric._ej_depth, fabric.net.ejections_per_cycle, latch0, rearm,
             self.asleep, self.sleep_draws, self.sleep_stalls, self._jump,
             self._xoff, self._xoff_mode)
         self._land = (
@@ -292,27 +311,6 @@ class VectorizedEngine:
             fabric._router_occ, index.port_router, index.link_dst,
             index.dist, fabric.link_util, self.asleep, self.upstream,
             fabric.num_vns, fabric._eject)
-
-    # ------------------------------------------------------------------
-    # Support gate
-    # ------------------------------------------------------------------
-    @staticmethod
-    def unsupported_reason(fabric) -> Optional[str]:
-        """Why this fabric cannot run the vectorized engine (None = it can).
-
-        Structural conditions (modelled flow control, single-flit, 2 to 8
-        VCs per VN) are checked by the caller; this covers the routing
-        functions.
-        """
-        for fn in (fabric.routing, fabric.escape_routing):
-            if fn is None:
-                continue
-            if fn.stateful:
-                return f"stateful routing ({type(fn).__name__})"
-            if (type(fn).on_hop is not RoutingFunction.on_hop
-                    or type(fn).on_inject is not RoutingFunction.on_inject):
-                return f"routing with per-hop hooks ({type(fn).__name__})"
-        return None
 
     # ------------------------------------------------------------------
     # Table compilation
@@ -333,16 +331,18 @@ class VectorizedEngine:
 
         Rows are a pure function of the topology and the escape
         discipline while the index is at fault epoch 0 and the main
-        routing function holds the topology's own memoised tables (a
-        replaced or rebuilt function does not). The escape function is
-        keyed by class: every stateless one is built from the index alone.
+        routing function holds the topology's own memoised adaptive tables
+        (a replaced or rebuilt function does not). The escape function is
+        keyed by class: every stateless one is built from the index alone
+        (a stateful one compiles rows per fabric).
         """
         fabric = self.fabric
         index = fabric.index
         net = index.compiled
-        tables = getattr(fabric.routing, "compiled_tables", None)
-        if (index.fault_epoch == 0 and tables is not None
-                and tables is net.parts.get("tables")):
+        escape = fabric.escape_routing
+        if (index.fault_epoch == 0
+                and fabric.routing.compiled_tables is net.parts.get("tables")
+                and not (escape is not None and escape.stateful)):
             built = net.part(
                 ("rows", fabric.escape_mode, type(fabric.escape_routing)),
                 self._compile_rows,
@@ -350,40 +350,49 @@ class VectorizedEngine:
         else:
             built = self._compile_rows()
         (self.tables, self.escape_tables, self._rows, self._esc_rows,
-         self._used0) = built
+         self._used0, self._phase_up) = built
         self._epoch = index.fault_epoch
         self.rebuilds += 1
         self.wake_all()
 
     def _compile_rows(self):
-        """(tables, escape tables, rows, escape rows, used0) of the live
-        fabric. Only the tables are compiled here; the row containers fill
-        cell by cell as the scan touches them, and nothing else is ever
-        written (``used0`` is copied per cycle)."""
+        """(tables, escape tables, rows, escape rows, used0, phase bytes) of
+        the live fabric. Only the routing functions' tables are read here;
+        the row containers fill cell by cell as the scan touches them, and
+        nothing else is ever written (``used0`` is copied per cycle)."""
         fabric = self.fabric
         index = fabric.index
-        n = index.num_nodes
-        compiled = getattr(fabric.routing, "compiled_tables", None)
-        if compiled is not None and compiled.epoch == index.fault_epoch:
-            # The routing function already holds its tables in CSR form
-            # (adaptive-minimal: memoised, or rebuilt under this epoch):
-            # adopt the arrays instead of re-packing lists.
-            tables = compiled
-        else:
-            exported = fabric.routing.export_tables(n)
-            if exported is None:  # pragma: no cover - gated at construction
-                raise RuntimeError("routing function stopped exporting tables")
-            tables = DenseCandidateTables(index, exported)
         mode = fabric.escape_mode
-        escape_tables = None
-        if mode == "escape_vc":
-            esc_exported = fabric.escape_routing.export_tables(n)
-            if esc_exported is None:  # pragma: no cover - gated likewise
-                raise RuntimeError("escape routing stopped exporting tables")
-            escape_tables = DenseCandidateTables(index, esc_exported)
-        rows = _LazyRows(tables, escape_tables, mode, escape=False)
-        esc_rows = (rows if mode is None
-                    else _LazyRows(tables, escape_tables, mode, escape=True))
+        main = fabric.routing
+        esc = fabric.escape_routing if mode == "escape_vc" else None
+        tables = main.compiled_tables
+        escape_tables = esc.compiled_tables if esc is not None else None
+        main_phased = main.stateful
+        esc_phased = esc is not None and esc.stateful
+        phased = main_phased or esc_phased
+
+        def container(escape: bool):
+            if not phased:
+                return _LazyRows(tables, escape_tables, mode, escape)
+            # One container per phase bit: a stateful function's cells
+            # come from its table of that phase.
+            return tuple(
+                _LazyRows(tables[phase] if main_phased else tables,
+                          escape_tables[phase] if esc_phased
+                          else escape_tables, mode, escape)
+                for phase in (0, 1))
+
+        rows = container(False)
+        esc_rows = rows if mode is None else container(True)
+        phase_up = None
+        if phased:
+            never = bytes([1]) * index.num_links  # a stateless on_hop
+            main_up = main.link_is_up if main_phased else never
+            if esc is None:
+                esc_up = main_up  # escape packets follow the main function
+            else:
+                esc_up = esc.link_is_up if esc_phased else never
+            phase_up = (main_up, esc_up)
         # Routing tables may still list links that died this epoch (a
         # routing function without a rebuild story keeps them; the scalar
         # path skips them per-candidate while leaving them in the rotation
@@ -391,7 +400,7 @@ class VectorizedEngine:
         used0 = bytearray(index.num_links)
         for link in sorted(index.dead_links):
             used0[link] = 1
-        return tables, escape_tables, rows, esc_rows, used0
+        return tables, escape_tables, rows, esc_rows, used0, phase_up
 
     # ------------------------------------------------------------------
     # The kernel
@@ -407,12 +416,14 @@ class VectorizedEngine:
         if not fabric.packets_in_network:
             return  # nothing buffered: no scan, no draw, no grant
         (flat, num_vns, vcs, stride, n, avail, orders, pick, in_ports,
-         port_occ, router_occ, ej_queues, ej_depth, epc, latch0, asleep,
-         sleep_draws, sleep_stalls, jump, xoff, xoff_mode) = self._scan
+         port_occ, router_occ, ej_queues, ej_depth, epc, latch0, rearm,
+         asleep, sleep_draws, sleep_stalls, jump, xoff,
+         xoff_mode) = self._scan
         cycle = fabric.cycle
         used = bytearray(self._used0)
         rows = self._rows
         esc_rows = self._esc_rows
+        phased = self._phase_up is not None
         dead_routers = index.dead_routers or None
         lcg = fabric._lcg
         vn_start = cycle % num_vns
@@ -484,8 +495,13 @@ class VectorizedEngine:
                             if granted:
                                 break
                             continue
-                        row = (esc_rows[router_row + dst] if pkt.in_escape
-                               else rows[router_row + dst])
+                        if phased:
+                            row = (esc_rows if pkt.in_escape else rows)[
+                                pkt.updown_up_phase][router_row + dst]
+                        else:
+                            row = (esc_rows[router_row + dst]
+                                   if pkt.in_escape
+                                   else rows[router_row + dst])
                         draws += len(row)  # exact iff nothing is granted
                         for group in row:
                             links2 = group[0]
@@ -522,6 +538,8 @@ class VectorizedEngine:
                                 avail[ai] = a ^ (1 << tvc)
                                 if not tvc and latch0 and not pkt.in_escape:
                                     pkt.in_escape = True
+                                    if rearm:
+                                        pkt.updown_up_phase = True
                                 moves_append((s, link * stride + vbase + tvc,
                                               link, vn, pkt))
                                 granted = True
@@ -601,6 +619,14 @@ class VectorizedEngine:
                 misroutes += 1
             link_util[link] += 1
             vn_hops[vn] += 1
+        phase_up = self._phase_up
+        if phase_up is not None:
+            # The governing function's on_hop: a down link ends the up
+            # phase (escape_up is main_up unless the mode is ESCAPE_VC).
+            main_up, escape_up = phase_up
+            for _, _, link, _, pkt in moves:
+                if not (escape_up if pkt.in_escape else main_up)[link]:
+                    pkt.updown_up_phase = False
         nm = len(moves)
         ne = len(ejects)
         if nm:
@@ -714,8 +740,10 @@ class VectorizedEngine:
                         if can_eject and len(queue) < fabric._ej_depth:
                             grant = True
                         continue
-                    row = (self._esc_rows if pkt.in_escape
-                           else self._rows)[router * n + pkt.dst]
+                    rows = self._esc_rows if pkt.in_escape else self._rows
+                    if self._phase_up is not None:
+                        rows = rows[pkt.updown_up_phase]
+                    row = rows[router * n + pkt.dst]
                     draws += len(row)
                     vn = off // vcs
                     for links2, modes2, nc, gm in row:

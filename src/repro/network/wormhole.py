@@ -69,8 +69,7 @@ class WormholeFabric:
     """Flit-level wormhole network with DRAIN truncation support."""
 
     #: Engine-matrix reporting (parity with :class:`~.fabric.Fabric`): the
-    #: wormhole pipeline is a standalone scalar implementation, so the
-    #: engine knob never applies here.
+    #: wormhole pipeline is a standalone scalar implementation.
     engine_name = "scalar"
     engine_fallback_reason = "wormhole flow control (standalone flit pipeline)"
 
@@ -207,19 +206,16 @@ class WormholeFabric:
     def _candidate_groups(self, router: int, packet: Packet):
         """Output-link priority groups (mirrors the VCT fabric's policy).
 
-        Memoized per (router, destination[, routing state]) — the groups
-        do not depend on the packet's escape flag, which is applied as a
-        VC-mode override during allocation.
+        Memoized per (router, destination, up*/down* phase bit) — the
+        groups do not depend on the packet's escape flag, which is applied
+        as a VC-mode override during allocation.
         """
         if self.dense:
             return self._build_candidate_groups(router, packet)
         if self._cand_epoch != self.index.fault_epoch:
             self._cand_cache.clear()
             self._cand_epoch = self.index.fault_epoch
-        if self.routing.stateful:
-            key = (router, packet.dst, self.routing.cache_key(packet))
-        else:
-            key = (router, packet.dst)
+        key = (router, packet.dst, packet.updown_up_phase)
         groups = self._cand_cache.get(key)
         if groups is None:
             groups = self._build_candidate_groups(router, packet)

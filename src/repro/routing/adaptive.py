@@ -97,12 +97,8 @@ class AdaptiveMinimalRouting(RoutingFunction):
                     f"no productive link from {router} to {dst}: "
                     "topology must be connected"
                 )
-        counts = counts.reshape(n * n)
-        offsets = np.zeros(n * n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        links = (np.concatenate(chunks) if chunks
-                 else np.zeros(0, dtype=np.int32))
-        return DenseCandidateTables.from_arrays(index, offsets, counts, links)
+        return DenseCandidateTables.from_chunks(
+            index, counts.reshape(n * n), chunks)
 
     def rebuild(self) -> None:
         """Recompute the route tables after a runtime fault.

@@ -6,14 +6,18 @@ output links may it take next? Candidates are returned as link ids in the
 shared :class:`~repro.network.index.FabricIndex` numbering.
 
 Routing functions are table-driven — all shortest-path / legality
-computation happens at construction time, so per-cycle routing is a list
+computation happens at construction time, so per-cycle routing is a table
 lookup (the hardware analogue: route-computation tables filled at boot).
+Every function a simulation builds keeps its relation in one form, the CSR
+candidate tables of :attr:`RoutingFunction.compiled_tables`, which both
+the scalar path (one cell per :meth:`RoutingFunction.candidates` call) and
+the vectorized engine read.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import List
 
 from ..router.packet import Packet
 
@@ -27,36 +31,27 @@ class RoutingFunction(ABC):
     #: scheme layer to decide whether an escape mechanism is required).
     deadlock_free: bool = False
 
-    #: True when candidates depend on per-packet routing state beyond the
-    #: destination (up*/down*'s phase bit). The static certifier
-    #: (:mod:`repro.analysis.certifier`) enumerates both phases for
-    #: stateful functions when building the channel-dependency graph.
+    #: True when candidates depend on the packet's up*/down* phase bit
+    #: (``Packet.updown_up_phase``), the only per-packet routing state the
+    #: fabric, its memo and the vectorized engine model. A stateful
+    #: function sets the bit in :meth:`on_inject`, clears it in
+    #: :meth:`on_hop` on a link whose ``link_is_up`` byte is 0, and keeps
+    #: one table per phase. The static certifier
+    #: (:mod:`repro.analysis.certifier`) enumerates both phases.
     stateful: bool = False
 
     #: CSR candidate tables
-    #: (:class:`~repro.network.index.DenseCandidateTables`) of functions
-    #: that keep their relation in that form, else None. Holders must
-    #: treat them as current only while ``compiled_tables.epoch`` matches
-    #: the live index's fault epoch; subclasses replace them on rebuild.
+    #: (:class:`~repro.network.index.DenseCandidateTables`), in the exact
+    #: order :meth:`candidates` yields them (the allocator's rotation
+    #: starts from an LCG draw over that order); for a stateful function a
+    #: ``(down-phase, up-phase)`` pair indexed by the phase bit. Tagged
+    #: with the fault epoch they were built under; subclasses with a
+    #: rebuild story replace them in :meth:`rebuild`.
     compiled_tables = None
 
     @abstractmethod
     def candidates(self, router: int, packet: Packet) -> List[int]:
         """Output link ids *packet* may take from *router* (dst != router)."""
-
-    def cache_key(self, packet: Packet) -> object:
-        """Hashable summary of the per-packet state ``candidates`` reads.
-
-        The fabric memoizes candidate groups per (router, destination,
-        escape flag); for stateful functions the memo key additionally
-        includes this value, so two packets with equal keys must receive
-        identical candidates. Stateful subclasses must override.
-        """
-        if self.stateful:
-            raise NotImplementedError(
-                f"{type(self).__name__} is stateful but defines no cache_key"
-            )
-        return None
 
     def on_hop(self, packet: Packet, link_id: int) -> None:
         """Update per-packet routing state after traversing *link_id*.
@@ -102,34 +97,3 @@ class RoutingFunction(ABC):
         construction. Stateless functions keep the phase unchanged.
         """
         return up_phase
-
-    # ------------------------------------------------------------------
-    # Dense-table export (repro.network.vectorized)
-    # ------------------------------------------------------------------
-    def export_tables(self, num_nodes: int) -> Optional[List[List[List[int]]]]:
-        """Full per-(router, dst) candidate tables, or None if unavailable.
-
-        The vectorized movement engine precompiles candidate lookups into
-        flat index tables; it can only do so when the complete routing
-        relation is a pure function of (router, dst). Stateless functions
-        get a generic probe-based export; table-backed subclasses override
-        with a zero-copy view of their own tables. Stateful functions
-        return None, which makes the engine fall back to the scalar path.
-
-        The returned nested lists must present candidates in exactly the
-        order :meth:`candidates` yields them — the allocator's randomised
-        rotation starts from an LCG draw over that order, so a reordered
-        export would silently change grant decisions.
-        """
-        if self.stateful:
-            return None
-        tables: List[List[List[int]]] = []
-        for router in range(num_nodes):
-            row: List[List[int]] = []
-            for dst in range(num_nodes):
-                if dst == router:
-                    row.append([])
-                else:
-                    row.append(list(self.candidates(router, Packet(-1, router, dst))))
-            tables.append(row)
-        return tables

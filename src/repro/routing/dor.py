@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..network.index import FabricIndex
+from ..network.index import DenseCandidateTables, FabricIndex
 from ..router.packet import Packet
 from ..topology.graph import Link
 from .base import RoutingFunction
@@ -52,6 +52,11 @@ class DimensionOrderRouting(RoutingFunction):
                         f"{(x, y)}->{step}: topology is not a full mesh"
                     )
                 self._next[router][dst] = index.link_id[Link(router, neighbor)]
+        #: The same relation as CSR tables (the vectorized engine's form).
+        self.compiled_tables = DenseCandidateTables(index, [
+            [[link] if link >= 0 else [] for link in row]
+            for row in self._next
+        ])
 
     def candidates(self, router: int, packet: Packet) -> List[int]:
         return [self._next[router][packet.dst]]
@@ -59,10 +64,3 @@ class DimensionOrderRouting(RoutingFunction):
     def next_link(self, router: int, dst: int) -> int:
         """The unique XY next-hop link id (test hook)."""
         return self._next[router][dst]
-
-    def export_tables(self, num_nodes: int) -> List[List[List[int]]]:
-        """Dense export straight from the XY next-hop table."""
-        return [
-            [[link] if link >= 0 else [] for link in row]
-            for row in self._next
-        ]

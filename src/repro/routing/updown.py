@@ -8,17 +8,22 @@ channel dependency, making the function deadlock-free on any connected
 topology — at the cost of non-minimal paths (the performance gap quantified
 by Figure 5 of the paper).
 
-Routes are precomputed by BFS over the product graph of (router, phase)
-states, so the function is *adaptive within legality*: all legal next hops
-on shortest legal paths are offered as candidates.
+Routes are shortest paths in the product graph of (router, phase) states,
+so the function is *adaptive within legality*: all legal next hops on
+shortest legal paths are offered as candidates. The relation is two CSR
+tables, one per phase, read by the packet's phase bit; every destination's
+BFS runs at once (numpy frontiers), and at fault epoch 0 the result is a
+part of the topology's :class:`~repro.structcache.CompiledNetwork`, shared
+by every simulation and the certifier.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Tuple
+from typing import List
 
-from ..network.index import FabricIndex
+import numpy as np
+
+from ..network.index import DenseCandidateTables, FabricIndex
 from ..router.packet import Packet
 from .base import RoutingFunction
 
@@ -34,110 +39,119 @@ class UpDownRouting(RoutingFunction):
     def __init__(self, index: FabricIndex, root: int = 0,
                  deterministic: bool = False) -> None:
         """*deterministic* selects the classic single-path variant: each
-        (router, phase, destination) uses one fixed legal next hop, as in
-        conventional up*/down* implementations [9]. The default offers all
-        legal shortest next hops (adaptive-within-legality)."""
+        (router, phase, destination) uses one fixed legal next hop — the
+        lowest-numbered link of the adaptive cell — as in conventional
+        up*/down* implementations [9]. The default offers all legal
+        shortest next hops (adaptive-within-legality)."""
         self.index = index
         self.root = root
         self.deterministic = deterministic
-        self._build(strict=True)
+        if index.fault_epoch == 0:
+            built = index.compiled.part(
+                ("updown", root), lambda: self._compile(strict=True))
+        else:
+            built = self._compile(strict=True)
+        self._adopt(built)
 
-    def _build(self, strict: bool) -> None:
-        """(Re)compute labels, link classes and route tables.
+    def _adopt(self, built) -> None:
+        # label[r] = (BFS order, r), the required unique total ordering;
+        # link_is_up[l] = 1 when link l goes up (towards a smaller label);
+        # _lengths[src, dst] = legal hops of a fresh (up-phase) packet;
+        # compiled_tables = (down-phase, up-phase), indexed by the bit.
+        self.label, self.link_is_up, adaptive, single, self._lengths = built
+        self.compiled_tables = single if self.deterministic else adaptive
 
-        With ``strict=False`` the build runs over the surviving graph
-        (dead links/routers from the index's fault state are excluded) and
-        unreachable pairs are tolerated — this is the post-fault rebuild
-        path, mirroring how Autonet-style systems rerun up*/down*
-        labelling after a failure.
-        """
+    def _compile(self, strict: bool):
+        """(labels, link classes, adaptive tables, deterministic tables,
+        route lengths) over the live index's surviving links. With
+        ``strict=False`` unreachable pairs are tolerated — the post-fault
+        rebuild path, as Autonet-style systems relabel after a failure."""
         index = self.index
-        root = self.root
         n = index.num_nodes
-        dead_links = index.dead_links
-        dead_routers = index.dead_routers
+        src = np.asarray(index.link_src, dtype=np.intp)
+        dst = np.asarray(index.link_dst, dtype=np.intp)
+        # BFS numbering from the root over the surviving graph is the
+        # root's row of the live distance matrix (-1: cut off).
+        order = np.asarray(index.dist_matrix()[self.root], dtype=np.int64)
+        label = list(zip(order.tolist(), range(n)))
+        up = (order[dst] < order[src]) | (
+            (order[dst] == order[src]) & (dst < src))
+        alive = np.ones(index.num_links, dtype=bool)
+        alive[sorted(index.dead_links)] = False
+        if index.dead_routers:
+            dead = np.zeros(n, dtype=bool)
+            dead[sorted(index.dead_routers)] = True
+            alive &= ~(dead[src] | dead[dst])
 
-        def link_dead(i: int) -> bool:
-            return (
-                i in dead_links
-                or index.link_src[i] in dead_routers
-                or index.link_dst[i] in dead_routers
-            )
+        # Product states 2 * router + phase (1 = up phase). An up link is
+        # legal from the up phase only and stays there; a down link is
+        # legal from either phase and lands in the down phase.
+        live = np.flatnonzero(alive)
+        downs = live[~up[live]]
+        prev = np.concatenate((2 * src[live] + 1, 2 * src[downs]))
+        succ = np.concatenate((2 * dst[live] + up[live], 2 * dst[downs]))
+        pred = prev[np.argsort(succ, kind="stable")]
+        deg = np.bincount(succ, minlength=2 * n)
+        start = np.concatenate(([0], np.cumsum(deg)))
 
-        # BFS numbering from the root: lower number == closer to the root.
-        # Post-fault this must run over the surviving adjacency, not the
-        # boot topology, so labels stay meaningful.
-        order = [-1] * n
-        if root not in dead_routers:
-            order[root] = 0
-            frontier = deque([root])
-            while frontier:
-                node = frontier.popleft()
-                for link in index.out_links[node]:
-                    if link_dead(link):
-                        continue
-                    neigh = index.link_dst[link]
-                    if order[neigh] < 0:
-                        order[neigh] = order[node] + 1
-                        frontier.append(neigh)
-        self.label: List[Tuple[int, int]] = [(order[r], r) for r in range(n)]
-        # (distance, id) pairs give the required unique total ordering.
+        # hops[state * n + d]: legal distance from state to destination d,
+        # every destination's reverse BFS at once (a frontier key is
+        # ``state * n + d``, as in Topology._all_pairs_numpy).
+        hops = np.full(2 * n * n, -1, dtype=np.int32)
+        d = np.arange(n, dtype=np.int64)
+        frontier = np.concatenate((2 * d * n + d, (2 * d + 1) * n + d))
+        hops[frontier] = 0
+        level = 0
+        while frontier.size:
+            level += 1
+            state = frontier // n
+            count = deg[state]
+            total = int(count.sum())
+            reps = np.repeat(np.arange(frontier.size), count)
+            offs = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+            keys = pred[start[state][reps] + offs] * n + (frontier % n)[reps]
+            fresh = keys[hops[keys] < 0]
+            if not fresh.size:
+                break
+            hops[fresh] = level
+            frontier = np.flatnonzero(hops == level)
+        hops = hops.reshape(2 * n, n)
+        lengths = np.ascontiguousarray(hops[1::2])
+        lengths.setflags(write=False)
+        if strict and (lengths < 0).any():
+            target, router = divmod(int((lengths < 0).T.argmax()), n)
+            raise ValueError(f"up*/down* cannot route {router} -> {target}: "
+                             "topology must be connected")
 
-        # Link classification: "up" goes towards a smaller label.
-        self.link_is_up: List[bool] = [
-            self.label[index.link_dst[i]] < self.label[index.link_src[i]]
-            for i in range(index.num_links)
-        ]
-
-        # Reverse product-graph adjacency for per-destination BFS.
-        # State encoding: state = 2*router + (1 if up-phase else 0).
-        rev: List[List[Tuple[int, int]]] = [[] for _ in range(2 * n)]
-        for link in range(index.num_links):
-            if link_dead(link):
+        # Cells: the links whose landing state is one hop closer, in
+        # out-link (= neighbour) order, the landing-state order of a BFS
+        # parent scan. Row r * n + d of table [phase].
+        counts = np.zeros((2, n, n), dtype=np.int32)
+        chunks: List[List[np.ndarray]] = [[], []]
+        for router in range(n):
+            out = np.asarray([link for link in index.out_links[router]
+                              if alive[link]], dtype=np.int32)
+            if not out.size:
                 continue
-            src = index.link_src[link]
-            dst = index.link_dst[link]
-            if self.link_is_up[link]:
-                # Legal only from the up phase; stays in the up phase.
-                rev[2 * dst + 1].append((2 * src + 1, link))
-            else:
-                # Down move: legal from either phase; lands in down phase.
-                rev[2 * dst + 0].append((2 * src + 1, link))
-                rev[2 * dst + 0].append((2 * src + 0, link))
-
-        # hops[dst][state] = legal shortest distance; next_hops[dst][state]
-        # = all (link, lands_in_up_phase) choices on such paths.
-        self._hops: List[List[int]] = []
-        self._next: List[List[List[Tuple[int, bool]]]] = []
-        for dst in range(n):
-            dist = [-1] * (2 * n)
-            frontier = deque()
-            for phase_state in (2 * dst, 2 * dst + 1):
-                dist[phase_state] = 0
-                frontier.append(phase_state)
-            while frontier:
-                state = frontier.popleft()
-                for prev_state, _link in rev[state]:
-                    if dist[prev_state] < 0:
-                        dist[prev_state] = dist[state] + 1
-                        frontier.append(prev_state)
-            choices: List[List[Tuple[int, bool]]] = [[] for _ in range(2 * n)]
-            for state in range(2 * n):
-                for prev_state, link in rev[state]:
-                    if dist[prev_state] == dist[state] + 1:
-                        choices[prev_state].append((link, state % 2 == 1))
-            self._hops.append(dist)
-            self._next.append(choices)
-
-        if not strict:
-            return
-        for dst in range(n):
-            for router in range(n):
-                if router != dst and self._hops[dst][2 * router + 1] < 0:
-                    raise ValueError(
-                        f"up*/down* cannot route {router} -> {dst}: "
-                        "topology must be connected"
-                    )
+            reach = hops[2 * dst[out] + up[out]]  # (k, n) after each link
+            for phase in (0, 1):
+                here = hops[2 * router + phase]
+                productive = (reach == here - 1) & (here > 0)
+                if not phase:
+                    productive &= ~up[out][:, None]
+                chunks[phase].append(out[productive.T.nonzero()[1]])
+                productive.sum(axis=0, dtype=np.int32,
+                               out=counts[phase, router])
+        adaptive = tuple(DenseCandidateTables.from_chunks(
+            index, counts[phase].reshape(n * n), chunks[phase])
+            for phase in (0, 1))
+        # The single-path variant: each non-empty cell's lowest link.
+        single = tuple(DenseCandidateTables.from_chunks(
+            index, (t.counts > 0).astype(np.int32),
+            [np.minimum.reduceat(t.links, t.offsets[:-1][t.counts > 0])]
+            if t.links.size else []) for t in adaptive)
+        return (label, up.astype(np.uint8).tobytes(), adaptive, single,
+                lengths)
 
     def rebuild(self) -> None:
         """Relabel and recompute routes after a runtime fault.
@@ -146,7 +160,7 @@ class UpDownRouting(RoutingFunction):
         yield empty candidate lists; the fault injector is responsible for
         dropping packets with no surviving route.
         """
-        self._build(strict=False)
+        self._adopt(self._compile(strict=False))
 
     # ------------------------------------------------------------------
     # RoutingFunction interface
@@ -154,20 +168,13 @@ class UpDownRouting(RoutingFunction):
     def on_inject(self, packet: Packet) -> None:
         packet.updown_up_phase = True
 
-    def cache_key(self, packet: Packet) -> object:
-        """Candidates depend only on the packet's phase bit beyond (router, dst)."""
-        return packet.updown_up_phase
-
     def on_hop(self, packet: Packet, link_id: int) -> None:
         if not self.link_is_up[link_id]:
             packet.updown_up_phase = False
 
     def candidates(self, router: int, packet: Packet) -> List[int]:
-        state = 2 * router + (1 if packet.updown_up_phase else 0)
-        links = [link for link, _up in self._next[packet.dst][state]]
-        if self.deterministic and links:
-            return [min(links)]
-        return links
+        return self.compiled_tables[packet.updown_up_phase].row(
+            router, packet.dst)
 
     def arrival_phase(self, link_id: int, up_phase: bool) -> bool:
         """A packet stays in the up phase only while traversing up links.
@@ -183,23 +190,16 @@ class UpDownRouting(RoutingFunction):
     # ------------------------------------------------------------------
     def route_length(self, src: int, dst: int) -> int:
         """Shortest legal path length from a freshly injected packet."""
-        if src == dst:
-            return 0
-        return self._hops[dst][2 * src + 1]
+        return int(self._lengths[src, dst])
 
     def average_route_length(self) -> float:
         """Mean legal route length over all ordered pairs (Figure 5 input)."""
-        n = self.index.num_nodes
-        total = 0
-        pairs = 0
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    total += self.route_length(src, dst)
-                    pairs += 1
+        pairs = self.index.num_nodes * (self.index.num_nodes - 1)
+        total = int(self._lengths.sum(dtype=np.int64))
         return total / pairs if pairs else 0.0
 
     def non_minimality(self) -> float:
         """Ratio of mean up*/down* route length to mean minimal distance."""
         minimal = self.index.topology.average_distance()
         return self.average_route_length() / minimal if minimal else 1.0
+

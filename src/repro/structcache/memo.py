@@ -1,9 +1,9 @@
 """Compiled network structure: one in-process memo over the one store.
 
 Every trial over a given topology boots the same expensive structure: the
-all-pairs hop-distance matrix, the link/port numbering, the adaptive
-routing tables in CSR form, the default drain cycle with its turn tables,
-and the vectorized engine's candidate rows. All of it is a pure function
+all-pairs hop-distance matrix, the link/port numbering, the adaptive and
+up*/down* routing tables in CSR form, the default drain cycle with its
+turn tables, and the vectorized engine's candidate rows. All of it is a pure function
 of the topology's content, so it is compiled once per process:
 
 1. :func:`compiled` maps a topology **content digest** to one
@@ -286,12 +286,13 @@ def parts_for(topology: Any, config: Any) -> CompiledNetwork:
     """
     from ..network.index import FabricIndex
     from ..routing.adaptive import AdaptiveMinimalRouting
+    from ..routing.updown import UpDownRouting
 
     index = FabricIndex(topology)
     scheme = config.scheme.value
-    if scheme != "updown":
-        # Up*/down* routing is stateful (per-packet turn history) and is
-        # rebuilt from the topology either way.
+    if scheme == "updown":
+        UpDownRouting(index)
+    else:
         AdaptiveMinimalRouting(index)
     if scheme == "drain":
         index.compiled.drain_links(topology)

@@ -267,10 +267,10 @@ class TestPauseResumeFabric:
         assert fabric.engine_name == "vectorized"
         assert fabric.engine_fallback_reason is None
         assert fabric._engine._xoff is fabric._xoff
-        # The scalar kernel stays selectable as the oracle.
-        scalar = build_sim(engine="scalar").fabric
-        assert scalar.engine_name == "scalar" and scalar._engine is None
-        assert scalar.engine_fallback_reason is None
+        # The dense sweep stays selectable as the oracle.
+        dense = build_sim(dense=True).fabric
+        assert dense.engine_name == "dense" and dense._engine is None
+        assert dense.engine_fallback_reason is None
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def _topology(kind: str):
 
 
 def _summary(scheme: Scheme, topo_kind: str, rate: float, dense: bool,
-             flow_control: str = "vct", fault_schedule=None, engine=None):
+             flow_control: str = "vct", fault_schedule=None):
     topology, width = _topology(topo_kind)
     config = scheme_config(scheme, TINY, seed=1)
     traffic = SyntheticTraffic(
@@ -70,7 +70,6 @@ def _summary(scheme: Scheme, topo_kind: str, rate: float, dense: bool,
         flow_control=flow_control,
         fault_schedule=fault_schedule,
         dense=dense,
-        engine=engine,
     )
     sim.run(TINY.total_cycles, warmup=TINY.warmup)
     return sim.stats
@@ -192,8 +191,8 @@ class TestScratchDiscipline:
         assert first.as_dict() == second.as_dict()
 
 
-def _sim(scheme: Scheme, topo_kind: str, rate: float, *, engine=None,
-         config=None, flow_control="vct", fault_schedule=None):
+def _sim(scheme: Scheme, topo_kind: str, rate: float, *, config=None,
+         flow_control="vct", fault_schedule=None):
     """Like :func:`_summary` but returns the whole Simulation object."""
     topology, width = _topology(topo_kind)
     if config is None:
@@ -207,7 +206,6 @@ def _sim(scheme: Scheme, topo_kind: str, rate: float, *, engine=None,
         topology, config, traffic,
         flow_control=flow_control,
         fault_schedule=fault_schedule,
-        engine=engine,
     )
     sim.run(TINY.total_cycles, warmup=TINY.warmup)
     return sim
@@ -217,7 +215,7 @@ class TestEngineMatrix:
     """The vectorized engine's selection, fallback and invalidation rules."""
 
     def test_vectorized_engages_and_matches_dense(self):
-        sim = _sim(Scheme.DRAIN, "mesh", SATURATION_RATE, engine="vectorized")
+        sim = _sim(Scheme.DRAIN, "mesh", SATURATION_RATE)
         assert sim.fabric.engine_name == "vectorized"
         assert sim.fabric.engine_fallback_reason is None
         dense = _summary(Scheme.DRAIN, "mesh", SATURATION_RATE, dense=True)
@@ -235,8 +233,7 @@ class TestEngineMatrix:
             FaultEvent(cycle=250, kind="link", target=(9, 10)),
         )
         schedule = FaultSchedule(events=events, seed=7, onset="uniform")
-        sim = _sim(Scheme.DRAIN, "mesh", 0.10, engine="vectorized",
-                   fault_schedule=schedule)
+        sim = _sim(Scheme.DRAIN, "mesh", 0.10, fault_schedule=schedule)
         dense = _summary(Scheme.DRAIN, "mesh", 0.10, dense=True,
                          fault_schedule=schedule)
         assert sim.fabric.engine_name == "vectorized"
@@ -249,22 +246,29 @@ class TestEngineMatrix:
         assert engine.audit_masks() == []
         assert engine.audit_sleep() == []
 
-    def test_stateful_routing_selects_scalar_silently(self):
-        # UPDOWN's routing function is stateful (per-packet phase bit):
-        # requesting the vectorized engine must not raise — the fabric
-        # silently runs the scalar path and records why.
-        sim = _sim(Scheme.UPDOWN, "mesh", 0.10, engine="vectorized")
-        assert sim.fabric.engine_name == "scalar"
-        assert "stateful" in sim.fabric.engine_fallback_reason
-        dense = _summary(Scheme.UPDOWN, "mesh", 0.10, dense=True)
-        assert sim.stats.as_dict() == dense.as_dict()
+    def test_updown_engages_vectorized(self):
+        # UPDOWN's routing function is stateful (per-packet phase bit): the
+        # engine picks each packet's row by that bit, so nothing about the
+        # routing sends the fabric to the scalar path.
+        for topo_kind in ("mesh", "irregular"):
+            sim = _sim(Scheme.UPDOWN, topo_kind, 0.10)
+            assert sim.fabric.engine_name == "vectorized"
+            assert sim.fabric.engine_fallback_reason is None
+            assert sim.fabric._engine.audit_masks() == []
+            assert sim.fabric._engine.audit_sleep() == []
+            dense = _summary(Scheme.UPDOWN, topo_kind, 0.10, dense=True)
+            assert sim.stats.as_dict() == dense.as_dict()
 
-    def test_escape_vc_on_irregular_falls_back(self):
-        # ESCAPE_VC on an irregular topology uses an up*/down* escape
-        # function — stateful, so the whole fabric takes the scalar path.
-        sim = _sim(Scheme.ESCAPE_VC, "irregular", 0.10, engine="vectorized")
-        assert sim.fabric.engine_name == "scalar"
-        assert "stateful" in sim.fabric.engine_fallback_reason
+    def test_escape_vc_on_irregular_engages_vectorized(self):
+        # ESCAPE_VC on an irregular topology escapes over up*/down*: the
+        # escape rows come in phase pairs, and the run stays vectorized.
+        sim = _sim(Scheme.ESCAPE_VC, "irregular", 0.10)
+        assert sim.fabric.engine_name == "vectorized"
+        assert sim.fabric.engine_fallback_reason is None
+        assert sim.fabric._engine.audit_masks() == []
+        assert sim.fabric._engine.audit_sleep() == []
+        dense = _summary(Scheme.ESCAPE_VC, "irregular", 0.10, dense=True)
+        assert sim.stats.as_dict() == dense.as_dict()
 
     def test_structural_fallbacks(self):
         import dataclasses
@@ -273,8 +277,7 @@ class TestEngineMatrix:
         # Any VC count an availability byte holds engages ...
         cfg = dataclasses.replace(
             base, network=dataclasses.replace(base.network, vcs_per_vn=3))
-        sim = _sim(Scheme.DRAIN, "mesh", 0.10, engine="vectorized",
-                   config=cfg)
+        sim = _sim(Scheme.DRAIN, "mesh", 0.10, config=cfg)
         assert sim.fabric.engine_name == "vectorized"
         assert sim.fabric.engine_fallback_reason is None
         # ... a single VC (no non-escape VC) or more than 8 do not.
@@ -282,8 +285,7 @@ class TestEngineMatrix:
             cfg = dataclasses.replace(
                 base,
                 network=dataclasses.replace(base.network, vcs_per_vn=vcs))
-            sim = _sim(Scheme.DRAIN, "mesh", 0.10, engine="vectorized",
-                       config=cfg)
+            sim = _sim(Scheme.DRAIN, "mesh", 0.10, config=cfg)
             assert sim.fabric.engine_name == "scalar"
             assert (f"vcs_per_vn={vcs}"
                     in sim.fabric.engine_fallback_reason)
@@ -291,8 +293,7 @@ class TestEngineMatrix:
         cfg = dataclasses.replace(
             base,
             network=dataclasses.replace(base.network, packet_size_flits=2))
-        sim = _sim(Scheme.DRAIN, "mesh", 0.10, engine="vectorized",
-                   config=cfg)
+        sim = _sim(Scheme.DRAIN, "mesh", 0.10, config=cfg)
         assert sim.fabric.engine_name == "scalar"
         assert "multi-flit" in sim.fabric.engine_fallback_reason
         # A flow-control subclass whose admission rule the engine does not
@@ -305,32 +306,18 @@ class TestEngineMatrix:
                 == "flow-control subclass (BubbleFlowFabric)")
 
     def test_wormhole_reports_scalar(self):
-        # The wormhole fabric is a standalone pipeline; the engine knob
-        # never applies and the fabric says so through the same attributes.
-        sim = _sim(Scheme.DRAIN, "mesh", 0.10, engine="vectorized",
-                   flow_control="wormhole")
+        # The wormhole fabric is a standalone pipeline; it says so through
+        # the same attributes.
+        sim = _sim(Scheme.DRAIN, "mesh", 0.10, flow_control="wormhole")
         assert sim.fabric.engine_name == "scalar"
         assert "wormhole" in sim.fabric.engine_fallback_reason
 
-    def test_scalar_request_is_honoured(self):
-        sim = _sim(Scheme.DRAIN, "mesh", 0.10, engine="scalar")
-        assert sim.fabric.engine_name == "scalar"
-        assert sim.fabric.engine_fallback_reason is None
-        assert sim.fabric._engine is None
-
-    def test_engine_knob_roundtrip_and_validation(self):
-        import dataclasses
-
-        import pytest as _pytest
-
+    def test_archived_engine_key_is_rejected(self):
+        # The engine is chosen by the fabric's structure alone; a config
+        # archived while it was a knob fails like any unknown key.
         from repro.core.configio import config_from_dict, config_to_dict
 
-        base = scheme_config(Scheme.DRAIN, TINY, seed=1)
-        cfg = dataclasses.replace(base, engine="vectorized")
-        assert config_from_dict(config_to_dict(cfg)) == cfg
-        # Old archives without the knob load as "auto".
-        payload = config_to_dict(base)
-        payload.pop("engine")
-        assert config_from_dict(payload).engine == "auto"
-        with _pytest.raises(ValueError):
-            dataclasses.replace(base, engine="simd")
+        payload = config_to_dict(scheme_config(Scheme.DRAIN, TINY, seed=1))
+        payload["engine"] = "auto"
+        with pytest.raises(ValueError, match=r"top-level keys: \['engine'\]"):
+            config_from_dict(payload)

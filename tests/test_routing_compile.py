@@ -1,14 +1,18 @@
-"""The array-native routing compile against a brute-force reference.
+"""The array-native routing compiles against brute-force references.
 
 :class:`AdaptiveMinimalRouting` emits its CSR candidate tables straight
-from the distance matrix. The reference here is the definition spelled out
-cell by cell (router x out-link x destination) and lives in this file
-only; the compiled triple must equal it exactly — row order included,
-because the allocator's rotation starts from a draw over that order.
+from the distance matrix, and :class:`UpDownRouting` its two per-phase
+tables from a numpy frontier BFS over the (router, phase) product graph.
+The references here are the definitions spelled out cell by cell — for
+up*/down*, the per-destination list-of-lists BFS the function used to
+run — and live in this file only; every compiled triple must equal its
+reference exactly, row order included, because the allocator's rotation
+starts from a draw over that order.
 """
 
 import gc
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -25,10 +29,12 @@ from repro.core.simulator import Simulation
 from repro.network.index import DenseCandidateTables, FabricIndex
 from repro.router.packet import Packet
 from repro.routing.adaptive import AdaptiveMinimalRouting
+from repro.routing.updown import UpDownRouting
 from repro.topology.datacenter import make_leaf_spine
 from repro.topology.graph import Topology
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_ring
+from repro.topology.randomized import make_random_regular
 from repro.traffic.flows import Flow, FlowTraffic
 
 
@@ -76,6 +82,10 @@ def random_topology(rng):
         return inject_link_faults(mesh, rng.randint(0, min(6, spare)), rng)
     if kind == "ring":
         return make_ring(rng.randint(3, 12))
+    return random_leaf_spine(rng)
+
+
+def random_leaf_spine(rng):
     while True:
         leaves, spines = rng.randint(3, 10), rng.randint(1, 4)
         try:
@@ -181,14 +191,15 @@ def test_cell_reads_work_on_readonly_memmaps(tmp_path):
             assert adopted.raw_candidates(router, dst) == built.row(router, dst)
 
 
-def _objects_grown_by_256_switch_run(engine):
+def _objects_grown_by_256_switch_run(flits):
     """Tracked objects a 256-switch pause/resume build and run leaves
     behind, and the finished simulation."""
     leaves = 240
     topology = make_leaf_spine(leaves, 16, uplinks=2)
     config = SimConfig(
         scheme=Scheme.DRAIN,
-        network=NetworkConfig(num_vns=1, vcs_per_vn=4),
+        network=NetworkConfig(num_vns=1, vcs_per_vn=4,
+                              packet_size_flits=flits),
         drain=DrainConfig(epoch=256),
         seed=1,
         flow_control="pause_resume",
@@ -199,7 +210,7 @@ def _objects_grown_by_256_switch_run(engine):
     gc.collect()
     before = len(gc.get_objects())
     sim = Simulation(topology, config, FlowTraffic(flows, random.Random(1)),
-                     degradation_ladder=True, engine=engine)
+                     degradation_ladder=True)
     sim.run(2000)
     gc.collect()
     grown = len(gc.get_objects()) - before
@@ -208,10 +219,11 @@ def _objects_grown_by_256_switch_run(engine):
 
 
 def test_scalar_fabric_build_and_run_allocates_no_cell_lists():
-    # 256 switches on the scalar pause/resume fabric: the n x n nested
-    # list form alone is 65 792 tracked objects; the CSR form plus the
-    # cells the run actually touches stays an order of magnitude below.
-    grown, sim = _objects_grown_by_256_switch_run("scalar")
+    # 256 switches on the scalar pause/resume fabric (two-flit packets
+    # select it): the n x n nested list form alone is 65 792 tracked
+    # objects; the CSR form plus the cells the run actually touches stays
+    # an order of magnitude below.
+    grown, sim = _objects_grown_by_256_switch_run(2)
     assert sim.fabric.engine_name == "scalar"
     assert grown < 256 * 256 // 2, grown
 
@@ -220,7 +232,7 @@ def test_vectorized_rows_compile_on_first_touch():
     # The same run on the vectorized engine: its rows are compiled from
     # one CSR cell per miss, never as an n x n container.
     structcache.clear_memos()
-    grown, sim = _objects_grown_by_256_switch_run(None)
+    grown, sim = _objects_grown_by_256_switch_run(1)
     engine = sim.fabric._engine
     assert sim.fabric.engine_name == "vectorized"
     assert grown < 256 * 256 // 2, grown
@@ -228,3 +240,192 @@ def test_vectorized_rows_compile_on_first_touch():
     # run touches more cells than its 15 flows' paths: 1 823 here.)
     assert 0 < len(engine._rows) < 256 * 256 // 10
     assert len(engine._esc_rows) < 256 * 256 // 10
+
+
+# ----------------------------------------------------------------------
+# Up*/down*: two per-phase tables against the list-of-lists BFS
+# ----------------------------------------------------------------------
+def reference_updown(index, root=0):
+    """(link_is_up, hops, choices) by one reverse BFS per destination.
+
+    ``hops[dst][2 * router + phase]`` is the legal distance (phase 1 = up,
+    -1 = unreachable); ``choices[dst][state]`` lists the (link, lands in
+    up phase) moves on shortest legal paths, in BFS parent-scan order.
+    """
+    n = index.num_nodes
+
+    def dead(link):
+        return (link in index.dead_links
+                or index.link_src[link] in index.dead_routers
+                or index.link_dst[link] in index.dead_routers)
+
+    order = [-1] * n
+    if root not in index.dead_routers:
+        order[root] = 0
+        frontier = deque([root])
+        while frontier:
+            node = frontier.popleft()
+            for link in index.out_links[node]:
+                neigh = index.link_dst[link]
+                if not dead(link) and order[neigh] < 0:
+                    order[neigh] = order[node] + 1
+                    frontier.append(neigh)
+    label = [(order[r], r) for r in range(n)]
+    link_is_up = [label[index.link_dst[i]] < label[index.link_src[i]]
+                  for i in range(index.num_links)]
+    rev = [[] for _ in range(2 * n)]
+    for link in range(index.num_links):
+        if dead(link):
+            continue
+        src, dst = index.link_src[link], index.link_dst[link]
+        if link_is_up[link]:
+            rev[2 * dst + 1].append((2 * src + 1, link))
+        else:
+            rev[2 * dst].append((2 * src + 1, link))
+            rev[2 * dst].append((2 * src, link))
+    hops, choices = [], []
+    for dst in range(n):
+        dist = [-1] * (2 * n)
+        frontier = deque()
+        for state in (2 * dst, 2 * dst + 1):
+            dist[state] = 0
+            frontier.append(state)
+        while frontier:
+            state = frontier.popleft()
+            for prev, _link in rev[state]:
+                if dist[prev] < 0:
+                    dist[prev] = dist[state] + 1
+                    frontier.append(prev)
+        moves = [[] for _ in range(2 * n)]
+        for state in range(2 * n):
+            for prev, link in rev[state]:
+                if dist[prev] == dist[state] + 1:
+                    moves[prev].append((link, state % 2 == 1))
+        hops.append(dist)
+        choices.append(moves)
+    return link_is_up, hops, choices
+
+
+def reference_phase_tables(index, choices, phase, deterministic):
+    """Nested [router][dst] cells of one phase; the diagonal is empty."""
+    n = index.num_nodes
+    tables = [[[] for _ in range(n)] for _ in range(n)]
+    for router in range(n):
+        for dst in range(n):
+            if router == dst:
+                continue
+            links = [link for link, _up in choices[dst][2 * router + phase]]
+            if deterministic and links:
+                links = [min(links)]
+            tables[router][dst] = links
+    return tables
+
+
+def first_updown_stranded(index, hops):
+    for dst in range(index.num_nodes):
+        for router in range(index.num_nodes):
+            if router != dst and hops[dst][2 * router + 1] < 0:
+                return router, dst
+    return None
+
+
+def updown_topology(rng):
+    kind = rng.choice(("mesh", "regular", "leafspine"))
+    if kind == "mesh":
+        mesh = make_mesh(rng.randint(2, 6), rng.randint(2, 6))
+        spare = mesh.num_edges - (mesh.num_nodes - 1)
+        return inject_link_faults(mesh, rng.randint(0, min(6, spare)), rng)
+    if kind == "regular":
+        nodes = rng.randint(5, 20)
+        degree = rng.choice([d for d in (2, 3, 4) if nodes * d % 2 == 0])
+        return make_random_regular(nodes, degree, rng)
+    return random_leaf_spine(rng)
+
+
+def assert_updown_matches(routing, index):
+    link_is_up, hops, choices = reference_updown(index, routing.root)
+    assert list(routing.link_is_up) == [int(up) for up in link_is_up]
+    n = index.num_nodes
+    for phase in (0, 1):
+        nested = reference_phase_tables(index, choices, phase,
+                                        routing.deterministic)
+        assert_triple_matches(routing.compiled_tables[phase], index, nested)
+        for router in range(n):
+            for dst in range(n):
+                if hops[dst][2 * router + phase] < 0:
+                    assert nested[router][dst] == []  # cut off: empty
+    for src in range(n):
+        for dst in range(n):
+            want = 0 if src == dst else hops[dst][2 * src + 1]
+            assert routing.route_length(src, dst) == want
+    return hops
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_updown_tables_equal_reference(seed):
+    rng = random.Random(seed)
+    topology = updown_topology(rng)
+    index = FabricIndex(topology)
+    routings = [UpDownRouting(index, deterministic=det)
+                for det in (False, True)]
+    for routing in routings:
+        assert_updown_matches(routing, index)
+    boot = routings[0].compiled_tables
+
+    index.apply_faults(*random_faults(index, rng))
+    for routing in routings:
+        routing.rebuild()
+        assert routing.compiled_tables[0].epoch == index.fault_epoch
+        hops = assert_updown_matches(routing, index)
+    assert routings[0].compiled_tables is not boot
+
+    # Construction is strict where rebuild() is lenient: the first
+    # stranded pair, destination-major, is named.
+    stranded = first_updown_stranded(index, hops)
+    if stranded is None:
+        assert_updown_matches(UpDownRouting(index), index)
+    else:
+        with pytest.raises(ValueError) as err:
+            UpDownRouting(index)
+        assert str(err.value) == (
+            f"up*/down* cannot route {stranded[0]} -> {stranded[1]}: "
+            "topology must be connected"
+        )
+
+
+def test_updown_disconnected_boot_topology_names_first_pair():
+    index = FabricIndex(Topology(5, [(0, 1), (1, 2), (3, 4)]))
+    with pytest.raises(ValueError) as err:
+        UpDownRouting(index)
+    assert str(err.value) == (
+        "up*/down* cannot route 3 -> 0: topology must be connected")
+
+
+def test_updown_compiles_once_per_topology(monkeypatch):
+    # One UPDOWN simulation, one ESCAPE_VC simulation escaping over
+    # up*/down* and one certification of the same irregular topology share
+    # one compile: the tables are a part of its CompiledNetwork.
+    from repro.analysis.certifier import certify_configuration
+    from repro.experiments.common import Scale, scheme_config
+    from repro.traffic.synthetic import SyntheticTraffic, pattern_by_name
+
+    compiles = []
+    compile_ = UpDownRouting._compile
+
+    def counted(self, strict):
+        compiles.append(strict)
+        return compile_(self, strict)
+
+    monkeypatch.setattr(UpDownRouting, "_compile", counted)
+    structcache.clear_memos()
+    topology = inject_link_faults(make_mesh(4, 4), 2, random.Random(5))
+    scale = Scale(warmup=10, measure=40)
+    for scheme in (Scheme.UPDOWN, Scheme.ESCAPE_VC):
+        traffic = SyntheticTraffic(
+            pattern_by_name("uniform_random", 16, None), 0.1,
+            random.Random(1))
+        sim = Simulation(topology, scheme_config(scheme, scale), traffic)
+        sim.run(scale.total_cycles, warmup=scale.warmup)
+        assert sim.fabric.engine_name == "vectorized"
+    assert certify_configuration(topology, Scheme.UPDOWN).certified
+    assert compiles == [True]

@@ -56,8 +56,7 @@ def _sim(topology, width, scheme, scale, rate, seed, fault_schedule=None):
         random.Random(derive_seed(seed, "traffic", "uniform_random", rate)),
     )
     sim = Simulation(topology, scheme_config(scheme, scale, seed=seed),
-                     traffic, engine="vectorized",
-                     fault_schedule=fault_schedule)
+                     traffic, fault_schedule=fault_schedule)
     assert sim.fabric.engine_name == "vectorized"
     return sim
 
@@ -124,16 +123,16 @@ class TestDrawCountInvariance:
             flow_control="pause_resume",
             pfc=PfcConfig(pause_threshold=2, resume_threshold=0, headroom=1))
 
-        def build(engine):
+        def build(dense=False):
             traffic = FlowTraffic(
                 [Flow(i, (i + 2) % 8, 0.9) for i in range(8)],
                 random.Random(7))
-            return Simulation(topology, config, traffic, engine=engine)
+            return Simulation(topology, config, traffic, dense=dense)
 
-        sim, twin = build("vectorized"), build("vectorized")
-        scalar = build("scalar")
+        sim, twin = build(), build()
+        dense = build(dense=True)
         fabric, engine = sim.fabric, sim.fabric._engine
-        assert engine is not None and scalar.fabric._engine is None
+        assert engine is not None and dense.fabric._engine is None
         stalls_asleep = 0
         for cycle in range(2_000):
             occupied = [r for r in range(topology.num_nodes)
@@ -144,16 +143,16 @@ class TestDrawCountInvariance:
             sim.step()
             twin.fabric._engine.wake_all()
             twin.step()
-            scalar.step()
-            assert (fabric._lcg == twin.fabric._lcg == scalar.fabric._lcg
+            dense.step()
+            assert (fabric._lcg == twin.fabric._lcg == dense.fabric._lcg
                     ), f"LCG diverged at cycle {cycle}"
             assert (fabric.pfc_stalls == twin.fabric.pfc_stalls
-                    == scalar.fabric.pfc_stalls
+                    == dense.fabric.pfc_stalls
                     ), f"stall count diverged at cycle {cycle}"
             if wedged:
                 stalls_asleep += fabric.pfc_stalls - before
-        assert sim.watchdog.deadlocked and scalar.watchdog.deadlocked
-        assert sim.watchdog.cycle_payload == scalar.watchdog.cycle_payload
+        assert sim.watchdog.deadlocked and dense.watchdog.deadlocked
+        assert sim.watchdog.cycle_payload == dense.watchdog.cycle_payload
         assert sim.watchdog.cycle_payload["kind"] == "buffer-cycle"
         assert wedged and engine.audit_sleep() == []
         assert any(engine.sleep_stalls[r] for r in occupied)
@@ -161,9 +160,9 @@ class TestDrawCountInvariance:
         # every occupied router sleeps.
         assert stalls_asleep > fabric.pfc_stalls // 2 > 0
         assert (sim.stats.as_dict() == twin.stats.as_dict()
-                == scalar.stats.as_dict())
+                == dense.stats.as_dict())
         assert (fabric.pfc_summary() == twin.fabric.pfc_summary()
-                == scalar.fabric.pfc_summary())
+                == dense.fabric.pfc_summary())
 
 
 class TestEngagement:

@@ -197,11 +197,12 @@ class TestStoreArtifacts:
         assert structcache.stats() is None
         assert net is structcache.compiled(make_mesh(4, 4))
         assert {"dist", "numbering", "tables", "drain_links"} <= set(net.parts)
-        # Up*/down* boots from neither tables nor a drain cycle.
+        # Up*/down* boots from its own tables, not the adaptive ones, and
+        # from no drain cycle.
         structcache.clear_memos()
         updown = scheme_config(Scheme.UPDOWN, TINY, seed=1)
         assert set(structcache.parts_for(topology, updown).parts) == {
-            "dist", "numbering"}
+            "dist", "numbering", ("updown", 0)}
 
     def test_truncated_routing_recomputes(self, store):
         topology = make_mesh(4, 4)
