@@ -215,6 +215,37 @@ class TestFaultInjector:
         assert results["drop_retransmit"].packets_retransmitted > 0
         assert results["source_reroute"].packets_retransmitted == 0
 
+    def test_unroutable_drop_cancels_its_transfer(self):
+        # A packet bound for a router that dies while it is mid-transfer on
+        # a live link is dropped as unroutable; its transfer must go with
+        # it, or it lands a few cycles later in a buffer after being
+        # counted lost (more packets buffered than in the network).
+        topo = make_mesh(4, 4)
+        events = [FaultEvent(cycle=150, kind="router", target=(5, -1))]
+        for dense in (True, False):
+            for seed in (3, 4, 5, 8):
+                config = SimConfig(
+                    scheme=Scheme.NONE,
+                    network=NetworkConfig(num_vns=3, vcs_per_vn=2,
+                                          packet_size_flits=4),
+                    seed=seed,
+                )
+                traffic = SyntheticTraffic(
+                    pattern_by_name("uniform_random", 16, 4), 0.15,
+                    random.Random(derive_seed(seed, "traffic", 0.15)))
+                sim = Simulation(topo, config, traffic, dense=dense,
+                                 fault_schedule=self.make_schedule(events))
+                fabric = sim.fabric
+                for _ in range(170):
+                    sim.step()
+                    assert fabric.count_packets() == fabric.packets_in_network, (
+                        dense, seed, fabric.cycle)
+                    if fabric.cycle > 150:
+                        assert all(p.dst != 5 for _, _, _, p
+                                   in fabric.occupied_slots()), (
+                            dense, seed, fabric.cycle)
+                assert sim.stats.faults_applied == 1
+
     def test_transient_fault_heals(self):
         topo = make_mesh(4, 4)
         schedule = self.make_schedule(
