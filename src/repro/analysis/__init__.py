@@ -23,7 +23,7 @@ no wall-clock, no global state):
   ``src/``: no unsalted ``hash()``, no module-level ``random`` state, no
   wall-clock reads in trial code, no non-picklable ``TrialSpec`` params,
   no golden-summary shape mutation, no mutable default arguments — plus
-  the engine-parity family (DET007–DET009) guarding the scalar/vectorized
+  the engine-parity family (DET007–DET009) guarding the dense/vectorized
   draw-order contract in kernel code.
 
 - :mod:`repro.analysis.differential` — differential validation closing

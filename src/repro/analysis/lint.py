@@ -29,8 +29,9 @@ actually corrupted a result cache or broken a golden summary somewhere:
   default bleeds state across calls — classic, and it has non-obvious
   interactions with result caching.
 
-The **engine-parity family** (DET007–DET009) guards the scalar/vectorized
-draw-order contract: all movement engines must be bit-identical, which
+The **engine-parity family** (DET007–DET009) guards the dense/vectorized
+draw-order contract: the movement engine and its oracle must be
+bit-identical, which
 constrains how kernel code (everything under ``repro/network`` — see
 :func:`is_kernel_path`) may consume randomness and shared state:
 
@@ -115,7 +116,7 @@ def is_kernel_path(path: str) -> bool:
     """True when *path* is movement-kernel code (under ``repro/network``).
 
     The engine-parity rules DET007–DET009 apply only here: kernel code is
-    where the scalar and vectorized engines must replay each other's draw
+    where the dense and vectorized engines must replay each other's draw
     order and state reads bit-for-bit.
     """
     parts = path.replace(os.sep, "/").split("/")
@@ -298,7 +299,7 @@ class _Visitor(ast.NodeVisitor):
                     "DET007",
                     f"RNG draw .{func.attr}() inside a kernel loop; engines "
                     "must consume the shared fabric LCG stream so "
-                    "scalar/vectorized draw order stays bit-identical",
+                    "dense/vectorized draw order stays bit-identical",
                 )
         if isinstance(func, ast.Name) and func.id == "TrialSpec":
             self._check_spec_params(node)

@@ -85,6 +85,9 @@ class NetworkConfig:
             raise ValueError("need at least one virtual network")
         if self.vcs_per_vn < 1:
             raise ValueError("need at least one VC per virtual network")
+        if self.vcs_per_vn > 8:
+            raise ValueError("at most 8 VCs per virtual network (a row's "
+                             f"free VCs live in one byte), got {self.vcs_per_vn}")
         if self.ejection_queue_depth < 1:
             raise ValueError("ejection queues must hold at least one packet")
         if self.packet_size_flits < 1:

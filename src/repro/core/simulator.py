@@ -244,8 +244,8 @@ class Simulation:
                 rng=rng_mod.spawn(config.seed, "fabric"),
                 dense=dense,
             )
-            # The wormhole fabric is a standalone scalar pipeline (its
-            # class attributes report that).
+            # The wormhole fabric is a standalone flit pipeline (its
+            # engine_name reports that).
         else:
             if config.flow_control == "pause_resume":
                 from ..network.pause import PauseResumeFabric

@@ -1,6 +1,5 @@
 """Network fabric, indexing, deadlock analysis and the SPIN baseline."""
 
-from .bubbleflow import BubbleFlowFabric, TorusDorRouting
 from .deadlock import (
     deadlock_cycle_payload,
     extract_cycle,
@@ -22,8 +21,6 @@ __all__ = [
     "EJECT",
     "SpinController",
     "StaticBubbleController",
-    "BubbleFlowFabric",
-    "TorusDorRouting",
     "PauseResumeFabric",
     "find_deadlocked_slots",
     "extract_cycle",

@@ -27,11 +27,11 @@ Semantics notes:
   XON — the "stuck pause frame" failure mode; ``resume_jitter`` delays
   every XON by a fixed number of cycles (slow pause-frame processing).
 - The vectorized movement engine models pause as one more term of "can
-  this output grant" (``engine_modelled``): it reads :attr:`_xoff` where
-  :meth:`_pick_vc` does, and every XOFF/XON flip wakes the router feeding
-  that row (see DESIGN.md "Lossless flow control & pause storms").  The
-  scalar kernel and the dense reference (``dense=True``: the same scalar
-  loop with active-set skips disabled) stay as the oracles.
+  this output grant": it reads :attr:`_xoff` where :meth:`_pick_vc` does,
+  and every XOFF/XON flip wakes the router feeding that row (see
+  DESIGN.md "Lossless flow control & pause storms"), at any packet size.
+  The dense reference (``dense=True``) stays as the oracle; only it runs
+  :meth:`_apply_moves` and :meth:`_pick_vc`.
 - Event-horizon soundness: an empty fabric holds no packets, so every
   row occupancy is zero and the only latent pause state is a forced pause
   whose expiry mutates nothing observable while the network is empty; the
@@ -53,8 +53,6 @@ __all__ = ["PauseResumeFabric"]
 
 class PauseResumeFabric(Fabric):
     """Credit fabric with per-(link port, VN) XOFF/XON pause semantics."""
-
-    engine_modelled = True
 
     def __init__(self, *args, **kwargs) -> None:
         #: Row bookkeeping must exist before ``super().__init__`` returns

@@ -1,14 +1,12 @@
 """Vectorized movement engine: batched tables, incremental credit masks.
 
-This is the third entry in the fabric's engine matrix (see DESIGN.md,
-"Vectorized kernel"):
+This is the movement kernel of every non-dense fabric (see DESIGN.md,
+"Vectorized kernel"); the fabric's ``dense=True`` reference sweep is its
+oracle, and the two are bit-identical:
 
 - ``dense``      — reference sweep, no memoization (parity baseline);
-- ``scalar``     — the active-set kernel, for what this one's structure
-  cannot hold (multi-flit packets, 1 or more than 8 VCs per VN,
-  unmodelled flow control);
-- ``vectorized`` — this module: the saturation kernel, which runs
-  everywhere else, bit-identical to the other two.
+- ``vectorized`` — this module, for every routing function, 1 to 8 VCs
+  per VN, any packet size, credit or pause/resume flow control.
 
 Architecture
 ============
@@ -21,8 +19,8 @@ are — again whenever the index's fault epoch moves or the fabric's
 routing cache is invalidated. From those arrays the engine compiles, on
 first touch, one immutable row per (router, dst, escape-flag): the
 candidate links doubled back to back (so a rotation never takes a modulo)
-plus the scheme's VC-mode discipline, replacing the scalar path's
-per-packet memo lookups; ``_pick_vc`` becomes one lookup in a per-mode
+plus the scheme's VC-mode discipline, replacing the dense sweep's
+per-packet candidate lookups; ``_pick_vc`` becomes one lookup in a per-mode
 table over the row's availability byte (:data:`_PICK`), whatever the VC
 count.
 
@@ -43,11 +41,11 @@ buffer write (``Fabric._slot_set``, the injection stage, and this engine's
 own apply pass), so a cycle's allocation reads them with zero rebuild
 cost.
 
-Conflict resolution deliberately replays the exact scalar iteration order
-and per-occupied-slot LCG draws: grant decisions are sequential by
+Conflict resolution deliberately replays the reference sweep's iteration
+order and per-occupied-slot LCG draws: grant decisions are sequential by
 contract (each draw's candidate rotation depends on every earlier grant in
-the cycle through the link/VC claims), which is what keeps all three
-engines bit-identical. The parity fuzzer (tests/test_parity_fuzz.py) pins
+the cycle through the link/VC claims), which is what keeps the two
+bit-identical. The parity fuzzer (tests/test_parity_fuzz.py) pins
 that contract across schemes, topologies, loads and fault schedules.
 
 Sleeping routers (DESIGN.md, "Sleeping routers"): a router whose full scan
@@ -57,25 +55,40 @@ ejection-queue room or the fault epoch changes — each of which wakes it —
 every later scan would block the same packets and draw the same count, so
 ``movement()`` replaces the whole walk by one affine LCG jump. That makes
 host cost per cycle follow the packets that can move, not the packets that
-are blocked, while staying bit-identical to the other two engines. When
+are blocked, while staying bit-identical to the reference sweep. When
 every occupied router sleeps and no node can inject, every pass is the
 same until an outside event: ``Simulation``'s fast-forward then replays
 a whole span of passes at once (:meth:`VectorizedEngine.skip`).
 
 PFC pause (``PauseResumeFabric``) is one more term of "can this output
 grant": the kernel reads the fabric's XOFF rows — indexed like ``avail`` —
-where the scalar ``_pick_vc`` does. An XOFF target stalls the candidate
+where the dense sweep's ``_pick_vc`` does. An XOFF target stalls the candidate
 (counted even when the row is full) unless the escape exemption lets VC 0
 through; a sleeping router replays its scan's stall count beside its draw
 count, every XOFF/XON flip wakes the router feeding that row, and the
 apply pass hands the rows a cycle touched to the fabric's hysteresis once
 all of its grants have landed.
 
-Support conditions are structural only (anything else silently selects
-the scalar path, with the reason recorded on
-``Fabric.engine_fallback_reason``): a ``Fabric`` or ``PauseResumeFabric``
-(no other flow-control subclass), single-flit packets, and 2 to 8 VCs per
-VN (one availability byte per row). Every routing function qualifies.
+One VC per VN: the only VC is the escape VC, so under an escape
+discipline a packet outside escape is offered the escape row itself —
+DRAIN's lone escape group, ESCAPE_VC's restricted route without its
+adaptive candidates — with the same rotation counts and draws.
+
+Multi-flit packets (``packet_size_flits > 1``) serialise each transfer
+over its link; the transfer state is the fabric's, and the fabric lands
+finished transfers before every scan. Within the scan:
+
+- a grant starts a transfer (``_launch``): no slot moves, the target's
+  availability bit is untouched — a reserved slot only ever sits behind
+  a busy link — and escape/phase state latches on landing, not now;
+- a source slot mid-transfer is skipped without a draw;
+- a busy link (held through its landing cycle) is pre-marked in the
+  cycle's ``used`` copy, like a dead link: it stays in the rotation count;
+- a router that holds a busy link does not sleep, because the link frees
+  with no slot write to wake it. Landings wake like any slot write.
+
+Rows hold at most 8 VCs (one availability byte); ``NetworkConfig``
+rejects more.
 """
 
 from __future__ import annotations
@@ -145,7 +158,7 @@ def lcg_jump(lcg: int, draws: int) -> int:
 
 class _LazyRows(dict):
     """``router * n + dst`` -> row of candidate groups, compiled on first
-    touch from one CSR cell (the scalar ``_cand_cache`` in table form).
+    touch from one CSR cell (``Fabric.candidate_links`` in table form).
 
     A thousand-switch fabric has a million (router, dst) cells and a run
     touches a few per cent of them, so nothing here is n^2-sized. A row is
@@ -174,7 +187,7 @@ class _LazyRows(dict):
             links2 = tuple(links + links)
             if mode is None:
                 # The escape flag is never consulted under mode None (the
-                # scalar memo ignores it too): one container serves both.
+                # fabric's memo ignores it too): one container serves both.
                 row = ((links2, None, nc, 0),)
             elif self.escape:
                 row = ((links2, None, nc, 2),)
@@ -206,6 +219,7 @@ class VectorizedEngine:
         "tables", "escape_tables",
         "asleep", "sleep_draws", "sleep_stalls", "upstream", "_jump",
         "_used0", "_xoff", "_xoff_mode", "_scan", "_land", "_phase_up",
+        "_busy",
     )
 
     def __init__(self, fabric) -> None:
@@ -254,6 +268,10 @@ class VectorizedEngine:
         self._jump: List[Tuple[int, int]] = [(1, 0)]
         #: Per-cycle ``used`` template with this epoch's dead links marked.
         self._used0 = bytearray(index.num_links)
+        #: Links a serialised transfer may still hold (multi-flit fabrics):
+        #: every link this engine granted one on, pruned each pass against
+        #: the fabric's ``_link_busy_until``.
+        self._busy: List[int] = []
         #: The fabric's XOFF rows (indexed like ``avail``); None on a credit
         #: fabric, which then pays one ``is not None`` per examined
         #: candidate and per sleeping router, and nothing else.
@@ -304,7 +322,8 @@ class VectorizedEngine:
             fabric._port_occ, fabric._router_occ, fabric.ej_queues,
             fabric._ej_depth, fabric.net.ejections_per_cycle, latch0, rearm,
             self.asleep, self.sleep_draws, self.sleep_stalls, self._jump,
-            self._xoff, self._xoff_mode)
+            self._xoff, self._xoff_mode, fabric._in_flight_sources,
+            fabric.packet_size_flits > 1)
         self._land = (
             fabric._buf, fabric.stats, self.avail, self._slot_port,
             self._slot_ai, self._slot_bit, fabric._port_occ,
@@ -351,6 +370,11 @@ class VectorizedEngine:
             built = self._compile_rows()
         (self.tables, self.escape_tables, self._rows, self._esc_rows,
          self._used0, self._phase_up) = built
+        if fabric.vcs_per_vn == 1 and fabric.escape_mode is not None:
+            # The only VC is the escape VC: a packet outside escape is
+            # offered exactly the escape row (DRAIN's lone escape group;
+            # ESCAPE_VC without its adaptive candidates).
+            self._rows = self._esc_rows
         self._epoch = index.fault_epoch
         self.rebuilds += 1
         self.wake_all()
@@ -394,8 +418,8 @@ class VectorizedEngine:
                 esc_up = esc.link_is_up if esc_phased else never
             phase_up = (main_up, esc_up)
         # Routing tables may still list links that died this epoch (a
-        # routing function without a rebuild story keeps them; the scalar
-        # path skips them per-candidate while leaving them in the rotation
+        # routing function without a rebuild story keeps them; the dense
+        # sweep skips them per-candidate while leaving them in the rotation
         # count). Pre-marking them "used" reproduces that skip for free.
         used0 = bytearray(index.num_links)
         for link in sorted(index.dead_links):
@@ -406,7 +430,7 @@ class VectorizedEngine:
     # The kernel
     # ------------------------------------------------------------------
     def movement(self) -> None:
-        """One movement/allocation/ejection pass, scalar-bit-identical."""
+        """One movement/allocation/ejection pass, dense-bit-identical."""
         fabric = self.fabric
         if fabric.frozen:
             return
@@ -418,9 +442,17 @@ class VectorizedEngine:
         (flat, num_vns, vcs, stride, n, avail, orders, pick, in_ports,
          port_occ, router_occ, ej_queues, ej_depth, epc, latch0, rearm,
          asleep, sleep_draws, sleep_stalls, jump, xoff,
-         xoff_mode) = self._scan
+         xoff_mode, sources, serial) = self._scan
         cycle = fabric.cycle
         used = bytearray(self._used0)
+        busy = self._busy
+        if busy:
+            # A transfer holds its link through its landing cycle: marked
+            # used, like a dead link, it stays in the rotation count.
+            until = fabric._link_busy_until
+            busy = self._busy = [link for link in busy if until[link] >= cycle]
+            for link in busy:
+                used[link] = 1
         rows = self._rows
         esc_rows = self._esc_rows
         phased = self._phase_up is not None
@@ -495,6 +527,8 @@ class VectorizedEngine:
                             if granted:
                                 break
                             continue
+                        if sources and s in sources:
+                            continue  # mid-transfer on its link: no draw
                         if phased:
                             row = (esc_rows if pkt.in_escape else rows)[
                                 pkt.updown_up_phase][router_row + dst]
@@ -535,11 +569,16 @@ class VectorizedEngine:
                                     if tvc < 0:
                                         continue
                                 used[link] = 1
-                                avail[ai] = a ^ (1 << tvc)
-                                if not tvc and latch0 and not pkt.in_escape:
-                                    pkt.in_escape = True
-                                    if rearm:
-                                        pkt.updown_up_phase = True
+                                if not serial:
+                                    # A serialised grant reserves its target
+                                    # behind a busy link and latches on
+                                    # landing (Fabric._account_move).
+                                    avail[ai] = a ^ (1 << tvc)
+                                    if (not tvc and latch0
+                                            and not pkt.in_escape):
+                                        pkt.in_escape = True
+                                        if rearm:
+                                            pkt.updown_up_phase = True
                                 moves_append((s, link * stride + vbase + tvc,
                                               link, vn, pkt))
                                 granted = True
@@ -570,7 +609,27 @@ class VectorizedEngine:
         fabric._lcg = lcg
         if stalls:
             fabric.pfc_stalls += stalls
+        # A router holding a busy link stays awake: the link frees with no
+        # slot write to wake it.
+        if busy:
+            upstream = self.upstream  # a link's feeder is its source router
+            for link in busy:
+                asleep[upstream[link]] = 0
+        if serial and moves:
+            self._launch(moves)
+            moves = []
         self._apply(moves, ejects)
+
+    def _launch(self, grants) -> None:
+        """Start the cycle's serialised transfers, in grant order; they
+        land through ``Fabric._complete_transfers``."""
+        fabric = self.fabric
+        vcs = fabric.vcs_per_vn
+        slot_port = self._slot_port
+        for s, d, link, vn, pkt in grants:
+            fabric._start_transfer(slot_port[s], vn, s % vcs, link, d % vcs,
+                                   pkt)
+            self._busy.append(link)
 
     def _apply(self, moves, ejects) -> None:
         """Land the cycle's grants with batched accounting.
@@ -580,7 +639,7 @@ class VectorizedEngine:
         is never claimable this cycle (its packet still occupies it during
         the scan) — so sources and targets are disjoint and a single pass
         per move is exact. Per-queue eject order is grant order, matching
-        the scalar apply. On a pause/resume fabric the rows the cycle
+        the dense apply. On a pause/resume fabric the rows the cycle
         touched then go through XOFF/XON hysteresis, after every grant has
         landed (a row that loses and gains a packet in one cycle must not
         flap) — the masks are exact by then, so occupancy is read off
@@ -711,7 +770,9 @@ class VectorizedEngine:
         scan is rotation-independent), whether any packet of a sleeping
         router could be granted and how many LCG draws and PFC stalls the
         scan would consume; returns the routers where any of the three
-        disagrees with the stored state.
+        disagrees with the stored state. Mid-transfer sources are skipped
+        and busy links count as used, as in the scan; a sleeper holding a
+        busy link is refuted outright (the scan never lets one sleep).
         """
         fabric = self.fabric
         index = fabric.index
@@ -724,16 +785,19 @@ class VectorizedEngine:
         stride = fabric._port_stride
         can_eject = fabric.net.ejections_per_cycle > 0
         xoff = self._xoff
+        until = fabric._link_busy_until
+        cycle = fabric.cycle
         bad = []
         for router in range(n):
             if not self.asleep[router]:
                 continue
             draws = stalls = 0
-            grant = False
+            grant = any(until[link] >= cycle for link in index.out_links[router])
             for port in index.in_ports[router]:
                 for off in range(stride):
                     pkt = flat[port * stride + off]
-                    if pkt is None:
+                    if pkt is None or port * stride + off in (
+                            fabric._in_flight_sources):
                         continue
                     if pkt.dst == router:
                         queue = fabric.ej_queues[router][pkt.msg_class]
@@ -748,7 +812,7 @@ class VectorizedEngine:
                     vn = off // vcs
                     for links2, modes2, nc, gm in row:
                         for link, m in zip(links2[:nc], modes2 or (gm,) * nc):
-                            if self._used0[link]:
+                            if self._used0[link] or until[link] >= cycle:
                                 continue
                             ai = link * num_vns + vn
                             if xoff is not None and xoff[ai]:

@@ -68,10 +68,9 @@ class _VC:
 class WormholeFabric:
     """Flit-level wormhole network with DRAIN truncation support."""
 
-    #: Engine-matrix reporting (parity with :class:`~.fabric.Fabric`): the
-    #: wormhole pipeline is a standalone scalar implementation.
-    engine_name = "scalar"
-    engine_fallback_reason = "wormhole flow control (standalone flit pipeline)"
+    #: Engine reporting (parity with :class:`~.fabric.Fabric`): the
+    #: wormhole pipeline is a standalone flit-level implementation.
+    engine_name = "wormhole"
 
     def __init__(
         self,

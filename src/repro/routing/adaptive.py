@@ -35,9 +35,9 @@ class AdaptiveMinimalRouting(RoutingFunction):
     fault-driven :meth:`rebuild`, the same compile runs on the live index
     under its epoch, so a rebuild of a thousand-node table stays cheap and
     stale tables cannot survive a fault. The vectorized engine consumes the
-    arrays as they are; the scalar path reads one CSR row per
-    :meth:`candidates` call (the fabric memoises per cell); the nested
-    list form exists only for callers of :meth:`export_tables`.
+    arrays as they are; the dense sweep and the deadlock oracles read one
+    CSR row per :meth:`candidates` call (the fabric memoises per cell); the
+    nested list form exists only for callers of :meth:`export_tables`.
     """
 
     deadlock_free = False

@@ -9,9 +9,10 @@ Routing functions are table-driven — all shortest-path / legality
 computation happens at construction time, so per-cycle routing is a table
 lookup (the hardware analogue: route-computation tables filled at boot).
 Every function a simulation builds keeps its relation in one form, the CSR
-candidate tables of :attr:`RoutingFunction.compiled_tables`, which both
-the scalar path (one cell per :meth:`RoutingFunction.candidates` call) and
-the vectorized engine read.
+candidate tables of :attr:`RoutingFunction.compiled_tables`, which the
+vectorized engine reads whole and everything else one cell per
+:meth:`RoutingFunction.candidates` call (the dense reference sweep, the
+deadlock oracles).
 """
 
 from __future__ import annotations

@@ -265,12 +265,10 @@ class TestPauseResumeFabric:
     def test_vectorized_engine_models_pause(self):
         fabric = build_sim().fabric
         assert fabric.engine_name == "vectorized"
-        assert fabric.engine_fallback_reason is None
         assert fabric._engine._xoff is fabric._xoff
         # The dense sweep stays selectable as the oracle.
         dense = build_sim(dense=True).fabric
         assert dense.engine_name == "dense" and dense._engine is None
-        assert dense.engine_fallback_reason is None
 
 
 # ---------------------------------------------------------------------------

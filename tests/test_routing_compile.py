@@ -218,13 +218,13 @@ def _objects_grown_by_256_switch_run(flits):
     return grown, sim
 
 
-def test_scalar_fabric_build_and_run_allocates_no_cell_lists():
-    # 256 switches on the scalar pause/resume fabric (two-flit packets
-    # select it): the n x n nested list form alone is 65 792 tracked
-    # objects; the CSR form plus the cells the run actually touches stays
-    # an order of magnitude below.
+def test_multi_flit_fabric_build_and_run_allocates_no_cell_lists():
+    # 256 switches on the pause/resume fabric with two-flit packets
+    # (serialised transfers): the n x n nested list form alone is 65 792
+    # tracked objects; the CSR form plus the cells the run actually
+    # touches stays an order of magnitude below.
     grown, sim = _objects_grown_by_256_switch_run(2)
-    assert sim.fabric.engine_name == "scalar"
+    assert sim.fabric.engine_name == "vectorized"
     assert grown < 256 * 256 // 2, grown
 
 

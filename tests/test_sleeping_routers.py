@@ -342,6 +342,34 @@ class TestWakeSources:
         assert waiting.hops == 1
         assert engine.audit_sleep() == []
 
+    def test_link_freed_by_a_transfer_keeps_its_router_awake(self):
+        # Two 4-flit packets at node 0, for nodes 2 and 1, share the one
+        # minimal link 0->1. The first is granted at cycle 1 and lands at
+        # router 1 at cycle 4, holding the link through cycle 4 and its
+        # slot there while it moves on to node 2 (cycles 4-7). Router 0
+        # scans the second against the busy link on cycles 2-4 and grants
+        # it on cycle 5: the link frees with no slot write, so a router
+        # that slept on it would wait for the next write, on cycle 7.
+        def build(dense):
+            index = FabricIndex(make_mesh(4, 4))
+            config = SimConfig(scheme=Scheme.NONE, network=NetworkConfig(
+                num_vns=1, vcs_per_vn=2, packet_size_flits=4))
+            return Fabric(index, config, AdaptiveMinimalRouting(index),
+                          rng=random.Random(1), dense=dense)
+
+        grants = {}
+        for dense in (False, True):
+            fabric = build(dense)
+            first, second = Packet(1, 0, 2), Packet(2, 0, 1)
+            assert fabric.offer_packet(first) and fabric.offer_packet(second)
+            for _ in range(6):
+                fabric.step()
+                if not dense:
+                    assert fabric._engine.audit_sleep() == []
+            grants[dense] = [(done, pkt.pid)
+                             for done, *_, pkt in fabric._in_flight]
+        assert grants[False] == grants[True] == [(7, 1), (8, 2)]
+
 
 # ----------------------------------------------------------------------
 # Stuck-network spans: the fast-forward across a wedge, against a twin
