@@ -77,6 +77,20 @@ class TestReplay:
         with pytest.raises(ValueError):
             TraceTraffic([TraceRecord(0, 0, 99)], 16)
 
+    @pytest.mark.parametrize("line, problem", [
+        ("5 3 3 0", "addressed to its own source"),
+        ("5 3 4 9", "unknown message class"),
+        ("-4 1 2 0", "negative cycle"),
+    ])
+    def test_malformed_records_rejected_at_construction(self, line, problem):
+        # Rejected when the source is built, naming the record, not when
+        # (or if) the replay reaches it.
+        records = [TraceRecord(0, 0, 1), TraceRecord.from_line(line)]
+        with pytest.raises(ValueError, match=problem) as caught:
+            TraceTraffic(records, 16)
+        assert repr(line) in str(caught.value)
+        assert "\n" not in str(caught.value)
+
     def test_replay_matches_recorder(self, mesh4):
         """Recording a run and replaying it injects the same stream."""
         recorder = TraceRecorder(UniformRandom(16), 0.05, random.Random(8))
