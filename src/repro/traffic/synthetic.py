@@ -5,8 +5,8 @@ Figures 10, 11 and 14: uniform random and transpose (plus the usual
 bit-complement / shuffle / hotspot companions for completeness). The
 injector is open-loop: each node generates a packet with probability
 ``injection_rate`` per cycle; generated packets wait in an unbounded
-source backlog until the NI injection queue accepts them, so measured
-latency includes source queueing.
+source backlog (:mod:`repro.traffic.backlog`) until the NI injection
+queue accepts them, so measured latency includes source queueing.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from collections import deque
-from typing import Deque, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 import numpy as _np
 
 from ..network.fabric import Fabric
 from ..router.packet import MessageClass, Packet
+from .backlog import OpenLoopSource
 
 __all__ = [
     "TrafficPattern",
@@ -398,7 +398,7 @@ class MirroredRandom(random.Random):
         raise NotImplementedError("MirroredRandom state lives in its stream")
 
 
-class SyntheticTraffic:
+class SyntheticTraffic(OpenLoopSource):
     """Open-loop Bernoulli injector over a :class:`TrafficPattern`.
 
     Synthetic packets all travel in message class REQ / virtual network 0
@@ -413,6 +413,11 @@ class SyntheticTraffic:
     reads it through a :class:`WordStream` and walks the stream's hit
     list, so a cycle costs O(hits). ``self.rng`` is the facade over the
     same cursor that patterns draw destinations from.
+
+    A packet is built as a :class:`Packet` when its node has no backlog
+    and offered at once; behind a backlog it is a record in
+    ``self.backlog``, built when the backlog offers it. Backlogs are
+    offered in ``backlog.waiting``'s own order.
     """
 
     def __init__(
@@ -422,6 +427,7 @@ class SyntheticTraffic:
         rng: random.Random,
         msg_class: MessageClass = MessageClass.REQ,
     ) -> None:
+        super().__init__()
         self.pattern = pattern
         self._stream = WordStream(rng)
         self.rng = MirroredRandom(self._stream)
@@ -437,14 +443,9 @@ class SyntheticTraffic:
         # destination. Every other pattern draws through the facade.
         self._uniform_n = nodes - 1 if type(pattern) is UniformRandom else 0
         self._uniform_shift = 32 - self._uniform_n.bit_length()
-        self._backlog: List[Deque[Packet]] = [deque() for _ in range(nodes)]
-        #: Nodes whose backlog may be non-empty; an entry emptied behind
-        #: the source's back is dropped by the next offer sweep.
-        self._backlogged: Set[int] = set()
-        self._next_pid = 0
-        self.generated = 0
-        #: Per-packet observer (``hook(packet)``); the trace recorder sets
-        #: it so generation events are captured at the source.
+        #: Per-packet observer, ``hook(pid, src, dst, msg_class,
+        #: gen_cycle)``; the trace recorder sets it so generation events
+        #: are captured at the source.
         self._record_hook = None
 
     @property
@@ -466,9 +467,9 @@ class SyntheticTraffic:
 
         The one copy of the draw-order code. Each packet gets its pid,
         destination and gen cycle, goes to the record hook, and is
-        appended to its node's backlog — or offered, when that backlog is
-        empty. Cycles without a hit cost nothing per cycle: the walk jumps
-        from one hit's cycle to the next.
+        appended to its node's backlog as a record — or built and offered,
+        when that backlog is empty. Cycles without a hit cost nothing per
+        cycle: the walk jumps from one hit's cycle to the next.
         """
         # Hot path. Scan state is (pos, limit): the cursor and the end of
         # the current cycle's scan; a hit at p belongs to node
@@ -519,8 +520,9 @@ class SyntheticTraffic:
                 shift = self._uniform_shift
                 destination = self.pattern.destination
                 rng = self.rng
-                backlog = self._backlog
-                mark = self._backlogged.add
+                waiting = self.backlog.waiting
+                push = self.backlog.push
+                hold = self.backlog.hold
                 offer = fabric.offer_packet
                 msg_class = self.msg_class
                 hook = self._record_hook
@@ -557,18 +559,17 @@ class SyntheticTraffic:
                         hi = stream.hit_idx
                         view = stream.view
                     if dst is not None:
-                        packet = Packet(pid, node, dst, msg_class, cycle)
-                        pid += 1
                         if hook is not None:
-                            hook(packet)
+                            hook(pid, node, dst, msg_class, cycle)
                         # Offers draw no RNG and touch per-node state only,
                         # so their order against the scan is unobservable.
-                        queue = backlog[node]
-                        if queue:
-                            queue.append(packet)
-                        elif not offer(packet):
-                            queue.append(packet)
-                            mark(node)
+                        if node in waiting:
+                            push(node, pid, dst, cycle, msg_class)
+                        else:
+                            packet = Packet(pid, node, dst, msg_class, cycle)
+                            if not offer(packet):
+                                hold(node, packet)
+                        pid += 1
                 p = hits[hi]
             pos = limit
             cycle += 1
@@ -579,24 +580,10 @@ class SyntheticTraffic:
         if pid >= 0:
             self.generated += pid - first_pid
             self._next_pid = pid
-        if self._backlogged:
-            self._sweep(fabric)
-
-    def _sweep(self, fabric: Fabric) -> None:
-        """Offer every backlog's head packets until its NI queue refuses."""
-        # Per-node state only: the set's order is unobservable too.
-        offer = fabric.offer_packet
-        backlog = self._backlog
-        backlogged = self._backlogged
-        drained = []
-        for node in backlogged:
-            queue = backlog[node]
-            while queue and offer(queue[0]):
-                queue.popleft()
-            if not queue:
-                drained.append(node)
-        if drained:
-            backlogged.difference_update(drained)
+        waiting = self.backlog.waiting
+        if waiting:
+            # Per-node state only: the set's order is unobservable too.
+            self.backlog.sweep(fabric.offer_packet, waiting)
 
     def next_event_cycle(self, now: int) -> int:
         """First cycle >= *now* whose :meth:`generate` may act.
@@ -608,7 +595,7 @@ class SyntheticTraffic:
         answer is the first cycle it does not fully cover — an early
         wake-up, never a late one.
         """
-        if self._backlogged:
+        if self.backlog.waiting:
             return now
         stream = self._stream
         span = self._span
@@ -641,29 +628,6 @@ class SyntheticTraffic:
         if count > 0:
             self.generate(fabric, cycle, count)
 
-    def consume(self, fabric: Fabric, cycle: int) -> None:
-        """Sink every ejected packet immediately (ideal NI consumption).
-
-        The wormhole fabric has no NI ejection queues (flits reassemble at
-        the MSHRs and complete in place), so there is nothing to drain.
-        """
-        if not hasattr(fabric, "pop_ejection"):
-            return
-        if not getattr(fabric, "ej_pending_total", 1):
-            return  # nothing ejected anywhere this cycle
-        ej_pending = getattr(fabric, "ej_pending", None)
-        pop = fabric.pop_ejection
-        ej_queues = fabric.ej_queues
-        for node in range(self.pattern.num_nodes):
-            if ej_pending is not None and not ej_pending[node]:
-                continue
-            for cls, queue in enumerate(ej_queues[node]):
-                while queue:
-                    pop(node, cls)
-
     def done(self) -> bool:
         """Open-loop traffic never self-terminates."""
         return False
-
-    def backlog_size(self) -> int:
-        return sum(len(b) for b in self._backlog)

@@ -33,10 +33,7 @@ class BurstTraffic(SyntheticTraffic):
         if cycle < self.stop_at:
             super().generate(fabric, cycle)
         else:
-            for node in range(self.pattern.num_nodes):
-                backlog = self._backlog[node]
-                while backlog and fabric.offer_packet(backlog[0]):
-                    backlog.popleft()
+            self.backlog.sweep(fabric.offer_packet, self.backlog.waiting)
 
     def fully_drained(self, fabric) -> bool:
         if self.backlog_size():

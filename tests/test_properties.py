@@ -113,8 +113,7 @@ def test_oracle_live_packets_eventually_move(topo, seed):
     }
     # Stop injecting; let the network run.
     traffic.injection_rate = 0.0
-    for node in topo.nodes:
-        traffic._backlog[node].clear()
+    traffic.backlog.clear()
     fabric.inj_queues = [
         [type(q)() for q in queues] for queues in fabric.inj_queues
     ]

@@ -434,7 +434,7 @@ def _span_sim(case, seed):
 def _span_state(sim):
     """Everything a span replays, in comparable form."""
     fabric, traffic = sim.fabric, sim.traffic
-    stream = traffic._stream
+    stream, backlog = traffic._stream, traffic.backlog
     drain = sim.drain_controller
     return {
         "lcg": fabric._lcg, "cycle": fabric.cycle, "inj_rr": fabric._inj_rr,
@@ -442,7 +442,8 @@ def _span_state(sim):
         "unroutable": sim.stats.packets_unroutable,
         "cursor": stream.offset + stream.pos,
         "generated": traffic.generated,
-        "backlogs": [len(b) for b in traffic._backlog],
+        "backlogs": {node: len(backlog._records[node])
+                     + (node in backlog._heads) for node in backlog.waiting},
         "ni": [len(q) for queues in fabric.inj_queues for q in queues],
         "drain": None if drain is None else (drain.state, drain._countdown),
         "stalls": getattr(fabric, "pfc_stalls", None),

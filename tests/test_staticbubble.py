@@ -70,8 +70,7 @@ class TestStaticBubble:
         # No packet may be stranded in a bubble forever once load stops:
         # cut injection, clear the source backlog, and drain out.
         traffic.injection_rate = 0.0
-        for node in range(16):
-            traffic._backlog[node].clear()
+        traffic.backlog.clear()
         for _ in range(8000):
             sim.step()
         assert sim.bubble_controller.occupied_bubbles() == 0

@@ -1,12 +1,13 @@
 """Unit tests for synthetic traffic patterns and the Bernoulli injector."""
 
+import gc
 import random
 
 import pytest
 
 from repro.core.config import Scheme
 from repro.core.simulator import Simulation
-from repro.router.packet import MessageClass
+from repro.router.packet import MessageClass, Packet
 from repro.topology.mesh import make_mesh, node_at
 from repro.traffic.synthetic import (
     BitComplement,
@@ -17,6 +18,7 @@ from repro.traffic.synthetic import (
     UniformRandom,
     pattern_by_name,
 )
+from repro.traffic.backlog import Backlog
 from tests.conftest import make_config
 
 
@@ -216,8 +218,16 @@ def _draw_loop(pattern, seed, cycles, rate_at):
 
 def _generated(traffic):
     log = []
-    traffic._record_hook = lambda p: log.append((p.gen_cycle, p.src, p.dst))
+    traffic._record_hook = (
+        lambda pid, src, dst, msg_class, gen_cycle:
+        log.append((gen_cycle, src, dst)))
     return log
+
+
+def _depths(backlog):
+    """Packets waiting per node (the refused head included)."""
+    return {node: len(backlog._records[node]) + (node in backlog._heads)
+            for node in backlog.waiting}
 
 
 class TestTrafficStream:
@@ -294,10 +304,10 @@ class TestTrafficStream:
         assert traffic.backlog_size() > 0
         assert traffic.next_event_cycle(4) == 4  # a backlog pins the horizon
         traffic.injection_rate = 0.0
-        for backlog in traffic._backlog:
-            backlog.clear()
-        traffic.generate(full, 4)  # the sweep drops every stale entry
-        assert not traffic._backlogged
+        traffic.backlog.clear()
+        traffic.generate(full, 4)
+        assert not traffic.backlog.waiting
+        assert traffic.backlog_size() == 0
         assert traffic.next_event_cycle(5) > 5
 
     @pytest.mark.parametrize("name, nodes, width", [
@@ -331,9 +341,8 @@ class TestTrafficStream:
             assert got == expected
             assert (stepped._stream.offset + stepped._stream.pos
                     == skipped._stream.offset + skipped._stream.pos)
-            assert ([len(b) for b in stepped._backlog]
-                    == [len(b) for b in skipped._backlog])
-            assert stepped._backlogged == skipped._backlogged
+            assert _depths(stepped.backlog) == _depths(skipped.backlog)
+            assert stepped.backlog.waiting == skipped.backlog.waiting
         assert [p.pid for p in sinks[0].offered] == [
             p.pid for p in sinks[1].offered]
         assert skipped._stream._block == skipped._stream.MAX_BLOCK  # refilled
@@ -363,3 +372,63 @@ class TestTrafficStream:
         assert traffic.generated > 1000 and sim.ff_cycles > 0
         assert calls == []
         assert not hasattr(SyntheticTraffic, "idle_generate")
+
+
+class TestBacklog:
+    """Backlogged packets are records; a Packet exists only once offered."""
+
+    def test_records_round_trip_in_fifo_order(self):
+        backlog = Backlog()
+        fields = [(0, 7, 0, MessageClass.REQ),
+                  (2**40 - 1, 2**20 - 1, 2**70 + 3, MessageClass.UNBLOCK),
+                  (5, 1, 123_456_789, MessageClass.RESP)]
+        for pid, dst, cycle, cls in fields:
+            backlog.push(3, pid, dst, cycle, cls)
+        assert backlog.size == 3 and backlog.waiting == {3}
+        sink = _Sink()
+        backlog.sweep(sink.offer_packet, backlog.waiting)
+        assert [(p.pid, p.src, p.dst, p.gen_cycle, p.msg_class)
+                for p in sink.offered] == [
+            (pid, 3, dst, cycle, cls) for pid, dst, cycle, cls in fields]
+        assert all(type(p.msg_class) is MessageClass for p in sink.offered)
+        assert backlog.size == 0 and not backlog.waiting
+        with pytest.raises(OverflowError):
+            backlog.push(3, 2**40, 1, 0, 0)
+        with pytest.raises(OverflowError):
+            backlog.push(3, 0, 2**20, 0, 0)
+
+    def test_a_refused_head_stays_built(self):
+        backlog = Backlog()
+        for pid in range(4):
+            backlog.push(1, pid, 2, 10 + pid, 0)
+        sink = _Sink(capacity=1)
+        backlog.sweep(sink.offer_packet, backlog.waiting)
+        head = backlog._heads[1]
+        assert head.pid == 1 and backlog.size == 3
+        backlog.sweep(sink.offer_packet, backlog.waiting)
+        assert backlog._heads[1] is head  # offered again, not rebuilt
+        sink.release()
+        backlog.sweep(sink.offer_packet, backlog.waiting)
+        assert [p.pid for p in sink.offered] == [0, 1]
+        assert backlog.size == 2 and backlog.waiting == {1}
+        backlog.clear()
+        assert backlog.size == 0 and not backlog.waiting
+
+    def test_saturated_run_holds_at_most_one_packet_per_waiting_node(self):
+        # A wedged 8x8 DRAIN run at 0.30 leaves thousands of packets
+        # backlogged. Every live Packet is in the network, an NI queue, an
+        # ejection queue or a waiting node's head, at most one each.
+        traffic = SyntheticTraffic(UniformRandom(64, 8), 0.30,
+                                   random.Random(11))
+        sim = Simulation(make_mesh(8, 8),
+                         make_config(Scheme.DRAIN, epoch=384), traffic)
+        sim.run(800, warmup=100)
+        fabric = sim.fabric
+        gc.collect()
+        live = sum(1 for obj in gc.get_objects() if type(obj) is Packet)
+        queued = sum(len(q) for queues in fabric.inj_queues for q in queues)
+        ejecting = sum(len(q) for queues in fabric.ej_queues for q in queues)
+        placed = fabric.packets_in_network + queued + ejecting
+        waiting = len(traffic.backlog.waiting)
+        assert traffic.backlog_size() > 5 * (placed + waiting)
+        assert placed <= live <= placed + waiting

@@ -217,10 +217,8 @@ class TestWormholeDrainCorrectness:
                 if cycle < 150:
                     super().generate(fabric, cycle)
                 else:
-                    for node in range(16):
-                        b = self._backlog[node]
-                        while b and fabric.offer_packet(b[0]):
-                            b.popleft()
+                    self.backlog.sweep(fabric.offer_packet,
+                                       self.backlog.waiting)
 
         traffic = Burst(UniformRandom(16), 0.5, random.Random(5))
         sim = Simulation(topo, config, traffic, flow_control="wormhole")
