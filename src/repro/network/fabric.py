@@ -867,13 +867,11 @@ class Fabric:
 
         Callers must hold the event-horizon contract: nothing outside the
         fabric acts on it for the whole span. An empty fabric advances in
-        O(1); there NI injection-queue content is tolerated, because
-        ``Simulation._fast_forward`` completes the cycle that generated it
-        densely, strictly after this skip. A stuck fabric also replays the
-        sleeping routers' LCG jumps and stalls (``VectorizedEngine.skip``,
-        O(n + log count)). Anything else would have acted — an awake
-        router, a node that can inject, a frozen window — so it is a
-        contract violation, not a tolerable approximation.
+        O(1). A stuck fabric also replays the sleeping routers' LCG jumps
+        and stalls (``VectorizedEngine.skip``, O(n + log count)). Anything
+        else would have acted — an awake router, a node that can inject, a
+        packet queued at an NI of an empty fabric, a frozen window — so it
+        is a contract violation, not a tolerable approximation.
         """
         if count <= 0:
             return
@@ -885,11 +883,13 @@ class Fabric:
                     f"frozen={self.frozen}"
                 )
             self._engine.skip(count)
-        elif self._in_flight or self.frozen or self.ej_pending_total:
+        elif (self._in_flight or self.frozen or self.ej_pending_total
+              or self._inj_total):
             raise RuntimeError(
                 "skip_cycles on a non-quiescent fabric: "
                 f"{len(self._in_flight)} in flight, frozen={self.frozen}, "
-                f"{self.ej_pending_total} awaiting consumption"
+                f"{self.ej_pending_total} awaiting consumption, "
+                f"{self._inj_total} queued at an NI"
             )
         self.cycle += count
         self.stats.cycles += count

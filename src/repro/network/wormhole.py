@@ -181,18 +181,17 @@ class WormholeFabric:
     def skip_cycles(self, count: int) -> None:
         """Fast-forward *count* provably idle cycles in O(1).
 
-        Same contract as ``Fabric.skip_cycles``: router-side quiescence is
-        mandatory, NI injection-queue content (the cycle being completed
-        densely by the caller) is tolerated. The wormhole pipeline keeps
-        no fairness counter outside ``cycle`` itself, so only the cycle
-        counters advance.
+        Same contract as ``Fabric.skip_cycles``: the fabric must be
+        :attr:`quiescent`. The wormhole pipeline keeps no fairness counter
+        outside ``cycle`` itself, so only the cycle counters advance.
         """
         if count <= 0:
             return
-        if self.flits_in_network or self.frozen:
+        if not self.quiescent:
             raise RuntimeError(
                 "skip_cycles on a non-quiescent wormhole fabric: "
-                f"{self.flits_in_network} flits buffered, frozen={self.frozen}"
+                f"{self.flits_in_network} flits buffered, "
+                f"{self._inj_total} queued at an NI, frozen={self.frozen}"
             )
         self.cycle += count
         self.stats.cycles += count

@@ -24,16 +24,17 @@ message class can never flood all network buffers).
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from ..core.config import ProtocolConfig
 from ..network.fabric import Fabric
 from ..router.packet import MessageClass, Packet
+from .source import ClosedLoopSource
 
 __all__ = ["CoherenceTraffic"]
 
 
-class CoherenceTraffic:
+class CoherenceTraffic(ClosedLoopSource):
     """Closed-loop directory-protocol transaction generator."""
 
     def __init__(
@@ -46,32 +47,15 @@ class CoherenceTraffic:
         locality: float = 0.0,
         mesh_width: Optional[int] = None,
     ) -> None:
-        if num_nodes < 3:
-            raise ValueError("the 3-hop chain needs at least three nodes")
-        if not 0.0 <= issue_probability <= 1.0:
-            raise ValueError("issue_probability must be a probability")
+        super().__init__(num_nodes, config, issue_probability, rng,
+                         total_transactions)
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be a probability")
-        self.num_nodes = num_nodes
-        self.config = config
-        self.issue_probability = issue_probability
-        self.rng = rng
-        self.total_transactions = total_transactions
         self.locality = locality
         self.mesh_width = mesh_width
-        self.outstanding: List[int] = [0] * num_nodes
-        self.issued = 0
-        self.completed = 0
-        self._next_pid = 0
         self._next_txn = 0
 
     # ------------------------------------------------------------------
-    def _pick_other(self, *exclude: int) -> int:
-        while True:
-            n = self.rng.randrange(self.num_nodes)
-            if n not in exclude:
-                return n
-
     def _pick_home(self, src: int) -> int:
         """Home directory for a new request; *locality* biases it nearby."""
         if self.locality > 0.0 and self.mesh_width and self.rng.random() < self.locality:
@@ -87,102 +71,18 @@ class CoherenceTraffic:
                 return self.rng.choice(neighbours)
         return self._pick_other(src)
 
-    def _make_packet(
-        self, src: int, dst: int, msg_class: MessageClass, cycle: int
-    ) -> Packet:
-        packet = Packet(self._next_pid, src, dst, msg_class, gen_cycle=cycle)
-        self._next_pid += 1
-        return packet
-
-    # ------------------------------------------------------------------
-    # TrafficSource interface
-    # ------------------------------------------------------------------
-    def generate(self, fabric: Fabric, cycle: int) -> None:
-        rng = self.rng
-        cfg = self.config
-        for node in range(self.num_nodes):
-            if self.outstanding[node] >= cfg.mshrs_per_node:
-                continue
-            if self.total_transactions is not None and self.issued >= self.total_transactions:
-                return
-            if rng.random() >= self.issue_probability:
-                continue
-            if fabric.injection_space(node, MessageClass.REQ) <= 0:
-                continue  # retried implicitly next cycle; MSHR not yet taken
-            home = self._pick_home(node)
-            req = self._make_packet(node, home, MessageClass.REQ, cycle)
-            req.txn_id = self._next_txn
-            self._next_txn += 1
-            req.needs_fwd = rng.random() < cfg.forward_probability
-            if req.needs_fwd:
-                req.fwd_target = self._pick_other(node, home)
-            if fabric.offer_packet(req):
-                self.outstanding[node] += 1
-                self.issued += 1
-
-    def idle_generate(self, fabric: Fabric, cycle: int, budget: int) -> int:
-        """Replay :meth:`generate` across up to *budget* known-idle cycles.
-
-        During an idle span nothing is delivered, so ``outstanding`` and
-        ``issued`` are frozen until the first issue attempt succeeds: the
-        set of nodes that draw each cycle (free MSHR, quota not yet
-        reached) is fixed and precomputable. The loop performs exactly the
-        dense per-cycle draws — one ``rng.random()`` per eligible node —
-        and completes the first cycle that issues via the dense logic
-        (home/forward draws, NI offer, MSHR bookkeeping) before bailing.
-
-        Returns the number of cycles consumed, each generate-complete.
-        """
-        rng = self.rng
-        rand = rng.random
-        p = self.issue_probability
-        cfg = self.config
-        total = self.total_transactions
-        if total is not None and self.issued >= total:
-            # Quota reached: generate() draws nothing — the span is free.
-            return budget
-        eligible = [
-            node for node in range(self.num_nodes)
-            if self.outstanding[node] < cfg.mshrs_per_node
-        ]
-        if not eligible:
-            return budget
-        consumed = 0
-        while consumed < budget:
-            now = cycle + consumed
-            consumed += 1
-            for i, node in enumerate(eligible):
-                if rand() >= p:
-                    continue
-                # First hit: finish this cycle's issue — and the remaining
-                # eligible nodes — with the dense logic (issued may reach
-                # the quota mid-cycle, which stops further draws exactly
-                # as generate()'s per-node quota check does).
-                self._issue(fabric, node, now)
-                for later in eligible[i + 1:]:
-                    if total is not None and self.issued >= total:
-                        break
-                    if rand() < p:
-                        self._issue(fabric, later, now)
-                return consumed
-        return consumed
-
-    def _issue(self, fabric: Fabric, node: int, cycle: int) -> None:
-        """One issue attempt past the Bernoulli draw (generate()'s body)."""
-        rng = self.rng
-        cfg = self.config
+    def _issue(self, fabric: Fabric, node: int,
+               cycle: int) -> Optional[Packet]:
         if fabric.injection_space(node, MessageClass.REQ) <= 0:
-            return
+            return None  # retried implicitly next cycle; MSHR not yet taken
         home = self._pick_home(node)
-        req = self._make_packet(node, home, MessageClass.REQ, cycle)
+        req = self._packet(node, home, MessageClass.REQ, cycle)
         req.txn_id = self._next_txn
         self._next_txn += 1
-        req.needs_fwd = rng.random() < cfg.forward_probability
+        req.needs_fwd = self.rng.random() < self.config.forward_probability
         if req.needs_fwd:
             req.fwd_target = self._pick_other(node, home)
-        if fabric.offer_packet(req):
-            self.outstanding[node] += 1
-            self.issued += 1
+        return req
 
     def consume(self, fabric: Fabric, cycle: int) -> None:
         """Per-cycle NI/directory/cache processing at every node.
@@ -212,10 +112,9 @@ class CoherenceTraffic:
             if fwd is not None and fabric.injection_space(node, MessageClass.RESP) > 0:
                 requester = fwd.fwd_target
                 fabric.pop_ejection(node, MessageClass.FWD)
-                resp_pkt = self._make_packet(node, requester, MessageClass.RESP, cycle)
+                resp_pkt = self._packet(node, requester, MessageClass.RESP, cycle)
                 resp_pkt.txn_id = fwd.txn_id
-                if not fabric.offer_packet(resp_pkt):
-                    raise AssertionError("injection space vanished within a cycle")
+                self._reply(fabric, resp_pkt)
 
             # Requests at the home directory.
             req = fabric.peek_ejection(node, MessageClass.REQ)
@@ -223,32 +122,17 @@ class CoherenceTraffic:
                 if req.needs_fwd:
                     if fabric.injection_space(node, MessageClass.FWD) > 0:
                         fabric.pop_ejection(node, MessageClass.REQ)
-                        fwd_pkt = self._make_packet(
+                        fwd_pkt = self._packet(
                             node, req.fwd_target, MessageClass.FWD, cycle
                         )
                         fwd_pkt.txn_id = req.txn_id
                         fwd_pkt.fwd_target = req.src  # original requester
-                        if not fabric.offer_packet(fwd_pkt):
-                            raise AssertionError(
-                                "injection space vanished within a cycle"
-                            )
+                        self._reply(fabric, fwd_pkt)
                 else:
                     if fabric.injection_space(node, MessageClass.RESP) > 0:
                         fabric.pop_ejection(node, MessageClass.REQ)
-                        resp_pkt = self._make_packet(
+                        resp_pkt = self._packet(
                             node, req.src, MessageClass.RESP, cycle
                         )
                         resp_pkt.txn_id = req.txn_id
-                        if not fabric.offer_packet(resp_pkt):
-                            raise AssertionError(
-                                "injection space vanished within a cycle"
-                            )
-
-    def done(self) -> bool:
-        return (
-            self.total_transactions is not None
-            and self.completed >= self.total_transactions
-        )
-
-    def in_flight(self) -> int:
-        return self.issued - self.completed
+                        self._reply(fabric, resp_pkt)

@@ -27,16 +27,17 @@ on fewer shared VNs it can — and DRAIN removes it.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from ..core.config import ProtocolConfig
 from ..network.fabric import Fabric
 from ..router.packet import MessageClass, Packet
+from .source import ClosedLoopSource
 
 __all__ = ["MoesiTraffic"]
 
 
-class MoesiTraffic:
+class MoesiTraffic(ClosedLoopSource):
     """Closed-loop MOESI-style transaction generator (6 message classes)."""
 
     def __init__(
@@ -48,65 +49,29 @@ class MoesiTraffic:
         total_transactions: Optional[int] = None,
         writeback_fraction: float = 0.3,
     ) -> None:
-        if num_nodes < 3:
-            raise ValueError("the 3-hop chain needs at least three nodes")
-        if not 0.0 <= issue_probability <= 1.0:
-            raise ValueError("issue_probability must be a probability")
+        super().__init__(num_nodes, config, issue_probability, rng,
+                         total_transactions)
         if not 0.0 <= writeback_fraction <= 1.0:
             raise ValueError("writeback_fraction must be a probability")
-        self.num_nodes = num_nodes
-        self.config = config
-        self.issue_probability = issue_probability
-        self.rng = rng
-        self.total_transactions = total_transactions
         self.writeback_fraction = writeback_fraction
-        self.outstanding: List[int] = [0] * num_nodes
-        self.issued = 0
-        self.completed = 0
-        self._next_pid = 0
         self._busy_directories = 0  # entries awaiting UNBLOCK
 
-    # ------------------------------------------------------------------
-    def _pick_other(self, *exclude: int) -> int:
-        while True:
-            n = self.rng.randrange(self.num_nodes)
-            if n not in exclude:
-                return n
-
-    def _packet(self, src: int, dst: int, cls: MessageClass, cycle: int) -> Packet:
-        packet = Packet(self._next_pid, src, dst, cls, gen_cycle=cycle)
-        self._next_pid += 1
-        return packet
-
-    # ------------------------------------------------------------------
-    def generate(self, fabric: Fabric, cycle: int) -> None:
+    def _issue(self, fabric: Fabric, node: int,
+               cycle: int) -> Optional[Packet]:
         rng = self.rng
-        cfg = self.config
-        for node in range(self.num_nodes):
-            if self.outstanding[node] >= cfg.mshrs_per_node:
-                continue
-            if (
-                self.total_transactions is not None
-                and self.issued >= self.total_transactions
-            ):
-                return
-            if rng.random() >= self.issue_probability:
-                continue
-            if rng.random() < self.writeback_fraction:
-                cls = MessageClass.WB
-            else:
-                cls = MessageClass.REQ
-            if fabric.injection_space(node, cls) <= 0:
-                continue
-            home = self._pick_other(node)
-            packet = self._packet(node, home, cls, cycle)
-            if cls is MessageClass.REQ:
-                packet.needs_fwd = rng.random() < cfg.forward_probability
-                if packet.needs_fwd:
-                    packet.fwd_target = self._pick_other(node, home)
-            if fabric.offer_packet(packet):
-                self.outstanding[node] += 1
-                self.issued += 1
+        if rng.random() < self.writeback_fraction:
+            cls = MessageClass.WB
+        else:
+            cls = MessageClass.REQ
+        if fabric.injection_space(node, cls) <= 0:
+            return None
+        home = self._pick_other(node)
+        packet = self._packet(node, home, cls, cycle)
+        if cls is MessageClass.REQ:
+            packet.needs_fwd = rng.random() < self.config.forward_probability
+            if packet.needs_fwd:
+                packet.fwd_target = self._pick_other(node, home)
+        return packet
 
     def consume(self, fabric: Fabric, cycle: int) -> None:
         for node in range(self.num_nodes):
@@ -136,8 +101,7 @@ class MoesiTraffic:
                 unblock_pkt = self._packet(
                     node, resp.fwd_target, MessageClass.UNBLOCK, cycle
                 )
-                if not fabric.offer_packet(unblock_pkt):
-                    raise AssertionError("injection space vanished in-cycle")
+                self._reply(fabric, unblock_pkt)
 
             # REQ at the home directory.
             req = fabric.peek_ejection(node, MessageClass.REQ)
@@ -150,10 +114,7 @@ class MoesiTraffic:
                             node, req.fwd_target, MessageClass.FWD, cycle
                         )
                         fwd.fwd_target = req.src
-                        if not fabric.offer_packet(fwd):
-                            raise AssertionError(
-                                "injection space vanished in-cycle"
-                            )
+                        self._reply(fabric, fwd)
                 elif fabric.injection_space(node, MessageClass.RESP) > 0:
                     fabric.pop_ejection(node, MessageClass.REQ)
                     self._busy_directories += 1
@@ -161,8 +122,7 @@ class MoesiTraffic:
                         node, req.src, MessageClass.RESP, cycle
                     )
                     resp_pkt.fwd_target = node  # home to unblock later
-                    if not fabric.offer_packet(resp_pkt):
-                        raise AssertionError("injection space vanished in-cycle")
+                    self._reply(fabric, resp_pkt)
 
             # FWD at the sharer: inject RESP to the original requester.
             fwd_msg = fabric.peek_ejection(node, MessageClass.FWD)
@@ -174,8 +134,7 @@ class MoesiTraffic:
                     node, fwd_msg.fwd_target, MessageClass.RESP, cycle
                 )
                 resp_pkt.fwd_target = fwd_msg.src  # the home directory
-                if not fabric.offer_packet(resp_pkt):
-                    raise AssertionError("injection space vanished in-cycle")
+                self._reply(fabric, resp_pkt)
 
             # WB at the home: acknowledge.
             wb = fabric.peek_ejection(node, MessageClass.WB)
@@ -184,14 +143,4 @@ class MoesiTraffic:
             ) > 0:
                 fabric.pop_ejection(node, MessageClass.WB)
                 ack = self._packet(node, wb.src, MessageClass.WB_ACK, cycle)
-                if not fabric.offer_packet(ack):
-                    raise AssertionError("injection space vanished in-cycle")
-
-    def done(self) -> bool:
-        return (
-            self.total_transactions is not None
-            and self.completed >= self.total_transactions
-        )
-
-    def in_flight(self) -> int:
-        return self.issued - self.completed
+                self._reply(fabric, ack)

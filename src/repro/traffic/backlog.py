@@ -102,7 +102,8 @@ class Backlog:
 
 class OpenLoopSource:
     """Base of the synthetic, flow and trace sources: pids, packet
-    counts, one :class:`Backlog` and an ideal sink."""
+    counts, one :class:`Backlog`, an ideal sink, and ``skip_cycles`` as
+    their ``generate(fabric, cycle, count)`` over a span."""
 
     def __init__(self) -> None:
         self.backlog = Backlog()
@@ -121,6 +122,21 @@ class OpenLoopSource:
         backlog = self.backlog
         if backlog.waiting:
             backlog.sweep(fabric.offer_packet, sorted(backlog.waiting))
+
+    def skip_cycles(self, fabric: Fabric, cycle: int, count: int) -> None:
+        """``generate`` for cycles ``cycle .. cycle + count - 1`` in one
+        call: their packets, then one offer sweep.
+
+        The caller guarantees that no NI injection queue drains inside the
+        span — the fabric is empty and the span ends at or before
+        ``next_event_cycle``, or no node can inject. Then every sweep
+        after the first finds each backlog's head refused again, and one
+        sweep at the end offers what the per-cycle sweeps would have: NI
+        room only shrinks, so the packets a node's queue accepts are the
+        same prefix of its backlog whenever they are offered.
+        """
+        if count > 0:
+            self.generate(fabric, cycle, count)
 
     def consume(self, fabric: Fabric, cycle: int) -> None:
         """Sink every ejected packet immediately (ideal NI consumption).

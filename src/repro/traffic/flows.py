@@ -7,10 +7,14 @@ Snippet 2).  :class:`FlowTraffic` drives an explicit flow list — open-loop
 Bernoulli per flow, optionally bounded to a finite packet budget — and
 supports storm-injected victim bursts via :meth:`queue_burst`.
 
-The generator keeps a fixed per-cycle RNG draw order (one rate draw per
-live flow, in flow order), with ``idle_generate`` replaying exactly those
-draws for the event-horizon fast-forward; ``consume`` is the ideal sink
-every :class:`~repro.traffic.backlog.OpenLoopSource` shares, counting
+The generator keeps a fixed per-cycle RNG draw order: one rate draw per
+live flow, in flow order, on the source's own ``random.Random``. For the
+event-horizon fast-forward, :meth:`FlowTraffic.next_event_cycle` reads
+that generator ahead, one whole cycle at a time, to the first cycle with
+a hit and keeps the hit list; the cycles before it generate nothing.
+A flow's draws depend only on its own hits, so the read-ahead is exact.
+``consume`` is the ideal sink every
+:class:`~repro.traffic.backlog.OpenLoopSource` shares, counting
 deliveries per flow too.
 """
 
@@ -74,6 +78,14 @@ class FlowTraffic(OpenLoopSource):
         self.msg_class = msg_class
         #: Packets still to generate per finite flow (None = unbounded).
         self._remaining: List[Optional[int]] = [f.packets for f in self.flows]
+        #: (index, rate) of every flow that still draws, in flow order.
+        self._live: List[Tuple[int, float]] = [
+            (i, f.rate) for i, f in enumerate(self.flows)]
+        #: Read-ahead state: every cycle before ``_drawn_to`` has made its
+        #: draws, and ``_ahead`` holds the flows that hit at cycle
+        #: ``_drawn_to - 1``, kept for :meth:`generate`.
+        self._drawn_to = 0
+        self._ahead: List[int] = []
         #: Per-flow delivered counts keyed by (src, dst).
         self.flow_delivered: Dict[Tuple[int, int], int] = {}
 
@@ -85,41 +97,60 @@ class FlowTraffic(OpenLoopSource):
         for _ in range(count):
             self._push(src, dst, cycle, self.msg_class)
 
-    def _draw(self, cycle: int) -> bool:
-        """One cycle of Bernoulli draws; True when any packet was created.
+    def _draw(self) -> List[int]:
+        """One cycle of Bernoulli draws: the indices of the flows that hit.
 
-        The draw order — one ``rng.random()`` per live flow, in flow
-        order — is the parity contract shared with :meth:`idle_generate`.
+        One ``rng.random()`` per live flow, in flow order — the draw order
+        that stepping and reading ahead share.
         """
         rand = self.rng.random
-        hit = False
-        for i, flow in enumerate(self.flows):
-            remaining = self._remaining[i]
-            if remaining is not None and remaining <= 0:
-                continue  # exhausted finite flow: no draw
-            if rand() < flow.rate:
-                self._push(flow.src, flow.dst, cycle, self.msg_class)
-                if remaining is not None:
-                    self._remaining[i] = remaining - 1
-                hit = True
-        return hit
+        return [i for i, rate in self._live if rand() < rate]
 
-    def generate(self, fabric: Fabric, cycle: int) -> None:
-        self._draw(cycle)
+    def generate(self, fabric: Fabric, cycle: int, count: int = 1) -> None:
+        """Make the packets of cycles ``cycle .. cycle + count - 1``, then
+        offer the backlogs (one cycle unless a span asks for more). The
+        cycles the read-ahead drew are not drawn again."""
+        flows = self.flows
+        remaining = self._remaining
+        for now in range(max(cycle, self._drawn_to - 1), cycle + count):
+            if now < self._drawn_to:  # the read-ahead's last cycle
+                hits, self._ahead = self._ahead, []
+            else:
+                self._drawn_to = now + 1
+                hits = self._draw()
+            for i in hits:
+                flow = flows[i]
+                self._push(flow.src, flow.dst, now, self.msg_class)
+                left = remaining[i]
+                if left is not None:
+                    remaining[i] = left - 1
+                    if left == 1:  # exhausted: it draws no more
+                        self._live = [e for e in self._live if e[0] != i]
         self._offer(fabric)
 
-    def idle_generate(self, fabric: Fabric, cycle: int, budget: int) -> int:
-        """Replay :meth:`generate` across up to *budget* known-idle cycles."""
-        consumed = 0
-        while consumed < budget:
-            now = cycle + consumed
-            consumed += 1
-            if self._draw(now):
-                self._offer(fabric)
-                return consumed
-            if self.done():
-                return consumed
-        return consumed
+    def next_event_cycle(self, now: int, limit: int) -> int:
+        """First cycle in [*now*, *limit*] at which :meth:`generate` may act.
+
+        *now* while a backlog waits on its NI; otherwise the next cycle
+        with a hit, read ahead whole cycles at a time and never at or past
+        *limit* (*limit* when none comes first).
+        """
+        if self.backlog.waiting:
+            return now
+        if self._ahead:
+            return min(self._drawn_to - 1, limit)
+        cycle = max(now, self._drawn_to)
+        if self._live:
+            draw = self._draw
+            while cycle < limit:
+                hits = draw()
+                if hits:
+                    self._ahead = hits
+                    self._drawn_to = cycle + 1
+                    return cycle
+                cycle += 1
+        self._drawn_to = max(self._drawn_to, limit)
+        return limit
 
     def _sink(self, packet: Packet) -> None:
         self.delivered += 1
@@ -131,7 +162,5 @@ class FlowTraffic(OpenLoopSource):
 
         Open-loop flows (``packets=None``) never terminate.
         """
-        for remaining in self._remaining:
-            if remaining is None or remaining > 0:
-                return False
-        return not self.backlog.size and self.delivered >= self.generated
+        return (not self._live and not self.backlog.size
+                and self.delivered >= self.generated)

@@ -463,7 +463,7 @@ class SyntheticTraffic(OpenLoopSource):
     def generate(self, fabric: Fabric, cycle: int, count: int = 1) -> None:
         """Make the packets of cycles ``cycle .. cycle + count - 1``, then
         offer the backlogs (one cycle unless a span asks for more; see
-        :meth:`skip_cycles`).
+        :meth:`~repro.traffic.backlog.OpenLoopSource.skip_cycles`).
 
         The one copy of the draw-order code. Each packet gets its pid,
         destination and gen cycle, goes to the record hook, and is
@@ -585,8 +585,8 @@ class SyntheticTraffic(OpenLoopSource):
             # Per-node state only: the set's order is unobservable too.
             self.backlog.sweep(fabric.offer_packet, waiting)
 
-    def next_event_cycle(self, now: int) -> int:
-        """First cycle >= *now* whose :meth:`generate` may act.
+    def next_event_cycle(self, now: int, limit: int) -> int:
+        """First cycle in [*now*, *limit*] whose :meth:`generate` may act.
 
         The cycle of the next Bernoulli hit, read off the stream's hit
         list (no destination draw precedes it, so every scan position up
@@ -611,22 +611,7 @@ class SyntheticTraffic(OpenLoopSource):
         stream.hit_idx = hi
         if p == _NO_HIT:
             p = stream.size - 1  # first unclassified position
-        return now + (p - pos) // span
-
-    def skip_cycles(self, fabric: Fabric, cycle: int, count: int) -> None:
-        """:meth:`generate` for cycles ``cycle .. cycle + count - 1`` in
-        one call: their hit walk, then one offer sweep.
-
-        The caller guarantees that no NI injection queue drains inside the
-        span — the fabric is empty and the span ends at or before
-        :meth:`next_event_cycle`, or no node can inject. Then every sweep
-        after the first finds each backlog's head refused again, and one
-        sweep at the end offers what the per-cycle sweeps would have: NI
-        room only shrinks, so the packets a node's queue accepts are the
-        same prefix of its backlog whenever they are offered.
-        """
-        if count > 0:
-            self.generate(fabric, cycle, count)
+        return min(now + (p - pos) // span, limit)
 
     def done(self) -> bool:
         """Open-loop traffic never self-terminates."""

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Union
 
 from ..network.fabric import Fabric
 from ..router.packet import MessageClass
@@ -130,14 +130,17 @@ class TraceTraffic(OpenLoopSource):
     def from_file(cls, source, num_nodes: int) -> "TraceTraffic":
         return cls(load_trace(source), num_nodes)
 
-    def generate(self, fabric: Fabric, cycle: int) -> None:
-        while (
-            self._cursor < len(self.records)
-            and self.records[self._cursor].cycle <= cycle
-        ):
-            record = self.records[self._cursor]
+    def generate(self, fabric: Fabric, cycle: int, count: int = 1) -> None:
+        """Replay the records of cycles up to ``cycle + count - 1`` — one
+        behind *cycle* is generated at *cycle* — then offer the backlogs
+        (one cycle unless a span asks for more)."""
+        records = self.records
+        end = cycle + count
+        while self._cursor < len(records) and records[self._cursor].cycle < end:
+            record = records[self._cursor]
             self._cursor += 1
-            self._push(record.src, record.dst, cycle, record.msg_class)
+            self._push(record.src, record.dst, max(record.cycle, cycle),
+                       record.msg_class)
         self._offer(fabric)
 
     def done(self) -> bool:
@@ -148,19 +151,19 @@ class TraceTraffic(OpenLoopSource):
             and self.delivered >= self.generated
         )
 
-    def next_event_cycle(self, now: int) -> Optional[int]:
-        """First cycle >= *now* at which :meth:`generate` may act.
+    def next_event_cycle(self, now: int, limit: int) -> int:
+        """First cycle in [*now*, *limit*] at which :meth:`generate` may act.
 
         Trace replay has no per-cycle RNG, so idle gaps between recorded
         arrivals are skippable in O(1): the next event is simply the next
-        unreplayed record's cycle. A non-empty backlog (an NI queue was
-        full) pins the horizon to *now*; exhausted traces report None.
+        unreplayed record's cycle. A waiting backlog (an NI queue was
+        full) pins it to *now*; an exhausted trace has none before *limit*.
         """
-        if self.backlog.size:
+        if self.backlog.waiting:
             return now
         if self._cursor < len(self.records):
-            return max(now, self.records[self._cursor].cycle)
-        return None
+            return min(max(now, self.records[self._cursor].cycle), limit)
+        return limit
 
 
 def record_synthetic(

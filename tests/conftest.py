@@ -137,3 +137,49 @@ def make_config(
         drain=DrainConfig(epoch=epoch, **kwargs.pop("drain_kwargs", {})),
         **kwargs,
     )
+
+
+class OfferLog:
+    """A stand-in fabric for source-level tests: every NI has room and
+    takes every packet, and the offered packets are logged."""
+
+    def __init__(self):
+        self.offered = []
+
+    def offer_packet(self, packet):
+        self.offered.append((packet.pid, packet.src, packet.dst,
+                             int(packet.msg_class), packet.gen_cycle))
+        return True
+
+    def injection_space(self, node, msg_class):
+        return 1
+
+
+def drive_source(source, fabric, cycles, limits=None, every=0, event=None):
+    """Run *source* for *cycles* cycles against *fabric*.
+
+    Without *limits* every cycle is generated. With them the source is
+    driven the way the fast-forward drives it on an empty fabric: read
+    ahead to a limit ``limits()`` cycles away, skip to the cycle its
+    ``next_event_cycle`` names, step that cycle. ``event(source, cycle)``
+    runs before the cycles that are multiples of *every*, and no read-ahead
+    crosses one (they stand for what ends an idle span: a delivery, a
+    storm burst).
+    """
+    cycle = 0
+    while cycle < cycles:
+        if every and cycle % every == 0:
+            event(source, cycle)
+        elif limits is not None:
+            limit = min(cycle + limits(), cycles)
+            if every:
+                limit = min(limit, (cycle // every + 1) * every)
+            arrival = source.next_event_cycle(cycle, limit)
+            assert cycle <= arrival <= limit
+            if arrival > cycle:
+                source.skip_cycles(fabric, cycle, arrival - cycle)
+                cycle = arrival
+            if arrival == limit:
+                continue
+        source.generate(fabric, cycle)
+        cycle += 1

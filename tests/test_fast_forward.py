@@ -255,6 +255,20 @@ class TestDrainCountdown:
         with pytest.raises(RuntimeError):
             fabric.skip_cycles(10)
 
+    @pytest.mark.parametrize("flow_control", ["vct", "wormhole"])
+    def test_fabric_skip_refuses_ni_content_on_an_empty_fabric(
+            self, flow_control):
+        from repro.router.packet import Packet
+
+        # A packet queued at an NI of an otherwise empty fabric injects
+        # next cycle: no source may leave one behind its skip.
+        sim = _make_sim(rate=0.0, flow_control=flow_control)
+        fabric = sim.fabric
+        assert fabric.offer_packet(Packet(0, 0, 5, gen_cycle=0))
+        assert not fabric.quiescent and not fabric.inert
+        with pytest.raises(RuntimeError, match="non-quiescent"):
+            fabric.skip_cycles(10)
+
 
 class TestTraceCompletion:
     def _trace(self):

@@ -32,6 +32,7 @@ from repro.network.pause import PauseResumeFabric
 from repro.router.packet import MessageClass, Packet
 from repro.topology import make_fat_tree, make_leaf_spine
 from repro.traffic import Flow, FlowTraffic
+from tests.conftest import OfferLog, drive_source
 
 
 def pfc_config(scheme=Scheme.NONE, pause=2, resume=0, headroom=1, **kwargs):
@@ -409,11 +410,6 @@ class TestInjectorStorm:
 # ---------------------------------------------------------------------------
 # Flow-level traffic
 # ---------------------------------------------------------------------------
-class _AcceptAll:
-    def offer_packet(self, packet):
-        return True
-
-
 class TestFlowTraffic:
     def test_flow_validation(self):
         with pytest.raises(ValueError, match="differ"):
@@ -426,7 +422,7 @@ class TestFlowTraffic:
 
     def test_finite_flows_terminate(self):
         traffic = FlowTraffic([Flow(0, 1, 1.0, packets=2)], random.Random(1))
-        fabric = _AcceptAll()
+        fabric = OfferLog()
         assert not traffic.done()
         for cycle in range(4):
             traffic.generate(fabric, cycle)
@@ -443,20 +439,36 @@ class TestFlowTraffic:
         with pytest.raises(ValueError, match="differ"):
             traffic.queue_burst(2, 2, 1, cycle=7)
 
-    def test_idle_generate_replays_draw_order(self):
-        flows = [Flow(0, 4, 0.3), Flow(1, 5, 0.2, packets=3)]
-        live = FlowTraffic(flows, random.Random(42))
-        replay = FlowTraffic(flows, random.Random(42))
-        fabric = _AcceptAll()
-        for cycle in range(200):
-            live.generate(fabric, cycle)
-        consumed = 0
-        while consumed < 200:
-            consumed += replay.idle_generate(fabric, consumed,
-                                             200 - consumed)
-        assert consumed == 200
-        assert replay.generated == live.generated
-        assert replay.rng.random() == live.rng.random()
+    def test_read_ahead_replays_draw_order(self):
+        # Reading ahead to random limits offers what stepping offers and
+        # leaves the generator on the same draw, across a finite flow's
+        # exhaustion and storm bursts between idle spans.
+        flows = [Flow(0, 4, 0.03), Flow(1, 5, 0.02, packets=3),
+                 Flow(6, 2, 0.01)]
+        runs = []
+        for limits in (None, random.Random(3).choice):
+            traffic = FlowTraffic(flows, random.Random(42))
+            fabric = OfferLog()
+            drive_source(
+                traffic, fabric, 3_000,
+                None if limits is None else lambda: limits((1, 2, 9, 400)),
+                every=700,
+                event=lambda t, cycle: t.queue_burst(3, 7, 2, cycle))
+            runs.append((fabric.offered, traffic.rng.random()))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) > 100
+
+    def test_read_ahead_without_a_hit_stops_at_its_limit(self):
+        flows = [Flow(0, 4, 0.0), Flow(1, 5, 0.0, packets=3)]
+        stepped = FlowTraffic(flows, random.Random(42))
+        ahead = FlowTraffic(flows, random.Random(42))
+        fabric = OfferLog()
+        for cycle in range(37):
+            stepped.generate(fabric, cycle)
+        assert ahead.next_event_cycle(0, 37) == 37
+        assert ahead.rng.getstate() == stepped.rng.getstate()
+        ahead.skip_cycles(fabric, 0, 37)  # drawn already: no draw
+        assert ahead.rng.getstate() == stepped.rng.getstate()
 
 
 # ---------------------------------------------------------------------------

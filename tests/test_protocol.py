@@ -6,10 +6,10 @@ import pytest
 
 from repro.core.config import NetworkConfig, ProtocolConfig, Scheme, SimConfig
 from repro.core.simulator import Simulation
-from repro.protocol.coherence import CoherenceTraffic
+from repro.protocol import CoherenceTraffic, MoesiTraffic
 from repro.router.packet import MessageClass
 from repro.topology.mesh import make_mesh
-from tests.conftest import make_config
+from tests.conftest import OfferLog, drive_source, make_config
 
 
 def run_protocol(scheme, vns, vcs, topo, issue=0.08, txns_per_node=20,
@@ -125,3 +125,39 @@ class TestProtocolDeadlockStory:
         proactive protocol protection)."""
         sim, traffic = run_protocol(Scheme.SPIN, 3, 2, faulty4, issue=0.15)
         assert traffic.done()
+
+
+@pytest.mark.parametrize("source", [CoherenceTraffic, MoesiTraffic])
+class TestClosedLoopReadAhead:
+    """The read-ahead of the closed-loop base is the per-cycle loop."""
+
+    def test_read_ahead_replays_draw_order(self, source):
+        # Two MSHRs fill fast; every 500 cycles all transactions complete
+        # (what ends an idle span), so the drawing set keeps changing.
+        def complete_all(traffic, cycle):
+            traffic.completed += traffic.in_flight()
+            traffic.outstanding = [0] * traffic.num_nodes
+
+        runs = []
+        for limits in (None, random.Random(4).choice):
+            traffic = source(16, ProtocolConfig(mshrs_per_node=2), 0.004,
+                             random.Random(9), total_transactions=300)
+            fabric = OfferLog()
+            drive_source(
+                traffic, fabric, 6_000,
+                None if limits is None else lambda: limits((1, 2, 9, 400)),
+                every=500, event=complete_all)
+            runs.append((fabric.offered, traffic.issued, traffic.rng.random()))
+        assert runs[0] == runs[1]
+        assert 100 < runs[0][1] <= 300
+
+    def test_read_ahead_without_a_hit_stops_at_its_limit(self, source):
+        stepped = source(16, ProtocolConfig(), 0.0, random.Random(9))
+        ahead = source(16, ProtocolConfig(), 0.0, random.Random(9))
+        fabric = OfferLog()
+        for cycle in range(37):
+            stepped.generate(fabric, cycle)
+        assert ahead.next_event_cycle(0, 37) == 37
+        assert ahead.rng.getstate() == stepped.rng.getstate()
+        ahead.skip_cycles(fabric, 0, 37)  # drawn already: no draw
+        assert ahead.rng.getstate() == stepped.rng.getstate()

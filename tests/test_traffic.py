@@ -18,8 +18,12 @@ from repro.traffic.synthetic import (
     UniformRandom,
     pattern_by_name,
 )
+from repro.core.config import ProtocolConfig
+from repro.protocol import CoherenceTraffic, MoesiTraffic
+from repro.traffic import Flow, FlowTraffic
 from repro.traffic.backlog import Backlog
-from tests.conftest import make_config
+from repro.traffic.trace import TraceRecorder, TraceTraffic, record_synthetic
+from tests.conftest import OfferLog, make_config
 
 
 class TestPatterns:
@@ -230,6 +234,24 @@ def _depths(backlog):
             for node in backlog.waiting}
 
 
+def _low_load_source(kind):
+    """A source of *kind* that offers a packet every few hundred cycles."""
+    rng = random.Random(12)
+    if kind == "synthetic":
+        return SyntheticTraffic(UniformRandom(16), 0.003, rng)
+    if kind == "flow":
+        return FlowTraffic([Flow(0, 5, 0.004), Flow(3, 12, 0.003),
+                            Flow(9, 2, 0.004, packets=40)], rng)
+    if kind == "trace":
+        records = record_synthetic(UniformRandom(16), 0.001, 30_000, seed=12)
+        return TraceTraffic(records, 16)
+    # Enough MSHRs that no node ever stops drawing: nothing completes here.
+    config = ProtocolConfig(mshrs_per_node=10_000)
+    if kind == "coherence":
+        return CoherenceTraffic(16, config, 0.001, rng)
+    return MoesiTraffic(16, config, 0.001, rng)
+
+
 class TestTrafficStream:
     @pytest.mark.parametrize("name, nodes, width", [
         ("uniform_random", 64, 8),
@@ -251,27 +273,29 @@ class TestTrafficStream:
         assert log == _draw_loop(pattern, 77, cycles, lambda c: rate)
         assert traffic.generated == len(log) == len(sink.offered)
 
-    def test_skipping_to_the_next_event_is_stepping(self):
-        pattern = UniformRandom(16)
-        stepped = SyntheticTraffic(pattern, 0.003, random.Random(12))
-        skipped = SyntheticTraffic(pattern, 0.003, random.Random(12))
-        expected, got = _generated(stepped), _generated(skipped)
-        sink, cycles = _Sink(), 30_000
+    @pytest.mark.parametrize("kind", ["synthetic", "flow", "trace",
+                                      "coherence", "moesi"])
+    def test_skipping_to_the_next_event_is_stepping(self, kind):
+        stepped, skipped = _low_load_source(kind), _low_load_source(kind)
+        expected, got = OfferLog(), OfferLog()
+        cycles = 30_000
         for cycle in range(cycles):
-            stepped.generate(sink, cycle)
+            stepped.generate(expected, cycle)
         cycle = stepped_cycles = 0
         while cycle < cycles:
-            arrival = min(skipped.next_event_cycle(cycle), cycles)
+            arrival = skipped.next_event_cycle(cycle, cycles)
             if arrival > cycle:
-                skipped.skip_cycles(sink, cycle, arrival - cycle)
+                skipped.skip_cycles(got, cycle, arrival - cycle)
                 cycle = arrival
             else:
-                skipped.generate(sink, cycle)
+                skipped.generate(got, cycle)
                 stepped_cycles += 1
                 cycle += 1
-        assert got == expected and len(got) > 500
+        assert got.offered == expected.offered and len(got.offered) > 200
+        if kind != "trace":
+            assert skipped.rng.random() == stepped.rng.random()
         # The source woke for its hits and little else.
-        assert stepped_cycles < 1.2 * len(got)
+        assert stepped_cycles < 1.2 * len(got.offered)
 
     def test_injection_rate_is_assignable_mid_run(self):
         pattern = UniformRandom(16)
@@ -302,13 +326,13 @@ class TestTrafficStream:
         for cycle in range(4):
             traffic.generate(full, cycle)
         assert traffic.backlog_size() > 0
-        assert traffic.next_event_cycle(4) == 4  # a backlog pins the horizon
+        assert traffic.next_event_cycle(4, 10) == 4  # a backlog pins it
         traffic.injection_rate = 0.0
         traffic.backlog.clear()
         traffic.generate(full, 4)
         assert not traffic.backlog.waiting
         assert traffic.backlog_size() == 0
-        assert traffic.next_event_cycle(5) > 5
+        assert traffic.next_event_cycle(5, 10**6) > 5
 
     @pytest.mark.parametrize("name, nodes, width", [
         ("uniform_random", 64, 8),
@@ -371,7 +395,17 @@ class TestTrafficStream:
         sim.run(20_000)
         assert traffic.generated > 1000 and sim.ff_cycles > 0
         assert calls == []
-        assert not hasattr(SyntheticTraffic, "idle_generate")
+
+    @pytest.mark.parametrize("source", [
+        SyntheticTraffic, TraceRecorder, FlowTraffic, TraceTraffic,
+        CoherenceTraffic, MoesiTraffic])
+    def test_one_fast_forward_contract(self, source):
+        # Every source skips through next_event_cycle and skip_cycles,
+        # and has no second generate path beside generate.
+        assert callable(source.next_event_cycle)
+        assert callable(source.skip_cycles)
+        assert [name for name in dir(source)
+                if name.endswith("generate")] == ["generate"]
 
 
 class TestBacklog:
