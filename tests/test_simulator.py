@@ -132,3 +132,38 @@ class TestSchemeBehaviour:
         stats = sim.run(20_000)
         assert sim.deadlocked
         assert stats.cycles < 20_000
+
+    def test_ideal_rotations_refresh_the_wait_for_graph(self, mesh4,
+                                                        monkeypatch):
+        # One VC per VN at 0.4 wedges a 4x4 mesh within cycles; the ideal
+        # oracle rotates each wedge away and re-derives only the rotated
+        # slots. Rotations permute slots behind the kernel's back, so the
+        # kernel's masks and sleep state must still be exact afterwards.
+        from repro.network.deadlock import WaitForGraph
+
+        refreshed = []
+        refresh = WaitForGraph.refresh_slots
+
+        def counted(self, slots):
+            refreshed.append(len(slots))
+            return refresh(self, slots)
+
+        monkeypatch.setattr(WaitForGraph, "refresh_slots", counted)
+
+        def run(dense):
+            config = make_config(Scheme.IDEAL, num_vns=1,
+                                 vcs_per_vn=1).with_seed(1)
+            traffic = SyntheticTraffic(UniformRandom(16), 0.4,
+                                       random.Random(1))
+            sim = Simulation(mesh4, config, traffic, dense=dense)
+            sim.run(2000)
+            return sim
+
+        sim = run(dense=False)
+        assert sim.stats.deadlock_events == 77
+        assert len(refreshed) == 77 and all(refreshed)
+        engine = sim.fabric._engine
+        assert engine.audit_sleep() == [] and engine.audit_masks() == []
+        twin = run(dense=True)
+        assert twin.stats.as_dict() == sim.stats.as_dict()
+        assert twin.fabric._lcg == sim.fabric._lcg
