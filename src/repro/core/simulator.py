@@ -196,8 +196,8 @@ class Simulation:
         self.flow_control = flow_control
         scheme = config.scheme
         # Everything compiled from the topology alone — numbering, boot
-        # distances, routing tables, the default drain cycle, engine rows —
-        # is shared through the index's CompiledNetwork; the index itself
+        # distances, routing tables, the default drain cycle, ESCAPE_VC's
+        # merged engine table — is shared through the index's CompiledNetwork; the index itself
         # (what faults rewrite) is private to this simulation.
         self.index = FabricIndex(topology)
         self.stats = NetworkStats()

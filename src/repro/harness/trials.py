@@ -27,7 +27,8 @@ Every runner reconstructs its full simulation from the parameters alone,
 so a trial executes identically inline, in a worker process, or replayed
 from a cold start — the determinism suite pins this. What trials over
 one topology have in common (distances, numbering, routing tables, the
-drain cycle, engine rows) is compiled once per process and shared
+drain cycle, ESCAPE_VC's merged engine table) is compiled once per
+process and shared
 read-only (:mod:`repro.structcache`); no runner knows about it, and a
 trial's row is the same first or Nth in a process. ``batch.lockstep``
 is a sixth, wrapper runner — a list of trials executed in order — kept

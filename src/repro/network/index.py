@@ -40,9 +40,11 @@ class DenseCandidateTables:
     constructor in one vectorized pass (length scan -> cumulative offsets
     -> flat gather).
 
-    Single cells are read through ``memoryview`` slices (:meth:`row`),
-    which cost a fraction of numpy scalar indexing and work unchanged on
-    the read-only memory maps the store hands out.
+    Single cells are read through the read-only ``memoryview`` pair
+    :attr:`offsets_view` / :attr:`links_view` (:meth:`row`, and the
+    vectorized kernel's scan, element by element), which cost a fraction
+    of numpy scalar indexing and work unchanged on the read-only memory
+    maps the store hands out.
 
     Instances are tagged with the :attr:`FabricIndex.fault_epoch` they were
     built under; holders compare :attr:`epoch` against the live index and
@@ -51,7 +53,7 @@ class DenseCandidateTables:
     """
 
     __slots__ = ("num_nodes", "epoch", "offsets", "counts", "links",
-                 "_offsets_view", "_links_view")
+                 "offsets_view", "links_view")
 
     def __init__(self, index: "FabricIndex",
                  tables: List[List[List[int]]]) -> None:
@@ -119,19 +121,17 @@ class DenseCandidateTables:
         for arr in (offsets, counts, links):
             if arr.flags.writeable:  # mmap_mode="r" arrays already are not
                 arr.setflags(write=False)
-        self._offsets_view = memoryview(offsets)
-        self._links_view = memoryview(links)
+        #: Read-only views of ``offsets`` and ``links``: cell
+        #: ``router * num_nodes + dst`` is
+        #: ``links_view[offsets_view[idx]:offsets_view[idx + 1]]``.
+        self.offsets_view = memoryview(offsets)
+        self.links_view = memoryview(links)
 
     def row(self, router: int, dst: int) -> List[int]:
         """Candidate link ids for (router, dst), routing-function order."""
         idx = router * self.num_nodes + dst
-        offsets = self._offsets_view
-        return self._links_view[offsets[idx]:offsets[idx + 1]].tolist()
-
-    def cell(self, idx: int) -> List[int]:
-        """:meth:`row` by flat cell index ``router * num_nodes + dst``."""
-        offsets = self._offsets_view
-        return self._links_view[offsets[idx]:offsets[idx + 1]].tolist()
+        offsets = self.offsets_view
+        return self.links_view[offsets[idx]:offsets[idx + 1]].tolist()
 
 
 def _number(topology: Topology) -> Dict[str, Any]:
@@ -225,12 +225,6 @@ class FabricIndex:
     # ------------------------------------------------------------------
     # Runtime faults
     # ------------------------------------------------------------------
-    def link_alive(self, link: int) -> bool:
-        return link not in self.dead_links
-
-    def router_alive(self, router: int) -> bool:
-        return router not in self.dead_routers
-
     def apply_faults(self, dead_links: Set[int], dead_routers: Set[int]) -> None:
         """Install the current fault state and recompute hop distances.
 
@@ -320,10 +314,6 @@ class FabricIndex:
 
     def is_injection_port(self, port: int) -> bool:
         return port >= self.num_links
-
-    def port_of_link(self, link: Link) -> int:
-        """Port id of the input buffer fed by *link*."""
-        return self.link_id[link]
 
     def __repr__(self) -> str:
         return (

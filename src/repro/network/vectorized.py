@@ -16,23 +16,24 @@ routing function holds its complete relation as
 :class:`~repro.network.index.DenseCandidateTables` (numpy CSR arrays,
 :attr:`RoutingFunction.compiled_tables`), which the engine adopts as they
 are — again whenever the index's fault epoch moves or the fabric's
-routing cache is invalidated. From those arrays the engine compiles, on
-first touch, one immutable row per (router, dst, escape-flag): the
-candidate links doubled back to back (so a rotation never takes a modulo)
-plus the scheme's VC-mode discipline, replacing the dense sweep's
-per-packet candidate lookups; ``_pick_vc`` becomes one lookup in a per-mode
-table over the row's availability byte (:data:`_PICK`), whatever the VC
-count.
+routing cache is invalidated. The scan reads each examined packet's
+candidates in place, through the tables' read-only memoryviews, by one
+*plan* per escape flag (:meth:`VectorizedEngine._build_tables`); no
+per-cell copy is made. ESCAPE_VC's adaptive and restricted-route
+candidates share one rotation, so its plan outside escape reads the one
+table the engine compiles: both cells merged, with a VC mode per
+candidate. ``_pick_vc`` becomes one lookup in a per-mode table over the
+target's availability byte (:data:`_PICK`), whatever the VC count.
 
 Up*/down* is the one stateful routing function: its candidates depend on
 the packet's phase bit, and it keeps one table per phase. When a fabric's
-main or escape function is stateful, each row container becomes a
-(down-phase, up-phase) pair and the scan picks the container by the
-packet's ``updown_up_phase``; the apply pass clears the bit on a down link
-from the ``link_is_up`` bytes of the function governing the packet (the
-escape function once a packet is in escape under ESCAPE_VC, the main one
+main or escape function is stateful, each plan becomes a (down-phase,
+up-phase) pair and the scan picks the plan by the packet's
+``updown_up_phase``; the apply pass clears the bit on a down link from the
+``link_is_up`` bytes of the function governing the packet (the escape
+function once a packet is in escape under ESCAPE_VC, the main one
 otherwise), exactly as the functions' ``on_hop`` would. Stateless fabrics
-keep one container per escape flag and pay one branch per packet.
+keep one plan per escape flag and pay one branch per packet.
 
 Credit and escape availability live in one flat byte array — bit ``v`` of
 ``avail[port * num_vns + vn]`` is set iff VC ``v`` of that (port, vn) row
@@ -70,7 +71,7 @@ apply pass hands the rows a cycle touched to the fabric's hysteresis once
 all of its grants have landed.
 
 One VC per VN: the only VC is the escape VC, so under an escape
-discipline a packet outside escape is offered the escape row itself —
+discipline a packet outside escape is offered the escape plan itself —
 DRAIN's lone escape group, ESCAPE_VC's restricted route without its
 adaptive candidates — with the same rotation counts and draws.
 
@@ -87,13 +88,13 @@ finished transfers before every scan. Within the scan:
 - a router that holds a busy link does not sleep, because the link frees
   with no slot write to wake it. Landings wake like any slot write.
 
-Rows hold at most 8 VCs (one availability byte); ``NetworkConfig``
-rejects more.
+A (port, VN) row holds at most 8 VCs (one availability byte);
+``NetworkConfig`` rejects more.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, product
 from typing import List, Optional, Tuple
 
 import numpy as _np
@@ -101,10 +102,6 @@ import numpy as _np
 from .index import DenseCandidateTables
 
 __all__ = ["VectorizedEngine", "lcg_jump"]
-
-#: Group layout: (links doubled, modes doubled — None when homogeneous —,
-#: count, homogeneous mode or -1).
-_Group = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]], int, int]
 
 
 def _pick_tables() -> Tuple[Tuple[int, ...], ...]:
@@ -137,6 +134,13 @@ _PICK = _pick_tables()
 _XOFF_MODE = ((1, 1, 1, 1, 1), (2, 1, 2, 1, 1))
 
 
+def _of_phase(routing, phase):
+    """*routing*'s table of up*/down* phase *phase*: its only table when it
+    is stateless."""
+    tables = routing.compiled_tables
+    return tables[phase] if routing.stateful else tables
+
+
 def lcg_jump(lcg: int, draws: int) -> int:
     """The movement LCG after *draws* steps, in O(log draws).
 
@@ -156,65 +160,11 @@ def lcg_jump(lcg: int, draws: int) -> int:
     return (lcg * mul + add) & 0x7FFFFFFF
 
 
-class _LazyRows(dict):
-    """``router * n + dst`` -> row of candidate groups, compiled on first
-    touch from one CSR cell (``Fabric.candidate_links`` in table form).
-
-    A thousand-switch fabric has a million (router, dst) cells and a run
-    touches a few per cent of them, so nothing here is n^2-sized. A row is
-    a pure function of its key and the tables, which is what lets
-    simulations of one topology share one container.
-    """
-
-    __slots__ = ("tables", "escape_tables", "mode", "escape")
-
-    def __init__(self, tables: DenseCandidateTables,
-                 escape_tables: Optional[DenseCandidateTables],
-                 mode: Optional[str], escape: bool) -> None:
-        self.tables = tables
-        self.escape_tables = escape_tables
-        self.mode = mode
-        self.escape = escape
-
-    def __missing__(self, idx: int) -> Tuple[_Group, ...]:
-        links = self.tables.cell(idx)
-        mode = self.mode
-        row: Tuple[_Group, ...] = ()
-        if mode == "escape_vc":
-            row = self._escape_vc_row(links, self.escape_tables.cell(idx))
-        elif links:
-            nc = len(links)
-            links2 = tuple(links + links)
-            if mode is None:
-                # The escape flag is never consulted under mode None (the
-                # fabric's memo ignores it too): one container serves both.
-                row = ((links2, None, nc, 0),)
-            elif self.escape:
-                row = ((links2, None, nc, 2),)
-            else:  # drain: non-escape VCs first, the escape VC after
-                row = ((links2, None, nc, 3), (links2, None, nc, 2))
-        self[idx] = row
-        return row
-
-    def _escape_vc_row(self, links: List[int],
-                       esc_links: List[int]) -> Tuple[_Group, ...]:
-        if self.escape:
-            if not esc_links:
-                return ()
-            return ((tuple(esc_links + esc_links), None, len(esc_links), 2),)
-        # Adaptive and restricted-route candidates compete in one group;
-        # the mode is per candidate.
-        modes = (4,) * len(links) + (2,) * len(esc_links)
-        if not modes:
-            return ()
-        return ((tuple(links + esc_links) * 2, modes + modes, len(modes), -1),)
-
-
 class VectorizedEngine:
     """Movement/allocation/ejection kernel over precompiled tables."""
 
     __slots__ = (
-        "fabric", "_rows", "_esc_rows", "_epoch", "avail",
+        "fabric", "_plan", "_esc_plan", "_epoch", "avail",
         "_slot_port", "_slot_ai", "_slot_bit", "rebuilds",
         "tables", "escape_tables",
         "asleep", "sleep_draws", "sleep_stalls", "upstream", "_jump",
@@ -277,14 +227,17 @@ class VectorizedEngine:
         #: candidate and per sleeping router, and nothing else.
         self._xoff: Optional[bytearray] = None
         self._bind(False)
-        self._rows: Optional[_LazyRows] = None
-        self._esc_rows: Optional[_LazyRows] = None
+        #: The plans of packets outside and in escape (a (down, up) pair
+        #: each when a routing function is stateful); None until the first
+        #: movement pass builds them.
+        self._plan = None
+        self._esc_plan = None
         self._epoch = -1
         self.tables = None
         self.escape_tables = None
         #: ``(main, escape)`` ``link_is_up`` bytes that clear a packet's
         #: phase bit after a hop, or None when no routing function is
-        #: stateful (then the rows are not phase pairs either).
+        #: stateful (then the plans are not phase pairs either).
         self._phase_up: Optional[Tuple[bytes, bytes]] = None
         #: Table (re)builds performed, including the initial one (test hook
         #: for the fault-epoch invalidation contract).
@@ -332,99 +285,130 @@ class VectorizedEngine:
             fabric.num_vns, fabric._eject)
 
     # ------------------------------------------------------------------
-    # Table compilation
+    # Plans over the routing tables
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop the compiled rows (mirror of ``invalidate_routing_cache``)."""
-        self._rows = None
-        self._esc_rows = None
+        """Drop the plans (mirror of ``invalidate_routing_cache``)."""
+        self._plan = None
+        self._esc_plan = None
         self.wake_all()
 
     def wake_all(self) -> None:
-        """Clear every sleep flag (rows or fault epoch changed; tests)."""
+        """Clear every sleep flag (plans or fault epoch changed; tests)."""
         self.asleep[:] = bytes(len(self.asleep))
 
     def _build_tables(self) -> None:
-        """Install this epoch's rows: the topology's memoised boot rows
-        where they apply, rows compiled from the live fabric otherwise.
+        """Install this epoch's plans over the routing functions' tables.
 
-        Rows are a pure function of the topology and the escape
-        discipline while the index is at fault epoch 0 and the main
-        routing function holds the topology's own memoised adaptive tables
-        (a replaced or rebuilt function does not). The escape function is
-        keyed by class: every stateless one is built from the index alone
-        (a stateful one compiles rows per fabric).
+        A plan is ``(offsets, links, modes, group modes)``: one table's
+        read-only CSR views, its per-candidate VC modes (the merged
+        ESCAPE_VC table only; None otherwise) and one VC mode per
+        candidate group, whose count is a non-empty cell's draws. The
+        groups are ``Fabric._build_candidate_groups``': mode None offers
+        any VC (0); DRAIN the non-escape VCs, then the escape VC (3, 2);
+        a packet in escape the escape VC (2).
         """
-        fabric = self.fabric
-        index = fabric.index
-        net = index.compiled
-        escape = fabric.escape_routing
-        if (index.fault_epoch == 0
-                and fabric.routing.compiled_tables is net.parts.get("tables")
-                and not (escape is not None and escape.stateful)):
-            built = net.part(
-                ("rows", fabric.escape_mode, type(fabric.escape_routing)),
-                self._compile_rows,
-            )
-        else:
-            built = self._compile_rows()
-        (self.tables, self.escape_tables, self._rows, self._esc_rows,
-         self._used0, self._phase_up) = built
-        if fabric.vcs_per_vn == 1 and fabric.escape_mode is not None:
-            # The only VC is the escape VC: a packet outside escape is
-            # offered exactly the escape row (DRAIN's lone escape group;
-            # ESCAPE_VC without its adaptive candidates).
-            self._rows = self._esc_rows
-        self._epoch = index.fault_epoch
-        self.rebuilds += 1
-        self.wake_all()
-
-    def _compile_rows(self):
-        """(tables, escape tables, rows, escape rows, used0, phase bytes) of
-        the live fabric. Only the routing functions' tables are read here;
-        the row containers fill cell by cell as the scan touches them, and
-        nothing else is ever written (``used0`` is copied per cycle)."""
         fabric = self.fabric
         index = fabric.index
         mode = fabric.escape_mode
         main = fabric.routing
         esc = fabric.escape_routing if mode == "escape_vc" else None
-        tables = main.compiled_tables
-        escape_tables = esc.compiled_tables if esc is not None else None
-        main_phased = main.stateful
-        esc_phased = esc is not None and esc.stateful
-        phased = main_phased or esc_phased
+        self.tables = main.compiled_tables
+        self.escape_tables = esc.compiled_tables if esc is not None else None
+        phased = main.stateful or (esc is not None and esc.stateful)
+        single = fabric.vcs_per_vn == 1
+        if esc is not None and not single:
+            net = index.compiled
+            if (index.fault_epoch == 0 and not esc.stateful
+                    and self.tables is net.parts.get("tables")):
+                # A pure function of the topology and the escape function's
+                # class: every stateless one is built from the index alone.
+                merged = net.part(("escape_vc", type(esc)),
+                                  self._merge_tables)
+            else:
+                merged = self._merge_tables()
 
-        def container(escape: bool):
-            if not phased:
-                return _LazyRows(tables, escape_tables, mode, escape)
-            # One container per phase bit: a stateful function's cells
-            # come from its table of that phase.
-            return tuple(
-                _LazyRows(tables[phase] if main_phased else tables,
-                          escape_tables[phase] if esc_phased
-                          else escape_tables, mode, escape)
-                for phase in (0, 1))
+        def plans(phase):
+            """(plan outside escape, plan in escape) of one phase."""
+            table = _of_phase(main, phase)
+            plan = (table.offsets_view, table.links_view, None, (0,))
+            if mode is None:
+                # The escape flag is never consulted (the fabric's memo
+                # ignores it too): one plan serves both.
+                return plan, plan
+            if esc is None:  # drain: non-escape VCs first, the escape VC after
+                esc_plan = plan[:3] + ((2,),)
+                plan = plan[:3] + ((3, 2),)
+            else:
+                table = _of_phase(esc, phase)
+                esc_plan = (table.offsets_view, table.links_view, None, (2,))
+                if not single:
+                    table, modes = merged[phase] if phased else merged
+                    # One group; the mode is per candidate.
+                    plan = (table.offsets_view, table.links_view, modes, (-1,))
+            # With one VC per VN the only VC is the escape VC: a packet
+            # outside escape is offered exactly the escape plan (DRAIN's
+            # lone escape group; ESCAPE_VC without its adaptive candidates).
+            return (esc_plan if single else plan), esc_plan
 
-        rows = container(False)
-        esc_rows = rows if mode is None else container(True)
-        phase_up = None
         if phased:
+            # One plan per phase bit: a stateful function's cells come from
+            # its table of that phase.
+            (down, esc_down), (up, esc_up) = plans(0), plans(1)
+            self._plan, self._esc_plan = (down, up), (esc_down, esc_up)
             never = bytes([1]) * index.num_links  # a stateless on_hop
-            main_up = main.link_is_up if main_phased else never
+            main_up = main.link_is_up if main.stateful else never
             if esc is None:
                 esc_up = main_up  # escape packets follow the main function
             else:
-                esc_up = esc.link_is_up if esc_phased else never
-            phase_up = (main_up, esc_up)
+                esc_up = esc.link_is_up if esc.stateful else never
+            self._phase_up = (main_up, esc_up)
+        else:
+            self._plan, self._esc_plan = plans(None)
+            self._phase_up = None
         # Routing tables may still list links that died this epoch (a
         # routing function without a rebuild story keeps them; the dense
         # sweep skips them per-candidate while leaving them in the rotation
         # count). Pre-marking them "used" reproduces that skip for free.
-        used0 = bytearray(index.num_links)
+        used0 = self._used0 = bytearray(index.num_links)
         for link in sorted(index.dead_links):
             used0[link] = 1
-        return tables, escape_tables, rows, esc_rows, used0, phase_up
+        self._epoch = index.fault_epoch
+        self.rebuilds += 1
+        self.wake_all()
+
+    def _merge_tables(self):
+        """ESCAPE_VC's table outside escape as ``(tables, modes)``, a pair
+        of them by phase when a function is stateful: per cell the main
+        function's links (mode 4), then the escape function's (mode 2), in
+        fresh read-only arrays."""
+        fabric = self.fabric
+        main, esc = fabric.routing, fabric.escape_routing
+
+        def merge(phase):
+            adaptive, escape = _of_phase(main, phase), _of_phase(esc, phase)
+            ca, ce = adaptive.counts, escape.counts
+            counts = ca + ce
+            offsets = _np.zeros(counts.size + 1, dtype=_np.int64)
+            _np.cumsum(counts, out=offsets[1:])
+            # A link lands at its cell's new start plus its rank in the
+            # source cell; the escape links follow the cell's adaptive ones.
+            at_a = _np.arange(adaptive.links.size) + _np.repeat(
+                offsets[:-1] - adaptive.offsets[:-1], ca)
+            at_e = _np.arange(escape.links.size) + _np.repeat(
+                offsets[:-1] + ca - escape.offsets[:-1], ce)
+            links = _np.empty(int(offsets[-1]), dtype=_np.int32)
+            links[at_a] = adaptive.links
+            links[at_e] = escape.links
+            modes = _np.full(links.size, 2, dtype=_np.int8)
+            modes[at_a] = 4
+            modes.setflags(write=False)
+            return (DenseCandidateTables.from_arrays(
+                fabric.index, offsets, counts, links), memoryview(modes))
+
+        if main.stateful or esc.stateful:
+            return merge(0), merge(1)
+        return merge(None)
 
     # ------------------------------------------------------------------
     # The kernel
@@ -435,7 +419,7 @@ class VectorizedEngine:
         if fabric.frozen:
             return
         index = fabric.index
-        if self._rows is None or self._epoch != index.fault_epoch:
+        if self._plan is None or self._epoch != index.fault_epoch:
             self._build_tables()
         if not fabric.packets_in_network:
             return  # nothing buffered: no scan, no draw, no grant
@@ -453,8 +437,8 @@ class VectorizedEngine:
             busy = self._busy = [link for link in busy if until[link] >= cycle]
             for link in busy:
                 used[link] = 1
-        rows = self._rows
-        esc_rows = self._esc_rows
+        plan = self._plan
+        esc_plan = self._esc_plan
         phased = self._phase_up is not None
         dead_routers = index.dead_routers or None
         lcg = fabric._lcg
@@ -530,61 +514,84 @@ class VectorizedEngine:
                         if sources and s in sources:
                             continue  # mid-transfer on its link: no draw
                         if phased:
-                            row = (esc_rows if pkt.in_escape else rows)[
-                                pkt.updown_up_phase][router_row + dst]
+                            offsets, links, modes, gmodes = (
+                                esc_plan if pkt.in_escape else plan)[
+                                    pkt.updown_up_phase]
                         else:
-                            row = (esc_rows[router_row + dst]
-                                   if pkt.in_escape
-                                   else rows[router_row + dst])
-                        draws += len(row)  # exact iff nothing is granted
-                        for group in row:
-                            links2 = group[0]
-                            nc = group[2]
+                            offsets, links, modes, gmodes = (
+                                esc_plan if pkt.in_escape else plan)
+                        idx = router_row + dst
+                        o = offsets[idx]
+                        end = offsets[idx + 1]
+                        nc = end - o
+                        if not nc:
+                            continue  # no candidate: no draw
+                        draws += len(gmodes)  # exact iff nothing is granted
+                        for gm in gmodes:
                             lcg = (lcg * 1103515245 + 12345) & 0x7FFFFFFF
-                            j = lcg % nc
+                            # Walk the cell from the drawn candidate to its
+                            # end, then wrap to its start.
+                            j = o + lcg % nc
                             stop = j + nc
-                            gm = group[3]  # < 0: the mode is per candidate
-                            while j < stop:
-                                link = links2[j]
-                                j += 1
-                                if used[link]:
-                                    continue
-                                ai = link * num_vns + vn
-                                a = avail[ai]
-                                if xoff is not None and xoff[ai]:
-                                    # Read before the row's free bits: a
-                                    # stall counts on a full row too.
-                                    tvc = pick[xoff_mode[
-                                        gm if gm >= 0 else group[1][j - 1]
-                                    ]][a]
-                                    if tvc < 0:
-                                        scan_stalls += 1
+                            if modes is None:
+                                pm = pick[gm]
+                                while j < stop:
+                                    link = links[j if j < end else j - nc]
+                                    j += 1
+                                    if used[link]:
                                         continue
-                                elif not a:
-                                    continue  # full row, whatever the mode
+                                    ai = link * num_vns + vn
+                                    a = avail[ai]
+                                    if xoff is not None and xoff[ai]:
+                                        # Read before the row's free bits:
+                                        # a stall counts on a full row too.
+                                        tvc = pick[xoff_mode[gm]][a]
+                                        if tvc < 0:
+                                            scan_stalls += 1
+                                            continue
+                                    else:
+                                        tvc = pm[a]
+                                        if tvc < 0:
+                                            continue
+                                    break
                                 else:
-                                    tvc = pick[
-                                        gm if gm >= 0 else group[1][j - 1]
-                                    ][a]
-                                    if tvc < 0:
+                                    continue  # nothing claimable: next group
+                            else:  # ESCAPE_VC's merged cell
+                                while j < stop:
+                                    i = j if j < end else j - nc
+                                    j += 1
+                                    link = links[i]
+                                    if used[link]:
                                         continue
-                                used[link] = 1
-                                if not serial:
-                                    # A serialised grant reserves its target
-                                    # behind a busy link and latches on
-                                    # landing (Fabric._account_move).
-                                    avail[ai] = a ^ (1 << tvc)
-                                    if (not tvc and latch0
-                                            and not pkt.in_escape):
-                                        pkt.in_escape = True
-                                        if rearm:
-                                            pkt.updown_up_phase = True
-                                moves_append((s, link * stride + vbase + tvc,
-                                              link, vn, pkt))
-                                granted = True
-                                break
-                            if granted:
-                                break
+                                    ai = link * num_vns + vn
+                                    a = avail[ai]
+                                    if xoff is not None and xoff[ai]:
+                                        tvc = pick[xoff_mode[modes[i]]][a]
+                                        if tvc < 0:
+                                            scan_stalls += 1
+                                            continue
+                                    else:
+                                        tvc = pick[modes[i]][a]
+                                        if tvc < 0:
+                                            continue
+                                    break
+                                else:
+                                    continue
+                            used[link] = 1
+                            if not serial:
+                                # A serialised grant reserves its target
+                                # behind a busy link and latches on landing
+                                # (Fabric._account_move).
+                                avail[ai] = a ^ (1 << tvc)
+                                if (not tvc and latch0
+                                        and not pkt.in_escape):
+                                    pkt.in_escape = True
+                                    if rearm:
+                                        pkt.updown_up_phase = True
+                            moves_append((s, link * stride + vbase + tvc,
+                                          link, vn, pkt))
+                            granted = True
+                            break
                         if granted:
                             break
                     if granted:
@@ -720,15 +727,15 @@ class VectorizedEngine:
     # Stuck-network spans (Simulation's fast-forward)
     # ------------------------------------------------------------------
     def sleeping(self) -> bool:
-        """True when every occupied router sleeps on this epoch's rows.
+        """True when every occupied router sleeps on this epoch's plans.
 
         Then a :meth:`movement` pass grants nothing and is nothing but the
         sleeping routers' LCG jumps and replayed stalls — the same pass
         every cycle until something wakes a router.
         """
         fabric = self.fabric
-        if self._rows is None or self._epoch != fabric.index.fault_epoch:
-            return False  # the next pass rebuilds the rows and wakes all
+        if self._plan is None or self._epoch != fabric.index.fault_epoch:
+            return False  # the next pass rebuilds the plans and wakes all
         return all(compress(self.asleep, fabric._router_occ))
 
     def skip(self, count: int) -> None:
@@ -776,7 +783,7 @@ class VectorizedEngine:
         """
         fabric = self.fabric
         index = fabric.index
-        if self._rows is None or self._epoch != index.fault_epoch:
+        if self._plan is None or self._epoch != index.fault_epoch:
             return []  # the next movement() rebuilds and wakes everyone
         flat = fabric._buf
         n = index.num_nodes
@@ -804,22 +811,26 @@ class VectorizedEngine:
                         if can_eject and len(queue) < fabric._ej_depth:
                             grant = True
                         continue
-                    rows = self._esc_rows if pkt.in_escape else self._rows
+                    plan = self._esc_plan if pkt.in_escape else self._plan
                     if self._phase_up is not None:
-                        rows = rows[pkt.updown_up_phase]
-                    row = rows[router * n + pkt.dst]
-                    draws += len(row)
+                        plan = plan[pkt.updown_up_phase]
+                    offsets, links, modes, gmodes = plan
+                    idx = router * n + pkt.dst
+                    cell = range(offsets[idx], offsets[idx + 1])
+                    if cell:
+                        draws += len(gmodes)
                     vn = off // vcs
-                    for links2, modes2, nc, gm in row:
-                        for link, m in zip(links2[:nc], modes2 or (gm,) * nc):
-                            if self._used0[link] or until[link] >= cycle:
-                                continue
-                            ai = link * num_vns + vn
-                            if xoff is not None and xoff[ai]:
-                                m = self._xoff_mode[m]
-                                stalls += 1  # exact iff nothing is granted
-                            if _PICK[m][self.avail[ai]] >= 0:
-                                grant = True
+                    for gm, k in product(gmodes, cell):
+                        link = links[k]
+                        m = gm if modes is None else modes[k]
+                        if self._used0[link] or until[link] >= cycle:
+                            continue
+                        ai = link * num_vns + vn
+                        if xoff is not None and xoff[ai]:
+                            m = self._xoff_mode[m]
+                            stalls += 1  # exact iff nothing is granted
+                        if _PICK[m][self.avail[ai]] >= 0:
+                            grant = True
             if (grant or draws != self.sleep_draws[router]
                     or stalls != self.sleep_stalls[router]):
                 bad.append(router)

@@ -2,7 +2,7 @@
 
 Everything a simulation boots from that is a pure function of its
 topology — distances, link numbering, routing tables, the drain cycle,
-engine rows — is compiled once per process into one
+ESCAPE_VC's merged engine table — is compiled once per process into one
 :class:`CompiledNetwork` per topology content digest, and (when a store
 is activated) persisted as memory-mappable entries of the one store
 (:mod:`repro.store`). See :mod:`repro.structcache.memo`.

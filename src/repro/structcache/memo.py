@@ -3,8 +3,9 @@
 Every trial over a given topology boots the same expensive structure: the
 all-pairs hop-distance matrix, the link/port numbering, the adaptive and
 up*/down* routing tables in CSR form, the default drain cycle with its
-turn tables, and the vectorized engine's candidate rows. All of it is a pure function
-of the topology's content, so it is compiled once per process:
+turn tables, and the vectorized engine's merged ESCAPE_VC table. All of it
+is a pure function of the topology's content, so it is compiled once per
+process:
 
 1. :func:`compiled` maps a topology **content digest** to one
    :class:`CompiledNetwork` in a small LRU (:data:`_MEMO_LIMIT` entries),

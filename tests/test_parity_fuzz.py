@@ -374,7 +374,7 @@ def _build_batch_groups():
     """Pinned groups: >= 10 configs over two (scheme, topo) cells.
 
     Every group shares one topology, scheme and geometry — so one memo
-    entry and one set of engine rows — while seeds and rates vary per
+    entry and one set of routing tables — while seeds and rates vary per
     member: exactly the shape of a sweep's seed x rate ladder.
     """
     master = random.Random(MASTER_SEED ^ 0xBA7C4)
@@ -453,9 +453,9 @@ class TestMemoParityFuzz:
             _assert_memo_invariant(group, gi)
 
     def test_mixed_group_on_one_topology_matches_cold(self):
-        # One memo entry serves four disciplines at once: DRAIN rows,
-        # ESCAPE_VC rows, UPDOWN (the up*/down* tables part, rows compiled
-        # per fabric) and a fault_recovery member whose faults must stay
+        # One memo entry serves four disciplines at once: DRAIN, ESCAPE_VC
+        # (its merged engine table a part too), UPDOWN (the up*/down*
+        # tables part) and a fault_recovery member whose faults must stay
         # on its own index.
         topology = make_mesh(4, 4)
         drain = _build_batch_groups()[0][:2]

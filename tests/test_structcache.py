@@ -292,18 +292,19 @@ class TestCompiledNetworkMemo:
     def test_one_process_compiles_one_topology_once(self, monkeypatch):
         bfs = _count_calls(monkeypatch, Topology, "_all_pairs_numpy")
         routing = _count_calls(monkeypatch, AdaptiveMinimalRouting, "_compile")
-        rows = _count_calls(monkeypatch, VectorizedEngine, "_compile_rows")
+        merged = _count_calls(monkeypatch, VectorizedEngine, "_merge_tables")
         structcache.clear_memos()
         assert structcache.active_store() is None
         specs = [tiny_spec(seed=1), tiny_spec(seed=2),
                  tiny_spec(seed=3, scheme=Scheme.ESCAPE_VC),
-                 tiny_spec(seed=4, scheme=Scheme.SPIN)]
+                 tiny_spec(seed=4, scheme=Scheme.SPIN),
+                 tiny_spec(seed=5, scheme=Scheme.ESCAPE_VC)]
         first = [execute_trial(spec) for spec in specs]
         assert len(bfs) == 1 and len(routing) == 1
-        # One row build per escape discipline: drain, escape_vc, none.
-        assert sorted(str(e.fabric.escape_mode) for e in rows) == [
-            "None", "drain", "escape_vc"]
-        # ... and the memoised rows change nothing.
+        # The engine compiles one table of its own, ESCAPE_VC's merged
+        # one: once per topology, however many ESCAPE_VC trials read it.
+        assert [e.fabric.escape_mode for e in merged] == ["escape_vc"]
+        # ... and the memoised table changes nothing.
         structcache.clear_memos()
         assert [execute_trial(spec) for spec in reversed(specs)] == first[::-1]
 
@@ -353,42 +354,44 @@ class TestCompiledNetworkMemo:
                               scheme_config(Scheme.DRAIN, TINY, seed=seed),
                               traffic)
 
+        def reads(engine, tables):
+            """True when both plans scan exactly *tables*' arrays."""
+            return all(plan[0] is tables.offsets_view
+                       and plan[1] is tables.links_view
+                       for plan in (engine._plan, engine._esc_plan))
+
         donor = sim_for(1)
         donor.run(40)
         net = donor.index.compiled
-        key = ("rows", "drain", type(None))
-        boot_rows = net.parts[key]
-        assert donor.fabric._engine._rows is boot_rows[2]
+        boot = net.parts["tables"]
+        assert reads(donor.fabric._engine, boot)
 
         # A second simulation shares them ...
         twin = sim_for(2)
         twin.run(40)
-        assert twin.fabric._engine._rows is boot_rows[2]
+        assert reads(twin.fabric._engine, boot)
         assert twin.fabric._engine.rebuilds == 1
 
-        # ... until its fault epoch moves: rows compiled from the live index.
+        # ... until its fault epoch moves: plans over the epoch-1 tables.
         index = twin.index
         index.apply_faults({0, index.link_reverse[0]}, set())
         twin.fabric.routing.rebuild()
         twin.run(40)
         engine = twin.fabric._engine
-        assert engine.rebuilds == 2
-        assert engine._rows is not boot_rows[2] and engine._used0[0] == 1
-        assert engine.tables.epoch == 1
-        assert net.parts[key] is boot_rows and boot_rows[4] == bytearray(48)
+        assert engine.rebuilds == 2 and engine._used0[0] == 1
+        assert engine.tables.epoch == 1 and engine.tables is not boot
+        assert reads(engine, twin.fabric.routing.compiled_tables)
+        assert net.parts["tables"] is boot and boot.epoch == 0
 
-        # A replaced routing function at epoch 0 compiles its own as well.
+        # A replaced routing function at epoch 0 is read as well.
         other = sim_for(3)
         fabric = other.fabric
         fabric.routing = AdaptiveMinimalRouting(
             other.index, tables=fabric.routing._compile(strict=True))
         fabric.invalidate_routing_cache()
         other.run(40)
-        own_rows = fabric._engine._rows
-        assert own_rows is not boot_rows[2]
-        # Rows compile on first touch: equal wherever both were touched.
-        both = own_rows.keys() & boot_rows[2].keys()
-        assert both and all(own_rows[k] == boot_rows[2][k] for k in both)
+        own = fabric.routing.compiled_tables
+        assert own is not boot and reads(fabric._engine, own)
 
     def test_memo_evicts_least_recently_used(self):
         limit = memo._MEMO_LIMIT
