@@ -64,10 +64,6 @@ class RecoveryResult:
             return next(iter(unique))
         return "mixed" if unique else "none"
 
-    @property
-    def fallback_used(self) -> bool:
-        return "euler" in self.engines
-
 
 def recover_drain_paths(
     index: FabricIndex,

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import compress
 from typing import Deque, Iterator, List, Optional, Tuple
 
 from ..core.config import SimConfig
@@ -375,10 +376,6 @@ class Fabric:
     # ------------------------------------------------------------------
     # Candidate computation (shared by the allocator and the deadlock oracle)
     # ------------------------------------------------------------------
-    def vn_of_class(self, msg_class: int) -> int:
-        """Virtual network carrying *msg_class* (classes fold onto VNs)."""
-        return msg_class % self.num_vns
-
     def invalidate_routing_cache(self) -> None:
         """Drop memoized candidate groups (fault recovery / path reinstall).
 
@@ -506,9 +503,9 @@ class Fabric:
         # share a VN.
         rr = self._inj_rr
         self._inj_rr = (rr + 1) % _NUM_CLASSES
-        fast = not self.dense
-        if fast and not self._inj_total:
+        if not self._inj_total:
             return  # no NI queue holds a packet
+        fast = not self.dense
         flat = self._buf
         index = self.index
         stats = self.stats
@@ -522,9 +519,9 @@ class Fabric:
         num_vns = self.num_vns
         av = self._engine_avail
         asleep = None if av is None else self._engine.asleep
-        for node in range(index.num_nodes):
-            if fast and not inj_pending[node]:
-                continue
+        # Only nodes with a queued packet: the others' queues are empty, so
+        # the dense reference takes the same walk.
+        for node in compress(range(index.num_nodes), inj_pending):
             if dead_routers and node in dead_routers:
                 continue
             port = num_links + node

@@ -545,7 +545,3 @@ class WormholeFabric:
                 for state in self.vcs[port][vn]:
                     total += len(state.flits)
         return total
-
-    def pending_flit_indices(self, pid: int) -> Set[int]:
-        """Flit indices of packet *pid* already at the destination."""
-        return set(self._reassembly.get(pid, set()))

@@ -12,6 +12,7 @@ that built packet as its head, so a :class:`Backlog` holds at most one
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from itertools import compress
 from typing import Callable, Deque, Dict, Iterable, Set
 
 from ..network.fabric import Fabric
@@ -146,13 +147,12 @@ class OpenLoopSource:
         """
         if not getattr(fabric, "ej_pending_total", 0):
             return  # nothing ejected anywhere this cycle, or no NI queues
-        ej_pending = fabric.ej_pending
         pop = fabric.pop_ejection
-        for node, queues in enumerate(fabric.ej_queues):
-            if ej_pending[node]:
-                for cls, queue in enumerate(queues):
-                    while queue:
-                        self._sink(pop(node, cls))
+        ej_queues = fabric.ej_queues
+        for node in compress(range(len(ej_queues)), fabric.ej_pending):
+            for cls, queue in enumerate(ej_queues[node]):
+                while queue:
+                    self._sink(pop(node, cls))
 
     def _sink(self, packet: Packet) -> None:
         self.delivered += 1
