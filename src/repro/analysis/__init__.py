@@ -6,17 +6,19 @@ no wall-clock, no global state):
 - :mod:`repro.analysis.certifier` — a configuration certifier. Given a
   topology, a routing function and/or a drain-path set (optionally after
   applying a :class:`~repro.faults.schedule.FaultSchedule` snapshot), it
-  constructs the restricted channel-dependency graph, enumerates reachable
-  turn-cycles, and emits a machine-readable :class:`~repro.analysis.
+  constructs the restricted channel-dependency graph over reachable
+  holding states, searches it for a shortest turn-cycle, and emits a machine-readable :class:`~repro.analysis.
   certificate.Certificate`: ``CERTIFIED`` with a coverage/acyclicity proof
   object, or ``REFUTED`` with a concrete counterexample (the offending
   turn-cycle, or the uncovered-link set in
   :class:`~repro.drain.path.DrainPathError` payload form). For lossless
   fabrics (``flow_control="pause_resume"``) the pause-aware entry point
-  :func:`~repro.analysis.certifier.certify_pause_configuration` builds
-  the pause-augmented buffer-dependency graph instead, models the
-  escape-VC pause exemption and PFC headroom feasibility, and refutes
-  with a minimal buffer cycle in the watchdog halt-payload shape.
+  :func:`~repro.analysis.certifier.certify_pause_configuration` reads
+  the same graph, restricted to a flow set, as the pause-augmented
+  buffer-dependency graph, models the escape-VC pause exemption and PFC
+  headroom feasibility, and refutes with a minimal buffer cycle built by
+  the watchdog's own payload builder
+  (:func:`~repro.analysis.certificate.buffer_cycle_payload`).
 
 - :mod:`repro.analysis.lint` — an AST-based determinism lint pass that
   statically enforces the project's reproducibility invariants over
@@ -53,7 +55,7 @@ __all__ = [
     "LintFinding",
     "PreflightError",
     "ROUTING_NAMES",
-    "build_pause_bdg",
+    "buffer_cycle_payload",
     "build_restricted_cdg",
     "canonical_cycle_links",
     "canonical_rotation",
@@ -75,9 +77,9 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "certificate": ("CERTIFIED", "REFUTED", "ROUTING_NAMES", "Certificate"),
-    "certifier": ("build_pause_bdg", "build_restricted_cdg",
-                  "canonical_rotation", "certify_configuration",
+    "certificate": ("CERTIFIED", "REFUTED", "ROUTING_NAMES", "Certificate",
+                    "buffer_cycle_payload", "canonical_rotation"),
+    "certifier": ("build_restricted_cdg", "certify_configuration",
                   "certify_drain_cover", "certify_pause_configuration",
                   "certify_routing", "find_turn_cycle", "minimal_cycles",
                   "routing_for", "topological_link_order"),

@@ -1,19 +1,32 @@
-"""The certifier's verdict type, importable without the certifier.
+"""The certifier's verdict type and the one deadlock-cycle vocabulary.
 
 :class:`Certificate` is what :mod:`repro.analysis.certifier` issues and
 what the structure store persists. Pre-flight rebuilds one from a stored
 payload, and ``repro-drain check`` offers :data:`ROUTING_NAMES` as
 choices, so both live here, away from the routing functions and the
 fabric index the certifier needs (and the numpy they load).
+
+:func:`canonical_rotation` and :func:`buffer_cycle_payload` are the one
+statement of how a deadlock cycle is written down. The certifier's
+static counterexample and the watchdog's halt payload are both built by
+:func:`buffer_cycle_payload`, so a live wedge and its refutation compare
+with plain equality, and a report can read either without the simulator.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-__all__ = ["CERTIFIED", "REFUTED", "Certificate", "ROUTING_NAMES"]
+__all__ = [
+    "CERTIFIED",
+    "REFUTED",
+    "Certificate",
+    "ROUTING_NAMES",
+    "buffer_cycle_payload",
+    "canonical_rotation",
+]
 
 CERTIFIED = "CERTIFIED"
 REFUTED = "REFUTED"
@@ -30,8 +43,8 @@ class Certificate:
     cycles, fault snapshot); ``proof`` is present exactly when the verdict
     is ``CERTIFIED`` and ``counterexample`` exactly when it is
     ``REFUTED``. :meth:`as_dict` is deterministic: link sets are sorted,
-    cycles are rotated to start at their smallest link, and no timestamps
-    or process state enter the payload.
+    cycles are emitted in their :func:`canonical_rotation`, and no
+    timestamps or process state enter the payload.
     """
 
     verdict: str
@@ -93,3 +106,64 @@ class Certificate:
                 f"extra={counter.get('extra')}"
             )
         return f"{head}: {kind}"
+
+
+def canonical_rotation(
+    items: Sequence[Any], keys: Optional[Sequence[Any]] = None
+) -> List[Any]:
+    """The rotation of *items* whose *keys* are lexicographically minimal.
+
+    *keys* (one per item, the items themselves by default) decide the
+    order. Two rotations of the same cycle map to the same output, so
+    rotational equivalence, the one degree of freedom a deadlock cycle
+    has, becomes plain equality.
+    """
+    items = list(items)
+    n = len(items)
+    if keys is None:
+        keys = items
+    best = 0
+    for offset in range(1, n):
+        for j in range(n):
+            a = keys[(offset + j) % n]
+            b = keys[(best + j) % n]
+            if a != b:
+                if a < b:
+                    best = offset
+                break
+    return items[best:] + items[:best]
+
+
+def buffer_cycle_payload(
+    hops: Sequence[Mapping[str, Any]], **extra: Any
+) -> Dict[str, Any]:
+    """A ``buffer-cycle`` payload from its hops, in canonical rotation.
+
+    Each hop names the buffer one packet of the cycle waits in:
+    ``router``, ``port``, ``vn``, ``vc``, ``link`` (``[src, dst]``, or
+    ``None`` for an injection port) and ``packet``. The hops are rotated
+    by the key ``(0, src, dst)`` for a link and ``(1, port)`` for an
+    injection port; ``routers`` and ``links`` list each router and link
+    once, in hop order. *extra* fields are appended as given.
+    """
+    def key(hop: Mapping[str, Any]):
+        link = hop["link"]
+        return (1, hop["port"]) if link is None else (0, link[0], link[1])
+
+    hops = canonical_rotation(hops, [key(hop) for hop in hops])
+    routers: List[int] = []
+    links: List[List[int]] = []
+    for hop in hops:
+        if hop["router"] not in routers:
+            routers.append(hop["router"])
+        link = hop["link"]
+        if link is not None and link not in links:
+            links.append(list(link))
+    return {
+        "kind": "buffer-cycle",
+        "length": len(hops),
+        "routers": routers,
+        "links": links,
+        "cycle": hops,
+        **extra,
+    }

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.config import Scheme, SimConfig
 from ..topology.graph import Topology
-from .certifier import Certificate, canonical_rotation
+from .certificate import Certificate, canonical_rotation
 
 __all__ = [
     "canonical_cycle_links",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..analysis.certificate import buffer_cycle_payload
 from ..router.packet import MessageClass, Packet
 from .fabric import Fabric
 
@@ -303,39 +304,6 @@ def extract_cycle(
     return None
 
 
-def _canonical_slot_rotation(index, cycle: List[Slot]) -> List[Slot]:
-    """Rotate *cycle* so its per-hop link sequence is lexicographically
-    minimal over all rotations.
-
-    Rotation is the only freedom ``extract_cycle`` has (the slot cycle
-    itself is determined by the wedge), so fixing it makes the payload a
-    canonical representative — directly comparable, by plain equality on
-    the ``links`` field, with the static certifier's buffer-cycle
-    counterexamples, which are canonicalised the same way.
-    """
-    n = len(cycle)
-    if n < 2:
-        return cycle
-
-    def hop_key(slot: Slot):
-        port = slot[0]
-        if index.is_injection_port(port):
-            return (1, port)
-        return (0, index.link_src[port], index.link_dst[port])
-
-    keys = [hop_key(slot) for slot in cycle]
-    best = 0
-    for offset in range(1, n):
-        for j in range(n):
-            a = keys[(offset + j) % n]
-            b = keys[(best + j) % n]
-            if a != b:
-                if a < b:
-                    best = offset
-                break
-    return cycle[best:] + cycle[:best]
-
-
 def deadlock_cycle_payload(
     fabric: Fabric,
     deadlocked: Set[Slot],
@@ -343,38 +311,30 @@ def deadlock_cycle_payload(
 ) -> Optional[Dict]:
     """Describe one minimal deadlock cycle as a JSON-ready payload.
 
-    Mirrors the certifier's counterexample shape (``kind`` + ``cycle``):
-    the static certifier reports a ``turn-cycle`` over channel
-    dependencies; this is the runtime analogue — a ``buffer-cycle`` over
-    concrete occupied VC slots, naming the routers, links and holding
-    packets so a watchdog halt is actionable. Returns ``None`` when the
-    deadlocked set contains no cycle (pure ejection-queue wedges).
+    The runtime analogue of the certifier's counterexample: a
+    ``buffer-cycle`` over concrete occupied VC slots, naming the routers,
+    links and holding packets so a watchdog halt is actionable. Both are
+    built by :func:`~repro.analysis.certificate.buffer_cycle_payload`, in
+    its canonical rotation — the one freedom ``extract_cycle`` has — so a
+    wedge compares with its static refutation by plain equality on the
+    ``links`` field. Returns ``None`` when the deadlocked set contains no
+    cycle (pure ejection-queue wedges).
     """
     cycle = extract_cycle(fabric, deadlocked, graph)
     if cycle is None:
         return None
     index = fabric.index
-    cycle = _canonical_slot_rotation(index, cycle)
     hops = []
-    routers: List[int] = []
-    links: List[List[int]] = []
     for port, vn, vc in cycle:
         packet = fabric._slot_get(port, vn, vc)
-        router = index.port_router[port]
-        if index.is_injection_port(port):
-            link = None
-        else:
-            link = [index.link_src[port], index.link_dst[port]]
-            if link not in links:
-                links.append(link)
-        if router not in routers:
-            routers.append(router)
         hops.append({
-            "router": router,
+            "router": index.port_router[port],
             "port": port,
             "vn": vn,
             "vc": vc,
-            "link": link,
+            "link": None if index.is_injection_port(port) else [
+                index.link_src[port], index.link_dst[port]
+            ],
             "packet": None if packet is None else {
                 "pid": packet.pid,
                 "src": packet.src,
@@ -383,13 +343,7 @@ def deadlock_cycle_payload(
                 "hops": packet.hops,
             },
         })
-    return {
-        "kind": "buffer-cycle",
-        "length": len(hops),
-        "routers": routers,
-        "links": links,
-        "cycle": hops,
-    }
+    return buffer_cycle_payload(hops)
 
 
 def rotate_cycle(fabric: Fabric, cycle: List[Slot], forced_kind: str) -> int:

@@ -36,10 +36,6 @@ Performance architecture (see DESIGN.md, "Performance architecture"):
   scans skip routers/ports/nodes with no live state, in the exact same
   deterministic iteration order as a dense sweep (the skipped work had no
   side effects, so outputs are bit-identical);
-- candidate-link priority groups are memoized per (router, destination,
-  escape flag, up*/down* phase bit) into immutable tuples and invalidated
-  on fault reconfiguration (``FabricIndex.fault_epoch``) or explicit
-  :meth:`invalidate_routing_cache` calls;
 - the vectorized engine (:mod:`repro.network.vectorized`) runs the
   movement stage of every non-dense fabric — any routing function, 1 to 8
   VCs per VN, any packet size, credit or pause/resume flow control;
@@ -264,12 +260,6 @@ class Fabric:
         self._vc_order_escape: Tuple[int, ...] = (0,)
         self._vc_order_adaptive: Tuple[int, ...] = tuple(range(1, self.vcs_per_vn))
 
-        #: Candidate-group memo: (router, dst, in_escape, up*/down* phase
-        #: bit) -> tuple of priority groups. Invalidated when the index's
-        #: fault epoch moves or via :meth:`invalidate_routing_cache`.
-        self._cand_cache: dict = {}
-        self._cand_epoch: int = index.fault_epoch
-
         # Engine (see DESIGN.md, "Vectorized kernel"): the dense reference
         # sweep when asked for, the vectorized kernel otherwise.
         #: Resolved engine: "dense" or "vectorized".
@@ -377,14 +367,12 @@ class Fabric:
     # Candidate computation (shared by the allocator and the deadlock oracle)
     # ------------------------------------------------------------------
     def invalidate_routing_cache(self) -> None:
-        """Drop memoized candidate groups (fault recovery / path reinstall).
+        """Drop the engine's plans (fault recovery / path reinstall).
 
         Must be called whenever a routing function's tables change outside
         of :meth:`FabricIndex.apply_faults` (whose fault-epoch bump is
         detected automatically).
         """
-        self._cand_cache.clear()
-        self._cand_epoch = self.index.fault_epoch
         if self._engine is not None:
             self._engine.invalidate()
 
@@ -406,29 +394,13 @@ class Fabric:
         - Escape-VC baseline: adaptive (non-escape) and restricted-route
           escape candidates compete in a single group, modelling the usual
           round-robin VC selection; escape entry is always sticky.
-
-        Results are memoized per (router, destination, escape flag,
-        up*/down* phase bit) — the phase bit being the only per-packet
-        routing state any routing function reads — until the index's fault
-        epoch moves or the cache is invalidated.
         """
-        if self.dense:
-            return self._build_candidate_groups(router, packet)
-        if self._cand_epoch != self.index.fault_epoch:
-            self._cand_cache.clear()
-            self._cand_epoch = self.index.fault_epoch
-        key = (router, packet.dst, packet.in_escape, packet.updown_up_phase)
-        cache = self._cand_cache
-        groups = cache.get(key)
-        if groups is None:
-            groups = self._build_candidate_groups(router, packet)
-            cache[key] = groups
-        return groups
+        return self._build_candidate_groups(router, packet)
 
     def _build_candidate_groups(
         self, router: int, packet: Packet
     ) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Uncached candidate-group construction (memoized by the caller)."""
+        """Candidate-group construction (see :meth:`candidate_links`)."""
         mode = self.escape_mode
         if mode is None:
             return (tuple((link, 0)

@@ -333,7 +333,7 @@ class VectorizedEngine:
             table = _of_phase(main, phase)
             plan = (table.offsets_view, table.links_view, None, (0,))
             if mode is None:
-                # The escape flag is never consulted (the fabric's memo
+                # The escape flag is never consulted (candidate_links
                 # ignores it too): one plan serves both.
                 return plan, plan
             if esc is None:  # drain: non-escape VCs first, the escape VC after

@@ -38,7 +38,8 @@ class RoutingFunction(ABC):
     #: function sets the bit in :meth:`on_inject`, clears it in
     #: :meth:`on_hop` on a link whose ``link_is_up`` byte is 0, and keeps
     #: one table per phase. The static certifier
-    #: (:mod:`repro.analysis.certifier`) enumerates both phases.
+    #: (:mod:`repro.analysis.certifier`) follows the phase from injection
+    #: through :meth:`arrival_phase`.
     stateful: bool = False
 
     #: CSR candidate tables

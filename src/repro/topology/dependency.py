@@ -8,17 +8,18 @@ packet arriving on link ``l`` can depart on link ``m``, i.e. when
 including the U-turn ``l -> l.reverse``.
 
 A *restricted* view of the same graph — only the turns some routing
-function actually permits — is what deadlock-freedom proofs live on: the
+function lets a packet take — is what deadlock-freedom proofs live on: the
 routing function is deadlock-free iff its restricted turn graph is acyclic
-(Dally-Seitz). :meth:`DependencyGraph.restricted_adjacency` produces that
-subgraph in the adjacency-list shape consumed by the static certifier's
-:func:`~repro.analysis.certifier.topological_link_order` and
-:func:`~repro.analysis.certifier.find_turn_cycle`.
+(Dally-Seitz). The static certifier builds that subgraph from the routing
+function's own tables
+(:func:`~repro.analysis.certifier.build_restricted_cdg`), not from this
+module; :meth:`DependencyGraph.adjacency_indices` gives the unrestricted
+graph in the same adjacency-list shape.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from .graph import Link, Topology
 
@@ -65,24 +66,6 @@ class DependencyGraph:
         index = self.index_of()
         return [
             sorted(index[m] for m in self._successors[link]) for link in self.links
-        ]
-
-    def restricted_adjacency(
-        self, allowed: Callable[[Link, Link], bool]
-    ) -> List[List[int]]:
-        """Successor lists keeping only turns where ``allowed(l, m)`` holds.
-
-        The result is the restricted channel-dependency graph of a routing
-        discipline expressed as a turn predicate — e.g. up*/down*'s "no
-        down->up" rule — in the adjacency shape the static certifier's
-        acyclicity checkers consume directly.
-        """
-        index = self.index_of()
-        return [
-            sorted(
-                index[m] for m in self._successors[link] if allowed(link, m)
-            )
-            for link in self.links
         ]
 
 

@@ -269,6 +269,14 @@ class TestImportClosure:
         assert manifest["cache_misses"] == 0
         assert manifest["struct_cache"]["compiles"] == 0
 
+    def test_cycle_vocabulary_imports_nothing_heavy(self, tmp_path):
+        loaded = _probe(
+            "from repro.analysis.certificate import canonical_rotation, "
+            "buffer_cycle_payload", tmp_path,
+        )
+        assert "numpy" not in loaded
+        assert not [m for m in loaded if m.startswith("repro.network")]
+
     def test_store_and_list_import_nothing_heavy(self, tmp_path):
         assert _probe("import repro.store", tmp_path) == ["repro", "repro.store"]
         loaded = _probe("from repro.cli import main\nmain(['list'])", tmp_path)

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis import (
     CERTIFIED,
     REFUTED,
-    build_pause_bdg,
+    build_restricted_cdg,
     canonical_rotation,
     certify_pause_configuration,
     is_kernel_path,
@@ -188,11 +188,13 @@ class TestKnownAnswers:
 
 
 class TestBuildPauseBdg:
+    """The restricted CDG over a flow set is the pause-augmented BDG."""
+
     def test_all_pairs_superset_of_flow_restricted(self):
         index = FabricIndex(scenario_topology())
         routing = routing_for("adaptive", index)
-        full = build_pause_bdg(index, routing)
-        restricted = build_pause_bdg(index, routing, flows=RING_FLOWS)
+        full = build_restricted_cdg(index, routing)
+        restricted = build_restricted_cdg(index, routing, flows=RING_FLOWS)
         for link, succ in enumerate(restricted):
             assert set(succ) <= set(full[link])
 
@@ -201,7 +203,7 @@ class TestBuildPauseBdg:
         # requesting another: adjacent-leaf flows build an empty BDG.
         index = FabricIndex(scenario_topology())
         routing = routing_for("adaptive", index)
-        adjacency = build_pause_bdg(
+        adjacency = build_restricted_cdg(
             index, routing, flows=[(i, (i + 1) % 8) for i in range(8)]
         )
         assert all(not succ for succ in adjacency)
@@ -209,7 +211,7 @@ class TestBuildPauseBdg:
     def test_ring_flows_close_the_ring(self):
         index = FabricIndex(scenario_topology())
         routing = routing_for("adaptive", index)
-        adjacency = build_pause_bdg(index, routing, flows=RING_FLOWS)
+        adjacency = build_restricted_cdg(index, routing, flows=RING_FLOWS)
         by_pair = {
             (index.link_src[l], index.link_dst[l]): l
             for l in range(index.num_links)
