@@ -70,6 +70,7 @@ from ..drain.path import (
     hawick_james_drain_path,
 )
 from ..network.index import FabricIndex
+from ..routing import select_escape_routing
 from ..routing.adaptive import AdaptiveMinimalRouting
 from ..routing.base import RoutingFunction
 from ..routing.dor import DimensionOrderRouting
@@ -609,13 +610,27 @@ def certify_configuration(
         )
         return cert
 
-    if routing is None:
-        if scheme is Scheme.UPDOWN:
-            routing = "updown"
-        elif scheme is Scheme.ESCAPE_VC:
-            routing = _escape_routing_name(survivor)
+    if routing is None and scheme is Scheme.UPDOWN:
+        routing = "updown"
+    elif routing is None and scheme is not Scheme.ESCAPE_VC:
+        routing = "adaptive"
+    # routing stays None for ESCAPE_VC: each certified topology gets the
+    # simulator's own escape selection, built once over one index.
+
+    def certify(topo: Topology, **kwargs) -> Certificate:
+        index = FabricIndex(topo)
+        if routing is None:
+            function = select_escape_routing(index)
+            name = "dor" if isinstance(function, DimensionOrderRouting) else "updown"
         else:
-            routing = "adaptive"
+            function, name = routing_for(routing, index), routing
+        return certify_routing(
+            topo, function, index=index,
+            subject_extra={"routing": name, "scheme": scheme.value,
+                           **fault_extra},
+            **kwargs,
+        )
+
     components = _component_members(survivor)
     if not components:
         return Certificate(
@@ -627,28 +642,20 @@ def certify_configuration(
     if len(components) == 1 and len(components[0]) == survivor.num_nodes:
         # Fully connected: certify the survivor directly (coordinates and
         # router ids are preserved, so DOR stays instantiable).
-        return certify_routing(
-            survivor, routing,
-            subject_extra={"scheme": scheme.value, **fault_extra},
-        )
+        return certify(survivor)
     certs: List[Certificate] = []
     for members in components:
-        comp = _component_compact(survivor, members)
-        comp_routing = (
-            _escape_routing_name(comp)
-            if scheme is Scheme.ESCAPE_VC else routing
-        )
-        cert = certify_routing(
-            comp, comp_routing, node_labels=members,
-            subject_extra={"scheme": scheme.value, **fault_extra},
-        )
+        cert = certify(_component_compact(survivor, members),
+                       node_labels=members)
         if not cert.certified:
             return cert
         certs.append(cert)
     subject = _topology_subject(survivor)
     subject.update({
         "claim": "routing-acyclicity",
-        "routing": routing,
+        # DOR needs an XY route between every pair, so it never builds on
+        # a survivor that is not one connected component.
+        "routing": routing or "updown",
         "scheme": scheme.value,
         "components": len(components),
         **fault_extra,
@@ -659,15 +666,6 @@ def certify_configuration(
         "component_roots": [members[0] for members in components],
     }
     return Certificate(CERTIFIED, subject, proof=proof)
-
-
-def _escape_routing_name(topology: Topology) -> str:
-    """The simulator's escape-VC routing selection, statically mirrored."""
-    try:
-        DimensionOrderRouting(FabricIndex(topology))
-    except ValueError:
-        return "updown"
-    return "dor"
 
 
 # ----------------------------------------------------------------------

@@ -233,6 +233,9 @@ class SimConfig:
     deadlock_grace: int = 64  # min blocked cycles before oracle counts it
 
     def __post_init__(self) -> None:
+        if self.deadlock_check_interval < 1 or self.deadlock_grace < 0:
+            raise ValueError("deadlock_check_interval must be >= 1 and deadlock_grace >= 0, "
+                             f"not {self.deadlock_check_interval} and {self.deadlock_grace}")
         if self.flow_control not in FLOW_CONTROL_MODES:
             raise ValueError(
                 f"unknown flow_control {self.flow_control!r}: "

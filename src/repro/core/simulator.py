@@ -31,14 +31,15 @@ from ..network.deadlock import (
     deadlock_cycle_payload,
     extract_cycle,
     find_deadlocked_slots,
+    next_check,
     rotate_cycle,
 )
 from ..network.fabric import Fabric
 from ..network.index import FabricIndex
 from ..network.spin import SpinController
 from ..network.staticbubble import StaticBubbleController
+from ..routing import select_escape_routing
 from ..routing.adaptive import AdaptiveMinimalRouting
-from ..routing.dor import DimensionOrderRouting
 from ..routing.updown import UpDownRouting
 from ..topology.graph import Topology
 from . import rng as rng_mod
@@ -59,7 +60,7 @@ class IdealResolver:
 
     def __init__(self, fabric: Fabric, check_interval: int = 2) -> None:
         self.fabric = fabric
-        self.check_interval = max(1, check_interval)
+        self.check_interval = check_interval
 
     def next_event_cycle(self, now: int) -> int:
         """Next oracle tick (the conservative event-horizon clamp).
@@ -68,9 +69,7 @@ class IdealResolver:
         fast-forward for the IDEAL scheme — an accepted cost: the oracle
         is a measurement bound, not a performance target.
         """
-        interval = self.check_interval
-        rem = now % interval
-        return now if rem == 0 else now + interval - rem
+        return next_check(now, self.check_interval)
 
     def step(self) -> None:
         fabric = self.fabric
@@ -107,7 +106,7 @@ class DeadlockWatchdog:
 
     def __init__(self, fabric: Fabric, check_interval: int, grace: int) -> None:
         self.fabric = fabric
-        self.check_interval = max(1, check_interval)
+        self.check_interval = check_interval
         self.grace = grace
         self.deadlocked = False
         #: Concrete minimal deadlock cycle (``deadlock_cycle_payload``
@@ -125,9 +124,7 @@ class DeadlockWatchdog:
         ``check_interval`` cycles") and its halt cycle identical to a dense
         run.
         """
-        interval = self.check_interval
-        rem = now % interval
-        return now if rem == 0 else now + interval - rem
+        return next_check(now, self.check_interval)
 
     def step(self) -> None:
         fabric = self.fabric
@@ -224,12 +221,7 @@ class Simulation:
             escape_mode = "drain"
         elif scheme is Scheme.ESCAPE_VC:
             escape_mode = "escape_vc"
-            # DOR on the fault-free mesh, up*/down* on irregular
-            # topologies (Section V-B's configuration).
-            try:
-                escape_routing = DimensionOrderRouting(self.index)
-            except ValueError:
-                escape_routing = UpDownRouting(self.index)
+            escape_routing = select_escape_routing(self.index)
 
         if flow_control == "wormhole":
             from ..network.wormhole import WormholeFabric

@@ -20,8 +20,10 @@ response, escalating only as cheaper stages fail:
 3. **Degrade** — if the forced drains did not clear the wedge (e.g. a
    storm-pinned XOFF row that no rotation can open), drop the packets of
    the minimal deadlock cycle and retransmit them from their sources
-   with exponential backoff — trading a bounded packet loss for
-   guaranteed progress, like end-to-end recovery in real RoCE fabrics.
+   through the one :class:`~repro.network.retransmit.RetransmitQueue`
+   (backoff ``8 << attempt`` over 8 attempts) — trading a bounded packet
+   loss for guaranteed progress, like end-to-end recovery in real RoCE
+   fabrics.
 
 Per-stage counters and recovery latencies live on the ladder and surface
 through :meth:`summary` — never through the golden
@@ -30,15 +32,16 @@ through :meth:`summary` — never through the golden
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..network.deadlock import (
     deadlock_cycle_payload,
     extract_cycle,
     find_deadlocked_slots,
+    next_check,
 )
 from ..network.fabric import Fabric
-from ..router.packet import Packet
+from ..network.retransmit import RetransmitQueue
 from .controller import DrainController
 
 __all__ = ["DegradationLadder"]
@@ -54,12 +57,7 @@ class DegradationLadder:
         check_interval: int = 128,
         grace: int = 64,
         drain_retries: int = 3,
-        retransmit_backoff_base: int = 8,
-        retransmit_backoff_max: int = 1024,
-        max_retransmit_attempts: int = 8,
     ) -> None:
-        if check_interval < 1:
-            raise ValueError("check_interval must be positive")
         if drain_retries < 1:
             raise ValueError("need at least one forced-drain retry")
         self.fabric = fabric
@@ -67,9 +65,6 @@ class DegradationLadder:
         self.check_interval = check_interval
         self.grace = grace
         self.drain_retries = drain_retries
-        self.retransmit_backoff_base = retransmit_backoff_base
-        self.retransmit_backoff_max = retransmit_backoff_max
-        self.max_retransmit_attempts = max_retransmit_attempts
 
         #: "idle" (watching) or "waiting" (mid-episode, between stages).
         self._state = "idle"
@@ -79,17 +74,14 @@ class DegradationLadder:
         #: Cycle of the episode's most recent stage action (forced drain
         #: or drop); progress past it proves the stage is working.
         self._stage_cycle = 0
-        #: Retransmission queue as (ready_cycle, seq, attempt, packet).
-        self._retransmit: List[Tuple[int, int, int, Packet]] = []
-        self._seq = 0
+        #: The drop stage's packets, on their way back to their sources.
+        self.retransmits = RetransmitQueue(fabric)
 
         # Stage counters (ladder-local; see module docstring).
         self.detections = 0
         self.forced_drains = 0
         self.cycle_drops = 0
         self.packets_dropped = 0
-        self.packets_retransmitted = 0
-        self.packets_lost_forever = 0
         self.recoveries = 0
         self.recovery_cycles: List[int] = []
         #: Minimal-cycle payload of the most recent detection.
@@ -108,17 +100,18 @@ class DegradationLadder:
             and cycle - fabric.last_progress_cycle >= self.grace
         )
 
-    def _backoff_window(self) -> int:
-        return self.check_interval * (1 << (self._retries_used - 1))
+    def _wait(self, cycle: int) -> None:
+        """Re-check once this retry's backoff window has passed."""
+        self._state = "waiting"
+        self._stage_cycle = cycle
+        self._deadline = cycle + (self.check_interval << (self._retries_used - 1))
 
     def _escalate(self, cycle: int) -> None:
         """Stage 2: force a drain window and schedule the re-check."""
         if self.drain_controller.force_drain():
             self.forced_drains += 1
         self._retries_used += 1
-        self._state = "waiting"
-        self._stage_cycle = cycle
-        self._deadline = cycle + self._backoff_window()
+        self._wait(cycle)
 
     def _degrade(self, cycle: int, stuck) -> None:
         """Stage 3: drop the minimal deadlock cycle and retransmit it."""
@@ -135,41 +128,11 @@ class DegradationLadder:
             packet = fabric.fault_drop_slot(port, vn, vc)
             self.packets_dropped += 1
             fabric.stats.packets_lost += 1
-            self._schedule_retransmit(cycle, 0, packet)
+            self.retransmits.push(cycle, packet)
         # Confirm recovery on the normal cadence; the drop budget resets
         # so a re-formed cycle climbs the full ladder again.
         self._retries_used = 1
-        self._state = "waiting"
-        self._stage_cycle = cycle
-        self._deadline = cycle + self._backoff_window()
-
-    def _schedule_retransmit(self, cycle: int, attempt: int,
-                             packet: Packet) -> None:
-        if attempt >= self.max_retransmit_attempts:
-            self.packets_lost_forever += 1
-            return
-        delay = min(self.retransmit_backoff_max,
-                    self.retransmit_backoff_base << attempt)
-        self._seq += 1
-        self._retransmit.append((cycle + delay, self._seq, attempt, packet))
-
-    def _pump_retransmits(self, cycle: int) -> None:
-        if not self._retransmit:
-            return
-        ready = sorted(r for r in self._retransmit if r[0] <= cycle)
-        if not ready:
-            return
-        self._retransmit = [r for r in self._retransmit if r[0] > cycle]
-        fabric = self.fabric
-        for _, _, attempt, packet in ready:
-            packet.in_escape = False
-            packet.net_entry_cycle = None
-            packet.blocked_since = None
-            if fabric.offer_packet(packet):
-                self.packets_retransmitted += 1
-                fabric.stats.packets_retransmitted += 1
-            else:
-                self._schedule_retransmit(cycle, attempt + 1, packet)
+        self._wait(cycle)
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -179,11 +142,9 @@ class DegradationLadder:
         loop, so a forced drain collapses the countdown the same cycle.
         """
         cycle = self.fabric.cycle
-        self._pump_retransmits(cycle)
+        self.retransmits.pump(cycle)
         if self._state == "idle":
-            if cycle % self.check_interval:
-                return
-            if not self._detection_ready(cycle):
+            if cycle % self.check_interval or not self._detection_ready(cycle):
                 return
             stuck = self._stuck_slots()
             if not stuck:
@@ -239,13 +200,11 @@ class DegradationLadder:
         if self._state == "waiting":
             nxt = max(now, self._deadline)
         else:
-            nxt = now if now % self.check_interval == 0 else (
-                (now // self.check_interval + 1) * self.check_interval
-            )
-        for ready, _, _, _ in self._retransmit:
-            if ready < nxt:
-                nxt = ready
-        return max(now, nxt)
+            nxt = next_check(now, self.check_interval)
+        ready = self.retransmits.earliest()
+        if ready is not None and ready < nxt:
+            nxt = max(now, ready)
+        return nxt
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, Any]:
@@ -255,10 +214,10 @@ class DegradationLadder:
             "forced_drains": self.forced_drains,
             "cycle_drops": self.cycle_drops,
             "packets_dropped": self.packets_dropped,
-            "packets_retransmitted": self.packets_retransmitted,
-            "packets_lost_forever": self.packets_lost_forever,
+            "packets_retransmitted": self.retransmits.retransmitted,
+            "packets_lost_forever": self.retransmits.abandoned,
             "recoveries": self.recoveries,
             "recovery_cycles": list(self.recovery_cycles),
-            "pending_retransmits": len(self._retransmit),
+            "pending_retransmits": len(self.retransmits),
             "deadlock_cycle": self.last_cycle_payload,
         }

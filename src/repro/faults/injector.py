@@ -17,7 +17,8 @@ Two in-flight policies model the ends of the recovery-cost spectrum:
 
 - ``drop_retransmit`` — flits on a dying wire are lost; the packet is
   re-offered at its source NI after an exponential backoff (end-to-end
-  retransmission, the usual fault-tolerant-NoC assumption);
+  retransmission, the usual fault-tolerant-NoC assumption), through the
+  one :class:`~repro.network.retransmit.RetransmitQueue`;
 - ``source_reroute`` — the serialised transfer is cancelled and the packet
   stays in the upstream buffer it never released, to be re-routed over the
   survivor graph (link-level retry, zero loss on wire faults).
@@ -32,6 +33,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..drain.path import DrainPathError
+from ..network.deadlock import next_check
+from ..network.retransmit import RetransmitQueue
 from ..router.packet import Packet
 from .recovery import recover_drain_paths
 from .schedule import FAULT_POLICIES, FaultEvent, FaultSchedule
@@ -56,9 +59,6 @@ class FaultInjector:
         policy: str = "drop_retransmit",
         curve_window: int = 0,
         max_circuits: int = 512,
-        backoff_base: int = 8,
-        backoff_max: int = 1024,
-        max_retransmit_attempts: int = 8,
         storm: Optional[PauseStormSchedule] = None,
     ) -> None:
         if policy not in FAULT_POLICIES:
@@ -82,9 +82,6 @@ class FaultInjector:
         self.policy = policy
         self.curve_window = curve_window
         self.max_circuits = max_circuits
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.max_retransmit_attempts = max_retransmit_attempts
 
         self._events: List[FaultEvent] = list(schedule.events)
         self._next_event = 0
@@ -93,9 +90,8 @@ class FaultInjector:
         self._router_faults: Dict[int, int] = {}
         #: Pending transient repairs as (repair_cycle, seq, event).
         self._repairs: List[Tuple[int, int, FaultEvent]] = []
-        #: Retransmission queue as (ready_cycle, seq, attempt, packet).
-        self._retransmit: List[Tuple[int, int, int, Packet]] = []
         self._seq = 0
+        self.retransmits = RetransmitQueue(sim.fabric)
 
         #: Pause-storm pipeline state.
         self._storm_events: List[PauseStormEvent] = (
@@ -144,48 +140,32 @@ class FaultInjector:
         if changed:
             self._reconfigure(cycle, dropped or [])
         self._apply_storm(cycle)
-        self._pump_retransmits(cycle)
+        self.retransmits.pump(cycle)
         if self.curve_window and cycle and cycle % self.curve_window == 0:
             self._sample_curve(cycle)
 
     def next_event_cycle(self, now: int) -> Optional[int]:
         """First cycle >= *now* at which :meth:`step` may act; None = never.
 
-        The minimum over the four pipelines: the next unapplied schedule
-        event, the earliest pending transient repair, the earliest pending
-        retransmission, and (with curve sampling on) the next
+        The minimum over the pipelines: the next unapplied schedule and
+        storm events, the earliest resume-jitter expiry, transient repair
+        and retransmission, and (with curve sampling on) the next
         ``curve_window`` boundary. On every cycle strictly before the
         returned value :meth:`step` provably mutates nothing.
         """
-        nxt: Optional[int] = None
+        pending = [ready for ready, _, _ in self._repairs]
+        pending += [expiry for expiry, _ in self._jitter_active]
         if self._next_event < len(self._events):
-            nxt = self._events[self._next_event].cycle
+            pending.append(self._events[self._next_event].cycle)
         if self._next_storm < len(self._storm_events):
-            storm_cycle = self._storm_events[self._next_storm].cycle
-            if nxt is None or storm_cycle < nxt:
-                nxt = storm_cycle
-        for expiry, _ in self._jitter_active:
-            if nxt is None or expiry < nxt:
-                nxt = expiry
-        for ready, _, _ in self._repairs:
-            if nxt is None or ready < nxt:
-                nxt = ready
-        for ready, _, _, _ in self._retransmit:
-            if nxt is None or ready < nxt:
-                nxt = ready
+            pending.append(self._storm_events[self._next_storm].cycle)
+        ready = self.retransmits.earliest()
+        if ready is not None:
+            pending.append(ready)
         if self.curve_window:
-            window = self.curve_window
-            if now <= 0:
-                boundary = window  # _sample_curve skips cycle 0
-            elif now % window == 0:
-                boundary = now
-            else:
-                boundary = (now // window + 1) * window
-            if nxt is None or boundary < nxt:
-                nxt = boundary
-        if nxt is not None and nxt < now:
-            nxt = now
-        return nxt
+            # _sample_curve skips cycle 0.
+            pending.append(next_check(max(now, 1), self.curve_window))
+        return max(now, min(pending)) if pending else None
 
     # ------------------------------------------------------------------
     def _apply_repairs(self, cycle: int) -> bool:
@@ -281,7 +261,7 @@ class FaultInjector:
                 and packet.eject_cycle is None
                 and packet.src not in dead_routers
             ):
-                self._schedule_retransmit(cycle, 0, packet)
+                self.retransmits.push(cycle, packet)
 
     def _recompute_drain(self, cycle: int) -> None:
         sim = self.sim
@@ -353,39 +333,6 @@ class FaultInjector:
                 traffic.queue_burst(src, dst, event.value, cycle)
 
     # ------------------------------------------------------------------
-    def _schedule_retransmit(self, cycle: int, attempt: int, packet: Packet) -> None:
-        if attempt >= self.max_retransmit_attempts:
-            return
-        delay = min(self.backoff_max, self.backoff_base << attempt)
-        self._seq += 1
-        self._retransmit.append((cycle + delay, self._seq, attempt, packet))
-
-    def _pump_retransmits(self, cycle: int) -> None:
-        if not self._retransmit:
-            return
-        ready = sorted(r for r in self._retransmit if r[0] <= cycle)
-        if not ready:
-            return
-        self._retransmit = [r for r in self._retransmit if r[0] > cycle]
-        fabric = self.sim.fabric
-        stats = self.sim.stats
-        for _, _, attempt, packet in ready:
-            # Reset transport state; identity (pid, src, dst, gen_cycle)
-            # is preserved so end-to-end latency includes the lost attempt
-            # and the backoff — that cost is the point of the experiment.
-            # Routing state restarts with it: a packet outside escape is in
-            # the up*/down* up phase (escape entry re-arms it only there).
-            packet.in_escape = False
-            packet.updown_up_phase = True
-            packet.net_entry_cycle = None
-            packet.blocked_since = None
-            if fabric.offer_packet(packet):
-                stats.packets_retransmitted += 1
-            else:
-                # Source NI queue full: back off again, bounded.
-                self._schedule_retransmit(cycle, attempt + 1, packet)
-
-    # ------------------------------------------------------------------
     def _sample_curve(self, cycle: int) -> None:
         sim = self.sim
         stats = sim.stats
@@ -406,7 +353,7 @@ class FaultInjector:
             "unroutable": stats.packets_unroutable
             - int(prev.get("unroutable", 0)),
             "avg_latency": (window_sum / window_count) if window_count else 0.0,
-            "in_network": fabric_occupancy(sim.fabric),
+            "in_network": sim.fabric.packets_in_network,
             "throughput": (
                 ejected / (alive_nodes * self.curve_window)
                 if alive_nodes else 0.0
@@ -448,10 +395,3 @@ class FaultInjector:
             ),
         }
 
-
-def fabric_occupancy(fabric) -> int:
-    """Packets currently buffered in the network, fabric-type agnostic."""
-    occupancy = getattr(fabric, "packets_in_network", None)
-    if occupancy is None:
-        occupancy = fabric.count_flits()
-    return occupancy

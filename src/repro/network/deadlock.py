@@ -1,6 +1,6 @@
 """Deadlock analysis of a live fabric.
 
-Two tools live here:
+Three tools live here:
 
 - :class:`WaitForGraph` / :func:`find_deadlocked_slots` — an exact
   OR-request-model fixpoint: a buffered packet *can eventually move* if it
@@ -16,6 +16,10 @@ Two tools live here:
   unison (the coordinated movement of SPIN's spin and of the ideal
   resolver; DRAIN's drain uses the precomputed drain path instead and does
   not need any of this machinery — that asymmetry *is* the paper's point).
+- :func:`next_check` / :func:`timed_out_heads` — the detection tick of
+  every online responder (the IDEAL oracle, the watchdog, SPIN, static
+  bubble, the degradation ladder) and the timeout trigger of SPIN and
+  static bubble.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ __all__ = [
     "rotate_cycle",
     "has_deadlock",
     "deadlock_cycle_payload",
+    "next_check",
+    "timed_out_heads",
 ]
 
 Slot = Tuple[int, int, int]  # (port, vn, vc)
@@ -349,16 +355,14 @@ def deadlock_cycle_payload(
 def rotate_cycle(fabric: Fabric, cycle: List[Slot], forced_kind: str) -> int:
     """Move every packet in *cycle* one slot forward, in unison.
 
-    ``forced_kind`` is ``"spin"`` or ``"ideal"`` and selects the per-packet
-    counter updated. Returns the number of packets moved. Hops and
-    misroutes are accounted exactly like normal traversals; ejection is
-    *not* performed here — after the rotation packets re-route normally
-    (SPIN semantics).
+    ``forced_kind`` is ``"spin"`` or ``"ideal"``; a spin also counts
+    ``spin_moves`` per packet. Returns the number of packets moved. Each
+    move is a :meth:`Fabric.forced_hop`; ejection is *not* performed
+    here — after the rotation packets re-route normally (SPIN semantics).
     """
     if len(cycle) < 2:
         raise ValueError("a rotation cycle needs at least two slots")
     index = fabric.index
-    stats = fabric.stats
     packets = [fabric._slot_get(p, vn, vc) for p, vn, vc in cycle]
     if any(p is None for p in packets):
         raise ValueError("rotation cycle contains an empty slot")
@@ -366,23 +370,31 @@ def rotate_cycle(fabric: Fabric, cycle: List[Slot], forced_kind: str) -> int:
     for i in range(n):
         dst_slot = cycle[(i + 1) % n]
         packet = packets[i]
-        src_port = cycle[i][0]
         fabric._slot_set(dst_slot[0], dst_slot[1], dst_slot[2], packet)
         link = dst_slot[0]
         if index.is_injection_port(link):
             raise ValueError("rotation cycle passes through an injection port")
-        packet.hops += 1
-        packet.blocked_since = fabric.cycle
-        old_router = index.port_router[src_port]
-        new_router = index.link_dst[link]
-        if index.dist[new_router][packet.dst] > index.dist[old_router][packet.dst]:
-            packet.misroutes += 1
-            stats.misroutes += 1
         if forced_kind == "spin":
             packet.spin_moves += 1
-        stats.flits_traversed += 1
-        stats.buffer_reads += 1
-        stats.buffer_writes += 1
-        stats.xbar_traversals += 1
-    fabric.last_progress_cycle = fabric.cycle
+        fabric.forced_hop(packet, index.port_router[cycle[i][0]], link)
     return n
+
+
+def next_check(now: int, interval: int) -> int:
+    """A detector's next tick: the first multiple of *interval* >= *now*."""
+    return -(-now // interval) * interval
+
+
+def timed_out_heads(fabric: Fabric, timeout: int) -> List[Tuple[int, int, int, Packet]]:
+    """Network slots (``occupied_slots`` tuples) blocked >= *timeout* cycles.
+
+    The timeout trigger of SPIN and static bubble; injection ports excluded.
+    """
+    cycle = fabric.cycle
+    is_injection_port = fabric.index.is_injection_port
+    return [
+        slot for slot in fabric.occupied_slots()
+        if not is_injection_port(slot[0])
+        and slot[3].blocked_since is not None
+        and cycle - slot[3].blocked_since >= timeout
+    ]

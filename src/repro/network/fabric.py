@@ -869,6 +869,26 @@ class Fabric:
     # ------------------------------------------------------------------
     # Draining (called by DrainController during drain windows)
     # ------------------------------------------------------------------
+    def forced_hop(self, packet: Packet, old_router: int, link: int) -> None:
+        """Account a forced move of *packet* from *old_router* over *link*.
+
+        Every forced movement — drain, SPIN and ideal rotations, bubble
+        re-entry — is accounted here; the caller writes the slots and
+        keeps its own per-scheme counter.
+        """
+        stats = self.stats
+        dist = self.index.dist
+        packet.hops += 1
+        packet.blocked_since = self.cycle
+        if dist[self.index.link_dst[link]][packet.dst] > dist[old_router][packet.dst]:
+            packet.misroutes += 1
+            stats.misroutes += 1
+        stats.flits_traversed += 1
+        stats.buffer_reads += 1
+        stats.buffer_writes += 1
+        stats.xbar_traversals += 1
+        self.last_progress_cycle = self.cycle
+
     def drain_rotate_escape(self, path_ports: List[int]) -> None:
         """Rotate all escape-VC packets one hop along the drain path.
 
@@ -881,12 +901,11 @@ class Fabric:
         """
         flat = self._buf
         index = self.index
+        link_dst = index.link_dst
         stats = self.stats
-        dist = index.dist
         stride = self._port_stride
         vcs = self.vcs_per_vn
         n = len(path_ports)
-        cycle = self.cycle
         for vn in range(self.num_vns):
             offset = vn * vcs
             packets = [flat[p * stride + offset] for p in path_ports]
@@ -898,26 +917,14 @@ class Fabric:
                 if packet is None:
                     continue
                 moved += 1
-                packet.hops += 1
                 packet.drain_moves += 1
-                packet.blocked_since = cycle
-                old_router = index.link_dst[path_ports[i]]
-                new_router = index.link_dst[tgt]
-                if dist[new_router][packet.dst] > dist[old_router][packet.dst]:
-                    packet.misroutes += 1
-                    stats.misroutes += 1
-                stats.flits_traversed += 1
-                stats.buffer_reads += 1
-                stats.buffer_writes += 1
-                stats.xbar_traversals += 1
-            if moved:
-                stats.drained_packets += moved
-                self.last_progress_cycle = cycle
+                self.forced_hop(packet, link_dst[path_ports[i]], tgt)
+            stats.drained_packets += moved
             for p in path_ports:
                 packet = flat[p * stride + offset]
                 if packet is None:
                     continue
-                router = index.link_dst[p]
+                router = link_dst[p]
                 if packet.dst != router:
                     continue
                 if self.ejection_space(router, packet.msg_class) > 0:
@@ -1093,20 +1100,3 @@ class Fabric:
                     queue.clear()
                     queue.extend(keep)
         return dropped
-
-    def force_move(self, src: Tuple[int, int, int], dst: Tuple[int, int, int]) -> None:
-        """Teleport a packet between slots (drain/spin rotation primitive).
-
-        The destination slot must be free. Hop/misroute accounting is the
-        caller's responsibility since forced moves have scheme-specific
-        semantics.
-        """
-        sp, svn, svc = src
-        dp, dvn, dvc = dst
-        packet = self._slot_get(sp, svn, svc)
-        if packet is None:
-            raise ValueError(f"no packet at slot {src}")
-        if self._slot_get(dp, dvn, dvc) is not None:
-            raise ValueError(f"slot {dst} is occupied")
-        self._slot_set(sp, svn, svc, None)
-        self._slot_set(dp, dvn, dvc, packet)

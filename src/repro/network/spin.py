@@ -19,7 +19,14 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core.config import SpinConfig
-from .deadlock import Slot, extract_cycle, find_deadlocked_slots, rotate_cycle
+from .deadlock import (
+    Slot,
+    extract_cycle,
+    find_deadlocked_slots,
+    next_check,
+    rotate_cycle,
+    timed_out_heads,
+)
 from .fabric import Fabric
 
 __all__ = ["SpinController"]
@@ -31,7 +38,7 @@ class SpinController:
     def __init__(self, fabric: Fabric, config: SpinConfig, check_interval: int = 32):
         self.fabric = fabric
         self.config = config
-        self.check_interval = max(1, check_interval)
+        self.check_interval = check_interval
         #: (fire_cycle, anchor_slot) pairs for probes in flight.
         self._pending: List[Tuple[int, Slot]] = []
         self._last_spin_cycle = -(10**9)
@@ -44,9 +51,7 @@ class SpinController:
         earliest pending fire clamps the horizon alongside the next
         detection tick.
         """
-        interval = self.check_interval
-        rem = now % interval
-        nxt = now if rem == 0 else now + interval - rem
+        nxt = next_check(now, self.check_interval)
         for fire, _ in self._pending:
             if fire < nxt:
                 nxt = fire
@@ -66,13 +71,8 @@ class SpinController:
 
         if cycle % self.check_interval:
             return
-        timeout = self.config.timeout
         anchors = [
-            (port, vn, vc)
-            for port, vn, vc, packet in fabric.occupied_slots()
-            if not fabric.index.is_injection_port(port)
-            and packet.blocked_since is not None
-            and cycle - packet.blocked_since >= timeout
+            slot[:3] for slot in timed_out_heads(fabric, self.config.timeout)
         ]
         if not anchors:
             return

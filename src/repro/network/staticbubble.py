@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 from ..core.config import SpinConfig
 from ..router.packet import Packet
-from .deadlock import find_deadlocked_slots
+from .deadlock import find_deadlocked_slots, next_check, timed_out_heads
 from .fabric import Fabric
 
 __all__ = ["StaticBubbleController"]
@@ -40,7 +40,7 @@ class StaticBubbleController:
                  check_interval: int = 32) -> None:
         self.fabric = fabric
         self.config = config
-        self.check_interval = max(1, check_interval)
+        self.check_interval = check_interval
         #: The one extra buffer per router; None while switched off.
         self.bubbles: Dict[int, Optional[Packet]] = {
             n: None for n in range(fabric.index.num_nodes)
@@ -63,23 +63,14 @@ class StaticBubbleController:
         """
         if self.occupied_bubbles():
             return now
-        interval = self.check_interval
-        rem = now % interval
-        return now if rem == 0 else now + interval - rem
+        return next_check(now, self.check_interval)
 
     def step(self) -> None:
         self._drain_bubbles()
         fabric = self.fabric
         if fabric.cycle % self.check_interval:
             return
-        timeout = self.config.timeout
-        stalled = [
-            (port, vn, vc, packet)
-            for port, vn, vc, packet in fabric.occupied_slots()
-            if not fabric.index.is_injection_port(port)
-            and packet.blocked_since is not None
-            and fabric.cycle - packet.blocked_since >= timeout
-        ]
+        stalled = timed_out_heads(fabric, self.config.timeout)
         if not stalled:
             return
         deadlocked = find_deadlocked_slots(fabric)
@@ -111,35 +102,21 @@ class StaticBubbleController:
         for router, packet in self.bubbles.items():
             if packet is None:
                 continue
-            if packet.dst == router:
-                if fabric.ejection_space(router, packet.msg_class) > 0:
-                    self.bubbles[router] = None
-                    fabric._eject(router, packet)
-                continue
-            moved = False
-            for group in fabric.candidate_links(router, packet):
-                for link, vc_mode in group:
-                    vn = packet.vn
-                    tvc = fabric._pick_vc(link, vn, vc_mode, claimed=set())
-                    if tvc < 0:
-                        continue
+            if packet.dst != router:
+                self._reenter(router, packet)
+            elif fabric.ejection_space(router, packet.msg_class) > 0:
+                self.bubbles[router] = None
+                fabric._eject(router, packet)
+
+    def _reenter(self, router: int, packet: Packet) -> None:
+        """Move a bubble packet into its first claimable candidate VC."""
+        fabric = self.fabric
+        vn = packet.vn
+        for group in fabric.candidate_links(router, packet):
+            for link, vc_mode in group:
+                tvc = fabric._pick_vc(link, vn, vc_mode, claimed=set())
+                if tvc >= 0:
                     fabric._slot_set(link, vn, tvc, packet)
                     self.bubbles[router] = None
-                    packet.hops += 1
-                    packet.blocked_since = fabric.cycle
-                    new_router = fabric.index.link_dst[link]
-                    if (
-                        fabric.index.dist[new_router][packet.dst]
-                        > fabric.index.dist[router][packet.dst]
-                    ):
-                        packet.misroutes += 1
-                        fabric.stats.misroutes += 1
-                    fabric.stats.flits_traversed += 1
-                    fabric.stats.buffer_reads += 1
-                    fabric.stats.buffer_writes += 1
-                    fabric.stats.xbar_traversals += 1
-                    fabric.last_progress_cycle = fabric.cycle
-                    moved = True
-                    break
-                if moved:
-                    break
+                    fabric.forced_hop(packet, router, link)
+                    return

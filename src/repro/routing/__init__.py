@@ -10,4 +10,14 @@ __all__ = [
     "AdaptiveMinimalRouting",
     "DimensionOrderRouting",
     "UpDownRouting",
+    "select_escape_routing",
 ]
+
+
+def select_escape_routing(index) -> RoutingFunction:
+    """ESCAPE_VC's escape routing, for the simulator and the certifier alike:
+    DOR when it builds (a complete mesh), else up*/down* (Section V-B)."""
+    try:
+        return DimensionOrderRouting(index)
+    except ValueError:
+        return UpDownRouting(index)

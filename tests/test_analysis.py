@@ -380,3 +380,23 @@ def test_cli_lint_exit_codes(tmp_path, capsys):
     assert main(["lint", str(dirty)]) == 1
     out = capsys.readouterr().out
     assert "DET001" in out
+
+
+def test_escape_vc_certification_builds_its_routing_once(monkeypatch):
+    # The escape routing is chosen by building it (DOR if it builds, else
+    # up*/down*); the certificate reuses that build and its index.
+    from repro.network.index import FabricIndex
+    from repro.routing.dor import DimensionOrderRouting
+
+    built = []
+    for cls in (FabricIndex, DimensionOrderRouting):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    cert = certify_configuration(make_mesh(8, 8), "escape_vc")
+    assert cert.certified and cert.subject["routing"] == "dor"
+    assert sorted(built) == ["DimensionOrderRouting", "FabricIndex"]

@@ -86,6 +86,19 @@ class TestSimConfig:
         assert cfg.network.vcs_per_vn == 2
         assert drain_default(epoch=128).drain.epoch == 128
 
+    @pytest.mark.parametrize("kwargs", [
+        {"deadlock_check_interval": 0},
+        {"deadlock_check_interval": -4},
+        {"deadlock_grace": -1},
+    ])
+    def test_bad_check_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="deadlock_check_interval"):
+            SimConfig(**kwargs)
+
+    def test_edge_check_settings_accepted(self):
+        cfg = SimConfig(deadlock_check_interval=1, deadlock_grace=0)
+        assert (cfg.deadlock_check_interval, cfg.deadlock_grace) == (1, 0)
+
 
 class TestRng:
     def test_derive_seed_deterministic(self):

@@ -43,6 +43,16 @@ class TestRoundtrip:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("key, value", [
+        ("deadlock_check_interval", 0),
+        ("deadlock_grace", -1),
+    ])
+    def test_bad_check_settings_rejected(self, key, value):
+        data = config_to_dict(SimConfig())
+        data[key] = value
+        with pytest.raises(ValueError, match="deadlock_check_interval"):
+            config_from_dict(data)
+
     def test_unknown_section_key_rejected(self):
         data = config_to_dict(SimConfig())
         data["drain"]["magic"] = 3

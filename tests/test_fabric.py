@@ -204,34 +204,6 @@ class TestCrossbarConstraints:
         assert occupied_before == occupied_after
 
 
-class TestForceMove:
-    def test_force_move_between_slots(self):
-        fabric = make_fabric()
-        packet = Packet(0, 0, 5)
-        fabric.offer_packet(packet)
-        fabric.inject_stage()
-        (port, vn, vc, found) = fabric.occupied_slots()[0]
-        target_link = fabric.index.out_links[0][0]
-        fabric.force_move((port, vn, vc), (target_link, vn, 0))
-        assert fabric.buf[target_link][vn][0] is packet
-        assert fabric.buf[port][vn][vc] is None
-
-    def test_force_move_to_occupied_slot_rejected(self):
-        fabric = make_fabric()
-        fabric.offer_packet(Packet(0, 0, 5))
-        fabric.offer_packet(Packet(1, 4, 6))
-        fabric.inject_stage()
-        slots = fabric.occupied_slots()
-        assert len(slots) == 2
-        with pytest.raises(ValueError):
-            fabric.force_move(slots[0][:3], slots[1][:3])
-
-    def test_force_move_from_empty_slot_rejected(self):
-        fabric = make_fabric()
-        with pytest.raises(ValueError):
-            fabric.force_move((0, 0, 0), (1, 0, 0))
-
-
 class TestUtilizationProbes:
     def test_link_utilization_counts_traversals(self):
         fabric = make_fabric()

@@ -344,15 +344,15 @@ class TestFaultInjector:
                 random.Random(derive_seed(seed, "t", 0.05)))
             sim = Simulation(topo, config, traffic, fault_schedule=schedule,
                              fault_policy="drop_retransmit")
-            injector = sim.fault_injector
-            schedule_retransmit = injector._schedule_retransmit
+            queue = sim.fault_injector.retransmits
+            push = queue.push
 
-            def record(cycle, attempt, packet):
+            def record(cycle, packet, attempt=0):
                 nonlocal dropped_down
                 dropped_down += not packet.updown_up_phase
-                schedule_retransmit(cycle, attempt, packet)
+                push(cycle, packet, attempt)
 
-            injector._schedule_retransmit = record
+            queue.push = record
             for _ in range(440):
                 sim.step()
                 fabric = sim.fabric

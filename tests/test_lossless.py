@@ -31,6 +31,7 @@ from repro.harness import execute_trial, lossless_trial
 from repro.network import find_deadlocked_slots
 from repro.network.deadlock import WaitForGraph
 from repro.network.pause import PauseResumeFabric
+from repro.network.retransmit import ATTEMPTS
 from repro.router.packet import MessageClass, Packet
 from repro.topology import make_fat_tree, make_leaf_spine
 from repro.traffic import Flow, FlowTraffic
@@ -482,10 +483,8 @@ class TestDegradationLadder:
             build_sim(scheme=Scheme.NONE, degradation_ladder=True)
 
     def test_constructor_validation(self):
+        # A bad check interval is rejected by SimConfig (test_config.py).
         sim = build_sim(scheme=Scheme.DRAIN)
-        with pytest.raises(ValueError, match="check_interval"):
-            DegradationLadder(sim.fabric, sim.drain_controller,
-                              check_interval=0)
         with pytest.raises(ValueError, match="retry"):
             DegradationLadder(sim.fabric, sim.drain_controller,
                               drain_retries=0)
@@ -557,6 +556,51 @@ class TestDegradationLadder:
         )
         assert twin.stats.as_dict() == sim.stats.as_dict()
 
+    @staticmethod
+    def _undrainable_run(dense):
+        # The pinned ring wedge under Scheme.NONE, given a ladder whose
+        # forced drains go to another simulation's controller: no drain
+        # ever moves this fabric, so every episode climbs to the drop
+        # stage.
+        sim = build_sim(flows=ring_flows(packets=10), dense=dense)
+        ladder = DegradationLadder(
+            sim.fabric, build_sim(scheme=Scheme.DRAIN).drain_controller,
+            check_interval=sim.config.deadlock_check_interval,
+            grace=sim.config.deadlock_grace,
+        )
+        sim._post_generate.insert(0, ladder)
+        sim._horizon_hooks.append(ladder.next_event_cycle)
+        sim.run(cycles=40_000)
+        return sim, ladder
+
+    def test_ladder_degrades_an_undrainable_wedge(self):
+        sim, ladder = self._undrainable_run(dense=False)
+        assert sim.traffic.done()
+        assert sim.fabric.cycle == 8213
+        summary = ladder.summary()
+        payload = summary.pop("deadlock_cycle")
+        assert summary == {
+            "detections": 1,
+            "forced_drains": 24,
+            "cycle_drops": 8,
+            "packets_dropped": 64,
+            "packets_retransmitted": 64,
+            "packets_lost_forever": 0,
+            "recoveries": 0,
+            "recovery_cycles": [],
+            "pending_retransmits": 0,
+        }
+        assert sim.stats.packets_lost == sim.stats.packets_retransmitted == 64
+        assert payload["links"] == [[i, (i + 1) % 8] for i in range(8)]
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.blake2b(
+            text.encode("utf-8"), digest_size=16
+        ).hexdigest() == "a06eb012cf4952ce9afa2a9fd8b86e2b"
+
+        twin, twin_ladder = self._undrainable_run(dense=True)
+        assert twin_ladder.summary() == ladder.summary()
+        assert twin.stats.as_dict() == sim.stats.as_dict()
+
     def test_next_event_cycle(self):
         sim = build_sim(scheme=Scheme.DRAIN)
         ladder = DegradationLadder(sim.fabric, sim.drain_controller,
@@ -567,7 +611,7 @@ class TestDegradationLadder:
         ladder._state = "waiting"
         ladder._deadline = 500
         assert ladder.next_event_cycle(130) == 500
-        ladder._retransmit.append((200, 0, 0, row_packet(0)))
+        ladder.retransmits.push(192, row_packet(0))  # ready at 192 + 8
         assert ladder.next_event_cycle(130) == 200
 
     def test_escalation_backoff_doubles(self):
@@ -598,62 +642,66 @@ class TestRetransmitUnderPause:
         assert fabric.injection_space(0, 0) == 0
         return sim
 
+    @staticmethod
+    def _pump_until_empty(queue):
+        """Pump at each earliest-ready cycle; returns the cycles pumped."""
+        cycles = []
+        while len(queue):
+            cycles.append(queue.earliest())
+            queue.pump(cycles[-1])
+        return cycles
+
     def test_ladder_pump_backs_off_and_bounds_loss(self):
         sim = self._frozen_source_sim()
         drain_sim = build_sim(scheme=Scheme.DRAIN)
-        ladder = DegradationLadder(sim.fabric, drain_sim.drain_controller,
-                                   retransmit_backoff_base=8,
-                                   retransmit_backoff_max=64,
-                                   max_retransmit_attempts=3)
+        ladder = DegradationLadder(sim.fabric, drain_sim.drain_controller)
+        queue = ladder.retransmits
         packet = row_packet(999, src=0, dst=4)
-        ladder._schedule_retransmit(0, 0, packet)
-        assert ladder._retransmit[0][0] == 8  # base << 0
-        ladder._pump_retransmits(8)
+        queue.push(0, packet)
+        assert queue.earliest() == 8  # 8 << 0
+        queue.pump(8)
         # Offer failed: rescheduled with doubled backoff, nothing lost.
-        assert ladder.packets_retransmitted == 0
-        (ready, _, attempt, same) = ladder._retransmit[0]
+        assert queue.retransmitted == 0
+        (ready, _, attempt, same) = queue._entries[0]
         assert (ready, attempt, same) == (8 + 16, 1, packet)
-        ladder._pump_retransmits(24)
-        assert ladder._retransmit[0][0] == 24 + 32
-        ladder._pump_retransmits(56)  # attempt 3 == budget: lost forever
-        assert ladder._retransmit == []
-        assert ladder.packets_lost_forever == 1
-        assert ladder.summary()["pending_retransmits"] == 0
-
-    def test_ladder_backoff_is_capped(self):
-        sim = build_sim(scheme=Scheme.DRAIN)
-        ladder = DegradationLadder(sim.fabric, sim.drain_controller,
-                                   retransmit_backoff_base=8,
-                                   retransmit_backoff_max=64,
-                                   max_retransmit_attempts=8)
-        ladder._schedule_retransmit(0, 6, row_packet(1))
-        assert ladder._retransmit[0][0] == 64  # min(8 << 6, 64)
+        queue.pump(24)
+        assert queue.earliest() == 24 + 32
+        # Attempts 2..7 back off 32..1024; the eighth refusal gives up.
+        assert self._pump_until_empty(queue) == [
+            sum(8 << a for a in range(n)) for n in range(3, ATTEMPTS + 1)
+        ]
+        assert queue.abandoned == 1
+        summary = ladder.summary()
+        assert summary["pending_retransmits"] == 0
+        assert summary["packets_lost_forever"] == 1
+        assert summary["packets_retransmitted"] == 0
 
     def test_injector_pump_backs_off_under_pause(self):
         sim = self._frozen_source_sim()
-        injector = FaultInjector(sim, backoff_base=4, backoff_max=1024,
-                                 max_retransmit_attempts=2)
-        injector._schedule_retransmit(0, 0, row_packet(999, src=0, dst=4))
-        injector._pump_retransmits(4)
+        queue = FaultInjector(sim).retransmits
+        queue.push(0, row_packet(999, src=0, dst=4))
+        queue.pump(8)
         assert sim.stats.packets_retransmitted == 0
-        assert injector._retransmit[0][2] == 1  # attempt bumped
-        injector._pump_retransmits(4 + 8)
+        assert queue._entries[0][2] == 1  # attempt bumped
+        assert len(self._pump_until_empty(queue)) == ATTEMPTS - 1
         # Attempt budget exhausted: queue drains without a retransmit.
-        assert injector._retransmit == []
+        assert sim.stats.packets_retransmitted == 0
+        assert queue.abandoned == 1
 
     def test_pump_succeeds_once_pause_clears(self):
         sim = self._frozen_source_sim()
         fabric = sim.fabric
         drain_sim = build_sim(scheme=Scheme.DRAIN)
         ladder = DegradationLadder(fabric, drain_sim.drain_controller)
-        ladder._schedule_retransmit(0, 0, row_packet(999, src=0, dst=4))
+        ladder.retransmits.push(0, row_packet(999, src=0, dst=4))
         # Unfreeze: run the sim so the NI queue drains into the fabric.
         for row in list(fabric._pause_until):
             fabric._pause_until[row] = 0
         sim.run(cycles=30)
-        ladder._pump_retransmits(fabric.cycle)
-        assert ladder.packets_retransmitted == 1
-        assert ladder.packets_lost_forever == 0
+        ladder.retransmits.pump(fabric.cycle)
+        summary = ladder.summary()
+        assert summary["packets_retransmitted"] == 1
+        assert summary["packets_lost_forever"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -167,3 +167,37 @@ class TestSchemeBehaviour:
         twin = run(dense=True)
         assert twin.stats.as_dict() == sim.stats.as_dict()
         assert twin.fabric._lcg == sim.fabric._lcg
+
+
+class TestDetectionTick:
+    """Every online responder checks on the multiples of its interval."""
+
+    @staticmethod
+    def _responder(kind, fabric, drain_controller, interval):
+        from repro.core.config import SpinConfig
+        from repro.core.simulator import DeadlockWatchdog, IdealResolver
+        from repro.drain.ladder import DegradationLadder
+        from repro.network.spin import SpinController
+        from repro.network.staticbubble import StaticBubbleController
+
+        return {
+            "ideal": lambda: IdealResolver(fabric, interval),
+            "watchdog": lambda: DeadlockWatchdog(fabric, interval, 0),
+            "spin": lambda: SpinController(fabric, SpinConfig(), interval),
+            "static_bubble": lambda: StaticBubbleController(
+                fabric, SpinConfig(), interval),
+            "ladder": lambda: DegradationLadder(
+                fabric, drain_controller, check_interval=interval),
+        }[kind]()
+
+    @pytest.mark.parametrize("interval", [1, 2, 7, 128])
+    @pytest.mark.parametrize(
+        "kind", ["ideal", "watchdog", "spin", "static_bubble", "ladder"])
+    def test_idle_horizon_is_the_next_multiple(self, mesh4, kind, interval):
+        sim = make_sim(mesh4, Scheme.DRAIN)
+        responder = self._responder(kind, sim.fabric, sim.drain_controller,
+                                    interval)
+        ticks = range(0, 4 * interval, interval)
+        for now in range(3 * interval + 1):
+            expected = min(t for t in ticks if t >= now)
+            assert responder.next_event_cycle(now) == expected, now

@@ -240,15 +240,6 @@ class TestWakeSources:
         fabric.step()
         assert waiting in (fabric.buf[link][0][0], fabric.buf[link][0][1])
 
-    def test_force_move(self):
-        fabric, engine, link, waiting = _wedge()
-        spare = fabric.index.injection_port(5)
-        fabric.force_move((link, 0, 1), (spare, 0, 1))
-        assert list(engine.asleep[:2]) == [0, 0]
-        assert engine.audit_sleep() == []
-        fabric.step()
-        assert fabric.buf[link][0][1] is waiting
-
     def test_fault_drop_slot(self):
         fabric, engine, link, waiting = _wedge()
         fabric.fault_drop_slot(link, 0, 0)
