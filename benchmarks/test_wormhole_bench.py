@@ -22,13 +22,14 @@ def _run(flow_control, epoch, flits, rate=0.04, seed=3):
     topo = make_mesh(8, 8)
     config = SimConfig(
         scheme=Scheme.DRAIN,
-        network=NetworkConfig(num_vns=1, vcs_per_vn=2),
+        network=NetworkConfig(num_vns=1, vcs_per_vn=2,
+                              packet_size_flits=flits),
         drain=DrainConfig(epoch=epoch),
         seed=seed,
+        flow_control=flow_control,
     )
     traffic = SyntheticTraffic(UniformRandom(64), rate, random.Random(seed))
-    sim = Simulation(topo, config, traffic, flow_control=flow_control,
-                     flits_per_packet=flits)
+    sim = Simulation(topo, config, traffic)
     sim.run(scale.total_cycles, warmup=scale.warmup)
     return sim
 
@@ -37,7 +38,7 @@ def test_wormhole_truncation(benchmark, record_rows):
     def sweep():
         rows = []
         for label, fc, flits, epoch in (
-            ("vct (paper config)", "vct", 1, 2048),
+            ("vct (paper config)", "credit", 1, 2048),
             ("wormhole 4-flit", "wormhole", 4, 2048),
             ("wormhole 8-flit", "wormhole", 8, 2048),
             ("wormhole 4-flit, 256-epoch", "wormhole", 4, 256),

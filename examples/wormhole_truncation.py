@@ -35,15 +35,13 @@ def main() -> None:
     ):
         config = SimConfig(
             scheme=Scheme.DRAIN,
-            network=NetworkConfig(num_vns=1, vcs_per_vn=2),
+            network=NetworkConfig(num_vns=1, vcs_per_vn=2,
+                                  packet_size_flits=flits),
             drain=DrainConfig(epoch=epoch),
+            flow_control="wormhole" if flits > 1 else "credit",
         )
         traffic = SyntheticTraffic(UniformRandom(64), 0.03, random.Random(5))
-        sim = Simulation(
-            topo, config, traffic,
-            flow_control="wormhole" if flits > 1 else "vct",
-            flits_per_packet=flits,
-        )
+        sim = Simulation(topo, config, traffic)
         stats = sim.run(6_000, warmup=1_000)
         rows.append(
             {

@@ -30,7 +30,8 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..core.config import PfcConfig, Scheme
+from ..core.config import Scheme
+from ..core.configio import config_from_dict
 from ..store import canonical_json
 from .certificate import CERTIFIED, Certificate
 
@@ -93,14 +94,16 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     3. the spec pickles (it must cross the process boundary);
     4. any embedded topology is connected (memoized per distinct
        topology);
-    5. for schemes with a static deadlock-freedom claim (drain, up*/down*,
+    5. the trial config is one :class:`~repro.core.config.SimConfig`
+       accepts (feasible PFC thresholds, a scheme its fabric models);
+    6. for schemes with a static deadlock-freedom claim (drain, up*/down*,
        escape-VC), the configuration certifier issues ``CERTIFIED`` on the
        boot topology — the pause-aware certifier when the config runs
        ``flow_control="pause_resume"`` (restricted to the trial's pinned
-       flow set, with the PFC thresholds' feasibility checked first) —
-       memoized per (topology, scheme, flow-control, flow-set).
+       flow set) — memoized per (topology, scheme, flow-control,
+       flow-set).
 
-    Returns the certificate when one was produced (step 5), else ``None``.
+    Returns the certificate when one was produced (step 6), else ``None``.
     Fault-schedule trials are certified on the *boot* topology only: the
     post-fault configuration is re-certified online by the recovery engine,
     which is exactly the mechanism under test.
@@ -155,32 +158,26 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     if scheme_value is None:
         return None
     try:
-        scheme = Scheme(scheme_value)
+        Scheme(scheme_value)
     except ValueError as exc:
         raise PreflightError(
             f"unknown scheme {scheme_value!r} in trial config", digest=digest
         ) from exc
+    # Everything SimConfig refuses (infeasible PFC thresholds, a scheme the
+    # chosen fabric does not model) is refused here, before any cached —
+    # or store-persisted — certificate can answer for it: the memo key
+    # deliberately omits the thresholds, which don't shape the pause BDG.
+    try:
+        sim_config = config_from_dict(config)
+    except (TypeError, ValueError) as exc:
+        raise PreflightError(
+            f"configuration is infeasible for {name!r}: {exc}", digest=digest
+        ) from exc
+    scheme = sim_config.scheme
     if scheme not in _STATIC_SCHEMES:
         return None
 
-    flow_control = str(config.get("flow_control", "credit"))
-    network = config.get("network") or {}
-    if flow_control == "pause_resume":
-        # Feasibility is threshold-dependent but the certificate memo key
-        # deliberately is not (thresholds don't shape the pause BDG), so
-        # an infeasible config must be refused *before* any cached — or
-        # store-persisted — certificate can answer for it.
-        try:
-            pfc = PfcConfig(**(config.get("pfc") or {}))
-            error = pfc.feasibility_error(int(network.get("vcs_per_vn", 2)))
-        except (TypeError, ValueError) as exc:
-            error = str(exc)
-        if error:
-            raise PreflightError(
-                f"pause/resume configuration is infeasible for "
-                f"{name!r}: {error}",
-                digest=digest,
-            )
+    flow_control = sim_config.flow_control
     flow_set = _flow_set(params)
     memo_key = (topo_key, scheme.value, flow_control,
                 canonical_json(flow_set))
@@ -208,15 +205,13 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
 
         topology = topology_from_spec(topo_spec)
         if flow_control == "pause_resume":
-            network = config.get("network") or {}
             try:
-                pfc = PfcConfig(**(config.get("pfc") or {}))
                 certificate = certify_pause_configuration(
                     topology,
                     scheme=scheme,
-                    pfc=pfc,
-                    vcs_per_vn=int(network.get("vcs_per_vn", 2)),
-                    num_vns=int(network.get("num_vns", 1)),
+                    pfc=sim_config.pfc,
+                    vcs_per_vn=sim_config.network.vcs_per_vn,
+                    num_vns=sim_config.network.num_vns,
                     flows=flow_set,
                 )
             except (TypeError, ValueError) as exc:
@@ -226,6 +221,8 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
                     digest=digest,
                 ) from exc
         else:
+            # Credit and wormhole share the channel-dependency argument
+            # (Dally–Seitz's, stated for wormhole).
             certificate = certify_configuration(topology, scheme=scheme)
         _CERT_CACHE[memo_key] = certificate
         structcache.save_certificate(memo_key, certificate.as_dict())

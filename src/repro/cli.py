@@ -64,7 +64,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .core.config import Scheme
+from .core.config import FLOW_CONTROL_MODES, PfcConfig, Scheme
 from .store import Store, cache_roots
 
 if TYPE_CHECKING:
@@ -363,7 +363,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .core.config import DrainConfig, NetworkConfig, PfcConfig, SimConfig
+    from .core.config import DrainConfig, NetworkConfig, SimConfig
     from .core.simulator import Simulation
     from .traffic.synthetic import SyntheticTraffic, pattern_by_name
 
@@ -376,10 +376,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                               packet_size_flits=args.packet_flits),
         drain=DrainConfig(epoch=args.epoch),
         seed=args.seed,
-        flow_control="pause_resume" if args.pfc else "credit",
-        pfc=PfcConfig(pause_threshold=args.pause_threshold,
-                      resume_threshold=args.resume_threshold,
-                      headroom=args.headroom),
+        flow_control=args.flow_control,
+        pfc=_pfc_config(args),
     )
     mesh_width = None
     if args.topology.startswith("mesh:"):
@@ -389,7 +387,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.rate,
         random.Random(args.seed),
     )
-    sim = Simulation(topo, config, traffic, flow_control=args.flow_control,
+    sim = Simulation(topo, config, traffic,
                      halt_on_deadlock=args.halt_on_deadlock)
     if args.profile:
         import cProfile
@@ -552,6 +550,13 @@ def _parse_flows(pairs: List[str]) -> Optional[List]:
     return flows
 
 
+def _pfc_config(args: argparse.Namespace) -> PfcConfig:
+    """The ``--pfc-*`` flags of ``run`` and ``check``."""
+    return PfcConfig(pause_threshold=args.pfc_threshold,
+                     resume_threshold=args.pfc_resume,
+                     headroom=args.pfc_headroom)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     """Statically certify or refute one configuration's deadlock claim."""
     from .analysis.certifier import (
@@ -559,7 +564,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         certify_drain_cover,
         certify_pause_configuration,
     )
-    from .core.config import PfcConfig
     from .drain.path import find_drain_path
     from .faults.schedule import FaultSchedule
 
@@ -585,11 +589,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "--omit-link is a drain-cover breakage knob; it has no "
                 "meaning under --flow-control pause_resume"
             )
-        pfc = PfcConfig(pause_threshold=args.pfc_threshold,
-                        resume_threshold=args.pfc_resume,
-                        headroom=args.pfc_headroom)
         cert = certify_pause_configuration(
-            topo, scheme=scheme, pfc=pfc,
+            topo, scheme=scheme, pfc=_pfc_config(args),
             vcs_per_vn=args.vcs, num_vns=args.vns,
             flows=_parse_flows(args.flow),
             routing=routing, schedule=schedule,
@@ -690,6 +691,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip static pre-flight validation of trial "
                             "specs (repro-drain check run per config)")
 
+    def add_flow_control_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--flow-control", choices=FLOW_CONTROL_MODES,
+                       default="credit",
+                       help="fabric flow control: credits (default), "
+                            "lossless pause/resume (PFC) or flit-based "
+                            "wormhole; check certifies pause_resume on the "
+                            "pause-augmented buffer-dependency graph and "
+                            "credit/wormhole on the channel-dependency graph")
+        p.add_argument("--pfc-threshold", type=int, default=1,
+                       help="PFC pause threshold: row occupancy asserting "
+                            "XOFF (with pause_resume)")
+        p.add_argument("--pfc-resume", type=int, default=0,
+                       help="PFC resume threshold: row occupancy releasing "
+                            "XON (with pause_resume)")
+        p.add_argument("--pfc-headroom", type=int, default=1,
+                       help="PFC headroom slots absorbing in-flight packets "
+                            "after XOFF (with pause_resume)")
+
     p_exp = sub.add_parser("experiment", help="regenerate a paper artefact")
     p_exp.add_argument("name")
     p_exp.add_argument("--scale", choices=("ci", "full"), default="ci")
@@ -731,23 +750,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--vcs", type=int, default=2)
     p_run.add_argument("--epoch", type=int, default=2048)
     p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--flow-control", choices=("vct", "wormhole"),
-                       default="vct")
-    p_run.add_argument("--pfc", action="store_true",
-                       help="lossless pause/resume (PFC) flow control "
-                            "instead of credits")
-    p_run.add_argument("--pause-threshold", type=int, default=1,
-                       help="row occupancy asserting XOFF (with --pfc)")
-    p_run.add_argument("--resume-threshold", type=int, default=0,
-                       help="row occupancy releasing XON (with --pfc)")
-    p_run.add_argument("--headroom", type=int, default=1,
-                       help="reserved slots absorbing in-flight packets "
-                            "after XOFF (with --pfc)")
+    add_flow_control_flags(p_run)
     p_run.add_argument("--halt-on-deadlock", action="store_true",
                        help="stop at the first watchdog-confirmed deadlock "
                             "and exit 2 with the concrete buffer cycle")
     p_run.add_argument("--packet-flits", type=int, default=1,
-                       help="VCT link-serialisation length in flits")
+                       help="packet length in flits: link serialisation on "
+                            "credit/pause_resume, flits per packet on "
+                            "wormhole")
     p_run.add_argument("--report", action="store_true",
                        help="print a full run report (gem5 stats.txt style)")
     p_run.add_argument("--profile", action="store_true",
@@ -817,18 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "bidirectional link, then certify against the "
                               "full topology — a deliberate-breakage demo; "
                               "repeatable")
-    p_check.add_argument("--flow-control", choices=("credit", "pause_resume"),
-                         default="credit",
-                         help="certify under credit (default) or lossless "
-                              "pause/resume (PFC) flow control; pause mode "
-                              "builds the pause-augmented buffer-dependency "
-                              "graph")
-    p_check.add_argument("--pfc-threshold", type=int, default=1,
-                         help="PFC pause threshold (with pause_resume)")
-    p_check.add_argument("--pfc-resume", type=int, default=0,
-                         help="PFC resume threshold (with pause_resume)")
-    p_check.add_argument("--pfc-headroom", type=int, default=1,
-                         help="PFC headroom slots (with pause_resume)")
+    add_flow_control_flags(p_check)
     p_check.add_argument("--vcs", type=int, default=2,
                          help="VCs per VN — the PFC row depth "
                               "(with pause_resume)")

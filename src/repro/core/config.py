@@ -25,8 +25,10 @@ __all__ = [
 
 #: Fabric flow-control modes: "credit" is the paper's credit-based VCT
 #: fabric; "pause_resume" is the PFC-style lossless-Ethernet model
-#: (per-(port,vn) XOFF/XON with hysteresis thresholds and headroom).
-FLOW_CONTROL_MODES = ("credit", "pause_resume")
+#: (per-(port,vn) XOFF/XON with hysteresis thresholds and headroom);
+#: "wormhole" is the flit-based fabric with drain truncation (Section
+#: III-C3), ``NetworkConfig.packet_size_flits`` flits per packet.
+FLOW_CONTROL_MODES = ("credit", "pause_resume", "wormhole")
 
 
 class Scheme(str, Enum):
@@ -75,6 +77,7 @@ class NetworkConfig:
     #: many cycles per packet — which is exactly why the pre-drain window
     #: must be "statically determined by the maximum packet size"
     #: (Section III-C2): in-flight transfers must complete before a drain.
+    #: On the wormhole fabric it is the number of flits per packet.
     packet_size_flits: int = 1
     injection_queue_depth: int = 16  # NI source queue per message class
     ejection_queue_depth: int = 4  # NI sink queue per message class
@@ -225,8 +228,9 @@ class SimConfig:
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     pfc: PfcConfig = field(default_factory=PfcConfig)
     #: Fabric flow control: "credit" (default; the reference semantics
-    #: every golden snapshot is pinned to) or "pause_resume" (the PFC
-    #: lossless mode, simulated by :class:`repro.network.PauseResumeFabric`).
+    #: every golden snapshot is pinned to), "pause_resume" (the PFC
+    #: lossless mode, simulated by :class:`repro.network.PauseResumeFabric`)
+    #: or "wormhole" (:class:`repro.network.WormholeFabric`).
     flow_control: str = "credit"
     seed: int = 1
     deadlock_check_interval: int = 128  # oracle cadence (measurement only)
@@ -239,7 +243,14 @@ class SimConfig:
         if self.flow_control not in FLOW_CONTROL_MODES:
             raise ValueError(
                 f"unknown flow_control {self.flow_control!r}: "
-                "expected 'credit' or 'pause_resume'"
+                f"expected one of {', '.join(FLOW_CONTROL_MODES)}"
+            )
+        if self.flow_control == "wormhole" and self.scheme not in (
+            Scheme.DRAIN, Scheme.NONE
+        ):
+            raise ValueError(
+                "the wormhole fabric models the DRAIN and NONE schemes only "
+                "(the paper evaluates the baselines under virtual cut-through)"
             )
         if self.flow_control == "pause_resume":
             err = self.pfc.feasibility_error(self.network.vcs_per_vn)

@@ -40,7 +40,7 @@ def run_report(sim: Simulation, histogram_bins: int = 10) -> str:
         f"window={flat['drain']['drain_window']} "
         f"full-period={flat['drain']['full_drain_period']}"
     )
-    lines.append(f"flow control      : {sim.flow_control}")
+    lines.append(f"flow control      : {flat['flow_control']}")
     lines.append(f"seed              : {flat['seed']}")
 
     lines += _section("traffic")

@@ -159,8 +159,6 @@ class Simulation:
         traffic,
         drain_path: Optional[DrainPath] = None,
         halt_on_deadlock: bool = False,
-        flow_control: str = "vct",
-        flits_per_packet: int = 4,
         fault_schedule=None,
         fault_policy: str = "drop_retransmit",
         fault_curve_window: int = 0,
@@ -169,17 +167,10 @@ class Simulation:
         degradation_ladder: bool = False,
         dense: bool = False,
     ) -> None:
-        if flow_control not in ("vct", "wormhole"):
-            raise ValueError("flow_control must be 'vct' or 'wormhole'")
-        if fault_schedule is not None and flow_control == "wormhole":
+        if fault_schedule is not None and config.flow_control == "wormhole":
             raise ValueError(
                 "runtime fault injection models the virtual cut-through "
                 "fabric only (no wormhole fault hooks)"
-            )
-        if config.flow_control == "pause_resume" and flow_control != "vct":
-            raise ValueError(
-                "pause/resume (PFC) flow control models the virtual "
-                "cut-through fabric only"
             )
         if pause_storm is not None and config.flow_control != "pause_resume":
             raise ValueError(
@@ -190,7 +181,6 @@ class Simulation:
         self.config = config
         self.traffic = traffic
         self.halt_on_deadlock = halt_on_deadlock
-        self.flow_control = flow_control
         scheme = config.scheme
         # Everything compiled from the topology alone — numbering, boot
         # distances, routing tables, the default drain cycle, ESCAPE_VC's
@@ -198,13 +188,6 @@ class Simulation:
         # (what faults rewrite) is private to this simulation.
         self.index = FabricIndex(topology)
         self.stats = NetworkStats()
-        if flow_control == "wormhole" and scheme not in (
-            Scheme.DRAIN, Scheme.NONE
-        ):
-            raise ValueError(
-                "the wormhole fabric models the DRAIN and NONE schemes only "
-                "(the paper evaluates the baselines under virtual cut-through)"
-            )
 
         # Main routing function (Table II: fully adaptive random everywhere
         # except the pure up*/down* baseline).
@@ -223,21 +206,17 @@ class Simulation:
             escape_mode = "escape_vc"
             escape_routing = select_escape_routing(self.index)
 
-        if flow_control == "wormhole":
+        rng = rng_mod.spawn(config.seed, "fabric")
+        if config.flow_control == "wormhole":
+            # A standalone flit pipeline (its engine_name reports that);
+            # SimConfig admits it for DRAIN and NONE only, so it never
+            # needs an escape routing.
             from ..network.wormhole import WormholeFabric
 
             self.fabric = WormholeFabric(
-                self.index,
-                config,
-                routing,
-                escape_mode=escape_mode,
-                flits_per_packet=flits_per_packet,
-                stats=self.stats,
-                rng=rng_mod.spawn(config.seed, "fabric"),
-                dense=dense,
+                self.index, config, routing, escape_mode=escape_mode,
+                stats=self.stats, rng=rng, dense=dense,
             )
-            # The wormhole fabric is a standalone flit pipeline (its
-            # engine_name reports that).
         else:
             if config.flow_control == "pause_resume":
                 from ..network.pause import PauseResumeFabric
@@ -252,7 +231,7 @@ class Simulation:
                 escape_mode=escape_mode,
                 escape_routing=escape_routing,
                 stats=self.stats,
-                rng=rng_mod.spawn(config.seed, "fabric"),
+                rng=rng,
                 dense=dense,
             )
 

@@ -159,9 +159,6 @@ class DrainController:
     def state(self) -> str:
         return self._state
 
-    def turn_table(self, router: int) -> TurnTable:
-        return self.turn_tables[router]
-
     def step(self) -> None:
         """Advance the drain state machine by one cycle.
 

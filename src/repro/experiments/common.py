@@ -26,7 +26,6 @@ from ..harness import Harness, get_default_harness, synthetic_trial
 from ..harness.trials import TrialSpec
 from ..topology.graph import Topology
 from ..topology.irregular import random_fault_patterns
-from ..topology.mesh import make_mesh
 
 if TYPE_CHECKING:
     from ..core.simulator import Simulation
@@ -300,10 +299,3 @@ def _fmt(value) -> str:
         return f"{value:.4f}"
     return str(value)
 
-
-def mesh_8x8() -> Topology:
-    return make_mesh(8, 8)
-
-
-def mesh_4x4() -> Topology:
-    return make_mesh(4, 4)

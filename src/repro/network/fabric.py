@@ -883,7 +883,7 @@ class Fabric:
         if dist[self.index.link_dst[link]][packet.dst] > dist[old_router][packet.dst]:
             packet.misroutes += 1
             stats.misroutes += 1
-        stats.flits_traversed += 1
+        stats.flits_traversed += self.packet_size_flits
         stats.buffer_reads += 1
         stats.buffer_writes += 1
         stats.xbar_traversals += 1

@@ -78,7 +78,6 @@ class WormholeFabric:
         config: SimConfig,
         routing: RoutingFunction,
         escape_mode: Optional[str] = None,
-        flits_per_packet: int = 4,
         vc_depth_flits: int = 4,
         stats: Optional[NetworkStats] = None,
         rng: Optional[random.Random] = None,
@@ -88,14 +87,13 @@ class WormholeFabric:
             raise ValueError(
                 "the wormhole fabric supports escape_mode None or 'drain'"
             )
-        if flits_per_packet < 1 or vc_depth_flits < 1:
-            raise ValueError("flit counts must be positive")
+        if vc_depth_flits < 1:
+            raise ValueError("VC depth must be at least one flit")
         self.index = index
         self.config = config
         self.net = config.network
         self.routing = routing
         self.escape_mode = escape_mode
-        self.flits_per_packet = flits_per_packet
         self.vc_depth = vc_depth_flits
         self.stats = stats if stats is not None else NetworkStats()
         self.rng = rng if rng is not None else random.Random(config.seed)
@@ -419,7 +417,7 @@ class WormholeFabric:
                 packet.net_entry_cycle = self.cycle
                 packet.blocked_since = self.cycle
                 self.routing.on_inject(packet)
-                flits = make_flits(packet, self.flits_per_packet)
+                flits = make_flits(packet, self.net.packet_size_flits)
                 # The whole packet is written over the next cycles in real
                 # hardware; with vc_depth >= packet size we write it atomically
                 # (the NI-side serialisation is not what the paper measures).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -136,6 +137,15 @@ def make_config(
         network=NetworkConfig(num_vns=num_vns, vcs_per_vn=vcs_per_vn),
         drain=DrainConfig(epoch=epoch, **kwargs.pop("drain_kwargs", {})),
         **kwargs,
+    )
+
+
+def on_wormhole(config: SimConfig, flits: int = 4) -> SimConfig:
+    """*config* on the wormhole fabric with *flits*-flit packets."""
+    return dataclasses.replace(
+        config,
+        flow_control="wormhole",
+        network=dataclasses.replace(config.network, packet_size_flits=flits),
     )
 
 

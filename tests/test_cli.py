@@ -97,6 +97,7 @@ class TestCommands:
     def test_run_wormhole(self, capsys):
         code = main([
             "run", "--topology", "mesh:4x4", "--flow-control", "wormhole",
+            "--packet-flits", "4",
             "--cycles", "800", "--warmup", "200", "--rate", "0.03",
         ])
         assert code == 0

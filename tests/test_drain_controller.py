@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.config import DrainConfig, NetworkConfig, Scheme, SimConfig
+from repro.core.simulator import Simulation
 from repro.drain.controller import DrainController
 from repro.drain.path import euler_drain_path
 from repro.network.fabric import Fabric
@@ -12,6 +13,7 @@ from repro.network.index import FabricIndex
 from repro.router.packet import MessageClass, Packet
 from repro.routing.adaptive import AdaptiveMinimalRouting
 from repro.topology.mesh import make_mesh, make_ring
+from repro.traffic.synthetic import SyntheticTraffic, UniformRandom
 
 
 def drain_setup(topo=None, epoch=50, pre=2, window=3, full_period=1000, vns=1, vcs=2):
@@ -176,6 +178,23 @@ class TestRotation:
         controller._rotate_once()
         assert fabric.buf[port0][0][1] is packet
         assert packet.hops == 0
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_forced_hop_counts_every_flit(self, dense):
+        # A drained 4-flit packet crosses its link as 4 flits, like a
+        # normal hop: 4 x 14 516 normal hops + 4 x 1 281 drained ones.
+        config = SimConfig(
+            scheme=Scheme.DRAIN,
+            network=NetworkConfig(num_vns=1, vcs_per_vn=2,
+                                  packet_size_flits=4),
+            drain=DrainConfig(epoch=64),
+            seed=1,
+        )
+        traffic = SyntheticTraffic(UniformRandom(16), 0.2, random.Random(1))
+        sim = Simulation(make_mesh(4, 4), config, traffic, dense=dense)
+        stats = sim.run(3000)
+        assert stats.drained_packets == 1281
+        assert stats.flits_traversed == 63188
 
 
 class TestFullDrain:

@@ -30,6 +30,7 @@ from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.topology.mesh import make_mesh
 from repro.traffic.synthetic import SyntheticTraffic, pattern_by_name
 from repro.traffic.trace import TraceRecorder, TraceTraffic
+from tests.conftest import on_wormhole
 
 TINY = Scale(
     warmup=100,
@@ -46,9 +47,11 @@ IDLE_RATE = 0.0005
 
 def _make_sim(rate: float = IDLE_RATE, scheme: Scheme = Scheme.DRAIN,
               scale: Scale = TINY, dense: bool = False, seed: int = 1,
-              **kwargs) -> Simulation:
+              wormhole: bool = False, **kwargs) -> Simulation:
     topology = make_mesh(8, 8)
     config = scheme_config(scheme, scale, seed=seed)
+    if wormhole:
+        config = on_wormhole(config)
     traffic = SyntheticTraffic(
         pattern_by_name("uniform_random", topology.num_nodes, 8),
         rate,
@@ -255,14 +258,14 @@ class TestDrainCountdown:
         with pytest.raises(RuntimeError):
             fabric.skip_cycles(10)
 
-    @pytest.mark.parametrize("flow_control", ["vct", "wormhole"])
+    @pytest.mark.parametrize("flow_control", ["credit", "wormhole"])
     def test_fabric_skip_refuses_ni_content_on_an_empty_fabric(
             self, flow_control):
         from repro.router.packet import Packet
 
         # A packet queued at an NI of an otherwise empty fabric injects
         # next cycle: no source may leave one behind its skip.
-        sim = _make_sim(rate=0.0, flow_control=flow_control)
+        sim = _make_sim(rate=0.0, wormhole=flow_control == "wormhole")
         fabric = sim.fabric
         assert fabric.offer_packet(Packet(0, 0, 5, gen_cycle=0))
         assert not fabric.quiescent and not fabric.inert

@@ -296,16 +296,17 @@ class TestFaultInjector:
         )
         config = SimConfig(
             scheme=Scheme.DRAIN,
-            network=NetworkConfig(num_vns=1, vcs_per_vn=2),
+            network=NetworkConfig(num_vns=1, vcs_per_vn=2,
+                                  packet_size_flits=4),
             drain=DrainConfig(epoch=256),
             seed=1,
+            flow_control="wormhole",
         )
         traffic = SyntheticTraffic(
             pattern_by_name("uniform_random", 16, 4), 0.05, random.Random(1)
         )
         with pytest.raises(ValueError, match="wormhole"):
-            Simulation(topo, config, traffic, flow_control="wormhole",
-                       fault_schedule=schedule)
+            Simulation(topo, config, traffic, fault_schedule=schedule)
 
     def test_two_node_network_link_death_isolates(self):
         # Smallest possible network: losing its only edge leaves two

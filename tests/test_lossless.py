@@ -6,7 +6,8 @@ escape-VC pause exemption, the pause-aware deadlock oracle payload,
 pause-storm schedules and their injector pipeline, flow-level traffic,
 the staged :class:`repro.drain.DegradationLadder`, retransmission under
 pause-frozen sources, the ``lossless`` harness runner, and the CLI
-surface (topology specs, ``--pfc``, ``--halt-on-deadlock``).
+surface (topology specs, ``--flow-control pause_resume`` with the
+``--pfc-*`` thresholds, ``--halt-on-deadlock``).
 """
 
 import hashlib
@@ -158,7 +159,7 @@ class TestPfcConfig:
 
     def test_unknown_flow_control(self):
         with pytest.raises(ValueError, match="flow_control"):
-            SimConfig(flow_control="wormhole")
+            SimConfig(flow_control="store_and_forward")
 
     def test_configio_round_trip(self):
         config = pfc_config(pause=3, resume=1, headroom=1, seed=9)
@@ -771,8 +772,9 @@ class TestCliLossless:
 
     def test_run_pfc_halts_with_cycle(self, capsys):
         rc = main(["run", "--topology", "leafspine:8x4u1ew",
-                   "--scheme", "none", "--pfc", "--pause-threshold", "1",
-                   "--resume-threshold", "0", "--rate", "0.5",
+                   "--scheme", "none", "--flow-control", "pause_resume",
+                   "--pfc-threshold", "1", "--pfc-resume", "0",
+                   "--rate", "0.5",
                    "--cycles", "20000", "--halt-on-deadlock", "--seed", "3"])
         assert rc == 2
         captured = capsys.readouterr()
@@ -783,15 +785,17 @@ class TestCliLossless:
         assert "buffer-cycle" in err[0]
 
     def test_run_rejects_infeasible_pfc(self, capsys):
-        rc = main(["run", "--topology", "leafspine:4x2", "--pfc",
-                   "--pause-threshold", "9", "--cycles", "100"])
+        rc = main(["run", "--topology", "leafspine:4x2",
+                   "--flow-control", "pause_resume",
+                   "--pfc-threshold", "9", "--cycles", "100"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "exceeds the buffer depth" in err
 
     def test_run_pfc_completes_without_halt(self, capsys):
-        rc = main(["run", "--topology", "leafspine:4x4", "--pfc",
-                   "--pause-threshold", "1", "--cycles", "2000",
+        rc = main(["run", "--topology", "leafspine:4x4",
+                   "--flow-control", "pause_resume",
+                   "--pfc-threshold", "1", "--cycles", "2000",
                    "--rate", "0.05", "--seed", "2"])
         assert rc == 0
         assert "pfc:" in capsys.readouterr().out

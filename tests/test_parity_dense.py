@@ -30,6 +30,7 @@ from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_torus
 from repro.traffic.synthetic import SyntheticTraffic, pattern_by_name
+from tests.conftest import on_wormhole
 
 TINY = Scale(
     warmup=100,
@@ -55,9 +56,11 @@ def _topology(kind: str):
 
 
 def _summary(scheme: Scheme, topo_kind: str, rate: float, dense: bool,
-             flow_control: str = "vct", fault_schedule=None):
+             wormhole: bool = False, fault_schedule=None):
     topology, width = _topology(topo_kind)
     config = scheme_config(scheme, TINY, seed=1)
+    if wormhole:
+        config = on_wormhole(config)
     traffic = SyntheticTraffic(
         pattern_by_name("uniform_random", topology.num_nodes, width),
         rate,
@@ -65,7 +68,6 @@ def _summary(scheme: Scheme, topo_kind: str, rate: float, dense: bool,
     )
     sim = Simulation(
         topology, config, traffic,
-        flow_control=flow_control,
         fault_schedule=fault_schedule,
         dense=dense,
     )
@@ -110,9 +112,9 @@ class TestDenseParity:
 
     def test_wormhole_fabric(self):
         fast = _summary(Scheme.DRAIN, "mesh", 0.10, dense=False,
-                        flow_control="wormhole")
+                        wormhole=True)
         dense = _summary(Scheme.DRAIN, "mesh", 0.10, dense=True,
-                         flow_control="wormhole")
+                         wormhole=True)
         assert fast.as_dict() == dense.as_dict()
 
     def test_mid_run_fault_recovery(self):
@@ -183,7 +185,7 @@ class TestScratchDiscipline:
 
 
 def _sim(scheme: Scheme, topo_kind: str, rate: float, *, config=None,
-         flow_control="vct", fault_schedule=None):
+         fault_schedule=None):
     """Like :func:`_summary` but returns the whole Simulation object."""
     topology, width = _topology(topo_kind)
     if config is None:
@@ -193,11 +195,7 @@ def _sim(scheme: Scheme, topo_kind: str, rate: float, *, config=None,
         rate,
         random.Random(derive_seed(1, "traffic", "uniform_random", rate)),
     )
-    sim = Simulation(
-        topology, config, traffic,
-        flow_control=flow_control,
-        fault_schedule=fault_schedule,
-    )
+    sim = Simulation(topology, config, traffic, fault_schedule=fault_schedule)
     sim.run(TINY.total_cycles, warmup=TINY.warmup)
     return sim
 
@@ -277,7 +275,9 @@ class TestEngineMatrix:
     def test_wormhole_reports_wormhole(self):
         # The wormhole fabric is a standalone flit pipeline; it says so
         # through the same attribute.
-        sim = _sim(Scheme.DRAIN, "mesh", 0.10, flow_control="wormhole")
+        sim = _sim(Scheme.DRAIN, "mesh", 0.10,
+                   config=on_wormhole(scheme_config(Scheme.DRAIN, TINY,
+                                                    seed=1)))
         assert sim.fabric.engine_name == "wormhole"
 
     def test_archived_engine_key_is_rejected(self):

@@ -33,13 +33,14 @@ def test_wormhole_flit_conservation(flits, vcs, seed):
     topo = make_mesh(4, 4)
     config = SimConfig(
         scheme=Scheme.DRAIN,
-        network=NetworkConfig(num_vns=1, vcs_per_vn=vcs),
+        network=NetworkConfig(num_vns=1, vcs_per_vn=vcs,
+                              packet_size_flits=flits),
         drain=DrainConfig(epoch=97),
         seed=seed,
+        flow_control="wormhole",
     )
     traffic = SyntheticTraffic(UniformRandom(16), 0.15, random.Random(seed))
-    sim = Simulation(topo, config, traffic, flow_control="wormhole",
-                     flits_per_packet=flits)
+    sim = Simulation(topo, config, traffic)
     fabric = sim.fabric
     for _ in range(250):
         sim.step()

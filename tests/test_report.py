@@ -6,8 +6,10 @@ from repro.core.config import Scheme
 from repro.core.report import run_report
 from repro.core.simulator import Simulation
 from repro.cli import main
+from repro.network import wormhole
+from repro.router.packet import Packet
 from repro.traffic.synthetic import SyntheticTraffic, UniformRandom
-from tests.conftest import make_config
+from tests.conftest import make_config, on_wormhole
 
 
 def finished_sim(mesh4, scheme=Scheme.DRAIN, rate=0.05, cycles=900):
@@ -40,6 +42,46 @@ class TestRunReport:
         sim = Simulation(mesh4, make_config(Scheme.DRAIN), traffic)
         sim.run(50)
         assert "(no measured packets)" in run_report(sim)
+
+    def test_flow_control_is_the_configs(self, mesh4):
+        traffic = SyntheticTraffic(UniformRandom(16), 0.05, random.Random(2))
+        config = make_config(Scheme.DRAIN, vcs_per_vn=4, epoch=300,
+                             flow_control="pause_resume")
+        sim = Simulation(mesh4, config, traffic)
+        sim.run(300)
+        assert "flow control      : pause_resume" in run_report(sim)
+
+    def test_wormhole_packet_line_matches_the_flits_made(self, mesh4):
+        traffic = SyntheticTraffic(UniformRandom(16), 0.0, random.Random(2))
+        config = on_wormhole(make_config(Scheme.DRAIN, epoch=300), flits=8)
+        sim = Simulation(mesh4, config, traffic)
+        assert sim.fabric.offer_packet(Packet(0, 0, 5, gen_cycle=0))
+        sim.step()  # injection writes every flit of the packet
+        report = run_report(sim)
+        assert f"packet={sim.fabric.count_flits()} flit(s)" in report
+        assert "packet=8 flit(s)" in report
+        assert "flow control      : wormhole" in report
+
+    def test_cli_wormhole_report_runs_the_packet_flits(self, capsys,
+                                                       monkeypatch):
+        made = set()
+        real = wormhole.make_flits
+
+        def spy(packet, count):
+            made.add(count)
+            return real(packet, count)
+
+        monkeypatch.setattr(wormhole, "make_flits", spy)
+        code = main([
+            "run", "--topology", "mesh:4x4", "--flow-control", "wormhole",
+            "--packet-flits", "8", "--cycles", "300", "--warmup", "50",
+            "--rate", "0.03", "--report",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "packet=8 flit(s)" in out
+        assert "flow control      : wormhole" in out
+        assert made == {8}
 
     def test_cli_report_flag(self, capsys):
         code = main([

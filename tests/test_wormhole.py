@@ -4,8 +4,12 @@ import random
 
 import pytest
 
+from repro.analysis.preflight import PreflightError, validate_spec
+from repro.cli import main
 from repro.core.config import DrainConfig, NetworkConfig, Scheme, SimConfig
+from repro.core.configio import config_from_dict, config_to_dict
 from repro.core.simulator import Simulation
+from repro.harness import synthetic_trial
 from repro.drain.controller import DrainController
 from repro.network.index import FabricIndex
 from repro.network.wormhole import WormholeFabric
@@ -22,13 +26,14 @@ def make_wormhole(topo=None, vcs=2, flits=4, depth=4, escape_mode="drain",
     index = FabricIndex(topo)
     config = SimConfig(
         scheme=Scheme.DRAIN,
-        network=NetworkConfig(num_vns=1, vcs_per_vn=vcs),
+        network=NetworkConfig(num_vns=1, vcs_per_vn=vcs,
+                              packet_size_flits=flits),
         drain=DrainConfig(epoch=epoch),
+        flow_control="wormhole",
     )
     fabric = WormholeFabric(
         index, config, AdaptiveMinimalRouting(index),
-        escape_mode=escape_mode, flits_per_packet=flits,
-        vc_depth_flits=depth, rng=random.Random(1),
+        escape_mode=escape_mode, vc_depth_flits=depth, rng=random.Random(1),
     )
     return fabric
 
@@ -87,11 +92,12 @@ class TestWormholeBasics:
         topo = make_mesh(4, 4)
         config = SimConfig(
             scheme=Scheme.DRAIN,
-            network=NetworkConfig(num_vns=1, vcs_per_vn=2),
+            network=NetworkConfig(num_vns=1, vcs_per_vn=2, packet_size_flits=4),
             drain=DrainConfig(epoch=500),
+            flow_control="wormhole",
         )
         traffic = SyntheticTraffic(UniformRandom(16), 0.06, random.Random(2))
-        sim = Simulation(topo, config, traffic, flow_control="wormhole")
+        sim = Simulation(topo, config, traffic)
         stats = sim.run(3000, warmup=500)
         assert stats.packets_ejected > 1500
         # conservation: injected = delivered + in flight
@@ -123,11 +129,38 @@ class TestWormholeBasics:
                         assert len(owners) <= 1
 
     def test_baseline_scheme_restriction(self):
-        topo = make_mesh(4, 4)
-        config = SimConfig(scheme=Scheme.SPIN)
-        traffic = SyntheticTraffic(UniformRandom(16), 0.05, random.Random(1))
-        with pytest.raises(ValueError):
-            Simulation(topo, config, traffic, flow_control="wormhole")
+        # The SimConfig refuses what the fabric does not model, so a
+        # config file and a trial spec are refused too, before any run.
+        for scheme in Scheme:
+            if scheme in (Scheme.DRAIN, Scheme.NONE):
+                SimConfig(scheme=scheme, flow_control="wormhole")
+                continue
+            with pytest.raises(ValueError, match="DRAIN and NONE"):
+                SimConfig(scheme=scheme, flow_control="wormhole")
+        payload = config_to_dict(SimConfig(flow_control="wormhole"))
+        payload["scheme"] = Scheme.ESCAPE_VC.value
+        with pytest.raises(ValueError, match="DRAIN and NONE"):
+            config_from_dict(payload)
+
+    def test_preflight_refuses_unmodelled_scheme(self):
+        spec = synthetic_trial(
+            make_mesh(4, 4), SimConfig(flow_control="wormhole"),
+            rate=0.05, cycles=50, warmup=10,
+        )
+        spec.params["config"]["scheme"] = Scheme.ESCAPE_VC.value
+        with pytest.raises(PreflightError, match="DRAIN and NONE"):
+            validate_spec(spec)
+
+    def test_check_certifies_wormhole_through_the_credit_path(self, capsys):
+        # The channel-dependency argument is Dally-Seitz's, stated for
+        # wormhole: the certificate is the credit fabric's.
+        certs = []
+        for flow_control in ("credit", "wormhole"):
+            assert main(["check", "--topology", "mesh:4x4", "--scheme",
+                         "drain", "--flow-control", flow_control,
+                         "--json"]) == 0
+            certs.append(capsys.readouterr().out)
+        assert certs[0] == certs[1]
 
 
 class TestTruncation:
@@ -191,11 +224,12 @@ class TestTruncation:
         topo = make_mesh(4, 4)
         config = SimConfig(
             scheme=Scheme.DRAIN,
-            network=NetworkConfig(num_vns=1, vcs_per_vn=2),
+            network=NetworkConfig(num_vns=1, vcs_per_vn=2, packet_size_flits=4),
             drain=DrainConfig(epoch=40),  # truncate often
+            flow_control="wormhole",
         )
         traffic = SyntheticTraffic(UniformRandom(16), 0.08, random.Random(3))
-        sim = Simulation(topo, config, traffic, flow_control="wormhole")
+        sim = Simulation(topo, config, traffic)
         stats = sim.run(4000)  # _eject_flit raises on duplicate delivery
         assert stats.drain_windows > 10
         assert stats.packets_ejected > 500
@@ -208,8 +242,9 @@ class TestWormholeDrainCorrectness:
         topo = make_mesh(4, 4)
         config = SimConfig(
             scheme=Scheme.DRAIN,
-            network=NetworkConfig(num_vns=1, vcs_per_vn=2),
+            network=NetworkConfig(num_vns=1, vcs_per_vn=2, packet_size_flits=4),
             drain=DrainConfig(epoch=128, full_drain_period=8),
+            flow_control="wormhole",
         )
 
         class Burst(SyntheticTraffic):
@@ -221,7 +256,7 @@ class TestWormholeDrainCorrectness:
                                        self.backlog.waiting)
 
         traffic = Burst(UniformRandom(16), 0.5, random.Random(5))
-        sim = Simulation(topo, config, traffic, flow_control="wormhole")
+        sim = Simulation(topo, config, traffic)
         for _ in range(60_000):
             sim.step()
             if (
