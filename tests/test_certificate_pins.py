@@ -9,8 +9,12 @@ shows up as a changed digest. The cases cover every emission path:
   a torus and seeded random irregular topologies;
 - a fault schedule that splits the mesh in two, so certification runs
   per component and relabels router ids (``node_labels``);
+- drain coverage (Euler and Hawick-James covers, one per component on a
+  split survivor);
 - the pause-aware certifier, certified and refuted (``buffer-cycle``),
-  including the per-component relabelled buffer cycle.
+  including the per-component relabelled buffer cycle, a certified
+  per-component certificate and both pause-exempt proofs;
+- the ``no-links`` refutation of a survivor with no link left.
 
 Two refutations are also written out in full, and one digest covers the
 two cycle searches over seeded random graphs.
@@ -34,7 +38,7 @@ from repro.core.config import PfcConfig, Scheme
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.topology.datacenter import make_fat_tree, make_leaf_spine
 from repro.topology.irregular import random_connected_topology
-from repro.topology.mesh import make_mesh, make_torus
+from repro.topology.mesh import make_mesh, make_ring, make_torus
 
 
 def _digest(text: str) -> str:
@@ -46,6 +50,15 @@ SPLIT = FaultSchedule(tuple(
     FaultEvent(cycle=10, kind="link", target=(y * 4 + 1, y * 4 + 2))
     for y in range(4)
 ))
+
+#: Kills every link of ring:4.
+RING_DEAD = FaultSchedule(tuple(
+    FaultEvent(cycle=10, kind="link", target=(i, (i + 1) % 4))
+    for i in range(4)
+))
+
+#: Flows on the split 4x4 mesh; (0, 15) crosses the cut.
+SPLIT_FLOWS = [(0, 5), (3, 14), (0, 15), (12, 1)]
 
 #: The leaf-spine CBD flow set of tests/test_lossless.py's ring_flows.
 RING_FLOWS = [(i, (i + 2) % 8) for i in range(8)]
@@ -60,6 +73,12 @@ def _certificate(case: str):
         dim, scheme = case[len("mesh"):].split("-", 1)
         return certify_configuration(make_mesh(int(dim), int(dim)),
                                      Scheme(scheme))
+    if case == "ring4-drain":
+        return certify_configuration(make_ring(4), Scheme.DRAIN,
+                                     method="hawick-james")
+    if case.startswith("nolinks-"):
+        return certify_configuration(make_ring(4), Scheme(case[8:]),
+                                     schedule=RING_DEAD)
     if case == "torus4-none":
         return certify_configuration(make_torus(4, 4), Scheme.NONE)
     if case.startswith("random"):
@@ -69,10 +88,10 @@ def _certificate(case: str):
     if case.startswith("split-"):
         return certify_configuration(make_mesh(4, 4), Scheme(case[6:]),
                                      schedule=SPLIT)
-    if case == "pause-ring-none":
+    if case.startswith("pause-ring-"):
         return certify_pause_configuration(
-            make_leaf_spine(8, 4, uplinks=1, east_west=True), Scheme.NONE,
-            pfc=_pfc(2), vcs_per_vn=4, flows=RING_FLOWS,
+            make_leaf_spine(8, 4, uplinks=1, east_west=True),
+            Scheme(case[11:]), pfc=_pfc(2), vcs_per_vn=4, flows=RING_FLOWS,
         )
     if case == "pause-fattree-updown":
         return certify_pause_configuration(
@@ -82,6 +101,16 @@ def _certificate(case: str):
         return certify_pause_configuration(
             make_mesh(4, 4), Scheme.NONE, pfc=_pfc(2), vcs_per_vn=4,
             schedule=SPLIT,
+        )
+    if case == "pause-split-updown":
+        return certify_pause_configuration(
+            make_mesh(4, 4), Scheme.UPDOWN, pfc=_pfc(2), vcs_per_vn=4,
+            flows=SPLIT_FLOWS, schedule=SPLIT,
+        )
+    if case == "pause-nolinks-none":
+        return certify_pause_configuration(
+            make_ring(4), Scheme.NONE, pfc=_pfc(2), vcs_per_vn=4,
+            schedule=RING_DEAD,
         )
     raise KeyError(case)
 
@@ -102,6 +131,16 @@ PINNED = {
     "pause-ring-none": "54c04bdd4e9b66a41df2dfd370be3c37",
     "pause-fattree-updown": "77c975b5ad9e4d26154f7102b231249f",
     "pause-split-none": "e7a5211f338e5518e1cf72a10947ed6f",
+    "mesh4-drain": "2df89a1d76727717ffad4798bcf69091",
+    "split-drain": "474d4512dd69b91a0a28e68b3fe78381",
+    "ring4-drain": "59a9d7cb587a3494e6b0f9646ad92f8a",
+    "split-escape_vc": "cf119fb9dc50f2af70d35995dd2f1d28",
+    "pause-ring-drain": "3750615ef304f51e12c087f7d9cd1d12",
+    "pause-ring-escape_vc": "955d21ec75bb01292af9004fdb7bfbdf",
+    "pause-split-updown": "b87a273d38e86ba57134a34510841af0",
+    "nolinks-updown": "c07763db006e92705a4d939560149328",
+    "nolinks-drain": "fd17f0a081e713d193dac0c4c6a38bb4",
+    "pause-nolinks-none": "be0ce1c3962b2aac753b49677842a035",
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -19,7 +20,7 @@ from repro.faults import (
     recover_drain_paths,
 )
 from repro.network.index import FabricIndex
-from repro.topology.graph import Topology
+from repro.topology.graph import Link, Topology
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_ring
 from repro.traffic.synthetic import SyntheticTraffic, pattern_by_name
@@ -161,6 +162,38 @@ class TestRecovery:
             for link in path.links:
                 assert link not in seen
                 seen.add(link)
+
+    @pytest.mark.parametrize("case, engines, names, digests", [
+        ("mesh-split", ["hawick-james", "hawick-james"],
+         ["mesh-4x4-surviving-c0", "mesh-4x4-surviving-c2"],
+         ["0bc6ec62d99c1910775430f91a246805",
+          "b7569b99d1bdbe43e14198dab4f3d407"]),
+        ("barbell", ["hawick-james", "hawick-james"],
+         ["barbell-surviving-c0", "barbell-surviving-c3"],
+         ["b7a0f5dc924347bdfb235063b954c17e",
+          "25fc733034ebb9be5053b7988676948e"]),
+        ("mesh-one-link", ["euler"], ["mesh-4x4-surviving-c0"],
+         ["0d2f5f65a1445a076d00865d5a1cca24"]),
+    ])
+    def test_recovered_paths_are_pinned(self, case, engines, names, digests):
+        """Engines, component names and each cycle's links, byte for byte."""
+        if case == "barbell":
+            topology, cut = barbell(), [(2, 3)]
+        elif case == "mesh-split":
+            topology, cut = make_mesh(4, 4), [(y * 4 + 1, y * 4 + 2)
+                                              for y in range(4)]
+        else:
+            topology, cut = make_mesh(4, 4), [(0, 1)]
+        index = FabricIndex(topology)
+        index.apply_faults({index.link_id[link] for a, b in cut
+                            for link in (Link(a, b), Link(b, a))}, set())
+        result = recover_drain_paths(index)
+        assert result.engines == engines
+        assert [path.topology.name for path in result.paths] == names
+        assert [hashlib.blake2b(
+            json.dumps([[link.src, link.dst] for link in path.links]).encode(),
+            digest_size=16,
+        ).hexdigest() for path in result.paths] == digests
 
     def test_no_surviving_links_raises(self):
         index = FabricIndex(Topology(2, [(0, 1)], name="pair"))
