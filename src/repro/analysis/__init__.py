@@ -3,21 +3,22 @@
 Three engines, all pure functions of their inputs (no simulation state,
 no wall-clock, no global state):
 
-- :mod:`repro.analysis.certifier` — a configuration certifier. Given a
-  topology, a routing function and/or a drain-path set (optionally after
-  applying a :class:`~repro.faults.schedule.FaultSchedule` snapshot), it
-  constructs the restricted channel-dependency graph over reachable
-  holding states, searches it for a shortest turn-cycle, and emits a machine-readable :class:`~repro.analysis.
-  certificate.Certificate`: ``CERTIFIED`` with a coverage/acyclicity proof
-  object, or ``REFUTED`` with a concrete counterexample (the offending
-  turn-cycle, or the uncovered-link set in
-  :class:`~repro.drain.path.DrainPathError` payload form). For lossless
-  fabrics (``flow_control="pause_resume"``) the pause-aware entry point
-  :func:`~repro.analysis.certifier.certify_pause_configuration` reads
-  the same graph, restricted to a flow set, as the pause-augmented
-  buffer-dependency graph, models the escape-VC pause exemption and PFC
-  headroom feasibility, and refutes with a minimal buffer cycle built by
-  the watchdog's own payload builder
+- :mod:`repro.analysis.certifier` — a configuration certifier with one
+  entry point, :func:`~repro.analysis.certifier.certify_configuration`.
+  Given a topology and a :class:`~repro.core.config.SimConfig`
+  (optionally after applying a :class:`~repro.faults.schedule.
+  FaultSchedule` snapshot), it checks the claim the config makes: a drain
+  cover of every surviving link, or an acyclic restricted
+  channel-dependency graph over reachable holding states. It emits a
+  machine-readable :class:`~repro.analysis.certificate.Certificate`:
+  ``CERTIFIED`` with a coverage/acyclicity proof object, or ``REFUTED``
+  with a concrete counterexample (the minimal turn-cycle, or the
+  uncovered-link set in :class:`~repro.drain.path.DrainPathError`
+  payload form). Under ``flow_control="pause_resume"`` the same graph,
+  restricted to a flow set, is the pause-augmented buffer-dependency
+  graph; the escape-VC pause exemption carries the drain and escape-VC
+  claims over, and refutations are a minimal buffer cycle built by the
+  watchdog's own payload builder
   (:func:`~repro.analysis.certificate.buffer_cycle_payload`).
 
 - :mod:`repro.analysis.lint` — an AST-based determinism lint pass that
@@ -61,7 +62,6 @@ __all__ = [
     "canonical_rotation",
     "certify_configuration",
     "certify_drain_cover",
-    "certify_pause_configuration",
     "certify_routing",
     "find_turn_cycle",
     "is_kernel_path",
@@ -80,8 +80,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "certificate": ("CERTIFIED", "REFUTED", "ROUTING_NAMES", "Certificate",
                     "buffer_cycle_payload", "canonical_rotation"),
     "certifier": ("build_restricted_cdg", "certify_configuration",
-                  "certify_drain_cover", "certify_pause_configuration",
-                  "certify_routing", "find_turn_cycle", "minimal_cycles",
+                  "certify_drain_cover", "certify_routing", "find_turn_cycle", "minimal_cycles",
                   "routing_for", "topological_link_order"),
     "differential": ("canonical_cycle_links", "refutation_matches",
                      "storm_survival_sweep"),

@@ -35,23 +35,25 @@ ignores occupancy), which only *adds* edges — extra edges can produce a
 spurious refutation but never a spurious certificate, keeping
 ``CERTIFIED`` sound. One shortest-cycle search picks the counterexample.
 
-**Pause-aware mode** (:func:`certify_pause_configuration`) extends the
-same machinery to ``flow_control="pause_resume"``. Under PFC the blocking
-unit is a whole buffer *row* — the ``vcs_per_vn`` slots of one (link
-port, VN) pair: a row at its pause threshold asserts XOFF and stalls
-*every* packet class sharing that port, not only the turn whose packets
-filled it. Per-class escape disciplines therefore cannot break a
-dependency the turn relation allows, and the buffer-dependency graph
-(BDG) collapses onto link granularity: the pause-augmented BDG is the
-turn-edge graph over the *full* candidate relation, optionally restricted
-to a concrete flow set's reachable holding states. Two escape facts are
-modelled explicitly: headroom feasibility (``pause_threshold + headroom
-<= vcs_per_vn``, or the configuration cannot stay lossless at all), and
-the escape-VC pause exemption (the pause fabric lets escape/VC0 claims
-bypass XOFF whenever an escape mode is active), which restores the
-credit-mode arguments for the drain and escape-VC schemes. Refutations
-are emitted as a minimal *buffer cycle* by the builder the runtime
-watchdog halt uses (:func:`~repro.analysis.certificate.
+One entry point, :func:`certify_configuration`, takes the topology and
+the :class:`~repro.core.config.SimConfig` and lets the config pick the
+claim: credit and wormhole flow control are decided on the channel-
+dependency graph (Dally–Seitz's argument, stated for wormhole), and
+``flow_control="pause_resume"`` on the pause-augmented buffer-dependency
+graph (BDG). Under PFC the blocking unit is a whole buffer *row* — the
+``vcs_per_vn`` slots of one (link port, VN) pair: a row at its pause
+threshold asserts XOFF and stalls *every* packet class sharing that port,
+not only the turn whose packets filled it. Per-class escape disciplines
+therefore cannot break a dependency the turn relation allows, and the
+BDG collapses onto link granularity: it is the same turn-edge graph over
+the *full* candidate relation, optionally restricted to a concrete flow
+set's reachable holding states, checked by the same acyclicity engine
+(:func:`certify_routing`). The escape-VC pause exemption (the pause
+fabric lets escape/VC0 claims bypass XOFF whenever an escape mode is
+active) carries the credit claims of the drain and escape-VC schemes
+over. Headroom feasibility is ``SimConfig``'s to refuse. Pause
+refutations are emitted as a minimal *buffer cycle* by the builder the
+runtime watchdog halt uses (:func:`~repro.analysis.certificate.
 buffer_cycle_payload`), in its canonical rotation, so differential
 comparison against a live wedge is a plain equality check on the
 ``links`` field.
@@ -59,9 +61,20 @@ comparison against a live wedge is a plain equality check on the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from ..core.config import PfcConfig, Scheme
+from ..core.config import Scheme, SimConfig
 from ..drain.path import (
     DrainPath,
     DrainPathError,
@@ -98,7 +111,6 @@ __all__ = [
     "certify_routing",
     "certify_drain_cover",
     "certify_configuration",
-    "certify_pause_configuration",
     "apply_schedule",
 ]
 
@@ -338,6 +350,90 @@ def _topology_subject(topology: Topology) -> Dict[str, Any]:
     }
 
 
+def _router_id(node_labels: Optional[Sequence[int]], router: int) -> int:
+    """*router* as emitted: its id in the original, unrenumbered fabric."""
+    return router if node_labels is None else node_labels[router]
+
+
+def _link_labels(
+    index: FabricIndex,
+    link_ids: Sequence[int],
+    node_labels: Optional[Sequence[int]],
+) -> List[str]:
+    return [
+        f"{_router_id(node_labels, link.src)}->"
+        f"{_router_id(node_labels, link.dst)}"
+        for link in (index.links[i] for i in link_ids)
+    ]
+
+
+def _turn_cycle(
+    index: FabricIndex,
+    adjacency: Sequence[Sequence[int]],
+    node_labels: Optional[Sequence[int]],
+) -> Dict[str, Any]:
+    """The minimal reachable turn-cycle :func:`find_turn_cycle` picks."""
+    cycle = find_turn_cycle(adjacency)
+    assert cycle is not None  # Kahn failed, so a cycle must exist
+    return {
+        "kind": "turn-cycle",
+        "length": len(cycle),
+        "links": _link_labels(index, cycle, node_labels),
+        "routers": [_router_id(node_labels, index.link_src[i]) for i in cycle],
+    }
+
+
+def _buffer_cycle(
+    index: FabricIndex,
+    adjacency: Sequence[Sequence[int]],
+    node_labels: Optional[Sequence[int]],
+) -> Dict[str, Any]:
+    """The canonical minimal buffer cycle, built like a watchdog halt.
+
+    Hops carry ``vc=None`` and ``packet=None`` — the static claim is about
+    buffer rows, not concrete occupants — and VN 0: the dependency
+    relation is identical across VNs. The rotation is taken in the
+    emitted (possibly relabelled) link space, so a dynamic wedge and its
+    static refutation compare equal directly.
+    ``distinct_minimal_cycles`` annotates how many rotationally-distinct
+    minimal cycles the graph contains (duplicates are already collapsed).
+    """
+    cycles = minimal_cycles(adjacency)
+    assert cycles  # Kahn failed, so a cycle must exist
+    hops = []
+    for link in cycles[0]:
+        pair = [_router_id(node_labels, index.link_src[link]),
+                _router_id(node_labels, index.link_dst[link])]
+        hops.append({
+            "router": pair[1],  # the input buffer row lives at the dst
+            # Port ids only exist in the full fabric numbering; a
+            # renumbered component has no meaningful port to name.
+            "port": link if node_labels is None else None,
+            "vn": 0,
+            "vc": None,
+            "link": pair,
+            "packet": None,
+        })
+    return buffer_cycle_payload(hops, distinct_minimal_cycles=len(cycles))
+
+
+class _Claim(NamedTuple):
+    """How one acyclicity claim names its edges, proofs and witnesses."""
+
+    edges: str  # subject and proof key counting the dependency edges
+    method: str  # proof method on one topology
+    per_component: str  # proof method merged over a survivor's components
+    counterexample: Callable[..., Dict[str, Any]]
+
+
+#: The channel-dependency claim (credit and wormhole flow control).
+_TURNS = _Claim("turns", "topological-link-order",
+                "per-component-topological-link-order", _turn_cycle)
+#: The pause-augmented buffer-dependency claim (pause/resume).
+_BUFFERS = _Claim("pause_edges", "pause-augmented-topological-link-order",
+                  "per-component-pause-augmented-link-order", _buffer_cycle)
+
+
 # ----------------------------------------------------------------------
 # Certification engines
 # ----------------------------------------------------------------------
@@ -347,62 +443,55 @@ def certify_routing(
     index: Optional[FabricIndex] = None,
     subject_extra: Optional[Mapping[str, Any]] = None,
     node_labels: Optional[Sequence[int]] = None,
+    flows: Optional[Sequence[Tuple[int, int]]] = None,
+    pause_model: Optional[Mapping[str, Any]] = None,
 ) -> Certificate:
     """Certify (or refute) acyclicity of one routing function's CDG.
 
     ``CERTIFIED`` means the restricted channel-dependency graph is acyclic
-    — the routing function is deadlock-free by construction. ``REFUTED``
-    carries a minimal reachable turn-cycle as the counterexample.
+    — the routing function is deadlock-free by construction — and carries
+    its topological link order as the proof. ``REFUTED`` carries a
+    minimal cycle as the counterexample: a ``turn-cycle``, or, given the
+    PFC row model *pause_model*, a ``buffer-cycle`` of the pause-augmented
+    BDG (whose proof then counts ``pause_edges`` and carries the model).
 
-    *node_labels* relabels router ids in the emitted proof or
-    counterexample (used when certifying a renumbered component of a
-    larger post-fault topology).
+    *flows* restricts the graph to the holding states those ``(src,
+    dst)`` pairs reach. *node_labels* relabels router ids in the emitted
+    proof or counterexample (used when certifying a renumbered component
+    of a larger post-fault topology).
     """
     if index is None:
         index = FabricIndex(topology)
     name = routing if isinstance(routing, str) else type(routing).__name__
     if isinstance(routing, str):
         routing = routing_for(routing, index)
+    claim = _TURNS if pause_model is None else _BUFFERS
 
-    def label(link: Link) -> str:
-        if node_labels is None:
-            return _link_label(link)
-        return f"{node_labels[link.src]}->{node_labels[link.dst]}"
-
-    adjacency = build_restricted_cdg(index, routing)
-    num_turns = sum(len(s) for s in adjacency)
+    adjacency = build_restricted_cdg(index, routing, flows)
+    num_edges = sum(len(s) for s in adjacency)
     subject = _topology_subject(topology)
     subject.update({
         "claim": "routing-acyclicity",
         "routing": name,
-        "turns": num_turns,
+        claim.edges: num_edges,
     })
     if subject_extra:
         subject.update(subject_extra)
     order = topological_link_order(adjacency)
-    if order is not None:
-        links = index.links
-        proof = {
-            "method": "topological-link-order",
-            "links": len(links),
-            "turns": num_turns,
-            # The order is the checkable proof: every legal turn goes
-            # strictly forward in it.
-            "link_order": [label(links[i]) for i in order],
-        }
-        return Certificate(CERTIFIED, subject, proof=proof)
-    cycle = find_turn_cycle(adjacency)
-    assert cycle is not None  # Kahn failed, so a cycle must exist
-    routers = [index.link_src[i] for i in cycle]
-    if node_labels is not None:
-        routers = [node_labels[r] for r in routers]
-    counter = {
-        "kind": "turn-cycle",
-        "length": len(cycle),
-        "links": [label(index.links[i]) for i in cycle],
-        "routers": routers,
+    if order is None:
+        counter = claim.counterexample(index, adjacency, node_labels)
+        return Certificate(REFUTED, subject, counterexample=counter)
+    proof = {
+        "method": claim.method,
+        "links": len(index.links),
+        claim.edges: num_edges,
+        # The order is the checkable proof: every dependency goes
+        # strictly forward in it.
+        "link_order": _link_labels(index, order, node_labels),
     }
-    return Certificate(REFUTED, subject, counterexample=counter)
+    if pause_model is not None:
+        proof["pfc"] = dict(pause_model)
+    return Certificate(CERTIFIED, subject, proof=proof)
 
 
 def certify_drain_cover(
@@ -504,42 +593,6 @@ def apply_schedule(topology: Topology, schedule) -> Topology:
     return survivor
 
 
-def _component_members(topology: Topology) -> List[List[int]]:
-    """Sorted member lists of each connected component with >= 1 link."""
-    seen: set = set()
-    components: List[List[int]] = []
-    for node in topology.nodes:
-        if node in seen or topology.degree(node) == 0:
-            continue
-        members = {node}
-        frontier = [node]
-        while frontier:
-            n = frontier.pop()
-            for m in topology.neighbors(n):
-                if m not in members:
-                    members.add(m)
-                    frontier.append(m)
-        seen |= members
-        components.append(sorted(members))
-    return components
-
-
-def _component_full(topology: Topology, members: Sequence[int]) -> Topology:
-    """One component as a sub-topology on the *full* router numbering.
-
-    Routers outside the component stay as isolated nodes, so the
-    component's links keep their original ``src``/``dst`` ids — required
-    for drain covers, whose cycles must name real fabric ports.
-    """
-    member_set = set(members)
-    edges = [
-        (a, b) for a, b in topology.bidirectional_links() if a in member_set
-    ]
-    return Topology(
-        topology.num_nodes, edges, name=f"{topology.name}-c{members[0]}"
-    )
-
-
 def _component_compact(
     topology: Topology, members: Sequence[int]
 ) -> Topology:
@@ -561,22 +614,114 @@ def _component_compact(
     )
 
 
+def _certify_components(
+    survivor: Topology,
+    subject: Mapping[str, Any],
+    routing: Optional[str],
+    flows: Optional[Sequence[Tuple[int, int]]] = None,
+    pause_model: Optional[Mapping[str, Any]] = None,
+) -> Certificate:
+    """Certify *routing*'s acyclicity on each component of *survivor*.
+
+    *routing* ``None`` is the simulator's escape selection, built once per
+    certified topology over one index. No link left refutes with
+    ``no-links``; a survivor that is one whole component is certified
+    directly (coordinates and router ids are preserved, so DOR stays
+    instantiable); otherwise each component is certified renumbered, and
+    the first refutation or the merged certificate is returned. *subject*
+    holds the claim's own subject entries, over the survivor's topology
+    entries for the refutation and the merged certificate.
+    """
+    def certify(topo: Topology, topo_flows, node_labels=None) -> Certificate:
+        index = FabricIndex(topo)
+        if routing is None:
+            function = select_escape_routing(index)
+            name = "dor" if isinstance(function, DimensionOrderRouting) else "updown"
+        else:
+            function, name = routing_for(routing, index), routing
+        return certify_routing(
+            topo, function, index=index,
+            subject_extra={**subject, "routing": name},
+            node_labels=node_labels, flows=topo_flows, pause_model=pause_model,
+        )
+
+    components = survivor.link_components()
+    merged = {**_topology_subject(survivor), **subject}
+    if not components:
+        return Certificate(REFUTED, merged,
+                           counterexample={"kind": "no-links", "links": 0})
+    if len(components) == 1 and len(components[0]) == survivor.num_nodes:
+        return certify(survivor, flows)
+    for members in components:
+        renumber = {orig: i for i, orig in enumerate(members)}
+        # Flows crossing components can never be routed, so they occupy
+        # no network buffer and add no dependency.
+        cert = certify(
+            _component_compact(survivor, members),
+            None if flows is None else [
+                (renumber[s], renumber[d]) for s, d in flows
+                if s in renumber and d in renumber
+            ],
+            members,
+        )
+        if not cert.certified:
+            return cert
+    merged.update({
+        # DOR needs an XY route between every pair, so it never builds on
+        # a survivor that is not one connected component.
+        "routing": routing or "updown",
+        "components": len(components),
+    })
+    proof = {
+        "method": (_TURNS if pause_model is None else _BUFFERS).per_component,
+        "components": len(components),
+        "component_roots": [members[0] for members in components],
+    }
+    if pause_model is not None:
+        proof["pfc"] = dict(pause_model)
+    return Certificate(CERTIFIED, merged, proof=proof)
+
+
+#: Schemes whose escape VC bypasses XOFF under pause/resume, so their
+#: credit claim carries over: (proof method, key of the wrapped credit
+#: proof, the exemption's account).
+_PAUSE_EXEMPT = {
+    Scheme.DRAIN: (
+        "pause-exempt-drain-cover", "drain",
+        "escape (VC0) claims bypass XOFF, so drain rotations proceed "
+        "regardless of pause state; the drain cover then guarantees "
+        "eventual progress exactly as in credit mode",
+    ),
+    Scheme.ESCAPE_VC: (
+        "pause-exempt-escape-acyclicity", "escape",
+        "escape (VC0) claims bypass XOFF, so the escape sub-network keeps "
+        "its credit-mode behaviour; its acyclic dependency graph "
+        "guarantees every escape packet progresses, and adaptive packets "
+        "always hold an escape candidate",
+    ),
+}
+
+
 def certify_configuration(
     topology: Topology,
-    scheme: Union[Scheme, str] = Scheme.DRAIN,
+    config: SimConfig,
+    *,
+    flows: Optional[Sequence[Tuple[int, int]]] = None,
     routing: Optional[str] = None,
-    drain_paths: Optional[Sequence[Union[DrainPath, Sequence[Link]]]] = None,
     schedule=None,
     method: str = "euler",
     max_circuits: Optional[int] = None,
 ) -> Certificate:
-    """Certify one full (topology, scheme/routing, drain, faults) config.
+    """Certify one (topology, config, routing, faults) configuration.
 
-    The static claim checked depends on the scheme:
+    *config* (a :class:`~repro.core.config.SimConfig`, which has already
+    refused infeasible PFC thresholds and schemes its fabric does not
+    model) picks the claim. Credit and wormhole flow control:
 
-    - ``drain``: the drain cover (given via *drain_paths*, or constructed
-      per surviving component with *method*) covers every surviving
-      unidirectional link exactly once;
+    - ``drain``: the drain cover, constructed per surviving component
+      with *method* (``euler`` or ``hawick-james``, the latter bounded
+      by *max_circuits*), covers every surviving unidirectional link
+      exactly once;
     - ``updown``: the up*/down* dependency graph is acyclic;
     - ``escape_vc``: the escape sub-network's routing (DOR on a complete
       mesh, up*/down* otherwise — the simulator's own selection) is
@@ -587,348 +732,93 @@ def certify_configuration(
       the minimal turn-cycle as the witness; those schemes rely on
       runtime recovery, not on a static property.
 
+    ``flow_control="pause_resume"``: ``drain`` and ``escape_vc`` (with no
+    explicit *routing*) keep their credit claim through the escape-VC
+    pause exemption, wrapped in a ``pause-exempt-*`` proof; every other
+    scheme is decided on the pause-augmented BDG of its routing relation
+    (``updown`` or fully adaptive), restricted to *flows* (``(src, dst)``
+    pairs; ``None`` is all-pairs) — expected ``REFUTED`` for adaptive
+    routing, with the minimal CBD buffer cycle (canonical rotation,
+    watchdog payload shape) as the counterexample. *flows* shapes only
+    this claim.
+
     *schedule* (a :class:`~repro.faults.schedule.FaultSchedule`) is
     applied first; certification then runs over the survivor, per
     connected component where components exist.
     """
-    scheme = Scheme(scheme)
+    scheme = config.scheme
     survivor = apply_schedule(topology, schedule) if schedule else topology
-    fault_extra: Dict[str, Any] = {}
+    extra: Dict[str, Any] = {"scheme": scheme.value}
     if schedule is not None:
-        fault_extra["faults_applied"] = len(schedule.permanent_events())
-
-    if routing is None and scheme is Scheme.DRAIN:
-        if drain_paths is None:
-            drain_paths = _construct_drain_cover(
-                survivor, method=method, max_circuits=max_circuits
-            )
-            if isinstance(drain_paths, Certificate):  # construction refuted
-                return drain_paths
-        cert = certify_drain_cover(
-            survivor, drain_paths,
-            subject_extra={"scheme": scheme.value, **fault_extra},
-        )
-        return cert
-
-    if routing is None and scheme is Scheme.UPDOWN:
-        routing = "updown"
-    elif routing is None and scheme is not Scheme.ESCAPE_VC:
-        routing = "adaptive"
-    # routing stays None for ESCAPE_VC: each certified topology gets the
-    # simulator's own escape selection, built once over one index.
-
-    def certify(topo: Topology, **kwargs) -> Certificate:
-        index = FabricIndex(topo)
-        if routing is None:
-            function = select_escape_routing(index)
-            name = "dor" if isinstance(function, DimensionOrderRouting) else "updown"
-        else:
-            function, name = routing_for(routing, index), routing
-        return certify_routing(
-            topo, function, index=index,
-            subject_extra={"routing": name, "scheme": scheme.value,
-                           **fault_extra},
-            **kwargs,
-        )
-
-    components = _component_members(survivor)
-    if not components:
-        return Certificate(
-            REFUTED,
-            {**_topology_subject(survivor), "claim": "routing-acyclicity",
-             "scheme": scheme.value, **fault_extra},
-            counterexample={"kind": "no-links", "links": 0},
-        )
-    if len(components) == 1 and len(components[0]) == survivor.num_nodes:
-        # Fully connected: certify the survivor directly (coordinates and
-        # router ids are preserved, so DOR stays instantiable).
-        return certify(survivor)
-    certs: List[Certificate] = []
-    for members in components:
-        cert = certify(_component_compact(survivor, members),
-                       node_labels=members)
-        if not cert.certified:
-            return cert
-        certs.append(cert)
-    subject = _topology_subject(survivor)
-    subject.update({
-        "claim": "routing-acyclicity",
-        # DOR needs an XY route between every pair, so it never builds on
-        # a survivor that is not one connected component.
-        "routing": routing or "updown",
-        "scheme": scheme.value,
-        "components": len(components),
-        **fault_extra,
-    })
-    proof = {
-        "method": "per-component-topological-link-order",
-        "components": len(components),
-        "component_roots": [members[0] for members in components],
-    }
-    return Certificate(CERTIFIED, subject, proof=proof)
-
-
-# ----------------------------------------------------------------------
-# Pause-aware certification (flow_control="pause_resume")
-# ----------------------------------------------------------------------
-def _static_buffer_cycle(
-    index: FabricIndex,
-    cycle: Sequence[int],
-    vn: int,
-    node_labels: Optional[Sequence[int]] = None,
-    distinct: int = 1,
-) -> Dict[str, Any]:
-    """A static buffer cycle, built like a watchdog halt payload.
-
-    Hops carry ``vc=None`` and ``packet=None`` — the static claim is about
-    buffer rows, not concrete occupants. The rotation is taken in the
-    emitted (possibly relabelled) link space, so a dynamic wedge and its
-    static refutation compare equal directly.
-    ``distinct_minimal_cycles`` annotates how many rotationally-distinct
-    minimal cycles the graph contains (duplicates are already collapsed).
-    """
-    def nid(router: int) -> int:
-        return router if node_labels is None else node_labels[router]
-
-    hops = []
-    for link in cycle:
-        pair = [nid(index.link_src[link]), nid(index.link_dst[link])]
-        hops.append({
-            "router": pair[1],  # the input buffer row lives at the dst
-            # Port ids only exist in the full fabric numbering; a
-            # renumbered component has no meaningful port to name.
-            "port": link if node_labels is None else None,
-            "vn": vn,
-            "vc": None,
-            "link": pair,
-            "packet": None,
-        })
-    return buffer_cycle_payload(hops, distinct_minimal_cycles=distinct)
-
-
-def _certify_pause_bdg(
-    topology: Topology,
-    routing_name: str,
-    flows: Optional[Sequence[Tuple[int, int]]],
-    vn: int,
-    subject: Mapping[str, Any],
-    pause_model: Mapping[str, Any],
-    node_labels: Optional[Sequence[int]] = None,
-) -> Certificate:
-    """Certify acyclicity of one component's pause-augmented BDG."""
-    index = FabricIndex(topology)
-    routing = routing_for(routing_name, index)
-    adjacency = build_restricted_cdg(index, routing, flows)
-    pause_edges = sum(len(s) for s in adjacency)
-    subject = dict(subject)
-    subject.update({"routing": routing_name, "pause_edges": pause_edges})
-
-    def label(link: Link) -> str:
-        if node_labels is None:
-            return _link_label(link)
-        return f"{node_labels[link.src]}->{node_labels[link.dst]}"
-
-    order = topological_link_order(adjacency)
-    if order is not None:
-        links = index.links
-        proof = {
-            "method": "pause-augmented-topological-link-order",
-            "links": len(links),
-            "pause_edges": pause_edges,
-            "pfc": dict(pause_model),
-            # The order is the checkable proof: every pause-augmented
-            # buffer dependency goes strictly forward in it.
-            "link_order": [label(links[i]) for i in order],
-        }
-        return Certificate(CERTIFIED, subject, proof=proof)
-    cycles = minimal_cycles(adjacency)
-    assert cycles  # Kahn failed, so a cycle must exist
-    counter = _static_buffer_cycle(
-        index, cycles[0], vn, node_labels=node_labels, distinct=len(cycles)
-    )
-    return Certificate(REFUTED, subject, counterexample=counter)
-
-
-def certify_pause_configuration(
-    topology: Topology,
-    scheme: Union[Scheme, str] = Scheme.NONE,
-    pfc: Optional[PfcConfig] = None,
-    vcs_per_vn: int = 2,
-    num_vns: int = 1,
-    flows: Optional[Sequence[Tuple[int, int]]] = None,
-    routing: Optional[str] = None,
-    schedule=None,
-    method: str = "euler",
-    max_circuits: Optional[int] = None,
-    vn: int = 0,
-) -> Certificate:
-    """Certify one lossless (``flow_control="pause_resume"``) config.
-
-    Infeasible :class:`~repro.core.config.PfcConfig` rows (thresholds
-    that do not fit the ``vcs_per_vn`` row depth) raise ``ValueError``
-    with the shared feasibility detail — such a configuration cannot even
-    stay lossless, so there is nothing to certify. Feasible ones are
-    decided per scheme:
-
-    - ``drain``: the escape-VC pause exemption lets drain rotations
-      bypass XOFF, so the credit-mode drain-cover account carries over —
-      ``CERTIFIED`` with the cover plus an exemption account, or
-      ``REFUTED`` with the cover defect;
-    - ``escape_vc``: the exemption keeps the escape sub-network credit-
-      behaved — ``CERTIFIED`` iff its restricted CDG is acyclic;
-    - ``updown`` (or an explicit *routing* name): no exemption applies —
-      ``CERTIFIED`` iff the pause-augmented BDG over that routing
-      relation, restricted to *flows*, is acyclic;
-    - everything else (``none``/``spin``/``static_bubble``/``ideal``):
-      the pause-augmented BDG over the fully-adaptive relation — expected
-      ``REFUTED``, with the minimal CBD buffer cycle (canonical rotation,
-      watchdog payload shape) as the counterexample.
-
-    *flows* restricts the BDG to the holding states a concrete flow set
-    can reach (the harness's lossless trials pin exactly such sets);
-    *vn* only labels the emitted counterexample rows — the dependency
-    relation is identical across VNs.
-    """
-    scheme = Scheme(scheme)
-    pfc = PfcConfig() if pfc is None else pfc
-    if vcs_per_vn < 1:
-        raise ValueError("vcs_per_vn must be at least 1")
-    if num_vns < 1:
-        raise ValueError("num_vns must be at least 1")
-    if not 0 <= vn < num_vns:
-        raise ValueError(f"vn {vn} outside 0..{num_vns - 1}")
-    err = pfc.feasibility_error(vcs_per_vn)
-    if err is not None:
-        raise ValueError(err)
-
-    survivor = apply_schedule(topology, schedule) if schedule else topology
-    fault_extra: Dict[str, Any] = {}
-    if schedule is not None:
-        fault_extra["faults_applied"] = len(schedule.permanent_events())
-
-    flow_list: Optional[List[Tuple[int, int]]] = None
-    if flows is not None:
-        flow_list = sorted({(int(s), int(d)) for s, d in flows})
-        for s, d in flow_list:
-            if not (0 <= s < survivor.num_nodes
-                    and 0 <= d < survivor.num_nodes):
-                raise ValueError(
-                    f"flow ({s}, {d}) names a router outside the topology"
-                )
-            if s == d:
-                raise ValueError(f"flow ({s}, {d}) has identical endpoints")
-
-    exempt = routing is None and scheme in (Scheme.DRAIN, Scheme.ESCAPE_VC)
-    pause_model = {
-        "pause_threshold": pfc.pause_threshold,
-        "resume_threshold": pfc.resume_threshold,
-        "headroom": pfc.headroom,
-        "row_depth": vcs_per_vn,
-        "rows": 2 * survivor.num_edges * num_vns,
-        "exempt_escape_vc": exempt,
-    }
-    subject = _topology_subject(survivor)
-    subject.update({
-        "claim": "pause-deadlock-freedom",
-        "scheme": scheme.value,
-        "flow_control": "pause_resume",
-        "flows": "all-pairs" if flow_list is None else len(flow_list),
-        "vn": vn,
-        "pfc": dict(pause_model),
-        **fault_extra,
-    })
-
-    if routing is None and scheme is Scheme.DRAIN:
-        inner = certify_configuration(
-            survivor, Scheme.DRAIN, method=method, max_circuits=max_circuits
-        )
-        if inner.certified:
-            proof = {
-                "method": "pause-exempt-drain-cover",
-                "pfc": dict(pause_model),
-                "exemption": {
-                    "escape_vc": 0,
-                    "pause_exempt_escape": True,
-                    "account": (
-                        "escape (VC0) claims bypass XOFF, so drain "
-                        "rotations proceed regardless of pause state; the "
-                        "drain cover then guarantees eventual progress "
-                        "exactly as in credit mode"
-                    ),
-                },
-                "drain": dict(inner.proof or {}),
-            }
-            subject["cycles"] = inner.subject.get("cycles")
-            return Certificate(CERTIFIED, subject, proof=proof)
-        return Certificate(
-            REFUTED, subject,
-            counterexample=dict(inner.counterexample or {}),
-        )
-
-    if routing is None and scheme is Scheme.ESCAPE_VC:
-        inner = certify_configuration(survivor, Scheme.ESCAPE_VC)
-        if inner.certified:
-            proof = {
-                "method": "pause-exempt-escape-acyclicity",
-                "pfc": dict(pause_model),
-                "exemption": {
-                    "escape_vc": 0,
-                    "pause_exempt_escape": True,
-                    "account": (
-                        "escape (VC0) claims bypass XOFF, so the escape "
-                        "sub-network keeps its credit-mode behaviour; its "
-                        "acyclic dependency graph guarantees every escape "
-                        "packet progresses, and adaptive packets always "
-                        "hold an escape candidate"
-                    ),
-                },
-                "escape": dict(inner.proof or {}),
-            }
-            return Certificate(CERTIFIED, subject, proof=proof)
-        return Certificate(
-            REFUTED, subject,
-            counterexample=dict(inner.counterexample or {}),
-        )
-
-    if routing is None:
+        extra["faults_applied"] = len(schedule.permanent_events())
+    if routing is None and scheme not in _PAUSE_EXEMPT:
         routing = "updown" if scheme is Scheme.UPDOWN else "adaptive"
-    components = _component_members(survivor)
-    if not components:
-        return Certificate(
-            REFUTED, subject,
-            counterexample={"kind": "no-links", "links": 0},
+    # routing stays None for DRAIN (its claim is the drain cover) and for
+    # ESCAPE_VC (the escape selection); those are the exempt schemes.
+
+    pause = config.flow_control == "pause_resume"
+    if pause:
+        flow_list: Optional[List[Tuple[int, int]]] = None
+        if flows is not None:
+            flow_list = sorted({(int(s), int(d)) for s, d in flows})
+            for s, d in flow_list:
+                if not (0 <= s < survivor.num_nodes
+                        and 0 <= d < survivor.num_nodes):
+                    raise ValueError(
+                        f"flow ({s}, {d}) names a router outside the "
+                        "topology"
+                    )
+                if s == d:
+                    raise ValueError(
+                        f"flow ({s}, {d}) has identical endpoints"
+                    )
+        pause_model = {
+            "pause_threshold": config.pfc.pause_threshold,
+            "resume_threshold": config.pfc.resume_threshold,
+            "headroom": config.pfc.headroom,
+            "row_depth": config.network.vcs_per_vn,
+            "rows": 2 * survivor.num_edges * config.network.num_vns,
+            "exempt_escape_vc": routing is None,
+        }
+        subject = _topology_subject(survivor)
+        subject.update({
+            "claim": "pause-deadlock-freedom",
+            "flow_control": "pause_resume",
+            "flows": "all-pairs" if flow_list is None else len(flow_list),
+            "vn": 0,
+            "pfc": dict(pause_model),
+            **extra,
+        })
+        if routing is not None:
+            return _certify_components(
+                survivor, subject, routing, flow_list, pause_model
+            )
+
+    if routing is None and scheme is Scheme.DRAIN:
+        cert = _construct_drain_cover(survivor, method, max_circuits)
+        if not isinstance(cert, Certificate):
+            cert = certify_drain_cover(survivor, cert, subject_extra=extra)
+    else:
+        cert = _certify_components(
+            survivor, {"claim": "routing-acyclicity", **extra}, routing
         )
-    if len(components) == 1 and len(components[0]) == survivor.num_nodes:
-        return _certify_pause_bdg(
-            survivor, routing, flow_list, vn, subject, pause_model
-        )
-    roots: List[int] = []
-    for members in components:
-        comp = _component_compact(survivor, members)
-        comp_flows: Optional[List[Tuple[int, int]]] = None
-        if flow_list is not None:
-            member_set = set(members)
-            renumber = {orig: i for i, orig in enumerate(members)}
-            # Flows crossing components can never be routed, so they
-            # occupy no network buffer and add no dependency.
-            comp_flows = [
-                (renumber[s], renumber[d]) for s, d in flow_list
-                if s in member_set and d in member_set
-            ]
-        cert = _certify_pause_bdg(
-            comp, routing, comp_flows, vn, subject, pause_model,
-            node_labels=members,
-        )
-        if not cert.certified:
-            return cert
-        roots.append(members[0])
-    subject = dict(subject)
-    subject.update({"routing": routing, "components": len(components)})
+    if not pause:
+        return cert
+    if not cert.certified:
+        return Certificate(REFUTED, subject,
+                           counterexample=dict(cert.counterexample or {}))
+    proof_method, key, account = _PAUSE_EXEMPT[scheme]
+    if "cycles" in cert.subject:
+        subject["cycles"] = cert.subject["cycles"]
     proof = {
-        "method": "per-component-pause-augmented-link-order",
-        "components": len(components),
-        "component_roots": roots,
+        "method": proof_method,
         "pfc": dict(pause_model),
+        "exemption": {
+            "escape_vc": 0,
+            "pause_exempt_escape": True,
+            "account": account,
+        },
+        key: dict(cert.proof or {}),
     }
     return Certificate(CERTIFIED, subject, proof=proof)
 
@@ -939,7 +829,7 @@ def _construct_drain_cover(
     max_circuits: Optional[int],
 ) -> Union[List[DrainPath], Certificate]:
     """Build one drain cycle per surviving component, or a refutation."""
-    components = _component_members(survivor)
+    components = survivor.link_components()
     if not components:
         subject = _topology_subject(survivor)
         subject.update({"claim": "drain-coverage", "cycles": 0})
@@ -955,7 +845,7 @@ def _construct_drain_cover(
         return [find_drain_path(survivor)]
     paths: List[DrainPath] = []
     for members in components:
-        comp = _component_full(survivor, members)
+        comp = survivor.component(members)
         try:
             if method == "hawick-james":
                 paths.append(

@@ -1,9 +1,9 @@
 """Differential validation of the pause-aware static certifier.
 
-The certifier (:func:`repro.analysis.certify_pause_configuration`) and
-the simulator's pause-aware deadlock oracle model the same object — the
-buffer-dependency structure of a lossless (pause/resume) fabric — from
-opposite ends. This module closes the loop between them in both
+The certifier (:func:`repro.analysis.certify_configuration` on a
+``flow_control="pause_resume"`` config) and the simulator's pause-aware
+deadlock oracle model the same object — the buffer-dependency structure
+of a lossless (pause/resume) fabric — from opposite ends. This module closes the loop between them in both
 directions:
 
 - **Refutation matching**: when the certifier REFUTES a configuration

@@ -98,10 +98,9 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
        accepts (feasible PFC thresholds, a scheme its fabric models);
     6. for schemes with a static deadlock-freedom claim (drain, up*/down*,
        escape-VC), the configuration certifier issues ``CERTIFIED`` on the
-       boot topology — the pause-aware certifier when the config runs
-       ``flow_control="pause_resume"`` (restricted to the trial's pinned
-       flow set) — memoized per (topology, scheme, flow-control,
-       flow-set).
+       boot topology for that config (its pause claim restricted to the
+       trial's pinned flow set) — memoized per (topology, scheme,
+       flow-control, flow-set).
 
     Returns the certificate when one was produced (step 6), else ``None``.
     Fault-schedule trials are certified on the *boot* topology only: the
@@ -198,32 +197,17 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
         if certificate is not None:
             _CERT_CACHE[memo_key] = certificate
     if certificate is None:
-        from .certifier import (
-            certify_configuration,
-            certify_pause_configuration,
-        )
+        from .certifier import certify_configuration
 
-        topology = topology_from_spec(topo_spec)
-        if flow_control == "pause_resume":
-            try:
-                certificate = certify_pause_configuration(
-                    topology,
-                    scheme=scheme,
-                    pfc=sim_config.pfc,
-                    vcs_per_vn=sim_config.network.vcs_per_vn,
-                    num_vns=sim_config.network.num_vns,
-                    flows=flow_set,
-                )
-            except (TypeError, ValueError) as exc:
-                raise PreflightError(
-                    f"pause/resume configuration is infeasible for "
-                    f"{name!r}: {exc}",
-                    digest=digest,
-                ) from exc
-        else:
-            # Credit and wormhole share the channel-dependency argument
-            # (Dally–Seitz's, stated for wormhole).
-            certificate = certify_configuration(topology, scheme=scheme)
+        try:
+            certificate = certify_configuration(
+                topology_from_spec(topo_spec), sim_config, flows=flow_set
+            )
+        except ValueError as exc:  # a flow naming no router of the topology
+            raise PreflightError(
+                f"configuration is infeasible for {name!r}: {exc}",
+                digest=digest,
+            ) from exc
         _CERT_CACHE[memo_key] = certificate
         structcache.save_certificate(memo_key, certificate.as_dict())
     if certificate.verdict != CERTIFIED:

@@ -559,17 +559,21 @@ def _pfc_config(args: argparse.Namespace) -> PfcConfig:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     """Statically certify or refute one configuration's deadlock claim."""
-    from .analysis.certifier import (
-        certify_configuration,
-        certify_drain_cover,
-        certify_pause_configuration,
-    )
+    from .analysis.certifier import certify_configuration, certify_drain_cover
+    from .core.config import NetworkConfig, SimConfig
     from .drain.path import find_drain_path
     from .faults.schedule import FaultSchedule
 
     topo = parse_topology(args.topology, faults=args.faults, seed=args.seed)
-    scheme = Scheme(args.scheme)
-    routing = None if args.routing == "auto" else args.routing
+    # The config refuses what `run` and preflight refuse (infeasible PFC
+    # thresholds, a scheme the fabric does not model); main() turns its
+    # ValueError into a one-line exit-2 error.
+    config = SimConfig(
+        scheme=Scheme(args.scheme),
+        network=NetworkConfig(num_vns=args.vns, vcs_per_vn=args.vcs),
+        pfc=_pfc_config(args),
+        flow_control=args.flow_control,
+    )
     schedule = None
     if args.schedule:
         data = json.loads(Path(args.schedule).read_text())
@@ -579,40 +583,30 @@ def _cmd_check(args: argparse.Namespace) -> int:
             topo, args.num_faults, seed=args.seed,
             window=(0, 1000), onset="uniform",
         )
-
-    if args.flow_control == "pause_resume":
-        # Pause-aware path: certify the pause-augmented buffer-dependency
-        # graph. Infeasible PFC thresholds and malformed flows raise
-        # ValueError, which main() turns into a one-line exit-2 error.
-        if args.omit_link:
-            raise ValueError(
-                "--omit-link is a drain-cover breakage knob; it has no "
-                "meaning under --flow-control pause_resume"
-            )
-        cert = certify_pause_configuration(
-            topo, scheme=scheme, pfc=_pfc_config(args),
-            vcs_per_vn=args.vcs, num_vns=args.vns,
-            flows=_parse_flows(args.flow),
-            routing=routing, schedule=schedule,
-            method=args.method, max_circuits=args.max_circuits,
-        )
-    elif args.omit_link and scheme is Scheme.DRAIN and routing is None:
+    cert = certify_configuration(
+        topo, config, flows=_parse_flows(args.flow),
+        routing=None if args.routing == "auto" else args.routing,
+        schedule=schedule, method=args.method,
+        max_circuits=args.max_circuits,
+    )
+    if args.omit_link:
         # Deliberate-breakage knob: build the drain cover over a weakened
         # topology, then certify it against the *real* one — the omitted
         # links surface as the uncovered-link counterexample.
+        claim = cert.subject["claim"]
+        if claim != "drain-coverage":
+            raise ValueError(
+                "--omit-link is a drain-cover breakage knob; it has no "
+                f"meaning for the {claim} claim"
+            )
         weakened = topo.copy()
         for pair in args.omit_link:
             a, b = (int(v) for v in pair.split("-"))
             weakened.remove_edge(a, b)
         cover = [find_drain_path(weakened, method=args.method)]
         cert = certify_drain_cover(
-            topo, cover, subject_extra={"scheme": scheme.value,
+            topo, cover, subject_extra={"scheme": config.scheme.value,
                                         "omitted_links": sorted(args.omit_link)},
-        )
-    else:
-        cert = certify_configuration(
-            topo, scheme=scheme, routing=routing, schedule=schedule,
-            method=args.method, max_circuits=args.max_circuits,
         )
     if args.json:
         print(cert.to_json())

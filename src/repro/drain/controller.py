@@ -8,7 +8,10 @@ Three microarchitectural pieces from Figure 7 of the paper are modelled:
   or switch allocations happen, so nothing is mid-link when packets are
   forced to move;
 - the **turn-table**: per-router input-port -> output-port drain turns,
-  i.e. the drain path restricted to the router.
+  i.e. the drain path restricted to the router. The controller keeps the
+  drain path itself as per-cycle port lists, which hold every router's
+  turns; ``repro-drain drainpath`` prints the per-router tables
+  (:mod:`repro.drain.turntable`).
 
 During each drain window every packet occupying an escape VC (VC 0 of each
 virtual network) moves one hop along the drain path, in unison — the path
@@ -30,28 +33,19 @@ every cycle, preserving the permutation property per cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.config import DrainConfig
 from ..network.fabric import Fabric
 from ..topology.graph import Topology
 from .path import DrainPath
-from .turntable import TurnTable, build_turn_tables
 
 __all__ = ["DrainController"]
 
 
 def _compile_paths(index, paths: Sequence[DrainPath]):
-    """(*paths*, per-router turn tables, per-cycle port lists) of a
-    covering cycle set; refuses cycles that share a link."""
-    turn_tables: Dict[int, TurnTable] = {}
-    for path in paths:
-        for router, table in build_turn_tables(path).items():
-            # Component sub-topologies carry the full router numbering;
-            # routers outside the component get empty tables which must
-            # not clobber another component's real table.
-            if len(table) or router not in turn_tables:
-                turn_tables[router] = table
+    """(*paths*, per-cycle port lists) of a covering cycle set; refuses
+    cycles that share a link."""
     port_cycles: List[List[int]] = [
         [index.link_id[link] for link in path.links] for path in paths
     ]
@@ -61,7 +55,7 @@ def _compile_paths(index, paths: Sequence[DrainPath]):
             if port in seen:
                 raise ValueError("drain cycles share a link")
             seen.add(port)
-    return paths, turn_tables, port_cycles
+    return paths, port_cycles
 
 
 class DrainController:
@@ -90,7 +84,7 @@ class DrainController:
         if path is None:
             # The default cycle, validated and compiled once per topology
             # content (the memo's "drain" part); read-only until a
-            # recovery reinstall replaces all three wholesale.
+            # recovery reinstall replaces both wholesale.
             net = index.compiled
             self._install(*net.part("drain", lambda: _compile_paths(
                 index, [DrainPath(topology, net.drain_links(topology))]
@@ -119,11 +113,9 @@ class DrainController:
     def _install(
         self,
         paths: Sequence[DrainPath],
-        turn_tables: Dict[int, TurnTable],
         port_cycles: List[List[int]],
     ) -> None:
         self.paths: List[DrainPath] = list(paths)
-        self.turn_tables = turn_tables
         #: Per-cycle drain-path port lists, each in cycle order.
         self.path_port_cycles = port_cycles
         # Path (re)installation accompanies routing-table changes during

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..analysis import certify_pause_configuration
+from ..analysis import certify_configuration
 from ..core.config import (
     DrainConfig,
     NetworkConfig,
@@ -105,12 +105,8 @@ def lossless_pfc_study(
     for pause in thresholds:
         for scheme in (Scheme.NONE, Scheme.DRAIN):
             config = _scenario_config(scheme, pause, scale, seed)
-            verdicts.append(certify_pause_configuration(
-                topo, scheme=scheme, pfc=config.pfc,
-                vcs_per_vn=config.network.vcs_per_vn,
-                num_vns=config.network.num_vns,
-                flows=ring_pairs,
-            ).verdict)
+            verdicts.append(certify_configuration(
+                topo, config, flows=ring_pairs).verdict)
             if scheme is Scheme.NONE:
                 # Open-loop flows; the watchdog halts the run with the
                 # concrete buffer cycle once the CBD closes.
@@ -150,11 +146,8 @@ def lossless_pfc_study(
             degradation_ladder=True,
         ))
         combos.append((2, Scheme.DRAIN))
-        verdicts.append(certify_pause_configuration(
-            big, scheme=Scheme.DRAIN, pfc=big_config.pfc,
-            vcs_per_vn=big_config.network.vcs_per_vn,
-            num_vns=big_config.network.num_vns,
-            flows=[(f.src, f.dst) for f in big_flows],
+        verdicts.append(certify_configuration(
+            big, big_config, flows=[(f.src, f.dst) for f in big_flows],
         ).verdict)
 
     results = harness.run(specs, label="lossless-pfc")

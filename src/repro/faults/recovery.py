@@ -25,7 +25,7 @@ surviving unidirectional link exactly once, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from ..drain.path import (
     DrainPath,
@@ -34,7 +34,6 @@ from ..drain.path import (
     hawick_james_drain_path,
 )
 from ..network.index import FabricIndex
-from ..topology.graph import Topology
 
 __all__ = ["RecoveryResult", "recover_drain_paths"]
 
@@ -68,71 +67,38 @@ class RecoveryResult:
 def recover_drain_paths(
     index: FabricIndex,
     max_circuits: int = 512,
-    hawick_james_link_budget: int = HAWICK_JAMES_LINK_BUDGET,
 ) -> RecoveryResult:
     """Re-cover the surviving graph of *index* with drain cycles.
 
     Returns one :class:`~repro.drain.path.DrainPath` per surviving
     connected component (components are sub-topologies on the full router
     numbering with dead routers isolated, so link identities — and hence
-    the fabric's port ids — are preserved). Raises
+    the fabric's port ids — are preserved), in root order. Raises
     :class:`~repro.drain.path.DrainPathError` when no links survive at
     all; anything less catastrophic always succeeds via the Eulerian
     fallback.
     """
     surviving = index.surviving_topology()
-    components = _link_components(surviving)
+    components = surviving.link_components()
     if not components:
         raise DrainPathError(
             f"no links survive on {surviving.name!r}; "
             "the drain path cannot be recovered"
         )
     result = RecoveryResult(paths=[])
-    for root, edges in components:
-        comp = Topology(
-            surviving.num_nodes, edges, name=f"{surviving.name}-c{root}"
-        )
-        num_links = 2 * len(edges)
+    for members in components:
+        comp = surviving.component(members)
         path = None
         engine = "euler"
-        if num_links <= hawick_james_link_budget:
+        if 2 * comp.num_edges <= HAWICK_JAMES_LINK_BUDGET:
             try:
                 path = hawick_james_drain_path(comp, max_circuits=max_circuits)
                 engine = "hawick-james"
             except DrainPathError:
                 path = None  # budget exhausted: fall back
         if path is None:
-            path = euler_drain_path(comp, start=root)
+            path = euler_drain_path(comp, start=members[0])
         result.paths.append(path)
         result.engines.append(engine)
         result.covered_links += len(path)
     return result
-
-
-def _link_components(
-    surviving: Topology,
-) -> List[Tuple[int, List[Tuple[int, int]]]]:
-    """Connected components with at least one link, as (root, edges) pairs.
-
-    Roots are the smallest router id of each component; components are
-    returned in root order so recovery output is deterministic.
-    """
-    seen = set()
-    components: List[Tuple[int, List[Tuple[int, int]]]] = []
-    for node in surviving.nodes:
-        if node in seen or surviving.degree(node) == 0:
-            continue
-        members = {node}
-        frontier = [node]
-        while frontier:
-            n = frontier.pop()
-            for m in surviving.neighbors(n):
-                if m not in members:
-                    members.add(m)
-                    frontier.append(m)
-        seen |= members
-        edges = [
-            (a, b) for a, b in surviving.bidirectional_links() if a in members
-        ]
-        components.append((min(members), edges))
-    return components

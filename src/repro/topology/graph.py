@@ -175,6 +175,40 @@ class Topology:
                     frontier.append(m)
         return len(seen) == self.num_nodes
 
+    def link_components(self) -> List[List[int]]:
+        """Sorted member lists of the connected components with a link.
+
+        Components come in root order (a root is a component's smallest
+        router); routers without a link belong to none.
+        """
+        seen: Set[int] = set()
+        components: List[List[int]] = []
+        for node in self.nodes:
+            if node in seen or not self._adjacency[node]:
+                continue
+            members = {node}
+            frontier = [node]
+            while frontier:
+                for m in self._adjacency[frontier.pop()]:
+                    if m not in members:
+                        members.add(m)
+                        frontier.append(m)
+            seen |= members
+            components.append(sorted(members))
+        return components
+
+    def component(self, members: List[int]) -> "Topology":
+        """The component of *members* on the full router numbering.
+
+        Routers outside it stay as isolated nodes, so its links keep their
+        ``src``/``dst`` ids: a drain cycle built on it names real ports.
+        """
+        member_set = set(members)
+        edges = [(a, b) for a, b in self.bidirectional_links()
+                 if a in member_set]
+        return Topology(self.num_nodes, edges,
+                        name=f"{self.name}-c{members[0]}")
+
     def bfs_distances(self, source: int) -> List[int]:
         """Hop distance from *source* to every router (-1 if unreachable)."""
         self._check_node(source)

@@ -138,12 +138,14 @@ def test_post_fault_split_components_certify_per_component():
     schedule = FaultSchedule(events)
     mesh = make_mesh(4, 4)
 
-    drain = certify_configuration(mesh, scheme=Scheme.DRAIN, schedule=schedule)
+    drain = certify_configuration(mesh, SimConfig(scheme=Scheme.DRAIN),
+                                  schedule=schedule)
     assert drain.certified
     assert drain.proof["cycles"] == 2
     assert drain.proof["covered_links"] == 2 * (mesh.num_edges - 4)
 
-    updown = certify_configuration(mesh, scheme=Scheme.UPDOWN, schedule=schedule)
+    updown = certify_configuration(mesh, SimConfig(scheme=Scheme.UPDOWN),
+                                   schedule=schedule)
     assert updown.certified
     assert updown.proof["method"] == "per-component-topological-link-order"
     assert updown.proof["components"] == 2
@@ -151,12 +153,14 @@ def test_post_fault_split_components_certify_per_component():
 
 def test_scheme_claims():
     mesh = make_mesh(4, 4)
-    assert certify_configuration(mesh, scheme=Scheme.DRAIN).certified
-    assert certify_configuration(mesh, scheme=Scheme.UPDOWN).certified
-    assert certify_configuration(mesh, scheme=Scheme.ESCAPE_VC).certified
+    assert certify_configuration(mesh, SimConfig(scheme=Scheme.DRAIN)).certified
+    assert certify_configuration(mesh, SimConfig(scheme=Scheme.UPDOWN)).certified
+    assert certify_configuration(
+        mesh, SimConfig(scheme=Scheme.ESCAPE_VC)).certified
     # Reactive schemes make no static claim; fully adaptive routing is
     # correctly refuted.
-    cert = certify_configuration(make_torus(4, 4), scheme=Scheme.NONE)
+    cert = certify_configuration(make_torus(4, 4),
+                                 SimConfig(scheme=Scheme.NONE))
     assert not cert.certified
     assert cert.counterexample["kind"] == "turn-cycle"
 
@@ -397,6 +401,7 @@ def test_escape_vc_certification_builds_its_routing_once(monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    cert = certify_configuration(make_mesh(8, 8), "escape_vc")
+    cert = certify_configuration(make_mesh(8, 8),
+                                 SimConfig(scheme=Scheme.ESCAPE_VC))
     assert cert.certified and cert.subject["routing"] == "dor"
     assert sorted(built) == ["DimensionOrderRouting", "FabricIndex"]

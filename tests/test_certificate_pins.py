@@ -30,11 +30,10 @@ import pytest
 
 from repro.analysis import (
     certify_configuration,
-    certify_pause_configuration,
     find_turn_cycle,
     minimal_cycles,
 )
-from repro.core.config import PfcConfig, Scheme
+from repro.core.config import NetworkConfig, PfcConfig, Scheme, SimConfig
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.topology.datacenter import make_fat_tree, make_leaf_spine
 from repro.topology.irregular import random_connected_topology
@@ -64,53 +63,61 @@ SPLIT_FLOWS = [(0, 5), (3, 14), (0, 15), (12, 1)]
 RING_FLOWS = [(i, (i + 2) % 8) for i in range(8)]
 
 
-def _pfc(pause: int) -> PfcConfig:
-    return PfcConfig(pause_threshold=pause, resume_threshold=0, headroom=1)
+def _pause(scheme: Scheme, pause: int, vcs: int = 4) -> SimConfig:
+    """A pause/resume config: one VN of *vcs* VCs, XOFF at *pause*."""
+    return SimConfig(
+        scheme=scheme,
+        network=NetworkConfig(num_vns=1, vcs_per_vn=vcs),
+        flow_control="pause_resume",
+        pfc=PfcConfig(pause_threshold=pause, resume_threshold=0, headroom=1),
+    )
 
 
 def _certificate(case: str):
     if case.startswith("mesh"):
         dim, scheme = case[len("mesh"):].split("-", 1)
         return certify_configuration(make_mesh(int(dim), int(dim)),
-                                     Scheme(scheme))
+                                     SimConfig(scheme=Scheme(scheme)))
     if case == "ring4-drain":
-        return certify_configuration(make_ring(4), Scheme.DRAIN,
+        return certify_configuration(make_ring(4), SimConfig(),
                                      method="hawick-james")
     if case.startswith("nolinks-"):
-        return certify_configuration(make_ring(4), Scheme(case[8:]),
+        return certify_configuration(make_ring(4),
+                                     SimConfig(scheme=Scheme(case[8:])),
                                      schedule=RING_DEAD)
     if case == "torus4-none":
-        return certify_configuration(make_torus(4, 4), Scheme.NONE)
+        return certify_configuration(make_torus(4, 4),
+                                     SimConfig(scheme=Scheme.NONE))
     if case.startswith("random"):
         seed = int(case[len("random"):].split("-")[0])
         topology = random_connected_topology(12, 6, random.Random(seed))
-        return certify_configuration(topology, Scheme.UPDOWN)
+        return certify_configuration(topology,
+                                     SimConfig(scheme=Scheme.UPDOWN))
     if case.startswith("split-"):
-        return certify_configuration(make_mesh(4, 4), Scheme(case[6:]),
+        return certify_configuration(make_mesh(4, 4),
+                                     SimConfig(scheme=Scheme(case[6:])),
                                      schedule=SPLIT)
     if case.startswith("pause-ring-"):
-        return certify_pause_configuration(
+        return certify_configuration(
             make_leaf_spine(8, 4, uplinks=1, east_west=True),
-            Scheme(case[11:]), pfc=_pfc(2), vcs_per_vn=4, flows=RING_FLOWS,
+            _pause(Scheme(case[11:]), 2), flows=RING_FLOWS,
         )
     if case == "pause-fattree-updown":
-        return certify_pause_configuration(
-            make_fat_tree(4), Scheme.UPDOWN, pfc=_pfc(1), vcs_per_vn=2,
+        return certify_configuration(
+            make_fat_tree(4), _pause(Scheme.UPDOWN, 1, vcs=2),
         )
     if case == "pause-split-none":
-        return certify_pause_configuration(
-            make_mesh(4, 4), Scheme.NONE, pfc=_pfc(2), vcs_per_vn=4,
-            schedule=SPLIT,
+        return certify_configuration(
+            make_mesh(4, 4), _pause(Scheme.NONE, 2), schedule=SPLIT,
         )
     if case == "pause-split-updown":
-        return certify_pause_configuration(
-            make_mesh(4, 4), Scheme.UPDOWN, pfc=_pfc(2), vcs_per_vn=4,
+        return certify_configuration(
+            make_mesh(4, 4), _pause(Scheme.UPDOWN, 2),
             flows=SPLIT_FLOWS, schedule=SPLIT,
         )
     if case == "pause-nolinks-none":
-        return certify_pause_configuration(
-            make_ring(4), Scheme.NONE, pfc=_pfc(2), vcs_per_vn=4,
-            schedule=RING_DEAD,
+        return certify_configuration(
+            make_ring(4), _pause(Scheme.NONE, 2), schedule=RING_DEAD,
         )
     raise KeyError(case)
 
@@ -150,7 +157,8 @@ def test_certificate_digest(case):
 
 
 def test_turn_cycle_refutation_in_full():
-    cert = certify_configuration(make_torus(4, 4), Scheme.NONE)
+    cert = certify_configuration(make_torus(4, 4),
+                                 SimConfig(scheme=Scheme.NONE))
     assert cert.counterexample == {
         "kind": "turn-cycle",
         "length": 4,

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis import (
     canonical_cycle_links,
-    certify_pause_configuration,
+    certify_configuration,
     refutation_matches,
     storm_survival_sweep,
 )
@@ -54,10 +54,8 @@ def scenario_topology():
 
 
 def static_refutation(pause):
-    return certify_pause_configuration(
-        scenario_topology(), scheme=Scheme.NONE,
-        pfc=PfcConfig(pause_threshold=pause, resume_threshold=0, headroom=1),
-        vcs_per_vn=4, flows=RING_FLOWS,
+    return certify_configuration(
+        scenario_topology(), pfc_config(pause=pause), flows=RING_FLOWS,
     )
 
 
@@ -94,10 +92,9 @@ class TestRefutationMatching:
         ]
 
     def test_certified_configuration_never_matches(self, wedge_payload):
-        cert = certify_pause_configuration(
-            scenario_topology(), scheme=Scheme.DRAIN,
-            pfc=PfcConfig(pause_threshold=2, resume_threshold=0, headroom=1),
-            vcs_per_vn=4, flows=RING_FLOWS,
+        cert = certify_configuration(
+            scenario_topology(), pfc_config(scheme=Scheme.DRAIN, pause=2),
+            flows=RING_FLOWS,
         )
         assert cert.certified
         assert not refutation_matches(cert, wedge_payload)

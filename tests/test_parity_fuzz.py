@@ -58,7 +58,7 @@ import tempfile
 from pathlib import Path
 
 from repro import structcache
-from repro.core.config import PfcConfig, Scheme
+from repro.core.config import PfcConfig, Scheme, SimConfig
 from repro.core.configio import config_to_dict
 from repro.core.rng import derive_seed
 from repro.core.simulator import Simulation
@@ -788,7 +788,8 @@ class TestUpDownParityFuzz:
         seen = {}
         for name, topology in topologies.items():
             for scheme in (Scheme.UPDOWN, Scheme.ESCAPE_VC):
-                cert = certify_configuration(topology, scheme)
+                cert = certify_configuration(topology,
+                                             SimConfig(scheme=scheme))
                 assert cert.certified, (name, scheme)
                 seen[f"{name}/{scheme.value}"] = _result_digest(
                     cert.as_dict())

@@ -16,7 +16,7 @@ from repro.analysis import (
     REFUTED,
     build_restricted_cdg,
     canonical_rotation,
-    certify_pause_configuration,
+    certify_configuration,
     is_kernel_path,
     lint_source,
     minimal_cycles,
@@ -101,9 +101,9 @@ class TestMinimalCycles:
 class TestKnownAnswers:
     @pytest.mark.parametrize("pause", [1, 2, 3])
     def test_ring_flows_refuted_at_every_feasible_threshold(self, pause):
-        cert = certify_pause_configuration(
-            scenario_topology(), scheme=Scheme.NONE, pfc=pfc(pause),
-            vcs_per_vn=4, flows=RING_FLOWS,
+        cert = certify_configuration(
+            scenario_topology(), pause_config(Scheme.NONE, pause),
+            flows=RING_FLOWS,
         )
         assert cert.verdict == REFUTED
         counter = cert.counterexample
@@ -119,9 +119,9 @@ class TestKnownAnswers:
 
     @pytest.mark.parametrize("pause", [1, 2, 3])
     def test_drain_certified_via_pause_exempt_cover(self, pause):
-        cert = certify_pause_configuration(
-            scenario_topology(), scheme=Scheme.DRAIN, pfc=pfc(pause),
-            vcs_per_vn=4, flows=RING_FLOWS,
+        cert = certify_configuration(
+            scenario_topology(), pause_config(Scheme.DRAIN, pause),
+            flows=RING_FLOWS,
         )
         assert cert.verdict == CERTIFIED
         assert cert.proof["method"] == "pause-exempt-drain-cover"
@@ -129,18 +129,19 @@ class TestKnownAnswers:
         assert cert.proof["pfc"]["row_depth"] == 4
 
     def test_escape_vc_certified_via_exempt_acyclicity(self):
-        cert = certify_pause_configuration(
-            scenario_topology(), scheme=Scheme.ESCAPE_VC, pfc=pfc(),
-            vcs_per_vn=4, flows=RING_FLOWS,
+        cert = certify_configuration(
+            scenario_topology(), pause_config(Scheme.ESCAPE_VC),
+            flows=RING_FLOWS,
         )
         assert cert.verdict == CERTIFIED
         assert cert.proof["method"] == "pause-exempt-escape-acyclicity"
 
     def test_fat_tree_updown_certified_with_pause(self):
-        cert = certify_pause_configuration(
-            make_fat_tree(4), scheme=Scheme.UPDOWN, pfc=pfc(pause=1),
-            vcs_per_vn=2,
-        )
+        cert = certify_configuration(make_fat_tree(4), SimConfig(
+            scheme=Scheme.UPDOWN,
+            network=NetworkConfig(num_vns=1, vcs_per_vn=2),
+            flow_control="pause_resume", pfc=pfc(pause=1),
+        ))
         assert cert.verdict == CERTIFIED
         proof = cert.proof
         assert proof["method"] == "pause-augmented-topological-link-order"
@@ -148,43 +149,19 @@ class TestKnownAnswers:
         assert cert.subject["routing"] == "updown"
 
     def test_summary_renders_buffer_cycle(self):
-        cert = certify_pause_configuration(
-            scenario_topology(), scheme=Scheme.NONE, pfc=pfc(),
-            vcs_per_vn=4, flows=RING_FLOWS,
+        cert = certify_configuration(
+            scenario_topology(), pause_config(Scheme.NONE), flows=RING_FLOWS,
         )
         assert "buffer-cycle of length 8" in cert.summary()
         assert "0->1" in cert.summary()
 
-    def test_infeasible_pfc_is_rejected(self):
-        with pytest.raises(ValueError, match="exceeds the buffer depth"):
-            certify_pause_configuration(
-                scenario_topology(), scheme=Scheme.DRAIN,
-                pfc=pfc(headroom=9), vcs_per_vn=4,
-            )
-        with pytest.raises(ValueError, match="pause_threshold"):
-            certify_pause_configuration(
-                scenario_topology(), scheme=Scheme.DRAIN,
-                pfc=pfc(pause=4, headroom=1), vcs_per_vn=4,
-            )
-
     def test_malformed_flows_are_rejected(self):
         with pytest.raises(ValueError, match="outside the topology"):
-            certify_pause_configuration(
-                scenario_topology(), pfc=pfc(), vcs_per_vn=4,
-                flows=[(0, 99)],
-            )
+            certify_configuration(scenario_topology(),
+                                  pause_config(Scheme.NONE), flows=[(0, 99)])
         with pytest.raises(ValueError, match="identical endpoints"):
-            certify_pause_configuration(
-                scenario_topology(), pfc=pfc(), vcs_per_vn=4,
-                flows=[(3, 3)],
-            )
-
-    def test_vn_bounds_checked(self):
-        with pytest.raises(ValueError, match="vn"):
-            certify_pause_configuration(
-                scenario_topology(), pfc=pfc(), vcs_per_vn=4, num_vns=1,
-                vn=1,
-            )
+            certify_configuration(scenario_topology(),
+                                  pause_config(Scheme.NONE), flows=[(3, 3)])
 
 
 class TestBuildPauseBdg:

@@ -510,5 +510,6 @@ def test_updown_compiles_once_per_topology(monkeypatch):
         sim = Simulation(topology, scheme_config(scheme, scale), traffic)
         sim.run(scale.total_cycles, warmup=scale.warmup)
         assert sim.fabric.engine_name == "vectorized"
-    assert certify_configuration(topology, Scheme.UPDOWN).certified
+    assert certify_configuration(
+        topology, SimConfig(scheme=Scheme.UPDOWN)).certified
     assert compiles == [True]

@@ -162,6 +162,16 @@ class TestWormholeBasics:
             certs.append(capsys.readouterr().out)
         assert certs[0] == certs[1]
 
+    def test_check_refuses_unmodelled_scheme(self, capsys):
+        # check builds the SimConfig that run and preflight build, so it
+        # refuses what they refuse instead of certifying it.
+        assert main(["check", "--topology", "mesh:4x4", "--scheme",
+                     "escape_vc", "--flow-control", "wormhole"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "models the DRAIN and NONE schemes only" in captured.err
+
 
 class TestTruncation:
     def _fabric_with_inflight_packet(self):
