@@ -5,6 +5,9 @@ Fig. 1's planted ring wedge runs at one VC per VN under each scheme, and
 case below records one BLAKE2b digest, taken when these configurations
 still ran on a movement kernel of their own; whichever kernel moves them
 must keep reproducing it.
+
+Fig. 14's epoch sweep and the Section VI topology study are pinned the
+same way at a tiny scale: their rows, whichever path runs their trials.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import pytest
 
 from repro.core.config import Scheme
 from repro.drain.controller import DrainController
-from repro.experiments import sensitivity
+from repro.experiments import fig14_epoch, heterogeneous, sensitivity
 from repro.experiments.common import Scale
 from repro.experiments.fig1_fig2_scenarios import _drive, _wedged_ring_fabric
 from repro.harness import Harness
@@ -35,6 +38,14 @@ SENSITIVITY_SCALE = Scale(warmup=100, measure=500, epoch=128)
 SENSITIVITY_PINS = {
     "vcs": "2b59896471b034d3ce3aa8e45ff0fffc",
     "packet_size": "4566c13dd10b7ac12d81d50806e1fd20",
+}
+
+#: Fig. 14's and Section VI's rows at a tiny scale.
+STUDY_SCALE = Scale(warmup=100, measure=400, sweep_rates=(0.04, 0.12),
+                    spin_timeout=64)
+STUDY_PINS = {
+    "epoch": "ec3a3473ddb74d0968635856066e7487",
+    "heterogeneous": "4ab78cdbbb4613be81bcac4acebb2f03",
 }
 
 
@@ -75,3 +86,14 @@ def test_sensitivity_rows_match_their_pins():
                for row in study)
     assert {study: _digest(r) for study, r in rows.items()} == (
         SENSITIVITY_PINS)
+
+
+def test_epoch_and_heterogeneous_rows_match_their_pins():
+    rows = {
+        "epoch": fig14_epoch.epoch_sensitivity(
+            epochs=(16, 256), scale=STUDY_SCALE, mesh_width=4),
+        "heterogeneous": heterogeneous.heterogeneous_study(scale=STUDY_SCALE),
+    }
+    assert all(row["latency"] > 0 for row in rows["epoch"])
+    assert all(row["drain_latency"] > 0 for row in rows["heterogeneous"])
+    assert {study: _digest(r) for study, r in rows.items()} == STUDY_PINS
