@@ -171,6 +171,12 @@ def parse_topology(spec: str, faults: int = 0, seed: int = 1) -> Topology:
     return topo
 
 
+def _mesh_width(spec: str) -> Optional[int]:
+    """W of a ``mesh:WxH`` specifier (mesh-aware patterns), else None."""
+    kind, _, arg = spec.partition(":")
+    return int(arg.split("x")[0]) if kind == "mesh" else None
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     print("available experiments:")
     for name in sorted(EXPERIMENTS):
@@ -300,9 +306,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"--rates must be comma-separated numbers, got {args.rates!r}",
               file=sys.stderr)
         return 2
-    mesh_width = None
-    if args.topology.startswith("mesh:"):
-        mesh_width = int(args.topology.split(":")[1].split("x")[0])
     if args.profile:
         # Profiling across worker processes is meaningless; keep the
         # trials in-process so cProfile sees the simulator frames.
@@ -317,7 +320,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 specs.append(
                     synthetic_trial_for(
                         topo, scheme, rate, scale,
-                        pattern=args.pattern, mesh_width=mesh_width, seed=seed,
+                        pattern=args.pattern,
+                        mesh_width=_mesh_width(args.topology), seed=seed,
                     )
                 )
                 keys.append((scheme, seed, rate))
@@ -379,11 +383,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         flow_control=args.flow_control,
         pfc=_pfc_config(args),
     )
-    mesh_width = None
-    if args.topology.startswith("mesh:"):
-        mesh_width = int(args.topology.split(":")[1].split("x")[0])
     traffic = SyntheticTraffic(
-        pattern_by_name(args.pattern, topo.num_nodes, mesh_width),
+        pattern_by_name(args.pattern, topo.num_nodes,
+                        _mesh_width(args.topology)),
         args.rate,
         random.Random(args.seed),
     )
@@ -455,16 +457,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         onset=args.onset, transient_fraction=args.transient_fraction,
         router_fraction=args.router_fraction,
     )
-    mesh_width = None
-    if args.topology.startswith("mesh:"):
-        mesh_width = int(args.topology.split(":")[1].split("x")[0])
     config = scheme_config(Scheme.DRAIN, scale, seed=args.seed)
     rate = args.rate if args.rate is not None else scale.low_load_rate
     curve_window = max(50, scale.measure // 8)
     spec = fault_recovery_trial(
         topo, config, rate, cycles=cycles, warmup=scale.warmup,
         schedule=schedule, policy=args.policy, curve_window=curve_window,
-        mesh_width=mesh_width,
+        mesh_width=_mesh_width(args.topology),
     )
     (res,) = harness.run([spec], label="faults")
     faults = res["faults"]

@@ -9,6 +9,9 @@ than gem5/Garnet, each experiment honours a :class:`Scale`:
 - ``Scale.full()`` — paper-like sweep sizes (10 fault patterns, longer
   windows); hours of wall clock. Selected with ``REPRO_SCALE=full``.
 
+A sweep runs no simulation inline: it builds trial specs
+(:func:`synthetic_trial_for` for synthetic traffic) and submits them to
+the harness (:func:`repro.harness.get_default_harness`) as one batch.
 Results are returned as lists of plain dicts (one per figure series point)
 so benchmarks and examples can print them uniformly.
 """
@@ -16,25 +19,19 @@ so benchmarks and examples can print them uniformly.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.config import DrainConfig, NetworkConfig, Scheme, SimConfig
-from ..core.rng import derive_seed
 from ..harness import Harness, get_default_harness, synthetic_trial
 from ..harness.trials import TrialSpec
 from ..topology.graph import Topology
 from ..topology.irregular import random_fault_patterns
 
-if TYPE_CHECKING:
-    from ..core.simulator import Simulation
-
 __all__ = [
     "Scale",
     "current_scale",
     "scheme_config",
-    "run_synthetic",
     "synthetic_trial_for",
     "fault_topologies",
     "sweep_injection",
@@ -117,37 +114,6 @@ def scheme_config(
     return replace(cfg, spin=replace(cfg.spin, timeout=scale.spin_timeout))
 
 
-def run_synthetic(
-    topology: Topology,
-    scheme: Scheme,
-    rate: float,
-    scale: Scale,
-    pattern: str = "uniform_random",
-    mesh_width: Optional[int] = None,
-    seed: int = 1,
-    num_vns: int = 3,
-    vcs_per_vn: int = 2,
-) -> Simulation:
-    """One synthetic-traffic run; returns the finished :class:`Simulation`.
-
-    The traffic stream is seeded with :func:`repro.core.rng.derive_seed`
-    using the same labels as :func:`synthetic_trial_for`, so an inline run
-    and a harness trial with identical parameters are bit-identical.
-    """
-    from ..core.simulator import Simulation
-    from ..traffic.synthetic import SyntheticTraffic, pattern_by_name
-
-    config = scheme_config(scheme, scale, num_vns=num_vns, vcs_per_vn=vcs_per_vn, seed=seed)
-    traffic = SyntheticTraffic(
-        pattern_by_name(pattern, topology.num_nodes, mesh_width),
-        rate,
-        random.Random(derive_seed(seed, "traffic", pattern, rate)),
-    )
-    sim = Simulation(topology, config, traffic)
-    sim.run(scale.total_cycles, warmup=scale.warmup)
-    return sim
-
-
 def synthetic_trial_for(
     topology: Topology,
     scheme: Scheme,
@@ -159,7 +125,7 @@ def synthetic_trial_for(
     num_vns: int = 3,
     vcs_per_vn: int = 2,
 ) -> TrialSpec:
-    """Harness spec equivalent to :func:`run_synthetic` (same parameters)."""
+    """Harness spec for one synthetic run of *scheme* at *rate* under *scale*."""
     config = scheme_config(scheme, scale, num_vns=num_vns, vcs_per_vn=vcs_per_vn, seed=seed)
     return synthetic_trial(
         topology,

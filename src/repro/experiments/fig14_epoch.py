@@ -9,15 +9,17 @@ frequent draining.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import Scheme
+from ..harness import get_default_harness
 from ..topology.mesh import make_mesh
 from .common import (
     Scale,
     current_scale,
-    run_synthetic,
     saturation_throughput,
+    synthetic_trial_for,
 )
 
 __all__ = ["epoch_sensitivity", "run"]
@@ -34,38 +36,29 @@ def epoch_sensitivity(
     """Low-load latency and saturation throughput per epoch value."""
     scale = scale if scale is not None else current_scale()
     topo = make_mesh(mesh_width, mesh_width)
-    rows: List[Dict] = []
-    for epoch in epochs:
-        epoch_scale = _with_epoch(scale, epoch)
-        low = run_synthetic(
-            topo, Scheme.DRAIN, scale.low_load_rate, epoch_scale,
+    rates = [scale.low_load_rate, *scale.sweep_rates]
+    specs = [
+        synthetic_trial_for(
+            topo, Scheme.DRAIN, rate, replace(scale, epoch=epoch),
             mesh_width=mesh_width, seed=seed,
         )
-        sweep = [
-            run_synthetic(
-                topo, Scheme.DRAIN, rate, epoch_scale,
-                mesh_width=mesh_width, seed=seed,
-            )
-            for rate in scale.sweep_rates
-        ]
+        for epoch in epochs
+        for rate in rates
+    ]
+    results = get_default_harness().run(specs, label="fig14")
+    rows: List[Dict] = []
+    for i, epoch in enumerate(epochs):
+        low, *sweep = results[i * len(rates):(i + 1) * len(rates)]
         rows.append(
             {
                 "epoch": epoch,
-                "latency": low.stats.avg_latency,
-                "saturation": saturation_throughput(
-                    [{"throughput": s.throughput()} for s in sweep]
-                ),
-                "misroutes": low.stats.misroutes,
-                "drain_windows": low.stats.drain_windows,
+                "latency": low["avg_latency"],
+                "saturation": saturation_throughput(sweep),
+                "misroutes": low["misroutes"],
+                "drain_windows": low["drain_windows"],
             }
         )
     return rows
-
-
-def _with_epoch(scale: Scale, epoch: int) -> Scale:
-    from dataclasses import replace
-
-    return replace(scale, epoch=epoch)
 
 
 def run(scale: Optional[Scale] = None) -> List[Dict]:

@@ -14,13 +14,13 @@ import random
 from typing import Dict, List, Optional
 
 from ..core.config import Scheme
+from ..harness import get_default_harness
 from ..topology.chiplet import make_chiplet_system, make_dual_chiplet
 from ..topology.graph import Topology
 from ..topology.randomized import make_random_regular, make_small_world
-from .common import Scale, current_scale, run_synthetic
+from .common import Scale, current_scale, synthetic_trial_for
 
 __all__ = ["heterogeneous_study", "run"]
-
 
 def _topologies(seed: int) -> List[Topology]:
     rng = random.Random(seed)
@@ -37,19 +37,24 @@ def heterogeneous_study(
 ) -> List[Dict]:
     """Low-load latency + hop counts: DRAIN vs up*/down*, per topology."""
     scale = scale if scale is not None else current_scale()
+    topologies = _topologies(seed)
+    schemes = {"drain": Scheme.DRAIN, "updown": Scheme.UPDOWN}
+    results = iter(get_default_harness().run([
+        synthetic_trial_for(topo, scheme, scale.low_load_rate, scale,
+                            seed=seed)
+        for topo in topologies for scheme in schemes.values()
+    ], label="heterogeneous"))
     rows: List[Dict] = []
-    for topo in _topologies(seed):
+    for topo in topologies:
         row: Dict = {
             "topology": topo.name,
             "nodes": topo.num_nodes,
             "diameter": topo.diameter(),
         }
-        for scheme, key in ((Scheme.DRAIN, "drain"), (Scheme.UPDOWN, "updown")):
-            sim = run_synthetic(
-                topo, scheme, scale.low_load_rate, scale, seed=seed
-            )
-            row[f"{key}_latency"] = sim.stats.avg_latency
-            row[f"{key}_hops"] = sim.stats.hops.mean
+        for key in schemes:
+            result = next(results)
+            row[f"{key}_latency"] = result["avg_latency"]
+            row[f"{key}_hops"] = result["avg_hops"]
         row["latency_gain_pct"] = 100.0 * (
             row["updown_latency"] - row["drain_latency"]
         ) / row["updown_latency"]

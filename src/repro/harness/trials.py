@@ -7,37 +7,39 @@ rule out closures over live simulator objects; instead a trial is a plain
 JSON-able parameter mapping. The canonical JSON encoding of a spec doubles
 as its cache identity (see :meth:`TrialSpec.digest`).
 
-Five runners cover every sweep in the experiment suite:
+Five runner names cover every sweep in the experiment suite:
 
-- ``synthetic`` — open-loop synthetic traffic (Figures 10/11/14, the
-  injection-rate sweeps, the VC/packet-size sensitivity studies);
+- ``synthetic`` — open-loop synthetic traffic (Figures 10/11/14, Section
+  VI, the injection-rate sweeps, the VC/packet-size sensitivity studies);
 - ``workload`` — a surrogate application profile run to completion or to a
   deadlock verdict (Figures 3/12/13/15);
 - ``coherence`` — raw coherence-protocol traffic with explicit knobs (the
   ejection-depth and MSHR sensitivity studies);
-- ``fault_recovery`` — synthetic traffic under a runtime
-  :class:`~repro.faults.schedule.FaultSchedule`, returning the injector's
-  degradation/recovery metrics alongside the usual summary. Fault
-  parameters live under their own ``faults`` params key, so fault-free
-  trial digests are untouched by the fault subsystem's existence;
+- ``fault_recovery`` — a ``synthetic`` spec plus a ``faults`` key holding
+  a runtime :class:`~repro.faults.schedule.FaultSchedule`; the result adds
+  the injector's degradation/recovery metrics;
 - ``lossless`` — flow-level traffic on a pause/resume (PFC) fabric,
   optionally under a pause storm and the degradation ladder.
 
-Every runner reconstructs its full simulation from the parameters alone,
-so a trial executes identically inline, in a worker process, or replayed
-from a cold start — the determinism suite pins this. What trials over
-one topology have in common (distances, numbering, routing tables, the
-drain cycle, ESCAPE_VC's merged engine table) is compiled once per
-process and shared
-read-only (:mod:`repro.structcache`); no runner knows about it, and a
-trial's row is the same first or Nth in a process. ``batch.lockstep``
-is a sixth, wrapper runner — a list of trials executed in order — kept
-for ``benchmarks/perf``.
+All five dispatch to one runner: build the topology, config, traffic
+source and :class:`~repro.core.simulator.Simulation`, run it, and add the
+kind's extra keys to the one shared summary (``_summarise``). The
+per-kind differences — source builder and its ``Simulation`` keywords,
+cycle and warm-up keys, result extras — are one ``_KINDS`` table. A trial
+thus executes identically inline, in a worker process, or replayed from
+a cold start — the determinism suite pins this. What trials over one
+topology have in common (distances, numbering, routing tables, the drain
+cycle, ESCAPE_VC's merged engine table) is compiled once per process and
+shared read-only (:mod:`repro.structcache`); the runner does not know
+about it, and a trial's row is the same first or Nth in a process.
+``batch.lockstep`` is a wrapper runner — a list of trials executed in
+order — kept for ``benchmarks/perf``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
@@ -175,8 +177,24 @@ def _summarise(sim: Simulation) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Builders + runners
+# Spec builders
 # ----------------------------------------------------------------------
+def _spec(runner: str, topology: Topology, config: SimConfig,
+          traffic_seed: int, **params: Any) -> TrialSpec:
+    """The spec every builder returns: topology, config, traffic seed and
+    the runner's own *params*."""
+    return TrialSpec(runner, {"topology": topology_to_spec(topology),
+                              "config": config_to_dict(config),
+                              "traffic_seed": traffic_seed, **params})
+
+
+def _as_dict(schedule):
+    """*schedule* (a fault or pause-storm schedule) in its dict form."""
+    if schedule is None or isinstance(schedule, Mapping):
+        return schedule
+    return schedule.as_dict()
+
+
 def synthetic_trial(
     topology: Topology,
     config: SimConfig,
@@ -195,58 +213,9 @@ def synthetic_trial(
     """
     if traffic_seed is None:
         traffic_seed = derive_seed(config.seed, "traffic", pattern, rate)
-    return TrialSpec(
-        "synthetic",
-        {
-            "topology": topology_to_spec(topology),
-            "config": config_to_dict(config),
-            "pattern": pattern,
-            "rate": rate,
-            "mesh_width": mesh_width,
-            "traffic_seed": traffic_seed,
-            "cycles": cycles,
-            "warmup": warmup,
-        },
-    )
-
-
-@register_runner("synthetic")
-@register_runner("fault_recovery")
-def _run_synthetic(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from ..core.simulator import Simulation
-    from ..traffic.synthetic import SyntheticTraffic, pattern_by_name
-
-    topology = topology_from_spec(params["topology"])
-    traffic = SyntheticTraffic(
-        pattern_by_name(params["pattern"], topology.num_nodes,
-                        params.get("mesh_width")),
-        params["rate"],
-        random.Random(params["traffic_seed"]),
-    )
-    kwargs: Dict[str, Any] = {}
-    faults = params.get("faults")
-    if faults is not None:
-        from ..faults.schedule import FaultSchedule
-
-        kwargs = {
-            "fault_schedule": FaultSchedule.from_dict(faults["schedule"]),
-            "fault_policy": faults.get("policy", "drop_retransmit"),
-            "fault_curve_window": faults.get("curve_window", 200),
-            "fault_max_circuits": faults.get("max_circuits", 512),
-        }
-    sim = Simulation(topology, config_from_dict(params["config"]), traffic,
-                     **kwargs)
-    sim.run(params["cycles"], warmup=params["warmup"])
-    out = _summarise(sim)
-    out["rate"] = params["rate"]
-    out["ejected"] = sim.stats.packets_ejected
-    if sim.fault_injector is not None:
-        out["faults"] = sim.fault_injector.summary()
-        if sim.drain_controller is not None:
-            out["drain_covered_links"] = sim.drain_controller.total_path_length()
-            out["drain_cycles_installed"] = len(sim.drain_controller.paths)
-        out["links_alive"] = sim.index.num_links - len(sim.index.dead_links)
-    return out
+    return _spec("synthetic", topology, config, traffic_seed,
+                 pattern=pattern, rate=rate, mesh_width=mesh_width,
+                 cycles=cycles, warmup=warmup)
 
 
 def workload_trial(
@@ -263,51 +232,11 @@ def workload_trial(
     """Spec for one surrogate-application run (Figures 3/12/13/15)."""
     if traffic_seed is None:
         traffic_seed = derive_seed(config.seed, "workload", workload.name)
-    return TrialSpec(
-        "workload",
-        {
-            "topology": topology_to_spec(topology),
-            "config": config_to_dict(config),
-            "workload": dataclasses.asdict(workload),
-            "max_cycles": max_cycles,
-            "total_transactions": total_transactions,
-            "mesh_width": mesh_width,
-            "intensity_scale": intensity_scale,
-            "halt_on_deadlock": halt_on_deadlock,
-            "traffic_seed": traffic_seed,
-        },
-    )
-
-
-@register_runner("workload")
-def _run_workload(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from ..core.simulator import Simulation
-    from ..traffic.workloads import WorkloadProfile, make_workload_traffic
-
-    topology = topology_from_spec(params["topology"])
-    config = config_from_dict(params["config"])
-    workload = WorkloadProfile(**params["workload"])
-    traffic = make_workload_traffic(
-        workload,
-        topology.num_nodes,
-        random.Random(params["traffic_seed"]),
-        protocol=config.protocol,
-        total_transactions=params.get("total_transactions"),
-        mesh_width=params.get("mesh_width"),
-        intensity_scale=params.get("intensity_scale", 1.0),
-    )
-    sim = Simulation(
-        topology, config, traffic,
-        halt_on_deadlock=params.get("halt_on_deadlock", False),
-    )
-    sim.run(params["max_cycles"])
-    out = _summarise(sim)
-    out["workload"] = workload.name
-    out["runtime"] = sim.stats.cycles
-    out["completed"] = traffic.completed
-    out["finished"] = traffic.done()
-    out["deadlocked"] = sim.deadlocked
-    return out
+    return _spec("workload", topology, config, traffic_seed,
+                 workload=dataclasses.asdict(workload), max_cycles=max_cycles,
+                 total_transactions=total_transactions, mesh_width=mesh_width,
+                 intensity_scale=intensity_scale,
+                 halt_on_deadlock=halt_on_deadlock)
 
 
 def coherence_trial(
@@ -323,19 +252,10 @@ def coherence_trial(
     """Spec for a raw coherence-protocol run with explicit traffic knobs."""
     if traffic_seed is None:
         traffic_seed = derive_seed(config.seed, "coherence", issue_probability)
-    return TrialSpec(
-        "coherence",
-        {
-            "topology": topology_to_spec(topology),
-            "config": config_to_dict(config),
-            "issue_probability": issue_probability,
-            "max_cycles": max_cycles,
-            "total_transactions": total_transactions,
-            "locality": locality,
-            "mesh_width": mesh_width,
-            "traffic_seed": traffic_seed,
-        },
-    )
+    return _spec("coherence", topology, config, traffic_seed,
+                 issue_probability=issue_probability, max_cycles=max_cycles,
+                 total_transactions=total_transactions, locality=locality,
+                 mesh_width=mesh_width)
 
 
 def fault_recovery_trial(
@@ -359,30 +279,14 @@ def fault_recovery_trial(
     schedules — or the same schedule under a different in-flight policy —
     digest differently and cache independently.
     """
-    if traffic_seed is None:
-        traffic_seed = derive_seed(config.seed, "traffic", pattern, rate)
-    schedule_dict = (
-        schedule if isinstance(schedule, Mapping) else schedule.as_dict()
-    )
-    return TrialSpec(
-        "fault_recovery",
-        {
-            "topology": topology_to_spec(topology),
-            "config": config_to_dict(config),
-            "pattern": pattern,
-            "rate": rate,
-            "mesh_width": mesh_width,
-            "traffic_seed": traffic_seed,
-            "cycles": cycles,
-            "warmup": warmup,
-            "faults": {
-                "schedule": schedule_dict,
-                "policy": policy,
-                "curve_window": curve_window,
-                "max_circuits": max_circuits,
-            },
-        },
-    )
+    spec = synthetic_trial(topology, config, rate, cycles, warmup, pattern,
+                           mesh_width, traffic_seed)
+    return TrialSpec("fault_recovery", {**spec.params, "faults": {
+        "schedule": _as_dict(schedule),
+        "policy": policy,
+        "curve_window": curve_window,
+        "max_circuits": max_circuits,
+    }})
 
 
 def lossless_trial(
@@ -409,63 +313,123 @@ def lossless_trial(
         list(f.as_tuple()) if hasattr(f, "as_tuple") else list(f)
         for f in flows
     ]
-    storm_dict = None
-    if storm is not None:
-        storm_dict = storm if isinstance(storm, Mapping) else storm.as_dict()
-    return TrialSpec(
-        "lossless",
-        {
-            "topology": topology_to_spec(topology),
-            "config": config_to_dict(config),
-            "cycles": cycles,
-            "traffic_seed": traffic_seed,
-            "lossless": {
-                "flows": flow_lists,
-                "storm": storm_dict,
-                "degradation_ladder": degradation_ladder,
-                "halt_on_deadlock": halt_on_deadlock,
-            },
-        },
+    return _spec("lossless", topology, config, traffic_seed, cycles=cycles,
+                 lossless={
+                     "flows": flow_lists,
+                     "storm": _as_dict(storm),
+                     "degradation_ladder": degradation_ladder,
+                     "halt_on_deadlock": halt_on_deadlock,
+                 })
+
+
+# ----------------------------------------------------------------------
+# The runner: build -> run -> summarise, over a per-kind table
+# ----------------------------------------------------------------------
+def _synthetic_source(params, topology, config):
+    from ..traffic.synthetic import SyntheticTraffic, pattern_by_name
+
+    traffic = SyntheticTraffic(
+        pattern_by_name(params["pattern"], topology.num_nodes,
+                        params.get("mesh_width")),
+        params["rate"],
+        random.Random(params["traffic_seed"]),
     )
+    faults = params.get("faults")
+    if faults is None:
+        return traffic, {}
+    from ..faults.schedule import FaultSchedule
+
+    return traffic, {
+        "fault_schedule": FaultSchedule.from_dict(faults["schedule"]),
+        "fault_policy": faults.get("policy", "drop_retransmit"),
+        "fault_curve_window": faults.get("curve_window", 200),
+        "fault_max_circuits": faults.get("max_circuits", 512),
+    }
 
 
-@register_runner("lossless")
-def _run_lossless(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from ..core.simulator import Simulation
+def _synthetic_extras(params, sim, traffic):
+    out = {"rate": params["rate"], "ejected": sim.stats.packets_ejected}
+    if sim.fault_injector is not None:
+        out["faults"] = sim.fault_injector.summary()
+        if sim.drain_controller is not None:
+            out["drain_covered_links"] = sim.drain_controller.total_path_length()
+            out["drain_cycles_installed"] = len(sim.drain_controller.paths)
+        out["links_alive"] = sim.index.num_links - len(sim.index.dead_links)
+    return out
+
+
+def _workload_source(params, topology, config):
+    from ..traffic.workloads import WorkloadProfile, make_workload_traffic
+
+    traffic = make_workload_traffic(
+        WorkloadProfile(**params["workload"]),
+        topology.num_nodes,
+        random.Random(params["traffic_seed"]),
+        protocol=config.protocol,
+        total_transactions=params.get("total_transactions"),
+        mesh_width=params.get("mesh_width"),
+        intensity_scale=params.get("intensity_scale", 1.0),
+    )
+    return traffic, {"halt_on_deadlock": params.get("halt_on_deadlock", False)}
+
+
+def _workload_extras(params, sim, traffic):
+    return {"workload": params["workload"]["name"],
+            "runtime": sim.stats.cycles, "completed": traffic.completed,
+            "finished": traffic.done(), "deadlocked": sim.deadlocked}
+
+
+def _coherence_source(params, topology, config):
+    from ..protocol.coherence import CoherenceTraffic
+
+    traffic = CoherenceTraffic(
+        topology.num_nodes,
+        config.protocol,
+        params["issue_probability"],
+        random.Random(params["traffic_seed"]),
+        total_transactions=params.get("total_transactions"),
+        locality=params.get("locality", 0.0),
+        mesh_width=params.get("mesh_width"),
+    )
+    return traffic, {}
+
+
+def _coherence_extras(params, sim, traffic):
+    return {"runtime": sim.stats.cycles, "completed": traffic.completed,
+            "finished": traffic.done()}
+
+
+def _lossless_source(params, topology, config):
     from ..faults.storm import PauseStormSchedule
     from ..traffic.flows import Flow, FlowTraffic
 
-    topology = topology_from_spec(params["topology"])
-    config = config_from_dict(params["config"])
     lossless = params["lossless"]
     flows = [
         Flow(int(f[0]), int(f[1]), float(f[2]),
              packets=None if f[3] is None else int(f[3]))
         for f in lossless["flows"]
     ]
-    traffic = FlowTraffic(flows, random.Random(params["traffic_seed"]))
-    storm = None
-    if lossless.get("storm") is not None:
-        storm = PauseStormSchedule.from_dict(lossless["storm"])
-    sim = Simulation(
-        topology, config, traffic,
-        halt_on_deadlock=lossless.get("halt_on_deadlock", False),
-        pause_storm=storm,
-        degradation_ladder=lossless.get("degradation_ladder", False),
-    )
-    sim.run(params["cycles"])
-    out = _summarise(sim)
-    out["runtime"] = sim.stats.cycles
-    out["generated"] = traffic.generated
-    out["delivered"] = traffic.delivered
-    out["recovery_ratio"] = (
-        traffic.delivered / traffic.generated if traffic.generated else 1.0
-    )
-    out["finished"] = traffic.done()
-    out["deadlocked"] = sim.deadlocked
-    out["deadlock_cycle"] = (
-        sim.watchdog.cycle_payload if sim.watchdog is not None else None
-    )
+    storm = lossless.get("storm")
+    return FlowTraffic(flows, random.Random(params["traffic_seed"])), {
+        "halt_on_deadlock": lossless.get("halt_on_deadlock", False),
+        "pause_storm": (None if storm is None
+                        else PauseStormSchedule.from_dict(storm)),
+        "degradation_ladder": lossless.get("degradation_ladder", False),
+    }
+
+
+def _lossless_extras(params, sim, traffic):
+    out = {
+        "runtime": sim.stats.cycles,
+        "generated": traffic.generated,
+        "delivered": traffic.delivered,
+        "recovery_ratio": (traffic.delivered / traffic.generated
+                           if traffic.generated else 1.0),
+        "finished": traffic.done(),
+        "deadlocked": sim.deadlocked,
+        "deadlock_cycle": (sim.watchdog.cycle_payload
+                           if sim.watchdog is not None else None),
+    }
     if hasattr(sim.fabric, "pfc_summary"):
         out["pfc"] = sim.fabric.pfc_summary()
     if sim.degradation_ladder is not None:
@@ -477,6 +441,38 @@ def _run_lossless(params: Mapping[str, Any]) -> Dict[str, Any]:
     if sim.fault_injector is not None:
         out["storm_applied"] = sim.fault_injector.storm_applied
     return out
+
+
+#: runner name -> (source builder, cycles key, warm-up key or None, result
+#: extras). A source builder returns the traffic source and the
+#: :class:`Simulation` keywords; the extras join :func:`_summarise`'s dict.
+_KINDS = {
+    "synthetic": (_synthetic_source, "cycles", "warmup", _synthetic_extras),
+    "fault_recovery": (_synthetic_source, "cycles", "warmup",
+                       _synthetic_extras),
+    "workload": (_workload_source, "max_cycles", None, _workload_extras),
+    "coherence": (_coherence_source, "max_cycles", None, _coherence_extras),
+    "lossless": (_lossless_source, "cycles", None, _lossless_extras),
+}
+
+
+def _run_trial(kind: str, params: Mapping[str, Any]) -> Dict[str, Any]:
+    """Build, run and summarise one trial of runner *kind*."""
+    from ..core.simulator import Simulation
+
+    source, cycles, warmup, extras = _KINDS[kind]
+    topology = topology_from_spec(params["topology"])
+    config = config_from_dict(params["config"])
+    traffic, kwargs = source(params, topology, config)
+    sim = Simulation(topology, config, traffic, **kwargs)
+    sim.run(params[cycles], warmup=params[warmup] if warmup else 0)
+    out = _summarise(sim)
+    out.update(extras(params, sim, traffic))
+    return out
+
+
+for _kind in _KINDS:
+    register_runner(_kind)(functools.partial(_run_trial, _kind))
 
 
 # ----------------------------------------------------------------------
@@ -513,27 +509,3 @@ def _run_batch(params: Mapping[str, Any]) -> Dict[str, Any]:
     return {"results": [execute_trial(TrialSpec(runner, member))
                         for runner, member in params["trials"]]}
 
-
-@register_runner("coherence")
-def _run_coherence(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from ..core.simulator import Simulation
-    from ..protocol.coherence import CoherenceTraffic
-
-    topology = topology_from_spec(params["topology"])
-    config = config_from_dict(params["config"])
-    traffic = CoherenceTraffic(
-        topology.num_nodes,
-        config.protocol,
-        params["issue_probability"],
-        random.Random(params["traffic_seed"]),
-        total_transactions=params.get("total_transactions"),
-        locality=params.get("locality", 0.0),
-        mesh_width=params.get("mesh_width"),
-    )
-    sim = Simulation(topology, config, traffic)
-    sim.run(params["max_cycles"])
-    out = _summarise(sim)
-    out["runtime"] = sim.stats.cycles
-    out["completed"] = traffic.completed
-    out["finished"] = traffic.done()
-    return out

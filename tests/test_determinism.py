@@ -10,8 +10,8 @@ counts. This suite pins all three:
   with a different ``PYTHONHASHSEED`` derives identical seeds (regression
   for the old ``hash(str(label))`` implementation, which Python salts
   per-process);
-- every ``Scheme`` run twice from the same seed yields bit-identical
-  ``NetworkStats.as_dict()``;
+- every ``Scheme`` run twice from the same seed yields a bit-identical
+  trial result;
 - harness results are identical for workers=1 vs workers=4 and for cold
   vs warm cache.
 """
@@ -26,8 +26,8 @@ import pytest
 
 from repro.core.config import Scheme
 from repro.core.rng import derive_seed, spawn, stable_hash
-from repro.experiments.common import Scale, run_synthetic, synthetic_trial_for
-from repro.harness import Harness, ResultCache
+from repro.experiments.common import Scale, synthetic_trial_for
+from repro.harness import Harness, ResultCache, execute_trial
 from repro.topology.mesh import make_mesh
 
 TINY = Scale(
@@ -103,18 +103,11 @@ class TestDeriveSeed:
 class TestSchemeDeterminism:
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
     def test_same_seed_same_stats(self, scheme):
-        """Same seed => bit-identical stats for every scheme on a 4x4 mesh."""
+        """Same seed => bit-identical results for every scheme on a 4x4 mesh."""
         def one_run():
-            sim = run_synthetic(
+            return execute_trial(synthetic_trial_for(
                 make_mesh(4, 4), scheme, 0.05, TINY, seed=3, mesh_width=4
-            )
-            out = dict(sim.stats.as_dict())
-            out["throughput"] = sim.throughput()
-            out["p99_latency"] = (
-                sim.stats.latency.percentile(99.0)
-                if sim.stats.latency.samples else 0.0
-            )
-            return out
+            ))
 
         assert one_run() == one_run()
 
@@ -151,15 +144,3 @@ class TestHarnessDeterminism:
         warm = Harness(workers=1, cache=cache).run(self._specs())
         uncached = Harness(workers=1).run(self._specs())
         assert warm == uncached
-
-    def test_inline_run_matches_harness_trial(self):
-        """run_synthetic and its harness spec are the same simulation."""
-        mesh = make_mesh(4, 4)
-        sim = run_synthetic(mesh, Scheme.DRAIN, 0.06, TINY, seed=2, mesh_width=4)
-        (res,) = Harness(workers=1).run(
-            [synthetic_trial_for(mesh, Scheme.DRAIN, 0.06, TINY,
-                                 mesh_width=4, seed=2)]
-        )
-        assert res["avg_latency"] == sim.stats.avg_latency
-        assert res["throughput"] == sim.throughput()
-        assert res["ejected"] == sim.stats.packets_ejected

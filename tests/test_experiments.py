@@ -20,11 +20,12 @@ from repro.experiments.common import (
     current_scale,
     format_table,
     low_load_latency,
-    run_synthetic,
     saturation_throughput,
     scheme_config,
     sweep_injection,
+    synthetic_trial_for,
 )
+from repro.harness import execute_trial
 from repro.topology.mesh import make_mesh
 from repro.traffic.workloads import PARSEC
 
@@ -62,9 +63,10 @@ class TestSchemeConfig:
 
 
 class TestCommonRunners:
-    def test_run_synthetic_produces_stats(self, tiny_scale, mesh4):
-        sim = run_synthetic(mesh4, Scheme.DRAIN, 0.05, tiny_scale)
-        assert sim.stats.packets_ejected > 0
+    def test_synthetic_trial_produces_stats(self, tiny_scale, mesh4):
+        result = execute_trial(
+            synthetic_trial_for(mesh4, Scheme.DRAIN, 0.05, tiny_scale))
+        assert result["ejected"] > 0
 
     def test_sweep_rows_structure(self, tiny_scale, mesh4):
         rows = sweep_injection(mesh4, Scheme.DRAIN, tiny_scale)
