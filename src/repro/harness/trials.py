@@ -373,10 +373,15 @@ def _workload_source(params, topology, config):
     return traffic, {"halt_on_deadlock": params.get("halt_on_deadlock", False)}
 
 
+def _closed_loop_extras(params, sim, traffic):
+    return {"runtime": sim.stats.cycles, "completed": traffic.completed,
+            "finished": traffic.done()}
+
+
 def _workload_extras(params, sim, traffic):
     return {"workload": params["workload"]["name"],
-            "runtime": sim.stats.cycles, "completed": traffic.completed,
-            "finished": traffic.done(), "deadlocked": sim.deadlocked}
+            **_closed_loop_extras(params, sim, traffic),
+            "deadlocked": sim.deadlocked}
 
 
 def _coherence_source(params, topology, config):
@@ -392,11 +397,6 @@ def _coherence_source(params, topology, config):
         mesh_width=params.get("mesh_width"),
     )
     return traffic, {}
-
-
-def _coherence_extras(params, sim, traffic):
-    return {"runtime": sim.stats.cycles, "completed": traffic.completed,
-            "finished": traffic.done()}
 
 
 def _lossless_source(params, topology, config):
@@ -451,7 +451,7 @@ _KINDS = {
     "fault_recovery": (_synthetic_source, "cycles", "warmup",
                        _synthetic_extras),
     "workload": (_workload_source, "max_cycles", None, _workload_extras),
-    "coherence": (_coherence_source, "max_cycles", None, _coherence_extras),
+    "coherence": (_coherence_source, "max_cycles", None, _closed_loop_extras),
     "lossless": (_lossless_source, "cycles", None, _lossless_extras),
 }
 
