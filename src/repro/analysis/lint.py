@@ -41,8 +41,8 @@ constrains how kernel code (everything under ``repro/network`` — see
   desynchronises the streams between engines even when each engine is
   individually deterministic.
 - **DET008** — mutation of exported :class:`~repro.network.index.
-  DenseCandidateTables` (writes to their ``offsets``/``counts``/
-  ``links``/``epoch``). The tables are shared between engines and the
+  DenseCandidateTables` (writes to their ``offsets``/``links``/
+  ``epoch``). The tables are shared between engines and the
   routing function; an in-place write silently desynchronises them
   (the arrays are also frozen at runtime — this catches it at review
   time).
@@ -132,7 +132,7 @@ _RNG_DRAW_METHODS: Set[str] = {
 
 #: Attributes of exported DenseCandidateTables that must never be
 #: written after construction (the arrays are frozen at runtime too).
-_TABLES_FIELDS: Tuple[str, ...] = ("offsets", "counts", "links", "epoch")
+_TABLES_FIELDS: Tuple[str, ...] = ("offsets", "links", "epoch")
 
 #: FabricIndex attributes that are genuine unordered sets; iterating
 #: them directly in kernel code is hash-order dependent.

@@ -140,9 +140,13 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
         return None
 
     topo_key = canonical_json(topo_spec)
+    # Built at most once per call, and only when a memo misses: the
+    # connectivity check and the certifier share it.
+    topology = None
     connected = _CONNECTED.get(topo_key)
     if connected is None:
-        connected = topology_from_spec(topo_spec).is_connected()
+        topology = topology_from_spec(topo_spec)
+        connected = topology.is_connected()
         _CONNECTED[topo_key] = connected
     name = topo_spec.get("name", "custom")
     if not connected:
@@ -199,9 +203,11 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     if certificate is None:
         from .certifier import certify_configuration
 
+        if topology is None:
+            topology = topology_from_spec(topo_spec)
         try:
             certificate = certify_configuration(
-                topology_from_spec(topo_spec), sim_config, flows=flow_set
+                topology, sim_config, flows=flow_set
             )
         except ValueError as exc:  # a flow naming no router of the topology
             raise PreflightError(

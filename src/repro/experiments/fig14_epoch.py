@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import Scheme
-from ..harness import get_default_harness
+from ..harness import Harness, get_default_harness
 from ..topology.mesh import make_mesh
 from .common import (
     Scale,
@@ -32,6 +32,7 @@ def epoch_sensitivity(
     scale: Optional[Scale] = None,
     mesh_width: int = 8,
     seed: int = 1,
+    harness: Optional[Harness] = None,
 ) -> List[Dict]:
     """Low-load latency and saturation throughput per epoch value."""
     scale = scale if scale is not None else current_scale()
@@ -45,7 +46,8 @@ def epoch_sensitivity(
         for epoch in epochs
         for rate in rates
     ]
-    results = get_default_harness().run(specs, label="fig14")
+    harness = harness if harness is not None else get_default_harness()
+    results = harness.run(specs, label="fig14")
     rows: List[Dict] = []
     for i, epoch in enumerate(epochs):
         low, *sweep = results[i * len(rates):(i + 1) * len(rates)]
@@ -61,6 +63,6 @@ def epoch_sensitivity(
     return rows
 
 
-def run(scale: Optional[Scale] = None) -> List[Dict]:
+def run(scale: Optional[Scale] = None, harness: Optional[Harness] = None) -> List[Dict]:
     """Regenerate Figure 14."""
-    return epoch_sensitivity(scale=scale)
+    return epoch_sensitivity(scale=scale, harness=harness)

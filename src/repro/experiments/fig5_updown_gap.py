@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import Scheme
+from ..harness import Harness
 from ..topology.mesh import make_mesh
 from .common import (
     Scale,
@@ -35,6 +36,7 @@ def updown_gap(
     faults: Sequence[int] = DEFAULT_FAULTS,
     scale: Optional[Scale] = None,
     mesh_width: int = 8,
+    harness: Optional[Harness] = None,
 ) -> List[Dict]:
     """Latency and saturation throughput of UPDOWN vs IDEAL per fault count."""
     scale = scale if scale is not None else current_scale()
@@ -48,7 +50,8 @@ def updown_gap(
                 num_faults,
                 scale,
                 lambda topo, trial: low_load_latency(
-                    topo, scheme, scale, mesh_width=mesh_width, seed=trial + 1
+                    topo, scheme, scale, mesh_width=mesh_width,
+                    seed=trial + 1, harness=harness,
                 ),
             )
             # The up*/down* gap only shows beyond the nominal sweep's knee,
@@ -61,7 +64,7 @@ def updown_gap(
                 lambda topo, trial: saturation_throughput(
                     sweep_injection(
                         topo, scheme, scale, mesh_width=mesh_width,
-                        seed=trial + 1, rates=fig5_rates,
+                        seed=trial + 1, rates=fig5_rates, harness=harness,
                     )
                 ),
             )
@@ -80,6 +83,6 @@ def updown_gap(
     return rows
 
 
-def run(scale: Optional[Scale] = None) -> List[Dict]:
+def run(scale: Optional[Scale] = None, harness: Optional[Harness] = None) -> List[Dict]:
     """Regenerate Figure 5."""
-    return updown_gap(scale=scale)
+    return updown_gap(scale=scale, harness=harness)

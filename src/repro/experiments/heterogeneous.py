@@ -14,7 +14,7 @@ import random
 from typing import Dict, List, Optional
 
 from ..core.config import Scheme
-from ..harness import get_default_harness
+from ..harness import Harness, get_default_harness
 from ..topology.chiplet import make_chiplet_system, make_dual_chiplet
 from ..topology.graph import Topology
 from ..topology.randomized import make_random_regular, make_small_world
@@ -33,13 +33,15 @@ def _topologies(seed: int) -> List[Topology]:
 
 
 def heterogeneous_study(
-    scale: Optional[Scale] = None, seed: int = 5
+    scale: Optional[Scale] = None, seed: int = 5,
+    harness: Optional[Harness] = None,
 ) -> List[Dict]:
     """Low-load latency + hop counts: DRAIN vs up*/down*, per topology."""
     scale = scale if scale is not None else current_scale()
     topologies = _topologies(seed)
     schemes = {"drain": Scheme.DRAIN, "updown": Scheme.UPDOWN}
-    results = iter(get_default_harness().run([
+    harness = harness if harness is not None else get_default_harness()
+    results = iter(harness.run([
         synthetic_trial_for(topo, scheme, scale.low_load_rate, scale,
                             seed=seed)
         for topo in topologies for scheme in schemes.values()
@@ -62,5 +64,5 @@ def heterogeneous_study(
     return rows
 
 
-def run(scale: Optional[Scale] = None) -> List[Dict]:
-    return heterogeneous_study(scale=scale)
+def run(scale: Optional[Scale] = None, harness: Optional[Harness] = None) -> List[Dict]:
+    return heterogeneous_study(scale=scale, harness=harness)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Any, Dict, List, Set
+from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -27,18 +27,25 @@ __all__ = ["FabricIndex", "DenseCandidateTables"]
 class DenseCandidateTables:
     """Flat per-(router, dst) candidate-link tables in numpy CSR form.
 
-    Row ``router * n + dst`` of the (offsets, counts, links) triple yields
-    the candidate link ids in the exact order the routing function
-    enumerates them. This is the one representation adaptive-minimal
-    routing holds: :class:`~repro.routing.adaptive.AdaptiveMinimalRouting`
-    emits the triple straight from the distance matrix (one k x n compare
+    Cell ``idx = router * n + dst`` is ``links[offsets[idx]:offsets[idx +
+    1]]``: the candidate link ids in the exact order the routing function
+    enumerates them. ``offsets`` (``n * n + 1`` entries) is int32;
+    ``links`` is the narrowest of int16/int32 that holds the index's link
+    ids (:func:`link_dtype`). A cell's candidate count is not held:
+    :meth:`counts` derives the ``n * n`` array for the compile-time
+    readers that need it (ESCAPE_VC's merged table, up*/down*'s
+    single-path variant, the connectivity check). A 1024-switch
+    leaf-spine's table is 4 MB of offsets plus 4 MB of links.
+
+    This is the one representation adaptive-minimal routing holds:
+    :class:`~repro.routing.adaptive.AdaptiveMinimalRouting` compiles it
+    straight from the distance matrix (:meth:`compile`: one k x n compare
     per router, no Python-level cell loop), so a fault-driven rebuild of a
     thousand-node table stays cheap; the structure store persists the same
-    arrays and the vectorized engine adopts them as they are. Up*/down*
-    holds one triple per phase, compiled the same way
-    (:meth:`from_chunks`); DOR's nested next-hop lists are packed by the
-    constructor in one vectorized pass (length scan -> cumulative offsets
-    -> flat gather).
+    two arrays and the vectorized engine adopts them as they are. Up*/down*
+    holds one table per phase, compiled the same way; DOR's nested
+    next-hop lists are packed by the constructor in one vectorized pass
+    (length scan -> cumulative offsets -> flat gather).
 
     Single cells are read through the read-only ``memoryview`` pair
     :attr:`offsets_view` / :attr:`links_view` (:meth:`row`, and the
@@ -52,7 +59,7 @@ class DenseCandidateTables:
     candidate-group memo).
     """
 
-    __slots__ = ("num_nodes", "epoch", "offsets", "counts", "links",
+    __slots__ = ("num_nodes", "epoch", "offsets", "links",
                  "offsets_view", "links_view")
 
     def __init__(self, index: "FabricIndex",
@@ -61,64 +68,92 @@ class DenseCandidateTables:
         if len(tables) != n:
             raise ValueError(f"expected {n} table rows, got {len(tables)}")
         rows = [cell for row in tables for cell in row]
-        counts = _np.fromiter((len(cell) for cell in rows),
-                              dtype=_np.int32, count=n * n)
-        offsets = _np.zeros(n * n + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=offsets[1:])
+        offsets = self.offsets_of(_np.fromiter(
+            (len(cell) for cell in rows), dtype=_np.int32, count=n * n))
         links = _np.fromiter(chain.from_iterable(rows),
-                             dtype=_np.int32, count=int(offsets[-1]))
-        self._adopt(index, offsets, counts, links)
+                             dtype=link_dtype(index), count=int(offsets[-1]))
+        self._adopt(index, offsets, links)
+
+    @staticmethod
+    def offsets_of(counts: "_np.ndarray") -> "_np.ndarray":
+        """The int32 offsets of cells holding *counts* links each."""
+        if int(counts.sum(dtype=_np.int64)) > _np.iinfo(_np.int32).max:
+            raise ValueError("candidate table too large for int32 offsets")
+        offsets = _np.zeros(counts.size + 1, dtype=_np.int32)
+        _np.cumsum(counts, dtype=_np.int32, out=offsets[1:])
+        return offsets
 
     @classmethod
-    def from_arrays(
-        cls,
-        index: "FabricIndex",
-        offsets: "_np.ndarray",
-        counts: "_np.ndarray",
-        links: "_np.ndarray",
-    ) -> "DenseCandidateTables":
-        """Adopt a CSR triple (routing compile and structure-store load).
+    def from_arrays(cls, index: "FabricIndex", offsets: "_np.ndarray",
+                    links: "_np.ndarray") -> "DenseCandidateTables":
+        """Adopt a CSR pair (structure-store load, ESCAPE_VC's merge).
 
         The arrays may be read-only memory maps shared between worker
         processes; they are validated for shape and tagged with the live
         fault epoch (the store only holds boot-state tables, so that is
-        epoch 0 there — a fault-driven rebuild compiles a fresh triple
+        epoch 0 there — a fault-driven rebuild compiles a fresh pair
         under the new epoch).
         """
         n = index.num_nodes
-        offsets = _np.asarray(offsets)
-        counts = _np.asarray(counts)
-        links = _np.asarray(links)
-        if offsets.shape != (n * n + 1,) or counts.shape != (n * n,):
+        offsets = _np.asarray(offsets, dtype=_np.int32)
+        links = _np.asarray(links, dtype=link_dtype(index))
+        if offsets.shape != (n * n + 1,):
             raise ValueError("CSR table shape does not match the index")
         if links.shape != (int(offsets[-1]),):
             raise ValueError("CSR links length does not match its offsets")
         self = object.__new__(cls)
-        self._adopt(index, offsets, counts, links)
+        self._adopt(index, offsets, links)
         return self
 
     @classmethod
-    def from_chunks(cls, index: "FabricIndex", counts: "_np.ndarray",
-                    chunks: List["_np.ndarray"]) -> "DenseCandidateTables":
-        """Adopt a routing compile's output: the ``n * n`` cell counts
-        (row-major) and the cells' links as consecutive int32 chunks."""
-        offsets = _np.zeros(counts.size + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=offsets[1:])
-        links = (_np.concatenate(chunks) if chunks
-                 else _np.zeros(0, dtype=_np.int32))
-        return cls.from_arrays(index, offsets, counts, links)
+    def compile(
+        cls,
+        index: "FabricIndex",
+        cells: Callable[[int], Tuple["_np.ndarray", Sequence["_np.ndarray"]]],
+    ) -> Tuple["DenseCandidateTables", ...]:
+        """Compile a routing function's tables from its per-router masks.
 
-    def _adopt(self, index: "FabricIndex", offsets, counts, links) -> None:
+        ``cells(router)`` is ``(out, masks)``: the router's live candidate
+        links (in enumeration order; possibly none) and, per table
+        compiled, the ``(len(out), n)`` mask of those that serve each
+        destination; one table per mask comes back. It is called twice per
+        router, once to size the cells and once to fill them, so each
+        links array is written in place: no per-router fragment is held
+        and no final concatenation copies it (at 1024 switches that copy
+        set the compile's memory high-water mark).
+        """
+        n = index.num_nodes
+        counts = None
+        for router in range(n):
+            _, masks = cells(router)
+            if counts is None:
+                counts = _np.zeros((len(masks), n, n), dtype=_np.int32)
+            for table, mask in enumerate(masks):
+                mask.sum(axis=0, dtype=_np.int32, out=counts[table, router])
+        offsets = [cls.offsets_of(c.reshape(n * n)) for c in counts]
+        del counts  # before the links arrays are allocated
+        links = [_np.empty(int(o[-1]), dtype=link_dtype(index))
+                 for o in offsets]
+        for router in range(n):
+            out, masks = cells(router)
+            lo, hi = router * n, (router + 1) * n
+            for o, flat, mask in zip(offsets, links, masks):
+                # Transposed, nonzero walks dst-major then k: every
+                # (router, dst) cell comes out already in ``out`` order.
+                flat[o[lo]:o[hi]] = out[mask.T.nonzero()[1]]
+        return tuple(cls.from_arrays(index, o, flat)
+                     for o, flat in zip(offsets, links))
+
+    def _adopt(self, index: "FabricIndex", offsets, links) -> None:
         self.num_nodes = index.num_nodes
         self.epoch = index.fault_epoch
         self.offsets = offsets
-        self.counts = counts
         self.links = links
         # Tables are shared between engines; an in-place write would
         # silently desynchronise them from the routing function, so freeze
         # the arrays (the DET008 lint rule guards the same contract
         # statically).
-        for arr in (offsets, counts, links):
+        for arr in (offsets, links):
             if arr.flags.writeable:  # mmap_mode="r" arrays already are not
                 arr.setflags(write=False)
         #: Read-only views of ``offsets`` and ``links``: cell
@@ -127,11 +162,23 @@ class DenseCandidateTables:
         self.offsets_view = memoryview(offsets)
         self.links_view = memoryview(links)
 
+    def counts(self) -> "_np.ndarray":
+        """Candidate count per cell, row-major ``(n * n,)`` int32 (derived
+        on each call; the tables do not hold it)."""
+        return _np.diff(self.offsets)
+
     def row(self, router: int, dst: int) -> List[int]:
         """Candidate link ids for (router, dst), routing-function order."""
         idx = router * self.num_nodes + dst
         offsets = self.offsets_view
         return self.links_view[offsets[idx]:offsets[idx + 1]].tolist()
+
+
+def link_dtype(index: "FabricIndex") -> Any:
+    """int16 when every link id of *index* fits in it, else int32."""
+    if index.num_links <= _np.iinfo(_np.int16).max:
+        return _np.int16
+    return _np.int32
 
 
 def _number(topology: Topology) -> Dict[str, Any]:

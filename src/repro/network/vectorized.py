@@ -387,24 +387,22 @@ class VectorizedEngine:
 
         def merge(phase):
             adaptive, escape = _of_phase(main, phase), _of_phase(esc, phase)
-            ca, ce = adaptive.counts, escape.counts
-            counts = ca + ce
-            offsets = _np.zeros(counts.size + 1, dtype=_np.int64)
-            _np.cumsum(counts, out=offsets[1:])
+            ca, ce = adaptive.counts(), escape.counts()
+            offsets = DenseCandidateTables.offsets_of(ca + ce)
             # A link lands at its cell's new start plus its rank in the
             # source cell; the escape links follow the cell's adaptive ones.
             at_a = _np.arange(adaptive.links.size) + _np.repeat(
                 offsets[:-1] - adaptive.offsets[:-1], ca)
             at_e = _np.arange(escape.links.size) + _np.repeat(
                 offsets[:-1] + ca - escape.offsets[:-1], ce)
-            links = _np.empty(int(offsets[-1]), dtype=_np.int32)
+            links = _np.empty(int(offsets[-1]), dtype=adaptive.links.dtype)
             links[at_a] = adaptive.links
             links[at_e] = escape.links
             modes = _np.full(links.size, 2, dtype=_np.int8)
             modes[at_a] = 4
             modes.setflags(write=False)
             return (DenseCandidateTables.from_arrays(
-                fabric.index, offsets, counts, links), memoryview(modes))
+                fabric.index, offsets, links), memoryview(modes))
 
         if main.stateful or esc.stateful:
             return merge(0), merge(1)

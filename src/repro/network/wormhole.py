@@ -106,8 +106,10 @@ class WormholeFabric:
             [[_VC() for _ in range(self.vcs_per_vn)] for _ in range(self.num_vns)]
             for _ in range(index.num_ports)
         ]
-        self.inj_queues: List[List[Deque[Packet]]] = [
-            [deque() for _ in range(_NUM_CLASSES)] for _ in range(index.num_nodes)
+        #: Per-class NI injection queues: plain lists, as on
+        #: :class:`~repro.network.fabric.Fabric`.
+        self.inj_queues: List[List[List[Packet]]] = [
+            [[] for _ in range(_NUM_CLASSES)] for _ in range(index.num_nodes)
         ]
         self._inj_depth = self.net.injection_queue_depth
         #: Reassembly buffers at the destination MSHRs: pid -> arrived flit
@@ -410,7 +412,7 @@ class WormholeFabric:
                 )
                 if vc < 0:
                     continue
-                packet = queue.popleft()
+                packet = queue.pop(0)
                 inj_pending[node] -= 1
                 self._inj_total -= 1
                 packet.vn = vn

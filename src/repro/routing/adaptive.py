@@ -71,25 +71,23 @@ class AdaptiveMinimalRouting(RoutingFunction):
         dist = index.dist_matrix()
         dead_links = index.dead_links
         link_dst = np.asarray(index.link_dst, dtype=np.intp)
-        counts = np.zeros((n, n), dtype=np.int32)
-        chunks = []
-        for router in range(n):
+
+        def cell(router):
             out = index.out_links[router]
             if dead_links:
                 out = [link for link in out if link not in dead_links]
-            if not out:
-                continue
             out = np.asarray(out, dtype=np.int32)
             row = dist[router]
             # productive[k, dst]: taking out[k] shortens the way to dst.
             # row > 0 drops the router itself and unreachable (-1) pairs.
-            productive = (dist[link_dst[out]] == row - 1) & (row > 0)
-            # Transposed, nonzero walks dst-major then k: every
-            # (router, dst) row comes out already in out_links order.
-            chunks.append(out[productive.T.nonzero()[1]])
-            productive.sum(axis=0, dtype=np.int32, out=counts[router])
+            return out, [(dist[link_dst[out]] == row - 1) & (row > 0)]
+
+        (tables,) = DenseCandidateTables.compile(index, cell)
         if strict:
-            stranded = counts == 0
+            # Empty cells, read off the offsets: counts() would be another
+            # n * n int32 array.
+            offsets = tables.offsets
+            stranded = (offsets[1:] == offsets[:-1]).reshape(n, n)
             np.fill_diagonal(stranded, False)
             if stranded.any():
                 router, dst = divmod(int(stranded.argmax()), n)
@@ -97,8 +95,7 @@ class AdaptiveMinimalRouting(RoutingFunction):
                     f"no productive link from {router} to {dst}: "
                     "topology must be connected"
                 )
-        return DenseCandidateTables.from_chunks(
-            index, counts.reshape(n * n), chunks)
+        return tables
 
     def rebuild(self) -> None:
         """Recompute the route tables after a runtime fault.

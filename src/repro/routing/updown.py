@@ -126,30 +126,30 @@ class UpDownRouting(RoutingFunction):
         # Cells: the links whose landing state is one hop closer, in
         # out-link (= neighbour) order, the landing-state order of a BFS
         # parent scan. Row r * n + d of table [phase].
-        counts = np.zeros((2, n, n), dtype=np.int32)
-        chunks: List[List[np.ndarray]] = [[], []]
-        for router in range(n):
+        def cell(router):
             out = np.asarray([link for link in index.out_links[router]
                               if alive[link]], dtype=np.int32)
-            if not out.size:
-                continue
             reach = hops[2 * dst[out] + up[out]]  # (k, n) after each link
+            masks = []
             for phase in (0, 1):
                 here = hops[2 * router + phase]
                 productive = (reach == here - 1) & (here > 0)
                 if not phase:
                     productive &= ~up[out][:, None]
-                chunks[phase].append(out[productive.T.nonzero()[1]])
-                productive.sum(axis=0, dtype=np.int32,
-                               out=counts[phase, router])
-        adaptive = tuple(DenseCandidateTables.from_chunks(
-            index, counts[phase].reshape(n * n), chunks[phase])
-            for phase in (0, 1))
+                masks.append(productive)
+            return out, masks
+
+        adaptive = DenseCandidateTables.compile(index, cell)
+
         # The single-path variant: each non-empty cell's lowest link.
-        single = tuple(DenseCandidateTables.from_chunks(
-            index, (t.counts > 0).astype(np.int32),
-            [np.minimum.reduceat(t.links, t.offsets[:-1][t.counts > 0])]
-            if t.links.size else []) for t in adaptive)
+        def lowest(tables):
+            full = tables.counts() > 0
+            links = (np.minimum.reduceat(tables.links, tables.offsets[:-1][full])
+                     if tables.links.size else tables.links)
+            return DenseCandidateTables.from_arrays(
+                index, DenseCandidateTables.offsets_of(full), links)
+
+        single = tuple(lowest(t) for t in adaptive)
         return (label, up.astype(np.uint8).tobytes(), adaptive, single,
                 lengths)
 

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: Bump to abandon every stored artefact when formats or semantics change.
-STRUCT_FORMAT_VERSION = 2
+STRUCT_FORMAT_VERSION = 3
 
 
 def topology_payload(topology: Topology) -> Dict[str, Any]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from ..store import Store, cache_roots
@@ -127,11 +127,13 @@ class CompiledNetwork:
     module that consumes them.
     """
 
-    __slots__ = ("digest", "parts")
+    __slots__ = ("digest", "parts", "saved")
 
     def __init__(self, digest: str) -> None:
         self.digest = digest
         self.parts: Dict[Any, Any] = {}
+        #: (kind, store root) pairs known to hold this entry's artefact.
+        self.saved: Set[Tuple[str, Path]] = set()
 
     def part(self, name: Any, build: Callable[[], Any]) -> Any:
         """``parts[name]``, built by *build* on first use."""
@@ -143,42 +145,59 @@ class CompiledNetwork:
 
     def _stored(
         self,
+        name: str,
         kind: str,
         shapes: Dict[str, Optional[Tuple[int, ...]]],
         build: Callable[[], Any],
         encode: Callable[[Any], Dict[str, Any]],
         decode: Callable[[Dict[str, Any]], Any],
     ) -> Any:
-        """The value of artefact *kind*: decoded from the active store's
-        arrays, else built (and, with a store active, encoded and saved)."""
+        """``parts[name]``, persisted as store artefact *kind*.
+
+        Read from the memo, else decoded from the active store's arrays,
+        else built. With a store active the artefact is in that store
+        afterwards whichever way it was found: a part the memo filled
+        before this store was activated (or under another one) is written
+        the first time it is asked for here, so a store never misses what
+        the process already compiled.
+        """
         store = active_store()
-        if store is not None:
-            arrays = store.get_arrays(kind, self.digest, shapes)
+        try:
+            value = self.parts[name]
+        except KeyError:
+            arrays = (store.get_arrays(kind, self.digest, shapes)
+                      if store is not None else None)
             if arrays is not None:
-                return decode(arrays)
-        value = build()
-        if store is not None:
-            store.put_arrays(kind, self.digest, encode(value))
+                value = self.parts[name] = decode(arrays)
+                self.saved.add((kind, store.root))
+                return value
+            value = self.parts[name] = build()
+        if store is not None and (kind, store.root) not in self.saved:
+            if not store.path(kind, self.digest).exists():
+                store.put_arrays(kind, self.digest, encode(value))
+            self.saved.add((kind, store.root))
         return value
 
     def dist(self, topology: Any) -> Any:
         """All-pairs hop distances: a read-only (n, n) int32 array."""
+        import numpy as _np
 
         def build() -> Any:
-            import numpy as _np
-
-            n = topology.num_nodes
-            matrix = self._stored(
-                "dist", {"dist": (n, n)}, topology._all_pairs_numpy,
-                encode=lambda matrix: {"dist": matrix},
-                # A base-class view of the map: np.memmap's Python-level
-                # hooks would tax every row slice the routing compile takes.
-                decode=lambda arrays: _np.asarray(arrays["dist"]),
-            )
+            matrix = topology._all_pairs_numpy()
             matrix.setflags(write=False)
             return matrix
 
-        return self.part("dist", build)
+        def decode(arrays: Dict[str, Any]) -> Any:
+            # A base-class view of the map: np.memmap's Python-level hooks
+            # would tax every row slice the routing compile takes.
+            matrix = _np.asarray(arrays["dist"])
+            matrix.setflags(write=False)
+            return matrix
+
+        n = topology.num_nodes
+        return self._stored("dist", "dist", {"dist": (n, n)}, build,
+                            encode=lambda matrix: {"dist": matrix},
+                            decode=decode)
 
     def tables(self, index: Any, cold: Callable[[], Any]) -> Any:
         """Adaptive-minimal candidate tables of *index*'s topology: one
@@ -187,47 +206,38 @@ class CompiledNetwork:
         *index* is any boot-state index of the topology; *cold* compiles
         the tables from it when neither the memo nor the store has them.
         """
+        from ..network.index import DenseCandidateTables
 
-        def build() -> Any:
-            from ..network.index import DenseCandidateTables
-
-            names = ("offsets", "counts", "links")
-            n = index.num_nodes
-            return self._stored(
-                "routing",
-                {"offsets": (n * n + 1,), "counts": (n * n,), "links": None},
-                cold,
-                encode=lambda tables: {
-                    name: getattr(tables, name) for name in names},
-                decode=lambda arrays: DenseCandidateTables.from_arrays(
-                    index, *(arrays[name] for name in names)),
-            )
-
-        return self.part("tables", build)
+        names = ("offsets", "links")
+        n = index.num_nodes
+        return self._stored(
+            "tables", "routing", {"offsets": (n * n + 1,), "links": None},
+            cold,
+            encode=lambda tables: {
+                name: getattr(tables, name) for name in names},
+            decode=lambda arrays: DenseCandidateTables.from_arrays(
+                index, *(arrays[name] for name in names)),
+        )
 
     def drain_links(self, topology: Any) -> Tuple[Link, ...]:
         """The default drain cycle: the unshuffled Euler circuit rooted at
         router 0, as a tuple of frozen links in path order."""
+        import numpy as _np
 
-        def build() -> Tuple[Link, ...]:
-            import numpy as _np
+        from ..drain.path import euler_circuit
 
-            from ..drain.path import euler_circuit
-
-            count = 2 * topology.num_edges
-            return self._stored(
-                "drain", {"src": (count,), "dst": (count,)},
-                lambda: tuple(euler_circuit(topology)),
-                encode=lambda links: {
-                    end: _np.array([getattr(link, end) for link in links],
-                                   dtype=_np.int32)
-                    for end in ("src", "dst")},
-                decode=lambda arrays: tuple(
-                    Link(s, d) for s, d in zip(arrays["src"].tolist(),
-                                               arrays["dst"].tolist())),
-            )
-
-        return self.part("drain_links", build)
+        count = 2 * topology.num_edges
+        return self._stored(
+            "drain_links", "drain", {"src": (count,), "dst": (count,)},
+            lambda: tuple(euler_circuit(topology)),
+            encode=lambda links: {
+                end: _np.array([getattr(link, end) for link in links],
+                               dtype=_np.int32)
+                for end in ("src", "dst")},
+            decode=lambda arrays: tuple(
+                Link(s, d) for s, d in zip(arrays["src"].tolist(),
+                                           arrays["dst"].tolist())),
+        )
 
 
 def compiled(topology: Any) -> CompiledNetwork:

@@ -20,6 +20,10 @@ from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
 __all__ = ["Link", "Topology"]
 
+#: Frontier keys one all-pairs BFS block spans (``rows * n``): sources run
+#: ``_BFS_BLOCK_KEYS // n`` at a time (see ``Topology._all_pairs_numpy``).
+_BFS_BLOCK_KEYS = 1 << 17
+
 
 @dataclass(frozen=True, order=True)
 class Link:
@@ -243,12 +247,12 @@ class Topology:
     def _all_pairs_numpy(self) -> Any:
         """All-pairs hop distances as an ``(n, n)`` int32 array (numpy).
 
-        Runs every source's BFS at once: the frontier is a flat array of
-        ``src * n + node`` keys, and each level gathers the neighbours of
-        all frontier pairs with a ranged gather over the CSR ``indices``
-        array instead of a per-node Python loop. numpy is imported here,
-        not at module top, so building and checking a topology stays
-        numpy-free.
+        Runs a block of sources' BFS at once: the frontier is a flat
+        array of ``row * n + node`` keys into the block's rows, and each
+        level gathers the neighbours of all frontier pairs with a ranged
+        gather over the CSR ``indices`` array instead of a per-node Python
+        loop. numpy is imported here, not at module top, so building and
+        checking a topology stays numpy-free.
         """
         import numpy as _np
 
@@ -265,31 +269,42 @@ class Topology:
             dtype=_np.int64,
             count=int(indptr[n]),
         )
-        dist = _np.full(n * n, -1, dtype=_np.int32)
-        frontier = _np.arange(n, dtype=_np.int64) * (n + 1)  # src*n + src
-        dist[frontier] = 0
-        level = 0
-        while frontier.size:
-            level += 1
-            node = frontier % n
-            deg = counts[node]
-            total = int(deg.sum())
-            if total == 0:
-                break
-            # Ranged gather: for frontier entry i with degree deg[i], emit
-            # indices[indptr[node[i]] + 0 .. deg[i]-1], all in one shot.
-            reps = _np.repeat(_np.arange(frontier.size), deg)
-            offs = _np.arange(total) - _np.repeat(_np.cumsum(deg) - deg, deg)
-            nbr = indices[indptr[node][reps] + offs]
-            keys = (frontier[reps] - node[reps]) + nbr  # src*n + neighbour
-            fresh = keys[dist[keys] < 0]
-            if fresh.size == 0:
-                break
-            dist[fresh] = level  # duplicate keys write the same level
-            # Deduplicated (and sorted) next frontier via a linear scan —
-            # cheaper than np.unique's sort on multi-million-key levels.
-            frontier = _np.flatnonzero(dist == level)
-        return dist.reshape(n, n)
+        dist = _np.full((n, n), -1, dtype=_np.int32)
+        # Sources run in blocks of rows, so each level's gather arrays
+        # (the neighbours of every frontier pair) stay near
+        # _BFS_BLOCK_KEYS entries instead of growing with n^2: at 1024
+        # switches one all-sources level held ~28 MB of transients, more
+        # than the matrix itself.
+        rows = max(1, _BFS_BLOCK_KEYS // n)
+        for lo in range(0, n, rows):
+            block = dist[lo:lo + rows].reshape(-1)  # a view of those rows
+            src = _np.arange(lo, min(lo + rows, n), dtype=_np.int64)
+            frontier = (src - lo) * n + src  # each source's own cell
+            block[frontier] = 0
+            level = 0
+            while frontier.size:
+                level += 1
+                node = frontier % n
+                deg = counts[node]
+                total = int(deg.sum())
+                if total == 0:
+                    break
+                # Ranged gather: for frontier entry i with degree deg[i],
+                # emit indices[indptr[node[i]] + 0 .. deg[i]-1], all in
+                # one shot.
+                reps = _np.repeat(_np.arange(frontier.size), deg)
+                offs = _np.arange(total) - _np.repeat(_np.cumsum(deg) - deg,
+                                                      deg)
+                nbr = indices[indptr[node][reps] + offs]
+                keys = (frontier[reps] - node[reps]) + nbr  # row * n + nbr
+                fresh = keys[block[keys] < 0]
+                if fresh.size == 0:
+                    break
+                block[fresh] = level  # duplicate keys write the same level
+                # Deduplicated (and sorted) next frontier via a linear
+                # scan — cheaper than np.unique's sort.
+                frontier = _np.flatnonzero(block == level)
+        return dist
 
     def diameter(self) -> int:
         """Largest hop count between any pair of routers."""

@@ -120,6 +120,28 @@ class TestCommands:
     def test_fault_recovery_experiment_registered(self):
         assert "fault-recovery" in EXPERIMENTS
 
+    def test_experiment_flags_reach_every_harness_backed_experiment(
+            self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "experiment", "section6",
+             "--workers", "1", "--cache-dir", "c", "--out-dir", "r"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+                 "REPRO_SCALE": "ci", "REPRO_STRUCT_CACHE": "off"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads(
+            (tmp_path / "r" / "section6.manifest.json").read_text())
+        assert len(manifest["trials"]) > 0
+        assert list((tmp_path / "c" / "results").rglob("*.json"))
+        # Every experiment that runs trials through the harness takes the
+        # one the CLI builds from --workers/--no-cache/--cache-dir.
+        for name in ("fig5", "fig14", "section6"):
+            module, _, function = EXPERIMENTS[name].partition(":")
+            fn = getattr(importlib.import_module(
+                f"repro.experiments.{module}"), function)
+            assert "harness" in inspect.signature(fn).parameters, name
+
 
 class TestErrorPaths:
     def test_bad_topology_is_one_line_error(self, capsys):

@@ -244,7 +244,7 @@ class TestDet008TablesMutation:
 
     def test_subscript_write_into_field_fires(self):
         src = ("tables = DenseCandidateTables(index)\n"
-               "tables.counts[0] = 1\n")
+               "tables.offsets[0] = 1\n")
         assert codes(src, KERNEL) == ["DET008"]
 
     def test_augmented_write_fires(self):
@@ -254,7 +254,7 @@ class TestDet008TablesMutation:
 
     def test_reads_are_fine(self):
         src = ("tables = index.export_tables()\n"
-               "n = tables.counts[0]\n")
+               "n = tables.offsets[0]\n")
         assert codes(src, KERNEL) == []
 
     def test_non_kernel_path_is_exempt(self):

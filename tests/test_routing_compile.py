@@ -5,7 +5,7 @@ from the distance matrix, and :class:`UpDownRouting` its two per-phase
 tables from a numpy frontier BFS over the (router, phase) product graph.
 The references here are the definitions spelled out cell by cell — for
 up*/down*, the per-destination list-of-lists BFS the function used to
-run — and live in this file only; every compiled triple must equal its
+run — and live in this file only; every compiled table must equal its
 reference exactly, row order included, because the allocator's rotation
 starts from a draw over that order.
 """
@@ -64,10 +64,10 @@ def first_stranded_pair(tables):
     return None
 
 
-def assert_triple_matches(compiled, index, tables):
+def assert_tables_match(compiled, index, tables):
     packed = DenseCandidateTables(index, tables)
     assert compiled.epoch == index.fault_epoch
-    for name in ("offsets", "counts", "links"):
+    for name in ("offsets", "links"):
         got, want = getattr(compiled, name), getattr(packed, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
@@ -118,13 +118,13 @@ def test_compiled_triple_equals_reference(seed):
     index = FabricIndex(topology)
     routing = AdaptiveMinimalRouting(index)
     boot = routing.compiled_tables
-    assert_triple_matches(boot, index, reference_tables(index))
+    assert_tables_match(boot, index, reference_tables(index))
 
     index.apply_faults(*random_faults(index, rng))
     routing.rebuild()
     tables = reference_tables(index)
     assert routing.compiled_tables is not boot
-    assert_triple_matches(routing.compiled_tables, index, tables)
+    assert_tables_match(routing.compiled_tables, index, tables)
     n = index.num_nodes
     for router in range(n):
         for dst in range(n):
@@ -137,7 +137,7 @@ def test_compiled_triple_equals_reference(seed):
     stranded = first_stranded_pair(tables)
     if stranded is None:
         fresh = AdaptiveMinimalRouting(index).compiled_tables
-        assert_triple_matches(fresh, index, tables)
+        assert_tables_match(fresh, index, tables)
     else:
         with pytest.raises(ValueError) as err:
             AdaptiveMinimalRouting(index)
@@ -179,7 +179,7 @@ def test_cell_reads_work_on_readonly_memmaps(tmp_path):
     index = FabricIndex(make_ring(6))
     built = AdaptiveMinimalRouting(index).compiled_tables
     mapped = []
-    for name in ("offsets", "counts", "links"):
+    for name in ("offsets", "links"):
         np.save(tmp_path / f"{name}.npy", getattr(built, name))
         mapped.append(np.load(tmp_path / f"{name}.npy", mmap_mode="r"))
     adopted = AdaptiveMinimalRouting(
@@ -432,7 +432,7 @@ def assert_updown_matches(routing, index):
     for phase in (0, 1):
         nested = reference_phase_tables(index, choices, phase,
                                         routing.deterministic)
-        assert_triple_matches(routing.compiled_tables[phase], index, nested)
+        assert_tables_match(routing.compiled_tables[phase], index, nested)
         for router in range(n):
             for dst in range(n):
                 if hops[dst][2 * router + phase] < 0:

@@ -66,10 +66,10 @@ def tiny_spec(seed=1, scheme=Scheme.DRAIN, rate=0.05):
     )
 
 
-def triple(net):
+def csr(net):
     """The CSR arrays of a memo entry's routing tables."""
     tables = net.parts["tables"]
-    return tables.offsets, tables.counts, tables.links
+    return tables.offsets, tables.links
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +186,7 @@ class TestStoreArtifacts:
         warm = structcache.parts_for(topology, config)
         assert warm is not cold
         assert store.compiles == compiled  # pure load, no recompile
-        for a, b in zip(triple(cold), triple(warm)):
+        for a, b in zip(csr(cold), csr(warm)):
             assert a.tolist() == b.tolist()
         assert warm.parts["drain_links"] == cold.parts["drain_links"]
 
@@ -207,12 +207,12 @@ class TestStoreArtifacts:
     def test_truncated_routing_recomputes(self, store):
         topology = make_mesh(4, 4)
         config = scheme_config(Scheme.DRAIN, TINY, seed=1)
-        cold = triple(structcache.parts_for(topology, config))
+        cold = csr(structcache.parts_for(topology, config))
         [npy] = list(store.root.glob("routing/*/*/links.npy"))
         npy.write_bytes(npy.read_bytes()[:64])
         structcache.clear_memos()
         hits, misses = store.hits, store.misses
-        warm = triple(structcache.parts_for(topology, config))
+        warm = csr(structcache.parts_for(topology, config))
         assert store.corrupt == 1
         # dist and drain loaded; the truncated routing artefact is a miss.
         assert (store.hits, store.misses) == (hits + 2, misses + 1)
@@ -231,8 +231,7 @@ class TestStoreArtifacts:
         structcache.clear_memos()
         for kind, arrays in (
             ("dist", {"dist": small.parts["dist"]}),
-            ("routing", dict(zip(("offsets", "counts", "links"),
-                                 triple(small)))),
+            ("routing", dict(zip(("offsets", "links"), csr(small)))),
             ("drain", {end: np.array(
                 [getattr(link, end) for link in small.parts["drain_links"]],
                 dtype=np.int32) for end in ("src", "dst")}),
@@ -250,21 +249,21 @@ class TestStoreArtifacts:
             assert again.parts["dist"].tolist() == reference.parts[
                 "dist"].tolist()
             assert again.parts["drain_links"] == reference.parts["drain_links"]
-            for a, b in zip(triple(again), triple(reference)):
+            for a, b in zip(csr(again), csr(reference)):
                 assert a.tolist() == b.tolist()
             assert store.counts(structcache.KINDS)[kind] == 1
 
     def test_format_1_artefact_is_discarded_not_read(self, store):
         topology = make_mesh(4, 4)
         config = scheme_config(Scheme.DRAIN, TINY, seed=1)
-        reference = triple(structcache.parts_for(topology, config))
+        reference = csr(structcache.parts_for(topology, config))
         [meta] = list(store.root.glob("routing/*/*/meta.json"))
         payload = json.loads(meta.read_text())
         assert payload["format"] == ARRAY_FORMAT == 2
         meta.write_text(json.dumps(dict(payload, format=1)))
         structcache.clear_memos()
         compiles = store.compiles
-        again = triple(structcache.parts_for(topology, config))
+        again = csr(structcache.parts_for(topology, config))
         assert store.corrupt == 1 and store.compiles == compiles + 1
         assert not any(isinstance(arr.base, np.memmap) for arr in again)
         for a, b in zip(again, reference):
@@ -428,20 +427,20 @@ class TestAdoption:
         config = config_from_dict(spec.params["config"])
         cold = json.loads(json.dumps(execute_trial(spec)))
         # The memo the trial just filled: compiled by this process ...
-        cold_triple = triple(structcache.parts_for(topology, config))
+        cold_csr = csr(structcache.parts_for(topology, config))
         assert store.counts(structcache.KINDS)["routing"] == 1
         structcache.clear_memos()
         warm = json.loads(json.dumps(execute_trial(spec)))
         # ... and here memory-mapped back from the store.
-        warm_triple = triple(structcache.parts_for(topology, config))
-        assert all(isinstance(arr.base, np.memmap) for arr in warm_triple)
+        warm_csr = csr(structcache.parts_for(topology, config))
+        assert all(isinstance(arr.base, np.memmap) for arr in warm_csr)
         structcache.deactivate()
         structcache.clear_memos()
         bare = json.loads(json.dumps(execute_trial(spec)))
         assert cold == warm == bare
         scratch = AdaptiveMinimalRouting(FabricIndex(topology)).compiled_tables
-        for c, w, s in zip(cold_triple, warm_triple,
-                           (scratch.offsets, scratch.counts, scratch.links)):
+        for c, w, s in zip(cold_csr, warm_csr,
+                           (scratch.offsets, scratch.links)):
             assert c.dtype == w.dtype == s.dtype
             assert np.array_equal(c, s) and np.array_equal(w, s)
             assert not w.flags.writeable and not s.flags.writeable
