@@ -1,10 +1,10 @@
-"""The certifier's verdict type and the one deadlock-cycle vocabulary.
+"""The certifier's verdict type, its key, and the one deadlock-cycle vocabulary.
 
 :class:`Certificate` is what :mod:`repro.analysis.certifier` issues and
-what the structure store persists. Pre-flight rebuilds one from a stored
-payload, and ``repro-drain check`` offers :data:`ROUTING_NAMES` as
-choices, so both live here, away from the routing functions and the
-fabric index the certifier needs (and the numpy they load).
+what the structure memo and store hold under :func:`certificate_key`,
+and ``repro-drain check`` offers :data:`ROUTING_NAMES` as choices, so
+all three live here, away from the routing functions and the fabric
+index the certifier needs (and the numpy they load).
 
 :func:`canonical_rotation` and :func:`buffer_cycle_payload` are the one
 statement of how a deadlock cycle is written down. The certifier's
@@ -19,12 +19,15 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..store import canonical_json, digest
+
 __all__ = [
     "CERTIFIED",
     "REFUTED",
     "Certificate",
     "ROUTING_NAMES",
     "buffer_cycle_payload",
+    "certificate_key",
     "canonical_rotation",
 ]
 
@@ -55,10 +58,12 @@ class Certificate:
     def __post_init__(self) -> None:
         if self.verdict not in (CERTIFIED, REFUTED):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if (self.verdict == CERTIFIED) == (self.counterexample is not None):
+        certified = self.verdict == CERTIFIED
+        if (certified != (self.proof is not None)
+                or certified == (self.counterexample is not None)):
             raise ValueError(
                 "CERTIFIED requires a proof and no counterexample; "
-                "REFUTED requires a counterexample"
+                "REFUTED requires a counterexample and no proof"
             )
 
     @property
@@ -106,6 +111,25 @@ class Certificate:
                 f"extra={counter.get('extra')}"
             )
         return f"{head}: {kind}"
+
+
+def certificate_key(topology_payload: Mapping[str, Any], config: Any,
+                    flows: Optional[Sequence[Sequence[int]]]) -> str:
+    """The one memo and store key of *config*'s certificate on a topology.
+
+    It holds what the claim reads: the topology payload, scheme, flow
+    control and sorted pinned *flows* (``None``: all pairs), and under
+    pause/resume the PFC thresholds, ``vcs_per_vn`` and ``num_vns``.
+    """
+    from ..structcache.digest import STRUCT_FORMAT_VERSION
+
+    key = [canonical_json(topology_payload), config.scheme.value,
+           config.flow_control, canonical_json(flows)]
+    if config.flow_control == "pause_resume":
+        key += [config.pfc.pause_threshold, config.pfc.resume_threshold,
+                config.pfc.headroom, config.network.vcs_per_vn,
+                config.network.num_vns]
+    return digest({"format": STRUCT_FORMAT_VERSION, "certificate": key})
 
 
 def canonical_rotation(

@@ -10,15 +10,13 @@ times out after minutes. The pre-flight gate runs the cheap static checks
 :mod:`repro.analysis.certifier`) **before** any worker is spawned, so a
 broken sweep fails in milliseconds with the offending spec identified.
 
-Certification results are memoized per ``(topology, scheme, flow
-control, flow set)`` within the process: a 500-trial injection-rate
-sweep over one topology certifies the configuration exactly once, and a
-lossless sweep re-certifies only when its pinned flow set (which shapes
-the pause-augmented buffer-dependency graph) actually changes. A
-certificate the structure store already holds is rebuilt from its
-payload (:mod:`repro.analysis.certificate`); the certifier itself, and
-the routing and fabric code it needs, load only when a verdict must be
-computed.
+Verdicts are parts of the topology's one
+:class:`~repro.structcache.CompiledNetwork` entry, the one the trial's
+fabric index reads: connectivity once per topology, each certificate
+under its :func:`~repro.analysis.certificate.certificate_key` (persisted
+by the store like compiled structure). A 500-trial injection-rate sweep
+over one topology certifies once; the certifier itself, and the routing
+and fabric code it needs, load only when a verdict must be computed.
 
 The gate is opt-out: ``Harness(preflight=False)`` or the CLI flag
 ``--no-preflight`` skips it (e.g. for deliberately broken configurations
@@ -27,13 +25,14 @@ under study, such as the paper's deadlock-probability experiments).
 
 from __future__ import annotations
 
+import functools
 import pickle
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
+from .. import structcache
 from ..core.config import Scheme
 from ..core.configio import config_from_dict
-from ..store import canonical_json
-from .certificate import CERTIFIED, Certificate
+from .certificate import CERTIFIED, Certificate, certificate_key
 
 __all__ = ["PreflightError", "validate_spec", "clear_preflight_cache"]
 
@@ -44,12 +43,6 @@ __all__ = ["PreflightError", "validate_spec", "clear_preflight_cache"]
 #: control too: the lossless experiments deliberately run scheme-none
 #: rows into a CBD wedge to measure it.
 _STATIC_SCHEMES = frozenset({Scheme.DRAIN, Scheme.UPDOWN, Scheme.ESCAPE_VC})
-
-_CERT_CACHE: Dict[Tuple[str, str, str, str], Certificate] = {}
-
-#: Connectivity verdict per canonical topology spec: a sweep rebuilds
-#: each distinct topology once, not once per spec.
-_CONNECTED: Dict[str, bool] = {}
 
 
 class PreflightError(ValueError):
@@ -78,10 +71,9 @@ class PreflightError(ValueError):
 
 
 def clear_preflight_cache() -> None:
-    """Drop memoized certificates and connectivity verdicts (tests;
-    topology-heavy long sessions)."""
-    _CERT_CACHE.clear()
-    _CONNECTED.clear()
+    """Drop memoized certificates and connectivity verdicts, keeping every
+    compiled structure (tests; topology-heavy long sessions)."""
+    structcache.clear_memos("preflight")
 
 
 def validate_spec(spec: "Any") -> Optional[Certificate]:
@@ -93,14 +85,14 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     2. the params encode to canonical JSON (digest identity exists);
     3. the spec pickles (it must cross the process boundary);
     4. any embedded topology is connected (memoized per distinct
-       topology);
+       topology), and any pinned lossless flow rows are well formed;
     5. the trial config is one :class:`~repro.core.config.SimConfig`
        accepts (feasible PFC thresholds, a scheme its fabric models);
     6. for schemes with a static deadlock-freedom claim (drain, up*/down*,
        escape-VC), the configuration certifier issues ``CERTIFIED`` on the
        boot topology for that config (its pause claim restricted to the
-       trial's pinned flow set) — memoized per (topology, scheme,
-       flow-control, flow-set).
+       trial's pinned flow set) — memoized per
+       :func:`~repro.analysis.certificate.certificate_key`.
 
     Returns the certificate when one was produced (step 6), else ``None``.
     Fault-schedule trials are certified on the *boot* topology only: the
@@ -139,22 +131,19 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     if topo_spec is None:
         return None
 
-    topo_key = canonical_json(topo_spec)
-    # Built at most once per call, and only when a memo misses: the
-    # connectivity check and the certifier share it.
-    topology = None
-    connected = _CONNECTED.get(topo_key)
-    if connected is None:
-        topology = topology_from_spec(topo_spec)
-        connected = topology.is_connected()
-        _CONNECTED[topo_key] = connected
+    # The entry the trial's fabric index reads; the topology is built at
+    # most once per call, and only when a verdict misses.
+    net = structcache.compiled(topo_spec)
+    topology = functools.cache(functools.partial(topology_from_spec, topo_spec))
     name = topo_spec.get("name", "custom")
-    if not connected:
+    if not net.part(("preflight", "connected"),
+                    lambda: topology().is_connected()):
         raise PreflightError(
             f"topology {name!r} is not connected; every trial "
             "assumes all-pairs reachability at boot",
             digest=digest,
         )
+    flow_set = _flow_set(params, digest)
 
     config = params.get("config")
     scheme_value = config.get("scheme") if isinstance(config, Mapping) else None
@@ -167,9 +156,8 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
             f"unknown scheme {scheme_value!r} in trial config", digest=digest
         ) from exc
     # Everything SimConfig refuses (infeasible PFC thresholds, a scheme the
-    # chosen fabric does not model) is refused here, before any cached —
-    # or store-persisted — certificate can answer for it: the memo key
-    # deliberately omits the thresholds, which don't shape the pause BDG.
+    # chosen fabric does not model) is refused here, before any memoized
+    # or stored certificate can answer for it.
     try:
         sim_config = config_from_dict(config)
     except (TypeError, ValueError) as exc:
@@ -180,42 +168,19 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     if scheme not in _STATIC_SCHEMES:
         return None
 
-    flow_control = sim_config.flow_control
-    flow_set = _flow_set(params)
-    memo_key = (topo_key, scheme.value, flow_control,
-                canonical_json(flow_set))
-    certificate = _CERT_CACHE.get(memo_key)
-    if certificate is None:
-        # Persistent layer: the compiled-structure store keeps issued
-        # certificates across processes and runs (keyed by the same memo
-        # tuple). A corrupt or absent entry just falls through to the
-        # certifier; verdicts re-enter both layers on the way out.
-        from .. import structcache
-
-        stored = structcache.load_certificate(memo_key)
-        if stored is not None:
-            try:
-                certificate = Certificate(**stored)
-            except (TypeError, ValueError):
-                certificate = None
-        if certificate is not None:
-            _CERT_CACHE[memo_key] = certificate
-    if certificate is None:
+    def certify() -> Certificate:
         from .certifier import certify_configuration
 
-        if topology is None:
-            topology = topology_from_spec(topo_spec)
         try:
-            certificate = certify_configuration(
-                topology, sim_config, flows=flow_set
-            )
+            return certify_configuration(topology(), sim_config, flows=flow_set)
         except ValueError as exc:  # a flow naming no router of the topology
             raise PreflightError(
                 f"configuration is infeasible for {name!r}: {exc}",
                 digest=digest,
             ) from exc
-        _CERT_CACHE[memo_key] = certificate
-        structcache.save_certificate(memo_key, certificate.as_dict())
+
+    certificate = net.certificate(
+        certificate_key(topo_spec, sim_config, flow_set), certify)
     if certificate.verdict != CERTIFIED:
         raise PreflightError(
             f"configuration refuted for scheme {scheme.value!r} on "
@@ -226,18 +191,25 @@ def validate_spec(spec: "Any") -> Optional[Certificate]:
     return certificate
 
 
-def _flow_set(params: Mapping[str, Any]) -> Optional[list]:
+def _flow_set(params: Mapping[str, Any], digest: str) -> Optional[list]:
     """The trial's pinned (src, dst) flow pairs, sorted, or ``None``.
 
     Lossless trials carry their flows under ``params["lossless"]
     ["flows"]`` as ``[src, dst, rate, packets]`` rows; only the endpoint
     pairs shape the pause-augmented BDG, so rates and packet budgets do
-    not enter the memoization key.
+    not enter the certificate key.
     """
-    lossless = params.get("lossless") if isinstance(params, Mapping) else None
+    lossless = params.get("lossless")
     if not isinstance(lossless, Mapping):
         return None
     flows = lossless.get("flows")
     if not flows:
         return None
-    return sorted({(int(f[0]), int(f[1])) for f in flows})
+    try:
+        return sorted({(int(f[0]), int(f[1])) for f in flows})
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise PreflightError(
+            f"malformed lossless flow rows ({exc!r}); each row is "
+            "[src, dst, rate, packets]",
+            digest=digest,
+        ) from exc

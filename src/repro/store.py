@@ -9,7 +9,7 @@ per *kind*:
   (:class:`~repro.harness.cache.ResultCache` is the codec);
 - ``dist``, ``routing``, ``drain`` — compiled structure, keyed by the
   topology digest, as ``.npy`` array directories (:mod:`repro.structcache`);
-- ``certs`` — preflight certificates, keyed by the certificate digest,
+- ``certs`` — preflight certificates, keyed by their certificate key,
   as JSON (:mod:`repro.structcache`).
 
 Layout: ``<root>/<kind>/<key[:2]>/<key>.json`` for a JSON entry and

@@ -2,10 +2,10 @@
 
 Everything a simulation boots from that is a pure function of its
 topology — distances, link numbering, routing tables, the drain cycle,
-ESCAPE_VC's merged engine table — is compiled once per process into one
-:class:`CompiledNetwork` per topology content digest, and (when a store
-is activated) persisted as memory-mappable entries of the one store
-(:mod:`repro.store`). See :mod:`repro.structcache.memo`.
+ESCAPE_VC's merged engine table — and preflight's verdicts on it are
+compiled once per process into one :class:`CompiledNetwork` per topology
+content digest, and (when a store is activated) persisted as entries of
+the one store (:mod:`repro.store`). See :mod:`repro.structcache.memo`.
 
 The public names below resolve on first access (:func:`repro._lazy_exports`).
 """
@@ -14,7 +14,6 @@ from .. import _lazy_exports
 
 __all__ = [
     "STRUCT_FORMAT_VERSION",
-    "certificate_digest",
     "structure_digest",
     "topology_digest",
     "topology_payload",
@@ -28,17 +27,14 @@ __all__ = [
     "distance_matrix",
     "distances",
     "drain_links",
-    "load_certificate",
     "parts_for",
-    "save_certificate",
     "stats",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "digest": ("STRUCT_FORMAT_VERSION", "certificate_digest",
-               "structure_digest", "topology_digest", "topology_payload"),
+    "digest": ("STRUCT_FORMAT_VERSION", "structure_digest",
+               "topology_digest", "topology_payload"),
     "memo": ("KINDS", "CompiledNetwork", "activate", "active_store",
              "clear_memos", "compiled", "deactivate", "distance_matrix",
-             "distances", "drain_links", "load_certificate", "parts_for",
-             "save_certificate", "stats"),
+             "distances", "drain_links", "parts_for", "stats"),
 })

@@ -8,19 +8,19 @@ digest here is :func:`repro.store.digest` of a payload carrying
 - a **topology digest** covers the exact node count, edge set and
   coordinates — everything :func:`topology_payload` captures (the same
   encoding trial specs carry: ``harness.trials.topology_to_spec`` is this
-  function). Distance matrices, routing tables and drain paths are pure
-  functions of the topology, so this digest keys all of them.
+  function, and a spec's ``topology`` digests alike). Distance matrices,
+  routing tables, drain paths and preflight's verdicts hang on the
+  topology, so this digest keys all of them.
 - a **structure digest** additionally covers the full ``SimConfig``
   *minus the seed*. Nothing in the package keys on it any more; it stays
   for ``benchmarks/perf``, which times it.
-- a **certificate digest** covers the preflight memo key (topology,
-  scheme, flow control, pinned-flow set), mirroring the per-process
-  ``_CERT_CACHE`` in :mod:`repro.analysis.preflight`.
+- a **certificate key** is the one digest not here:
+  :func:`repro.analysis.certificate.certificate_key` states it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict
 
 from ..store import digest
 from ..topology.graph import Topology
@@ -30,7 +30,6 @@ __all__ = [
     "topology_payload",
     "topology_digest",
     "structure_digest",
-    "certificate_digest",
 ]
 
 #: Bump to abandon every stored artefact when formats or semantics change.
@@ -51,11 +50,12 @@ def topology_payload(topology: Topology) -> Dict[str, Any]:
     return spec
 
 
-def topology_digest(topology: Topology) -> str:
-    """Content digest of a topology's exact structure."""
-    return digest(
-        {"format": STRUCT_FORMAT_VERSION, "topology": topology_payload(topology)}
-    )
+def topology_digest(topology: Any) -> str:
+    """Content digest of a topology's exact structure: of a
+    :class:`Topology`, or of its :func:`topology_payload`."""
+    if isinstance(topology, Topology):
+        topology = topology_payload(topology)
+    return digest({"format": STRUCT_FORMAT_VERSION, "topology": topology})
 
 
 def structure_digest(
@@ -76,7 +76,3 @@ def structure_digest(
         }
     )
 
-
-def certificate_digest(key: Sequence[str]) -> str:
-    """Digest of a preflight certificate memo key (a tuple of strings)."""
-    return digest({"format": STRUCT_FORMAT_VERSION, "certificate": list(key)})

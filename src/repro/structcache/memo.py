@@ -12,11 +12,12 @@ process:
    whether or not a disk store is active. Its parts fill lazily and are
    read-only; a simulation keeps its mutable state (distance rows, dead
    sets, fault epoch) in its own :class:`~repro.network.index.FabricIndex`
-   and reads the shared parts through it. :func:`clear_memos` empties it.
-2. the **active store** (a :class:`repro.store.Store`) persists three of
-   those parts — ``dist``, ``routing``, ``drain``, all keyed by the
-   topology digest — as memory-mapped array entries, plus preflight
-   certificates as ``certs`` JSON entries;
+   and reads the shared parts through it. Preflight's verdicts are parts
+   too. :func:`clear_memos` empties it.
+2. the **active store** (a :class:`repro.store.Store`) persists four of
+   those parts — ``dist``, ``routing``, ``drain`` as memory-mapped array
+   entries keyed by the topology digest, and certificates as ``certs``
+   JSON entries keyed by their certificate key;
 3. a **warm-start protocol** (:mod:`repro.harness.pool`) compiles each
    distinct structure once in the parent before dispatching N workers x
    M trials.
@@ -38,12 +39,12 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
+    Any, Callable, Dict, List, Optional, Set, Tuple, Union,
 )
 
 from ..store import Store, cache_roots
 from ..topology.graph import Link
-from .digest import STRUCT_FORMAT_VERSION, certificate_digest, topology_digest
+from .digest import STRUCT_FORMAT_VERSION, topology_digest
 
 __all__ = [
     "KINDS",
@@ -58,8 +59,6 @@ __all__ = [
     "distances",
     "drain_links",
     "parts_for",
-    "load_certificate",
-    "save_certificate",
 ]
 
 #: The store kinds this package owns: three array artefacts, certificates.
@@ -118,13 +117,13 @@ _MEMO: Dict[str, "CompiledNetwork"] = {}
 class CompiledNetwork:
     """What one topology content digest compiles to at boot (fault epoch 0).
 
-    ``parts`` fills on first use and is never rewritten: every value is
-    read-only once built (frozen arrays, tuples, tables nobody writes), so
-    any number of simulations read one entry while each keeps its own
+    ``parts`` fills on first use and no value is rewritten: every value
+    is read-only once built (frozen arrays, tuples, tables nobody writes),
+    so any number of simulations read one entry while each keeps its own
     mutable state (``FabricIndex.dist`` rows, dead sets, fault epoch).
-    The three parts with a method here are also persisted by the active
-    store; the rest (:meth:`part`) live in memory only, built by the
-    module that consumes them.
+    The parts with a method here are also persisted by the active store;
+    the rest (:meth:`part`) live in memory only, built by the module that
+    consumes them.
     """
 
     __slots__ = ("digest", "parts", "saved")
@@ -132,8 +131,8 @@ class CompiledNetwork:
     def __init__(self, digest: str) -> None:
         self.digest = digest
         self.parts: Dict[Any, Any] = {}
-        #: (kind, store root) pairs known to hold this entry's artefact.
-        self.saved: Set[Tuple[str, Path]] = set()
+        #: (part name, store root) pairs known to hold that part's entry.
+        self.saved: Set[Tuple[Any, Path]] = set()
 
     def part(self, name: Any, build: Callable[[], Any]) -> Any:
         """``parts[name]``, built by *build* on first use."""
@@ -145,37 +144,45 @@ class CompiledNetwork:
 
     def _stored(
         self,
-        name: str,
+        name: Any,
         kind: str,
-        shapes: Dict[str, Optional[Tuple[int, ...]]],
+        shapes: Optional[Dict[str, Optional[Tuple[int, ...]]]],
         build: Callable[[], Any],
-        encode: Callable[[Any], Dict[str, Any]],
-        decode: Callable[[Dict[str, Any]], Any],
+        encode: Callable[[Any], Any],
+        decode: Callable[[Any], Any],
+        key: Optional[str] = None,
     ) -> Any:
-        """``parts[name]``, persisted as store artefact *kind*.
+        """``parts[name]``, persisted as store entry *kind*/*key* (default:
+        the topology digest): arrays of *shapes*, or JSON *decode* checks.
 
-        Read from the memo, else decoded from the active store's arrays,
-        else built. With a store active the artefact is in that store
+        Read from the memo, else decoded from the active store's entry,
+        else built. With a store active the entry is in that store
         afterwards whichever way it was found: a part the memo filled
         before this store was activated (or under another one) is written
         the first time it is asked for here, so a store never misses what
         the process already compiled.
         """
+        key = key or self.digest
+        as_json = shapes is None
         store = active_store()
         try:
             value = self.parts[name]
         except KeyError:
-            arrays = (store.get_arrays(kind, self.digest, shapes)
-                      if store is not None else None)
-            if arrays is not None:
-                value = self.parts[name] = decode(arrays)
-                self.saved.add((kind, store.root))
+            found = None
+            if store is not None:
+                # A JSON entry that *decode* refuses reads as corrupt.
+                found = (store.get_json(kind, key, decode) if as_json
+                         else store.get_arrays(kind, key, shapes))
+            if found is not None:
+                value = self.parts[name] = decode(found)
+                self.saved.add((name, store.root))
                 return value
             value = self.parts[name] = build()
-        if store is not None and (kind, store.root) not in self.saved:
-            if not store.path(kind, self.digest).exists():
-                store.put_arrays(kind, self.digest, encode(value))
-            self.saved.add((kind, store.root))
+        if store is not None and (name, store.root) not in self.saved:
+            if not store.path(kind, key, ".json" if as_json else "").exists():
+                put = store.put_json if as_json else store.put_arrays
+                put(kind, key, encode(value))
+            self.saved.add((name, store.root))
         return value
 
     def dist(self, topology: Any) -> Any:
@@ -239,14 +246,34 @@ class CompiledNetwork:
                                            arrays["dst"].tolist())),
         )
 
+    def certificate(self, key: str, build: Callable[[], Any]) -> Any:
+        """The certificate issued under *key* (a
+        :func:`~repro.analysis.certificate.certificate_key`)."""
+        from ..analysis.certificate import Certificate
+
+        def decode(payload: Any) -> Any:
+            # The key carries the format version; a bad shape is corrupt.
+            try:
+                return Certificate(**payload["certificate"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"not a certs entry: {exc}") from exc
+
+        return self._stored(
+            ("preflight", key), "certs", None, build,
+            encode=lambda cert: {"format": STRUCT_FORMAT_VERSION,
+                                 "certificate": cert.as_dict()},
+            decode=decode, key=key,
+        )
+
 
 def compiled(topology: Any) -> CompiledNetwork:
     """The memo entry of *topology*'s content (least recently used out).
 
-    Keyed by content digest, so a mutated topology or a different object
-    with the same structure both behave correctly. This is the one digest
-    a construction pays: :class:`~repro.network.index.FabricIndex` keeps
-    the entry it was built from, and everything downstream reads it there.
+    Keyed by content digest, so a mutated topology, a different object
+    with the same structure or its payload (which preflight passes) all
+    behave correctly. This is the one digest a construction pays:
+    :class:`~repro.network.index.FabricIndex` keeps the entry it was built
+    from, and everything downstream reads it there.
     """
     key = topology_digest(topology)
     net = _MEMO.pop(key, None) or CompiledNetwork(key)
@@ -256,13 +283,20 @@ def compiled(topology: Any) -> CompiledNetwork:
     return net
 
 
-def clear_memos() -> None:
-    """Drop the in-process memo.
+def clear_memos(head: Optional[str] = None) -> None:
+    """Drop the in-process memo, or only every entry's parts named
+    ``(head, ...)``.
 
-    The memo's only control: test isolation, and how ``benchmarks/perf``
-    times a cold compile (``structcache.cold_compile_s``).
+    The memo's only control: test isolation, how ``benchmarks/perf``
+    times a cold compile (``structcache.cold_compile_s``), and
+    :func:`~repro.analysis.preflight.clear_preflight_cache`.
     """
-    _MEMO.clear()
+    if head is None:
+        _MEMO.clear()
+    for net in _MEMO.values():
+        net.parts = {name: v for name, v in net.parts.items()
+                     if name[:1] != (head,)}
+        net.saved = {pair for pair in net.saved if pair[0][:1] != (head,)}
 
 
 def distance_matrix(topology: Any) -> Any:
@@ -309,28 +343,3 @@ def parts_for(topology: Any, config: Any) -> CompiledNetwork:
         index.compiled.drain_links(topology)
     return index.compiled
 
-
-# ----------------------------------------------------------------------
-# Certificates (layer 2 only; preflight keeps its in-process memo)
-# ----------------------------------------------------------------------
-def _is_certificate(payload: Any) -> bool:
-    return (isinstance(payload, dict)
-            and payload.get("format") == STRUCT_FORMAT_VERSION
-            and isinstance(payload.get("certificate"), dict))
-
-
-def load_certificate(key: Sequence[str]) -> Optional[Dict[str, Any]]:
-    """Stored preflight certificate for a memo *key*, or None."""
-    store = active_store()
-    if store is None:
-        return None
-    payload = store.get_json("certs", certificate_digest(key), _is_certificate)
-    return payload["certificate"] if payload is not None else None
-
-
-def save_certificate(key: Sequence[str], certificate: Dict[str, Any]) -> None:
-    """Persist a freshly-computed preflight certificate for *key*."""
-    store = active_store()
-    if store is not None:
-        store.put_json("certs", certificate_digest(key), {
-            "format": STRUCT_FORMAT_VERSION, "certificate": certificate})

@@ -1,6 +1,7 @@
 """Static analysis subsystem: certifier, determinism lint, preflight gate."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,9 +20,10 @@ from repro.analysis import (
 )
 from repro.analysis.preflight import clear_preflight_cache
 from repro.cli import main
-from repro.core.config import Scheme, SimConfig
+from repro.core.config import NetworkConfig, PfcConfig, Scheme, SimConfig
 from repro.core.configio import config_to_dict
 from repro.drain.path import DrainPathError, find_drain_path
+from repro.experiments.common import Scale, synthetic_trial_for
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.harness import Harness
 from repro.harness.trials import TrialSpec, synthetic_trial, topology_to_spec
@@ -64,6 +66,8 @@ def test_certificate_invariants():
         Certificate(CERTIFIED, {}, counterexample={"kind": "turn-cycle"})
     with pytest.raises(ValueError):
         Certificate(REFUTED, {}, proof={"method": "x"})
+    with pytest.raises(ValueError):
+        Certificate(CERTIFIED, {})
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +264,66 @@ def test_preflight_accepts_and_memoizes():
     spec = _good_spec()
     cert = validate_spec(spec)
     assert cert is not None and cert.certified
-    assert validate_spec(spec) is cert  # memoized per (topology, scheme)
+    assert validate_spec(spec) is cert  # memoized per certificate key
+
+
+def count_certifications(monkeypatch):
+    """The calls preflight makes to the certifier, from now on."""
+    import repro.analysis.certifier as certifier
+
+    calls = []
+    real = certifier.certify_configuration
+    monkeypatch.setattr(certifier, "certify_configuration",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_credit_specs_differing_only_in_pfc_or_vcs_share_a_certificate(
+        monkeypatch):
+    clear_preflight_cache()
+    calls = count_certifications(monkeypatch)
+    base = SimConfig(scheme=Scheme.DRAIN, seed=1)
+    configs = [
+        base,
+        replace(base, pfc=PfcConfig(pause_threshold=2, resume_threshold=1,
+                                    headroom=0)),
+        replace(base, network=NetworkConfig(vcs_per_vn=4)),
+    ]
+    certs = [validate_spec(synthetic_trial(make_mesh(4, 4), config,
+                                           rate=0.05, cycles=50, warmup=10))
+             for config in configs]
+    assert certs[0] is certs[1] is certs[2]
+    assert len(calls) == 1
+
+
+def test_sweep_certifies_each_static_scheme_once(monkeypatch, tmp_path):
+    # The benchmark's sweep_cli spec list: one mesh, three schemes, five
+    # rates. DRAIN and ESCAPE_VC make static claims; SPIN makes none.
+    from repro import structcache
+    from repro.cli import parse_topology
+
+    topology = parse_topology("mesh:8x8")
+    specs = [
+        synthetic_trial_for(topology, scheme, rate, Scale.ci(),
+                            pattern="uniform_random", mesh_width=8, seed=1)
+        for scheme in (Scheme.ESCAPE_VC, Scheme.SPIN, Scheme.DRAIN)
+        for rate in (0.03, 0.07, 0.11, 0.15, 0.19)
+    ]
+    calls = count_certifications(monkeypatch)
+    structcache.clear_memos()
+    structcache.activate(tmp_path)
+    try:
+        for spec in specs:
+            validate_spec(spec)
+        assert len(calls) == 2
+        # Warm: a later process finds every certificate in the store.
+        structcache.clear_memos()
+        for spec in specs:
+            validate_spec(spec)
+        assert len(calls) == 2
+    finally:
+        structcache.deactivate()
+        structcache.clear_memos()
 
 
 def test_preflight_rejects_unknown_runner():

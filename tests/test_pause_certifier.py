@@ -8,6 +8,7 @@ engine-parity lint rules.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -380,6 +381,58 @@ class TestPreflightPause:
             [Flow(0, 4, 0.5, packets=5)], cycles=1000,
         ))
         assert a is not b
+
+    def test_pfc_fields_enter_the_certificate_key(self):
+        # A pause certificate's subject and proof carry the PFC fields of
+        # the config it was issued for, so a spec that differs only in
+        # them gets its own certificate, not the first spec's.
+        topo = scenario_topology()
+        one = validate_spec(lossless_trial(topo, pause_config(pause=1),
+                                           ring_flow_objs(), cycles=1000))
+        three = validate_spec(lossless_trial(topo, pause_config(pause=3),
+                                             ring_flow_objs(), cycles=1000))
+        assert three is not one
+        assert three.subject["pfc"]["pause_threshold"] == 3
+        assert three.proof["pfc"]["pause_threshold"] == 3
+        assert one.subject["pfc"]["pause_threshold"] == 1
+
+    def test_every_field_the_pause_claim_reads_is_in_the_key(self):
+        base = pause_config()
+        variants = [
+            base,
+            replace(base, pfc=pfc(resume=1)),
+            replace(base, pfc=pfc(headroom=2)),
+            replace(base, network=NetworkConfig(num_vns=1, vcs_per_vn=3)),
+            replace(base, network=NetworkConfig(num_vns=2, vcs_per_vn=4)),
+        ]
+        topo = scenario_topology()
+        certs = [validate_spec(lossless_trial(topo, config, ring_flow_objs(),
+                                              cycles=1000))
+                 for config in variants]
+        for config, cert in zip(variants, certs):
+            model = cert.subject["pfc"]
+            assert model == cert.proof["pfc"]
+            assert (model["pause_threshold"], model["resume_threshold"],
+                    model["headroom"], model["row_depth"]) == (
+                config.pfc.pause_threshold, config.pfc.resume_threshold,
+                config.pfc.headroom, config.network.vcs_per_vn)
+            assert model["rows"] == (2 * topo.num_edges
+                                     * config.network.num_vns)
+        assert len({id(cert) for cert in certs}) == len(variants)
+
+    @pytest.mark.parametrize("scheme", [Scheme.DRAIN, Scheme.NONE])
+    @pytest.mark.parametrize("rows", [[[0]], [["x", 1, 0.5, 1]], [5]],
+                             ids=["short-row", "non-integer", "not-a-row"])
+    def test_malformed_flow_rows_name_the_spec(self, rows, scheme):
+        # Reactive schemes make no static claim, but their trials still
+        # read the flow rows: a malformed one is refused all the same.
+        spec = lossless_trial(scenario_topology(), pause_config(scheme=scheme),
+                              ring_flow_objs(), cycles=1000)
+        spec.params["lossless"]["flows"] = rows
+        with pytest.raises(PreflightError,
+                           match="malformed lossless flow rows") as info:
+            validate_spec(spec)
+        assert info.value.digest == spec.digest()
 
     def test_reactive_scheme_is_not_gated(self):
         # The lossless experiment deliberately wedges scheme-none rows;

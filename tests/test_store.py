@@ -21,12 +21,13 @@ import pytest
 
 import repro.store
 from repro import structcache
+from repro.analysis.certificate import certificate_key
 from repro.analysis.preflight import clear_preflight_cache, validate_spec
-from repro.core.config import Scheme
+from repro.core.config import Scheme, SimConfig
 from repro.cli import main
 from repro.experiments.common import Scale, synthetic_trial_for
 from repro.harness import TrialSpec
-from repro.store import Store, canonical_json, digest
+from repro.store import Store, digest
 from repro.topology.mesh import make_mesh
 
 TINY = Scale(warmup=100, measure=300, fault_patterns=1,
@@ -65,9 +66,8 @@ class TestPinnedDigests:
             clear_preflight_cache()
         assert [p.name for p in store.root.glob("certs/*/*.json")] == [
             f"{key}.json"]
-        assert structcache.certificate_digest(
-            (canonical_json(structcache.topology_payload(
-                make_mesh(4, 4))), "drain", "credit", "null")) == key
+        assert certificate_key(structcache.topology_payload(
+            make_mesh(4, 4)), SimConfig(scheme=Scheme.DRAIN), None) == key
 
 
 # ----------------------------------------------------------------------

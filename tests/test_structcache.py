@@ -10,6 +10,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import subprocess
@@ -20,13 +21,18 @@ import numpy as np
 import pytest
 
 from repro import structcache
+from repro.analysis.preflight import clear_preflight_cache, validate_spec
 from repro.core.config import Scheme
 from repro.core.configio import config_from_dict, config_to_dict
 from repro.core.simulator import Simulation
 from repro.experiments.common import Scale, scheme_config, synthetic_trial_for
 from repro.faults.schedule import FaultEvent, FaultSchedule
-from repro.harness import Harness, execute_trial
-from repro.harness.trials import fault_recovery_trial, structural_params
+from repro.harness import Harness, execute_trial, trials
+from repro.harness.trials import (
+    fault_recovery_trial,
+    structural_params,
+    topology_from_spec,
+)
 from repro.network.index import FabricIndex
 from repro.network.vectorized import VectorizedEngine
 from repro.routing.adaptive import AdaptiveMinimalRouting
@@ -546,13 +552,18 @@ class TestHarnessWarmStart:
 # ----------------------------------------------------------------------
 # Certificates
 # ----------------------------------------------------------------------
+def _benchmark_workloads():
+    """``benchmarks/perf/workloads.py``, the benchmark's spec builders."""
+    path = Path(__file__).parents[1] / "benchmarks" / "perf" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location(
+        "_perf_workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
 class TestCertificates:
     def test_preflight_certificate_persists(self, store):
-        from repro.analysis.preflight import (
-            clear_preflight_cache,
-            validate_spec,
-        )
-
         spec = tiny_spec()
         clear_preflight_cache()
         first = validate_spec(spec)
@@ -561,3 +572,53 @@ class TestCertificates:
         second = validate_spec(spec)
         assert second.as_dict() == first.as_dict()
         assert store.counts(structcache.KINDS)["certs"] == 1
+
+    def test_store_activated_after_the_memo_answered_gets_the_certificate(
+            self, tmp_path):
+        spec = synthetic_trial_for(make_mesh(3, 3), Scheme.DRAIN, 0.05, TINY,
+                                   mesh_width=3, seed=1)
+        first = validate_spec(spec)
+        store = structcache.activate(tmp_path / "later")
+        assert validate_spec(spec) is first
+        assert store.counts(structcache.KINDS)["certs"] == 1
+
+    @pytest.mark.parametrize("entry", [
+        "{not json",
+        json.dumps({"format": structcache.STRUCT_FORMAT_VERSION,
+                    "certificate": {"verdict": "CERTIFIED", "witness": []}}),
+        json.dumps({"format": structcache.STRUCT_FORMAT_VERSION,
+                    "certificate": {"verdict": "CERTIFIED", "subject": {},
+                                    "proof": None}}),
+    ], ids=["unparsable", "wrong-shape", "proofless"])
+    def test_corrupt_certificate_is_recertified_and_replaced(
+            self, store, monkeypatch, entry):
+        import repro.analysis.certifier as certifier
+
+        spec = tiny_spec()
+        first = validate_spec(spec)
+        [path] = store.root.glob("certs/*/*.json")
+        path.write_text(entry)
+        calls = []
+        real = certifier.certify_configuration
+        monkeypatch.setattr(certifier, "certify_configuration",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        clear_preflight_cache()
+        assert validate_spec(spec).as_dict() == first.as_dict()
+        assert len(calls) == 1
+        assert store.corrupt == 1
+        assert json.loads(path.read_text())["certificate"] == first.as_dict()
+
+    def test_preflight_and_the_1024_switch_trial_share_one_entry(self):
+        # Preflight finds its entry from the spec's topology payload; the
+        # trial's fabric index from the built topology. Both are one digest,
+        # so the benchmark's 1024-switch unit holds one entry, not two.
+        workloads = _benchmark_workloads()
+        spec = workloads.trial_spec("lossless_1024", 1, False)
+        structcache.clear_memos()
+        assert validate_spec(spec).certified
+        topology = topology_from_spec(spec.params["topology"])
+        config = config_from_dict(spec.params["config"])
+        traffic, kwargs = trials._lossless_source(spec.params, topology,
+                                                  config)
+        Simulation(topology, config, traffic, **kwargs)
+        assert list(memo._MEMO) == [structcache.topology_digest(topology)]
