@@ -252,11 +252,16 @@ class FabricIndex:
         for name, value in numbering.items():
             setattr(self, name, value)
 
-        #: The memoised boot matrix (read-only, shared by content digest);
-        #: ``dist`` is the mutable row-list copy per-packet lookups and
-        #: :meth:`apply_faults` work on.
-        self._boot_dist = net.dist(topology)
-        self.dist: List[List[int]] = self._boot_dist.tolist()
+        #: The memoised boot matrix (read-only, shared by content digest).
+        #: ``dist`` starts as read-only row views of it, not a copy: the
+        #: move path reads no rows over minimal tables (they cannot
+        #: misroute), and the cold readers take a memoryview read.
+        #: :meth:`apply_faults` replaces the rows with fresh lists.
+        self._boot_dist = boot = net.dist(topology)
+        n = self.num_nodes
+        flat = memoryview(boot.reshape(n * n))
+        self.dist: List[Sequence[int]] = [
+            flat[r * n:(r + 1) * n] for r in range(n)]
 
         # Runtime fault state (mid-simulation link/router deaths). The
         # static port/link numbering never changes — dead resources keep

@@ -43,6 +43,7 @@ Semantics notes:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Optional, Tuple
 
 from ..router.packet import Packet
@@ -112,28 +113,40 @@ class PauseResumeFabric(Fabric):
                 occ += 1
         self._hysteresis(row, occ)
 
-    def _settle_rows(self, rows) -> None:
+    def _settle_rows(self, moves, ejects) -> None:
         """Hysteresis for the rows one vectorized apply pass touched.
 
-        *rows* are availability-mask indices in any order, repeats allowed
-        (each row's outcome depends on that row alone, and
-        :meth:`_hysteresis` applied twice to one occupancy within a cycle
-        acts once); injection-port rows, which are never paused, are
-        skipped.
+        *moves* and *ejects* are the pass's grant lists: each move's target
+        row (``link * num_vns + vn``) and each grant's source row
+        (``slot_ai[s]``) settles, in grant order, repeats and all — each
+        row's outcome depends on that row alone, and :meth:`_hysteresis`
+        applied twice to one occupancy within a cycle acts once, so the
+        rows need neither sorting nor a set. Injection-port rows, which
+        are never paused, are skipped.
         """
         avail = self._engine_avail
+        slot_ai = self._engine._slot_ai
         occ_of = self._occ_of_avail
         xoff = self._xoff
         row_occ = self._row_occ
         pause = self.pause_threshold
         resume = self.resume_threshold
+        num_vns = self.num_vns
         num_rows = len(xoff)
-        for row in rows:
-            if row >= num_rows:
-                continue
+        for _, _, link, vn, _ in moves:
+            row = link * num_vns + vn
             occ = occ_of[avail[row]]
             # Inside the hysteresis band nothing can flip: the common case,
             # settled without a call.
+            if occ > resume if xoff[row] else occ < pause:
+                row_occ[row] = occ
+            else:
+                self._hysteresis(row, occ)
+        for grant in chain(moves, ejects):
+            row = slot_ai[grant[0]]
+            if row >= num_rows:
+                continue
+            occ = occ_of[avail[row]]
             if occ > resume if xoff[row] else occ < pause:
                 row_occ[row] = occ
             else:

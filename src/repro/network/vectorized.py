@@ -40,7 +40,18 @@ Credit and escape availability live in one flat byte array — bit ``v`` of
 is free and unclaimed. The masks are maintained incrementally by every
 buffer write (``Fabric._slot_set``, the injection stage, and this engine's
 own apply pass), so a cycle's allocation reads them with zero rebuild
-cost.
+cost. The scan reads them first: per (port, VN) row, ``full ^ avail``
+names the slots that hold a packet, and a per-rotation table lists those
+VCs in scan order, so empty slots are never walked. Every occupied slot
+has its bit clear, and a claim earlier in the same scan clears only the
+bit of a still-empty slot, which the walk skips as before.
+
+The apply pass tests distance rows for misroutes only when a plan may
+detour (:attr:`VectorizedEngine._detours`): a move along the live tables
+of a :attr:`RoutingFunction.minimal` function is one hop closer by
+construction, so fabrics over adaptive-minimal tables (and ESCAPE_VC
+over DOR on a mesh) never read the rows; up*/down*, ESCAPE_VC over
+up*/down* and tables older than the fault epoch do.
 
 Conflict resolution deliberately replays the reference sweep's iteration
 order and per-occupied-slot LCG draws: grant decisions are sequential by
@@ -169,7 +180,7 @@ class VectorizedEngine:
         "tables", "escape_tables",
         "asleep", "sleep_draws", "sleep_stalls", "upstream", "_jump",
         "_used0", "_xoff", "_xoff_mode", "_scan", "_land", "_phase_up",
-        "_busy",
+        "_busy", "_detours",
     )
 
     def __init__(self, fabric) -> None:
@@ -239,6 +250,10 @@ class VectorizedEngine:
         #: phase bit after a hop, or None when no routing function is
         #: stateful (then the plans are not phase pairs either).
         self._phase_up: Optional[Tuple[bytes, bytes]] = None
+        #: True when some table a plan reads may detour (a non-minimal
+        #: function, or tables older than the live fault epoch): only then
+        #: does the apply pass test distance rows for misroutes.
+        self._detours = True
         #: Table (re)builds performed, including the initial one (test hook
         #: for the fault-epoch invalidation contract).
         self.rebuilds = 0
@@ -257,10 +272,21 @@ class VectorizedEngine:
         fabric = self.fabric
         index = fabric.index
         vcs = fabric.vcs_per_vn
-        #: VC scan order of a row by its rotation start ``(cycle + port) %
-        #: vcs``, as slot offsets within the row.
-        orders = tuple(tuple((v0 + k) % vcs for k in range(vcs))
-                       for v0 in range(vcs))
+        num_vns = fabric.num_vns
+        #: ``held[rot][mask]``: the VCs of a row whose bits are set in
+        #: *mask* (its slots that hold a packet, ``full ^ avail``), in the
+        #: scan order of rotation start ``rot = (cycle + port) % vcs``.
+        held = tuple(
+            tuple(tuple(vc for vc in ((rot + k) % vcs for k in range(vcs))
+                        if mask >> vc & 1)
+                  for mask in range(1 << vcs))
+            for rot in range(vcs))
+        #: VN scan order by its start ``cycle % num_vns``.
+        vn_orders = tuple(tuple((v0 + k) % num_vns for k in range(num_vns))
+                          for v0 in range(num_vns))
+        #: Each router's input ports twice over: its rotation from ``pstart``
+        #: is one slice, with no per-port modulo.
+        ports2 = [tuple(ports + ports) for ports in index.in_ports]
         mode = fabric.escape_mode
         latch0 = mode is not None and (mode == "escape_vc"
                                        or fabric.escape_sticky)
@@ -270,8 +296,8 @@ class VectorizedEngine:
         #: What an XOFF target row leaves of each candidate mode.
         self._xoff_mode = _XOFF_MODE[bool(exempt_escape)]
         self._scan = (
-            fabric._buf, fabric.num_vns, vcs, fabric._port_stride,
-            index.num_nodes, self.avail, orders, _PICK, index.in_ports,
+            fabric._buf, num_vns, vcs, (1 << vcs) - 1, fabric._port_stride,
+            index.num_nodes, self.avail, held, vn_orders, _PICK, ports2,
             fabric._port_occ, fabric._router_occ, fabric.ej_queues,
             fabric._ej_depth, fabric.net.ejections_per_cycle, latch0, rearm,
             self.asleep, self.sleep_draws, self.sleep_stalls, self._jump,
@@ -282,7 +308,7 @@ class VectorizedEngine:
             self._slot_ai, self._slot_bit, fabric._port_occ,
             fabric._router_occ, index.port_router, index.link_dst,
             index.dist, fabric.link_util, self.asleep, self.upstream,
-            fabric.num_vns, fabric._eject)
+            num_vns, fabric._eject)
 
     # ------------------------------------------------------------------
     # Plans over the routing tables
@@ -366,6 +392,12 @@ class VectorizedEngine:
         else:
             self._plan, self._esc_plan = plans(None)
             self._phase_up = None
+        # A minimal function's live tables lead one hop closer by
+        # construction; anything else (up*/down*, tables compiled before
+        # the live fault epoch) may detour.
+        self._detours = not all(
+            fn.minimal and fn.compiled_tables.epoch == index.fault_epoch
+            for fn in (main, esc) if fn is not None)
         # Routing tables may still list links that died this epoch (a
         # routing function without a rebuild story keeps them; the dense
         # sweep skips them per-candidate while leaving them in the rotation
@@ -421,9 +453,9 @@ class VectorizedEngine:
             self._build_tables()
         if not fabric.packets_in_network:
             return  # nothing buffered: no scan, no draw, no grant
-        (flat, num_vns, vcs, stride, n, avail, orders, pick, in_ports,
-         port_occ, router_occ, ej_queues, ej_depth, epc, latch0, rearm,
-         asleep, sleep_draws, sleep_stalls, jump, xoff,
+        (flat, num_vns, vcs, full, stride, n, avail, held, vn_orders, pick,
+         ports2, port_occ, router_occ, ej_queues, ej_depth, epc, latch0,
+         rearm, asleep, sleep_draws, sleep_stalls, jump, xoff,
          xoff_mode, sources, serial) = self._scan
         cycle = fabric.cycle
         used = bytearray(self._used0)
@@ -440,14 +472,13 @@ class VectorizedEngine:
         phased = self._phase_up is not None
         dead_routers = index.dead_routers or None
         lcg = fabric._lcg
-        vn_start = cycle % num_vns
+        vn_order = vn_orders[cycle % num_vns]
         stalls = 0
 
         moves: List[Tuple[int, int, int, int, "object"]] = []
         ejects: List[Tuple[int, int, int, "object"]] = []
         moves_append = moves.append
         ejects_append = ejects.append
-        grants = 0  # len(moves) + len(ejects) when the current scan began
 
         # Occupied routers only, in router order (occupancy is constant
         # during the scan: grants land in _apply).
@@ -461,29 +492,30 @@ class VectorizedEngine:
             if dead_routers is not None and router in dead_routers:
                 continue
             draws = scan_stalls = 0
-            ports = in_ports[router]
-            nports = len(ports)
+            ports = ports2[router]
+            nports = len(ports) >> 1
             pstart = (cycle + router) % nports
             budget = epc
             pend = None
             router_row = router * n
-            for pi in range(nports):
-                k = pstart + pi
-                if k >= nports:
-                    k -= nports
-                port = ports[k]
+            any_grant = False
+            for port in ports[pstart:pstart + nports]:
                 if not port_occ[port]:
                     continue
                 base_port = port * stride
-                order = orders[(cycle + port) % vcs]
+                row = port * num_vns
+                by_held = held[(cycle + port) % vcs]
                 granted = False
-                for vn_off in range(num_vns):
-                    vn = vn_start + vn_off
-                    if vn >= num_vns:
-                        vn -= num_vns
+                for vn in vn_order:
+                    # Occupied slots have their bit clear; a bit this scan
+                    # cleared by a claim marks a still-empty slot, skipped
+                    # below like any empty one.
+                    mask = full ^ avail[row + vn]
+                    if not mask:
+                        continue
                     vbase = vn * vcs
                     base = base_port + vbase
-                    for vc in order:
+                    for vc in by_held[mask]:
                         s = base + vc
                         pkt = flat[s]
                         if pkt is None:
@@ -593,14 +625,12 @@ class VectorizedEngine:
                         if granted:
                             break
                     if granted:
+                        any_grant = True
                         break
                 # one grant per input port per cycle (crossbar input)
             if scan_stalls:
                 stalls += scan_stalls
-            g = len(moves) + len(ejects)
-            if g != grants:
-                grants = g
-            else:
+            if not any_grant:
                 # Nothing granted: every packet was examined, drew once per
                 # candidate group and stalled once per XOFF candidate,
                 # whatever the rotation.
@@ -658,7 +688,6 @@ class VectorizedEngine:
          upstream, num_vns, eject) = self._land
         cycle = fabric.cycle
         fabric.last_progress_cycle = cycle
-        misroutes = 0
         vn_hops = [0] * num_vns
         for s, d, link, vn, pkt in moves:
             flat[s] = None
@@ -677,12 +706,19 @@ class VectorizedEngine:
             asleep[upstream[sp]] = 0
             pkt.hops += 1
             pkt.blocked_since = cycle
-            pdst = pkt.dst
-            if dist[dst_router][pdst] > dist[src_router][pdst]:
-                pkt.misroutes += 1
-                misroutes += 1
             link_util[link] += 1
             vn_hops[vn] += 1
+        if self._detours:
+            # Only a table that may detour can move a packet away from its
+            # destination (Fabric._account_move's test, per move).
+            misroutes = 0
+            for s, _, link, _, pkt in moves:
+                pdst = pkt.dst
+                if (dist[link_dst[link]][pdst]
+                        > dist[port_router[slot_port[s]]][pdst]):
+                    pkt.misroutes += 1
+                    misroutes += 1
+            stats.misroutes += misroutes
         phase_up = self._phase_up
         if phase_up is not None:
             # The governing function's on_hop: a down link ends the up
@@ -694,8 +730,6 @@ class VectorizedEngine:
         nm = len(moves)
         ne = len(ejects)
         if nm:
-            if misroutes:
-                stats.misroutes += misroutes
             stats.flits_traversed += nm  # single-flit packets (gated)
             svh = stats.vn_hops
             for vn, count in enumerate(vn_hops):
@@ -712,14 +746,7 @@ class VectorizedEngine:
             asleep[upstream[port]] = 0
             eject(router, pkt)
         if self._xoff is not None:
-            # Grant order, duplicates and all: rows settle independently
-            # and settling one twice changes nothing, so the list needs
-            # neither sorting nor a set (which would cost more than the
-            # settling itself).
-            touched = [link * num_vns + vn for _, _, link, vn, _ in moves]
-            touched += [slot_ai[grant[0]] for grant in moves]
-            touched += [slot_ai[grant[0]] for grant in ejects]
-            fabric._settle_rows(touched)
+            fabric._settle_rows(moves, ejects)
 
     # ------------------------------------------------------------------
     # Stuck-network spans (Simulation's fast-forward)

@@ -41,6 +41,7 @@ class AdaptiveMinimalRouting(RoutingFunction):
     """
 
     deadlock_free = False
+    minimal = True  # cells are ``dist[link_dst[out]] == row - 1``
 
     def __init__(
         self,

@@ -42,6 +42,14 @@ class RoutingFunction(ABC):
     #: through :meth:`arrival_phase`.
     stateful: bool = False
 
+    #: True when every candidate of every cell leads exactly one hop closer
+    #: to the destination under the distances the tables were compiled
+    #: against: a move along tables that carry the live fault epoch never
+    #: misroutes, so the vectorized engine skips the per-move distance
+    #: test for them. A fact about the class, never a knob; an instance
+    #: may only clear it, where its topology breaks the class's premise.
+    minimal: bool = False
+
     #: CSR candidate tables
     #: (:class:`~repro.network.index.DenseCandidateTables`), in the exact
     #: order :meth:`candidates` yields them (the allocator's rotation

@@ -23,13 +23,24 @@ class DimensionOrderRouting(RoutingFunction):
     """XY routing over a fault-free mesh (requires mesh coordinates)."""
 
     deadlock_free = True
+    # On a complete mesh an XY route is as long as the Manhattan distance,
+    # which is the hop distance: every next hop is one hop closer. A link
+    # that is not one grid step (a torus's wrap link) is a shortcut XY
+    # never takes, and the constructor clears the fact for that instance.
+    minimal = True
 
     def __init__(self, index: FabricIndex) -> None:
         self.index = index
         topology = index.topology
         if topology.coordinates is None:
             raise ValueError("dimension-order routing requires mesh coordinates")
+        if index.dead_links or index.dead_routers:
+            raise ValueError("dimension-order routing requires a fault-free mesh")
         coords = topology.coordinates
+        if any(abs(coords[a][0] - coords[b][0])
+               + abs(coords[a][1] - coords[b][1]) != 1
+               for a, b in zip(index.link_src, index.link_dst)):
+            self.minimal = False
         n = index.num_nodes
         self._next: List[List[int]] = [[-1] * n for _ in range(n)]
         for router in range(n):

@@ -8,11 +8,13 @@ from repro.drain.hawick_james import elementary_circuits
 from repro.network.index import FabricIndex
 from repro.router.packet import Packet
 from repro.routing.adaptive import AdaptiveMinimalRouting
+from repro.routing.base import RoutingFunction
 from repro.routing.dor import DimensionOrderRouting
 from repro.routing.updown import UpDownRouting
+from repro.topology.datacenter import make_leaf_spine
 from repro.topology.graph import Topology
 from repro.topology.irregular import inject_link_faults
-from repro.topology.mesh import make_mesh, node_at
+from repro.topology.mesh import make_mesh, make_torus, node_at
 
 
 def walk(routing, index, src, dst, choose=min, max_hops=200):
@@ -248,3 +250,72 @@ class TestDeterministicUpDown:
         for _ in range(40):
             src, dst = rng.sample(range(64), 2)
             walk(routing, index, src, dst)
+
+
+def detours(routing, index):
+    """(router, dst, link) cells whose candidate is not one hop closer
+    under the index's live distance rows."""
+    dist = index.dist
+    n = index.num_nodes
+    return [(router, dst, link)
+            for router in range(n) for dst in range(n)
+            for link in routing.compiled_tables.row(router, dst)
+            if dist[index.link_dst[link]][dst] != dist[router][dst] - 1]
+
+
+MINIMAL_TOPOLOGIES = {
+    "mesh4": lambda: make_mesh(4, 4),
+    "mesh8": lambda: make_mesh(8, 8),
+    "faulty8": lambda: inject_link_faults(make_mesh(8, 8), 8,
+                                          random.Random(7)),
+    "leafspine64": lambda: make_leaf_spine(56, 8, uplinks=2),
+}
+
+
+class TestMinimalDeclaration:
+    """``RoutingFunction.minimal``: the vectorized engine skips the
+    per-move misroute test on a minimal function's live tables, so the
+    claim is checked cell by cell."""
+
+    def test_declaring_classes(self):
+        declared = {cls for cls in RoutingFunction.__subclasses__()
+                    if cls.minimal}
+        assert declared == {AdaptiveMinimalRouting, DimensionOrderRouting}
+        assert not RoutingFunction.minimal and not UpDownRouting.minimal
+
+    @pytest.mark.parametrize("cls,topo", [
+        (AdaptiveMinimalRouting, "mesh4"), (AdaptiveMinimalRouting, "mesh8"),
+        (AdaptiveMinimalRouting, "faulty8"),
+        (AdaptiveMinimalRouting, "leafspine64"),
+        (DimensionOrderRouting, "mesh4"), (DimensionOrderRouting, "mesh8"),
+    ])
+    def test_every_candidate_is_one_hop_closer(self, cls, topo):
+        index = FabricIndex(MINIMAL_TOPOLOGIES[topo]())
+        routing = cls(index)
+        assert routing.minimal
+        assert routing.compiled_tables.epoch == index.fault_epoch == 0
+        assert detours(routing, index) == []
+
+    @pytest.mark.parametrize("topo", sorted(MINIMAL_TOPOLOGIES))
+    def test_adaptive_rebuild_stays_minimal(self, topo):
+        index = FabricIndex(MINIMAL_TOPOLOGIES[topo]())
+        routing = AdaptiveMinimalRouting(index)
+        links = {3, index.link_reverse[3], 17, index.link_reverse[17]}
+        index.apply_faults(links, set())
+        routing.rebuild()
+        assert routing.compiled_tables.epoch == index.fault_epoch == 1
+        assert detours(routing, index) == []
+
+    def test_dor_on_a_torus_is_not_minimal(self):
+        # XY never takes the wrap links, so its routes can be longer than
+        # the torus's hop distance.
+        index = FabricIndex(make_torus(4, 4))
+        routing = DimensionOrderRouting(index)
+        assert not routing.minimal
+        assert detours(routing, index) != []
+
+    def test_dor_refuses_a_faulted_index(self, mesh4):
+        index = FabricIndex(mesh4)
+        index.apply_faults({0, index.link_reverse[0]}, set())
+        with pytest.raises(ValueError, match="fault-free"):
+            DimensionOrderRouting(index)

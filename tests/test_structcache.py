@@ -345,10 +345,30 @@ class TestCompiledNetworkMemo:
         assert fresh.compiled is net
         assert (fresh.fault_epoch, fresh.dead_links, fresh.dead_routers) == (
             0, set(), set())
-        assert fresh.dist == boot == net.parts["dist"].tolist()
+        assert [list(r) for r in fresh.dist] == boot == net.parts[
+            "dist"].tolist()
         assert fresh.dist is not index.dist and fresh.in_ports is index.in_ports
         assert net.parts["tables"] is tables and tables.epoch == 0
         assert not net.parts["dist"].flags.writeable
+
+    def test_boot_rows_are_views_of_the_memo_matrix(self):
+        # At epoch 0 an index holds no copy of the boot matrix: its rows
+        # are read-only views of the memo's array.
+        index = FabricIndex(make_mesh(4, 4))
+        matrix = index.compiled.parts["dist"]
+        boot = matrix.tolist()
+        for row, values in zip(index.dist, boot):
+            assert isinstance(row, memoryview) and row.readonly
+            assert np.shares_memory(np.asarray(row), matrix)
+            assert list(row) == values
+        with pytest.raises(TypeError):
+            index.dist[0][1] = 7
+        # A fault writes fresh list rows and leaves the matrix untouched.
+        index.apply_faults({0, index.link_reverse[0]}, set())
+        assert all(type(row) is list for row in index.dist)
+        assert index.dist != boot
+        assert matrix.tolist() == boot and not matrix.flags.writeable
+        assert index.dist_matrix().tolist() == index.dist
 
     def test_faulted_or_rerouted_fabrics_never_read_memoised_rows(self):
         def sim_for(seed):
@@ -620,5 +640,11 @@ class TestCertificates:
         config = config_from_dict(spec.params["config"])
         traffic, kwargs = trials._lossless_source(spec.params, topology,
                                                   config)
-        Simulation(topology, config, traffic, **kwargs)
+        sim = Simulation(topology, config, traffic, **kwargs)
         assert list(memo._MEMO) == [structcache.topology_digest(topology)]
+        # DRAIN over adaptive-minimal tables: the engine reads no distance
+        # rows on this unit's move path, and the rows are no copy.
+        engine = sim.fabric._engine
+        engine._build_tables()
+        assert not engine._detours
+        assert isinstance(sim.index.dist[0], memoryview)
