@@ -36,7 +36,9 @@ class Scheme(str, Enum):
 
     - ``ESCAPE_VC``: proactive baseline — fully adaptive non-escape VCs plus
       one escape VC per VN routed with a restricted (deadlock-free)
-      algorithm (DOR on a fault-free mesh, up*/down* otherwise).
+      algorithm: DOR on a fault-free complete grid, up*/down* otherwise.
+      A torus is such a grid, but XY never takes its wrap links, so the
+      escape routes there are not minimal.
     - ``SPIN``: reactive baseline — fully adaptive everywhere; timeout
       probes detect a deadlock cycle, then a coordinated spin moves it.
     - ``DRAIN``: the paper's subactive scheme — fully adaptive everywhere;

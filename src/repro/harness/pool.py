@@ -49,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.preflight import validate_spec
+from ..analysis.preflight import validate_specs
 from ..store import cache_roots, digest as payload_digest
 from .cache import ResultCache
 from .checkpoint import SweepJournal
@@ -238,17 +238,16 @@ class Harness:
 
         Unless constructed with ``preflight=False``, every spec is first
         statically validated (:func:`repro.analysis.preflight.
-        validate_spec`) so malformed sweeps fail before any worker spawns
+        validate_specs`) so malformed sweeps fail before any worker spawns
         — a :class:`~repro.analysis.preflight.PreflightError` names the
-        offending spec and, for refuted configurations, carries the
-        certifier's concrete counterexample.
+        earliest offending spec and, for refuted configurations, carries
+        the certifier's concrete counterexample.
         """
         specs = list(specs)
         if not specs:
             return []
         if self.preflight:
-            for spec in specs:
-                validate_spec(spec)
+            validate_specs(specs)
         digests = [spec.digest() for spec in specs]
         results: List[Optional[Dict[str, Any]]] = [None] * len(specs)
         records: List[Optional[TrialRecord]] = [None] * len(specs)

@@ -12,14 +12,13 @@ by a single integer port id:
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as _np
 
 from ..structcache import compiled
-from ..topology.graph import Link, Topology
+from ..topology.graph import Link, Topology, hop_distances
 
 __all__ = ["FabricIndex", "DenseCandidateTables"]
 
@@ -207,7 +206,8 @@ def _number(topology: Topology) -> Dict[str, Any]:
         "link_id": link_id,
         "link_src": [link.src for link in links],
         "link_dst": link_dst,
-        "link_reverse": [link_id[link.reverse] for link in links],
+        # unidirectional_links() lists each pair as (a, b), (b, a).
+        "link_reverse": [i ^ 1 for i in range(num_links)],
         "in_links": in_links,
         "out_links": out_links,
         "num_ports": num_links + num_nodes,
@@ -252,12 +252,13 @@ class FabricIndex:
         for name, value in numbering.items():
             setattr(self, name, value)
 
-        #: The memoised boot matrix (read-only, shared by content digest).
-        #: ``dist`` starts as read-only row views of it, not a copy: the
-        #: move path reads no rows over minimal tables (they cannot
-        #: misroute), and the cold readers take a memoryview read.
-        #: :meth:`apply_faults` replaces the rows with fresh lists.
-        self._boot_dist = boot = net.dist(topology)
+        #: The live distance matrix: the memoised boot matrix (read-only,
+        #: shared by content digest) until :meth:`apply_faults` computes
+        #: one of its own. ``dist`` starts as read-only row views of it,
+        #: not a copy: the move path reads no rows over minimal tables
+        #: (they cannot misroute), and the cold readers take a memoryview
+        #: read. :meth:`apply_faults` replaces the rows with fresh lists.
+        self._live_dist = boot = net.dist(topology)
         n = self.num_nodes
         flat = memoryview(boot.reshape(n * n))
         self.dist: List[Sequence[int]] = [
@@ -283,44 +284,30 @@ class FabricIndex:
         *dead_links* is the complete set of dead unidirectional link ids
         (callers kill both directions of a bidirectional link together);
         *dead_routers* the complete set of dead routers. Distances are
-        recomputed by BFS over the surviving graph; unreachable pairs get
-        distance -1, matching :meth:`Topology.bfs_distances`.
+        recomputed by :func:`~repro.topology.graph.hop_distances` over the
+        surviving links; unreachable pairs get distance -1, matching
+        :meth:`Topology.bfs_distances`.
         """
         self.dead_links = set(dead_links)
         self.dead_routers = set(dead_routers)
         self.fault_epoch += 1
-        n = self.num_nodes
-        alive_out: List[List[int]] = [[] for _ in range(n)]
-        for link in range(self.num_links):
-            if link in self.dead_links:
-                continue
-            src, dst = self.link_src[link], self.link_dst[link]
-            if src in self.dead_routers or dst in self.dead_routers:
-                continue
-            alive_out[src].append(dst)
-        for src in range(n):
-            dist = [-1] * n
-            if src not in self.dead_routers:
-                dist[src] = 0
-                frontier = deque([src])
-                while frontier:
-                    node = frontier.popleft()
-                    for neigh in alive_out[node]:
-                        if dist[neigh] < 0:
-                            dist[neigh] = dist[node] + 1
-                            frontier.append(neigh)
-            self.dist[src] = dist
+        alive = self.live_links()
+        seeds = _np.arange(self.num_nodes)
+        # A dead router seeds nothing: its row and column are all -1.
+        seeds[sorted(self.dead_routers)] = -1
+        hops = hop_distances(_np.asarray(self.link_src)[alive],
+                             _np.asarray(self.link_dst)[alive], seeds,
+                             self.num_nodes)
+        hops.setflags(write=False)
+        self._live_dist = hops
+        # In place: the vectorized engine holds this list.
+        self.dist[:] = hops.tolist()
 
     def dist_matrix(self) -> "_np.ndarray":
-        """Hop distances as an ``(n, n)`` int32 array (routing compile input).
-
-        At the boot epoch this is the structure store's memoised read-only
-        matrix, so no conversion is paid; once :meth:`apply_faults` has
-        rewritten rows it is converted from the live row lists.
-        """
-        if self.fault_epoch == 0:
-            return self._boot_dist
-        return _np.asarray(self.dist, dtype=_np.int32)
+        """Hop distances as a read-only ``(n, n)`` int32 array (routing
+        compile input): the structure store's memoised boot matrix at the
+        boot epoch, then the one :meth:`apply_faults` computed."""
+        return self._live_dist
 
     def surviving_topology(self) -> Topology:
         """The alive sub-topology (full router numbering, dead ones isolated).
@@ -330,35 +317,28 @@ class FabricIndex:
         links — are absent. The online drain-path recovery runs over this
         view.
         """
-        edges = []
-        seen = set()
-        for link in range(self.num_links):
-            if link in self.dead_links:
-                continue
-            a, b = self.link_src[link], self.link_dst[link]
-            if a in self.dead_routers or b in self.dead_routers:
-                continue
-            key = (min(a, b), max(a, b))
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
+        alive = self.live_links()
+        # Link 2k is the (low, high) direction of its pair (see _number).
+        edges = [(self.link_src[2 * k], self.link_dst[2 * k])
+                 for k in _np.flatnonzero(alive[0::2] | alive[1::2]).tolist()]
         return Topology(
             self.num_nodes, edges, name=f"{self.topology.name}-surviving"
         )
 
+    def live_links(self) -> "_np.ndarray":
+        """Per link id: True when the link and both its routers are alive."""
+        dead = _np.zeros(self.num_nodes, dtype=bool)
+        dead[sorted(self.dead_routers)] = True
+        alive = ~(dead[_np.asarray(self.link_src)]
+                  | dead[_np.asarray(self.link_dst)])
+        alive[sorted(self.dead_links)] = False
+        return alive
+
     def unreachable_pairs(self) -> int:
         """Ordered alive (src, dst) pairs with no surviving route."""
-        count = 0
-        for src in range(self.num_nodes):
-            if src in self.dead_routers:
-                continue
-            row = self.dist[src]
-            for dst in range(self.num_nodes):
-                if dst == src or dst in self.dead_routers:
-                    continue
-                if row[dst] < 0:
-                    count += 1
-        return count
+        alive = _np.ones(self.num_nodes, dtype=bool)
+        alive[sorted(self.dead_routers)] = False
+        return int((self._live_dist[_np.ix_(alive, alive)] < 0).sum())
 
     def injection_port(self, router: int) -> int:
         """Port id of router *router*'s injection buffer."""

@@ -308,8 +308,10 @@ def distance_matrix(topology: Any) -> Any:
 def distances(topology: Any) -> List[List[int]]:
     """:func:`distance_matrix` as fresh row lists.
 
-    Every call returns freshly-allocated rows because
-    :meth:`FabricIndex.apply_faults` overwrites rows in place.
+    Every call returns freshly-allocated rows, which the caller may
+    write; the memo's matrix stays read-only (a
+    :meth:`FabricIndex.apply_faults` replaces its index's rows with its
+    own, never touching the matrix).
     """
     return distance_matrix(topology).tolist()
 

@@ -326,6 +326,66 @@ def test_sweep_certifies_each_static_scheme_once(monkeypatch, tmp_path):
         structcache.clear_memos()
 
 
+def fig10_ci_specs():
+    """fig10's CI spec list, as its harness receives it."""
+    from repro.experiments import fig10_throughput
+
+    class Captured(Exception):
+        pass
+
+    class Capture:
+        def run(self, specs, label=None):
+            raise Captured(list(specs))
+
+    with pytest.raises(Captured) as info:
+        fig10_throughput.run(scale=Scale.ci(), harness=Capture())
+    return info.value.args[0]
+
+
+def test_sweep_cycling_through_topologies_certifies_each_claim_once(
+        monkeypatch):
+    # 270 specs over 9 topologies with the patterns outermost: more
+    # topologies than the memo's LRU holds. In submission order, with no
+    # store, every return to a topology re-certified it (36 calls).
+    from repro import structcache
+    from repro.analysis.preflight import validate_specs
+    from repro.store import canonical_json
+
+    specs = fig10_ci_specs()
+    assert len(specs) == 270
+    assert len({canonical_json(spec.params["topology"])
+                for spec in specs}) == 9
+    structcache.clear_memos()
+    assert structcache.active_store() is None
+    calls = count_certifications(monkeypatch)
+    validate_specs(specs)
+    # ESCAPE_VC and DRAIN make static claims, SPIN none: 2 x 9.
+    assert len(calls) == 18
+    structcache.clear_memos()
+
+
+def test_the_earliest_failing_spec_is_reported():
+    # Two bad specs on two topologies: topology by topology, the later
+    # one is validated first, and the earlier one's error is raised.
+    good = _good_spec()
+    split = TrialSpec("synthetic", {
+        "topology": topology_to_spec(Topology(4, [(0, 1), (2, 3)],
+                                              name="split")),
+        "config": config_to_dict(SimConfig(scheme=Scheme.DRAIN, seed=1)),
+    })
+    bogus = TrialSpec("synthetic", {
+        **good.params, "config": {**good.params["config"], "scheme": "bogus"}})
+    clear_preflight_cache()
+    for specs, bad in (([good, split, good, bogus], split),
+                       ([good, bogus, split], bogus)):
+        with pytest.raises(PreflightError) as batch:
+            Harness(workers=1).run(specs)
+        with pytest.raises(PreflightError) as alone:
+            validate_spec(bad)
+        assert str(batch.value) == str(alone.value)
+        assert batch.value.digest == bad.digest()
+
+
 def test_preflight_rejects_unknown_runner():
     with pytest.raises(PreflightError, match="unknown trial runner"):
         validate_spec(TrialSpec("nope", {}))

@@ -7,6 +7,7 @@ import pytest
 from repro.drain.hawick_james import elementary_circuits
 from repro.network.index import FabricIndex
 from repro.router.packet import Packet
+from repro.routing import select_escape_routing
 from repro.routing.adaptive import AdaptiveMinimalRouting
 from repro.routing.base import RoutingFunction
 from repro.routing.dor import DimensionOrderRouting
@@ -313,6 +314,13 @@ class TestMinimalDeclaration:
         routing = DimensionOrderRouting(index)
         assert not routing.minimal
         assert detours(routing, index) != []
+
+    def test_escape_vc_keeps_dor_on_a_torus(self):
+        # A torus is a complete grid, so ESCAPE_VC's escape routing is DOR
+        # there, and that DOR is not minimal.
+        escape = select_escape_routing(FabricIndex(make_torus(4, 4)))
+        assert type(escape) is DimensionOrderRouting
+        assert not escape.minimal
 
     def test_dor_refuses_a_faulted_index(self, mesh4):
         index = FabricIndex(mesh4)

@@ -138,8 +138,8 @@ class TestStoreArtifacts:
         assert store.hits == 1 and store.compiles == 1
 
     def test_distances_rows_are_fresh_copies(self, store):
-        # FabricIndex.apply_faults overwrites rows in place; a shared
-        # cached list would poison every later consumer.
+        # A caller may write the rows it gets; a shared cached list
+        # would poison every later consumer.
         topology = make_mesh(4, 4)
         first = structcache.distances(topology)
         first[0][1] = -77

@@ -137,7 +137,7 @@ class TestGraphAnalysis:
             make_mesh(8, 8),
             make_leaf_spine(8, 4, uplinks=1, east_west=True),
             Topology(5, [(0, 1), (1, 2), (3, 4)]),  # disconnected
-            # Large enough that the sources run in several blocks.
+            # Large enough that a row spans several 64-bit words.
             make_leaf_spine(500, 12, uplinks=2),
             Topology(700, [(i, (i + 1) % 350 + 350 * (i // 350))
                            for i in range(700)]),  # two rings
