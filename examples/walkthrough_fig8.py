@@ -49,7 +49,7 @@ def build_wedged_network():
             dst = nodes[(i + 3) % 4]  # two hops onward around the ring
             packet = Packet(pid, src, dst, MessageClass.REQ)
             packet.blocked_since = 0
-            fabric.buf[index.link_id[link]][0][0] = packet
+            fabric.set_slot(index.link_id[link], 0, 0, packet)
             fabric.packets_in_network += 1
             pid += 1
     return topo, fabric, controller

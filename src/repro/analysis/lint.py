@@ -59,15 +59,6 @@ constrains how kernel code (everything under ``repro/network`` — see
   module and read through it (so DET003 can see the call), or move the
   timing into an allowlisted boundary file.
 
-- **DET012** — direct ``all_pairs_distances()`` calls outside the
-  implementation (``topology/graph.py``) and the compiled-structure
-  memo (``structcache/memo.py``). The all-pairs BFS is the single most
-  expensive boot computation at datacenter scale; every consumer must go
-  through ``repro.structcache.distances`` — the content-digest memo
-  layer that computes each matrix once per process and persists it —
-  or the duplicate-BFS regressions PR 10 removed creep straight back in
-  (allowlist: :data:`ALL_PAIRS_ALLOWED`).
-
 A finding on a line ending with the pragma comment ``# det: allow`` is
 suppressed; the pragma documents an audited exception in place.
 """
@@ -80,7 +71,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Set, Tuple
 
 __all__ = [
-    "ALL_PAIRS_ALLOWED",
     "LintFinding",
     "WALL_CLOCK_ALLOWED",
     "is_kernel_path",
@@ -96,16 +86,6 @@ WALL_CLOCK_ALLOWED: Tuple[str, ...] = (
     "harness/pool.py",
     "harness/checkpoint.py",
     "harness/manifest.py",
-)
-
-#: Files (matched by trailing path components) allowed to call
-#: ``all_pairs_distances()`` directly: the implementation itself and the
-#: compiled-structure store's memo layer. Every other caller goes through
-#: ``repro.structcache.distances`` so each matrix is computed once per
-#: structure and shared (DET012).
-ALL_PAIRS_ALLOWED: Tuple[str, ...] = (
-    "topology/graph.py",
-    "structcache/memo.py",
 )
 
 #: Pragma suppressing any finding on its line.
@@ -196,9 +176,6 @@ class _Visitor(ast.NodeVisitor):
         self.wall_clock_ok = any(
             path.replace(os.sep, "/").endswith(suffix) for suffix in WALL_CLOCK_ALLOWED
         )
-        self.all_pairs_ok = any(
-            path.replace(os.sep, "/").endswith(suffix) for suffix in ALL_PAIRS_ALLOWED
-        )
         self.kernel = is_kernel_path(path)
         #: Nesting depth of for/while loops (kernel rules key off it).
         self.loop_depth = 0
@@ -270,15 +247,6 @@ class _Visitor(ast.NodeVisitor):
                     "timing must not influence results (allowlist: "
                     + ", ".join(WALL_CLOCK_ALLOWED)
                     + ")",
-                )
-            if func.attr == "all_pairs_distances" and not self.all_pairs_ok:
-                self.report(
-                    node,
-                    "DET012",
-                    "direct all_pairs_distances() call; route it through "
-                    "repro.structcache.distances (the content-digest memo "
-                    "layer) so the all-pairs BFS runs once per structure "
-                    "(allowlist: " + ", ".join(ALL_PAIRS_ALLOWED) + ")",
                 )
             if func.attr == "pop" and isinstance(func.value, ast.Name):
                 if func.value.id in self.as_dict_vars:

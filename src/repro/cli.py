@@ -24,7 +24,7 @@ Subcommands:
   and headroom feasibility. Exit 0 on ``CERTIFIED``, 1 on ``REFUTED``
   (with a concrete counterexample), 2 on bad input; ``--json`` emits the
   full certificate;
-- ``repro-drain lint`` — run the determinism lint pass (DET001-DET012)
+- ``repro-drain lint`` — run the determinism lint pass (DET001-DET010)
   over Python sources; exit 1 when findings exist;
 - ``repro-drain cache`` — inspect (``info``, the default action) or
   ``clear`` the trial results and the compiled structures in the store
@@ -615,7 +615,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Determinism lint pass over Python sources (DET001-DET012)."""
+    """Determinism lint pass over Python sources (DET001-DET010)."""
     from .analysis.lint import lint_paths
 
     findings = lint_paths(args.paths)
@@ -834,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the full certificate as JSON")
 
     p_lint = sub.add_parser(
-        "lint", help="determinism lint pass (DET001-DET012)"
+        "lint", help="determinism lint pass (DET001-DET010)"
     )
     p_lint.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")

@@ -140,7 +140,10 @@ class NetworkStats:
     xbar_traversals: int = 0
     cycles: int = 0
     measured_cycles: int = 0
-    vn_hops: Dict[int, int] = field(default_factory=dict)  # traversals per VN
+    # Allocated link traversals per VN: one per packet move (per flit
+    # under wormhole). Forced moves (drain, SPIN, ideal, bubble) are not
+    # counted; flits_traversed counts both kinds.
+    vn_hops: Dict[int, int] = field(default_factory=dict)
     latency: SampleStats = field(default_factory=SampleStats)
     network_latency: SampleStats = field(default_factory=SampleStats)
     hops: RunningStats = field(default_factory=RunningStats)

@@ -19,10 +19,10 @@ instead of by sweep.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..core.config import DrainConfig
-from ..structcache import distances
+from ..structcache import distance_matrix
 from .path import DrainPath
 
 __all__ = [
@@ -33,36 +33,26 @@ __all__ = [
 ]
 
 
-def misroute_expectation(
-    path: DrainPath, dist: Optional[List[List[int]]] = None
-) -> float:
+def misroute_expectation(path: DrainPath) -> float:
     """Expected misroute probability of one drain hop.
 
     Averaged over every (occupied link, destination) pair with uniform
     destinations: the fraction of forced turns that strictly increase the
-    hop distance to the destination.
-
-    Callers that already hold the hop-distance matrix (a built
-    :attr:`FabricIndex.dist`) pass it as *dist*; by default it comes from
-    the structure store's memo layer, so the BFS is never repeated for a
-    topology whose matrix this process already computed.
+    hop distance to the destination. Distances come from the structure
+    store's memo (:func:`~repro.structcache.distance_matrix`), so the BFS
+    is never repeated for a topology whose matrix this process already
+    computed.
     """
-    topology = path.topology
-    if dist is None:
-        dist = distances(topology)
-    worse = 0
-    total = 0
-    for link in path.links:
-        nxt = path.next_link(link)
-        here = link.dst
-        there = nxt.dst
-        for dst in topology.nodes:
-            if dst == here:
-                continue  # an ejectable packet is not drained away
-            total += 1
-            if dist[there][dst] > dist[here][dst]:
-                worse += 1
-    return worse / total if total else 0.0
+    links = path.links
+    if not links:
+        return 0.0
+    dist = distance_matrix(path.topology)
+    here = [link.dst for link in links]
+    there = [path.next_link(link).dst for link in links]
+    worse = dist[there] > dist[here]
+    # An ejectable packet is not drained away: skip dst == here.
+    worse[range(len(here)), here] = False
+    return int(worse.sum()) / (len(links) * (dist.shape[0] - 1))
 
 
 def router_visit_counts(path: DrainPath) -> Dict[int, int]:

@@ -123,7 +123,7 @@ class DegradationLadder:
             slots = sorted(stuck)
         self.cycle_drops += 1
         for port, vn, vc in slots:
-            if fabric._slot_get(port, vn, vc) is None:
+            if fabric.slot(port, vn, vc) is None:
                 continue
             packet = fabric.fault_drop_slot(port, vn, vc)
             self.packets_dropped += 1

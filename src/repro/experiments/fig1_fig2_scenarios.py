@@ -69,7 +69,7 @@ def _wedged_ring_fabric(scheme: Scheme):
             )]
             packet = Packet(pid, i, (i + 2) % 4, MessageClass.REQ)
             packet.blocked_since = 0
-            fabric.buf[link][0][0] = packet
+            fabric.set_slot(link, 0, 0, packet)
             fabric.packets_in_network += 1
             pid += 1
     return topo, config, fabric

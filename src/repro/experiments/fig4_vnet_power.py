@@ -45,7 +45,9 @@ def vnet_power_split(
         stats = sim.run(scale.total_cycles, warmup=scale.warmup)
 
         # Hop events per VN, measured directly by the fabric. Classes map
-        # 1:1 onto VNs in the 3-VN baseline.
+        # 1:1 onto VNs in the 3-VN baseline. vn_hops counts allocated
+        # moves only; the ESCAPE_VC baseline makes no forced moves (no
+        # drain, SPIN or bubble rotation), so none are missing here.
         vn_counts = {vn: stats.vn_hops.get(vn, 0) for vn in range(3)}
         if not any(vn_counts.values()):
             vn_counts = _vn_hop_estimate(sim)

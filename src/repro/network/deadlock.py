@@ -132,7 +132,7 @@ class WaitForGraph:
         (and hence their targets / at-destination status) changed.
         """
         for slot in slots:
-            packet = self.fabric._slot_get(*slot)
+            packet = self.fabric.slot(*slot)
             if packet is None:
                 self.occupant.pop(slot, None)
                 self.targets.pop(slot, None)
@@ -332,7 +332,7 @@ def deadlock_cycle_payload(
     index = fabric.index
     hops = []
     for port, vn, vc in cycle:
-        packet = fabric._slot_get(port, vn, vc)
+        packet = fabric.slot(port, vn, vc)
         hops.append({
             "router": index.port_router[port],
             "port": port,
@@ -363,14 +363,14 @@ def rotate_cycle(fabric: Fabric, cycle: List[Slot], forced_kind: str) -> int:
     if len(cycle) < 2:
         raise ValueError("a rotation cycle needs at least two slots")
     index = fabric.index
-    packets = [fabric._slot_get(p, vn, vc) for p, vn, vc in cycle]
+    packets = [fabric.slot(p, vn, vc) for p, vn, vc in cycle]
     if any(p is None for p in packets):
         raise ValueError("rotation cycle contains an empty slot")
     n = len(cycle)
     for i in range(n):
         dst_slot = cycle[(i + 1) % n]
         packet = packets[i]
-        fabric._slot_set(dst_slot[0], dst_slot[1], dst_slot[2], packet)
+        fabric.set_slot(dst_slot[0], dst_slot[1], dst_slot[2], packet)
         link = dst_slot[0]
         if index.is_injection_port(link):
             raise ValueError("rotation cycle passes through an injection port")

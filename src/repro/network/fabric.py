@@ -28,9 +28,9 @@ expressed through ``escape_mode``:
 Performance architecture (see DESIGN.md, "Performance architecture"):
 
 - VC buffers live in one preallocated flat list indexed by precomputed
-  strides (``port * port_stride + vn * vcs_per_vn + vc``); the legacy
-  nested ``fabric.buf[port][vn][vc]`` interface is preserved as a view
-  whose writes route through :meth:`_slot_set` so occupancy stays exact;
+  strides (``port * port_stride + vn * vcs_per_vn + vc``), read through
+  :meth:`slot` and written through :meth:`set_slot`, which keeps
+  occupancy exact;
 - per-port and per-router occupancy counters plus per-node NI pending
   counters form the *active set*: the movement, injection and deadlock
   scans skip routers/ports/nodes with no live state, in the exact same
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import random
 from itertools import compress
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.config import SimConfig
 from ..core.metrics import NetworkStats
@@ -75,87 +75,6 @@ __all__ = ["Fabric", "EJECT"]
 EJECT = -1
 
 _NUM_CLASSES = len(MessageClass)
-
-
-class _VcRow:
-    """Nested-compat view of one (port, vn) VC row over the flat buffer."""
-
-    __slots__ = ("_fabric", "_port", "_vn")
-
-    def __init__(self, fabric: "Fabric", port: int, vn: int) -> None:
-        self._fabric = fabric
-        self._port = port
-        self._vn = vn
-
-    def _norm(self, vc: int) -> int:
-        vcs = self._fabric.vcs_per_vn
-        if vc < 0:
-            vc += vcs
-        if not 0 <= vc < vcs:
-            raise IndexError("VC index out of range")
-        return vc
-
-    def __getitem__(self, vc: int) -> Optional[Packet]:
-        return self._fabric._slot_get(self._port, self._vn, self._norm(vc))
-
-    def __setitem__(self, vc: int, packet: Optional[Packet]) -> None:
-        self._fabric._slot_set(self._port, self._vn, self._norm(vc), packet)
-
-    def __len__(self) -> int:
-        return self._fabric.vcs_per_vn
-
-    def __iter__(self) -> Iterator[Optional[Packet]]:
-        for vc in range(self._fabric.vcs_per_vn):
-            yield self._fabric._slot_get(self._port, self._vn, vc)
-
-
-class _PortRow:
-    """Nested-compat view of one port's VN rows."""
-
-    __slots__ = ("_fabric", "_port")
-
-    def __init__(self, fabric: "Fabric", port: int) -> None:
-        self._fabric = fabric
-        self._port = port
-
-    def __getitem__(self, vn: int) -> _VcRow:
-        num_vns = self._fabric.num_vns
-        if vn < 0:
-            vn += num_vns
-        if not 0 <= vn < num_vns:
-            raise IndexError("VN index out of range")
-        return _VcRow(self._fabric, self._port, vn)
-
-    def __len__(self) -> int:
-        return self._fabric.num_vns
-
-    def __iter__(self) -> Iterator[_VcRow]:
-        for vn in range(self._fabric.num_vns):
-            yield _VcRow(self._fabric, self._port, vn)
-
-
-class _BufView:
-    """Read/write view emulating the legacy ``buf[port][vn][vc]`` nesting."""
-
-    __slots__ = ("_fabric",)
-
-    def __init__(self, fabric: "Fabric") -> None:
-        self._fabric = fabric
-
-    def __getitem__(self, port: int) -> _PortRow:
-        num_ports = self._fabric.index.num_ports
-        if port < 0:
-            port += num_ports
-        if not 0 <= port < num_ports:
-            raise IndexError("port index out of range")
-        return _PortRow(self._fabric, port)
-
-    def __len__(self) -> int:
-        return self._fabric.index.num_ports
-
-    def __iter__(self) -> Iterator[_PortRow]:
-        for port in range(self._fabric.index.num_ports):
-            yield _PortRow(self._fabric, port)
 
 
 class Fabric:
@@ -199,7 +118,7 @@ class Fabric:
         self.escape_sticky = config.drain.escape_sticky
 
         #: Vectorized-engine hook state. ``_engine_avail`` must exist before
-        #: the first buffer write: ``_slot_set`` mirrors every write into
+        #: the first buffer write: ``set_slot`` mirrors every write into
         #: the engine's availability masks once an engine is installed, and
         #: wakes the routers whose scan the write can change (the engine's
         #: ``asleep`` flags; see DESIGN.md, "Sleeping routers").
@@ -238,7 +157,8 @@ class Fabric:
         self.ej_pending: List[int] = [0] * index.num_nodes
         self.ej_pending_total = 0
 
-        #: Per-unidirectional-link traversal counters (utilisation probes).
+        #: Per-unidirectional-link traversal counters (utilisation probes):
+        #: one per allocated packet move; forced moves skip them.
         self.link_util: List[int] = [0] * index.num_links
         #: Multi-flit serialisation state (packet_size_flits > 1): a
         #: granted packet keeps its source slot, reserves its target slot
@@ -278,22 +198,19 @@ class Fabric:
     # ------------------------------------------------------------------
     # Flat-buffer slot primitives (the only legal buffer mutators)
     # ------------------------------------------------------------------
-    @property
-    def buf(self) -> _BufView:
-        """Nested ``buf[port][vn][vc]`` view over the flat VC storage.
-
-        Reads are plain lookups; writes route through :meth:`_slot_set` so
-        the active-set occupancy counters stay exact even for external
-        writers (controllers, scenario builders, tests).
-        """
-        return _BufView(self)
-
-    def _slot_get(self, port: int, vn: int, vc: int) -> Optional[Packet]:
+    def slot(self, port: int, vn: int, vc: int) -> Optional[Packet]:
+        """The packet in VC slot (port, vn, vc), or None."""
         return self._buf[port * self._port_stride + vn * self.vcs_per_vn + vc]
 
-    def _slot_set(self, port: int, vn: int, vc: int,
-                  packet: Optional[Packet]) -> None:
-        """Write one VC slot, keeping the occupancy counters exact."""
+    def set_slot(self, port: int, vn: int, vc: int,
+                 packet: Optional[Packet]) -> None:
+        """Write one VC slot, keeping the occupancy counters exact.
+
+        The one buffer writer outside the injection stage and the apply
+        passes: controllers, scenario builders and tests write through it,
+        so the active-set counters and the engine's availability masks
+        never drift from the buffer.
+        """
         idx = port * self._port_stride + vn * self.vcs_per_vn + vc
         old = self._buf[idx]
         self._buf[idx] = packet
@@ -566,10 +483,10 @@ class Fabric:
             if done > cycle:
                 remaining.append(entry)
                 continue
-            self._slot_set(sp, svn, svc, None)
+            self.set_slot(sp, svn, svc, None)
             self._in_flight_sources.discard(self._slot_index(sp, svn, svc))
             self._reserved.discard(self._slot_index(link, tvn, tvc))
-            self._slot_set(link, tvn, tvc, packet)
+            self.set_slot(link, tvn, tvc, packet)
             self._account_move(sp, svn, link, tvn, tvc, packet)
         self._in_flight = remaining
 
@@ -920,7 +837,7 @@ class Fabric:
             for i in range(n):
                 packet = packets[i]
                 tgt = path_ports[(i + 1) % n]
-                self._slot_set(tgt, vn, 0, packet)
+                self.set_slot(tgt, vn, 0, packet)
                 if packet is None:
                     continue
                 moved += 1
@@ -935,7 +852,7 @@ class Fabric:
                 if packet.dst != router:
                     continue
                 if self.ejection_space(router, packet.msg_class) > 0:
-                    self._slot_set(p, vn, 0, None)
+                    self.set_slot(p, vn, 0, None)
                     self._eject(router, packet)
                     stats.buffer_reads += 1
 
@@ -981,13 +898,24 @@ class Fabric:
         return len(self._in_flight)
 
     def link_utilization(self) -> List[float]:
-        """Per-link traversal rate (flits per cycle) over the run so far."""
+        """Per-link traversal rate over the run so far: :attr:`link_util`
+        per cycle.
+
+        ``link_util`` counts one per packet moved over a link by
+        allocation, whatever the packet's length in flits, so this is
+        packets per cycle (flits per cycle only at one-flit packets).
+        Forced moves (:meth:`forced_hop`: drain, SPIN, ideal and bubble
+        rotations) are not counted, here or in ``NetworkStats.vn_hops``;
+        ``NetworkStats.flits_traversed`` counts both kinds.
+        """
         if self.cycle == 0:
             return [0.0] * self.index.num_links
         return [count / self.cycle for count in self.link_util]
 
     def router_load(self) -> dict:
-        """Per-router incoming traffic (flits/cycle), for heat rendering."""
+        """Per-router incoming traffic, for heat rendering: the sum of
+        :meth:`link_utilization` over the router's input links (allocated
+        packet moves per cycle; forced moves are not counted)."""
         load = {n: 0.0 for n in range(self.index.num_nodes)}
         for link, rate in enumerate(self.link_utilization()):
             load[self.index.link_dst[link]] += rate
@@ -1016,7 +944,7 @@ class Fabric:
             self._in_flight_sources.discard(self._slot_index(sp, svn, svc))
             self._reserved.discard(self._slot_index(link, tvn, tvc))
             if drop:
-                self._slot_set(sp, svn, svc, None)
+                self.set_slot(sp, svn, svc, None)
                 self.packets_in_network -= 1
                 dropped.append(packet)
         self._in_flight = remaining
@@ -1031,10 +959,10 @@ class Fabric:
         the source mark and the target reservation go, and the (live) link
         is released at once — the source stops sending.
         """
-        packet = self._slot_get(port, vn, vc)
+        packet = self.slot(port, vn, vc)
         if packet is None:
             raise ValueError(f"no packet at slot {(port, vn, vc)}")
-        self._slot_set(port, vn, vc, None)
+        self.set_slot(port, vn, vc, None)
         self.packets_in_network -= 1
         slot = self._slot_index(port, vn, vc)
         if slot in self._in_flight_sources:
@@ -1060,7 +988,7 @@ class Fabric:
         for port in self.index.in_ports[router]:
             for vn in range(self.num_vns):
                 for vc in range(self.vcs_per_vn):
-                    if self._slot_get(port, vn, vc) is not None:
+                    if self.slot(port, vn, vc) is not None:
                         dropped.append(self.fault_drop_slot(port, vn, vc))
         for queue in self.inj_queues[router]:
             dropped.extend(queue)

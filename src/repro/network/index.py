@@ -170,7 +170,7 @@ class DenseCandidateTables:
         """Candidate link ids for (router, dst), routing-function order."""
         idx = router * self.num_nodes + dst
         offsets = self.offsets_view
-        return self.links_view[offsets[idx]:offsets[idx + 1]].tolist()
+        return list(self.links_view[offsets[idx]:offsets[idx + 1]])
 
 
 def link_dtype(index: "FabricIndex") -> Any:
@@ -252,17 +252,13 @@ class FabricIndex:
         for name, value in numbering.items():
             setattr(self, name, value)
 
-        #: The live distance matrix: the memoised boot matrix (read-only,
-        #: shared by content digest) until :meth:`apply_faults` computes
-        #: one of its own. ``dist`` starts as read-only row views of it,
-        #: not a copy: the move path reads no rows over minimal tables
-        #: (they cannot misroute), and the cold readers take a memoryview
-        #: read. :meth:`apply_faults` replaces the rows with fresh lists.
-        self._live_dist = boot = net.dist(topology)
-        n = self.num_nodes
-        flat = memoryview(boot.reshape(n * n))
-        self.dist: List[Sequence[int]] = [
-            flat[r * n:(r + 1) * n] for r in range(n)]
+        #: The live distances, as read-only row views of
+        #: :meth:`dist_matrix`: the memoised boot matrix (shared by content
+        #: digest) until :meth:`apply_faults` computes one of its own. Not
+        #: a copy: the move path reads no rows over minimal tables (they
+        #: cannot misroute), and the cold readers take a memoryview read.
+        self.dist: List[Sequence[int]] = []
+        self._install_dist(net.dist(topology))
 
         # Runtime fault state (mid-simulation link/router deaths). The
         # static port/link numbering never changes — dead resources keep
@@ -299,9 +295,18 @@ class FabricIndex:
                              _np.asarray(self.link_dst)[alive], seeds,
                              self.num_nodes)
         hops.setflags(write=False)
-        self._live_dist = hops
-        # In place: the vectorized engine holds this list.
-        self.dist[:] = hops.tolist()
+        self._install_dist(hops)
+
+    def _install_dist(self, matrix: "_np.ndarray") -> None:
+        """Make the read-only ``(n, n)`` *matrix* the live distances.
+
+        :attr:`dist` takes its row views in place: the vectorized engine
+        holds that list across fault epochs.
+        """
+        self._live_dist = matrix
+        n = self.num_nodes
+        flat = memoryview(matrix.reshape(n * n))
+        self.dist[:] = [flat[r * n:(r + 1) * n] for r in range(n)]
 
     def dist_matrix(self) -> "_np.ndarray":
         """Hop distances as a read-only ``(n, n)`` int32 array (routing
@@ -319,8 +324,9 @@ class FabricIndex:
         """
         alive = self.live_links()
         # Link 2k is the (low, high) direction of its pair (see _number).
-        edges = [(self.link_src[2 * k], self.link_dst[2 * k])
-                 for k in _np.flatnonzero(alive[0::2] | alive[1::2]).tolist()]
+        edges = [(self.link_src[k], self.link_dst[k])
+                 for k in range(0, self.num_links, 2)
+                 if alive[k] or alive[k + 1]]
         return Topology(
             self.num_nodes, edges, name=f"{self.topology.name}-surviving"
         )

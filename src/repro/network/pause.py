@@ -17,7 +17,7 @@ Semantics notes:
   NI queues) and ejection is never paused (the sink always drains) — CBD
   lives entirely in the link-buffer graph, as in the reference scenario
   (SNIPPETS Snippet 2).
-- Pause state only changes in :meth:`_slot_set`, the apply pass
+- Pause state only changes in :meth:`set_slot`, the apply pass
   (:meth:`_apply_moves`, or :meth:`_settle_rows` under the vectorized
   engine), :meth:`force_pause` and the expiry scan at the top of
   :meth:`movement_stage`, so one cycle's allocation loop observes a
@@ -56,10 +56,6 @@ class PauseResumeFabric(Fabric):
     """Credit fabric with per-(link port, VN) XOFF/XON pause semantics."""
 
     def __init__(self, *args, **kwargs) -> None:
-        #: Row bookkeeping must exist before ``super().__init__`` returns
-        #: only if the base constructor wrote buffer slots — it does not,
-        #: but ``_slot_set`` is overridden below, so guard with a flag.
-        self._pfc_ready = False
         super().__init__(*args, **kwargs)
         pfc = self.config.pfc
         self.pause_threshold = pfc.pause_threshold
@@ -97,7 +93,6 @@ class PauseResumeFabric(Fabric):
             for a in range(1 << self.vcs_per_vn))
         if self._engine is not None:
             self._engine.bind_pause(self._xoff, self.pause_exempt_escape)
-        self._pfc_ready = True
 
     # ------------------------------------------------------------------
     # Row state maintenance
@@ -177,10 +172,10 @@ class PauseResumeFabric(Fabric):
         if engine is not None:
             engine.asleep[engine.upstream[row // self.num_vns]] = 0
 
-    def _slot_set(self, port: int, vn: int, vc: int,
+    def set_slot(self, port: int, vn: int, vc: int,
                   packet: Optional[Packet]) -> None:
-        super()._slot_set(port, vn, vc, packet)
-        if self._pfc_ready and port < self.index.num_links:
+        super().set_slot(port, vn, vc, packet)
+        if port < self.index.num_links:
             self._recount_row(port * self.num_vns + vn)
 
     def _apply_moves(self, moves, ejects) -> None:

@@ -85,7 +85,7 @@ class StaticBubbleController:
             router = fabric.index.port_router[port]
             if self.bubbles[router] is not None:
                 continue
-            fabric._slot_set(port, vn, vc, None)
+            fabric.set_slot(port, vn, vc, None)
             # packets_in_network keeps counting the packet: a bubble is
             # part of the router, just not a normal VC slot.
             self.bubbles[router] = packet
@@ -116,7 +116,7 @@ class StaticBubbleController:
             for link, vc_mode in group:
                 tvc = fabric._pick_vc(link, vn, vc_mode, claimed=set())
                 if tvc >= 0:
-                    fabric._slot_set(link, vn, tvc, packet)
+                    fabric.set_slot(link, vn, tvc, packet)
                     self.bubbles[router] = None
                     fabric.forced_hop(packet, router, link)
                     return

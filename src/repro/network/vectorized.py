@@ -38,7 +38,7 @@ keep one plan per escape flag and pay one branch per packet.
 Credit and escape availability live in one flat byte array — bit ``v`` of
 ``avail[port * num_vns + vn]`` is set iff VC ``v`` of that (port, vn) row
 is free and unclaimed. The masks are maintained incrementally by every
-buffer write (``Fabric._slot_set``, the injection stage, and this engine's
+buffer write (``Fabric.set_slot``, the injection stage, and this engine's
 own apply pass), so a cycle's allocation reads them with zero rebuild
 cost. The scan reads them first: per (port, VN) row, ``full ^ avail``
 names the slots that hold a packet, and a per-rotation table lists those

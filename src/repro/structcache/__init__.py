@@ -25,7 +25,6 @@ __all__ = [
     "compiled",
     "deactivate",
     "distance_matrix",
-    "distances",
     "drain_links",
     "parts_for",
     "stats",
@@ -36,5 +35,5 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
                "topology_digest", "topology_payload"),
     "memo": ("KINDS", "CompiledNetwork", "activate", "active_store",
              "clear_memos", "compiled", "deactivate", "distance_matrix",
-             "distances", "drain_links", "parts_for", "stats"),
+             "drain_links", "parts_for", "stats"),
 })

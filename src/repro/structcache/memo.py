@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, List, Optional, Set, Tuple, Union,
+    Any, Callable, Dict, Optional, Set, Tuple, Union,
 )
 
 from ..store import Store, cache_roots
@@ -56,7 +56,6 @@ __all__ = [
     "stats",
     "clear_memos",
     "distance_matrix",
-    "distances",
     "drain_links",
     "parts_for",
 ]
@@ -300,20 +299,9 @@ def clear_memos(head: Optional[str] = None) -> None:
 
 
 def distance_matrix(topology: Any) -> Any:
-    """All-pairs hop distances of *topology* (the DET012-sanctioned entry
-    point): the memoised read-only array, shared by every caller."""
+    """All-pairs hop distances of *topology*: the memoised read-only
+    ``(n, n)`` int32 array, shared by every caller."""
     return compiled(topology).dist(topology)
-
-
-def distances(topology: Any) -> List[List[int]]:
-    """:func:`distance_matrix` as fresh row lists.
-
-    Every call returns freshly-allocated rows, which the caller may
-    write; the memo's matrix stays read-only (a
-    :meth:`FabricIndex.apply_faults` replaces its index's rows with its
-    own, never touching the matrix).
-    """
-    return distance_matrix(topology).tolist()
 
 
 def drain_links(topology: Any) -> Tuple[Link, ...]:

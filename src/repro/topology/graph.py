@@ -301,23 +301,6 @@ class Topology:
                     frontier.append(m)
         return dist
 
-    def all_pairs_distances(self, scalar: bool = False) -> List[List[int]]:
-        """Hop-distance matrix ``dist[src][dst]``.
-
-        The default path is a level-synchronous multi-source frontier
-        expansion over a CSR adjacency (numpy); ``scalar=True`` forces the
-        repeated-deque-BFS reference implementation.  Both produce
-        ``==``-identical matrices: hop distances are visit-order
-        independent, and unreachable pairs stay -1 either way.
-
-        Callers outside :mod:`repro.topology.graph` and the structure
-        store must go through ``repro.structcache.distances`` (the memo
-        layer) instead of calling this directly — lint rule DET012.
-        """
-        if scalar:
-            return [self.bfs_distances(n) for n in self.nodes]
-        return self._all_pairs_numpy().tolist()
-
     def _all_pairs_numpy(self) -> Any:
         """All-pairs hop distances as an ``(n, n)`` int32 array (numpy):
         :func:`hop_distances` over the adjacency, each router seeding
@@ -333,23 +316,17 @@ class Topology:
 
     def diameter(self) -> int:
         """Largest hop count between any pair of routers."""
-        best = 0
-        for dist in self.all_pairs_distances():
-            if min(dist) < 0:
-                raise ValueError("diameter undefined: topology is disconnected")
-            best = max(best, max(dist))
-        return best
+        matrix = self._all_pairs_numpy()
+        if (matrix < 0).any():
+            raise ValueError("diameter undefined: topology is disconnected")
+        return int(matrix.max())
 
     def average_distance(self) -> float:
-        """Mean hop count over all ordered router pairs."""
-        total = 0
-        pairs = 0
-        for row in self.all_pairs_distances():
-            for d in row:
-                if d > 0:
-                    total += d
-                    pairs += 1
-        return total / pairs if pairs else 0.0
+        """Mean hop count over all ordered pairs of distinct, connected
+        routers."""
+        hops = self._all_pairs_numpy()
+        hops = hops[hops > 0]
+        return int(hops.sum(dtype="int64")) / hops.size if hops.size else 0.0
 
     def is_critical_edge(self, a: int, b: int) -> bool:
         """True when removing link (a, b) would disconnect the topology."""

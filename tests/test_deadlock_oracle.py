@@ -44,7 +44,7 @@ def plant_ring_deadlock(fabric, n=4):
                               if l.dst == dst_router][0]]
         packet = Packet(i, src, (i + 3) % n, MessageClass.REQ)
         packet.blocked_since = 0
-        fabric.buf[link][0][0] = packet
+        fabric.set_slot(link, 0, 0, packet)
         fabric.packets_in_network += 1
         slots.append((link, 0, 0))
     return slots
@@ -65,7 +65,7 @@ class TestOracle:
         # Therefore this particular plant is NOT a true deadlock...
         # unless we also fill the counterclockwise links. Check exactly.
         ccw_free = all(
-            fabric.buf[fabric.index.link_reverse[s[0]]][0][0] is None
+            fabric.slot(fabric.index.link_reverse[s[0]], 0, 0) is None
             for s in slots
         )
         assert ccw_free
@@ -85,7 +85,7 @@ class TestOracle:
                                   if l.dst == dst_router][0]]
             packet = Packet(10 + i, src, (i + 2) % n, MessageClass.REQ)
             packet.blocked_since = 0
-            fabric.buf[link][0][0] = packet
+            fabric.set_slot(link, 0, 0, packet)
             fabric.packets_in_network += 1
             ccw.append((link, 0, 0))
         deadlocked = find_deadlocked_slots(fabric)
@@ -96,7 +96,7 @@ class TestOracle:
         index = fabric.index
         link = index.out_links[0][0]
         packet = Packet(0, 0, index.link_dst[link], MessageClass.REQ)
-        fabric.buf[link][0][0] = packet
+        fabric.set_slot(link, 0, 0, packet)
         fabric.packets_in_network += 1
         assert not has_deadlock(fabric)
 
@@ -110,7 +110,7 @@ class TestOracle:
             link = index.link_id[[l for l in index.topology.links_out_of(i)
                                   if l.dst == i + 1][0]]
             packet = Packet(i, i, 3, MessageClass.REQ)
-            fabric.buf[link][0][0] = packet
+            fabric.set_slot(link, 0, 0, packet)
             fabric.packets_in_network += 1
         assert not has_deadlock(fabric)
 
@@ -122,7 +122,7 @@ class TestOracle:
         link = index.out_links[0][0]
         dst = index.link_dst[link]
         packet = Packet(0, 0, dst, MessageClass.REQ)
-        fabric.buf[link][0][0] = packet
+        fabric.set_slot(link, 0, 0, packet)
         fabric.packets_in_network += 1
         for i in range(fabric._ej_depth):
             fabric.ej_queues[dst][MessageClass.REQ].append(
@@ -137,7 +137,7 @@ class TestOracle:
         link = index.out_links[0][0]
         dst = index.link_dst[link]
         packet = Packet(0, 0, dst, MessageClass.RESP)
-        fabric.buf[link][0][0] = packet
+        fabric.set_slot(link, 0, 0, packet)
         fabric.packets_in_network += 1
         for i in range(fabric._ej_depth):
             fabric.ej_queues[dst][MessageClass.RESP].append(
@@ -157,7 +157,7 @@ class TestCycleExtractionAndRotation:
                                   if l.dst == dst_router][0]]
             packet = Packet(10 + i, i, (i + 2) % 4, MessageClass.REQ)
             packet.blocked_since = 0
-            fabric.buf[link][0][0] = packet
+            fabric.set_slot(link, 0, 0, packet)
             fabric.packets_in_network += 1
         return fabric
 
@@ -189,7 +189,7 @@ class TestCycleExtractionAndRotation:
     def test_rotation_counts_hops_and_spins(self):
         fabric = self._wedged_fabric()
         cycle = extract_cycle(fabric, find_deadlocked_slots(fabric))
-        packets = [fabric.buf[p][vn][vc] for p, vn, vc in cycle]
+        packets = [fabric.slot(p, vn, vc) for p, vn, vc in cycle]
         rotate_cycle(fabric, cycle, forced_kind="spin")
         for packet in packets:
             assert packet.hops == 1

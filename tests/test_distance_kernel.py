@@ -4,11 +4,13 @@
 matrix (``Topology._all_pairs_numpy``), a fault epoch's rows
 (``FabricIndex.apply_faults``) and up*/down*'s legal distances over the
 (router, phase) product graph all come from it. Each is checked here
-against a scalar BFS, or against values pinned before the kernel existed.
+against a scalar BFS, or against values pinned before the kernel existed;
+a fault epoch's rows are read-only views of its one matrix.
 """
 
 import hashlib
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -116,17 +118,38 @@ def test_fault_epochs_match_a_scalar_bfs(topology):
     rows = index.dist  # the vectorized engine holds this list
     rng = random.Random(7)
     dead_links, dead_routers = set(), set()
-    for epoch in range(1, 5):
-        for link in rng.sample(range(index.num_links), 3):
-            dead_links |= {link, index.link_reverse[link]}
-        if epoch % 2 == 0:
-            dead_routers.add(rng.randrange(index.num_nodes))
-        index.apply_faults(dead_links, dead_routers)
+    for epoch in range(5):
+        if epoch:
+            for link in rng.sample(range(index.num_links), 3):
+                dead_links |= {link, index.link_reverse[link]}
+            if epoch % 2 == 0:
+                dead_routers.add(rng.randrange(index.num_nodes))
+            index.apply_faults(dead_links, dead_routers)
         assert index.fault_epoch == epoch and index.dist is rows
-        assert all(type(row) is list for row in rows)
-        assert rows == surviving_rows(index)
         matrix = index.dist_matrix()
-        assert matrix.tolist() == rows and not matrix.flags.writeable
+        assert not matrix.flags.writeable
+        for row in rows:
+            assert isinstance(row, memoryview) and row.readonly
+            assert np.shares_memory(np.asarray(row), matrix)
+        assert [list(row) for row in rows] == surviving_rows(index)
+
+
+def test_a_faulted_1024_switch_index_holds_one_distance_matrix():
+    # A fault epoch keeps its new matrix and n row views of it: nothing
+    # else of size n * n (a row-list copy of the matrix took 8 MB more).
+    index = FabricIndex(make_leaf_spine(1008, 16, uplinks=2))
+    assert index.num_nodes == 1024
+    dead = {0, index.link_reverse[0]}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index.apply_faults(dead, set())
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    matrix = index.dist_matrix()
+    assert matrix.nbytes == 4 * 1024 * 1024
+    assert retained <= 1.5 * matrix.nbytes
 
 
 def digest(array):

@@ -86,12 +86,12 @@ class TestRotation:
             dst = (dst + 1) % 16
         packet = Packet(0, 0, dst, MessageClass.REQ)
         packet.gen_cycle = 0
-        fabric.buf[first_port][0][0] = packet
+        fabric.set_slot(first_port, 0, 0, packet)
         fabric.packets_in_network += 1
         fabric.frozen = True  # isolate the drain from normal movement
         controller._rotate_once()
         second_port = controller.path_ports[1]
-        assert fabric.buf[second_port][0][0] is packet
+        assert fabric.slot(second_port, 0, 0) is packet
         assert packet.hops == 1
         assert packet.drain_moves == 1
         assert path.next_link(path.links[0]) == path.links[1]
@@ -106,7 +106,7 @@ class TestRotation:
                 router = fabric.index.link_dst[port]
                 if dst == router:
                     dst = (dst + 1) % 16
-                fabric.buf[port][0][0] = Packet(planted, router, dst)
+                fabric.set_slot(port, 0, 0, Packet(planted, router, dst))
                 fabric.packets_in_network += 1
                 planted += 1
         # Fill ejection queues so no packet can leave during the rotation.
@@ -126,7 +126,7 @@ class TestRotation:
         dest_router = fabric.index.link_dst[port1]
         src = (dest_router + 1) % 16
         packet = Packet(0, src, dest_router)
-        fabric.buf[port0][0][0] = packet
+        fabric.set_slot(port0, 0, 0, packet)
         fabric.packets_in_network += 1
         controller._rotate_once()
         assert packet.eject_cycle is not None
@@ -143,7 +143,7 @@ class TestRotation:
             for dst in range(16):
                 if dst != here and index.dist[there][dst] > index.dist[here][dst]:
                     packet = Packet(0, (dst + 1) % 16 if (dst + 1) % 16 != dst else dst - 1, dst)
-                    fabric.buf[port][0][0] = packet
+                    fabric.set_slot(port, 0, 0, packet)
                     fabric.packets_in_network += 1
                     controller._rotate_once()
                     assert packet.misroutes == 1
@@ -159,13 +159,13 @@ class TestRotation:
             packet = Packet(vn, (router + 1) % 16, (router + 2) % 16
                             if (router + 2) % 16 != router else (router + 3) % 16)
             packet.vn = vn
-            fabric.buf[port0][vn][0] = packet
+            fabric.set_slot(port0, vn, 0, packet)
             fabric.packets_in_network += 1
             packets.append(packet)
         controller._rotate_once()
         port1 = controller.path_ports[1]
         for vn, packet in enumerate(packets):
-            assert fabric.buf[port1][vn][0] is packet
+            assert fabric.slot(port1, vn, 0) is packet
 
     def test_non_escape_vcs_untouched_by_drain(self):
         fabric, controller = drain_setup(vcs=2, epoch=1000)
@@ -173,10 +173,10 @@ class TestRotation:
         router = fabric.index.link_dst[port0]
         packet = Packet(0, (router + 1) % 16, (router + 2) % 16
                         if (router + 2) % 16 != router else (router + 3) % 16)
-        fabric.buf[port0][0][1] = packet  # non-escape VC 1
+        fabric.set_slot(port0, 0, 1, packet)  # non-escape VC 1
         fabric.packets_in_network += 1
         controller._rotate_once()
-        assert fabric.buf[port0][0][1] is packet
+        assert fabric.slot(port0, 0, 1) is packet
         assert packet.hops == 0
 
     @pytest.mark.parametrize("dense", [False, True])
@@ -213,7 +213,7 @@ class TestFullDrain:
             dst = rng.randrange(16)
             if dst == router:
                 dst = (dst + 1) % 16
-            fabric.buf[port][0][0] = Packet(port, router, dst)
+            fabric.set_slot(port, 0, 0, Packet(port, router, dst))
             fabric.packets_in_network += 1
         # Trigger a full drain directly.
         controller._windows_done = 0
@@ -230,7 +230,7 @@ class TestFullDrain:
                         fabric.pop_ejection(node, cls)
         # Every escape packet visited every router, so all must have ejected.
         for port in controller.path_ports:
-            assert fabric.buf[port][0][0] is None
+            assert fabric.slot(port, 0, 0) is None
 
 
 class TestDrainPathReuse:

@@ -96,10 +96,10 @@ class TestEscapeVcDiscipline:
         target_link = fabric.index.out_links[0][0]
         # Occupy the escape VC downstream: only one free VC remains.
         blocker = Packet(99, 2, 5)
-        fabric.buf[target_link][0][0] = blocker
+        fabric.set_slot(target_link, 0, 0, blocker)
         assert fabric._pick_vc(target_link, 0, 4, claimed=set()) == -1
         # With both free, the adaptive VC is claimable.
-        fabric.buf[target_link][0][0] = None
+        fabric.set_slot(target_link, 0, 0, None)
         assert fabric._pick_vc(target_link, 0, 4, claimed=set()) == 1
 
 

@@ -203,23 +203,23 @@ class TestPauseResumeFabric:
     def test_hysteresis(self):
         fabric = build_sim().fabric  # pause=2, resume=0
         row = 0  # port 0, vn 0
-        fabric._slot_set(0, 0, 0, row_packet(0))
+        fabric.set_slot(0, 0, 0, row_packet(0))
         assert not fabric._xoff[row]
-        fabric._slot_set(0, 0, 1, row_packet(1))
+        fabric.set_slot(0, 0, 1, row_packet(1))
         assert fabric._xoff[row] and fabric.pfc_pauses == 1
         # Occupancy 1 > resume_threshold 0: still XOFF.
-        fabric._slot_set(0, 0, 1, None)
+        fabric.set_slot(0, 0, 1, None)
         assert fabric._xoff[row] and fabric.pfc_resumes == 0
-        fabric._slot_set(0, 0, 0, None)
+        fabric.set_slot(0, 0, 0, None)
         assert not fabric._xoff[row] and fabric.pfc_resumes == 1
 
     def test_resume_jitter_defers_xon(self):
         fabric = build_sim().fabric
         fabric.resume_jitter = 5
-        fabric._slot_set(0, 0, 0, row_packet(0))
-        fabric._slot_set(0, 0, 1, row_packet(1))
-        fabric._slot_set(0, 0, 0, None)
-        fabric._slot_set(0, 0, 1, None)
+        fabric.set_slot(0, 0, 0, row_packet(0))
+        fabric.set_slot(0, 0, 1, row_packet(1))
+        fabric.set_slot(0, 0, 0, None)
+        fabric.set_slot(0, 0, 1, None)
         # Row is empty but XON is parked until cycle + jitter.
         assert fabric._xoff[0] and fabric._pause_until[0] == fabric.cycle + 5
         fabric.cycle += 5
@@ -259,7 +259,7 @@ class TestPauseResumeFabric:
         assert fabric._pick_vc(0, 0, 3, set()) == -1
         assert fabric._pick_vc(0, 0, 0, set()) == 0
         # With VC 0 occupied the exemption has nothing to offer.
-        fabric._slot_set(0, 0, 0, row_packet(0))
+        fabric.set_slot(0, 0, 0, row_packet(0))
         assert fabric._pick_vc(0, 0, 0, set()) == -1
 
     def test_pfc_summary_keys(self):

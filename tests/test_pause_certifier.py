@@ -320,28 +320,6 @@ def test_nested_member_loop_branch_is_not_a_finding():
     assert codes(src, KERNEL) == []
 
 
-class TestDet012DirectAllPairs:
-    SRC = "d = topology.all_pairs_distances()\n"
-
-    def test_direct_call_fires_anywhere(self):
-        assert codes(self.SRC, "src/repro/drain/demo.py") == ["DET012"]
-        assert codes(self.SRC, KERNEL) == ["DET012"]
-
-    def test_message_points_at_the_memo_layer(self):
-        [finding] = lint_source(self.SRC, "src/repro/faults/demo.py")
-        assert "repro.structcache.distances" in finding.message
-
-    def test_entry_points_are_allowlisted(self):
-        # The topology method itself and the store's compile path are the
-        # only sanctioned callers of the raw all-pairs BFS.
-        assert codes(self.SRC, "src/repro/topology/graph.py") == []
-        assert codes(self.SRC, "src/repro/structcache/memo.py") == []
-
-    def test_pragma_suppresses(self):
-        src = "d = topology.all_pairs_distances()  # det: allow\n"
-        assert codes(src, "src/repro/drain/demo.py") == []
-
-
 # ---------------------------------------------------------------------------
 # Preflight pause gate
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_drain_rotation_is_a_permutation(topo, seed):
             if dst == router:
                 dst = (dst + 1) % topo.num_nodes
             packet = Packet(len(planted), router, dst)
-            fabric.buf[port][0][0] = packet
+            fabric.set_slot(port, 0, 0, packet)
             fabric.packets_in_network += 1
             planted.append(packet)
     # Block all ejection so the rotation is a pure permutation.
@@ -121,7 +121,7 @@ def test_oracle_live_packets_eventually_move(topo, seed):
     for _ in range(horizon):
         sim.step()
     for slot, pid in live.items():
-        current = fabric.buf[slot[0]][slot[1]][slot[2]]
+        current = fabric.slot(*slot)
         assert current is None or current.pid != pid, (
             f"live packet {pid} never moved out of {slot}"
         )

@@ -211,12 +211,12 @@ def _wedge():
         fabric._eject(1, Packet(100 + pid, 0, 1))
     for vc in (0, 1):
         fabric.packets_in_network += 1
-        fabric.buf[link][0][vc] = Packet(200 + vc, 0, 1)
+        fabric.set_slot(link, 0, vc, Packet(200 + vc, 0, 1))
     waiting = Packet(1, 0, 1)
     assert fabric.offer_packet(waiting)
     for _ in range(3):
         fabric.step()
-    assert fabric.buf[index.injection_port(0)][0][0] is waiting
+    assert fabric.slot(index.injection_port(0), 0, 0) is waiting
     assert list(engine.asleep[:2]) == [1, 1]
     assert engine.sleep_draws[0] == 1 and engine.sleep_draws[1] == 0
     assert engine.audit_sleep() == []
@@ -238,7 +238,7 @@ class TestWakeSources:
         fabric.step()  # router 1 ejects a blocker: its feeder wakes
         assert engine.asleep[0] == 0 and engine.audit_sleep() == []
         fabric.step()
-        assert waiting in (fabric.buf[link][0][0], fabric.buf[link][0][1])
+        assert waiting in (fabric.slot(link, 0, 0), fabric.slot(link, 0, 1))
 
     def test_fault_drop_slot(self):
         fabric, engine, link, waiting = _wedge()
@@ -246,19 +246,19 @@ class TestWakeSources:
         assert list(engine.asleep[:2]) == [0, 0]
         assert engine.audit_sleep() == []
         fabric.step()
-        assert fabric.buf[link][0][0] is waiting
+        assert fabric.slot(link, 0, 0) is waiting
 
     def test_drain_rotate_escape(self):
         fabric, engine, link, waiting = _wedge()
         back = fabric.index.link_reverse[link]
-        rotated = fabric.buf[link][0][0]
+        rotated = fabric.slot(link, 0, 0)
         fabric.drain_rotate_escape([link, back])
         # VC 0's occupant rotated to router 0; both routers changed.
-        assert fabric.buf[back][0][0] is rotated
+        assert fabric.slot(back, 0, 0) is rotated
         assert list(engine.asleep[:2]) == [0, 0]
         assert engine.audit_sleep() == []
         fabric.step()  # router 0 refills the freed VC with either packet
-        assert fabric.buf[link][0][0] in (waiting, rotated)
+        assert fabric.slot(link, 0, 0) in (waiting, rotated)
 
     def test_arrival_wakes_destination_router(self):
         fabric, engine, link, _ = _wedge()
@@ -307,7 +307,7 @@ class TestWakeSources:
             fabric.step()
         assert engine.asleep[0] == 1 and fabric.pfc_stalls == 5
         fabric.step()  # cycle 6: the frames expire, XON wakes router 0
-        assert fabric.buf[link][0][0] is waiting
+        assert fabric.slot(link, 0, 0) is waiting
         assert fabric.pfc_stalls == 5 and engine.audit_sleep() == []
 
     def test_invalidate_routing_cache(self):
@@ -329,7 +329,7 @@ class TestWakeSources:
         assert engine.audit_sleep() == []  # stale epoch: flags are void
         fabric.step()
         assert engine._used0[link] == 1
-        assert fabric.buf[index.injection_port(0)][0][0] is None
+        assert fabric.slot(index.injection_port(0), 0, 0) is None
         assert waiting.hops == 1
         assert engine.audit_sleep() == []
 

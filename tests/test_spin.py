@@ -31,7 +31,7 @@ def wedged_spin_setup(timeout=8, check_interval=4):
                                   if l.dst == dst_router][0]]
             packet = Packet(pid, i, (i + 2) % 4, MessageClass.REQ)
             packet.blocked_since = 0
-            fabric.buf[link][0][0] = packet
+            fabric.set_slot(link, 0, 0, packet)
             fabric.packets_in_network += 1
             pid += 1
     controller = SpinController(fabric, config.spin, check_interval=check_interval)

@@ -72,6 +72,11 @@ def tiny_spec(seed=1, scheme=Scheme.DRAIN, rate=0.05):
     )
 
 
+def dist_rows(topology):
+    """The memoised distance matrix of *topology*, as nested lists."""
+    return structcache.distance_matrix(topology).tolist()
+
+
 def csr(net):
     """The CSR arrays of a memo entry's routing tables."""
     tables = net.parts["tables"]
@@ -130,56 +135,60 @@ class TestDigests:
 class TestStoreArtifacts:
     def test_distances_roundtrip_and_counters(self, store):
         topology = make_mesh(4, 4)
-        cold = structcache.distances(topology)
+        cold = dist_rows(topology)
         assert store.compiles == 1 and store.misses == 1
         structcache.clear_memos()
-        warm = structcache.distances(topology)
-        assert warm == cold == topology.all_pairs_distances(scalar=True)
+        warm = dist_rows(topology)
+        assert warm == cold == [topology.bfs_distances(r)
+                                for r in topology.nodes]
         assert store.hits == 1 and store.compiles == 1
 
-    def test_distances_rows_are_fresh_copies(self, store):
-        # A caller may write the rows it gets; a shared cached list
-        # would poison every later consumer.
+    def test_distance_matrix_is_read_only(self, store):
+        # Every caller shares the one matrix; a write would poison every
+        # later consumer, so it is refused, cold or loaded from the store.
         topology = make_mesh(4, 4)
-        first = structcache.distances(topology)
-        first[0][1] = -77
-        assert structcache.distances(topology)[0][1] == 1
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                structcache.distance_matrix(topology)[0, 1] = -77
+            assert structcache.distance_matrix(topology)[0, 1] == 1
+            structcache.clear_memos()
+        assert store.hits == 1
 
     def test_truncated_array_recomputes(self, store):
         topology = make_mesh(4, 4)
-        reference = structcache.distances(topology)
+        reference = dist_rows(topology)
         [npy] = list(store.root.glob("dist/*/*/dist.npy"))
         npy.write_bytes(npy.read_bytes()[: npy.stat().st_size // 2])
         structcache.clear_memos()
-        assert structcache.distances(topology) == reference
+        assert dist_rows(topology) == reference
         assert store.corrupt == 1
         # The corrupt entry was replaced by a fresh, loadable one.
         structcache.clear_memos()
-        assert structcache.distances(topology) == reference
+        assert dist_rows(topology) == reference
         assert store.corrupt == 1
 
     def test_garbage_meta_recomputes(self, store):
         topology = make_mesh(4, 4)
-        reference = structcache.distances(topology)
+        reference = dist_rows(topology)
         [meta] = list(store.root.glob("dist/*/*/meta.json"))
         meta.write_text("{not json")
         structcache.clear_memos()
-        assert structcache.distances(topology) == reference
+        assert dist_rows(topology) == reference
         assert store.corrupt == 1
 
     def test_entry_without_meta_is_repaired(self, store):
         # What a killed rmtree leaves: the arrays without their meta.json.
         topology = make_mesh(4, 4)
-        reference = structcache.distances(topology)
+        reference = dist_rows(topology)
         [meta] = list(store.root.glob("dist/*/*/meta.json"))
         meta.unlink()
         structcache.clear_memos()
-        assert structcache.distances(topology) == reference
+        assert dist_rows(topology) == reference
         assert (store.corrupt, store.compiles) == (1, 2)
         assert meta.exists()
         structcache.clear_memos()
         hits = store.hits
-        assert structcache.distances(topology) == reference
+        assert dist_rows(topology) == reference
         assert (store.hits, store.corrupt, store.compiles) == (hits + 1, 1, 2)
 
     def test_parts_roundtrip(self, store):
@@ -340,7 +349,7 @@ class TestCompiledNetworkMemo:
         boot = net.parts["dist"].tolist()
         tables = AdaptiveMinimalRouting(index).compiled_tables
         index.apply_faults({0, index.link_reverse[0]}, set())
-        assert index.dist != boot
+        assert [list(r) for r in index.dist] != boot
         fresh = FabricIndex(make_mesh(4, 4))
         assert fresh.compiled is net
         assert (fresh.fault_epoch, fresh.dead_links, fresh.dead_routers) == (
@@ -354,21 +363,33 @@ class TestCompiledNetworkMemo:
     def test_boot_rows_are_views_of_the_memo_matrix(self):
         # At epoch 0 an index holds no copy of the boot matrix: its rows
         # are read-only views of the memo's array.
-        index = FabricIndex(make_mesh(4, 4))
+        topology = make_mesh(4, 4)
+        index = FabricIndex(topology)
         matrix = index.compiled.parts["dist"]
         boot = matrix.tolist()
+        assert boot == [topology.bfs_distances(r) for r in topology.nodes]
         for row, values in zip(index.dist, boot):
             assert isinstance(row, memoryview) and row.readonly
             assert np.shares_memory(np.asarray(row), matrix)
             assert list(row) == values
         with pytest.raises(TypeError):
             index.dist[0][1] = 7
-        # A fault writes fresh list rows and leaves the matrix untouched.
+        # A fault installs read-only views of its own matrix, in the same
+        # list, and leaves the memo's matrix untouched.
+        rows = index.dist
         index.apply_faults({0, index.link_reverse[0]}, set())
-        assert all(type(row) is list for row in index.dist)
-        assert index.dist != boot
+        live = index.dist_matrix()
+        assert index.dist is rows
+        assert live is not matrix and not live.flags.writeable
+        for row in rows:
+            assert isinstance(row, memoryview) and row.readonly
+            assert np.shares_memory(np.asarray(row), live)
+        survivor = index.surviving_topology()
+        assert [list(row) for row in rows] == live.tolist() == [
+            survivor.bfs_distances(r) for r in survivor.nodes] != boot
+        with pytest.raises(TypeError):
+            rows[0][1] = 7
         assert matrix.tolist() == boot and not matrix.flags.writeable
-        assert index.dist_matrix().tolist() == index.dist
 
     def test_faulted_or_rerouted_fabrics_never_read_memoised_rows(self):
         def sim_for(seed):

@@ -123,6 +123,21 @@ class TestGraphAnalysis:
         topo = Topology(2, [(0, 1)])
         assert topo.average_distance() == 1.0
 
+    def test_diameter_and_average_distance_reduce_the_scalar_bfs(self):
+        # Exact: the same maximum and the same float as summing the
+        # scalar rows pair by pair.
+        for topo in (make_mesh(3, 5), Topology(5, [(0, 1), (1, 2), (3, 4)]),
+                     Topology(4, [])):
+            rows = [topo.bfs_distances(n) for n in topo.nodes]
+            hops = [d for row in rows for d in row if d > 0]
+            expected = sum(hops) / len(hops) if hops else 0.0
+            assert topo.average_distance() == expected
+            if min(min(row) for row in rows) < 0:
+                with pytest.raises(ValueError):
+                    topo.diameter()
+            else:
+                assert topo.diameter() == max(max(row) for row in rows)
+
     def test_all_pairs_vectorized_matches_scalar(self):
         # The numpy frontier-expansion BFS must be ==-identical to the
         # scalar reference on every topology shape, including the -1
@@ -151,9 +166,8 @@ class TestGraphAnalysis:
             }
             topologies.append(Topology(n, sorted(edges)))
         for topo in topologies:
-            scalar = topo.all_pairs_distances(scalar=True)
+            scalar = [topo.bfs_distances(n) for n in topo.nodes]
             assert topo._all_pairs_numpy().tolist() == scalar
-            assert topo.all_pairs_distances() == scalar
 
     def test_critical_edge_in_chain(self):
         topo = Topology(3, [(0, 1), (1, 2)])
@@ -181,6 +195,6 @@ class TestGraphAnalysis:
 
     def test_all_pairs_matches_single_bfs(self):
         topo = make_mesh(3, 3)
-        matrix = topo.all_pairs_distances()
+        matrix = topo._all_pairs_numpy()
         for n in topo.nodes:
-            assert matrix[n] == topo.bfs_distances(n)
+            assert matrix[n].tolist() == topo.bfs_distances(n)
